@@ -349,7 +349,7 @@ def select_rule(
     for rule in sorted(rules, key=lambda r: r.declaration_order):
         if rule.value_pattern.matches(value) and rule.fragment_pattern == fragment_id:
             return rule
-    logger.warning("no adaptation rule matched value %s", value.render())
+    logger.debug("no adaptation rule matched value %s", value.render())
     return None
 
 

@@ -97,6 +97,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.limit <= 0:
+        print("invalid: --limit must be positive, got %d" % args.limit)
+        return EXIT_VALIDATION
     try:
         bundle = load_bundle(args.bundle)
     except LoadError as exc:

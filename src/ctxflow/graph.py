@@ -198,29 +198,6 @@ class ContextGraph:
             composite_slots=tuple(composite_slots),
         )
 
-    def red_links(self):
-        """State-node parameter -> entity node (the f mapping)."""
-        return {
-            (node.id, p): p
-            for node in self.state_nodes.values()
-            for p in node.parameters
-        }
-
-    def blue_links(self):
-        """State-node attribute -> attribute node (the g mapping)."""
-        return {
-            (node.id, a): a
-            for node in self.state_nodes.values()
-            for a in node.attributes
-        }
-
-    def green_links(self):
-        """Attribute node -> (atomic value slot, delay)."""
-        return {
-            name: ("v_%s" % name, attr.delay)
-            for name, attr in self.attributes.items()
-        }
-
 
 @dataclass(frozen=True)
 class Finding:

@@ -9,8 +9,7 @@ attribute and value places, composes into the activity's composite value,
 and returns to the contextual event where the fragment decision is thrown.
 
 Tokens carry a color label; a place's color set is the set of labels it may
-hold and arcs require/produce specific labels. Guards exist in the data
-model but the translator never emits one.
+hold and arcs require/produce specific labels.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ class Place:
 @dataclass(frozen=True)
 class Transition:
     name: str
-    guard: Optional[str] = None  # supported but never set by the translator
 
 
 @dataclass(frozen=True)
@@ -52,30 +50,52 @@ class Arc:
     label: str  # token color consumed/produced
 
 
+# Per transition, (key index, count) pairs in key order.
+Vector = Tuple[Tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class Net:
+    """A net, compiled once on construction for firing on integer markings.
+
+    ``keys`` holds, sorted, the (place, label) pairs that arcs consume or
+    produce, and an integer marking (``state``) holds one count per key.
+    For the transition at position i of ``transitions``, ``pre_vectors[i]``
+    is what it consumes, ``deltas[i]`` its non-zero net effect, and
+    ``affected[i]`` the transitions that consume a key its delta changes:
+    the only ones whose enabling can change when it fires.
+    """
+
     places: Mapping[str, Place]
     transitions: Mapping[str, Transition]
     arcs: Tuple[Arc, ...]
     initial_marking: "Marking"
+    keys: Tuple[Tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    key_index: Mapping[Tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    transition_index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    pre_vectors: Tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+    deltas: Tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+    affected: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _inputs: Mapping[str, Counter] = field(init=False, repr=False, compare=False)
+    _outputs: Mapping[str, Counter] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         place_names = set(self.places)
         transition_names = set(self.transitions)
         if place_names & transition_names:
             raise ValueError("place and transition names must be disjoint")
-        inputs = {t: 0 for t in transition_names}
-        outputs = {t: 0 for t in transition_names}
+        inputs = {t: Counter() for t in self.transitions}
+        outputs = {t: Counter() for t in self.transitions}
         for arc in self.arcs:
             if arc.source in place_names and arc.target in transition_names:
-                inputs[arc.target] += 1
+                inputs[arc.target][(arc.source, arc.label)] += 1
                 if arc.label not in self.places[arc.source].colorset:
                     raise ValueError(
                         "arc %s->%s consumes label %r outside the color set"
                         % (arc.source, arc.target, arc.label)
                     )
             elif arc.source in transition_names and arc.target in place_names:
-                outputs[arc.source] += 1
+                outputs[arc.source][(arc.target, arc.label)] += 1
                 if arc.label not in self.places[arc.target].colorset:
                     raise ValueError(
                         "arc %s->%s produces label %r outside the color set"
@@ -87,22 +107,74 @@ class Net:
                     % (arc.source, arc.target)
                 )
         for t in transition_names:
-            if inputs[t] == 0 or outputs[t] == 0:
+            if not inputs[t] or not outputs[t]:
                 raise ValueError("transition %r lacks input or output arcs" % (t,))
+        object.__setattr__(self, "_inputs", inputs)
+        object.__setattr__(self, "_outputs", outputs)
+        self._compile()
 
     def pre(self, transition: str) -> Counter:
-        return Counter(
-            (arc.source, arc.label)
-            for arc in self.arcs
-            if arc.target == transition
-        )
+        """(place, label) -> tokens ``transition`` consumes."""
+        return Counter(self._inputs.get(transition, ()))
 
     def post(self, transition: str) -> Counter:
-        return Counter(
-            (arc.target, arc.label)
-            for arc in self.arcs
-            if arc.source == transition
+        """(place, label) -> tokens ``transition`` produces."""
+        return Counter(self._outputs.get(transition, ()))
+
+    def _compile(self):
+        names = tuple(self.transitions)
+        pres = [self.pre(name) for name in names]
+        posts = [self.post(name) for name in names]
+        keys = tuple(sorted(set().union(*pres, *posts)))
+        index = {key: k for k, key in enumerate(keys)}
+        deltas = []
+        for pre, post in zip(pres, posts):
+            post.subtract(pre)
+            deltas.append(tuple(sorted(
+                (index[key], change) for key, change in post.items() if change
+            )))
+        pre_vectors = tuple(
+            tuple(sorted((index[key], need) for key, need in pre.items()))
+            for pre in pres
         )
+        readers: List[List[int]] = [[] for _ in keys]
+        for t, vector in enumerate(pre_vectors):
+            for k, _ in vector:
+                readers[k].append(t)
+        affected = tuple(
+            tuple(sorted({t for k, _ in delta for t in readers[k]}))
+            for delta in deltas
+        )
+        for attribute, value in (
+            ("keys", keys),
+            ("key_index", index),
+            ("transition_index", {name: t for t, name in enumerate(names)}),
+            ("pre_vectors", pre_vectors),
+            ("deltas", tuple(deltas)),
+            ("affected", affected),
+        ):
+            object.__setattr__(self, attribute, value)
+
+    def state(self, marking: "Marking") -> List[int]:
+        """The integer marking of ``marking``: its count for every key.
+
+        Tokens under keys that no arc touches are left out; no firing reads
+        or changes them.
+        """
+        counts = [0] * len(self.keys)
+        for place, label, count in marking:
+            k = self.key_index.get((place, label))
+            if k is not None:
+                counts[k] = count
+        return counts
+
+    def enabled_at(self, state: Sequence[int]) -> List[int]:
+        """Positions of the transitions enabled at the integer marking ``state``."""
+        return [
+            t
+            for t, pre in enumerate(self.pre_vectors)
+            if all(state[k] >= need for k, need in pre)
+        ]
 
 
 # A marking maps (place, label) -> token count; canonically a sorted tuple.
@@ -110,49 +182,34 @@ Marking = Tuple[Tuple[str, str, int], ...]
 
 
 def make_marking(tokens: Mapping[Tuple[str, str], int]) -> Marking:
-    return tuple(
+    return tuple([
         (place, label, count)
         for (place, label), count in sorted(tokens.items())
         if count > 0
-    )
+    ])
 
 
-def marking_tokens(marking: Marking) -> Counter:
-    return Counter({(place, label): count for place, label, count in marking})
+def enabled(net: Net, marking: Marking) -> List[str]:
+    """Names of the transitions enabled at ``marking``, in net order."""
+    names = tuple(net.transitions)
+    return [names[t] for t in net.enabled_at(net.state(marking))]
 
 
-def enabled(net: Net, marking: Marking) -> List[Tuple[str, None]]:
-    """Transitions (with their trivial binding) enabled at ``marking``."""
-    tokens = marking_tokens(marking)
-    out = []
-    for name in net.transitions:
-        pre = net.pre(name)
-        if all(tokens.get(key, 0) >= need for key, need in pre.items()):
-            out.append((name, None))
-    return out
-
-
-def fire(net: Net, marking: Marking, transition: str, binding=None) -> Marking:
+def fire(net: Net, marking: Marking, transition: str) -> Marking:
     """Consume the input tokens of ``transition`` and produce its outputs."""
-    if transition not in net.transitions:
+    t = net.transition_index.get(transition)
+    if t is None:
         raise NotEnabledError("unknown transition %r" % (transition,))
-    tokens = marking_tokens(marking)
-    pre = net.pre(transition)
-    for key, need in pre.items():
-        if tokens.get(key, 0) < need:
+    keys = net.keys
+    tokens = {(place, label): count for place, label, count in marking}
+    for k, need in net.pre_vectors[t]:
+        if tokens.get(keys[k], 0) < need:
             raise NotEnabledError(
                 "transition %r is not enabled at this marking" % (transition,),
                 transition=transition,
             )
-    for key, need in pre.items():
-        tokens[key] -= need
-    for key, made in net.post(transition).items():
-        tokens[key] = tokens.get(key, 0) + made
-        place, label = key
-        if label not in net.places[place].colorset:
-            raise NotEnabledError(
-                "token %r not admitted by place %r" % (label, place), place=place
-            )
+    for k, change in net.deltas[t]:
+        tokens[keys[k]] = tokens.get(keys[k], 0) + change
     return make_marking(tokens)
 
 
@@ -177,25 +234,45 @@ def explore(net: Net, initial: Optional[Marking] = None, limit: int = 100000) ->
 
     The result is exact when fewer than ``limit`` markings exist, else it is
     flagged partial. Canonical marking encoding makes the space independent
-    of internal work ordering.
+    of internal work ordering. Successors come from ``fire``, the one firing
+    rule. Each marking waiting in the frontier also carries its integer
+    marking and its enabled transitions; after a firing, only the
+    transitions in ``net.affected`` of the fired one are rechecked.
+    Every distinct marking is one object, shared by ``nodes`` and ``arcs``.
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
     m0 = initial if initial is not None else net.initial_marking
     space = StateSpace(initial=m0)
-    space.nodes.add(m0)
-    frontier = deque([m0])
-    while frontier:
-        marking = frontier.popleft()
-        for transition, _ in enabled(net, marking):
-            successor = fire(net, marking, transition)
-            if successor not in space.nodes:
-                if len(space.nodes) >= limit:
+    names = tuple(net.transitions)
+    pre_vectors, deltas, affected = net.pre_vectors, net.deltas, net.affected
+    canonical = {m0: m0}
+    state = net.state(m0)
+    frontier = deque([(m0, state, net.enabled_at(state))])
+    while frontier and not space.partial:
+        marking, state, live = frontier.popleft()
+        for t in live:
+            name = names[t]
+            successor = fire(net, marking, name)
+            known = canonical.get(successor)
+            if known is None:
+                if len(canonical) >= limit:
                     space.partial = True
-                    return space
-                space.nodes.add(successor)
-                frontier.append(successor)
-            space.arcs.append((marking, transition, successor))
+                    break
+                canonical[successor] = known = successor
+                after = list(state)
+                for k, change in deltas[t]:
+                    after[k] += change
+                recheck = affected[t]
+                now = [u for u in live if u not in recheck]
+                now += [
+                    u for u in recheck
+                    if all(after[k] >= need for k, need in pre_vectors[u])
+                ]
+                now.sort()
+                frontier.append((successor, after, now))
+            space.arcs.append((marking, name, known))
+    space.nodes.update(canonical)
     return space
 
 
@@ -305,9 +382,8 @@ def translate(model) -> Net:
     Layer-2 naming follows the Activity_i / INFO_i / ContextualEvent_i /
     Returned_i scheme with INFO_1..INFO_(n-1) between consecutive
     activities; layer 1 mirrors the context graph restricted to the state
-    nodes of activities present in the chain. Substitution-transition
-    internals default to a begin/busy/end task sequence unless the model
-    supplies an explicit task list.
+    nodes of activities present in the chain. Each activity's
+    substitution transition is a begin/busy/end task sequence.
     """
     model.validate()
     order = model.chain.order()
@@ -414,21 +490,16 @@ def translate(model) -> Net:
                 # Hand the situation token on, recolored for the next stage.
                 arc(throw, "ContextualSituation", "%s%d" % (CS, stage + 1))
 
-        # Substitution-transition internals for Activity_i.
-        tasks = getattr(model.chain.nodes[aid], "tasks", None) or ("begin", "end")
-        if len(tasks) < 2:
-            tasks = ("begin", "end")
-        stage_places = [
-            place("Activity_%d_p%d" % (i, s), CASE) for s in range(1, len(tasks))
-        ]
-        for t_index, task in enumerate(tasks):
-            t_name = transition("Activity_%d_%s" % (i, task))
-            source = upstream if t_index == 0 else stage_places[t_index - 1]
-            target = downstream if t_index == len(tasks) - 1 else stage_places[t_index]
-            arc(source, t_name, CASE)
-            arc(t_name, target, CASE)
-            if t_index == 0 and has_pipeline:
-                arc("Returned_%d" % i, t_name, FRAG)
+        # Substitution-transition internals for Activity_i: begin, then end.
+        busy = place("Activity_%d_p1" % i, CASE)
+        begin = transition("Activity_%d_begin" % i)
+        arc(upstream, begin, CASE)
+        arc(begin, busy, CASE)
+        if has_pipeline:
+            arc("Returned_%d" % i, begin, FRAG)
+        end = transition("Activity_%d_end" % i)
+        arc(busy, end, CASE)
+        arc(end, downstream, CASE)
 
     initial = make_marking(
         {

@@ -2,14 +2,18 @@
 
 Each oracle re-derives expected results with a deliberately different
 technique from the production code: plain list splicing for chain rewrites,
-per-context classification for state diffing, and subset enumeration for
-query evaluation.
+per-context classification for state diffing, subset enumeration for query
+evaluation, and arc-scanning token counters for state-space exploration.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter, deque
+
+from ctxflow.errors import NotEnabledError
+from ctxflow.petri import StateSpace, make_marking
 
 
 # -- array-splice oracle for chain rewrites ---------------------------------
@@ -168,3 +172,61 @@ def halstead_oracle(n1, n2, N1, N2):
         "volume": (N1 + N2) * log2(n1 + n2),
         "difficulty": (n1 / 2.0) * (N2 / float(n2)),
     }
+
+
+# -- arc-scanning oracle for state-space exploration ------------------------
+
+
+def net_pre(net, transition):
+    return Counter(
+        (arc.source, arc.label) for arc in net.arcs if arc.target == transition
+    )
+
+
+def net_post(net, transition):
+    return Counter(
+        (arc.target, arc.label) for arc in net.arcs if arc.source == transition
+    )
+
+
+def enabled_oracle(net, marking):
+    tokens = Counter({(place, label): count for place, label, count in marking})
+    return [
+        name
+        for name in net.transitions
+        if all(tokens[key] >= need for key, need in net_pre(net, name).items())
+    ]
+
+
+def fire_oracle(net, marking, transition):
+    if transition not in net.transitions:
+        raise NotEnabledError("unknown transition %r" % (transition,))
+    tokens = Counter({(place, label): count for place, label, count in marking})
+    pre = net_pre(net, transition)
+    if any(tokens[key] < need for key, need in pre.items()):
+        raise NotEnabledError("transition %r is not enabled" % (transition,))
+    for key, need in pre.items():
+        tokens[key] -= need
+    for key, made in net_post(net, transition).items():
+        tokens[key] += made
+    return make_marking(tokens)
+
+
+def explore_oracle(net, initial=None, limit=100000):
+    """Breadth-first exploration that recomputes every enabled set from arcs."""
+    m0 = initial if initial is not None else net.initial_marking
+    space = StateSpace(initial=m0)
+    space.nodes.add(m0)
+    frontier = deque([m0])
+    while frontier:
+        marking = frontier.popleft()
+        for transition in enabled_oracle(net, marking):
+            successor = fire_oracle(net, marking, transition)
+            if successor not in space.nodes:
+                if len(space.nodes) >= limit:
+                    space.partial = True
+                    return space
+                space.nodes.add(successor)
+                frontier.append(successor)
+            space.arcs.append((marking, transition, successor))
+    return space

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes and deterministic output."""
 
 import json
+import logging
 
 import pytest
 import yaml
@@ -38,6 +39,12 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["final_order"][-2:] == ["Bill Payment", "Storage in Cloud"]
         assert len(summary["adaptations"]) == 5
+
+    def test_ideal_scenario_logs_no_warning(self, ideal_bundle, capsys, caplog):
+        with caplog.at_level(logging.DEBUG, logger="ctxflow"):
+            assert main(["run", str(ideal_bundle)]) == 0
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert any("no adaptation rule matched" in r.getMessage() for r in caplog.records)
 
     def test_ideal_scenario_has_no_adaptations(self, ideal_bundle, capsys):
         assert main(["run", str(ideal_bundle)]) == 0
@@ -97,6 +104,11 @@ class TestVerify:
         assert main(["verify", str(kiosk_bundle), "--limit", "5"]) == 3
         report = json.loads(capsys.readouterr().out)
         assert report["partial"] is True
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_non_positive_limit_is_rejected(self, kiosk_bundle, capsys, limit):
+        assert main(["verify", str(kiosk_bundle), "--limit", limit]) == 1
+        assert "--limit" in capsys.readouterr().out
 
     def test_report_written_deterministically(self, kiosk_bundle, tmp_path, capsys):
         out1, out2 = tmp_path / "one", tmp_path / "two"

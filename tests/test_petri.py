@@ -1,9 +1,14 @@
 """Tests for the colored-token net translation and state-space analysis."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctxflow.chain import ActivityChain, ActivityNode, ProcessModel
 from ctxflow.errors import NotEnabledError, PartialSpaceError
 from ctxflow.files import load_bundle
+from ctxflow.fragments import FragmentRepository
+from ctxflow.graph import AttributeNode, ContextGraph, EntityNode, StateNodeDef
 from ctxflow.petri import (
     Arc,
     Net,
@@ -20,6 +25,8 @@ from ctxflow.petri import (
     make_marking,
     translate,
 )
+
+from oracles import enabled_oracle, explore_oracle, fire_oracle
 
 
 def two_step_net():
@@ -71,7 +78,7 @@ class TestNetConstruction:
 class TestFiringSemantics:
     def test_enabled_lists_fireable_transitions(self):
         net = two_step_net()
-        assert [t for t, _ in enabled(net, net.initial_marking)] == ["t1"]
+        assert enabled(net, net.initial_marking) == ["t1"]
 
     def test_fire_moves_the_token(self):
         net = two_step_net()
@@ -235,3 +242,116 @@ class TestTranslation:
         ok, witness = check_reachable(space, goal_marking(kiosk_net))
         assert ok
         assert set(witness) == set(kiosk_net.transitions)
+
+
+# -- the compiled explorer against the arc-scanning oracle ------------------
+
+
+def chain_model(n):
+    """n activities, each observing one attribute of its own entity."""
+    entities = [EntityNode("E%d" % i) for i in range(n)]
+    attributes = [AttributeNode("E%d.x" % i) for i in range(n)]
+    nodes = [StateNodeDef("a%d" % i, ("E%d" % i,), ("E%d.x" % i,)) for i in range(n)]
+    chain = ActivityChain.from_nodes(
+        [ActivityNode(id="a%d" % i, sub_goal="s%d" % i) for i in range(n)]
+    )
+    graph = ContextGraph.build(entities, attributes, state_nodes=nodes)
+    return ProcessModel(graph, chain, FragmentRepository((), {}), (), {})
+
+
+def assert_same_space(net, initial=None, limit=100000):
+    space = explore(net, initial=initial, limit=limit)
+    expected = explore_oracle(net, initial=initial, limit=limit)
+    assert space.initial is expected.initial
+    assert space.nodes == expected.nodes
+    assert space.arcs == expected.arcs
+    assert space.partial == expected.partial
+    return space
+
+
+def assert_shared_objects(space):
+    canonical = {m: m for m in space.nodes}
+    assert all(
+        canonical[src] is src and canonical[dst] is dst
+        for src, _, dst in space.arcs
+    )
+
+
+class TestExplorerMatchesOracle:
+    @pytest.fixture()
+    def kiosk_net(self, kiosk_bundle):
+        return translate(load_bundle(kiosk_bundle).model)
+
+    @pytest.mark.parametrize("limit", [1, 5, 100, 343, None])
+    def test_kiosk(self, kiosk_net, limit):
+        if limit is None:
+            space = assert_same_space(kiosk_net)
+        else:
+            space = assert_same_space(kiosk_net, limit=limit)
+        assert space.partial == (limit is not None and limit < 343)
+        assert_shared_objects(space)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_translated_chains(self, n):
+        net = translate(chain_model(n))
+        space = assert_same_space(net)
+        assert (space.node_count, space.arc_count) == (8 * n * n + 2 * n + 1, 16 * n * n - 6 * n)
+
+    def test_tokens_off_the_net_are_carried_through(self):
+        net = two_step_net()
+        initial = make_marking({("p0", "tok"): 1, ("elsewhere", "x"): 2})
+        space = assert_same_space(net, initial=initial)
+        assert make_marking({("p2", "tok"): 1, ("elsewhere", "x"): 2}) in space.nodes
+
+
+LABELS = ("a", "b")
+
+
+@st.composite
+def small_nets(draw):
+    """Random nets over a few places and labels, with an initial marking.
+
+    Repeated arcs give weights above one, a key drawn for both sides of a
+    transition gives a self-loop, and the place ``idle`` has no arcs but may
+    hold tokens. The initial marking may also name a place the net lacks.
+    """
+    place_count = draw(st.integers(1, 4))
+    keys = st.tuples(st.sampled_from(["p%d" % i for i in range(place_count)]),
+                     st.sampled_from(LABELS))
+    arcs = []
+    transitions = {}
+    for t in range(draw(st.integers(1, 5))):
+        name = "t%d" % t
+        transitions[name] = Transition(name)
+        inputs = draw(st.lists(keys, min_size=1, max_size=3))
+        outputs = draw(st.lists(keys, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            outputs.append(inputs[0])  # self-loop
+        arcs += [Arc(place, name, label) for place, label in inputs]
+        arcs += [Arc(name, place, label) for place, label in outputs]
+    colors = {"p%d" % i: set() for i in range(place_count)}
+    for arc in arcs:
+        colors[arc.source if arc.source in colors else arc.target].add(arc.label)
+    colors["idle"] = set(LABELS)
+    places = {p: Place(p, frozenset(c or LABELS)) for p, c in colors.items()}
+    marked = st.sampled_from(sorted(colors) + ["ghost"])
+    tokens = draw(st.dictionaries(st.tuples(marked, st.sampled_from(LABELS)),
+                                  st.integers(0, 3), max_size=6))
+    return Net(places, transitions, tuple(arcs), make_marking(tokens))
+
+
+@given(net=small_nets(), limit=st.integers(1, 60))
+@settings(max_examples=300, deadline=None)
+def test_random_nets_match_oracle(net, limit):
+    space = assert_same_space(net, limit=limit)
+    assert_shared_objects(space)
+    for marking in list(space.nodes)[:10]:
+        assert enabled(net, marking) == enabled_oracle(net, marking)
+        for name in net.transitions:
+            try:
+                expected = fire_oracle(net, marking, name)
+            except NotEnabledError:
+                with pytest.raises(NotEnabledError):
+                    fire(net, marking, name)
+            else:
+                assert fire(net, marking, name) == expected
