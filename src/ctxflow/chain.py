@@ -11,6 +11,7 @@ executes, and applies the action selected by the first matching rule.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -109,30 +110,55 @@ class ActivityChain:
                 raise ChainIntegrityError("cycle through %r" % (cursor,))
             seen.add(cursor)
             out.append(cursor)
-            cursor = self.nodes[cursor].next
+            node = self.nodes.get(cursor)
+            if node is None:
+                raise ChainIntegrityError(
+                    "chain links to missing activity %r" % (cursor,)
+                )
+            cursor = node.next
         return out
 
     def validate(self) -> None:
-        """Raise unless the chain is a well-formed doubly linked list."""
-        starts = [n.id for n in self.nodes.values() if n.prev is None]
-        ends = [n.id for n in self.nodes.values() if n.next is None]
-        if len(starts) != 1 or len(ends) != 1:
+        """Raise unless the chain is a well-formed doubly linked list.
+
+        One walk from ``start``: every node must exist under its own id and
+        link back to the node walked before it (``None`` for the first), and
+        the walk must end after exactly ``len(nodes)`` nodes. A walk still
+        going after that many nodes has met a cycle or a dangling link.
+        """
+        nodes = self.nodes
+        total = len(nodes)
+        if self.start not in nodes:
             raise ChainIntegrityError(
-                "chain must have exactly one start and one end (found %r / %r)"
-                % (starts, ends)
+                "start pointer %r names no activity" % (self.start,)
             )
-        if self.start != starts[0]:
-            raise ChainIntegrityError("start pointer disagrees with links")
-        for node in self.nodes.values():
-            if node.next is not None and self.nodes[node.next].prev != node.id:
+        behind = None
+        cursor = self.start
+        try:
+            for count in range(1, total + 1):
+                node = nodes[cursor]
+                if node.prev != behind or node.id != cursor:
+                    if node.id != cursor:
+                        raise ChainIntegrityError(
+                            "activity %r is stored under %r" % (node.id, cursor)
+                        )
+                    raise ChainIntegrityError(
+                        "prev/next mismatch between %r and %r" % (cursor, behind)
+                    )
+                behind = cursor
+                cursor = node.next
+                if cursor is None:
+                    break
+            else:
                 raise ChainIntegrityError(
-                    "next/prev mismatch between %r and %r" % (node.id, node.next)
+                    "chain does not end after %d activities (at %r)"
+                    % (total, cursor)
                 )
-            if node.prev is not None and self.nodes[node.prev].next != node.id:
-                raise ChainIntegrityError(
-                    "prev/next mismatch between %r and %r" % (node.id, node.prev)
-                )
-        if len(self.order()) != len(self.nodes):
+        except KeyError:
+            raise ChainIntegrityError(
+                "chain links to missing activity %r" % (cursor,)
+            ) from None
+        if count != total:
             raise ChainIntegrityError("chain contains unreachable activities")
 
     # -- low-level splicing -------------------------------------------------
@@ -365,9 +391,19 @@ class ProcessModel:
     repo: FragmentRepository
     rules: Tuple[AdaptationRule, ...]
     ideal: Mapping[str, AtomicContext]  # qualified attribute -> ideal context
+    _rules_by_activity: Dict[str, Tuple[AdaptationRule, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def rules_for(self, activity_id: str):
-        return [r for r in self.rules if r.activity_id == activity_id]
+    def __post_init__(self):
+        grouped: Dict[str, List[AdaptationRule]] = {}
+        for rule in self.rules:
+            grouped.setdefault(rule.activity_id, []).append(rule)
+        self._rules_by_activity = {k: tuple(v) for k, v in grouped.items()}
+
+    def rules_for(self, activity_id: str) -> Tuple[AdaptationRule, ...]:
+        """The activity's rules in ``rules`` order, from an index built once."""
+        return self._rules_by_activity.get(activity_id, ())
 
     def validate(self) -> None:
         self.chain.validate()
@@ -436,6 +472,11 @@ class _Runner:
         self.executed: Set[str] = set()
         self.evaluated: Set[str] = set()
         self.pending: List[_Pending] = []
+        # Deferred actions waiting per activity; an activity with any is blocked.
+        self.blocked: Counter = Counter()
+        # Where the walk resumes (None: at ``chain.start``); every activity
+        # before it has executed.
+        self.resume: Optional[str] = None
         self.clock = self.scenario[0].timestamp if self.scenario else 0
         self.next_situation = 0
         for node in self.chain.nodes.values():
@@ -522,6 +563,7 @@ class _Runner:
             self.pending.append(
                 _Pending(due, node.id, rule, thrown.fragment, value)
             )
+            self.blocked[node.id] += 1
             self.trace.entries.append(
                 TraceEntry(
                     self.clock,
@@ -561,17 +603,20 @@ class _Runner:
                 action.describe(),
             )
             return
-        inserted: List[str] = []
+        window: Sequence[str] = (activity_id,)
+        if action.kind == "reorder":
+            window, permutation = self._resolve_reorder(activity_id, action.order)
+        # A rewrite reshapes only its window (the target, or the reorder
+        # triple); a walk cursor inside it falls back to the node before it.
+        before = chain.nodes[window[0]].prev
+        if self.resume in window:
+            self.resume = before
         if action.kind in ("add_before", "add_after"):
-            existing = set(chain.nodes)
             add_fragment(
                 chain, activity_id, action.kind.split("_", 1)[1], fragment
             )
-            inserted = [i for i in chain.nodes if i not in existing]
         elif action.kind == "replace_fragment":
-            existing = set(chain.nodes)
             replace_activity(chain, activity_id, fragment)
-            inserted = [i for i in chain.nodes if i not in existing]
         elif action.kind == "replace_role":
             replace_attribute(chain, activity_id, "role", action.role)
         elif action.kind == "replace_medium":
@@ -579,19 +624,25 @@ class _Runner:
         elif action.kind == "bypass":
             bypass(chain, activity_id)
         elif action.kind == "reorder":
-            window, permutation = self._resolve_reorder(activity_id, action.order)
             reorder(chain, window, permutation)
         elif action.kind == "data_change":
             data_level_change(chain, activity_id, action.data)
+        if not action.needs_fragment:
+            return
         # Freshly inserted activities receive contextual events evaluated at
-        # insertion time, in chain order.
-        if inserted and depth < MAX_INSERTION_DEPTH:
-            order = chain.order()
-            for new_id in sorted(inserted, key=order.index):
-                self._evaluate(chain.nodes[new_id], depth + 1)
-        elif inserted:
+        # insertion time, in chain order. The spliced run follows the target
+        # for add_after, else the node that was before the target.
+        after = activity_id if action.kind == "add_after" else before
+        cursor = chain.start if after is None else chain.nodes[after].next
+        inserted = []
+        for _ in fragment.activities:
+            inserted.append(cursor)
+            cursor = chain.nodes[cursor].next
+        if depth < MAX_INSERTION_DEPTH:
             for new_id in inserted:
-                self.evaluated.add(new_id)
+                self._evaluate(chain.nodes[new_id], depth + 1)
+        else:
+            self.evaluated.update(inserted)
 
     def _resolve_reorder(self, center: str, order: Sequence[str]):
         node = self.chain.node(center)
@@ -619,25 +670,30 @@ class _Runner:
 
     # -- main walk -----------------------------------------------------------
 
-    def _blocked(self, activity_id: str) -> bool:
-        return any(p.activity_id == activity_id for p in self.pending)
-
     def _next_unexecuted(self) -> Optional[ActivityNode]:
         """First unexecuted activity that is not waiting on a deferred action.
 
         An activity whose contextual event produced a timed value is blocked
         until the delay elapses; activities after it may run meanwhile, which
-        is how a timed value postpones its activity in the schedule.
+        is how a timed value postpones its activity in the schedule. The walk
+        starts at ``resume`` and moves it up to the first unexecuted activity.
         """
-        cursor = self.chain.start
-        while cursor is not None:
-            if cursor not in self.executed and not self._blocked(cursor):
-                return self.chain.nodes[cursor]
-            cursor = self.chain.nodes[cursor].next
-        return None
+        nodes = self.chain.nodes
+        cursor = self.chain.start if self.resume is None else self.resume
+        while cursor is not None and cursor in self.executed:
+            cursor = nodes[cursor].next
+        if cursor is not None:
+            self.resume = cursor
+        while cursor is not None and (
+            cursor in self.executed or cursor in self.blocked
+        ):
+            cursor = nodes[cursor].next
+        return None if cursor is None else nodes[cursor]
 
     def _has_unexecuted(self) -> bool:
-        return any(i not in self.executed for i in self.chain.order())
+        # Rewrites only ever remove the unexecuted activity they target, so
+        # every executed activity is still in the chain.
+        return len(self.executed) < len(self.chain.nodes)
 
     def _apply_due_pending(self) -> None:
         still = []
@@ -645,6 +701,9 @@ class _Runner:
             if item.due > self.clock:
                 still.append(item)
                 continue
+            self.blocked[item.activity_id] -= 1
+            if not self.blocked[item.activity_id]:
+                del self.blocked[item.activity_id]
             if item.activity_id in self.executed or item.activity_id not in self.chain:
                 logger.warning(
                     "deferred action on %r expired unapplied", item.activity_id
@@ -685,7 +744,6 @@ class _Runner:
             self.executed.add(pos.id)
             self.trace.final_order.append(pos.id)
             self.clock += pos.duration
-        self.trace.final_order = list(self.trace.final_order)
         return self.trace
 
 

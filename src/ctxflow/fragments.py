@@ -2,13 +2,14 @@
 
 The repository mirrors the tabular layout used at design time: an indexed
 sub-goal list, each sub-goal carrying value-pattern -> fragment rows, plus
-the fragment definitions themselves. Lookup is a linear scan of one
-sub-goal's rows; the repository is immutable after load.
+the fragment definitions themselves. Sub-goals are found through a name/index
+dict built once; lookup is then a linear scan of one sub-goal's rows. The
+repository is immutable after load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import AmbiguousEntryError, LoadError, UnknownSubgoalError
@@ -44,12 +45,29 @@ class SubgoalEntry:
 class FragmentRepository:
     subgoals: Tuple[SubgoalEntry, ...]
     fragments: Mapping[str, ProcessFragment]
+    _by_key: Dict[object, SubgoalEntry] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        # The first entry named or indexed by a key wins, as in a scan of
+        # ``subgoals``. An unhashable name cannot equal any hashable key.
+        by_key: Dict[object, SubgoalEntry] = {}
+        for entry in self.subgoals:
+            for key in (entry.name, entry.index):
+                try:
+                    by_key.setdefault(key, entry)
+                except TypeError:
+                    pass
+        object.__setattr__(self, "_by_key", by_key)
 
     def subgoal(self, key) -> SubgoalEntry:
-        for entry in self.subgoals:
-            if entry.name == key or entry.index == key:
-                return entry
-        raise UnknownSubgoalError("sub-goal %r not in repository" % (key,), subgoal=key)
+        try:
+            return self._by_key[key]
+        except (KeyError, TypeError):
+            raise UnknownSubgoalError(
+                "sub-goal %r not in repository" % (key,), subgoal=key
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ def execution_time(p: CostParams) -> float:
     return p.n * (p.t_a + p.t_p + p.t_cm + p.t_th + p.c_ct)
 
 
-def structural_metrics(model, base_activity_count: int, base_gateway_count: int = 0,
+def structural_metrics(model, base_activity_count: int,
                        base_split_branches: int = 0) -> Dict[str, int]:
     """Extra-activity, extra-gateway, extra-control-path and CFC figures.
 
@@ -47,7 +47,7 @@ def structural_metrics(model, base_activity_count: int, base_gateway_count: int 
     split-branch count, unchanged by adaptation.
     """
     model.validate()
-    n = len(model.chain.order())
+    n = len(model.chain)
     if n < 1:
         raise ValueError("model has no activities")
     noa_extra = max(n - base_activity_count, 0)

@@ -2,8 +2,10 @@
 
 Each oracle re-derives expected results with a deliberately different
 technique from the production code: plain list splicing for chain rewrites,
-per-context classification for state diffing, subset enumeration for query
-evaluation, and arc-scanning token counters for state-space exploration.
+a linear sub-goal scan, a three-pass chain check, a runner that rescans the
+chain on every step, per-context classification for state diffing, subset
+enumeration for query evaluation, and arc-scanning token counters for
+state-space exploration.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import itertools
 import math
 from collections import Counter, deque
 
-from ctxflow.errors import NotEnabledError
+from ctxflow import chain as chain_mod
+from ctxflow.errors import ChainIntegrityError, NotEnabledError
 from ctxflow.petri import StateSpace, make_marking
 
 
@@ -38,6 +41,133 @@ def splice_reorder(order, window, permutation):
     i = order.index(window[0])
     assert order[i:i + len(window)] == list(window)
     return order[:i] + list(permutation) + order[i + len(window):]
+
+
+# -- linear-scan oracle for sub-goal lookup ----------------------------------
+
+
+def subgoal_oracle(repo, key):
+    """The first sub-goal whose name or index equals ``key``, else None."""
+    for entry in repo.subgoals:
+        if entry.name == key or entry.index == key:
+            return entry
+    return None
+
+
+# -- three-pass oracle for chain integrity ------------------------------------
+
+
+def order_oracle(chain):
+    """Walk ``next`` links from ``start``; a missing activity is a KeyError."""
+    out = []
+    seen = set()
+    cursor = chain.start
+    while cursor is not None:
+        if cursor in seen:
+            raise ChainIntegrityError("cycle through %r" % (cursor,))
+        seen.add(cursor)
+        out.append(cursor)
+        cursor = chain.nodes[cursor].next
+    return out
+
+
+def validate_oracle(chain):
+    """Unique start and end, every back-link, then reachability of all nodes."""
+    nodes = chain.nodes
+    starts = [n.id for n in nodes.values() if n.prev is None]
+    ends = [n.id for n in nodes.values() if n.next is None]
+    if len(starts) != 1 or len(ends) != 1:
+        raise ChainIntegrityError("chain must have exactly one start and one end")
+    if chain.start != starts[0]:
+        raise ChainIntegrityError("start pointer disagrees with links")
+    for node in nodes.values():
+        if node.next is not None and nodes[node.next].prev != node.id:
+            raise ChainIntegrityError("next/prev mismatch")
+        if node.prev is not None and nodes[node.prev].next != node.id:
+            raise ChainIntegrityError("prev/next mismatch")
+    if len(order_oracle(chain)) != len(nodes):
+        raise ChainIntegrityError("chain contains unreachable activities")
+
+
+# -- rescanning oracle for the runner's walk ---------------------------------
+
+
+class _RescanRunner(chain_mod._Runner):
+    """The runner with its walk done the plain way.
+
+    Every step rescans the chain from ``start``, an activity is blocked while
+    any pending action names it, and inserted activities are found by
+    diffing the node set and sorted by chain position. Evaluation, ingestion
+    and the main loop are the production ones.
+    """
+
+    def _next_unexecuted(self):
+        cursor = self.chain.start
+        while cursor is not None:
+            blocked = any(p.activity_id == cursor for p in self.pending)
+            if cursor not in self.executed and not blocked:
+                return self.chain.nodes[cursor]
+            cursor = self.chain.nodes[cursor].next
+        return None
+
+    def _has_unexecuted(self):
+        return any(i not in self.executed for i in order_oracle(self.chain))
+
+    def _apply(self, activity_id, rule, fragment, value, depth):
+        action = rule.action
+        chain = self.chain
+        if activity_id not in chain:
+            return
+        existing = set(chain.nodes)
+        if action.kind in ("add_before", "add_after"):
+            chain_mod.add_fragment(
+                chain, activity_id, action.kind.split("_", 1)[1], fragment
+            )
+        elif action.kind == "replace_fragment":
+            chain_mod.replace_activity(chain, activity_id, fragment)
+        elif action.kind == "replace_role":
+            chain_mod.replace_attribute(chain, activity_id, "role", action.role)
+        elif action.kind == "replace_medium":
+            chain_mod.replace_attribute(chain, activity_id, "medium", action.medium)
+        elif action.kind == "bypass":
+            chain_mod.bypass(chain, activity_id)
+        elif action.kind == "reorder":
+            window, permutation = self._resolve_reorder(activity_id, action.order)
+            chain_mod.reorder(chain, window, permutation)
+        elif action.kind == "data_change":
+            chain_mod.data_level_change(chain, activity_id, action.data)
+        inserted = [i for i in chain.nodes if i not in existing]
+        if inserted and depth < chain_mod.MAX_INSERTION_DEPTH:
+            order = order_oracle(chain)
+            for new_id in sorted(inserted, key=order.index):
+                self._evaluate(chain.nodes[new_id], depth + 1)
+        else:
+            self.evaluated.update(inserted)
+
+    def _apply_due_pending(self):
+        still = []
+        for item in self.pending:
+            if item.due > self.clock:
+                still.append(item)
+                continue
+            if item.activity_id in self.executed or item.activity_id not in self.chain:
+                continue
+            self._apply(item.activity_id, item.rule, item.fragment, item.value, 0)
+            self.trace.entries.append(
+                chain_mod.TraceEntry(
+                    self.clock,
+                    item.activity_id,
+                    item.value,
+                    item.fragment.id if item.fragment else None,
+                    item.rule.action.describe(),
+                )
+            )
+        self.pending = still
+
+
+def run_instance_oracle(model, scenario):
+    model.validate()
+    return _RescanRunner(model, scenario).run()
 
 
 # -- classification oracle for situation/state diffing ----------------------

@@ -1,16 +1,22 @@
 """Tests for the process-fragment repository and fragment selection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxflow.errors import AmbiguousEntryError, LoadError, UnknownSubgoalError
 from ctxflow.fragments import (
     FragmentActivity,
+    FragmentRepository,
     ProcessFragment,
+    SubgoalEntry,
     load_repository,
     store_repository,
     throw_activity,
 )
 from ctxflow.graph import composite_from_pairs
+
+import oracles
 
 
 def document():
@@ -67,6 +73,21 @@ class TestLoading:
         repo = load_repository(document())
         assert repo.subgoal("Treatment").index == 2
         assert repo.subgoal(2).name == "Treatment"
+
+    def test_subgoal_lookup_first_entry_wins(self):
+        first = SubgoalEntry(1, "A")
+        repo = FragmentRepository(
+            (first, SubgoalEntry(2, "A"), SubgoalEntry(1, "B"), SubgoalEntry(3, 2)),
+            {},
+        )
+        assert repo.subgoal("A") is first
+        assert repo.subgoal(1) is first
+        assert repo.subgoal(2) is repo.subgoals[1]
+        assert repo.subgoal("B") is repo.subgoals[2]
+        with pytest.raises(UnknownSubgoalError):
+            repo.subgoal("C")
+        with pytest.raises(UnknownSubgoalError):
+            repo.subgoal(["A"])
 
     def test_duplicate_fragment_id_rejected(self):
         doc = document()
@@ -184,3 +205,23 @@ class TestFragmentActivityDefaults:
     def test_optional_fields_default_empty(self):
         a = FragmentActivity("X")
         assert (a.sub_goal, a.role, a.medium) == ("", "", "")
+
+
+KEYS = st.one_of(st.sampled_from(["a", "b", "1", "2"]), st.integers(0, 3))
+
+
+@given(
+    entries=st.lists(st.tuples(st.integers(0, 3), KEYS), max_size=6),
+    key=KEYS,
+)
+@settings(max_examples=300, deadline=None)
+def test_subgoal_lookup_matches_linear_scan(entries, key):
+    repo = FragmentRepository(
+        tuple(SubgoalEntry(index, name) for index, name in entries), {}
+    )
+    expected = oracles.subgoal_oracle(repo, key)
+    if expected is None:
+        with pytest.raises(UnknownSubgoalError):
+            repo.subgoal(key)
+    else:
+        assert repo.subgoal(key) is expected
