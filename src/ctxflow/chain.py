@@ -479,12 +479,20 @@ class _Runner:
         self.resume: Optional[str] = None
         self.clock = self.scenario[0].timestamp if self.scenario else 0
         self.next_situation = 0
+        # Watchers: the activities with a state, filed in chain order under
+        # each parameter and each qualified attribute their scopes name.
+        self.watchers_by_parameter: Dict[str, Dict[str, None]] = {}
+        self.watchers_by_attribute: Dict[str, Dict[str, None]] = {}
+        # The first activity whose scope is filed under another id, if any.
+        self.misfiled: Optional[ActivityNode] = None
         for node in self.chain.nodes.values():
             self._init_activity(node)
 
     def _init_activity(self, node: ActivityNode) -> None:
         if node.scope is None:
             return
+        if node.scope.activity_id != node.id and self.misfiled is None:
+            self.misfiled = node
         ideal = [
             ctx
             for q, ctx in self.model.ideal.items()
@@ -498,20 +506,46 @@ class _Runner:
             )
             for ctx in ideal
         }
+        for name in node.scope.relevant_parameters:
+            self.watchers_by_parameter.setdefault(name, {})[node.id] = None
+        for name in node.scope.relevant_attributes:
+            self.watchers_by_attribute.setdefault(name, {})[node.id] = None
 
     # -- scenario ingestion --------------------------------------------------
 
     def _ingest_due_situations(self) -> None:
+        """Fold each due situation into the states of the activities it touches.
+
+        Only watchers of the situation's parameters and attributes are
+        candidates, and of those only the ones still in the chain and not yet
+        executed: an executed activity is never evaluated again. The index
+        never goes stale, because scopes are set once at load and inserted
+        activities carry none.
+        """
+        nodes = self.chain.nodes
         while (
             self.next_situation < len(self.scenario)
             and self.scenario[self.next_situation].timestamp <= self.clock
         ):
             cs = self.scenario[self.next_situation]
             self.next_situation += 1
-            for activity_id, state in list(self.states.items()):
-                node = self.chain.nodes.get(activity_id)
-                if node is None or node.scope is None:
+            if self.misfiled is not None:
+                # catch_context refuses a scope filed under another activity
+                # whether or not the situation touches it: fail the run here.
+                catch_context(
+                    cs, self.states[self.misfiled.id], self.misfiled.scope
+                )
+            touched: Dict[str, None] = {}
+            for q in cs.attributes:
+                ctx = cs.bindings.get(q)
+                if ctx is not None:
+                    touched.update(self.watchers_by_parameter.get(ctx.parameter, ()))
+                    touched.update(self.watchers_by_attribute.get(ctx.qualified, ()))
+            for activity_id in touched:
+                node = nodes.get(activity_id)
+                if node is None or node.scope is None or activity_id in self.executed:
                     continue
+                state = self.states[activity_id]
                 updated = catch_context(cs, state, node.scope)
                 if updated is not state:
                     self.states[activity_id] = updated

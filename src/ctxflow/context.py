@@ -9,6 +9,7 @@ All values here are immutable; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Optional, Tuple, Union
 
 from .errors import ScopeMismatchError
@@ -74,7 +75,7 @@ class AtomicContext:
     def key(self) -> Tuple[str, Optional[str], str]:
         return (self.parameter, self.instance, self.attribute)
 
-    @property
+    @cached_property
     def qualified(self) -> str:
         """Qualified attribute name, e.g. ``Weather.Status``."""
         return "%s.%s" % (self.parameter, self.attribute)
@@ -120,22 +121,19 @@ class ContextualSituation:
     @classmethod
     def from_contexts(cls, contexts, timestamp: int) -> "ContextualSituation":
         """Package a plain list of atomic contexts as a situation."""
-        params = []
+        params = {}  # insertion-ordered set
         attrs = []
         bindings = {}
         for ctx in contexts:
-            if ctx.parameter not in params:
-                params.append(ctx.parameter)
-            attrs.append(ctx.qualified)
-            bindings[ctx.qualified] = ctx
+            params[ctx.parameter] = None
+            q = ctx.qualified
+            attrs.append(q)
+            bindings[q] = ctx
         return cls(tuple(params), tuple(attrs), timestamp, bindings)
 
     @property
     def is_empty(self) -> bool:
         return not self.parameters and not self.attributes
-
-    def parameter_of(self, qualified: str) -> str:
-        return qualified.split(".", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -178,11 +176,12 @@ class ScopeFilter:
 
     def restrict(self, cs: ContextualSituation) -> ContextualSituation:
         """Drop every context of ``cs`` outside this scope."""
-        kept = [
-            cs.bindings[q]
-            for q in cs.attributes
-            if q in cs.bindings and self.covers(cs.bindings[q])
-        ]
+        bindings = cs.bindings
+        kept = []
+        for q in cs.attributes:
+            ctx = bindings.get(q)
+            if ctx is not None and self.covers(ctx):
+                kept.append(ctx)
         return ContextualSituation.from_contexts(kept, cs.timestamp)
 
 
@@ -199,8 +198,7 @@ def diff(new: ContextualSituation, old: ContextState) -> ContextState:
         return old
 
     old_params = set(old.parameters)
-    for q in old.bindings:
-        old_params.add(old.parameter_of(q))
+    old_params.update(ctx.parameter for ctx in old.bindings.values())
 
     added_params = []
     changed_attrs = []
@@ -217,23 +215,22 @@ def diff(new: ContextualSituation, old: ContextState) -> ContextState:
     if not added_params and not changed_attrs:
         return old
 
-    new_params = {new.parameter_of(q) for q in new.attributes}
+    # Each attribute's parameter comes from its bound context: a parameter
+    # name may itself contain a dot.
+    owner = {q: new.bindings[q].parameter for q in new.attributes}
+    new_params = set(owner.values())
     removed = tuple(p for p in sorted(old_params) if p not in new_params)
 
     involved = set(added_params)
-    involved.update(new.parameter_of(q) for q in changed_attrs)
+    involved.update(owner[q] for q in changed_attrs)
     params_out = []
     for q in new.attributes:
-        p = new.parameter_of(q)
+        p = owner[q]
         if p in involved and p not in params_out:
             params_out.append(p)
 
     keep = set(params_out)
-    bindings = {
-        q: new.bindings[q]
-        for q in new.attributes
-        if new.parameter_of(q) in keep
-    }
+    bindings = {q: new.bindings[q] for q in new.attributes if owner[q] in keep}
     return ContextState(
         parameters=tuple(params_out),
         attributes=tuple(changed_attrs),

@@ -69,8 +69,8 @@ def format_time(minutes: int) -> str:
 def load_document(path, kind: str) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError("cannot read %s: %s" % (path, exc), path=str(path))
     try:
         doc = yaml.safe_load(text)
@@ -92,6 +92,11 @@ def load_document(path, kind: str) -> dict:
 
 
 def _context_from_spec(spec: dict) -> AtomicContext:
+    if not isinstance(spec, dict):
+        raise LoadError("context entry %r is not a mapping" % (spec,))
+    for key in ("parameter", "attribute"):
+        if key in spec and not isinstance(spec[key], str):
+            raise LoadError("bad context entry %r: %s must be text" % (spec, key))
     try:
         return AtomicContext(
             parameter=spec["parameter"],
@@ -256,14 +261,34 @@ def load_fragments(path) -> FragmentRepository:
     return load_repository(doc)
 
 
+def _situation_from_spec(spec) -> ContextualSituation:
+    if not isinstance(spec, dict):
+        raise LoadError("not a mapping: %r" % (spec,))
+    if "time" not in spec:
+        raise LoadError("missing time")
+    specs = spec.get("contexts", [])
+    if not isinstance(specs, list):
+        raise LoadError("contexts must be a list, not %r" % (specs,))
+    contexts = [_context_from_spec(c) for c in specs]
+    try:
+        return ContextualSituation.from_contexts(contexts, parse_time(spec["time"]))
+    except ValueError as exc:
+        raise LoadError(str(exc)) from None
+
+
 def load_scenario(path) -> List[ContextualSituation]:
     doc = load_document(path, "scenario")
+    specs = doc.get("situations", [])
+    if not isinstance(specs, list):
+        raise LoadError("%s: situations must be a list" % (path,), path=str(path))
     situations = []
-    for spec in doc.get("situations", []):
-        contexts = [_context_from_spec(c) for c in spec.get("contexts", [])]
-        situations.append(
-            ContextualSituation.from_contexts(contexts, parse_time(spec["time"]))
-        )
+    for index, spec in enumerate(specs):
+        try:
+            situations.append(_situation_from_spec(spec))
+        except LoadError as exc:
+            raise LoadError(
+                "%s: situation %d: %s" % (path, index, exc), path=str(path)
+            ) from None
     for i in range(1, len(situations)):
         if situations[i].timestamp < situations[i - 1].timestamp:
             raise LoadError(

@@ -3,7 +3,8 @@
 Each oracle re-derives expected results with a deliberately different
 technique from the production code: plain list splicing for chain rewrites,
 a linear sub-goal scan, a three-pass chain check, a runner that rescans the
-chain on every step, per-context classification for state diffing, subset
+chain on every step, a runner that offers every situation to every activity,
+per-context classification for state diffing, subset
 enumeration for query evaluation, and arc-scanning token counters for
 state-space exploration.
 """
@@ -170,6 +171,41 @@ def run_instance_oracle(model, scenario):
     return _RescanRunner(model, scenario).run()
 
 
+# -- all-states oracle for situation ingestion -------------------------------
+
+
+class _AllStatesRunner(chain_mod._Runner):
+    """The runner with every situation offered to every activity's state.
+
+    Each due situation goes through ``catch_context`` for every activity
+    that has a state and a scope and is in the chain, executed or not,
+    touched or not; ``catch_context`` itself restricts the situation and
+    drops what the scope does not cover. The walk is the production one.
+    """
+
+    def _ingest_due_situations(self):
+        while (
+            self.next_situation < len(self.scenario)
+            and self.scenario[self.next_situation].timestamp <= self.clock
+        ):
+            cs = self.scenario[self.next_situation]
+            self.next_situation += 1
+            for activity_id, state in list(self.states.items()):
+                node = self.chain.nodes.get(activity_id)
+                if node is None or node.scope is None:
+                    continue
+                updated = chain_mod.catch_context(cs, state, node.scope)
+                if updated is not state:
+                    self.states[activity_id] = updated
+                    for q in updated.bindings:
+                        ctx = updated.bindings[q]
+                        attr = self.model.graph.attributes.get(q)
+                        delay = attr.delay if attr else 0
+                        self.assignments[activity_id][q] = chain_mod.TimedValue(
+                            ctx.value, delay
+                        )
+
+
 # -- classification oracle for situation/state diffing ----------------------
 
 
@@ -190,8 +226,8 @@ def diff_oracle(new, old):
     if new.timestamp <= old.timestamp:
         return None
     known = set(old.parameters)
-    for q in old.bindings:
-        known.add(q.split(".", 1)[0])
+    for ctx in old.bindings.values():
+        known.add(ctx.parameter)
 
     classes = {}  # qualified -> "added" | "changed" | "same"
     for q in new.attributes:

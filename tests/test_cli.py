@@ -88,6 +88,45 @@ class TestRun:
         )
         assert main(["run", str(tmp_path / "bundle.yaml")]) == 1
 
+    @pytest.mark.parametrize(
+        "situations,index,reason",
+        [
+            ([{"time": 10, "contexts": []}, {"contexts": []}], 1, "missing time"),
+            ([{"time": 10, "contexts": "oops"}], 0, "must be a list"),
+            ([{"time": 10, "contexts": ["oops"]}], 0, "not a mapping"),
+            ([{"time": 10, "contexts": [["Weather", "Status"]]}], 0, "not a mapping"),
+            (["oops"], 0, "not a mapping"),
+            (
+                [{"time": 10, "contexts": [
+                    {"parameter": ["Weather"], "attribute": "Status"}]}],
+                0,
+                "must be text",
+            ),
+            (
+                [{"time": 10, "contexts": [
+                    {"parameter": "Weather", "attribute": "Status",
+                     "temporality": "static"}]}],
+                0,
+                "static context",
+            ),
+        ],
+    )
+    def test_malformed_situation_is_a_load_error(
+        self, tmp_path, kiosk_dir, capsys, situations, index, reason
+    ):
+        for name in ("graph.yaml", "repo.yaml", "model.yaml", "bundle.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        (tmp_path / "scenario.yaml").write_text(
+            yaml.safe_dump(
+                {"version": 1, "kind": "scenario", "situations": situations}
+            )
+        )
+        assert main(["run", str(tmp_path / "bundle.yaml")]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("invalid: ")
+        assert "scenario.yaml: situation %d: " % index in out
+        assert reason in out
+
 
 class TestVerify:
     def test_kiosk_net_passes_all_properties(self, kiosk_bundle, capsys):

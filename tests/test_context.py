@@ -177,7 +177,7 @@ class TestDiff:
         assert out.removed_parameters == expected["removed"]
 
 
-PARAMS = ("Weather", "Watch", "Patient", "Network")
+PARAMS = ("Weather", "Watch", "Patient", "Network", "Net.Op")
 ATTRS = ("Status", "Time", "Level")
 VALUES = ("A", "B", "C", 1, 2)
 
@@ -221,6 +221,16 @@ def test_diff_matches_oracle(old, new):
         assert out.attributes == expected["attributes"]
         assert out.removed_parameters == expected["removed"]
         assert out.timestamp == expected["timestamp"]
+
+
+def test_diff_reads_dotted_parameter_from_context():
+    state = ContextState.initial("A", [ctx("Net.Op", "Status", "up")], timestamp=0)
+    new = ContextualSituation.from_contexts([ctx("Net.Op", "Status", "down")], 1)
+    out = diff(new, state)
+    assert out.parameters == ("Net.Op",)
+    assert out.attributes == ("Net.Op.Status",)
+    assert out.removed_parameters == ()
+    assert out.bindings == {"Net.Op.Status": ctx("Net.Op", "Status", "down")}
 
 
 class TestCatchContext:

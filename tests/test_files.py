@@ -59,6 +59,14 @@ class TestDocumentEnvelope:
         with pytest.raises(LoadError):
             load_document(p, "process-model")
 
+    def test_non_utf8_document_rejected(self, tmp_path):
+        p = tmp_path / "scenario.yaml"
+        p.write_bytes("version: 1\nkind: scenario\n# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(LoadError) as err:
+            load_document(p, "scenario")
+        assert "cannot read" in str(err.value)
+        assert "scenario.yaml" in str(err.value)
+
     def test_non_mapping_rejected(self, tmp_path):
         p = tmp_path / "doc.yaml"
         p.write_text("- just\n- a list\n")

@@ -1,0 +1,360 @@
+"""Situation ingestion against the all-states oracle, plus a call guard.
+
+The production runner offers a situation only to the watchers of its
+parameters and attributes that are still in the chain and not executed;
+``oracles._AllStatesRunner`` runs ``catch_context`` for every activity that
+has a state. Both must produce
+identical traces (values included) and final orders, or the same error, and
+agree on every state a later evaluation can still read.
+"""
+
+import collections
+import itertools
+import pathlib
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctxflow import chain as chain_mod
+from ctxflow.chain import (
+    FRAGMENT_ACTIONS,
+    PLAIN_ACTIONS,
+    Action,
+    ActivityChain,
+    ActivityNode,
+    AdaptationRule,
+    ProcessModel,
+)
+from ctxflow.context import AtomicContext, ContextualSituation, ScopeFilter
+from ctxflow.files import load_bundle
+from ctxflow.fragments import (
+    FragmentActivity,
+    FragmentRepository,
+    ProcessFragment,
+    SubgoalEntry,
+)
+from ctxflow.graph import (
+    AttributeNode,
+    Composition,
+    ContextGraph,
+    EntityNode,
+    StateNodeDef,
+    composite_from_pairs,
+)
+
+import oracles
+
+KIOSK = pathlib.Path(__file__).parent / "fixtures" / "kiosk" / "bundle.yaml"
+
+ENTITIES = ("E0", "E1", "E2")
+ATTRIBUTES = ("s", "t")
+# "Z" is in the graph and "Nobody" is not; no activity watches either.
+UNWATCHED = ("Z", "Nobody")
+VALUES = ("good", "bad")
+SUBGOALS = ("g0", "g1", "g2")
+QUALIFIED = tuple("%s.%s" % (e, a) for e in ENTITIES + ("Z",) for a in ATTRIBUTES)
+
+
+def random_scope(rng, activity_id):
+    """A scope by parameter only, by attribute only, or both, and the
+    attribute the activity's composite value reads."""
+    e, f = rng.choice(ENTITIES), rng.choice(ENTITIES)
+    kind = rng.choice(("parameter", "attribute", "both", "mixed"))
+    if kind == "parameter":
+        params, attrs = {e}, set()
+    elif kind == "attribute":
+        params = set()
+        qualified = ["%s.%s" % (e, a) for a in ATTRIBUTES]
+        attrs = set(rng.sample(qualified, rng.randint(1, 2)))
+    elif kind == "both":
+        params, attrs = {e}, {"%s.s" % e}
+    else:
+        params, attrs = {e}, {"%s.t" % f}
+    reads = min(attrs) if not params else "%s.s" % e
+    return ScopeFilter(activity_id, frozenset(params), frozenset(attrs)), reads
+
+
+def entities_of(scope):
+    return set(scope.relevant_parameters) | {
+        q.split(".")[0] for q in scope.relevant_attributes
+    }
+
+
+def random_model(rng):
+    """Activities sharing entities, rules over every action, timed attributes.
+
+    Fragment activities are named after chain activities or fresh names, so
+    an activity removed by a bypass or replacement may come back under its
+    old id and state. Reserve activities ``r*`` lead the chain, bypass
+    themselves on their first run (their sub-goal ``orig`` selects no
+    fragment) and are the favourite fragment names. Every state node maps
+    the whole graph, so the only contract a state can break is an unbound
+    composed attribute.
+    """
+    reserve = ["r%d" % i for i in range(rng.randint(0, 3))]
+    ids = reserve + ["a%d" % i for i in range(rng.randint(1, 8))]
+    scoped = {a: random_scope(rng, a) for a in ids}
+    graph = ContextGraph.build(
+        entities=[EntityNode(e) for e in ENTITIES + ("Z",)],
+        attributes=[
+            AttributeNode(q, delay=rng.choice((0, 0, 0, 5, 30))) for q in QUALIFIED
+        ],
+        state_nodes=[
+            StateNodeDef(
+                a, ENTITIES + ("Z",), QUALIFIED, Composition("AND", (scoped[a][1],))
+            )
+            for a in ids
+        ],
+    )
+    names = ids + 3 * reserve + ["f0", "f1"]
+    fragments = {}
+    for k in range(3):
+        frag = ProcessFragment(
+            "F%d" % k,
+            tuple(
+                FragmentActivity(rng.choice(names), sub_goal=rng.choice(SUBGOALS))
+                for _ in range(rng.randint(1, 2))
+            ),
+        )
+        fragments[frag.id] = frag
+    subgoals = [SubgoalEntry(len(SUBGOALS) + 1, "orig")] + [
+        SubgoalEntry(
+            index,
+            name,
+            tuple(
+                (composite_from_pairs([(q, v)]), rng.choice(sorted(fragments)))
+                for q in QUALIFIED
+                for v in VALUES
+                if rng.random() < 0.4
+            ),
+        )
+        for index, name in enumerate(SUBGOALS, start=1)
+    ]
+    nodes = [
+        ActivityNode(
+            id=a,
+            sub_goal="orig" if a in reserve else rng.choice(SUBGOALS),
+            scope=scoped[a][0],
+            duration=rng.choice((0, 5, 10, 20)),
+        )
+        for a in ids
+    ]
+    rules = []
+    for a in ids:
+        if a in reserve:
+            picks = [("bypass", v) for v in VALUES]
+            picks += [(rng.choice(FRAGMENT_ACTIONS), v) for v in VALUES]
+        else:
+            picks = [
+                (rng.choice(FRAGMENT_ACTIONS + PLAIN_ACTIONS + ("bypass",) * 2),
+                 rng.choice(VALUES))
+                for _ in range(rng.randint(0, 3))
+            ]
+        for kind, v in picks:
+            patterns = sorted(fragments) if kind in FRAGMENT_ACTIONS else [None]
+            value = composite_from_pairs([(scoped[a][1], v)])
+            for pattern in patterns:
+                action = Action(
+                    kind,
+                    role="R",
+                    medium="M",
+                    order=tuple(rng.sample(("L1", "L2", "L3"), 3)),
+                    data=("d",),
+                )
+                rules.append(AdaptationRule(a, value, pattern, action, len(rules)))
+    ideal = {
+        q: AtomicContext(*q.split("."), value="good")
+        for q in QUALIFIED
+    }
+    model = ProcessModel(
+        graph,
+        ActivityChain.from_nodes(nodes),
+        FragmentRepository(tuple(subgoals), fragments),
+        tuple(rules),
+        ideal,
+    )
+    times = sorted(rng.randint(0, 80) for _ in range(rng.randint(0, 6)))
+    scenario = []
+    for t in times:
+        contexts = []
+        for e in rng.sample(ENTITIES + UNWATCHED, rng.randint(1, 3)):
+            # Mostly one value for all of an entity's attributes, so that a
+            # composed attribute usually changes along with the others.
+            value = rng.choice(VALUES)
+            contexts += [
+                AtomicContext(e, a, value=value if rng.random() < 0.8 else
+                              rng.choice(VALUES))
+                for a in ATTRIBUTES
+            ]
+        scenario.append(ContextualSituation.from_contexts(contexts, timestamp=t))
+    return model, scenario, {a: scoped[a][0] for a in ids}
+
+
+def recording(runner_class):
+    """``runner_class`` noting, after each ingested situation, the state of
+    every activity that is in the chain and not executed: the states a later
+    evaluation can still read."""
+
+    class Recording(runner_class):
+        def __init__(self, model, scenario):
+            super().__init__(model, scenario)
+            self.snapshots = []
+
+        def _ingest_due_situations(self):
+            seen = self.next_situation
+            super()._ingest_due_situations()
+            if self.next_situation != seen:
+                self.snapshots.append({
+                    a: state for a, state in self.states.items()
+                    if a in self.chain.nodes and a not in self.executed
+                })
+
+    return Recording
+
+
+def outcome(runner_class, model, scenario):
+    """Trace entries, final order and state snapshots, or the raised error."""
+    model.validate()
+    runner = recording(runner_class)(model, scenario)
+    try:
+        trace = runner.run()
+    except Exception as exc:  # compared as data: both runners must agree
+        return ("raised", type(exc).__name__, str(exc), runner.snapshots)
+    return ("ran", trace.entries, trace.final_order, runner.snapshots)
+
+
+def assert_matches_oracle(model, scenario):
+    got = outcome(chain_mod._Runner, model, scenario)
+    assert got == outcome(oracles._AllStatesRunner, model, scenario)
+    return got
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_random_models_match_oracle(seed):
+    model, scenario, _ = random_model(random.Random(seed))
+    assert_matches_oracle(model, scenario)
+
+
+def test_random_models_cover_the_cases():
+    ran = 0
+    seen = collections.Counter()
+    for seed in range(300):
+        model, scenario, scopes = random_model(random.Random(seed))
+        got = assert_matches_oracle(model, scenario)
+        if got[0] != "ran":
+            continue
+        ran += 1
+        entries = got[1]
+        seen.update(e.action.split("(")[0] for e in entries if e.action)
+        seen["deferred"] += any(e.deferred_until is not None for e in entries)
+        seen["parameter only"] += any(
+            not s.relevant_attributes for s in scopes.values()
+        )
+        seen["attribute only"] += any(
+            not s.relevant_parameters for s in scopes.values()
+        )
+        watched = [entities_of(s) for s in scopes.values()]
+        seen["shared"] += any(
+            a & b for i, a in enumerate(watched) for b in watched[i + 1:]
+        )
+        # A situation after a removal, with the removed activity's state kept.
+        last = scenario[-1].timestamp if scenario else None
+        seen["removed first"] += any(
+            e.action in ("bypass", "replace_fragment")
+            and last is not None and e.timestamp < last
+            for e in entries
+        )
+    assert ran > 150
+    for case in ("bypass", "replace_fragment", "add_before", "add_after",
+                 "reorder", "deferred", "parameter only", "attribute only",
+                 "shared", "removed first"):
+        assert seen[case] > 0, case
+
+
+def test_kiosk_matches_oracle():
+    bundle = load_bundle(KIOSK)
+    kind, entries, _, _ = assert_matches_oracle(bundle.model, bundle.scenario)
+    assert kind == "ran"
+    assert len([e for e in entries if e.action]) == 5
+
+
+def test_misfiled_scope_is_refused_like_the_oracle():
+    model, scenario, _ = next(
+        drawn for drawn in map(random_model, map(random.Random, itertools.count()))
+        if drawn[1]
+    )
+    chain = model.chain.copy()
+    last = list(chain.nodes.values())[-1]
+    last.scope = ScopeFilter("elsewhere", frozenset({"Nobody"}), frozenset())
+    misfiled = ProcessModel(model.graph, chain, model.repo, model.rules, model.ideal)
+    got = assert_matches_oracle(misfiled, scenario)
+    assert got[:2] == ("raised", "ScopeMismatchError")
+
+
+# -- call guard --------------------------------------------------------------
+
+
+def guarded_calls(runner_class, model, scenario, monkeypatch):
+    """Run ``runner_class`` with ``catch_context`` wrapped; list the calls.
+
+    Each call is recorded as (activity, situation timestamp, whether the
+    activity had executed, whether the scope covers anything in the
+    situation passed, whether the scope is the one the activity's node
+    carries in the chain).
+    """
+    model.validate()
+    runner = runner_class(model, scenario)
+    calls = []
+    original = chain_mod.catch_context
+
+    def wrapped(cs, state, scope):
+        node = runner.chain.nodes.get(state.activity_id)
+        calls.append((
+            state.activity_id,
+            cs.timestamp,
+            state.activity_id in runner.executed,
+            any(scope.covers(ctx) for ctx in cs.bindings.values()),
+            node is not None and node.scope is scope,
+        ))
+        return original(cs, state, scope)
+
+    monkeypatch.setattr(chain_mod, "catch_context", wrapped)
+    try:
+        runner.run()
+    except Exception:  # both runners raise at the same point
+        pass
+    finally:
+        monkeypatch.setattr(chain_mod, "catch_context", original)
+    return calls
+
+
+def test_kiosk_calls_catch_context_five_times(monkeypatch):
+    bundle = load_bundle(KIOSK)
+    calls = guarded_calls(chain_mod._Runner, bundle.model, bundle.scenario, monkeypatch)
+    assert len(calls) == 5
+    assert all(not executed and touched and current
+               for _, _, executed, touched, current in calls)
+
+
+def test_catch_context_only_for_unexecuted_touched_activities(monkeypatch):
+    checked = 0
+    for seed in range(200):
+        model, scenario, _ = random_model(random.Random(seed))
+        calls = guarded_calls(chain_mod._Runner, model, scenario, monkeypatch)
+        assert all(not executed and touched and current
+                   for _, _, executed, touched, current in calls)
+        # The oracle offers every situation to every state; the engine's
+        # calls are exactly its calls on unexecuted activities that the
+        # situation touches.
+        oracle_calls = guarded_calls(
+            oracles._AllStatesRunner, model, scenario, monkeypatch
+        )
+        expected = [
+            (a, t) for a, t, executed, touched, _ in oracle_calls
+            if touched and not executed
+        ]
+        assert sorted((a, t) for a, t, *_ in calls) == sorted(expected)
+        checked += len(calls)
+    assert checked > 0
