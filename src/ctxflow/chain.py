@@ -11,7 +11,6 @@ executes, and applies the action selected by the first matching rule.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -40,10 +39,6 @@ from .graph import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Fragment activities inserted at run time may themselves carry contextual
-# events; cap how deep insertion-triggered insertions may recurse.
-MAX_INSERTION_DEPTH = 3
 
 
 @dataclass
@@ -471,9 +466,10 @@ class _Runner:
         self.assignments: Dict[str, Dict[str, TimedValue]] = {}
         self.executed: Set[str] = set()
         self.evaluated: Set[str] = set()
-        self.pending: List[_Pending] = []
-        # Deferred actions waiting per activity; an activity with any is blocked.
-        self.blocked: Counter = Counter()
+        # Deferred actions by activity, in deferral order. An activity is
+        # evaluated once and stays in the chain while its action waits, so
+        # it has at most one; until it applies, the activity is blocked.
+        self.pending: Dict[str, _Pending] = {}
         # Where the walk resumes (None: at ``chain.start``); every activity
         # before it has executed.
         self.resume: Optional[str] = None
@@ -559,10 +555,8 @@ class _Runner:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(self, node: ActivityNode, depth: int = 0) -> None:
+    def _evaluate(self, node: ActivityNode) -> None:
         self.evaluated.add(node.id)
-        if node.scope is None or node.id not in self.states:
-            return
         state = self.states[node.id]
         graph = self.model.graph
         inst = instantiate(graph, state)
@@ -594,10 +588,9 @@ class _Runner:
             return
         if value.max_delay > 0:
             due = self.clock + value.max_delay
-            self.pending.append(
-                _Pending(due, node.id, rule, thrown.fragment, value)
+            self.pending[node.id] = _Pending(
+                due, node.id, rule, thrown.fragment, value
             )
-            self.blocked[node.id] += 1
             self.trace.entries.append(
                 TraceEntry(
                     self.clock,
@@ -609,7 +602,7 @@ class _Runner:
                 )
             )
             return
-        self._apply(node.id, rule, thrown.fragment, value, depth)
+        self._apply(node.id, rule, thrown.fragment, value)
         self.trace.entries.append(
             TraceEntry(
                 self.clock,
@@ -626,25 +619,16 @@ class _Runner:
         rule: AdaptationRule,
         fragment: Optional[ProcessFragment],
         value: CompositeValue,
-        depth: int,
     ) -> None:
         action = rule.action
         chain = self.chain
-        if activity_id not in chain:
-            logger.warning(
-                "activity %r left the chain before action %s applied",
-                activity_id,
-                action.describe(),
-            )
-            return
         window: Sequence[str] = (activity_id,)
         if action.kind == "reorder":
             window, permutation = self._resolve_reorder(activity_id, action.order)
         # A rewrite reshapes only its window (the target, or the reorder
         # triple); a walk cursor inside it falls back to the node before it.
-        before = chain.nodes[window[0]].prev
         if self.resume in window:
-            self.resume = before
+            self.resume = chain.nodes[window[0]].prev
         if action.kind in ("add_before", "add_after"):
             add_fragment(
                 chain, activity_id, action.kind.split("_", 1)[1], fragment
@@ -661,22 +645,6 @@ class _Runner:
             reorder(chain, window, permutation)
         elif action.kind == "data_change":
             data_level_change(chain, activity_id, action.data)
-        if not action.needs_fragment:
-            return
-        # Freshly inserted activities receive contextual events evaluated at
-        # insertion time, in chain order. The spliced run follows the target
-        # for add_after, else the node that was before the target.
-        after = activity_id if action.kind == "add_after" else before
-        cursor = chain.start if after is None else chain.nodes[after].next
-        inserted = []
-        for _ in fragment.activities:
-            inserted.append(cursor)
-            cursor = chain.nodes[cursor].next
-        if depth < MAX_INSERTION_DEPTH:
-            for new_id in inserted:
-                self._evaluate(chain.nodes[new_id], depth + 1)
-        else:
-            self.evaluated.update(inserted)
 
     def _resolve_reorder(self, center: str, order: Sequence[str]):
         node = self.chain.node(center)
@@ -719,31 +687,16 @@ class _Runner:
         if cursor is not None:
             self.resume = cursor
         while cursor is not None and (
-            cursor in self.executed or cursor in self.blocked
+            cursor in self.executed or cursor in self.pending
         ):
             cursor = nodes[cursor].next
         return None if cursor is None else nodes[cursor]
 
-    def _has_unexecuted(self) -> bool:
-        # Rewrites only ever remove the unexecuted activity they target, so
-        # every executed activity is still in the chain.
-        return len(self.executed) < len(self.chain.nodes)
-
     def _apply_due_pending(self) -> None:
-        still = []
-        for item in self.pending:
-            if item.due > self.clock:
-                still.append(item)
-                continue
-            self.blocked[item.activity_id] -= 1
-            if not self.blocked[item.activity_id]:
-                del self.blocked[item.activity_id]
-            if item.activity_id in self.executed or item.activity_id not in self.chain:
-                logger.warning(
-                    "deferred action on %r expired unapplied", item.activity_id
-                )
-                continue
-            self._apply(item.activity_id, item.rule, item.fragment, item.value, 0)
+        due = [p for p in self.pending.values() if p.due <= self.clock]
+        for item in due:
+            del self.pending[item.activity_id]
+            self._apply(item.activity_id, item.rule, item.fragment, item.value)
             self.trace.entries.append(
                 TraceEntry(
                     self.clock,
@@ -753,26 +706,28 @@ class _Runner:
                     item.rule.action.describe(),
                 )
             )
-        self.pending = still
 
     def run(self) -> AdaptationTrace:
-        guard = 0
-        limit = 10 * (len(self.chain) + len(self.scenario) + 10)
+        # Each pass evaluates a model activity, executes one, jumps the clock
+        # to a deferral or ends the run. Only model activities carry a scope,
+        # and each is evaluated and deferred at most once.
+        passes = 0
+        model_size = len(self.model.chain)
         while True:
-            guard += 1
-            if guard > limit + 1000:
+            passes += 1
+            if passes > 2 * model_size + len(self.executed) + 1:
                 raise ChainIntegrityError("runner failed to make progress")
             self._ingest_due_situations()
             self._apply_due_pending()
             pos = self._next_unexecuted()
             if pos is None:
-                if self.pending and self._has_unexecuted():
+                if self.pending:
                     # Everything left is waiting on a timed value; let the
                     # clock run forward to the earliest deferral.
-                    self.clock = min(p.due for p in self.pending)
+                    self.clock = min(p.due for p in self.pending.values())
                     continue
                 break
-            if pos.id not in self.evaluated:
+            if pos.scope is not None and pos.id not in self.evaluated:
                 self._evaluate(pos)
                 continue  # chain may have been rewritten; re-resolve position
             self.executed.add(pos.id)
@@ -788,10 +743,11 @@ def run_instance(
 
     The logical clock starts at the first situation's timestamp and advances
     by activity durations; a situation becomes visible once the clock has
-    reached its timestamp. Each activity's contextual event is evaluated once,
-    immediately before the activity executes (or at insertion time for
-    activities contributed by fragments). Actions whose composite value is
-    timed are deferred by its maximum delay.
+    reached its timestamp. Each activity with a scope has its contextual
+    event evaluated once, immediately before the activity executes; an
+    activity without one (every activity a fragment contributes) just
+    executes. Actions whose composite value is timed are deferred by its
+    maximum delay.
     """
     model.validate()
     for i in range(1, len(scenario)):

@@ -225,8 +225,13 @@ def load_model(path, graph: ContextGraph, repo: FragmentRepository) -> ProcessMo
     chain = ActivityChain.from_nodes(ordered)
 
     ideal: Dict[str, AtomicContext] = {}
-    for spec in doc.get("ideal", []):
-        ctx = _context_from_spec(spec)
+    for index, spec in enumerate(doc.get("ideal", [])):
+        try:
+            ctx = _context_from_spec(spec)
+        except LoadError as exc:
+            raise LoadError(
+                "%s: ideal entry %d: %s" % (path, index, exc), path=str(path)
+            ) from None
         ideal[ctx.qualified] = ctx
 
     rules = []
@@ -258,7 +263,10 @@ def load_model(path, graph: ContextGraph, repo: FragmentRepository) -> ProcessMo
 
 def load_fragments(path) -> FragmentRepository:
     doc = load_document(path, "fragment-repository")
-    return load_repository(doc)
+    try:
+        return load_repository(doc)
+    except LoadError as exc:
+        raise LoadError("%s: %s" % (path, exc), path=str(path)) from None
 
 
 def _situation_from_spec(spec) -> ContextualSituation:

@@ -95,48 +95,82 @@ def throw_activity(
     return ThrowResult(value, None, comparisons)
 
 
+def _mapping(spec, where: str, *keys) -> dict:
+    """``spec`` if it is a mapping holding ``keys``, else a ``LoadError``."""
+    if not isinstance(spec, dict):
+        raise LoadError("%s: not a mapping: %r" % (where, spec))
+    for key in keys:
+        if key not in spec:
+            raise LoadError("%s: missing %s" % (where, key))
+    return spec
+
+
+def _list(spec: dict, key: str, where: str = "") -> list:
+    items = spec.get(key, [])
+    if not isinstance(items, list):
+        prefix = "%s: " % where if where else ""
+        raise LoadError("%s%s must be a list, not %r" % (prefix, key, items))
+    return items
+
+
 def load_repository(document: dict) -> FragmentRepository:
-    """Build a repository from its parsed document, validating invariants."""
+    """Build a repository from its parsed document, validating invariants.
+
+    A malformed entry raises ``LoadError`` naming it by its position in its
+    list, counted from 0: ``fragment 0``, ``fragment 0 activity 1``,
+    ``sub-goal 2``, ``sub-goal 2 entry 0``.
+    """
     if not isinstance(document, dict):
         raise LoadError("repository document must be a mapping")
 
     fragments = {}
-    for spec in document.get("fragments", []):
-        frag = ProcessFragment(
-            id=spec["id"],
-            activities=tuple(
+    for i, spec in enumerate(_list(document, "fragments")):
+        where = "fragment %d" % i
+        spec = _mapping(spec, where, "id", "activities")
+        activities = []
+        for k, a in enumerate(_list(spec, "activities", where)):
+            a = _mapping(a, "%s activity %d" % (where, k), "name")
+            activities.append(
                 FragmentActivity(
                     name=a["name"],
                     sub_goal=a.get("sub_goal", ""),
                     role=a.get("role", ""),
                     medium=a.get("medium", ""),
                 )
-                for a in spec["activities"]
-            ),
-        )
+            )
+        try:
+            frag = ProcessFragment(id=spec["id"], activities=tuple(activities))
+            hash(frag)  # its id and activity names become keys
+        except (TypeError, ValueError) as exc:
+            raise LoadError("%s: %s" % (where, exc)) from None
         if frag.id in fragments:
-            raise LoadError("duplicate fragment id %r" % (frag.id,))
+            raise LoadError("%s: duplicate fragment id %r" % (where, frag.id))
         fragments[frag.id] = frag
 
     subgoals = []
-    for position, spec in enumerate(document.get("subgoals", []), start=1):
+    for i, spec in enumerate(_list(document, "subgoals")):
+        where = "sub-goal %d" % i
+        spec = _mapping(spec, where, "name")
         rows = []
         seen = set()
-        for row in spec.get("entries", []):
-            pattern = composite_from_pairs(row["value"], row.get("op", "AND"))
-            key = pattern.normalized()
+        for k, row in enumerate(_list(spec, "entries", where)):
+            at = "%s entry %d" % (where, k)
+            row = _mapping(row, at, "value", "fragment")
+            fragment_id = row["fragment"]
+            try:
+                pattern = composite_from_pairs(row["value"], row.get("op", "AND"))
+                key = pattern.normalized()
+                hash(fragment_id)
+            except (TypeError, ValueError) as exc:
+                raise LoadError("%s: %s" % (at, exc)) from None
             if key in seen:
                 raise AmbiguousEntryError(
                     "duplicate value pattern under sub-goal %r" % (spec["name"],),
                     subgoal=spec["name"],
                 )
             seen.add(key)
-            fragment_id = row["fragment"]
             if fragment_id not in fragments:
-                raise LoadError(
-                    "sub-goal %r references unknown fragment %r"
-                    % (spec["name"], fragment_id)
-                )
+                raise LoadError("%s: unknown fragment %r" % (at, fragment_id))
             rows.append((pattern, fragment_id))
         used = [fid for _, fid in rows]
         if len(used) != len(set(used)):
@@ -147,7 +181,7 @@ def load_repository(document: dict) -> FragmentRepository:
             )
         subgoals.append(
             SubgoalEntry(
-                index=spec.get("index", position),
+                index=spec.get("index", i + 1),
                 name=spec["name"],
                 rows=tuple(rows),
             )

@@ -307,7 +307,6 @@ class SubgraphInstance:
     activated_entities: frozenset
     activated_attributes: frozenset
     bound_values: Mapping[str, TimedValue] = field(default_factory=dict)
-    stats: Tuple[int, int] = (0, 0)
 
     @property
     def is_empty(self) -> bool:
@@ -338,18 +337,11 @@ def instantiate(g: ContextGraph, s: ContextState) -> SubgraphInstance:
                 attribute=a,
             )
 
-    entities = frozenset(s.parameters)
-    attributes = frozenset(s.attributes)
-    # Nodes: state node, entities, attributes, one atomic slot per attribute,
-    # one composite slot. Edges: red + blue + green.
-    n_nodes = 2 + len(entities) + 2 * len(attributes)
-    n_edges = len(entities) + 2 * len(attributes)
     return SubgraphInstance(
         graph=g,
         activated_state=node.id,
-        activated_entities=entities,
-        activated_attributes=attributes,
-        stats=(n_nodes, n_edges),
+        activated_entities=frozenset(s.parameters),
+        activated_attributes=frozenset(s.attributes),
     )
 
 

@@ -98,27 +98,24 @@ class _RescanRunner(chain_mod._Runner):
 
     Every step rescans the chain from ``start``, an activity is blocked while
     any pending action names it, and inserted activities are found by
-    diffing the node set and sorted by chain position. Evaluation, ingestion
-    and the main loop are the production ones.
+    diffing the node set and marked evaluated. Evaluation, ingestion and the
+    main loop are the production ones.
     """
 
     def _next_unexecuted(self):
         cursor = self.chain.start
         while cursor is not None:
-            blocked = any(p.activity_id == cursor for p in self.pending)
+            blocked = any(
+                p.activity_id == cursor for p in self.pending.values()
+            )
             if cursor not in self.executed and not blocked:
                 return self.chain.nodes[cursor]
             cursor = self.chain.nodes[cursor].next
         return None
 
-    def _has_unexecuted(self):
-        return any(i not in self.executed for i in order_oracle(self.chain))
-
-    def _apply(self, activity_id, rule, fragment, value, depth):
+    def _apply(self, activity_id, rule, fragment, value):
         action = rule.action
         chain = self.chain
-        if activity_id not in chain:
-            return
         existing = set(chain.nodes)
         if action.kind in ("add_before", "add_after"):
             chain_mod.add_fragment(
@@ -137,23 +134,14 @@ class _RescanRunner(chain_mod._Runner):
             chain_mod.reorder(chain, window, permutation)
         elif action.kind == "data_change":
             chain_mod.data_level_change(chain, activity_id, action.data)
-        inserted = [i for i in chain.nodes if i not in existing]
-        if inserted and depth < chain_mod.MAX_INSERTION_DEPTH:
-            order = order_oracle(chain)
-            for new_id in sorted(inserted, key=order.index):
-                self._evaluate(chain.nodes[new_id], depth + 1)
-        else:
-            self.evaluated.update(inserted)
+        self.evaluated.update(i for i in chain.nodes if i not in existing)
 
     def _apply_due_pending(self):
-        still = []
-        for item in self.pending:
+        for item in list(self.pending.values()):
             if item.due > self.clock:
-                still.append(item)
                 continue
-            if item.activity_id in self.executed or item.activity_id not in self.chain:
-                continue
-            self._apply(item.activity_id, item.rule, item.fragment, item.value, 0)
+            del self.pending[item.activity_id]
+            self._apply(item.activity_id, item.rule, item.fragment, item.value)
             self.trace.entries.append(
                 chain_mod.TraceEntry(
                     self.clock,
@@ -163,7 +151,6 @@ class _RescanRunner(chain_mod._Runner):
                     item.rule.action.describe(),
                 )
             )
-        self.pending = still
 
 
 def run_instance_oracle(model, scenario):

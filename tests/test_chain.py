@@ -13,7 +13,6 @@ from ctxflow.chain import (
     ActivityNode,
     AdaptationRule,
     ProcessModel,
-    MAX_INSERTION_DEPTH,
     add_fragment,
     bypass,
     data_level_change,
@@ -542,6 +541,3 @@ class TestRunner:
         )
         with pytest.raises(UnknownActivityError):
             run_instance(bad, [])
-
-    def test_insertion_depth_is_capped(self):
-        assert MAX_INSERTION_DEPTH == 3

@@ -128,6 +128,75 @@ class TestRun:
         assert reason in out
 
 
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _del(path, key):
+    return lambda doc: _at(doc, path).pop(key)
+
+
+def _set(path, key, value):
+    return lambda doc: _at(doc, path).__setitem__(key, value)
+
+
+def _run_mutated(tmp_path, kiosk_dir, name, mutate):
+    for other in ("graph.yaml", "repo.yaml", "model.yaml", "scenario.yaml",
+                  "bundle.yaml"):
+        if other != name:
+            (tmp_path / other).write_text((kiosk_dir / other).read_text())
+    doc = yaml.safe_load((kiosk_dir / name).read_text())
+    mutate(doc)
+    (tmp_path / name).write_text(yaml.safe_dump(doc))
+    return main(["run", str(tmp_path / "bundle.yaml")])
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "mutate,where,reason",
+        [
+            (_del(("fragments", 0), "id"), "fragment 0:", "missing id"),
+            (
+                _del(("fragments", 0, "activities", 1), "name"),
+                "fragment 0 activity 1:",
+                "missing name",
+            ),
+            (_del(("subgoals", 2), "name"), "sub-goal 2:", "missing name"),
+            (
+                _del(("subgoals", 2, "entries", 0), "fragment"),
+                "sub-goal 2 entry 0:",
+                "missing fragment",
+            ),
+            (_set((), "fragments", ["oops"]), "fragment 0:", "not a mapping"),
+            (_set(("fragments", 0), "activities", []), "fragment 0:", "no activities"),
+            (_set(("fragments", 0), "activities", "oops"), "fragment 0:",
+             "must be a list"),
+            (_set(("subgoals", 2, "entries", 0), "value", 3), "sub-goal 2 entry 0:",
+             "not iterable"),
+            (_set((), "subgoals", {"a": 1}), "subgoals must", "be a list"),
+        ],
+    )
+    def test_repository_entry_is_a_load_error(
+        self, tmp_path, kiosk_dir, capsys, mutate, where, reason
+    ):
+        assert _run_mutated(tmp_path, kiosk_dir, "repo.yaml", mutate) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("invalid: %s: %s" % (tmp_path / "repo.yaml", where))
+        assert reason in out
+
+    def test_non_mapping_ideal_entry_names_file_and_index(
+        self, tmp_path, kiosk_dir, capsys
+    ):
+        mutate = _set(("ideal",), 2, "oops")
+        assert _run_mutated(tmp_path, kiosk_dir, "model.yaml", mutate) == 1
+        assert capsys.readouterr().out == (
+            "invalid: %s: ideal entry 2: context entry 'oops' is not a mapping\n"
+            % (tmp_path / "model.yaml",)
+        )
+
+
 class TestVerify:
     def test_kiosk_net_passes_all_properties(self, kiosk_bundle, capsys):
         assert main(["verify", str(kiosk_bundle)]) == 0

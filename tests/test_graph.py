@@ -157,9 +157,9 @@ class TestInstantiation:
         s = state_for(g, "Bill Payment", [])
         inst = instantiate(g, s)
         assert inst.is_empty
-        assert inst.stats == (0, 0)
+        assert inst.activated_entities == inst.activated_attributes == frozenset()
 
-    def test_node_and_edge_counts(self):
+    def test_activates_the_link_image_of_the_state(self):
         g = small_graph()
         s = state_for(
             g,
@@ -167,9 +167,11 @@ class TestInstantiation:
             [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Unavailable")],
         )
         inst = instantiate(g, s)
-        # state + composite + 2 entities + 2 attributes + 2 value slots = 8
-        assert inst.stats == (8, 6)
+        assert inst.activated_state == "Storage in Cloud"
         assert inst.activated_entities == frozenset({"Weather", "Network"})
+        assert inst.activated_attributes == frozenset(
+            {"Weather.Status", "Network.Status"}
+        )
 
     def test_unknown_activity_raises(self):
         g = small_graph()

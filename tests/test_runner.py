@@ -1,26 +1,23 @@
 """The runner's walk against the rescanning oracle, plus structural guards.
 
-The production runner resumes its walk at a cursor, keeps blocked activities
-in a count dict and takes inserted ids from the spliced run;
-``oracles.run_instance_oracle`` rescans the chain from its start on every
-step. Both must produce identical traces and final orders.
+The production runner resumes its walk at a cursor and keeps deferred
+actions in a map by activity; ``oracles.run_instance_oracle`` rescans the
+chain from its start on every step. Both must produce identical traces and
+final orders.
 """
 
-import collections
-import contextlib
 import dataclasses
 import functools
 import pathlib
 import random
-from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxflow import chain as chain_mod
 from ctxflow.chain import (
     FRAGMENT_ACTIONS,
-    MAX_INSERTION_DEPTH,
     PLAIN_ACTIONS,
     Action,
     ActivityChain,
@@ -30,6 +27,7 @@ from ctxflow.chain import (
     run_instance,
 )
 from ctxflow.context import AtomicContext, ContextualSituation, ScopeFilter
+from ctxflow.errors import ChainIntegrityError
 from ctxflow.files import load_bundle
 from ctxflow.fragments import (
     FragmentActivity,
@@ -51,30 +49,37 @@ KIOSK = pathlib.Path(__file__).parent / "fixtures" / "kiosk" / "bundle.yaml"
 
 
 class CheckedRunner(chain_mod._Runner):
-    """Asserts after every rewrite that no executed activity left the chain.
+    """Asserts after every rewrite that no executed activity left the chain,
+    and at the end that every deferred action was applied exactly once."""
 
-    ``insert_depths`` counts applied fragment actions by insertion depth.
-    """
-
-    def __init__(self, model, scenario):
-        super().__init__(model, scenario)
-        self.insert_depths = collections.Counter()
-
-    def _apply(self, activity_id, rule, fragment, value, depth):
-        super()._apply(activity_id, rule, fragment, value, depth)
+    def _apply(self, activity_id, rule, fragment, value):
+        super()._apply(activity_id, rule, fragment, value)
         assert self.executed <= self.chain.nodes.keys()
-        if rule.action.needs_fragment:
-            self.insert_depths[depth] += 1
+
+    def run(self):
+        trace = super().run()
+        assert self.pending == {}
+        entries = trace.entries
+        for i, deferred in enumerate(entries):
+            if deferred.deferred_until is None:
+                continue
+            later = [
+                e for e in entries[i + 1:] if e.activity_id == deferred.activity_id
+            ]
+            assert len(later) == 1
+            (applied,) = later
+            assert applied.deferred_until is None
+            assert applied.timestamp >= deferred.deferred_until
+            assert (applied.value, applied.fragment_id, applied.action) == (
+                deferred.value, deferred.fragment_id, deferred.action
+            )
+        return trace
 
 
-def run_checked(model, scenario, insert_depths=None):
+def run_checked(model, scenario):
     model.validate()
     runner = CheckedRunner(model, scenario)
-    try:
-        trace = runner.run()
-    finally:
-        if insert_depths is not None:
-            insert_depths.update(runner.insert_depths)
+    trace = runner.run()
     assert set(trace.final_order) == set(runner.chain.nodes)
     assert len(trace.final_order) == len(runner.chain.nodes)
     return trace
@@ -89,33 +94,10 @@ def outcome(run, model, scenario):
     return ("ran", trace.entries, trace.final_order)
 
 
-def assert_matches_oracle(model, scenario, insert_depths=None):
-    got = outcome(
-        functools.partial(run_checked, insert_depths=insert_depths), model, scenario
-    )
+def assert_matches_oracle(model, scenario):
+    got = outcome(run_checked, model, scenario)
     assert got == outcome(oracles.run_instance_oracle, model, scenario)
     return got
-
-
-@contextlib.contextmanager
-def scoped_fragments(scopes):
-    """Give fragment activities the scope of the activity id they land on.
-
-    Fragment activities carry no contextual event, so the runner's nested
-    evaluation only does work when an inserted activity reuses the id, and
-    here also the scope, of an activity removed earlier. That makes
-    insertions that trigger further insertions, up to the depth cap.
-    """
-    materialize = chain_mod._materialize
-
-    def scoped(fragment, chain):
-        nodes = materialize(fragment, chain)
-        for node in nodes:
-            node.scope = scopes.get(node.id)
-        return nodes
-
-    with mock.patch.object(chain_mod, "_materialize", scoped):
-        yield
 
 
 # -- kiosk with random delays and durations ----------------------------------
@@ -171,15 +153,13 @@ def attribute(entity):
 
 
 def random_model(rng):
-    """A chain whose rules span every action kind, with scoped re-insertion.
+    """A chain whose rules span every action kind, with re-inserted ids.
 
     Fragment activities are named after chain activities or fresh names, so
     an inserted activity may reuse the id of one removed earlier. Reserve
     activities ``r*`` lead the chain and bypass themselves on their first
-    run (their sub-goal
-    ``orig`` selects no fragment) and are the favourite fragment names; back
-    in the chain under a fragment's sub-goal they may insert again, which
-    nests insertions down to the depth cap.
+    run (their sub-goal ``orig`` selects no fragment) and are the favourite
+    fragment names. Inserted activities carry no scope, so they just execute.
     """
     reserve = ["r%d" % i for i in range(rng.randint(0, 5))]
     ids = reserve + ["a%d" % i for i in range(rng.randint(1, 8))]
@@ -291,75 +271,59 @@ def random_model(rng):
         )
         for t in times
     ]
-    return model, scenario, scopes
+    return model, scenario
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_random_chains_match_oracle(seed):
-    model, scenario, scopes = random_model(random.Random(seed))
-    with scoped_fragments(scopes):
-        assert_matches_oracle(model, scenario)
+    assert_matches_oracle(*random_model(random.Random(seed)))
 
 
 def test_random_chains_cover_every_action():
     seen = set()
     ran = 0
-    insert_depths = collections.Counter()
+    deferred = 0
     for seed in range(300):
-        model, scenario, scopes = random_model(random.Random(seed))
-        with scoped_fragments(scopes):
-            got = assert_matches_oracle(model, scenario, insert_depths)
+        got = assert_matches_oracle(*random_model(random.Random(seed)))
         if got[0] == "ran":
             ran += 1
             seen.update(e.action.split("(")[0] for e in got[1] if e.action)
+            deferred += sum(e.deferred_until is not None for e in got[1])
     assert seen == set(FRAGMENT_ACTIONS + PLAIN_ACTIONS)
     assert ran > 200
-    assert insert_depths[MAX_INSERTION_DEPTH] > 0
+    assert deferred > 0
 
 
-# -- nested insertion up to the depth cap ------------------------------------
+# -- the progress guard ------------------------------------------------------
 
 
-def nested_model():
-    """``a`` inserts x1, which inserts x2, and so on past the depth cap.
-
-    x1..x4 first run as ordinary activities and bypass themselves; each
-    returns as a fragment activity whose sub-goal selects the next fragment.
-    """
-    xs = ["x1", "x2", "x3", "x4"]
-    ids = xs + ["a"]
+def inserting_chain(n, k):
+    """``n`` scoped activities, each adding a ``k``-activity fragment after it."""
+    ids = ["a%d" % i for i in range(n)]
     graph = ContextGraph.build(
         entities=[EntityNode("E")],
         attributes=[AttributeNode("E.s")],
-        state_nodes=[StateNodeDef(i, ("E",), ("E.s",)) for i in ids],
+        state_nodes=[StateNodeDef(a, ("E",), ("E.s",)) for a in ids],
     )
-    scopes = {i: ScopeFilter(i, frozenset({"E"}), frozenset()) for i in ids}
     bad = composite_from_pairs([("E.s", "bad")])
-    fragments = {
-        "F%d" % k: ProcessFragment(
-            "F%d" % k, (FragmentActivity(xs[k - 1], sub_goal="n%d" % k),)
+    fragment = ProcessFragment(
+        "F", tuple(FragmentActivity("x%d" % j) for j in range(k))
+    )
+    nodes = [
+        ActivityNode(
+            id=a, sub_goal="s", scope=ScopeFilter(a, frozenset({"E"}), frozenset())
         )
-        for k in range(1, 5)
-    }
-    subgoals = [SubgoalEntry(1, "orig"), SubgoalEntry(2, "top", ((bad, "F1"),))]
-    subgoals += [
-        SubgoalEntry(2 + k, "n%d" % k, ((bad, "F%d" % (k + 1)),)) for k in range(1, 4)
+        for a in ids
     ]
-    rules = [AdaptationRule(x, bad, None, Action("bypass"), 0) for x in xs]
-    rules.append(AdaptationRule("a", bad, "F1", Action("add_after"), 1))
-    rules += [
-        AdaptationRule(xs[k - 1], bad, "F%d" % (k + 1),
-                       Action("add_before" if k % 2 else "add_after"), 2 + k)
-        for k in range(1, 4)
-    ]
-    nodes = [ActivityNode(id=x, sub_goal="orig", scope=scopes[x]) for x in xs]
-    nodes.append(ActivityNode(id="a", sub_goal="top", scope=scopes["a"]))
     model = ProcessModel(
         graph,
         ActivityChain.from_nodes(nodes),
-        FragmentRepository(tuple(subgoals), fragments),
-        tuple(rules),
+        FragmentRepository((SubgoalEntry(1, "s", ((bad, "F"),)),), {"F": fragment}),
+        tuple(
+            AdaptationRule(a, bad, "F", Action("add_after"), i)
+            for i, a in enumerate(ids)
+        ),
         {"E.s": AtomicContext(parameter="E", attribute="s", value="good")},
     )
     scenario = [
@@ -367,27 +331,28 @@ def nested_model():
             [AtomicContext(parameter="E", attribute="s", value="bad")], timestamp=0
         )
     ]
-    return model, scenario, scopes
+    return model, scenario
 
 
-def test_nested_insertions_stop_at_depth_cap():
-    assert MAX_INSERTION_DEPTH == 3
-    model, scenario, scopes = nested_model()
-    with scoped_fragments(scopes):
-        kind, entries, final_order = assert_matches_oracle(model, scenario)
-    assert kind == "ran"
-    adds = [(e.activity_id, e.action) for e in entries if e.fragment_id]
-    # a at depth 0, then x1, x2, x3 at depths 1-3, each entry written once its
-    # own insertions are done; x4 comes back at depth 4 and is only marked
-    # evaluated, so its one entry is the bypass from its first run.
-    assert adds == [
-        ("x3", "add_before"),
-        ("x2", "add_after"),
-        ("x1", "add_before"),
-        ("a", "add_after"),
-    ]
-    assert [e.activity_id for e in entries].count("x4") == 1
-    assert final_order == ["a", "x2", "x4", "x3", "x1"]
+def test_growing_chain_does_not_trip_the_progress_guard():
+    # 100 evaluations and 2,100 executions: more passes than a bound fixed
+    # by the model's size and the scenario's length allows.
+    model, scenario = inserting_chain(100, 20)
+    trace = run_checked(model, scenario)
+    assert len(trace.final_order) == 100 * 21
+    assert trace.final_order[:3] == ["a0", "x0", "x1"]
+    assert len(trace.actions) == 100
+
+
+def test_stalled_runner_fails_the_progress_guard():
+    class Stalled(chain_mod._Runner):
+        def _ingest_due_situations(self):
+            self.evaluated.clear()  # every pass evaluates the same activity
+
+    model, scenario = inserting_chain(3, 1)
+    model = dataclasses.replace(model, rules=())
+    with pytest.raises(ChainIntegrityError, match="failed to make progress"):
+        Stalled(model, scenario).run()
 
 
 # -- structural guard --------------------------------------------------------
@@ -409,7 +374,7 @@ def test_runner_never_builds_the_chain_order(monkeypatch):
 
 
 def test_rules_for_keeps_declaration_tuple_order():
-    model, _, _ = random_model(random.Random(3))
+    model, _ = random_model(random.Random(3))
     for a in model.chain.nodes:
         assert model.rules_for(a) == tuple(
             r for r in model.rules if r.activity_id == a
