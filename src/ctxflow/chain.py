@@ -1,16 +1,18 @@
 """The extended process model: activity chain, adaptation rules and the runner.
 
-Activities form a doubly linked chain (prev/next) walked from the single
-start-attached node to the single end-attached node. Five rewrite strategies
-operate on the chain: fragment insertion, replacement (by fragment, of role,
-of medium), bypass, window reordering and data-level change. The runner
-walks the chain, evaluates each activity's contextual event just before it
-executes, and applies the action selected by the first matching rule.
+Activities form one ordered chain: a list of ids in execution order plus the
+nodes by id. Five rewrite strategies operate on the chain: fragment
+insertion, replacement (by fragment, of role, of medium), bypass, window
+reordering and data-level change; each is a splice of the id list. The
+runner walks the chain, evaluates each activity's contextual event just
+before it executes, and applies the action selected by the first matching
+rule.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -47,8 +49,6 @@ class ActivityNode:
     sub_goal: str
     role: str = ""
     medium: str = ""
-    prev: Optional[str] = None
-    next: Optional[str] = None
     output_data: Set[str] = field(default_factory=set)
     scope: Optional[ScopeFilter] = None
     duration: int = 0
@@ -60,27 +60,27 @@ class ActivityNode:
 
 
 class ActivityChain:
-    """Doubly linked activity list with a single start and a single end."""
+    """Activity ids in execution order (``ids``) and the activities by id."""
 
-    def __init__(self, nodes: Dict[str, ActivityNode], start: str):
+    def __init__(self, nodes: Dict[str, ActivityNode], ids: List[str]):
         self.nodes = nodes
-        self.start = start
+        self.ids = ids
 
     @classmethod
     def from_nodes(cls, ordered: Sequence[ActivityNode]) -> "ActivityChain":
         if not ordered:
             raise EmptyChainError("a chain needs at least one activity")
         nodes = {}
-        for i, node in enumerate(ordered):
-            node.prev = ordered[i - 1].id if i > 0 else None
-            node.next = ordered[i + 1].id if i < len(ordered) - 1 else None
+        for node in ordered:
             if node.id in nodes:
                 raise ChainIntegrityError("duplicate activity id %r" % (node.id,))
             nodes[node.id] = node
-        return cls(nodes, ordered[0].id)
+        return cls(nodes, list(nodes))
 
     def copy(self) -> "ActivityChain":
-        return ActivityChain({k: v.copy() for k, v in self.nodes.items()}, self.start)
+        return ActivityChain(
+            {k: v.copy() for k, v in self.nodes.items()}, list(self.ids)
+        )
 
     def __len__(self):
         return len(self.nodes)
@@ -96,88 +96,39 @@ class ActivityChain:
                 "no activity %r in chain" % (activity_id,), activity=activity_id
             ) from None
 
+    def position(self, activity_id: str) -> int:
+        """Index of the activity in ``ids``."""
+        self.node(activity_id)
+        return self.ids.index(activity_id)
+
     def order(self) -> List[str]:
-        out = []
-        seen = set()
-        cursor = self.start
-        while cursor is not None:
-            if cursor in seen:
-                raise ChainIntegrityError("cycle through %r" % (cursor,))
-            seen.add(cursor)
-            out.append(cursor)
-            node = self.nodes.get(cursor)
-            if node is None:
-                raise ChainIntegrityError(
-                    "chain links to missing activity %r" % (cursor,)
-                )
-            cursor = node.next
-        return out
+        return list(self.ids)
 
     def validate(self) -> None:
-        """Raise unless the chain is a well-formed doubly linked list.
-
-        One walk from ``start``: every node must exist under its own id and
-        link back to the node walked before it (``None`` for the first), and
-        the walk must end after exactly ``len(nodes)`` nodes. A walk still
-        going after that many nodes has met a cycle or a dangling link.
-        """
-        nodes = self.nodes
-        total = len(nodes)
-        if self.start not in nodes:
-            raise ChainIntegrityError(
-                "start pointer %r names no activity" % (self.start,)
+        """Raise unless ``ids`` lists every activity in ``nodes`` exactly once."""
+        ids, nodes = self.ids, self.nodes
+        listed = set(ids)
+        if len(listed) == len(ids) and nodes.keys() == listed:
+            return
+        raise ChainIntegrityError(
+            "chain order and activities disagree: unlisted %r, unknown %r, "
+            "repeated %r"
+            % (
+                [i for i in nodes if i not in listed],
+                [i for i in ids if i not in nodes],
+                [i for i, count in Counter(ids).items() if count > 1],
             )
-        behind = None
-        cursor = self.start
-        try:
-            for count in range(1, total + 1):
-                node = nodes[cursor]
-                if node.prev != behind or node.id != cursor:
-                    if node.id != cursor:
-                        raise ChainIntegrityError(
-                            "activity %r is stored under %r" % (node.id, cursor)
-                        )
-                    raise ChainIntegrityError(
-                        "prev/next mismatch between %r and %r" % (cursor, behind)
-                    )
-                behind = cursor
-                cursor = node.next
-                if cursor is None:
-                    break
-            else:
-                raise ChainIntegrityError(
-                    "chain does not end after %d activities (at %r)"
-                    % (total, cursor)
-                )
-        except KeyError:
-            raise ChainIntegrityError(
-                "chain links to missing activity %r" % (cursor,)
-            ) from None
-        if count != total:
-            raise ChainIntegrityError("chain contains unreachable activities")
+        )
 
-    # -- low-level splicing -------------------------------------------------
-
-    def _link(self, left: Optional[str], right: Optional[str]) -> None:
-        if left is not None:
-            self.nodes[left].next = right
-        if right is not None:
-            self.nodes[right].prev = left
-        if right is not None and left is None:
-            self.start = right
-
-    def _insert_run(self, after: Optional[str], before: Optional[str],
-                    run: Sequence[ActivityNode]) -> None:
-        for i, node in enumerate(run):
+    def _splice(self, start: int, stop: int, run: Sequence[ActivityNode]) -> None:
+        """Replace ``ids[start:stop]`` with the ids of ``run``, adding its nodes."""
+        for node in run:
             if node.id in self.nodes:
                 raise ChainIntegrityError(
                     "inserted activity id %r already in chain" % (node.id,)
                 )
             self.nodes[node.id] = node
-        self._link(after, run[0].id)
-        for i in range(len(run) - 1):
-            self._link(run[i].id, run[i + 1].id)
-        self._link(run[-1].id, before)
+        self.ids[start:stop] = [node.id for node in run]
 
 
 def _materialize(fragment: ProcessFragment, chain: ActivityChain) -> List[ActivityNode]:
@@ -203,14 +154,12 @@ def add_fragment(
     chain: ActivityChain, target: str, position: str, fragment: ProcessFragment
 ) -> ActivityChain:
     """Insert a fragment's activities directly before or after ``target``."""
-    anchor = chain.node(target)
+    i = chain.position(target)
     run = _materialize(fragment, chain)
-    if position == "before":
-        chain._insert_run(anchor.prev, anchor.id, run)
-    elif position == "after":
-        chain._insert_run(anchor.id, anchor.next, run)
-    else:
+    if position not in ("before", "after"):
         raise ValueError("position must be 'before' or 'after'")
+    at = i if position == "before" else i + 1
+    chain._splice(at, at, run)
     chain.validate()
     return chain
 
@@ -219,11 +168,10 @@ def replace_activity(
     chain: ActivityChain, target: str, fragment: ProcessFragment
 ) -> ActivityChain:
     """Swap ``target`` out of the chain for the fragment's activities."""
-    victim = chain.node(target)
+    i = chain.position(target)
     run = _materialize(fragment, chain)
-    before, after = victim.prev, victim.next
     del chain.nodes[target]
-    chain._insert_run(before, after, run)
+    chain._splice(i, i + 1, run)
     chain.validate()
     return chain
 
@@ -244,15 +192,12 @@ def replace_attribute(
 
 
 def bypass(chain: ActivityChain, target: str) -> ActivityChain:
-    """Unlink ``target`` and join its neighbours."""
+    """Drop ``target`` from the chain; its neighbours become adjacent."""
     if len(chain) < 2:
         raise EmptyChainError("cannot bypass the only activity")
-    victim = chain.node(target)
-    before, after = victim.prev, victim.next
+    i = chain.position(target)
     del chain.nodes[target]
-    chain._link(before, after)
-    if after is None and before is not None:
-        chain.nodes[before].next = None
+    del chain.ids[i]
     chain.validate()
     return chain
 
@@ -275,17 +220,13 @@ def reorder(
         )
     for wid in window:
         chain.node(wid)
-    for i in range(len(window) - 1):
-        if chain.nodes[window[i]].next != window[i + 1]:
-            raise InvalidWindowError(
-                "window %r is not contiguous in the chain" % (window,)
-            )
-    before = chain.nodes[window[0]].prev
-    after = chain.nodes[window[-1]].next
-    chain._link(before, permutation[0])
-    for i in range(len(permutation) - 1):
-        chain._link(permutation[i], permutation[i + 1])
-    chain._link(permutation[-1], after)
+    i = chain.ids.index(window[0])
+    end = i + len(window)
+    if chain.ids[i:end] != window:
+        raise InvalidWindowError(
+            "window %r is not contiguous in the chain" % (window,)
+        )
+    chain.ids[i:end] = permutation
     chain.validate()
     return chain
 
@@ -470,9 +411,9 @@ class _Runner:
         # evaluated once and stays in the chain while its action waits, so
         # it has at most one; until it applies, the activity is blocked.
         self.pending: Dict[str, _Pending] = {}
-        # Where the walk resumes (None: at ``chain.start``); every activity
-        # before it has executed.
-        self.resume: Optional[str] = None
+        # Where the walk resumes in ``chain.ids``; every activity before it
+        # has executed.
+        self.resume = 0
         self.clock = self.scenario[0].timestamp if self.scenario else 0
         self.next_situation = 0
         # Watchers: the activities with a state, filed in chain order under
@@ -622,13 +563,12 @@ class _Runner:
     ) -> None:
         action = rule.action
         chain = self.chain
-        window: Sequence[str] = (activity_id,)
         if action.kind == "reorder":
             window, permutation = self._resolve_reorder(activity_id, action.order)
-        # A rewrite reshapes only its window (the target, or the reorder
-        # triple); a walk cursor inside it falls back to the node before it.
-        if self.resume in window:
-            self.resume = chain.nodes[window[0]].prev
+            # The target has not executed, so only a reorder reaches behind
+            # the walk's position: its window may start at an executed
+            # predecessor, which the permutation can move after the target.
+            self.resume = min(self.resume, chain.ids.index(window[0]))
         if action.kind in ("add_before", "add_after"):
             add_fragment(
                 chain, activity_id, action.kind.split("_", 1)[1], fragment
@@ -647,16 +587,17 @@ class _Runner:
             data_level_change(chain, activity_id, action.data)
 
     def _resolve_reorder(self, center: str, order: Sequence[str]):
-        node = self.chain.node(center)
+        ids = self.chain.ids
+        i = self.chain.position(center)
         labels = {"L1": center}
         window = []
-        if node.prev is not None:
-            labels["L2"] = node.prev
-            window.append(node.prev)
+        if i > 0:
+            labels["L2"] = ids[i - 1]
+            window.append(ids[i - 1])
         window.append(center)
-        if node.next is not None:
-            labels["L3"] = node.next
-            window.append(node.next)
+        if i + 1 < len(ids):
+            labels["L3"] = ids[i + 1]
+            window.append(ids[i + 1])
         if len(window) < 2:
             raise InvalidWindowError("cannot reorder a single-activity chain")
         if set(order) <= set(labels):
@@ -680,17 +621,15 @@ class _Runner:
         is how a timed value postpones its activity in the schedule. The walk
         starts at ``resume`` and moves it up to the first unexecuted activity.
         """
-        nodes = self.chain.nodes
-        cursor = self.chain.start if self.resume is None else self.resume
-        while cursor is not None and cursor in self.executed:
-            cursor = nodes[cursor].next
-        if cursor is not None:
-            self.resume = cursor
-        while cursor is not None and (
-            cursor in self.executed or cursor in self.pending
-        ):
-            cursor = nodes[cursor].next
-        return None if cursor is None else nodes[cursor]
+        ids = self.chain.ids
+        end = len(ids)
+        i = self.resume
+        while i < end and ids[i] in self.executed:
+            i += 1
+        self.resume = i
+        while i < end and (ids[i] in self.executed or ids[i] in self.pending):
+            i += 1
+        return self.chain.nodes[ids[i]] if i < end else None
 
     def _apply_due_pending(self) -> None:
         due = [p for p in self.pending.values() if p.due <= self.clock]

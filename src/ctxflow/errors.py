@@ -80,12 +80,6 @@ class UnknownSubgoalError(CtxflowError):
     code = "unknown-subgoal"
 
 
-class AmbiguousEntryError(CtxflowError):
-    """Two identical composite-value patterns under one sub-goal."""
-
-    code = "ambiguous-entry"
-
-
 class UnknownActivityError(CtxflowError):
     """A chain operation targeted an activity id not present in the chain."""
 
@@ -105,7 +99,7 @@ class InvalidWindowError(CtxflowError):
 
 
 class ChainIntegrityError(CtxflowError):
-    """A rewrite corrupted prev/next consistency (internal safety net)."""
+    """The chain order and its activities disagree (internal safety net)."""
 
     code = "chain-integrity"
 

@@ -2,7 +2,9 @@
 
 Every document starts with ``version: 1`` and a ``kind`` tag; loaders reject
 unknown versions and mismatched kinds so that a bundle wired to the wrong
-file fails fast with the offending path in the error.
+file fails fast with the offending path in the error. Every schema lives
+here, checked with one set of entry helpers: a malformed entry is a
+``LoadError`` of the form ``<file>: <entry> N: <problem>``.
 """
 
 from __future__ import annotations
@@ -10,14 +12,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import yaml
 
 from .chain import Action, ActivityChain, ActivityNode, AdaptationRule, ProcessModel
 from .context import AtomicContext, ContextualSituation, ScopeFilter
 from .errors import LoadError
-from .fragments import FragmentRepository, load_repository
+from .fragments import (
+    FragmentActivity,
+    FragmentRepository,
+    ProcessFragment,
+    SubgoalEntry,
+)
 from .graph import (
     AttributeNode,
     Composition,
@@ -91,12 +98,109 @@ def load_document(path, kind: str) -> dict:
     return doc
 
 
+# -- entry checks ------------------------------------------------------------
+#
+# A malformed entry is named by its place in its list, counted from 0
+# (``rule 1``, ``sub-goal 2 entry 0``); ``_load`` puts the file in front.
+
+
+def _error(where: str, problem: str) -> LoadError:
+    return LoadError("%s: %s" % (where, problem) if where else problem)
+
+
+def _mapping(spec, where: str, *keys) -> dict:
+    """``spec`` if it is a mapping holding ``keys``, else a ``LoadError``."""
+    if not isinstance(spec, dict):
+        raise _error(where, "not a mapping: %r" % (spec,))
+    for key in keys:
+        if key not in spec:
+            raise _error(where, "missing %s" % (key,))
+    return spec
+
+
+def _list(spec: dict, key: str, where: str = "") -> list:
+    items = spec.get(key, [])
+    if not isinstance(items, list):
+        raise _error(where, "%s must be a list, not %r" % (key, items))
+    return items
+
+
+def _text(spec: dict, key: str, where: str = "", default: str = "") -> str:
+    value = spec.get(key, default)
+    if not isinstance(value, str):
+        raise _error(where, "%s must be text, not %r" % (key, value))
+    return value
+
+
+def _texts(spec: dict, key: str, where: str) -> list:
+    items = _list(spec, key, where)
+    for item in items:
+        if not isinstance(item, str):
+            raise _error(where, "%s must list text, not %r" % (key, item))
+    return items
+
+
+def _count(spec: dict, key: str, where: str) -> int:
+    value = spec.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise _error(where, "%s must be a whole number >= 0, not %r" % (key, value))
+    return value
+
+
+def _subgoal_key(spec: dict, where: str, default):
+    """A sub-goal reference: its name, or its index in the repository."""
+    value = spec.get("sub_goal", default)
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise _error(where, "sub_goal must be text or an index, not %r" % (value,))
+    return value
+
+
+def _is_value(value) -> bool:
+    return isinstance(value, (str, int, float))
+
+
+def _pairs(items: list, where: str) -> list:
+    """``[attribute, value]`` pairs: text and a text, number or truth value."""
+    for item in items:
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and _is_value(item[1])
+        ):
+            raise _error(where, "not an [attribute, value] pair: %r" % (item,))
+    return [tuple(item) for item in items]
+
+
+def _build(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with its ``ValueError`` as a ``LoadError``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _error(where, str(exc)) from None
+
+
+def _load(path, kind: str, build, *args):
+    """Build from the document at ``path``, naming the file in any error."""
+    doc = load_document(path, kind)
+    try:
+        return build(doc, *args)
+    except LoadError as exc:
+        raise LoadError("%s: %s" % (path, exc), path=str(path)) from None
+
+
 def _context_from_spec(spec: dict) -> AtomicContext:
     if not isinstance(spec, dict):
         raise LoadError("context entry %r is not a mapping" % (spec,))
-    for key in ("parameter", "attribute"):
+    for key in ("parameter", "attribute", "connector", "instance", "category",
+                "temporality"):
         if key in spec and not isinstance(spec[key], str):
             raise LoadError("bad context entry %r: %s must be text" % (spec, key))
+    if not _is_value(spec.get("value", "")):
+        raise LoadError(
+            "bad context entry %r: value must be text, a number or a truth value"
+            % (spec,)
+        )
     try:
         return AtomicContext(
             parameter=spec["parameter"],
@@ -111,199 +215,326 @@ def _context_from_spec(spec: dict) -> AtomicContext:
         raise LoadError("bad context entry %r: %s" % (spec, exc))
 
 
-def _composition_from_spec(spec) -> Composition:
-    if isinstance(spec, dict):
-        return Composition(
-            op=spec.get("op", "AND"),
-            items=tuple(
-                _composition_from_spec(i) if isinstance(i, dict) else str(i)
-                for i in spec.get("items", ())
-            ),
+# -- context graph -----------------------------------------------------------
+
+
+def _composition(spec, where: str) -> Composition:
+    spec = _mapping(spec, where)
+    items = tuple(
+        item if isinstance(item, str) else _composition(item, where)
+        for item in _list(spec, "items", where)
+    )
+    return _build(where, Composition, _text(spec, "op", where, "AND"), items)
+
+
+def _graph(doc: dict) -> ContextGraph:
+    entities = []
+    for i, spec in enumerate(_list(doc, "entities")):
+        where = "entity %d" % i
+        spec = _mapping(spec, where, "name")
+        entities.append(
+            EntityNode(
+                _text(spec, "name", where),
+                _text(spec, "category", where, "organization"),
+            )
         )
-    raise LoadError("bad composition %r" % (spec,))
-
-
-def load_graph(path) -> ContextGraph:
-    doc = load_document(path, "context-graph")
-    try:
-        entities = [
-            EntityNode(e["name"], e.get("category", "organization"))
-            for e in doc.get("entities", [])
-        ]
-        attributes = [
-            AttributeNode(
-                a["name"],
-                temporality=a.get("temporality", "dynamic"),
-                derivation=a.get("derivation", "direct"),
-                delay=a.get("delay", 0),
+    attributes = []
+    for i, spec in enumerate(_list(doc, "attributes")):
+        where = "attribute %d" % i
+        spec = _mapping(spec, where, "name")
+        attributes.append(
+            _build(
+                where,
+                AttributeNode,
+                _text(spec, "name", where),
+                temporality=_text(spec, "temporality", where, "dynamic"),
+                derivation=_text(spec, "derivation", where, "direct"),
+                delay=_count(spec, "delay", where),
             )
-            for a in doc.get("attributes", [])
-        ]
-        relations = [
-            EntityRelation(r["source"], r["target"], r.get("cardinality", "one-one"))
-            for r in doc.get("relations", [])
-        ]
-        rules = [
-            DependencyRule(
-                kind=r.get("kind", "partial"),
-                antecedent=tuple(RulePattern(a, v) for a, v in r["if"]),
-                consequent=RulePattern(*r["then"]),
+        )
+    relations = []
+    for i, spec in enumerate(_list(doc, "relations")):
+        where = "relation %d" % i
+        spec = _mapping(spec, where, "source", "target")
+        relations.append(
+            _build(
+                where,
+                EntityRelation,
+                _text(spec, "source", where),
+                _text(spec, "target", where),
+                _text(spec, "cardinality", where, "one-one"),
             )
-            for r in doc.get("dependency_rules", [])
-        ]
-        nodes = [
+        )
+    rules = []
+    for i, spec in enumerate(_list(doc, "dependency_rules")):
+        where = "dependency rule %d" % i
+        spec = _mapping(spec, where, "if", "then")
+        antecedent = _pairs(_list(spec, "if", where), where)
+        (consequent,) = _pairs([spec["then"]], where)
+        rules.append(
+            _build(
+                where,
+                DependencyRule,
+                kind=_text(spec, "kind", where, "partial"),
+                antecedent=tuple(RulePattern(a, v) for a, v in antecedent),
+                consequent=RulePattern(*consequent),
+            )
+        )
+    nodes = []
+    for i, spec in enumerate(_list(doc, "state_nodes")):
+        where = "state node %d" % i
+        spec = _mapping(spec, where, "id")
+        nodes.append(
             StateNodeDef(
-                id=s["id"],
-                parameters=tuple(s.get("parameters", ())),
-                attributes=tuple(s.get("attributes", ())),
+                id=_text(spec, "id", where),
+                parameters=tuple(_texts(spec, "parameters", where)),
+                attributes=tuple(_texts(spec, "attributes", where)),
                 composition=(
-                    _composition_from_spec(s["composition"])
-                    if "composition" in s
+                    _composition(spec["composition"], where + " composition")
+                    if "composition" in spec
                     else None
                 ),
             )
-            for s in doc.get("state_nodes", [])
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LoadError("bad context-graph document %s: %s" % (path, exc),
-                        path=str(path))
+        )
     return ContextGraph.build(entities, attributes, relations, rules, nodes)
 
 
-def _pattern_from_spec(spec: dict):
-    pairs = spec.get("pairs")
-    if not pairs:
-        raise LoadError("value pattern needs pairs: %r" % (spec,))
-    return composite_from_pairs([(a, v) for a, v in pairs], spec.get("op", "AND"))
+def load_graph(path) -> ContextGraph:
+    return _load(path, "context-graph", _graph)
 
 
-def _action_from_spec(spec: dict) -> Action:
-    try:
-        return Action(
-            kind=spec["kind"],
-            role=spec.get("role", ""),
-            medium=spec.get("medium", ""),
-            order=tuple(spec.get("order", ())),
-            data=tuple(spec.get("data", ())),
-        )
-    except (KeyError, ValueError) as exc:
-        raise LoadError("bad action %r: %s" % (spec, exc))
+# -- fragment repository -----------------------------------------------------
 
 
-def load_model(path, graph: ContextGraph, repo: FragmentRepository) -> ProcessModel:
-    doc = load_document(path, "process-model")
-    ordered: List[ActivityNode] = []
-    for spec in doc.get("activities", []):
-        try:
-            node = ActivityNode(
-                id=spec["id"],
-                sub_goal=spec.get("sub_goal", spec["id"]),
-                role=spec.get("role", ""),
-                medium=spec.get("medium", ""),
-                output_data=set(spec.get("output_data", ())),
-                duration=spec.get("duration", 0),
-            )
-        except KeyError as exc:
-            raise LoadError("activity entry missing %s in %s" % (exc, path),
-                            path=str(path))
-        scope_spec = spec.get("scope")
-        state = graph.state_nodes.get(node.id)
-        if scope_spec is not None:
-            node.scope = ScopeFilter(
-                node.id,
-                frozenset(scope_spec.get("parameters", ())),
-                frozenset(scope_spec.get("attributes", ())),
-            )
-        elif state is not None:
-            # Default scope: exactly what the activity's state node maps.
-            node.scope = ScopeFilter(
-                node.id, frozenset(state.parameters), frozenset(state.attributes)
-            )
-        ordered.append(node)
-    if not ordered:
-        raise LoadError("model %s declares no activities" % (path,), path=str(path))
-    chain = ActivityChain.from_nodes(ordered)
+def load_repository(document: dict) -> FragmentRepository:
+    """Build a repository from its parsed document, validating invariants.
 
-    ideal: Dict[str, AtomicContext] = {}
-    for index, spec in enumerate(doc.get("ideal", [])):
-        try:
-            ctx = _context_from_spec(spec)
-        except LoadError as exc:
-            raise LoadError(
-                "%s: ideal entry %d: %s" % (path, index, exc), path=str(path)
-            ) from None
-        ideal[ctx.qualified] = ctx
+    A malformed entry raises ``LoadError`` naming it by its position in its
+    list, counted from 0: ``fragment 0``, ``fragment 0 activity 1``,
+    ``sub-goal 2``, ``sub-goal 2 entry 0``.
+    """
+    if not isinstance(document, dict):
+        raise LoadError("repository document must be a mapping")
 
-    rules = []
-    for order, spec in enumerate(doc.get("rules", [])):
-        fragment_id = spec.get("fragment")
-        if fragment_id is not None and fragment_id not in repo.fragments:
-            raise LoadError(
-                "rule references unknown fragment %r" % (fragment_id,),
-                path=str(path),
-                code_hint="unknown-fragment",
-            )
-        try:
-            rules.append(
-                AdaptationRule(
-                    activity_id=spec["activity"],
-                    value_pattern=_pattern_from_spec(spec["value"]),
-                    fragment_pattern=fragment_id,
-                    action=_action_from_spec(spec["action"]),
-                    declaration_order=order,
+    fragments = {}
+    for i, spec in enumerate(_list(document, "fragments")):
+        where = "fragment %d" % i
+        spec = _mapping(spec, where, "id", "activities")
+        activities = []
+        for k, a in enumerate(_list(spec, "activities", where)):
+            at = "%s activity %d" % (where, k)
+            a = _mapping(a, at, "name")
+            activities.append(
+                FragmentActivity(
+                    name=_text(a, "name", at),
+                    sub_goal=_subgoal_key(a, at, ""),
+                    role=_text(a, "role", at),
+                    medium=_text(a, "medium", at),
                 )
             )
-        except (KeyError, ValueError) as exc:
-            raise LoadError("bad rule entry %r: %s" % (spec, exc), path=str(path))
+        frag = _build(
+            where, ProcessFragment, _text(spec, "id", where), tuple(activities)
+        )
+        if frag.id in fragments:
+            raise _error(where, "duplicate fragment id %r" % (frag.id,))
+        fragments[frag.id] = frag
 
-    model = ProcessModel(graph, chain, repo, tuple(rules), ideal)
-    model.validate()
-    return model
+    subgoals = []
+    for i, spec in enumerate(_list(document, "subgoals")):
+        where = "sub-goal %d" % i
+        spec = _mapping(spec, where, "name")
+        rows = []
+        seen = set()
+        used = set()
+        for k, row in enumerate(_list(spec, "entries", where)):
+            at = "%s entry %d" % (where, k)
+            row = _mapping(row, at, "value", "fragment")
+            pattern = composite_from_pairs(
+                _pairs(_list(row, "value", at), at), _text(row, "op", at, "AND")
+            )
+            fragment_id = _text(row, "fragment", at)
+            if pattern.normalized() in seen:
+                raise _error(at, "duplicate value pattern")
+            if fragment_id not in fragments:
+                raise _error(at, "unknown fragment %r" % (fragment_id,))
+            if fragment_id in used:
+                raise _error(at, "fragment %r is mapped twice" % (fragment_id,))
+            seen.add(pattern.normalized())
+            used.add(fragment_id)
+            rows.append((pattern, fragment_id))
+        index = spec.get("index", i + 1)
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise _error(where, "index must be a whole number, not %r" % (index,))
+        subgoals.append(
+            SubgoalEntry(index=index, name=_text(spec, "name", where), rows=tuple(rows))
+        )
+
+    return FragmentRepository(tuple(subgoals), fragments)
+
+
+def store_repository(repo: FragmentRepository) -> dict:
+    """Serialize back to the canonical document form (round-trips load)."""
+    return {
+        "subgoals": [
+            {
+                "index": entry.index,
+                "name": entry.name,
+                "entries": [
+                    {
+                        "op": pattern.op,
+                        "value": [[attr, value] for attr, value in pattern.pairs],
+                        "fragment": fragment_id,
+                    }
+                    for pattern, fragment_id in entry.rows
+                ],
+            }
+            for entry in repo.subgoals
+        ],
+        "fragments": [
+            {
+                "id": frag.id,
+                "activities": [
+                    {
+                        "name": a.name,
+                        "sub_goal": a.sub_goal,
+                        "role": a.role,
+                        "medium": a.medium,
+                    }
+                    for a in frag.activities
+                ],
+            }
+            for frag in repo.fragments.values()
+        ],
+    }
 
 
 def load_fragments(path) -> FragmentRepository:
-    doc = load_document(path, "fragment-repository")
-    try:
-        return load_repository(doc)
-    except LoadError as exc:
-        raise LoadError("%s: %s" % (path, exc), path=str(path)) from None
+    return _load(path, "fragment-repository", load_repository)
 
 
-def _situation_from_spec(spec) -> ContextualSituation:
-    if not isinstance(spec, dict):
-        raise LoadError("not a mapping: %r" % (spec,))
-    if "time" not in spec:
-        raise LoadError("missing time")
-    specs = spec.get("contexts", [])
-    if not isinstance(specs, list):
-        raise LoadError("contexts must be a list, not %r" % (specs,))
-    contexts = [_context_from_spec(c) for c in specs]
-    try:
-        return ContextualSituation.from_contexts(contexts, parse_time(spec["time"]))
-    except ValueError as exc:
-        raise LoadError(str(exc)) from None
+# -- process model -----------------------------------------------------------
+
+
+def _activity(spec, where: str, graph: ContextGraph) -> ActivityNode:
+    spec = _mapping(spec, where, "id")
+    node = ActivityNode(
+        id=_text(spec, "id", where),
+        sub_goal=_subgoal_key(spec, where, spec["id"]),
+        role=_text(spec, "role", where),
+        medium=_text(spec, "medium", where),
+        output_data=set(_texts(spec, "output_data", where)),
+        duration=_count(spec, "duration", where),
+    )
+    if spec.get("scope") is not None:
+        at = where + " scope"
+        scope = _mapping(spec["scope"], at)
+        node.scope = ScopeFilter(
+            node.id,
+            frozenset(_texts(scope, "parameters", at)),
+            frozenset(_texts(scope, "attributes", at)),
+        )
+    elif node.id in graph.state_nodes:
+        # Default scope: exactly what the activity's state node maps.
+        state = graph.state_nodes[node.id]
+        node.scope = ScopeFilter(
+            node.id, frozenset(state.parameters), frozenset(state.attributes)
+        )
+    return node
+
+
+def _rule(spec, where: str, order: int, chain: ActivityChain,
+          repo: FragmentRepository) -> AdaptationRule:
+    spec = _mapping(spec, where, "activity", "value", "action")
+    activity_id = _text(spec, "activity", where)
+    if activity_id not in chain:
+        raise _error(where, "unknown activity %r" % (activity_id,))
+    fragment_id = spec.get("fragment")
+    if fragment_id is not None:
+        fragment_id = _text(spec, "fragment", where)
+        if fragment_id not in repo.fragments:
+            raise _error(where, "unknown fragment %r" % (fragment_id,))
+    at = where + " value"
+    value = _mapping(spec["value"], at, "pairs")
+    pattern = composite_from_pairs(
+        _pairs(_list(value, "pairs", at), at), _text(value, "op", at, "AND")
+    )
+    at = where + " action"
+    action = _mapping(spec["action"], at, "kind")
+    return _build(
+        where,
+        AdaptationRule,
+        activity_id=activity_id,
+        value_pattern=pattern,
+        fragment_pattern=fragment_id,
+        action=_build(
+            at,
+            Action,
+            kind=_text(action, "kind", at),
+            role=_text(action, "role", at),
+            medium=_text(action, "medium", at),
+            order=tuple(_texts(action, "order", at)),
+            data=tuple(_texts(action, "data", at)),
+        ),
+        declaration_order=order,
+    )
+
+
+def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessModel:
+    ordered: List[ActivityNode] = []
+    ids = set()
+    for i, spec in enumerate(_list(doc, "activities")):
+        node = _activity(spec, "activity %d" % i, graph)
+        if node.id in ids:
+            raise _error("activity %d" % i, "duplicate id %r" % (node.id,))
+        ids.add(node.id)
+        ordered.append(node)
+    if not ordered:
+        raise LoadError("declares no activities")
+    chain = ActivityChain.from_nodes(ordered)
+
+    ideal: Dict[str, AtomicContext] = {}
+    for i, spec in enumerate(_list(doc, "ideal")):
+        where = "ideal entry %d" % i
+        try:
+            ctx = _context_from_spec(spec)
+        except LoadError as exc:
+            raise _error(where, str(exc)) from None
+        if ctx.qualified not in graph.attributes:
+            raise _error(where, "unknown attribute %r" % (ctx.qualified,))
+        ideal[ctx.qualified] = ctx
+
+    rules = tuple(
+        _rule(spec, "rule %d" % i, i, chain, repo)
+        for i, spec in enumerate(_list(doc, "rules"))
+    )
+    return ProcessModel(graph, chain, repo, rules, ideal)
+
+
+def load_model(path, graph: ContextGraph, repo: FragmentRepository) -> ProcessModel:
+    return _load(path, "process-model", _model, graph, repo)
+
+
+# -- scenario ----------------------------------------------------------------
+
+
+def _scenario(doc: dict) -> List[ContextualSituation]:
+    situations: List[ContextualSituation] = []
+    for i, spec in enumerate(_list(doc, "situations")):
+        where = "situation %d" % i
+        spec = _mapping(spec, where, "time")
+        try:
+            contexts = [_context_from_spec(c) for c in _list(spec, "contexts")]
+            cs = ContextualSituation.from_contexts(contexts, parse_time(spec["time"]))
+        except (LoadError, ValueError) as exc:
+            raise _error(where, str(exc)) from None
+        if situations and cs.timestamp < situations[-1].timestamp:
+            raise _error(where, "time goes back: scenario times must be monotone")
+        situations.append(cs)
+    return situations
 
 
 def load_scenario(path) -> List[ContextualSituation]:
-    doc = load_document(path, "scenario")
-    specs = doc.get("situations", [])
-    if not isinstance(specs, list):
-        raise LoadError("%s: situations must be a list" % (path,), path=str(path))
-    situations = []
-    for index, spec in enumerate(specs):
-        try:
-            situations.append(_situation_from_spec(spec))
-        except LoadError as exc:
-            raise LoadError(
-                "%s: situation %d: %s" % (path, index, exc), path=str(path)
-            ) from None
-    for i in range(1, len(situations)):
-        if situations[i].timestamp < situations[i - 1].timestamp:
-            raise LoadError(
-                "scenario timestamps must be monotone in %s" % (path,),
-                path=str(path),
-            )
-    return situations
+    return _load(path, "scenario", _scenario)
 
 
 @dataclass
@@ -317,20 +548,17 @@ class ProjectBundle:
     paths: Dict[str, str]
 
 
+_PARTS = ("graph", "repository", "model", "scenario")
+
+
+def _bundle_paths(doc: dict, base: Path) -> Dict[str, str]:
+    _mapping(doc, "", *_PARTS)
+    return {part: str(base / _text(doc, part)) for part in _PARTS}
+
+
 def load_bundle(path) -> ProjectBundle:
     path = Path(path)
-    doc = load_document(path, "bundle")
-    base = path.parent
-    try:
-        paths = {
-            "graph": str(base / doc["graph"]),
-            "repository": str(base / doc["repository"]),
-            "model": str(base / doc["model"]),
-            "scenario": str(base / doc["scenario"]),
-        }
-    except KeyError as exc:
-        raise LoadError("bundle %s is missing the %s entry" % (path, exc),
-                        path=str(path))
+    paths = _load(path, "bundle", _bundle_paths, path.parent)
     graph = load_graph(paths["graph"])
     repo = load_fragments(paths["repository"])
     model = load_model(paths["model"], graph, repo)

@@ -2,8 +2,8 @@
 
 Each oracle re-derives expected results with a deliberately different
 technique from the production code: plain list splicing for chain rewrites,
-a linear sub-goal scan, a three-pass chain check, a runner that rescans the
-chain on every step, a runner that offers every situation to every activity,
+a linear sub-goal scan, a runner that rescans the chain order on every
+step, a runner that offers every situation to every activity,
 per-context classification for state diffing, subset
 enumeration for query evaluation, and arc-scanning token counters for
 state-space exploration.
@@ -16,7 +16,7 @@ import math
 from collections import Counter, deque
 
 from ctxflow import chain as chain_mod
-from ctxflow.errors import ChainIntegrityError, NotEnabledError
+from ctxflow.errors import NotEnabledError
 from ctxflow.petri import StateSpace, make_marking
 
 
@@ -55,62 +55,25 @@ def subgoal_oracle(repo, key):
     return None
 
 
-# -- three-pass oracle for chain integrity ------------------------------------
-
-
-def order_oracle(chain):
-    """Walk ``next`` links from ``start``; a missing activity is a KeyError."""
-    out = []
-    seen = set()
-    cursor = chain.start
-    while cursor is not None:
-        if cursor in seen:
-            raise ChainIntegrityError("cycle through %r" % (cursor,))
-        seen.add(cursor)
-        out.append(cursor)
-        cursor = chain.nodes[cursor].next
-    return out
-
-
-def validate_oracle(chain):
-    """Unique start and end, every back-link, then reachability of all nodes."""
-    nodes = chain.nodes
-    starts = [n.id for n in nodes.values() if n.prev is None]
-    ends = [n.id for n in nodes.values() if n.next is None]
-    if len(starts) != 1 or len(ends) != 1:
-        raise ChainIntegrityError("chain must have exactly one start and one end")
-    if chain.start != starts[0]:
-        raise ChainIntegrityError("start pointer disagrees with links")
-    for node in nodes.values():
-        if node.next is not None and nodes[node.next].prev != node.id:
-            raise ChainIntegrityError("next/prev mismatch")
-        if node.prev is not None and nodes[node.prev].next != node.id:
-            raise ChainIntegrityError("prev/next mismatch")
-    if len(order_oracle(chain)) != len(nodes):
-        raise ChainIntegrityError("chain contains unreachable activities")
-
-
 # -- rescanning oracle for the runner's walk ---------------------------------
 
 
 class _RescanRunner(chain_mod._Runner):
     """The runner with its walk done the plain way.
 
-    Every step rescans the chain from ``start``, an activity is blocked while
-    any pending action names it, and inserted activities are found by
+    Every step rescans the chain order from its first activity, an activity
+    is blocked while any pending action names it, and inserted activities are found by
     diffing the node set and marked evaluated. Evaluation, ingestion and the
     main loop are the production ones.
     """
 
     def _next_unexecuted(self):
-        cursor = self.chain.start
-        while cursor is not None:
+        for cursor in self.chain.order():
             blocked = any(
                 p.activity_id == cursor for p in self.pending.values()
             )
             if cursor not in self.executed and not blocked:
                 return self.chain.nodes[cursor]
-            cursor = self.chain.nodes[cursor].next
         return None
 
     def _apply(self, activity_id, rule, fragment, value):

@@ -174,7 +174,7 @@ class TestMalformedDocuments:
             (_set(("fragments", 0), "activities", "oops"), "fragment 0:",
              "must be a list"),
             (_set(("subgoals", 2, "entries", 0), "value", 3), "sub-goal 2 entry 0:",
-             "not iterable"),
+             "value must be a list"),
             (_set((), "subgoals", {"a": 1}), "subgoals must", "be a list"),
         ],
     )
@@ -185,6 +185,57 @@ class TestMalformedDocuments:
         out = capsys.readouterr().out
         assert out.startswith("invalid: %s: %s" % (tmp_path / "repo.yaml", where))
         assert reason in out
+
+    @pytest.mark.parametrize(
+        "name,mutate,message",
+        [
+            ("model.yaml", _set((), "activities", {"a": 1}),
+             "activities must be a list, not {'a': 1}"),
+            ("model.yaml", _set((), "ideal", "oops"), "ideal must be a list"),
+            ("model.yaml", _set((), "rules", "oops"), "rules must be a list"),
+            ("model.yaml", _set(("activities",), 1, "oops"),
+             "activity 1: not a mapping: 'oops'"),
+            ("model.yaml", _set(("rules",), 1, "oops"), "rule 1: not a mapping"),
+            ("model.yaml", _set(("activities", 0), "scope", ["Weather"]),
+             "activity 0 scope: not a mapping"),
+            ("model.yaml", _del(("rules", 1), "action"), "rule 1: missing action"),
+            ("model.yaml", _set(("rules", 3, "action"), "order", "L2"),
+             "rule 3 action: order must be a list"),
+            ("model.yaml", _set(("activities", 2), "duration", "long"),
+             "activity 2: duration must be a whole number >= 0, not 'long'"),
+            ("model.yaml", _set(("rules", 0), "activity", "Ghost"),
+             "rule 0: unknown activity 'Ghost'"),
+            ("model.yaml", _set(("activities", 1), "id", "Treatment"),
+             "activity 2: duplicate id 'Treatment'"),
+            ("model.yaml", _set(("ideal", 0), "attribute", "Mood"),
+             "ideal entry 0: unknown attribute 'Receptionist.Mood'"),
+            (
+                "repo.yaml",
+                lambda doc: doc["subgoals"][2]["entries"].append(
+                    dict(doc["subgoals"][2]["entries"][0])
+                ),
+                "sub-goal 2 entry 1: duplicate value pattern",
+            ),
+            ("graph.yaml", _del(("entities", 1), "name"), "entity 1: missing name"),
+            ("graph.yaml", _set(("attributes", 3), "delay", -5),
+             "attribute 3: delay must be a whole number >= 0, not -5"),
+            ("graph.yaml", _del(("relations", 1), "target"),
+             "relation 1: missing target"),
+            ("graph.yaml", _set(("dependency_rules", 0), "then", "Network.Status"),
+             "dependency rule 0: not an [attribute, value] pair"),
+            ("graph.yaml", _del(("dependency_rules", 2), "then"),
+             "dependency rule 2: missing then"),
+            ("graph.yaml", _del(("state_nodes", 3), "id"), "state node 3: missing id"),
+            ("graph.yaml", _set(("state_nodes", 0), "attributes", [["x"]]),
+             "state node 0: attributes must list text"),
+        ],
+    )
+    def test_entry_error_names_file_and_position(
+        self, tmp_path, kiosk_dir, capsys, name, mutate, message
+    ):
+        assert _run_mutated(tmp_path, kiosk_dir, name, mutate) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("invalid: %s: %s" % (tmp_path / name, message))
 
     def test_non_mapping_ideal_entry_names_file_and_index(
         self, tmp_path, kiosk_dir, capsys

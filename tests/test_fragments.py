@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxflow.errors import AmbiguousEntryError, LoadError, UnknownSubgoalError
+from ctxflow.errors import LoadError, UnknownSubgoalError
+from ctxflow.files import load_repository, store_repository
 from ctxflow.fragments import (
     FragmentActivity,
     FragmentRepository,
     ProcessFragment,
     SubgoalEntry,
-    load_repository,
-    store_repository,
     throw_activity,
 )
 from ctxflow.graph import composite_from_pairs
@@ -102,7 +101,9 @@ class TestLoading:
         # Same pairs in a different declaration order still collide.
         row["value"] = list(reversed(row["value"]))
         doc["subgoals"][1]["entries"].append(row)
-        with pytest.raises(AmbiguousEntryError):
+        with pytest.raises(
+            LoadError, match=r"^sub-goal 1 entry 2: duplicate value pattern$"
+        ):
             load_repository(doc)
 
     def test_fragment_mapped_twice_rejected(self):
@@ -114,7 +115,10 @@ class TestLoading:
                 "fragment": "transfer_fragment",
             }
         )
-        with pytest.raises(AmbiguousEntryError):
+        with pytest.raises(
+            LoadError,
+            match=r"^sub-goal 1 entry 2: fragment 'transfer_fragment' is mapped twice$",
+        ):
             load_repository(doc)
 
     def test_unknown_fragment_reference_rejected(self):

@@ -1,0 +1,109 @@
+"""Mutated kiosk documents never end in a traceback.
+
+Each mutant changes one place in one kiosk document: it drops a key or a
+list item, puts a wrong container or a wrong scalar there, or (in the
+scenario) adds a situation that goes back in time. ``ctxflow run`` must then
+work (exit 0), reject the documents with a ``LoadError`` that names the
+mutated file (exit 1), or report a run failure of documents that loaded
+(exit 2, ``run failed:``). It never raises.
+"""
+
+import contextlib
+import copy
+import io
+import pathlib
+import tempfile
+
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctxflow.cli import main
+
+KIOSK = pathlib.Path(__file__).parent / "fixtures" / "kiosk"
+DOCUMENTS = ("graph.yaml", "repo.yaml", "model.yaml", "scenario.yaml")
+ORIGINALS = {
+    name: yaml.safe_load((KIOSK / name).read_text()) for name in DOCUMENTS
+}
+WRONG_CONTAINERS = ({"x": 1}, ["x"], "oops")
+WRONG_SCALARS = (7, -3, 1.5, True, None, "oops", ["x"])
+GRAPH_FINDINGS = "invalid: context graph has findings; run `validate`\n"
+
+
+def places(node, at=()):
+    """Every (path, value) below the document root, header keys excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        if at or key not in ("version", "kind"):
+            yield at + (key,), value
+            yield from places(value, at + (key,))
+
+
+PLACES = {name: list(places(doc)) for name, doc in ORIGINALS.items()}
+
+
+@st.composite
+def mutants(draw):
+    kind = draw(st.sampled_from(("drop", "wrong-type", "time-goes-back")))
+    if kind == "time-goes-back":
+        doc = copy.deepcopy(ORIGINALS["scenario.yaml"])
+        # The kiosk's one situation is at 2:00 pm, minute 840.
+        earlier = dict(doc["situations"][0], time=draw(st.integers(0, 839)))
+        doc["situations"].append(earlier)
+        return "scenario.yaml", doc, kind
+    name = draw(st.sampled_from(DOCUMENTS))
+    doc = copy.deepcopy(ORIGINALS[name])
+    path, value = draw(st.sampled_from(PLACES[name]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        pool = WRONG_CONTAINERS if isinstance(value, (dict, list)) else WRONG_SCALARS
+        parent[path[-1]] = draw(
+            st.sampled_from([v for v in pool if type(v) is not type(value)])
+        )
+    return name, doc, kind
+
+
+def run_mutant(name, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        for other in DOCUMENTS + ("bundle.yaml",):
+            (tmp / other).write_text((KIOSK / other).read_text())
+        (tmp / name).write_text(yaml.safe_dump(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["run", str(tmp / "bundle.yaml")])
+        return code, out.getvalue(), tmp / name
+
+
+@given(mutant=mutants())
+@settings(max_examples=100, deadline=None)
+def test_mutated_document_never_raises(mutant):
+    name, doc, kind = mutant
+    code, out, path = run_mutant(name, doc)
+    if code == 1:
+        # A mutant may break a reference another document makes, and a
+        # graph that loads may still have findings for `validate` to list.
+        assert out.startswith(
+            tuple("invalid: %s: " % (path.parent / other,) for other in DOCUMENTS)
+        ) or out == GRAPH_FINDINGS
+    elif code == 2:
+        assert out.startswith("run failed: ")
+    else:
+        assert code == 0
+    if kind == "time-goes-back":
+        assert out.startswith("invalid: %s: situation 1: time goes back" % (path,))
+
+
+def test_unmutated_documents_run():
+    for name in DOCUMENTS:
+        code, out, _ = run_mutant(name, ORIGINALS[name])
+        assert code == 0, out
