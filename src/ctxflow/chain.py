@@ -420,16 +420,12 @@ class _Runner:
         # each parameter and each qualified attribute their scopes name.
         self.watchers_by_parameter: Dict[str, Dict[str, None]] = {}
         self.watchers_by_attribute: Dict[str, Dict[str, None]] = {}
-        # The first activity whose scope is filed under another id, if any.
-        self.misfiled: Optional[ActivityNode] = None
         for node in self.chain.nodes.values():
             self._init_activity(node)
 
     def _init_activity(self, node: ActivityNode) -> None:
         if node.scope is None:
             return
-        if node.scope.activity_id != node.id and self.misfiled is None:
-            self.misfiled = node
         ideal = [
             ctx
             for q, ctx in self.model.ideal.items()
@@ -466,12 +462,6 @@ class _Runner:
         ):
             cs = self.scenario[self.next_situation]
             self.next_situation += 1
-            if self.misfiled is not None:
-                # catch_context refuses a scope filed under another activity
-                # whether or not the situation touches it: fail the run here.
-                catch_context(
-                    cs, self.states[self.misfiled.id], self.misfiled.scope
-                )
             touched: Dict[str, None] = {}
             for q in cs.attributes:
                 ctx = cs.bindings.get(q)

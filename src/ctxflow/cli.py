@@ -1,8 +1,11 @@
 """Command-line front end: validate, run, verify, metrics and query.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error,
-3 verification property failure. All machine-readable outputs are
-deterministic — identical inputs produce byte-identical documents.
+3 verification property failure. Validation happens once, in the loaders:
+a document that does not load, or a bundle that is not well formed, is a
+``LoadError`` that ``main`` reports as ``invalid: <file>: ...``. All
+machine-readable outputs are deterministic — identical inputs produce
+byte-identical documents.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from . import petri
 from .chain import run_instance
 from .errors import CtxflowError, LoadError, QueryParseError
 from .files import load_bundle, load_scenario
-from .graph import validate_graph
 from .metrics import (
     CostParams,
     HalsteadCounts,
@@ -42,30 +44,14 @@ def _dump(document: dict, path: Path | None) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        bundle = load_bundle(args.bundle)
-    except LoadError as exc:
-        print("invalid: %s" % exc)
-        return EXIT_VALIDATION
-    report = validate_graph(bundle.graph)
-    for finding in report.findings:
-        print("finding %s: %s" % (finding.code, finding.message))
-    if not report.ok:
-        return EXIT_VALIDATION
+    bundle = load_bundle(args.bundle)
     print("ok: bundle validates (%d activities, %d state nodes)" % (
         len(bundle.model.chain), len(bundle.graph.state_nodes)))
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        bundle = load_bundle(args.bundle)
-        if not validate_graph(bundle.graph).ok:
-            print("invalid: context graph has findings; run `validate`")
-            return EXIT_VALIDATION
-    except LoadError as exc:
-        print("invalid: %s" % exc)
-        return EXIT_VALIDATION
+    bundle = load_bundle(args.bundle)
     try:
         trace = run_instance(bundle.model, bundle.scenario)
     except (CtxflowError, ValueError) as exc:
@@ -100,11 +86,7 @@ def cmd_verify(args) -> int:
     if args.limit <= 0:
         print("invalid: --limit must be positive, got %d" % args.limit)
         return EXIT_VALIDATION
-    try:
-        bundle = load_bundle(args.bundle)
-    except LoadError as exc:
-        print("invalid: %s" % exc)
-        return EXIT_VALIDATION
+    bundle = load_bundle(args.bundle)
     try:
         net = petri.translate(bundle.model)
         space = petri.explore(net, limit=args.limit)
@@ -151,11 +133,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    try:
-        bundle = load_bundle(args.bundle)
-    except LoadError as exc:
-        print("invalid: %s" % exc)
-        return EXIT_VALIDATION
+    bundle = load_bundle(args.bundle)
     n = len(bundle.model.chain)
     params = CostParams(
         n=n, t_a=args.ta, t_p=args.tp, t_cm=args.tcm, t_th=args.tth, c_ct=args.cct
@@ -186,11 +164,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_query(args) -> int:
-    try:
-        situations = load_scenario(args.cs)
-    except LoadError as exc:
-        print("invalid: %s" % exc)
-        return EXIT_VALIDATION
+    situations = load_scenario(args.cs)
     predicates = []
     for cs in situations:
         for q in cs.attributes:
@@ -269,6 +243,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except LoadError as exc:
+        print("invalid: %s" % exc)
+        return EXIT_VALIDATION
     except CtxflowError as exc:
         print("error (%s): %s" % (exc.code, exc))
         return EXIT_RUNTIME

@@ -8,11 +8,9 @@ All values here are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Tuple, Union
-
-from .errors import ScopeMismatchError
 
 Value = Union[str, int, float, bool]
 
@@ -164,7 +162,6 @@ class ContextState(ContextualSituation):
 class ScopeFilter:
     """The parameters/attributes a single activity is declared to care about."""
 
-    activity_id: str
     relevant_parameters: frozenset
     relevant_attributes: frozenset
 
@@ -249,13 +246,6 @@ def catch_context(
     Mirrors the contextual-event trigger: the stored state is replaced by the
     change set when one exists, otherwise it is returned untouched.
     """
-    if scope.activity_id != state.activity_id:
-        raise ScopeMismatchError(
-            "scope is for %r but state belongs to %r"
-            % (scope.activity_id, state.activity_id),
-            scope=scope.activity_id,
-            state=state.activity_id,
-        )
     restricted = scope.restrict(cs)
     if restricted.is_empty:
         return state

@@ -21,12 +21,6 @@ class LoadError(CtxflowError):
     code = "load-error"
 
 
-class ScopeMismatchError(CtxflowError):
-    """catch_context was called with a scope for a different activity."""
-
-    code = "scope-mismatch"
-
-
 class UnknownContextError(CtxflowError):
     """A context state references parameters or attributes the graph does not declare."""
 

@@ -18,7 +18,7 @@ import yaml
 
 from .chain import Action, ActivityChain, ActivityNode, AdaptationRule, ProcessModel
 from .context import AtomicContext, ContextualSituation, ScopeFilter
-from .errors import LoadError
+from .errors import LoadError, UnknownSubgoalError
 from .fragments import (
     FragmentActivity,
     FragmentRepository,
@@ -35,6 +35,7 @@ from .graph import (
     RulePattern,
     StateNodeDef,
     composite_from_pairs,
+    validate_graph,
 )
 
 SUPPORTED_VERSION = 1
@@ -296,10 +297,17 @@ def _graph(doc: dict) -> ContextGraph:
                 ),
             )
         )
-    return ContextGraph.build(entities, attributes, relations, rules, nodes)
+    graph = ContextGraph.build(entities, attributes, relations, rules, nodes)
+    findings = validate_graph(graph).findings
+    if findings:
+        raise LoadError("context graph has findings:\n" + "\n".join(
+            "%s: %s" % (f.code, f.message) for f in findings
+        ))
+    return graph
 
 
 def load_graph(path) -> ContextGraph:
+    """The context graph at ``path``; one with findings is a ``LoadError``."""
     return _load(path, "context-graph", _graph)
 
 
@@ -415,7 +423,8 @@ def load_fragments(path) -> FragmentRepository:
 # -- process model -----------------------------------------------------------
 
 
-def _activity(spec, where: str, graph: ContextGraph) -> ActivityNode:
+def _activity(spec, where: str, graph: ContextGraph,
+              repo: FragmentRepository) -> ActivityNode:
     spec = _mapping(spec, where, "id")
     node = ActivityNode(
         id=_text(spec, "id", where),
@@ -425,20 +434,38 @@ def _activity(spec, where: str, graph: ContextGraph) -> ActivityNode:
         output_data=set(_texts(spec, "output_data", where)),
         duration=_count(spec, "duration", where),
     )
+    state = graph.state_nodes.get(node.id)
     if spec.get("scope") is not None:
         at = where + " scope"
         scope = _mapping(spec["scope"], at)
         node.scope = ScopeFilter(
-            node.id,
             frozenset(_texts(scope, "parameters", at)),
             frozenset(_texts(scope, "attributes", at)),
         )
-    elif node.id in graph.state_nodes:
+        if state is None:
+            raise _error(where, "has a scope but no state node")
+        for kind, named, mapped in (
+            ("parameter", node.scope.relevant_parameters, state.parameters),
+            ("attribute", node.scope.relevant_attributes, state.attributes),
+        ):
+            unmapped = sorted(named.difference(mapped))
+            if unmapped:
+                raise _error(where, "scope %s %r is not mapped by its state node"
+                             % (kind, unmapped[0]))
+    elif state is not None:
         # Default scope: exactly what the activity's state node maps.
-        state = graph.state_nodes[node.id]
         node.scope = ScopeFilter(
-            node.id, frozenset(state.parameters), frozenset(state.attributes)
+            frozenset(state.parameters), frozenset(state.attributes)
         )
+    if node.scope is not None:
+        # Only activities with a scope are evaluated, so only their
+        # sub-goals are ever looked up.
+        try:
+            repo.subgoal(node.sub_goal)
+        except UnknownSubgoalError:
+            raise _error(
+                where, "sub_goal %r names no repository sub-goal" % (node.sub_goal,)
+            ) from None
     return node
 
 
@@ -483,7 +510,7 @@ def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessM
     ordered: List[ActivityNode] = []
     ids = set()
     for i, spec in enumerate(_list(doc, "activities")):
-        node = _activity(spec, "activity %d" % i, graph)
+        node = _activity(spec, "activity %d" % i, graph, repo)
         if node.id in ids:
             raise _error("activity %d" % i, "duplicate id %r" % (node.id,))
         ids.add(node.id)
@@ -557,6 +584,12 @@ def _bundle_paths(doc: dict, base: Path) -> Dict[str, str]:
 
 
 def load_bundle(path) -> ProjectBundle:
+    """Load the bundle at ``path`` and the four documents it names.
+
+    This is the one check that a bundle is well formed: a graph with
+    findings, a model that does not fit its graph or repository, and any
+    malformed entry are ``LoadError``s naming the file.
+    """
     path = Path(path)
     paths = _load(path, "bundle", _bundle_paths, path.parent)
     graph = load_graph(paths["graph"])

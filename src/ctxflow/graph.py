@@ -11,7 +11,7 @@ value handed back to the process layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from .context import ContextState, Value, normalize_value, values_equal
 from .errors import (
@@ -286,6 +286,14 @@ def validate_graph(g: ContextGraph) -> ValidationReport:
                     "unknown-attribute",
                     "state node %r maps attribute %r to no attribute node"
                     % (node.id, a),
+                ))
+            elif g.attributes[a].entity not in node.parameters:
+                # A context binding the attribute names its entity, which
+                # instantiate and the net's layer 1 both look up here.
+                findings.append(Finding(
+                    "attribute-entity",
+                    "state node %r maps attribute %r but not its entity %r"
+                    % (node.id, a, g.attributes[a].entity),
                 ))
         for a in node.effective_composition().attributes():
             if a not in node.attributes:

@@ -8,7 +8,6 @@ any pytest run. A failed assertion still fails the test normally.
 import itertools
 import json
 import random
-import sys
 import time
 from contextlib import contextmanager
 
@@ -124,9 +123,7 @@ def test_criterion_2_weather_diff():
             [ctx("Healthcare_Employee", "Status", "Present")],
             timestamp=630,
         )
-        scope = ScopeFilter(
-            "Patient Registration", frozenset({"Healthcare_Employee"}), frozenset()
-        )
+        scope = ScopeFilter(frozenset({"Healthcare_Employee"}), frozenset())
         assert catch_context(new, registration, scope) is registration
 
 

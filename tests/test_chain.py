@@ -317,7 +317,7 @@ def tiny_model(delay=0, durations=(0, 0), action=None):
         id="b",
         sub_goal="b",
         duration=durations[1],
-        scope=ScopeFilter("b", frozenset({"E"}), frozenset()),
+        scope=ScopeFilter(frozenset({"E"}), frozenset()),
     )
     chain = ActivityChain.from_nodes([a, b])
     repo = FragmentRepository((SubgoalEntry(1, "a"), SubgoalEntry(2, "b")), {})
@@ -428,7 +428,7 @@ class TestRunner:
             ActivityNode(
                 id="b",
                 sub_goal="b",
-                scope=ScopeFilter("b", frozenset({"E"}), frozenset()),
+                scope=ScopeFilter(frozenset({"E"}), frozenset()),
             ),
             ActivityNode(id="c", sub_goal="c"),
         ]

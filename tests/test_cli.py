@@ -142,7 +142,7 @@ def _set(path, key, value):
     return lambda doc: _at(doc, path).__setitem__(key, value)
 
 
-def _run_mutated(tmp_path, kiosk_dir, name, mutate):
+def _run_mutated(tmp_path, kiosk_dir, name, mutate, command="run"):
     for other in ("graph.yaml", "repo.yaml", "model.yaml", "scenario.yaml",
                   "bundle.yaml"):
         if other != name:
@@ -150,7 +150,86 @@ def _run_mutated(tmp_path, kiosk_dir, name, mutate):
     doc = yaml.safe_load((kiosk_dir / name).read_text())
     mutate(doc)
     (tmp_path / name).write_text(yaml.safe_dump(doc))
-    return main(["run", str(tmp_path / "bundle.yaml")])
+    return main([command, str(tmp_path / "bundle.yaml")])
+
+
+def _append(path, item):
+    return lambda doc: _at(doc, path).append(item)
+
+
+# One kiosk graph mutation per finding code a document can produce.
+GRAPH_FINDINGS = {
+    "unknown-entity": _append(("state_nodes", 3, "parameters"), "Ghost"),
+    "unknown-attribute": _append(("state_nodes", 0, "attributes"), "Receptionist.Mood"),
+    "attribute-entity": _set(("state_nodes", 1), "parameters", []),
+    "composition-scope": _set(
+        ("state_nodes", 4),
+        "composition",
+        {"op": "AND", "items": ["Network.Status", "Weather.Status"]},
+    ),
+    "total-rule-target": _set(
+        ("dependency_rules", 1), "then", ["Network.Status", "Available"]
+    ),
+    "node-overlap": _append(("entities",), {"name": "Treatment"}),
+}
+
+
+class TestLoadGate:
+    """Every command that reads a bundle refuses the same ill-formed ones."""
+
+    @pytest.mark.parametrize("command", ["validate", "run", "verify", "metrics"])
+    @pytest.mark.parametrize("code", sorted(GRAPH_FINDINGS))
+    def test_graph_finding_is_a_load_error(
+        self, tmp_path, kiosk_dir, capsys, command, code
+    ):
+        mutate = GRAPH_FINDINGS[code]
+        assert _run_mutated(tmp_path, kiosk_dir, "graph.yaml", mutate, command) == 1
+        first, *findings = capsys.readouterr().out.splitlines()
+        assert first == "invalid: %s: context graph has findings:" % (
+            tmp_path / "graph.yaml",
+        )
+        assert [line.split(":")[0] for line in findings] == [code]
+
+    def test_every_finding_is_listed(self, tmp_path, kiosk_dir, capsys):
+        def mutate(doc):
+            for change in GRAPH_FINDINGS.values():
+                change(doc)
+
+        assert _run_mutated(tmp_path, kiosk_dir, "graph.yaml", mutate) == 1
+        _, *findings = capsys.readouterr().out.splitlines()
+        assert findings == [
+            "node-overlap: state node 'Treatment' collides with a entity node",
+            "total-rule-target: total rule targets direct attribute 'Network.Status'",
+            "unknown-attribute: state node 'Patient Registration' maps attribute"
+            " 'Receptionist.Mood' to no attribute node",
+            "attribute-entity: state node 'Patient Medical Info Collection' maps"
+            " attribute 'Patient.Condition' but not its entity 'Patient'",
+            "unknown-entity: state node 'Storage in Cloud' maps parameter 'Ghost'"
+            " to no entity",
+            "composition-scope: state node 'Bill Payment' composes attribute"
+            " 'Weather.Status' outside its own links",
+        ]
+
+    # `run` is one of the entry cases of TestMalformedDocuments.
+    @pytest.mark.parametrize("command", ["validate", "verify", "metrics"])
+    def test_model_cross_check_is_a_load_error(
+        self, tmp_path, kiosk_dir, capsys, command
+    ):
+        mutate = _set(("activities", 0), "sub_goal", "Ghost")
+        assert _run_mutated(tmp_path, kiosk_dir, "model.yaml", mutate, command) == 1
+        assert capsys.readouterr().out == (
+            "invalid: %s: activity 0: sub_goal 'Ghost' names no repository sub-goal\n"
+            % (tmp_path / "model.yaml",)
+        )
+
+    def test_unscoped_activity_needs_no_known_sub_goal(
+        self, tmp_path, kiosk_dir, capsys
+    ):
+        # An activity without a state node is never evaluated, so its
+        # sub-goal is never looked up.
+        mutate = _append(("activities",), {"id": "Extra", "sub_goal": "Nowhere"})
+        assert _run_mutated(tmp_path, kiosk_dir, "model.yaml", mutate) == 0
+        assert json.loads(capsys.readouterr().out)["final_order"][-1] == "Extra"
 
 
 class TestMalformedDocuments:
@@ -209,6 +288,21 @@ class TestMalformedDocuments:
              "activity 2: duplicate id 'Treatment'"),
             ("model.yaml", _set(("ideal", 0), "attribute", "Mood"),
              "ideal entry 0: unknown attribute 'Receptionist.Mood'"),
+            ("model.yaml",
+             _append(("activities",), {"id": "Extra", "sub_goal": "Registration",
+                                       "scope": {"parameters": ["Weather"]}}),
+             "activity 5: has a scope but no state node\n"),
+            ("model.yaml",
+             _set(("activities", 3), "scope", {"parameters": ["Weather", "Patient"]}),
+             "activity 3: scope parameter 'Patient' is not mapped by its state node\n"),
+            ("model.yaml",
+             _set(("activities", 3), "scope", {"attributes": ["Patient.Condition"]}),
+             "activity 3: scope attribute 'Patient.Condition' is not mapped by its"
+             " state node\n"),
+            ("model.yaml", _set(("activities", 0), "sub_goal", "Ghost"),
+             "activity 0: sub_goal 'Ghost' names no repository sub-goal\n"),
+            ("model.yaml", _set(("activities", 1), "sub_goal", 9),
+             "activity 1: sub_goal 9 names no repository sub-goal\n"),
             (
                 "repo.yaml",
                 lambda doc: doc["subgoals"][2]["entries"].append(

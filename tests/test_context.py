@@ -15,7 +15,6 @@ from ctxflow.context import (
     normalize_value,
     values_equal,
 )
-from ctxflow.errors import ScopeMismatchError
 
 from oracles import diff_oracle
 
@@ -90,7 +89,7 @@ class TestContextualSituation:
 
 class TestScopeFilter:
     def test_restrict_drops_outside_contexts(self):
-        scope = ScopeFilter("A", frozenset({"Weather"}), frozenset())
+        scope = ScopeFilter(frozenset({"Weather"}), frozenset())
         cs = ContextualSituation.from_contexts(
             [ctx("Weather", "Status", "Rainy"), ctx("Patient", "Condition", "Serious")],
             timestamp=1,
@@ -99,7 +98,7 @@ class TestScopeFilter:
         assert restricted.parameters == ("Weather",)
 
     def test_covers_by_qualified_attribute(self):
-        scope = ScopeFilter("A", frozenset(), frozenset({"Watch.Time"}))
+        scope = ScopeFilter(frozenset(), frozenset({"Watch.Time"}))
         assert scope.covers(ctx("Watch", "Time", "11:00"))
         assert not scope.covers(ctx("Watch", "Brand", "X"))
 
@@ -234,24 +233,13 @@ def test_diff_reads_dotted_parameter_from_context():
 
 
 class TestCatchContext:
-    def test_scope_mismatch_raises(self):
-        state = ContextState.initial("A", [], timestamp=0)
-        scope = ScopeFilter("B", frozenset(), frozenset())
-        cs = ContextualSituation.from_contexts([], timestamp=1)
-        with pytest.raises(ScopeMismatchError):
-            catch_context(cs, state, scope)
-
     def test_out_of_scope_situation_leaves_state_untouched(self):
         state = ContextState.initial(
             "Patient Registration",
             [ctx("Healthcare_Employee", "Status", "Present")],
             timestamp=630,
         )
-        scope = ScopeFilter(
-            "Patient Registration",
-            frozenset({"Healthcare_Employee"}),
-            frozenset(),
-        )
+        scope = ScopeFilter(frozenset({"Healthcare_Employee"}), frozenset())
         rain = ContextualSituation.from_contexts(
             [ctx("Weather", "Status", "Rainy"), ctx("Watch", "Time", "11.00 am")],
             timestamp=660,
@@ -262,7 +250,7 @@ class TestCatchContext:
         state = ContextState.initial(
             "Storage in Cloud", [ctx("Weather", "Status", "Sunny")], timestamp=630
         )
-        scope = ScopeFilter("Storage in Cloud", frozenset({"Weather"}), frozenset())
+        scope = ScopeFilter(frozenset({"Weather"}), frozenset())
         rain = ContextualSituation.from_contexts(
             [ctx("Weather", "Status", "Rainy"), ctx("Patient", "Condition", "OK")],
             timestamp=660,

@@ -2,15 +2,18 @@
 
 Each mutant changes one place in one kiosk document: it drops a key or a
 list item, puts a wrong container or a wrong scalar there, or (in the
-scenario) adds a situation that goes back in time. ``ctxflow run`` must then
-work (exit 0), reject the documents with a ``LoadError`` that names the
-mutated file (exit 1), or report a run failure of documents that loaded
-(exit 2, ``run failed:``). It never raises.
+scenario) adds a situation that goes back in time. ``ctxflow run`` and
+``ctxflow verify`` must then both reject the documents with the same
+``LoadError`` naming a document (exit 1), or both load them. A loaded bundle
+runs (exit 0) or fails its run (exit 2, ``run failed:``), and verifies with
+a report (exit 0 or 3) or aborts (exit 2, ``verification aborted:``).
+Neither command ever raises.
 """
 
 import contextlib
 import copy
 import io
+import json
 import pathlib
 import tempfile
 
@@ -27,7 +30,6 @@ ORIGINALS = {
 }
 WRONG_CONTAINERS = ({"x": 1}, ["x"], "oops")
 WRONG_SCALARS = (7, -3, 1.5, True, None, "oops", ["x"])
-GRAPH_FINDINGS = "invalid: context graph has findings; run `validate`\n"
 
 
 def places(node, at=()):
@@ -73,37 +75,49 @@ def mutants(draw):
 
 
 def run_mutant(name, doc):
+    """(exit code, stdout) of `run` and of `verify` on the mutated bundle,
+    and the mutated document's path."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         for other in DOCUMENTS + ("bundle.yaml",):
             (tmp / other).write_text((KIOSK / other).read_text())
         (tmp / name).write_text(yaml.safe_dump(doc))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["run", str(tmp / "bundle.yaml")])
-        return code, out.getvalue(), tmp / name
+        results = []
+        for command in ("run", "verify"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, str(tmp / "bundle.yaml")])
+            results.append((code, out.getvalue()))
+        return results, tmp / name
 
 
 @given(mutant=mutants())
 @settings(max_examples=100, deadline=None)
 def test_mutated_document_never_raises(mutant):
     name, doc, kind = mutant
-    code, out, path = run_mutant(name, doc)
+    ((code, out), verify), path = run_mutant(name, doc)
+    if kind == "time-goes-back":
+        assert out.startswith("invalid: %s: situation 1: time goes back" % (path,))
     if code == 1:
-        # A mutant may break a reference another document makes, and a
-        # graph that loads may still have findings for `validate` to list.
+        # A mutant may break a reference another document makes.
         assert out.startswith(
             tuple("invalid: %s: " % (path.parent / other,) for other in DOCUMENTS)
-        ) or out == GRAPH_FINDINGS
-    elif code == 2:
+        )
+        assert verify == (code, out)
+        return
+    if code == 2:
         assert out.startswith("run failed: ")
     else:
         assert code == 0
-    if kind == "time-goes-back":
-        assert out.startswith("invalid: %s: situation 1: time goes back" % (path,))
+    verify_code, verify_out = verify
+    if verify_code == 2:
+        assert verify_out.startswith("verification aborted: ")
+    else:
+        assert verify_code in (0, 3)
+        assert json.loads(verify_out)["verdict"] in ("pass", "fail")
 
 
 def test_unmutated_documents_run():
     for name in DOCUMENTS:
-        code, out, _ = run_mutant(name, ORIGINALS[name])
-        assert code == 0, out
+        results, _ = run_mutant(name, ORIGINALS[name])
+        assert [code for code, _ in results] == [0, 0], results

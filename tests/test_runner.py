@@ -176,9 +176,7 @@ def random_model(rng):
             for a in ids
         ],
     )
-    scopes = {
-        a: ScopeFilter(a, frozenset({entity_of[a]}), frozenset()) for a in ids
-    }
+    scopes = {a: ScopeFilter(frozenset({entity_of[a]}), frozenset()) for a in ids}
     names = ids + 3 * reserve + ["f0"]
     fragments = {}
     for k in range(4):
@@ -312,7 +310,7 @@ def inserting_chain(n, k):
     )
     nodes = [
         ActivityNode(
-            id=a, sub_goal="s", scope=ScopeFilter(a, frozenset({"E"}), frozenset())
+            id=a, sub_goal="s", scope=ScopeFilter(frozenset({"E"}), frozenset())
         )
         for a in ids
     ]
