@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Dict, List
 
 import yaml
+from yaml.reader import ReaderError
 
 from .chain import Action, ActivityChain, ActivityNode, AdaptationRule, ProcessModel
 from .context import AtomicContext, ContextualSituation, ScopeFilter
@@ -39,6 +40,11 @@ from .graph import (
 )
 
 SUPPORTED_VERSION = 1
+
+# libyaml's C scanner and parser when PyYAML was built with them, else the
+# pure-Python ones. Both share PyYAML's Python resolver and constructor, so
+# a document parses into the same tree under either.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _CLOCK_RE = re.compile(
     r"^\s*(\d{1,2})[:.](\d{2})\s*(am|pm)?\s*$", re.IGNORECASE
@@ -74,6 +80,24 @@ def format_time(minutes: int) -> str:
     return "%02d:%02d" % (minutes // 60, minutes % 60)
 
 
+def _parse_error(path: Path, text: str, exc: yaml.YAMLError) -> LoadError:
+    """``exc`` located as both loaders locate it, with the loader's problem.
+
+    The loaders word a problem differently but agree on its line and column.
+    A reader error has no line: the C reader counts its position in bytes
+    and the Python one in characters, but both stop at the first character
+    they refuse, so the position given is that character's, from 0.
+    """
+    if isinstance(exc, ReaderError):
+        where = "position %d" % text.index(chr(exc.character))
+        problem = exc.reason
+    else:
+        mark = exc.problem_mark
+        where = "line %d, column %d" % (mark.line + 1, mark.column + 1)
+        problem = exc.problem
+    return LoadError("cannot parse %s: %s: %s" % (path, where, problem), path=str(path))
+
+
 def load_document(path, kind: str) -> dict:
     path = Path(path)
     try:
@@ -81,9 +105,9 @@ def load_document(path, kind: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise LoadError("cannot read %s: %s" % (path, exc), path=str(path))
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
-        raise LoadError("cannot parse %s: %s" % (path, exc), path=str(path))
+        raise _parse_error(path, text, exc) from None
     if not isinstance(doc, dict):
         raise LoadError("%s is not a mapping document" % (path,), path=str(path))
     if doc.get("version") != SUPPORTED_VERSION:
@@ -171,6 +195,17 @@ def _pairs(items: list, where: str) -> list:
         ):
             raise _error(where, "not an [attribute, value] pair: %r" % (item,))
     return [tuple(item) for item in items]
+
+
+def _unique(items: list, entry: str, field: str) -> list:
+    """``items``, unless one repeats an earlier one's ``field``."""
+    seen = set()
+    for i, item in enumerate(items):
+        value = getattr(item, field)
+        if value in seen:
+            raise _error("%s %d" % (entry, i), "duplicate %s %r" % (field, value))
+        seen.add(value)
+    return items
 
 
 def _build(where: str, make, *args, **kwargs):
@@ -297,7 +332,15 @@ def _graph(doc: dict) -> ContextGraph:
                 ),
             )
         )
-    graph = ContextGraph.build(entities, attributes, relations, rules, nodes)
+    # The graph files each kind by name, where a repeat would replace the
+    # entry before it.
+    graph = ContextGraph.build(
+        _unique(entities, "entity", "name"),
+        _unique(attributes, "attribute", "name"),
+        relations,
+        rules,
+        _unique(nodes, "state node", "id"),
+    )
     findings = validate_graph(graph).findings
     if findings:
         raise LoadError("context graph has findings:\n" + "\n".join(
@@ -506,20 +549,40 @@ def _rule(spec, where: str, order: int, chain: ActivityChain,
     )
 
 
+def _check_bound(chain: ActivityChain, graph: ContextGraph, bound) -> None:
+    """Refuse a bound attribute that a scoped activity takes in through its
+    parameter while the activity's state node does not map it.
+
+    ``bound`` holds ``(where, context)`` pairs. The run would instantiate
+    the activity's state with the attribute and fail: it has no blue link.
+    """
+    by_parameter: Dict[str, Dict[str, str]] = {}
+    for where, ctx in bound:
+        by_parameter.setdefault(ctx.parameter, {}).setdefault(ctx.qualified, where)
+    for node in chain.nodes.values():
+        if node.scope is None:
+            continue
+        mapped = graph.state_nodes[node.id].attributes
+        for parameter in sorted(node.scope.relevant_parameters):
+            for qualified, where in by_parameter.get(parameter, {}).items():
+                if qualified not in mapped:
+                    raise _error(where, (
+                        "activity %r takes in attribute %r through parameter %r, "
+                        "but its state node does not map it"
+                    ) % (node.id, qualified, parameter))
+
+
 def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessModel:
-    ordered: List[ActivityNode] = []
-    ids = set()
-    for i, spec in enumerate(_list(doc, "activities")):
-        node = _activity(spec, "activity %d" % i, graph, repo)
-        if node.id in ids:
-            raise _error("activity %d" % i, "duplicate id %r" % (node.id,))
-        ids.add(node.id)
-        ordered.append(node)
+    ordered = _unique([
+        _activity(spec, "activity %d" % i, graph, repo)
+        for i, spec in enumerate(_list(doc, "activities"))
+    ], "activity", "id")
     if not ordered:
         raise LoadError("declares no activities")
     chain = ActivityChain.from_nodes(ordered)
 
     ideal: Dict[str, AtomicContext] = {}
+    bound = []
     for i, spec in enumerate(_list(doc, "ideal")):
         where = "ideal entry %d" % i
         try:
@@ -529,6 +592,8 @@ def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessM
         if ctx.qualified not in graph.attributes:
             raise _error(where, "unknown attribute %r" % (ctx.qualified,))
         ideal[ctx.qualified] = ctx
+        bound.append((where, ctx))
+    _check_bound(chain, graph, bound)
 
     rules = tuple(
         _rule(spec, "rule %d" % i, i, chain, repo)
@@ -564,6 +629,16 @@ def load_scenario(path) -> List[ContextualSituation]:
     return _load(path, "scenario", _scenario)
 
 
+def _model_scenario(doc: dict, model: ProcessModel) -> List[ContextualSituation]:
+    situations = _scenario(doc)
+    _check_bound(model.chain, model.graph, (
+        ("situation %d" % i, ctx)
+        for i, cs in enumerate(situations)
+        for ctx in cs.bindings.values()
+    ))
+    return situations
+
+
 @dataclass
 class ProjectBundle:
     """All artifacts of one runnable model, loaded and cross-validated."""
@@ -587,13 +662,14 @@ def load_bundle(path) -> ProjectBundle:
     """Load the bundle at ``path`` and the four documents it names.
 
     This is the one check that a bundle is well formed: a graph with
-    findings, a model that does not fit its graph or repository, and any
-    malformed entry are ``LoadError``s naming the file.
+    findings, a model that does not fit its graph or repository, an ideal
+    or a situation binding an attribute that a scoped activity takes in but
+    cannot map, and any malformed entry are ``LoadError``s naming the file.
     """
     path = Path(path)
     paths = _load(path, "bundle", _bundle_paths, path.parent)
     graph = load_graph(paths["graph"])
     repo = load_fragments(paths["repository"])
     model = load_model(paths["model"], graph, repo)
-    scenario = load_scenario(paths["scenario"])
+    scenario = _load(paths["scenario"], "scenario", _model_scenario, model)
     return ProjectBundle(graph, model, repo, scenario, paths)

@@ -1,8 +1,23 @@
 import pathlib
 
 import pytest
+import yaml
+
+from ctxflow import files
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# libyaml's loader where PyYAML has it, and always the pure-Python fallback.
+LOADERS = ([yaml.CSafeLoader] if yaml.__with_libyaml__ else []) + [yaml.SafeLoader]
+
+
+@pytest.fixture(scope="module", params=LOADERS, ids=lambda loader: loader.__name__)
+def loader(request):
+    """Parse every document with each loader in turn."""
+    saved = files._Loader
+    files._Loader = request.param
+    yield request.param
+    files._Loader = saved
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ technique from the production code: plain list splicing for chain rewrites,
 a linear sub-goal scan, a runner that rescans the chain order on every
 step, a runner that offers every situation to every activity,
 per-context classification for state diffing, subset
-enumeration for query evaluation, and arc-scanning token counters for
-state-space exploration.
+enumeration for query evaluation, arc-scanning token counters for
+state-space exploration, and PyYAML's pure-Python loader for libyaml's.
 """
 
 from __future__ import annotations
@@ -15,9 +15,23 @@ import itertools
 import math
 from collections import Counter, deque
 
+import yaml
+
 from ctxflow import chain as chain_mod
 from ctxflow.errors import NotEnabledError
 from ctxflow.petri import StateSpace, make_marking
+
+
+# -- pure-Python YAML loader ------------------------------------------------
+
+
+def parsed_alike(text: str) -> bool:
+    """Whether libyaml's loader parses ``text`` into the pure-Python loader's
+    tree. ``repr`` also compares types and key order: ``==`` holds between
+    ``1``, ``1.0`` and ``True``."""
+    return repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(
+        yaml.load(text, Loader=yaml.SafeLoader)
+    )
 
 
 # -- array-splice oracle for chain rewrites ---------------------------------

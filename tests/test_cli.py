@@ -222,6 +222,47 @@ class TestLoadGate:
             % (tmp_path / "model.yaml",)
         )
 
+    def test_repeated_graph_name_is_a_load_error(self, tmp_path, kiosk_dir, capsys):
+        # The graph files entities, attributes and state nodes by name, so a
+        # repeat would silently replace the entry before it.
+        def mutate(doc):
+            doc["state_nodes"].append(dict(doc["state_nodes"][2]))
+            doc["attributes"].append({"name": "Weather.Status", "delay": 30})
+
+        assert _run_mutated(tmp_path, kiosk_dir, "graph.yaml", mutate, "validate") == 1
+        assert capsys.readouterr().out == (
+            "invalid: %s: attribute 8: duplicate name 'Weather.Status'\n"
+            % (tmp_path / "graph.yaml",)
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "run", "verify"])
+    @pytest.mark.parametrize(
+        "name,mutate,message",
+        [
+            # The ideal binds Receptionist.Status, which Patient Registration
+            # takes in through its parameter Receptionist.
+            ("graph.yaml",
+             _set(("state_nodes", 0), "attributes", ["Healthcare_Assistant.Status"]),
+             "model.yaml: ideal entry 0: activity 'Patient Registration' takes in"
+             " attribute 'Receptionist.Status' through parameter 'Receptionist',"
+             " but its state node does not map it\n"),
+            ("scenario.yaml",
+             _append(("situations", 0, "contexts"),
+                     {"parameter": "Weather", "attribute": "Humidity", "value": "High"}),
+             "scenario.yaml: situation 0: activity 'Storage in Cloud' takes in"
+             " attribute 'Weather.Humidity' through parameter 'Weather',"
+             " but its state node does not map it\n"),
+        ],
+        ids=["ideal", "situation"],
+    )
+    def test_unmapped_bound_attribute_is_a_load_error(
+        self, tmp_path, kiosk_dir, capsys, command, name, mutate, message
+    ):
+        # Without the load-time check, `run` failed with "has no blue link"
+        # (exit 2) while `validate` and `verify` passed.
+        assert _run_mutated(tmp_path, kiosk_dir, name, mutate, command) == 1
+        assert capsys.readouterr().out == "invalid: %s/%s" % (tmp_path, message)
+
     def test_unscoped_activity_needs_no_known_sub_goal(
         self, tmp_path, kiosk_dir, capsys
     ):
@@ -320,6 +361,14 @@ class TestMalformedDocuments:
             ("graph.yaml", _del(("dependency_rules", 2), "then"),
              "dependency rule 2: missing then"),
             ("graph.yaml", _del(("state_nodes", 3), "id"), "state node 3: missing id"),
+            ("graph.yaml", _append(("entities",), {"name": "Weather"}),
+             "entity 8: duplicate name 'Weather'\n"),
+            ("graph.yaml", _append(("attributes",), {"name": "Weather.Status"}),
+             "attribute 8: duplicate name 'Weather.Status'\n"),
+            ("graph.yaml",
+             _append(("state_nodes",), {"id": "Treatment", "parameters": ["Caregiver"],
+                                        "attributes": ["Caregiver.Expertise"]}),
+             "state node 5: duplicate id 'Treatment'\n"),
             ("graph.yaml", _set(("state_nodes", 0), "attributes", [["x"]]),
              "state node 0: attributes must list text"),
         ],

@@ -1,8 +1,12 @@
-"""Tests for the versioned document formats and their loaders."""
+"""Tests for the versioned document formats and their loaders.
+
+Every test runs under each YAML loader (see the ``loader`` fixture).
+"""
 
 import pytest
 import yaml
 
+from ctxflow.cli import main
 from ctxflow.errors import LoadError
 from ctxflow.files import (
     format_time,
@@ -11,6 +15,8 @@ from ctxflow.files import (
     load_scenario,
     parse_time,
 )
+
+pytestmark = pytest.mark.usefixtures("loader")
 
 
 class TestParseTime:
@@ -72,6 +78,40 @@ class TestDocumentEnvelope:
         p.write_text("- just\n- a list\n")
         with pytest.raises(LoadError):
             load_document(p, "scenario")
+
+
+class TestParseErrors:
+    """A document that is not YAML names its file and where parsing stopped,
+    counted the same under either loader; the problem text is the loader's."""
+
+    HEADER = "version: 1\nkind: process-model\n"
+
+    @pytest.mark.parametrize(
+        "body,where",
+        [
+            ("activities: [a, b\n", "line 4, column 1"),  # unclosed flow sequence
+            ("activities:\n\t- a\n", "line 4, column 1"),  # tab indent
+            ("a: b: c\n", "line 3, column 5"),
+            ("activities: *ghost\n", "line 3, column 13"),  # undefined alias
+            ("---\nversion: 1\n", "line 3, column 1"),  # a second document
+            # Bytes and characters differ before the NUL: "é" is two bytes.
+            ("name: caf\u00e9 \x00\n", "position 42"),
+        ],
+        ids=["unclosed-flow", "tab-indent", "nested-mapping", "undefined-alias",
+             "second-document", "nul"],
+    )
+    def test_malformed_document_is_a_load_error(
+        self, tmp_path, kiosk_dir, capsys, body, where
+    ):
+        for name in ("bundle.yaml", "graph.yaml", "repo.yaml", "scenario.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        (tmp_path / "model.yaml").write_text(self.HEADER + body)
+        assert main(["validate", str(tmp_path / "bundle.yaml")]) == 1
+        out, err = capsys.readouterr()
+        prefix = "invalid: cannot parse %s: %s: " % (tmp_path / "model.yaml", where)
+        assert out.startswith(prefix)
+        assert out.count("\n") == 1 and len(out) > len(prefix) + 1
+        assert "Traceback" not in out + err
 
 
 class TestScenarioLoading:

@@ -7,7 +7,11 @@ scenario) adds a situation that goes back in time. ``ctxflow run`` and
 ``LoadError`` naming a document (exit 1), or both load them. A loaded bundle
 runs (exit 0) or fails its run (exit 2, ``run failed:``), and verifies with
 a report (exit 0 or 3) or aborts (exit 2, ``verification aborted:``).
-Neither command ever raises.
+Neither command ever raises, and a run never fails for a state its
+activity's state node cannot map (``has no red link``/``has no blue link``):
+the loader refuses those. Every mutated document parses into the same tree
+under the pure-Python loader as under libyaml's, and the suite runs under
+each loader (see the ``loader`` fixture).
 """
 
 import contextlib
@@ -17,11 +21,15 @@ import json
 import pathlib
 import tempfile
 
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxflow.cli import main
+from oracles import parsed_alike
+
+pytestmark = pytest.mark.usefixtures("loader")
 
 KIOSK = pathlib.Path(__file__).parent / "fixtures" / "kiosk"
 DOCUMENTS = ("graph.yaml", "repo.yaml", "model.yaml", "scenario.yaml")
@@ -81,7 +89,10 @@ def run_mutant(name, doc):
         tmp = pathlib.Path(tmp)
         for other in DOCUMENTS + ("bundle.yaml",):
             (tmp / other).write_text((KIOSK / other).read_text())
-        (tmp / name).write_text(yaml.safe_dump(doc))
+        text = yaml.safe_dump(doc)
+        if yaml.__with_libyaml__:
+            assert parsed_alike(text)
+        (tmp / name).write_text(text)
         results = []
         for command in ("run", "verify"):
             out = io.StringIO()
@@ -107,6 +118,7 @@ def test_mutated_document_never_raises(mutant):
         return
     if code == 2:
         assert out.startswith("run failed: ")
+        assert "has no red link" not in out and "has no blue link" not in out
     else:
         assert code == 0
     verify_code, verify_out = verify
