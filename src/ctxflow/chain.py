@@ -33,7 +33,6 @@ from .fragments import FragmentRepository, ProcessFragment, throw_activity
 from .graph import (
     CompositeValue,
     ContextGraph,
-    TimedValue,
     apply_dependencies,
     assign_values,
     compose_value,
@@ -403,10 +402,10 @@ class _Runner:
         self.chain = model.chain.copy()
         self.scenario = list(scenario)
         self.trace = AdaptationTrace()
+        # The caught context state of each scoped activity that awaits
+        # evaluation; evaluating the activity drops its state.
         self.states: Dict[str, ContextState] = {}
-        self.assignments: Dict[str, Dict[str, TimedValue]] = {}
         self.executed: Set[str] = set()
-        self.evaluated: Set[str] = set()
         # Deferred actions by activity, in deferral order. An activity is
         # evaluated once and stays in the chain while its action waits, so
         # it has at most one; until it applies, the activity is blocked.
@@ -416,29 +415,18 @@ class _Runner:
         self.resume = 0
         self.clock = self.scenario[0].timestamp if self.scenario else 0
         self.next_situation = 0
-        # Watchers: the activities with a state, filed in chain order under
-        # each parameter and each qualified attribute their scopes name.
+        # Watchers: the scoped activities, filed in chain order under each
+        # parameter and each qualified attribute their scopes name.
         self.watchers_by_parameter: Dict[str, Dict[str, None]] = {}
         self.watchers_by_attribute: Dict[str, Dict[str, None]] = {}
         for node in self.chain.nodes.values():
-            self._init_activity(node)
+            if node.scope is not None:
+                self._init_activity(node)
 
     def _init_activity(self, node: ActivityNode) -> None:
-        if node.scope is None:
-            return
-        ideal = [
-            ctx
-            for q, ctx in self.model.ideal.items()
-            if node.scope.covers(ctx)
-        ]
+        ideal = [ctx for ctx in self.model.ideal.values() if node.scope.covers(ctx)]
         # Timestamp -1 marks the design-time ideal, older than any observation.
         self.states[node.id] = ContextState.initial(node.id, ideal, timestamp=-1)
-        self.assignments[node.id] = {
-            ctx.qualified: TimedValue(
-                ctx.value, self.model.graph.attributes[ctx.qualified].delay
-            )
-            for ctx in ideal
-        }
         for name in node.scope.relevant_parameters:
             self.watchers_by_parameter.setdefault(name, {})[node.id] = None
         for name in node.scope.relevant_attributes:
@@ -450,12 +438,13 @@ class _Runner:
         """Fold each due situation into the states of the activities it touches.
 
         Only watchers of the situation's parameters and attributes are
-        candidates, and of those only the ones still in the chain and not yet
-        executed: an executed activity is never evaluated again. The index
-        never goes stale, because scopes are set once at load and inserted
-        activities carry none.
+        candidates, and of those only the ones that still have a state: an
+        activity is evaluated once, and leaves the chain or executes only
+        after its evaluation. The index never goes stale, because scopes are
+        set once at load and inserted activities carry none.
         """
         nodes = self.chain.nodes
+        states = self.states
         while (
             self.next_situation < len(self.scenario)
             and self.scenario[self.next_situation].timestamp <= self.clock
@@ -469,78 +458,58 @@ class _Runner:
                     touched.update(self.watchers_by_parameter.get(ctx.parameter, ()))
                     touched.update(self.watchers_by_attribute.get(ctx.qualified, ()))
             for activity_id in touched:
-                node = nodes.get(activity_id)
-                if node is None or node.scope is None or activity_id in self.executed:
-                    continue
-                state = self.states[activity_id]
-                updated = catch_context(cs, state, node.scope)
-                if updated is not state:
-                    self.states[activity_id] = updated
-                    for q in updated.bindings:
-                        ctx = updated.bindings[q]
-                        attr = self.model.graph.attributes.get(q)
-                        delay = attr.delay if attr else 0
-                        self.assignments[activity_id][q] = TimedValue(
-                            ctx.value, delay
-                        )
+                state = states.get(activity_id)
+                if state is not None:
+                    states[activity_id] = catch_context(
+                        cs, state, nodes[activity_id].scope
+                    )
 
     # -- evaluation ----------------------------------------------------------
 
     def _evaluate(self, node: ActivityNode) -> None:
-        self.evaluated.add(node.id)
-        state = self.states[node.id]
+        state = self.states.pop(node.id)
         graph = self.model.graph
         inst = instantiate(graph, state)
         if inst.is_empty:
-            self.trace.entries.append(
-                TraceEntry(self.clock, node.id, None, None, None)
-            )
+            self._record(node.id, None, None, None)
             return
-        obs = {
-            q: tv
-            for q, tv in self.assignments[node.id].items()
-            if q in inst.activated_attributes
-        }
-        inst = assign_values(inst, obs)
+        inst = assign_values(
+            inst, {q: ctx.value for q, ctx in state.bindings.items()}
+        )
         inst = apply_dependencies(inst, graph.dependency_rules)
         value = compose_value(inst, graph.state_nodes[node.id])
         thrown = throw_activity(self.model.repo, node.sub_goal, value)
         rule = select_rule(self.model.rules_for(node.id), value, thrown.fragment)
         if rule is None:
-            self.trace.entries.append(
-                TraceEntry(
-                    self.clock,
-                    node.id,
-                    value,
-                    thrown.fragment.id if thrown.fragment else None,
-                    None,
-                )
-            )
+            self._record(node.id, value, thrown.fragment, None)
             return
         if value.max_delay > 0:
             due = self.clock + value.max_delay
             self.pending[node.id] = _Pending(
                 due, node.id, rule, thrown.fragment, value
             )
-            self.trace.entries.append(
-                TraceEntry(
-                    self.clock,
-                    node.id,
-                    value,
-                    thrown.fragment.id if thrown.fragment else None,
-                    rule.action.describe(),
-                    deferred_until=due,
-                )
-            )
+            self._record(node.id, value, thrown.fragment, rule, deferred_until=due)
             return
         self._apply(node.id, rule, thrown.fragment, value)
+        self._record(node.id, value, thrown.fragment, rule)
+
+    def _record(
+        self,
+        activity_id: str,
+        value: Optional[CompositeValue],
+        fragment: Optional[ProcessFragment],
+        rule: Optional[AdaptationRule],
+        deferred_until: Optional[int] = None,
+    ) -> None:
+        """Append the trace entry of one decision, taken at the current clock."""
         self.trace.entries.append(
             TraceEntry(
                 self.clock,
-                node.id,
+                activity_id,
                 value,
-                thrown.fragment.id if thrown.fragment else None,
-                rule.action.describe(),
+                fragment.id if fragment else None,
+                rule.action.describe() if rule else None,
+                deferred_until,
             )
         )
 
@@ -626,15 +595,7 @@ class _Runner:
         for item in due:
             del self.pending[item.activity_id]
             self._apply(item.activity_id, item.rule, item.fragment, item.value)
-            self.trace.entries.append(
-                TraceEntry(
-                    self.clock,
-                    item.activity_id,
-                    item.value,
-                    item.fragment.id if item.fragment else None,
-                    item.rule.action.describe(),
-                )
-            )
+            self._record(item.activity_id, item.value, item.fragment, item.rule)
 
     def run(self) -> AdaptationTrace:
         # Each pass evaluates a model activity, executes one, jumps the clock
@@ -656,7 +617,7 @@ class _Runner:
                     self.clock = min(p.due for p in self.pending.values())
                     continue
                 break
-            if pos.scope is not None and pos.id not in self.evaluated:
+            if pos.id in self.states:
                 self._evaluate(pos)
                 continue  # chain may have been rewritten; re-resolve position
             self.executed.add(pos.id)

@@ -9,12 +9,14 @@ here, checked with one set of entry helpers: a malformed entry is a
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List
 
 import yaml
+from yaml.constructor import ConstructorError
 from yaml.reader import ReaderError
 
 from .chain import Action, ActivityChain, ActivityNode, AdaptationRule, ProcessModel
@@ -45,6 +47,35 @@ SUPPORTED_VERSION = 1
 # pure-Python ones. Both share PyYAML's Python resolver and constructor, so
 # a document parses into the same tree under either.
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+# The scalar types whose constructors fail with a Python error rather than a
+# YAML one when the text cannot be built: ``2026-13-45`` (a timestamp with
+# month 13) and ``!!int x`` raise a ValueError, ``!!bool x`` a KeyError,
+# ``!!int ''`` an IndexError and ``!!timestamp x`` an AttributeError.
+_BUILT_SCALARS = tuple(
+    "tag:yaml.org,2002:" + name for name in ("bool", "int", "float", "timestamp")
+)
+
+
+def _at_node(construct):
+    def located(loader, node):
+        try:
+            return construct(loader, node)
+        except (ValueError, LookupError, AttributeError):
+            problem = "%r is not a valid %s" % (node.value, node.tag.rsplit(":", 1)[-1])
+            raise ConstructorError(None, None, problem, node.start_mark) from None
+    return located
+
+
+@functools.lru_cache(maxsize=None)
+def _located(loader):
+    """``loader`` with those failures raised as YAML errors at their node."""
+    located = type(loader.__name__, (loader,), {})
+    for tag in _BUILT_SCALARS:
+        located.add_constructor(tag, _at_node(loader.yaml_constructors[tag]))
+    return located
+
 
 _CLOCK_RE = re.compile(
     r"^\s*(\d{1,2})[:.](\d{2})\s*(am|pm)?\s*$", re.IGNORECASE
@@ -105,7 +136,7 @@ def load_document(path, kind: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise LoadError("cannot read %s: %s" % (path, exc), path=str(path))
     try:
-        doc = yaml.load(text, Loader=_Loader)
+        doc = yaml.load(text, Loader=_located(_Loader))
     except yaml.YAMLError as exc:
         raise _parse_error(path, text, exc) from None
     if not isinstance(doc, dict):

@@ -181,21 +181,16 @@ class ContextGraph:
     relations: Tuple[EntityRelation, ...] = ()
     dependency_rules: Tuple[DependencyRule, ...] = ()
     state_nodes: Mapping[str, StateNodeDef] = field(default_factory=dict)
-    composite_slots: Tuple[str, ...] = ()
 
     @classmethod
     def build(cls, entities, attributes, relations=(), dependency_rules=(),
-              state_nodes=(), composite_slots=None):
-        state_map = {node.id: node for node in state_nodes}
-        if composite_slots is None:
-            composite_slots = tuple("V_%s" % node_id for node_id in state_map)
+              state_nodes=()):
         return cls(
             entities={e.name: e for e in entities},
             attributes={a.name: a for a in attributes},
             relations=tuple(relations),
             dependency_rules=tuple(dependency_rules),
-            state_nodes=state_map,
-            composite_slots=tuple(composite_slots),
+            state_nodes={node.id: node for node in state_nodes},
         )
 
 
@@ -220,13 +215,6 @@ class ValidationReport:
 def validate_graph(g: ContextGraph) -> ValidationReport:
     """Check every structural invariant; an empty report means well-formed."""
     findings = []
-
-    if len(g.composite_slots) != len(g.state_nodes):
-        findings.append(Finding(
-            "composite-count",
-            "composite value slots (%d) must match state nodes (%d)"
-            % (len(g.composite_slots), len(g.state_nodes)),
-        ))
 
     names = {}
     for group, pool in (
@@ -354,13 +342,12 @@ def instantiate(g: ContextGraph, s: ContextState) -> SubgraphInstance:
 
 
 def assign_values(
-    inst: SubgraphInstance, observations: Mapping[str, object]
+    inst: SubgraphInstance, observations: Mapping[str, Value]
 ) -> SubgraphInstance:
     """Bind observed values to the instance's direct attributes.
 
-    Observations may be raw values or :class:`TimedValue`; raw values pick up
-    the attribute's green-link delay. Derived attributes stay unbound until
-    dependency evaluation.
+    Each value picks up its attribute's green-link delay. Derived attributes
+    stay unbound until dependency evaluation.
     """
     if inst.is_empty and not observations:
         return inst
@@ -374,10 +361,7 @@ def assign_values(
             raise UnobservedAttributeError(
                 "direct attribute %r has no observation" % (name,), attribute=name
             )
-        obs = observations[name]
-        if not isinstance(obs, TimedValue):
-            obs = TimedValue(obs, attr.delay)
-        bound[name] = obs
+        bound[name] = TimedValue(observations[name], attr.delay)
     return replace(inst, bound_values=bound)
 
 

@@ -130,17 +130,6 @@ def compare(left: Value, op: str, right: Value) -> bool:
     }[op]
 
 
-KINDS = (
-    "and_by_parameter",
-    "and_cross_category",
-    "and_conditional",
-    "or_same_instance",
-    "or_same_value",
-    "not",
-    "arith",
-)
-
-
 @dataclass(frozen=True)
 class Query:
     kind: str

@@ -76,9 +76,9 @@ class _RescanRunner(chain_mod._Runner):
     """The runner with its walk done the plain way.
 
     Every step rescans the chain order from its first activity, an activity
-    is blocked while any pending action names it, and inserted activities are found by
-    diffing the node set and marked evaluated. Evaluation, ingestion and the
-    main loop are the production ones.
+    is blocked while any pending action names it, and the rewrites are
+    dispatched without the production resume bookkeeping. Evaluation,
+    ingestion and the main loop are the production ones.
     """
 
     def _next_unexecuted(self):
@@ -93,7 +93,6 @@ class _RescanRunner(chain_mod._Runner):
     def _apply(self, activity_id, rule, fragment, value):
         action = rule.action
         chain = self.chain
-        existing = set(chain.nodes)
         if action.kind in ("add_before", "add_after"):
             chain_mod.add_fragment(
                 chain, activity_id, action.kind.split("_", 1)[1], fragment
@@ -111,7 +110,6 @@ class _RescanRunner(chain_mod._Runner):
             chain_mod.reorder(chain, window, permutation)
         elif action.kind == "data_change":
             chain_mod.data_level_change(chain, activity_id, action.data)
-        self.evaluated.update(i for i in chain.nodes if i not in existing)
 
     def _apply_due_pending(self):
         for item in list(self.pending.values()):
@@ -119,15 +117,7 @@ class _RescanRunner(chain_mod._Runner):
                 continue
             del self.pending[item.activity_id]
             self._apply(item.activity_id, item.rule, item.fragment, item.value)
-            self.trace.entries.append(
-                chain_mod.TraceEntry(
-                    self.clock,
-                    item.activity_id,
-                    item.value,
-                    item.fragment.id if item.fragment else None,
-                    item.rule.action.describe(),
-                )
-            )
+            self._record(item.activity_id, item.value, item.fragment, item.rule)
 
 
 def run_instance_oracle(model, scenario):
@@ -142,9 +132,9 @@ class _AllStatesRunner(chain_mod._Runner):
     """The runner with every situation offered to every activity's state.
 
     Each due situation goes through ``catch_context`` for every activity
-    that has a state and a scope and is in the chain, executed or not,
-    touched or not; ``catch_context`` itself restricts the situation and
-    drops what the scope does not cover. The walk is the production one.
+    that still has a state, touched or not; ``catch_context`` itself
+    restricts the situation and drops what the scope does not cover. The
+    walk is the production one.
     """
 
     def _ingest_due_situations(self):
@@ -155,19 +145,8 @@ class _AllStatesRunner(chain_mod._Runner):
             cs = self.scenario[self.next_situation]
             self.next_situation += 1
             for activity_id, state in list(self.states.items()):
-                node = self.chain.nodes.get(activity_id)
-                if node is None or node.scope is None:
-                    continue
-                updated = chain_mod.catch_context(cs, state, node.scope)
-                if updated is not state:
-                    self.states[activity_id] = updated
-                    for q in updated.bindings:
-                        ctx = updated.bindings[q]
-                        attr = self.model.graph.attributes.get(q)
-                        delay = attr.delay if attr else 0
-                        self.assignments[activity_id][q] = chain_mod.TimedValue(
-                            ctx.value, delay
-                        )
+                scope = self.chain.nodes[activity_id].scope
+                self.states[activity_id] = chain_mod.catch_context(cs, state, scope)
 
 
 # -- classification oracle for situation/state diffing ----------------------

@@ -81,8 +81,9 @@ class TestDocumentEnvelope:
 
 
 class TestParseErrors:
-    """A document that is not YAML names its file and where parsing stopped,
-    counted the same under either loader; the problem text is the loader's."""
+    """A document that is not YAML, or holds a scalar that cannot be built,
+    names its file and where parsing stopped, counted the same under either
+    loader; the problem text of a syntax error is the loader's."""
 
     HEADER = "version: 1\nkind: process-model\n"
 
@@ -96,9 +97,16 @@ class TestParseErrors:
             ("---\nversion: 1\n", "line 3, column 1"),  # a second document
             # Bytes and characters differ before the NUL: "é" is two bytes.
             ("name: caf\u00e9 \x00\n", "position 42"),
+            # Scalars the resolver types but the constructor cannot build.
+            ("time: 2026-13-45\n", "line 3, column 7"),
+            ("a: !!int x\n", "line 3, column 4"),
+            ("a: !!bool x\n", "line 3, column 4"),
+            ("a: !!int ''\n", "line 3, column 4"),
+            ("a: !!timestamp x\n", "line 3, column 4"),
         ],
         ids=["unclosed-flow", "tab-indent", "nested-mapping", "undefined-alias",
-             "second-document", "nul"],
+             "second-document", "nul", "bad-timestamp", "bad-int", "bad-bool",
+             "empty-int", "unmatched-timestamp"],
     )
     def test_malformed_document_is_a_load_error(
         self, tmp_path, kiosk_dir, capsys, body, where

@@ -90,16 +90,6 @@ class TestStructureValidation:
     def test_valid_graph_has_no_findings(self):
         assert validate_graph(small_graph()).ok
 
-    def test_composite_slot_count_must_match_state_nodes(self):
-        g = small_graph()
-        bad = ContextGraph(
-            entities=g.entities,
-            attributes=g.attributes,
-            state_nodes=g.state_nodes,
-            composite_slots=("V_only_one",),
-        )
-        assert "composite-count" in validate_graph(bad).codes()
-
     def test_attribute_of_undeclared_entity(self):
         g = ContextGraph.build(
             entities=[EntityNode("Weather")],
@@ -374,4 +364,3 @@ class TestKioskGraphFixture:
         g = load_graph(kiosk_dir / "graph.yaml")
         assert validate_graph(g).ok
         assert len(g.state_nodes) == 5
-        assert len(g.composite_slots) == 5

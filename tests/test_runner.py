@@ -344,8 +344,10 @@ def test_growing_chain_does_not_trip_the_progress_guard():
 
 def test_stalled_runner_fails_the_progress_guard():
     class Stalled(chain_mod._Runner):
-        def _ingest_due_situations(self):
-            self.evaluated.clear()  # every pass evaluates the same activity
+        def _evaluate(self, node):
+            state = self.states[node.id]
+            super()._evaluate(node)
+            self.states[node.id] = state  # every pass evaluates it again
 
     model, scenario = inserting_chain(3, 1)
     model = dataclasses.replace(model, rules=())
