@@ -17,6 +17,7 @@ from typing import Dict, List
 
 import yaml
 from yaml.constructor import ConstructorError
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from yaml.reader import ReaderError
 
 from .chain import Action, ActivityChain, ActivityNode, AdaptationRule, ProcessModel
@@ -44,8 +45,8 @@ from .graph import (
 SUPPORTED_VERSION = 1
 
 # libyaml's C scanner and parser when PyYAML was built with them, else the
-# pure-Python ones. Both share PyYAML's Python resolver and constructor, so
-# a document parses into the same tree under either.
+# pure-Python ones. Both share PyYAML's Python resolver and the builder of
+# ``_located``, so a document parses into the same tree under either.
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -68,12 +69,69 @@ def _at_node(construct):
     return located
 
 
+_STR = "tag:yaml.org,2002:str"
+_SEQ = "tag:yaml.org,2002:seq"
+_MAP = "tag:yaml.org,2002:map"
+
+
+class _OnePass:
+    """A loader mixin that builds each document in one pass over its nodes.
+
+    Plain scalars, lists and dicts are all a document of ours holds. The
+    pass builds a ``str`` scalar as its text, the other implicit scalar
+    types with the loader's own constructors, and a default-tagged sequence
+    or mapping as a list or dict, sharing an aliased one as PyYAML does.
+    Whatever it does not build (another tag, a merge or ``=`` key, a
+    non-scalar key, a recursive alias, a failure) is left to PyYAML's
+    constructor, which then builds the whole document, so the tree and any
+    error are PyYAML's.
+    """
+
+    def construct_document(self, node):
+        scalars = self.scalar_constructors
+        built = {}  # container node -> its object, None while it is built
+
+        def build(node):
+            cls = type(node)
+            if cls is ScalarNode:
+                if node.tag == _STR:
+                    return node.value
+                return scalars[node.tag](self, node)
+            if node in built:  # an alias
+                if built[node] is None:
+                    raise RecursionError("recursive alias")
+                return built[node]
+            built[node] = None
+            if cls is SequenceNode and node.tag == _SEQ:
+                data = [build(child) for child in node.value]
+            elif cls is MappingNode and node.tag == _MAP:
+                data = {}
+                for key, value in node.value:
+                    if type(key) is not ScalarNode:
+                        raise TypeError("non-scalar key")
+                    data[build(key)] = build(value)
+            else:
+                raise KeyError(node.tag)
+            built[node] = data
+            return data
+
+        try:
+            return build(node)
+        except Exception:
+            return super().construct_document(node)
+
+
 @functools.lru_cache(maxsize=None)
 def _located(loader):
-    """``loader`` with those failures raised as YAML errors at their node."""
-    located = type(loader.__name__, (loader,), {})
+    """``loader`` with those failures raised as YAML errors at their node,
+    building each document in one pass (see ``_OnePass``)."""
+    located = type(loader.__name__, (_OnePass, loader), {})
     for tag in _BUILT_SCALARS:
         located.add_constructor(tag, _at_node(loader.yaml_constructors[tag]))
+    located.scalar_constructors = {
+        tag: located.yaml_constructors[tag]
+        for tag in _BUILT_SCALARS + ("tag:yaml.org,2002:null",)
+    }
     return located
 
 
@@ -248,12 +306,21 @@ def _build(where: str, make, *args, **kwargs):
 
 
 def _load(path, kind: str, build, *args):
-    """Build from the document at ``path``, naming the file in any error."""
-    doc = load_document(path, kind)
+    """Build from the document at ``path``, naming the file in any error.
+
+    A document nested deeper than Python's recursion limit stops the
+    pure-Python parser, or the first check that recurses into it.
+    """
     try:
-        return build(doc, *args)
-    except LoadError as exc:
-        raise LoadError("%s: %s" % (path, exc), path=str(path)) from None
+        doc = load_document(path, kind)
+        try:
+            return build(doc, *args)
+        except LoadError as exc:
+            raise LoadError("%s: %s" % (path, exc), path=str(path)) from None
+    except RecursionError:
+        raise LoadError(
+            "cannot parse %s: nested too deeply" % (path,), path=str(path)
+        ) from None
 
 
 def _context_from_spec(spec: dict) -> AtomicContext:
@@ -435,13 +502,14 @@ def load_repository(document: dict) -> FragmentRepository:
                 _pairs(_list(row, "value", at), at), _text(row, "op", at, "AND")
             )
             fragment_id = _text(row, "fragment", at)
-            if pattern.normalized() in seen:
+            normalized = pattern.normalized()
+            if normalized in seen:
                 raise _error(at, "duplicate value pattern")
             if fragment_id not in fragments:
                 raise _error(at, "unknown fragment %r" % (fragment_id,))
             if fragment_id in used:
                 raise _error(at, "fragment %r is mapped twice" % (fragment_id,))
-            seen.add(pattern.normalized())
+            seen.add(normalized)
             used.add(fragment_id)
             rows.append((pattern, fragment_id))
         index = spec.get("index", i + 1)

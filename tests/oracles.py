@@ -6,7 +6,8 @@ a linear sub-goal scan, a runner that rescans the chain order on every
 step, a runner that offers every situation to every activity,
 per-context classification for state diffing, subset
 enumeration for query evaluation, arc-scanning token counters for
-state-space exploration, and PyYAML's pure-Python loader for libyaml's.
+state-space exploration, and PyYAML's pure-Python loader and constructor
+for the document loader.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections import Counter, deque
 import yaml
 
 from ctxflow import chain as chain_mod
+from ctxflow import files
 from ctxflow.errors import NotEnabledError
 from ctxflow.petri import StateSpace, make_marking
 
@@ -26,10 +28,11 @@ from ctxflow.petri import StateSpace, make_marking
 
 
 def parsed_alike(text: str) -> bool:
-    """Whether libyaml's loader parses ``text`` into the pure-Python loader's
-    tree. ``repr`` also compares types and key order: ``==`` holds between
-    ``1``, ``1.0`` and ``True``."""
-    return repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(
+    """Whether ``files.load_document``'s loader, with its one-pass builder,
+    parses ``text`` into stock ``yaml.SafeLoader``'s tree. ``repr`` also
+    compares types and key order: ``==`` holds between ``1``, ``1.0`` and
+    ``True``."""
+    return repr(yaml.load(text, Loader=files._located(files._Loader))) == repr(
         yaml.load(text, Loader=yaml.SafeLoader)
     )
 

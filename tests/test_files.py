@@ -121,6 +121,21 @@ class TestParseErrors:
         assert out.count("\n") == 1 and len(out) > len(prefix) + 1
         assert "Traceback" not in out + err
 
+    def test_deeply_nested_document_is_a_load_error(self, tmp_path, kiosk_dir, capsys):
+        # The pure-Python parser recurses once per level; libyaml's does not,
+        # and the first entry check that prints the activity recurses instead.
+        for name in ("bundle.yaml", "graph.yaml", "repo.yaml", "scenario.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        model = (kiosk_dir / "model.yaml").read_text()
+        deep = "activities: " + "[" * 3000 + "]" * 3000 + "\nkiosk_activities:"
+        (tmp_path / "model.yaml").write_text(model.replace("activities:", deep, 1))
+        assert main(["validate", str(tmp_path / "bundle.yaml")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "invalid: cannot parse %s: nested too deeply\n" % (
+            tmp_path / "model.yaml",
+        )
+        assert "Traceback" not in out + err
+
 
 class TestScenarioLoading:
     def test_kiosk_scenario(self, kiosk_dir):

@@ -10,8 +10,8 @@ a report (exit 0 or 3) or aborts (exit 2, ``verification aborted:``).
 Neither command ever raises, and a run never fails for a state its
 activity's state node cannot map (``has no red link``/``has no blue link``):
 the loader refuses those. Every mutated document parses into the same tree
-under the pure-Python loader as under libyaml's, and the suite runs under
-each loader (see the ``loader`` fixture).
+under ``files.load_document``'s loader as under stock ``yaml.SafeLoader``,
+and the suite runs under each loader (see the ``loader`` fixture).
 """
 
 import contextlib
@@ -90,8 +90,7 @@ def run_mutant(name, doc):
         for other in DOCUMENTS + ("bundle.yaml",):
             (tmp / other).write_text((KIOSK / other).read_text())
         text = yaml.safe_dump(doc)
-        if yaml.__with_libyaml__:
-            assert parsed_alike(text)
+        assert parsed_alike(text)
         (tmp / name).write_text(text)
         results = []
         for command in ("run", "verify"):

@@ -1,10 +1,10 @@
-"""libyaml's loader parses every generated document into the same tree as
-PyYAML's pure-Python loader, which serves as its oracle.
+"""Every generated document parses into the same tree under
+``files.load_document``'s loader as under stock ``yaml.SafeLoader``, the
+pure-Python loader with PyYAML's own constructor, which serves as its oracle.
 
-``ctxflow.files`` parses with ``yaml.CSafeLoader`` where PyYAML has it. Only
-the scanner and parser differ between the two loaders; the resolver and
-constructor are the same Python code. The mutated kiosk documents are
-compared in ``test_loader_mutations.py``.
+The suite runs under each loader (see the ``loader`` fixture), so it checks
+libyaml's parser and the one-pass builder of ``files._located``. The mutated
+kiosk documents are compared in ``test_loader_mutations.py``.
 """
 
 import sys
@@ -12,7 +12,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from bundlegen import ACTIONS, Shape, generate  # noqa: E402
 from oracles import parsed_alike  # noqa: E402
 
-pytestmark = pytest.mark.skipif(
-    not yaml.__with_libyaml__, reason="PyYAML was built without libyaml"
-)
+pytestmark = pytest.mark.usefixtures("loader")
 
 
 @st.composite
