@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .context import (
@@ -53,9 +53,15 @@ class ActivityNode:
     duration: int = 0
 
     def copy(self) -> "ActivityNode":
-        clone = replace(self)
-        clone.output_data = set(self.output_data)
-        return clone
+        return ActivityNode(
+            self.id,
+            self.sub_goal,
+            self.role,
+            self.medium,
+            set(self.output_data),
+            self.scope,
+            self.duration,
+        )
 
 
 class ActivityChain:
@@ -95,10 +101,17 @@ class ActivityChain:
                 "no activity %r in chain" % (activity_id,), activity=activity_id
             ) from None
 
-    def position(self, activity_id: str) -> int:
-        """Index of the activity in ``ids``."""
+    def position(self, activity_id: str, at: Optional[int] = None) -> int:
+        """Index of the activity in ``ids``.
+
+        ``at`` is where the caller last saw it: if the activity is still
+        there, no search is made, and otherwise ``ids`` is searched.
+        """
+        ids = self.ids
+        if at is not None and 0 <= at < len(ids) and ids[at] == activity_id:
+            return at
         self.node(activity_id)
-        return self.ids.index(activity_id)
+        return ids.index(activity_id)
 
     def order(self) -> List[str]:
         return list(self.ids)
@@ -119,15 +132,36 @@ class ActivityChain:
             )
         )
 
-    def _splice(self, start: int, stop: int, run: Sequence[ActivityNode]) -> None:
-        """Replace ``ids[start:stop]`` with the ids of ``run``, adding its nodes."""
-        for node in run:
-            if node.id in self.nodes:
+    def _splice(
+        self,
+        start: int,
+        window: List[str],
+        new_ids: List[str],
+        added: Sequence[ActivityNode] = (),
+    ) -> None:
+        """Replace the ids ``window`` at ``start`` with ``new_ids``, adding
+        the activities ``added``.
+
+        Only what the splice changes is checked: ``window`` must be what
+        ``ids`` holds at ``start``, and every added id must be new. So a
+        chain that was consistent stays consistent, at the cost of the
+        splice rather than of the chain. The caller drops the activities of
+        ``window`` that ``new_ids`` does not keep.
+        """
+        stop = start + len(window)
+        if self.ids[start:stop] != window:
+            raise ChainIntegrityError(
+                "expected %r at position %d, found %r"
+                % (window, start, self.ids[start:stop])
+            )
+        nodes = self.nodes
+        for node in added:
+            if node.id in nodes:
                 raise ChainIntegrityError(
                     "inserted activity id %r already in chain" % (node.id,)
                 )
-            self.nodes[node.id] = node
-        self.ids[start:stop] = [node.id for node in run]
+            nodes[node.id] = node
+        self.ids[start:stop] = new_ids
 
 
 def _materialize(fragment: ProcessFragment, chain: ActivityChain) -> List[ActivityNode]:
@@ -150,28 +184,40 @@ def _materialize(fragment: ProcessFragment, chain: ActivityChain) -> List[Activi
 
 
 def add_fragment(
-    chain: ActivityChain, target: str, position: str, fragment: ProcessFragment
+    chain: ActivityChain,
+    target: str,
+    position: str,
+    fragment: ProcessFragment,
+    *,
+    at: Optional[int] = None,
 ) -> ActivityChain:
-    """Insert a fragment's activities directly before or after ``target``."""
-    i = chain.position(target)
+    """Insert a fragment's activities directly before or after ``target``.
+
+    ``at``, here and in the other rewrites, is where the caller last saw
+    the target in ``chain.ids`` (see ``ActivityChain.position``).
+    """
+    i = chain.position(target, at)
     run = _materialize(fragment, chain)
     if position not in ("before", "after"):
         raise ValueError("position must be 'before' or 'after'")
-    at = i if position == "before" else i + 1
-    chain._splice(at, at, run)
-    chain.validate()
+    new = [node.id for node in run]
+    new_ids = new + [target] if position == "before" else [target] + new
+    chain._splice(i, [target], new_ids, run)
     return chain
 
 
 def replace_activity(
-    chain: ActivityChain, target: str, fragment: ProcessFragment
+    chain: ActivityChain,
+    target: str,
+    fragment: ProcessFragment,
+    *,
+    at: Optional[int] = None,
 ) -> ActivityChain:
     """Swap ``target`` out of the chain for the fragment's activities."""
-    i = chain.position(target)
+    i = chain.position(target, at)
     run = _materialize(fragment, chain)
+    chain._splice(i, [target], [node.id for node in run], run)
     del chain.nodes[target]
-    chain._splice(i, i + 1, run)
-    chain.validate()
     return chain
 
 
@@ -186,30 +232,34 @@ def replace_attribute(
         node.medium = new_value
     else:
         raise ValueError("kind must be 'role' or 'medium'")
-    chain.validate()
     return chain
 
 
-def bypass(chain: ActivityChain, target: str) -> ActivityChain:
+def bypass(
+    chain: ActivityChain, target: str, *, at: Optional[int] = None
+) -> ActivityChain:
     """Drop ``target`` from the chain; its neighbours become adjacent."""
     if len(chain) < 2:
         raise EmptyChainError("cannot bypass the only activity")
-    i = chain.position(target)
+    chain._splice(chain.position(target, at), [target], [])
     del chain.nodes[target]
-    del chain.ids[i]
-    chain.validate()
     return chain
 
 
 def reorder(
-    chain: ActivityChain, window: Sequence[str], permutation: Sequence[str]
+    chain: ActivityChain,
+    window: Sequence[str],
+    permutation: Sequence[str],
+    *,
+    at: Optional[int] = None,
 ) -> ActivityChain:
     """Permute a contiguous window of two or three activities.
 
     ``window`` must list the activities in their current chain order;
     ``permutation`` is the same ids in the desired order. All six
     permutations of a 3-window are supported; 2-windows cover the
-    start/end-attached degenerate cases.
+    start/end-attached degenerate cases. ``at`` is where the caller last
+    saw the window's first activity.
     """
     window = list(window)
     permutation = list(permutation)
@@ -219,14 +269,13 @@ def reorder(
         )
     for wid in window:
         chain.node(wid)
-    i = chain.ids.index(window[0])
+    i = chain.position(window[0], at)
     end = i + len(window)
     if chain.ids[i:end] != window:
         raise InvalidWindowError(
             "window %r is not contiguous in the chain" % (window,)
         )
     chain.ids[i:end] = permutation
-    chain.validate()
     return chain
 
 
@@ -234,7 +283,6 @@ def data_level_change(chain: ActivityChain, target: str, delta) -> ActivityChain
     """Update the activity's output data; topology is untouched."""
     node = chain.node(target)
     node.output_data |= set(delta)
-    chain.validate()
     return chain
 
 
@@ -466,7 +514,9 @@ class _Runner:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _evaluate(self, node: ActivityNode) -> None:
+    def _evaluate(self, node: ActivityNode, at: int) -> None:
+        """Evaluate ``node``'s contextual event and act on it; ``at`` is the
+        node's position in ``chain.ids``."""
         state = self.states.pop(node.id)
         graph = self.model.graph
         inst = instantiate(graph, state)
@@ -490,7 +540,7 @@ class _Runner:
             )
             self._record(node.id, value, thrown.fragment, rule, deferred_until=due)
             return
-        self._apply(node.id, rule, thrown.fragment, value)
+        self._apply(node.id, rule, thrown.fragment, value, at)
         self._record(node.id, value, thrown.fragment, rule)
 
     def _record(
@@ -519,35 +569,46 @@ class _Runner:
         rule: AdaptationRule,
         fragment: Optional[ProcessFragment],
         value: CompositeValue,
+        at: Optional[int] = None,
     ) -> None:
+        """Apply ``rule``'s action to ``activity_id``, found at ``at`` if the
+        walk just passed it there; a deferred action, applied after later
+        splices, has its target looked up."""
         action = rule.action
         chain = self.chain
         if action.kind == "reorder":
-            window, permutation = self._resolve_reorder(activity_id, action.order)
+            start, window, permutation = self._resolve_reorder(
+                activity_id, action.order, at
+            )
             # The target has not executed, so only a reorder reaches behind
             # the walk's position: its window may start at an executed
             # predecessor, which the permutation can move after the target.
-            self.resume = min(self.resume, chain.ids.index(window[0]))
+            self.resume = min(self.resume, start)
         if action.kind in ("add_before", "add_after"):
             add_fragment(
-                chain, activity_id, action.kind.split("_", 1)[1], fragment
+                chain, activity_id, action.kind.split("_", 1)[1], fragment, at=at
             )
         elif action.kind == "replace_fragment":
-            replace_activity(chain, activity_id, fragment)
+            replace_activity(chain, activity_id, fragment, at=at)
         elif action.kind == "replace_role":
             replace_attribute(chain, activity_id, "role", action.role)
         elif action.kind == "replace_medium":
             replace_attribute(chain, activity_id, "medium", action.medium)
         elif action.kind == "bypass":
-            bypass(chain, activity_id)
+            bypass(chain, activity_id, at=at)
         elif action.kind == "reorder":
-            reorder(chain, window, permutation)
+            reorder(chain, window, permutation, at=start)
         elif action.kind == "data_change":
             data_level_change(chain, activity_id, action.data)
 
-    def _resolve_reorder(self, center: str, order: Sequence[str]):
+    def _resolve_reorder(
+        self, center: str, order: Sequence[str], at: Optional[int] = None
+    ):
+        """The start in ``chain.ids``, window and permutation of a reorder
+        around ``center``, found at ``at`` if given and still right."""
         ids = self.chain.ids
-        i = self.chain.position(center)
+        i = self.chain.position(center, at)
+        start = i - 1 if i > 0 else i
         labels = {"L1": center}
         window = []
         if i > 0:
@@ -562,18 +623,19 @@ class _Runner:
         if set(order) <= set(labels):
             permutation = [labels[lbl] for lbl in order]
             if sorted(permutation) == sorted(window):
-                return window, permutation
+                return start, window, permutation
         # Degenerate windows: fall back to swapping whatever neighbours exist.
         if len(window) == 2:
-            return window, [window[1], window[0]]
+            return start, window, [window[1], window[0]]
         raise InvalidWindowError(
             "reorder labels %r do not fit window %r" % (tuple(order), tuple(window))
         )
 
     # -- main walk -----------------------------------------------------------
 
-    def _next_unexecuted(self) -> Optional[ActivityNode]:
-        """First unexecuted activity that is not waiting on a deferred action.
+    def _next_unexecuted(self) -> Optional[int]:
+        """Position in ``chain.ids`` of the first unexecuted activity that is
+        not waiting on a deferred action, or None.
 
         An activity whose contextual event produced a timed value is blocked
         until the delay elapses; activities after it may run meanwhile, which
@@ -588,7 +650,7 @@ class _Runner:
         self.resume = i
         while i < end and (ids[i] in self.executed or ids[i] in self.pending):
             i += 1
-        return self.chain.nodes[ids[i]] if i < end else None
+        return i if i < end else None
 
     def _apply_due_pending(self) -> None:
         due = [p for p in self.pending.values() if p.due <= self.clock]
@@ -609,20 +671,24 @@ class _Runner:
                 raise ChainIntegrityError("runner failed to make progress")
             self._ingest_due_situations()
             self._apply_due_pending()
-            pos = self._next_unexecuted()
-            if pos is None:
+            at = self._next_unexecuted()
+            if at is None:
                 if self.pending:
                     # Everything left is waiting on a timed value; let the
                     # clock run forward to the earliest deferral.
                     self.clock = min(p.due for p in self.pending.values())
                     continue
                 break
-            if pos.id in self.states:
-                self._evaluate(pos)
+            node = self.chain.nodes[self.chain.ids[at]]
+            if node.id in self.states:
+                self._evaluate(node, at)
                 continue  # chain may have been rewritten; re-resolve position
-            self.executed.add(pos.id)
-            self.trace.final_order.append(pos.id)
-            self.clock += pos.duration
+            self.executed.add(node.id)
+            self.trace.final_order.append(node.id)
+            self.clock += node.duration
+        # Each rewrite checked only its own splice; one full check per run
+        # confirms the chain they left behind.
+        self.chain.validate()
         return self.trace
 
 

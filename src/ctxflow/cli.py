@@ -57,19 +57,34 @@ def cmd_run(args) -> int:
     except (CtxflowError, ValueError) as exc:
         print("run failed: %s" % exc)
         return EXIT_RUNTIME
+    # The trace records a deferred action twice: when it is deferred, and
+    # again when it applies. An activity is evaluated once, so the second
+    # entry is the next one for an activity whose action waits.
+    adaptations = []
+    waiting = set()
+    evaluations = 0
+    for entry in trace.entries:
+        if entry.activity_id in waiting:
+            waiting.remove(entry.activity_id)
+            continue
+        evaluations += 1
+        if entry.action is None:
+            continue
+        adaptation = {
+            "time": entry.timestamp,
+            "activity": entry.activity_id,
+            "value": entry.value.render() if entry.value else None,
+            "fragment": entry.fragment_id,
+            "action": entry.action,
+        }
+        if entry.deferred_until is not None:
+            adaptation["deferred_until"] = entry.deferred_until
+            waiting.add(entry.activity_id)
+        adaptations.append(adaptation)
     summary = {
         "final_order": trace.final_order,
-        "adaptations": [
-            {
-                "time": entry.timestamp,
-                "activity": entry.activity_id,
-                "value": entry.value.render() if entry.value else None,
-                "fragment": entry.fragment_id,
-                "action": entry.action,
-            }
-            for entry in trace.actions
-        ],
-        "evaluations": len(trace.entries),
+        "adaptations": adaptations,
+        "evaluations": evaluations,
     }
     outdir = Path(args.out) if args.out else None
     text = _dump(summary, outdir / "summary.json" if outdir else None)

@@ -352,10 +352,19 @@ def _context_from_spec(spec: dict) -> AtomicContext:
 # -- context graph -----------------------------------------------------------
 
 
-def _composition(spec, where: str) -> Composition:
+def _composition(spec, node: str, enclosing=()) -> Composition:
+    """The composition ``spec`` of the state node named ``node``.
+
+    ``enclosing`` holds the compositions around ``spec``: an alias can make
+    one contain itself, which would otherwise recurse without end.
+    """
+    where = node + " composition"
     spec = _mapping(spec, where)
+    if any(spec is outer for outer in enclosing):
+        raise _error(node, "composition refers to itself")
+    enclosing += (spec,)
     items = tuple(
-        item if isinstance(item, str) else _composition(item, where)
+        item if isinstance(item, str) else _composition(item, node, enclosing)
         for item in _list(spec, "items", where)
     )
     return _build(where, Composition, _text(spec, "op", where, "AND"), items)
@@ -424,7 +433,7 @@ def _graph(doc: dict) -> ContextGraph:
                 parameters=tuple(_texts(spec, "parameters", where)),
                 attributes=tuple(_texts(spec, "attributes", where)),
                 composition=(
-                    _composition(spec["composition"], where + " composition")
+                    _composition(spec["composition"], where)
                     if "composition" in spec
                     else None
                 ),

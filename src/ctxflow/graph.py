@@ -10,7 +10,7 @@ value handed back to the process layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple, Union
 
 from .context import ContextState, Value, normalize_value, values_equal
@@ -362,7 +362,10 @@ def assign_values(
                 "direct attribute %r has no observation" % (name,), attribute=name
             )
         bound[name] = TimedValue(observations[name], attr.delay)
-    return replace(inst, bound_values=bound)
+    return SubgraphInstance(
+        inst.graph, inst.activated_state, inst.activated_entities,
+        inst.activated_attributes, bound,
+    )
 
 
 def apply_dependencies(
@@ -408,7 +411,10 @@ def apply_dependencies(
                 bound[target] = value
                 changed = True
         if not changed:
-            return replace(inst, bound_values=bound)
+            return SubgraphInstance(
+                inst.graph, inst.activated_state, inst.activated_entities,
+                inst.activated_attributes, bound,
+            )
     raise DependencyCycleError(
         "dependency rules did not stabilise within %d passes" % (cap,)
     )

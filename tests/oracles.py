@@ -3,7 +3,8 @@
 Each oracle re-derives expected results with a deliberately different
 technique from the production code: plain list splicing for chain rewrites,
 a linear sub-goal scan, a runner that rescans the chain order on every
-step, a runner that offers every situation to every activity,
+step, a runner that checks the whole chain after every rewrite, a runner
+that offers every situation to every activity,
 per-context classification for state diffing, subset
 enumeration for query evaluation, arc-scanning token counters for
 state-space exploration, and PyYAML's pure-Python loader and constructor
@@ -85,15 +86,15 @@ class _RescanRunner(chain_mod._Runner):
     """
 
     def _next_unexecuted(self):
-        for cursor in self.chain.order():
+        for i, cursor in enumerate(self.chain.order()):
             blocked = any(
                 p.activity_id == cursor for p in self.pending.values()
             )
             if cursor not in self.executed and not blocked:
-                return self.chain.nodes[cursor]
+                return i
         return None
 
-    def _apply(self, activity_id, rule, fragment, value):
+    def _apply(self, activity_id, rule, fragment, value, at=None):
         action = rule.action
         chain = self.chain
         if action.kind in ("add_before", "add_after"):
@@ -109,7 +110,7 @@ class _RescanRunner(chain_mod._Runner):
         elif action.kind == "bypass":
             chain_mod.bypass(chain, activity_id)
         elif action.kind == "reorder":
-            window, permutation = self._resolve_reorder(activity_id, action.order)
+            _, window, permutation = self._resolve_reorder(activity_id, action.order)
             chain_mod.reorder(chain, window, permutation)
         elif action.kind == "data_change":
             chain_mod.data_level_change(chain, activity_id, action.data)
@@ -126,6 +127,19 @@ class _RescanRunner(chain_mod._Runner):
 def run_instance_oracle(model, scenario):
     model.validate()
     return _RescanRunner(model, scenario).run()
+
+
+# -- whole-chain check after every rewrite -----------------------------------
+
+
+class CheckedRunner(chain_mod._Runner):
+    """The production runner with ``ActivityChain.validate`` after every
+    rewrite, where production checks each splice locally and the whole
+    chain once at the end of the run."""
+
+    def _apply(self, activity_id, rule, fragment, value, at=None):
+        super()._apply(activity_id, rule, fragment, value, at)
+        self.chain.validate()
 
 
 # -- all-states oracle for situation ingestion -------------------------------

@@ -102,7 +102,23 @@ class TestChainBasics:
     def test_splice_rejects_an_id_collision(self):
         chain = make_chain("a", "b")
         with pytest.raises(ChainIntegrityError, match="'b' already in chain"):
-            chain._splice(1, 1, [ActivityNode(id="b", sub_goal="b")])
+            chain._splice(1, ["b"], ["b", "b"], [ActivityNode("b", sub_goal="b")])
+
+    def test_splice_rejects_a_window_that_is_not_there(self):
+        chain = make_chain("a", "b", "c")
+        with pytest.raises(ChainIntegrityError, match=r"expected \['b'\] at position 0"):
+            chain._splice(0, ["b"], [])
+        with pytest.raises(ChainIntegrityError, match=r"found \[\]"):
+            chain._splice(3, ["c"], [])
+        assert chain.order() == ["a", "b", "c"]
+
+    def test_position_checks_its_hint(self):
+        chain = make_chain("a", "b", "c")
+        assert chain.position("c", 2) == 2
+        for wrong in (None, 0, 1, 3, -1, 99):
+            assert chain.position("c", wrong) == 2
+        with pytest.raises(UnknownActivityError):
+            chain.position("zz", 0)
 
     def test_copy_is_deep_for_links_and_data(self):
         chain = make_chain("a", "b")
@@ -183,6 +199,27 @@ class TestRewriteOperations:
         chain = make_chain("a", "b", "c", "d", "e")
         with pytest.raises(InvalidWindowError):
             reorder(chain, ["a", "b", "c", "d"], ["d", "c", "b", "a"])
+
+    @pytest.mark.parametrize("at", [0, 1, 2, 3, 4, -1, 99])
+    def test_a_wrong_position_falls_back_to_the_lookup(self, at):
+        # The target "c" sits at index 2; every other ``at`` is stale.
+        ids = ["a", "b", "c", "d", "e"]
+        chain = make_chain(*ids)
+        add_fragment(chain, "c", "before", fragment("f"), at=at)
+        assert chain.order() == oracles.splice_add(ids, "c", "before", ["f"])
+        chain = make_chain(*ids)
+        add_fragment(chain, "c", "after", fragment("f"), at=at)
+        assert chain.order() == oracles.splice_add(ids, "c", "after", ["f"])
+        chain = make_chain(*ids)
+        replace_activity(chain, "c", fragment("p", "q"), at=at)
+        assert chain.order() == oracles.splice_replace(ids, "c", ["p", "q"])
+        chain = make_chain(*ids)
+        bypass(chain, "c", at=at)
+        assert chain.order() == oracles.splice_bypass(ids, "c")
+        chain = make_chain(*ids)
+        reorder(chain, ["c", "d"], ["d", "c"], at=at)
+        assert chain.order() == oracles.splice_reorder(ids, ["c", "d"], ["d", "c"])
+        chain.validate()
 
     def test_data_level_change_keeps_topology(self):
         chain = make_chain("a", "b")

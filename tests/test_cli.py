@@ -39,6 +39,10 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["final_order"][-2:] == ["Bill Payment", "Storage in Cloud"]
         assert len(summary["adaptations"]) == 5
+        assert summary["evaluations"] == 5
+        keys = ["action", "activity", "fragment", "time", "value"]
+        for adaptation in summary["adaptations"]:  # none was deferred
+            assert sorted(adaptation) == keys
 
     def test_ideal_scenario_logs_no_warning(self, ideal_bundle, capsys, caplog):
         with caplog.at_level(logging.DEBUG, logger="ctxflow"):
@@ -68,6 +72,42 @@ class TestRun:
             out2 / "summary.json"
         ).read_bytes()
         assert (out1 / "trace.log").read_bytes() == (out2 / "trace.log").read_bytes()
+
+    def test_deferred_adaptation_is_listed_once(self, tmp_path, kiosk_dir):
+        # A 30-minute green link on Weather.Status defers the Storage in Cloud
+        # reorder from t=840 to t=870; the trace records it at both times.
+        for name in ("bundle.yaml", "model.yaml", "repo.yaml", "scenario.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        link = "  - {name: Weather.Status}\n"
+        graph = (kiosk_dir / "graph.yaml").read_text()
+        assert graph.count(link) == 1
+        (tmp_path / "graph.yaml").write_text(
+            graph.replace(link, "  - {name: Weather.Status, delay: 30}\n")
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(tmp_path / "bundle.yaml"), "-o", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["evaluations"] == 5
+        assert [(a["time"], a["activity"]) for a in summary["adaptations"]] == [
+            (840, "Patient Registration"),
+            (840, "Patient Medical Info Collection"),
+            (840, "Treatment"),
+            (840, "Storage in Cloud"),
+            (840, "Bill Payment"),
+        ]
+        deferred = [a for a in summary["adaptations"] if "deferred_until" in a]
+        assert deferred == [{
+            "time": 840,
+            "activity": "Storage in Cloud",
+            "value": "[(Weather.Status, Rainy) AND (Network.Status, Unavailable)]",
+            "fragment": None,
+            "action": "reorder(L2->L3->L1)",
+            "deferred_until": 870,
+        }]
+        log = (out / "trace.log").read_text().splitlines()
+        assert len(log) == 6
+        assert log[3].endswith("| deferred-until=870")
+        assert log[5].startswith("t=870 | Storage in Cloud |")
 
     def test_non_monotone_scenario_fails_validation(
         self, tmp_path, kiosk_dir, capsys

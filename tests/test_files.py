@@ -185,6 +185,49 @@ class TestBundleLoading:
         with pytest.raises(LoadError):
             load_bundle(p)
 
+    @pytest.mark.parametrize(
+        "composition",
+        [
+            "&c {op: AND, items: [Receptionist.Status, *c]}",
+            "{op: AND, items: &l [Receptionist.Status, {op: OR, items: *l}]}",
+        ],
+        ids=["mapping-alias", "items-alias"],
+    )
+    def test_self_referring_composition_is_a_load_error(
+        self, tmp_path, kiosk_dir, capsys, composition
+    ):
+        for name in ("bundle.yaml", "model.yaml", "repo.yaml", "scenario.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        links = "    attributes: [Receptionist.Status, Healthcare_Assistant.Status]\n"
+        graph = (kiosk_dir / "graph.yaml").read_text()
+        assert graph.count(links) == 1
+        (tmp_path / "graph.yaml").write_text(
+            graph.replace(links, links + "    composition: %s\n" % composition)
+        )
+        assert main(["validate", str(tmp_path / "bundle.yaml")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "invalid: %s: state node 0: composition refers to itself\n" % (
+            tmp_path / "graph.yaml",
+        )
+        assert "Traceback" not in out + err
+
+    def test_shared_sub_composition_is_not_a_cycle(self, tmp_path, kiosk_dir):
+        for name in ("bundle.yaml", "model.yaml", "repo.yaml", "scenario.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        links = "    attributes: [Receptionist.Status, Healthcare_Assistant.Status]\n"
+        shared = (
+            "    composition: {op: AND, items: [&s {op: OR, items: "
+            "[Receptionist.Status, Healthcare_Assistant.Status]}, *s]}\n"
+        )
+        graph = (kiosk_dir / "graph.yaml").read_text()
+        (tmp_path / "graph.yaml").write_text(graph.replace(links, links + shared))
+        node = load_bundle(tmp_path / "bundle.yaml").graph.state_nodes[
+            "Patient Registration"
+        ]
+        inner = node.composition.items[0]
+        assert node.composition.items == (inner, inner)
+        assert inner.op == "OR"
+
     def test_rule_with_unknown_fragment_rejected(self, tmp_path, kiosk_dir):
         for name in ("graph.yaml", "repo.yaml", "scenario.yaml", "bundle.yaml"):
             (tmp_path / name).write_text((kiosk_dir / name).read_text())

@@ -48,12 +48,13 @@ import oracles
 KIOSK = pathlib.Path(__file__).parent / "fixtures" / "kiosk" / "bundle.yaml"
 
 
-class CheckedRunner(chain_mod._Runner):
-    """Asserts after every rewrite that no executed activity left the chain,
-    and at the end that every deferred action was applied exactly once."""
+class AuditedRunner(oracles.CheckedRunner):
+    """Asserts after every rewrite that the chain is whole and no executed
+    activity left it, and at the end that every deferred action was applied
+    exactly once."""
 
-    def _apply(self, activity_id, rule, fragment, value):
-        super()._apply(activity_id, rule, fragment, value)
+    def _apply(self, activity_id, rule, fragment, value, at=None):
+        super()._apply(activity_id, rule, fragment, value, at)
         assert self.executed <= self.chain.nodes.keys()
 
     def run(self):
@@ -78,7 +79,7 @@ class CheckedRunner(chain_mod._Runner):
 
 def run_checked(model, scenario):
     model.validate()
-    runner = CheckedRunner(model, scenario)
+    runner = AuditedRunner(model, scenario)
     trace = runner.run()
     assert set(trace.final_order) == set(runner.chain.nodes)
     assert len(trace.final_order) == len(runner.chain.nodes)
@@ -293,6 +294,28 @@ def test_random_chains_cover_every_action():
     assert deferred > 0
 
 
+# -- the whole-chain check after every rewrite -------------------------------
+
+
+def run_with_whole_chain_checks(model, scenario):
+    model.validate()
+    return oracles.CheckedRunner(model, scenario).run()
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    make=st.sampled_from([kiosk_variant, random_model]),
+)
+@settings(max_examples=300, deadline=None)
+def test_splice_local_checks_match_whole_chain_checks(seed, make):
+    # Production checks each rewrite at its splice and the whole chain once
+    # per run; the oracle checks the whole chain after every rewrite.
+    model, scenario = make(random.Random(seed))
+    assert outcome(run_with_whole_chain_checks, model, scenario) == outcome(
+        run_instance, model, scenario
+    )
+
+
 # -- the progress guard ------------------------------------------------------
 
 
@@ -344,9 +367,9 @@ def test_growing_chain_does_not_trip_the_progress_guard():
 
 def test_stalled_runner_fails_the_progress_guard():
     class Stalled(chain_mod._Runner):
-        def _evaluate(self, node):
+        def _evaluate(self, node, at):
             state = self.states[node.id]
-            super()._evaluate(node)
+            super()._evaluate(node, at)
             self.states[node.id] = state  # every pass evaluates it again
 
     model, scenario = inserting_chain(3, 1)
@@ -371,6 +394,58 @@ def test_runner_never_builds_the_chain_order(monkeypatch):
     trace = run_instance(bundle.model, bundle.scenario)
     assert len(trace.actions) == 5
     assert calls == []
+
+
+def hints_seen(monkeypatch, model, scenario):
+    """Run, and return the trace and, for every ``ActivityChain.position``
+    call, the activity, whether the caller passed a position and whether it
+    was right."""
+    seen = []
+    position = ActivityChain.position
+
+    def recorded(self, activity_id, at=None):
+        passed = at is not None
+        right = passed and 0 <= at < len(self.ids) and self.ids[at] == activity_id
+        seen.append((activity_id, passed, right))
+        return position(self, activity_id, at)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ActivityChain, "position", recorded)
+        return run_instance(model, scenario), seen
+
+
+def test_the_walk_passes_each_rewrite_its_position(monkeypatch):
+    # Kiosk defers nothing. Its add_after finds its target, and its reorder
+    # its centre and then its window's start.
+    bundle = load_bundle(KIOSK)
+    _, seen = hints_seen(monkeypatch, bundle.model, bundle.scenario)
+    assert [(passed, right) for _, passed, right in seen] == [(True, True)] * 3
+
+
+def test_only_a_deferred_action_looks_its_target_up(monkeypatch):
+    looked_up = 0
+    for seed in range(40):
+        trace, seen = hints_seen(monkeypatch, *kiosk_variant(random.Random(seed)))
+        deferred = {e.activity_id for e in trace.entries if e.deferred_until is not None}
+        for activity_id, passed, right in seen:
+            assert right if passed else activity_id in deferred
+            looked_up += not passed
+    assert looked_up > 0
+
+
+def test_a_run_checks_the_whole_chain_at_start_and_end(monkeypatch):
+    calls = []
+    validate = ActivityChain.validate
+
+    def counted(self):
+        calls.append(list(self.ids))
+        return validate(self)
+
+    monkeypatch.setattr(ActivityChain, "validate", counted)
+    bundle = load_bundle(KIOSK)
+    trace = run_instance(bundle.model, bundle.scenario)
+    assert len(trace.actions) == 5
+    assert calls == [bundle.model.chain.ids, trace.final_order]
 
 
 def test_rules_for_keeps_declaration_tuple_order():
