@@ -10,7 +10,6 @@ generated colored-token net.
 from .context import (
     AtomicContext,
     ContextState,
-    ContextVector,
     ContextualSituation,
     ScopeFilter,
     catch_context,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomicContext",
-    "ContextVector",
     "ContextualSituation",
     "ContextState",
     "ScopeFilter",

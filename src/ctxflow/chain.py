@@ -98,7 +98,7 @@ class ActivityChain:
             return self.nodes[activity_id]
         except KeyError:
             raise UnknownActivityError(
-                "no activity %r in chain" % (activity_id,), activity=activity_id
+                "no activity %r in chain" % (activity_id,)
             ) from None
 
     def position(self, activity_id: str, at: Optional[int] = None) -> int:
@@ -393,13 +393,12 @@ class ProcessModel:
         for rule in self.rules:
             if rule.activity_id not in self.chain:
                 raise UnknownActivityError(
-                    "rule targets unknown activity %r" % (rule.activity_id,),
-                    activity=rule.activity_id,
+                    "rule targets unknown activity %r" % (rule.activity_id,)
                 )
         for q in self.ideal:
             if q not in self.graph.attributes:
                 raise UnknownActivityError(
-                    "ideal assignment names unknown attribute %r" % (q,), attribute=q
+                    "ideal assignment names unknown attribute %r" % (q,)
                 )
 
 

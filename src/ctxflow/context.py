@@ -45,8 +45,6 @@ class AtomicContext:
 
     ``instance`` distinguishes concrete occurrences of a parameter (for
     example two network operators providing the same ``Network`` parameter).
-    Identity is (parameter, instance, attribute); connector and value are
-    payload.
     """
 
     parameter: str
@@ -69,29 +67,10 @@ class AtomicContext:
         if self.temporality not in TEMPORALITIES:
             raise ValueError("unknown temporality %r" % (self.temporality,))
 
-    @property
-    def key(self) -> Tuple[str, Optional[str], str]:
-        return (self.parameter, self.instance, self.attribute)
-
     @cached_property
     def qualified(self) -> str:
         """Qualified attribute name, e.g. ``Weather.Status``."""
         return "%s.%s" % (self.parameter, self.attribute)
-
-
-@dataclass(frozen=True)
-class ContextVector:
-    """All contexts effecting the process at one time instant."""
-
-    contexts: Tuple[AtomicContext, ...]
-    timestamp: int
-
-    def __post_init__(self):
-        seen = set()
-        for ctx in self.contexts:
-            if ctx.key in seen:
-                raise ValueError("duplicate context key %r" % (ctx.key,))
-            seen.add(ctx.key)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,6 @@ class CtxflowError(Exception):
 
     code = "error"
 
-    def __init__(self, message, **details):
-        super().__init__(message)
-        self.details = details
-
 
 class LoadError(CtxflowError):
     """A document failed to parse or carried an unsupported version."""
@@ -57,7 +53,7 @@ class QueryParseError(CtxflowError):
     code = "query-parse"
 
     def __init__(self, message, position, expected=None):
-        super().__init__(message, position=position, expected=expected)
+        super().__init__(message)
         self.position = position
         self.expected = expected
 

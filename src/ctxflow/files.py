@@ -165,10 +165,6 @@ def parse_time(value) -> int:
     return hours * 60 + minutes
 
 
-def format_time(minutes: int) -> str:
-    return "%02d:%02d" % (minutes // 60, minutes % 60)
-
-
 def _parse_error(path: Path, text: str, exc: yaml.YAMLError) -> LoadError:
     """``exc`` located as both loaders locate it, with the loader's problem.
 
@@ -184,7 +180,7 @@ def _parse_error(path: Path, text: str, exc: yaml.YAMLError) -> LoadError:
         mark = exc.problem_mark
         where = "line %d, column %d" % (mark.line + 1, mark.column + 1)
         problem = exc.problem
-    return LoadError("cannot parse %s: %s: %s" % (path, where, problem), path=str(path))
+    return LoadError("cannot parse %s: %s: %s" % (path, where, problem))
 
 
 def load_document(path, kind: str) -> dict:
@@ -192,22 +188,18 @@ def load_document(path, kind: str) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise LoadError("cannot read %s: %s" % (path, exc), path=str(path))
+        raise LoadError("cannot read %s: %s" % (path, exc))
     try:
         doc = yaml.load(text, Loader=_located(_Loader))
     except yaml.YAMLError as exc:
         raise _parse_error(path, text, exc) from None
     if not isinstance(doc, dict):
-        raise LoadError("%s is not a mapping document" % (path,), path=str(path))
+        raise LoadError("%s is not a mapping document" % (path,))
     if doc.get("version") != SUPPORTED_VERSION:
-        raise LoadError(
-            "%s has unsupported version %r" % (path, doc.get("version")),
-            path=str(path),
-        )
+        raise LoadError("%s has unsupported version %r" % (path, doc.get("version")))
     if doc.get("kind") != kind:
         raise LoadError(
-            "%s is a %r document, expected %r" % (path, doc.get("kind"), kind),
-            path=str(path),
+            "%s is a %r document, expected %r" % (path, doc.get("kind"), kind)
         )
     return doc
 
@@ -316,11 +308,9 @@ def _load(path, kind: str, build, *args):
         try:
             return build(doc, *args)
         except LoadError as exc:
-            raise LoadError("%s: %s" % (path, exc), path=str(path)) from None
+            raise LoadError("%s: %s" % (path, exc)) from None
     except RecursionError:
-        raise LoadError(
-            "cannot parse %s: nested too deeply" % (path,), path=str(path)
-        ) from None
+        raise LoadError("cannot parse %s: nested too deeply" % (path,)) from None
 
 
 def _context_from_spec(spec: dict) -> AtomicContext:
@@ -531,42 +521,6 @@ def load_repository(document: dict) -> FragmentRepository:
     return FragmentRepository(tuple(subgoals), fragments)
 
 
-def store_repository(repo: FragmentRepository) -> dict:
-    """Serialize back to the canonical document form (round-trips load)."""
-    return {
-        "subgoals": [
-            {
-                "index": entry.index,
-                "name": entry.name,
-                "entries": [
-                    {
-                        "op": pattern.op,
-                        "value": [[attr, value] for attr, value in pattern.pairs],
-                        "fragment": fragment_id,
-                    }
-                    for pattern, fragment_id in entry.rows
-                ],
-            }
-            for entry in repo.subgoals
-        ],
-        "fragments": [
-            {
-                "id": frag.id,
-                "activities": [
-                    {
-                        "name": a.name,
-                        "sub_goal": a.sub_goal,
-                        "role": a.role,
-                        "medium": a.medium,
-                    }
-                    for a in frag.activities
-                ],
-            }
-            for frag in repo.fragments.values()
-        ],
-    }
-
-
 def load_fragments(path) -> FragmentRepository:
     return _load(path, "fragment-repository", load_repository)
 
@@ -755,7 +709,6 @@ class ProjectBundle:
     model: ProcessModel
     repo: FragmentRepository
     scenario: List[ContextualSituation]
-    paths: Dict[str, str]
 
 
 _PARTS = ("graph", "repository", "model", "scenario")
@@ -780,4 +733,4 @@ def load_bundle(path) -> ProjectBundle:
     repo = load_fragments(paths["repository"])
     model = load_model(paths["model"], graph, repo)
     scenario = _load(paths["scenario"], "scenario", _model_scenario, model)
-    return ProjectBundle(graph, model, repo, scenario, paths)
+    return ProjectBundle(graph, model, repo, scenario)

@@ -67,13 +67,12 @@ class FragmentRepository:
             return self._by_key[key]
         except (KeyError, TypeError):
             raise UnknownSubgoalError(
-                "sub-goal %r not in repository" % (key,), subgoal=key
+                "sub-goal %r not in repository" % (key,)
             ) from None
 
 
 @dataclass(frozen=True)
 class ThrowResult:
-    value: CompositeValue
     fragment: Optional[ProcessFragment]
     comparisons: int
 
@@ -92,5 +91,5 @@ def throw_activity(
     for pattern, fragment_id in entry.rows:
         comparisons += 1
         if pattern.matches(value):
-            return ThrowResult(value, repo.fragments[fragment_id], comparisons)
-    return ThrowResult(value, None, comparisons)
+            return ThrowResult(repo.fragments[fragment_id], comparisons)
+    return ThrowResult(None, comparisons)

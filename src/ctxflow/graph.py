@@ -36,7 +36,7 @@ class AttributeNode:
     name: str
     temporality: str = "dynamic"  # steady | dynamic
     derivation: str = "direct"  # direct | derived
-    delay: int = 0  # green-link delay in minutes; 0 means untimed
+    delay: int = 0  # green-link delay in minutes; 0 means none
 
     def __post_init__(self):
         if self.temporality not in ("steady", "dynamic"):
@@ -142,10 +142,6 @@ class TimedValue:
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
-
-    @property
-    def untimed(self) -> bool:
-        return self.delay == 0
 
 
 @dataclass(frozen=True)
@@ -316,21 +312,16 @@ def instantiate(g: ContextGraph, s: ContextState) -> SubgraphInstance:
 
     node = g.state_nodes.get(s.activity_id)
     if node is None:
-        raise UnknownContextError(
-            "no state node for activity %r" % (s.activity_id,),
-            activity=s.activity_id,
-        )
+        raise UnknownContextError("no state node for activity %r" % (s.activity_id,))
     for p in s.parameters:
         if p not in node.parameters or p not in g.entities:
             raise UnknownContextError(
-                "parameter %r of state %r has no red link" % (p, s.activity_id),
-                parameter=p,
+                "parameter %r of state %r has no red link" % (p, s.activity_id)
             )
     for a in s.attributes:
         if a not in node.attributes or a not in g.attributes:
             raise UnknownContextError(
-                "attribute %r of state %r has no blue link" % (a, s.activity_id),
-                attribute=a,
+                "attribute %r of state %r has no blue link" % (a, s.activity_id)
             )
 
     return SubgraphInstance(
@@ -359,7 +350,7 @@ def assign_values(
             continue
         if name not in observations:
             raise UnobservedAttributeError(
-                "direct attribute %r has no observation" % (name,), attribute=name
+                "direct attribute %r has no observation" % (name,)
             )
         bound[name] = TimedValue(observations[name], attr.delay)
     return SubgraphInstance(
@@ -400,8 +391,7 @@ def apply_dependencies(
             ):
                 raise DependencyConflictError(
                     "rules disagree on %r: %r vs %r"
-                    % (target, proposals[target].value, value.value),
-                    attribute=target,
+                    % (target, proposals[target].value, value.value)
                 )
             proposals[target] = value
         changed = False
@@ -433,8 +423,7 @@ def compose_value(inst: SubgraphInstance, node: StateNodeDef) -> CompositeValue:
         bound = inst.bound_values.get(attr)
         if bound is None:
             raise IncompleteBindingError(
-                "attribute %r is unbound in composition of %r" % (attr, node.id),
-                attribute=attr,
+                "attribute %r is unbound in composition of %r" % (attr, node.id)
             )
         pairs.append((attr, bound.value))
         max_delay = max(max_delay, bound.delay)

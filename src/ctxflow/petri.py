@@ -205,8 +205,7 @@ def fire(net: Net, marking: Marking, transition: str) -> Marking:
     for k, need in net.pre_vectors[t]:
         if tokens.get(keys[k], 0) < need:
             raise NotEnabledError(
-                "transition %r is not enabled at this marking" % (transition,),
-                transition=transition,
+                "transition %r is not enabled at this marking" % (transition,)
             )
     for k, change in net.deltas[t]:
         tokens[keys[k]] = tokens.get(keys[k], 0) + change
@@ -382,7 +381,8 @@ def translate(model) -> Net:
     Layer-2 naming follows the Activity_i / INFO_i / ContextualEvent_i /
     Returned_i scheme with INFO_1..INFO_(n-1) between consecutive
     activities; layer 1 mirrors the context graph restricted to the state
-    nodes of activities present in the chain. Each activity's
+    nodes of activities present in the chain, with each pipeline's entity,
+    attribute and value nodes suffixed by its position. Each activity's
     substitution transition is a begin/busy/end task sequence.
     """
     model.validate()
@@ -419,33 +419,9 @@ def translate(model) -> Net:
     for i in range(1, n):
         place("INFO_%d" % i, CASE)
 
-    # Entities/attributes referenced by the pipelines, in deterministic order.
-    used_entities: List[str] = []
-    entity_attrs: Dict[str, List[str]] = {}
-    for aid in order:
-        node = graph.state_nodes.get(aid)
-        if node is None:
-            continue
-        for attr_name in sorted(graph.attributes):
-            attr = graph.attributes[attr_name]
-            if attr.entity in node.parameters:
-                if attr.entity not in used_entities:
-                    used_entities.append(attr.entity)
-                    entity_attrs[attr.entity] = []
-                if attr_name not in entity_attrs[attr.entity]:
-                    entity_attrs[attr.entity].append(attr_name)
-
-    for entity in used_entities:
-        place("Entity_%s" % entity, ENTITY)
-        transition("Attributes_%s" % entity)
-        arc("Entity_%s" % entity, "Attributes_%s" % entity, ENTITY)
-        for attr_name in entity_attrs[entity]:
-            place("A_%s" % attr_name, ATTR)
-            place("value_%s" % attr_name, ATOMIC)
-            transition("Grab_value_%s" % attr_name)
-            arc("Attributes_%s" % entity, "A_%s" % attr_name, ATTR)
-            arc("A_%s" % attr_name, "Grab_value_%s" % attr_name, ATTR)
-            arc("Grab_value_%s" % attr_name, "value_%s" % attr_name, ATOMIC)
+    attributes_of: Dict[str, List[str]] = {}
+    for name in sorted(graph.attributes):
+        attributes_of.setdefault(graph.attributes[name].entity, []).append(name)
 
     for i, aid in enumerate(order, start=1):
         upstream = "Start" if i == 1 else "INFO_%d" % (i - 1)
@@ -468,15 +444,24 @@ def translate(model) -> Net:
             arc(ce, propagate_state, STATE)
             arc(propagate_state, state_place, STATE)
 
+            # The pipeline's own entity -> attribute -> value chains, so
+            # that no other pipeline's composition can take their values.
             mapping = transition("Mapping_%d" % i)
             arc(state_place, mapping, STATE)
-            for entity in node.parameters:
-                arc(mapping, "Entity_%s" % entity, ENTITY)
-
             composition = transition("Composition_%d" % i)
             for entity in node.parameters:
-                for attr_name in entity_attrs[entity]:
-                    arc("value_%s" % attr_name, composition, ATOMIC)
+                entity_place = place("Entity_%s_%d" % (entity, i), ENTITY)
+                spread = transition("Attributes_%s_%d" % (entity, i))
+                arc(mapping, entity_place, ENTITY)
+                arc(entity_place, spread, ENTITY)
+                for attr_name in attributes_of[entity]:
+                    held = place("A_%s_%d" % (attr_name, i), ATTR)
+                    grab = transition("Grab_value_%s_%d" % (attr_name, i))
+                    value = place("value_%s_%d" % (attr_name, i), ATOMIC)
+                    arc(spread, held, ATTR)
+                    arc(held, grab, ATTR)
+                    arc(grab, value, ATOMIC)
+                    arc(value, composition, ATOMIC)
             arc(composition, value_place, COMPOSITE)
 
             propagate_v = transition("PropagateV_%d" % i)

@@ -386,50 +386,6 @@ def parse_query(text: str) -> Query:
     )
 
 
-def format_query(q: Query) -> str:
-    """Canonical concrete syntax for a query (round-trips through parse)."""
-    if q.kind == "and_by_parameter":
-        return "AND %s WHERE parameter INSTANCE_OF %s" % (q.category, q.target)
-    if q.kind == "and_cross_category":
-        return "AND CHAIN %s" % " -> ".join(q.chain)
-    if q.kind == "and_conditional":
-        return "AND %s WHERE %s" % (q.category, _format_condition(q.condition))
-    if q.kind == "or_same_instance":
-        return "OR %s WHERE instance = %s AND attribute = %s" % (
-            q.category,
-            q.instance,
-            q.attribute,
-        )
-    if q.kind == "or_same_value":
-        return "OR %s WHERE attribute = %s AND value = %s" % (
-            q.category,
-            q.attribute,
-            _format_value(q.value),
-        )
-    if q.kind == "not":
-        inner = replace(q.predicate, negated=False)
-        return "NOT %s" % inner.render()
-    if q.kind == "arith":
-        head = "ADD" if q.arith_op == "+" else "SUB"
-        return "%s %s, %s" % (head, q.operands[0].render(), q.operands[1].render())
-    raise ValueError("unknown query kind %r" % (q.kind,))
-
-
-def _format_value(v: Value) -> str:
-    if isinstance(v, str) and re.search(r"[\s=<>!(),]", v):
-        return '"%s"' % v
-    return str(v)
-
-
-def _format_condition(c: Condition) -> str:
-    if c.op in ("AND", "OR"):
-        joint = " %s " % c.op
-        return joint.join("(%s)" % _format_condition(ch) for ch in c.children)
-    if c.field == "attr":
-        return "attr %s %s %s" % (c.name, c.cmp, _format_value(c.value))
-    return "%s %s %s" % (c.field, c.cmp, _format_value(c.value))
-
-
 def _category_matches(pred: ContextPredicate, category: str) -> bool:
     return pred.category.casefold() == category.casefold()
 
@@ -549,9 +505,7 @@ def apply_arith(
     """
     for pred in (left, right):
         if isinstance(pred.value, bool) or not isinstance(pred.value, (int, float)):
-            raise IncompatibleOperandsError(
-                "non-numeric operand %s" % pred.render(), operand=pred.render()
-            )
+            raise IncompatibleOperandsError("non-numeric operand %s" % pred.render())
     if not values_equal(left.subject, right.subject) or not _category_matches(
         left, right.category
     ):

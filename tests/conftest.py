@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 import yaml
@@ -6,6 +7,9 @@ import yaml
 from ctxflow import files
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# Tests draw generated bundles from the benchmark's generator.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 
 # libyaml's loader where PyYAML has it, and always the pure-Python fallback.
 LOADERS = ([yaml.CSafeLoader] if yaml.__with_libyaml__ else []) + [yaml.SafeLoader]

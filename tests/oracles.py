@@ -8,14 +8,17 @@ that offers every situation to every activity,
 per-context classification for state diffing, subset
 enumeration for query evaluation, arc-scanning token counters for
 state-space exploration, and PyYAML's pure-Python loader and constructor
-for the document loader.
+for the document loader. The repository and query formatters invert their
+parsers, for round-trip tests; the engine itself never writes either form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter, deque
+from dataclasses import replace
 
 import yaml
 
@@ -71,6 +74,89 @@ def subgoal_oracle(repo, key):
         if entry.name == key or entry.index == key:
             return entry
     return None
+
+
+# -- formatters: the inverse of the repository and query parsers ------------
+
+
+def store_repository(repo):
+    """The document ``files.load_repository`` builds ``repo`` from."""
+    return {
+        "subgoals": [
+            {
+                "index": entry.index,
+                "name": entry.name,
+                "entries": [
+                    {
+                        "op": pattern.op,
+                        "value": [[attr, value] for attr, value in pattern.pairs],
+                        "fragment": fragment_id,
+                    }
+                    for pattern, fragment_id in entry.rows
+                ],
+            }
+            for entry in repo.subgoals
+        ],
+        "fragments": [
+            {
+                "id": frag.id,
+                "activities": [
+                    {
+                        "name": a.name,
+                        "sub_goal": a.sub_goal,
+                        "role": a.role,
+                        "medium": a.medium,
+                    }
+                    for a in frag.activities
+                ],
+            }
+            for frag in repo.fragments.values()
+        ],
+    }
+
+
+def format_query(q):
+    """Canonical concrete syntax for a query (round-trips through parse)."""
+    if q.kind == "and_by_parameter":
+        return "AND %s WHERE parameter INSTANCE_OF %s" % (q.category, q.target)
+    if q.kind == "and_cross_category":
+        return "AND CHAIN %s" % " -> ".join(q.chain)
+    if q.kind == "and_conditional":
+        return "AND %s WHERE %s" % (q.category, _format_condition(q.condition))
+    if q.kind == "or_same_instance":
+        return "OR %s WHERE instance = %s AND attribute = %s" % (
+            q.category,
+            q.instance,
+            q.attribute,
+        )
+    if q.kind == "or_same_value":
+        return "OR %s WHERE attribute = %s AND value = %s" % (
+            q.category,
+            q.attribute,
+            _format_value(q.value),
+        )
+    if q.kind == "not":
+        inner = replace(q.predicate, negated=False)
+        return "NOT %s" % inner.render()
+    if q.kind == "arith":
+        head = "ADD" if q.arith_op == "+" else "SUB"
+        return "%s %s, %s" % (head, q.operands[0].render(), q.operands[1].render())
+    raise ValueError("unknown query kind %r" % (q.kind,))
+
+
+def _format_value(v):
+    if isinstance(v, str) and re.search(r"[\s=<>!(),]", v):
+        return '"%s"' % v
+    return str(v)
+
+
+def _format_condition(c):
+    if c.op in ("AND", "OR"):
+        joint = " %s " % c.op
+        return joint.join("(%s)" % _format_condition(ch) for ch in c.children)
+    if c.field == "attr":
+        return "attr %s %s %s" % (c.name, c.cmp, _format_value(c.value))
+    return "%s %s %s" % (c.field, c.cmp, _format_value(c.value))
 
 
 # -- rescanning oracle for the runner's walk ---------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from ctxflow.context import (
     AtomicContext,
     ContextState,
-    ContextVector,
     ContextualSituation,
     ScopeFilter,
     catch_context,
@@ -26,11 +25,6 @@ def ctx(parameter, attribute, value, **kw):
 class TestAtomicContext:
     def test_qualified_name(self):
         assert ctx("Weather", "Status", "Sunny").qualified == "Weather.Status"
-
-    def test_key_includes_instance(self):
-        a = ctx("Network", "Connectivity", "Poor", instance="BSNL_Network")
-        b = ctx("Network", "Connectivity", "Poor", instance="Reliance_Network")
-        assert a.key != b.key
 
     def test_rejects_unknown_connector(self):
         with pytest.raises(ValueError):
@@ -54,20 +48,6 @@ class TestValueNormalization:
 
     def test_bool_is_not_number(self):
         assert normalize_value(True) != normalize_value(1)
-
-
-class TestContextVector:
-    def test_duplicate_keys_rejected(self):
-        a = ctx("Weather", "Status", "Sunny")
-        with pytest.raises(ValueError):
-            ContextVector((a, a), timestamp=0)
-
-    def test_distinct_instances_allowed(self):
-        pair = (
-            ctx("Network", "Connectivity", "Poor", instance="BSNL_Network"),
-            ctx("Network", "Connectivity", "Average", instance="Reliance_Network"),
-        )
-        assert len(ContextVector(pair, timestamp=0).contexts) == 2
 
 
 class TestContextualSituation:

@@ -9,7 +9,6 @@ import yaml
 from ctxflow.cli import main
 from ctxflow.errors import LoadError
 from ctxflow.files import (
-    format_time,
     load_bundle,
     load_document,
     load_scenario,
@@ -41,9 +40,8 @@ class TestParseTime:
         with pytest.raises(LoadError):
             parse_time(bad)
 
-    def test_format_round_trip(self):
-        assert format_time(840) == "14:00"
-        assert parse_time(format_time(660)) == 660
+    def test_clock_text_gives_minutes(self):
+        assert parse_time("11:00") == 660
 
 
 class TestDocumentEnvelope:

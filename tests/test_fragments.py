@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxflow.errors import LoadError, UnknownSubgoalError
-from ctxflow.files import load_repository, store_repository
+from ctxflow.files import load_repository
 from ctxflow.fragments import (
     FragmentActivity,
     FragmentRepository,
@@ -64,7 +64,7 @@ def document():
 class TestLoading:
     def test_round_trip(self):
         repo = load_repository(document())
-        again = load_repository(store_repository(repo))
+        again = load_repository(oracles.store_repository(repo))
         assert [s.name for s in again.subgoals] == ["Registration", "Treatment"]
         assert set(again.fragments) == {"transfer_fragment", "home_care"}
 

@@ -350,7 +350,7 @@ class TestComposeValue:
         )
         assert value.max_delay == 0
         timed = TimedValue("v", 30)
-        assert not timed.untimed
+        assert timed.delay == 30
 
     def test_pattern_matching_is_order_insensitive(self):
         a = composite_from_pairs([("A.x", "1"), ("B.y", "2")])

@@ -1,4 +1,5 @@
-"""No module under ``src/`` or ``tests/`` imports a name it never uses.
+"""No module under ``src/`` or ``tests/`` imports a name it never uses, and
+the engine defines no function or class that only its tests name.
 
 A name counts as used when it is read anywhere in the module, including
 inside a string annotation, or listed in ``__all__``.
@@ -6,6 +7,8 @@ inside a string annotation, or listed in ``__all__``.
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 import pytest
 
@@ -75,3 +78,73 @@ def test_unused_import_is_found():
 )
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# -- definitions that nothing in the engine or the bench names ---------------
+
+ENGINE = sorted((ROOT / "src" / "ctxflow").glob("*.py"))
+SHIPPED = sorted(path for top in ("src", "bench") for path in (ROOT / top).rglob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
+
+
+def names_in(node):
+    """Every identifier ``node`` names: names read, attributes, imported
+    names, and each part of a string that is a dotted name (the bench hooks
+    name what they wrap as ``"Class.method"`` strings)."""
+    found = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            found[child.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            if DOTTED.match(child.value):
+                found.update(child.value.split("."))
+    return found
+
+
+def unnamed_definitions(definers, sources):
+    """``(module, name)`` of each module-level function or class in
+    ``definers`` that no source in ``sources`` names outside its own body.
+
+    Both arguments map a module name to its source text.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    named = Counter()
+    for tree in trees.values():
+        named.update(names_in(tree))
+    unnamed = []
+    for module in definers:
+        for node in trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if named[node.name] == names_in(node)[node.name]:
+                    unnamed.append((module, node.name))
+    return unnamed
+
+
+def test_unnamed_definition_is_found():
+    sources = {
+        "engine": (
+            "def called(): return 1\n"
+            "def hooked(): return 2\n"
+            "def recursive(n): return recursive(n - 1) if n else 0\n"
+            "class Unused: pass\n"
+            "x = called()\n"
+        ),
+        "bench": 'HOOKS = [("engine", "hooked")]\n',
+    }
+    assert unnamed_definitions(["engine"], sources) == [
+        ("engine", "recursive"),
+        ("engine", "Unused"),
+    ]
+
+
+def test_engine_defines_nothing_only_tests_name():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in SHIPPED
+    }
+    definers = [str(path.relative_to(ROOT)) for path in ENGINE]
+    assert unnamed_definitions(definers, sources) == []

@@ -1,9 +1,16 @@
 """Tests for the colored-token net translation and state-space analysis."""
 
+import dataclasses
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxflow import cli
 from ctxflow.chain import ActivityChain, ActivityNode, ProcessModel
 from ctxflow.errors import NotEnabledError, PartialSpaceError
 from ctxflow.files import load_bundle
@@ -26,6 +33,7 @@ from ctxflow.petri import (
     translate,
 )
 
+from bundlegen import Shape, chain_state_space, generate
 from oracles import enabled_oracle, explore_oracle, fire_oracle
 
 
@@ -200,9 +208,12 @@ class TestTranslation:
         places = set(kiosk_net.places)
         assert {"State_%d" % i for i in range(1, 6)} <= places
         assert {"VALUE_%d" % i for i in range(1, 6)} <= places
-        assert "Entity_Weather" in places
-        assert "A_Weather.Status" in places
-        assert "value_Weather.Status" in places
+        # Each pipeline has its own entity chain, suffixed with its position.
+        assert "Entity_Weather_4" in places
+        assert "A_Weather.Status_4" in places
+        assert "value_Weather.Status_4" in places
+        assert {"Entity_Network_4", "Entity_Network_5"} <= places
+        assert {"value_Network.Status_4", "value_Network.Status_5"} <= places
         transitions = set(kiosk_net.transitions)
         for i in range(1, 6):
             assert "catchContext_%d" % i in transitions
@@ -211,8 +222,20 @@ class TestTranslation:
             assert "Composition_%d" % i in transitions
             assert "PropagateV_%d" % i in transitions
             assert "throwActivity_%d" % i in transitions
-        assert "Attributes_Network" in transitions
-        assert "Grab_value_Network.Status" in transitions
+        assert "Attributes_Network_4" in transitions
+        assert "Attributes_Network_5" in transitions
+        assert "Grab_value_Network.Status_4" in transitions
+        assert "Grab_value_Network.Status_5" in transitions
+
+    def test_each_value_feeds_its_own_composition(self, kiosk_net):
+        # Storage in Cloud (4) and Bill Payment (5) both read Network.Status.
+        readers = {}
+        for a in kiosk_net.arcs:
+            if a.source.startswith("value_"):
+                readers.setdefault(a.source, []).append(a.target)
+        assert readers
+        for value, targets in readers.items():
+            assert targets == ["Composition_" + value.rsplit("_", 1)[1]]
 
     def test_initial_marking_start_and_situation(self, kiosk_net):
         tokens = dict(
@@ -236,12 +259,11 @@ class TestTranslation:
 
     def test_goal_witness_exercises_every_transition(self, kiosk_net):
         # The generated net is choice-free: the witness to the goal fires
-        # every transition (entity fan-out shared between pipelines may
-        # fire more than once).
+        # every transition exactly once.
         space = explore(kiosk_net)
         ok, witness = check_reachable(space, goal_marking(kiosk_net))
         assert ok
-        assert set(witness) == set(kiosk_net.transitions)
+        assert sorted(witness) == sorted(kiosk_net.transitions)
 
 
 # -- the compiled explorer against the arc-scanning oracle ------------------
@@ -355,3 +377,52 @@ def test_random_nets_match_oracle(net, limit):
                     fire(net, marking, name)
             else:
                 assert fire(net, marking, name) == expected
+
+
+# -- pipelines that share entities ------------------------------------------
+
+
+@st.composite
+def shared_shapes(draw):
+    activities = draw(st.integers(1, 6))
+    entities = draw(st.integers(1, activities))
+    return Shape(activities=activities, entities=entities, situations=1)
+
+
+@given(shape=shared_shapes(), seed=st.integers(0, 9))
+@settings(max_examples=40, deadline=None)
+def test_shared_entities_verify_like_a_chain(shape, seed):
+    # Each pipeline has its own entity chain, so activities that share an
+    # entity give the net of activities on entities of their own.
+    n = shape.activities
+    markings, arcs = chain_state_space(n)
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, redirect_stdout(stdout):
+        bundle, _ = generate(shape, seed, out)
+        code = cli.main(["verify", str(bundle), "--limit", str(markings + 1)])
+    report = json.loads(stdout.getvalue())
+    assert code == 0
+    assert (
+        report["verdict"], report["markings"], report["arcs"], report["witness_length"]
+    ) == ("pass", markings, arcs, 10 * n)
+
+
+def test_kiosk_pipelines_sharing_every_attribute(kiosk_bundle):
+    # Storage in Cloud and Bill Payment both read Network.Status and nothing
+    # else, so neither composition has a value that only it can take.
+    model = load_bundle(kiosk_bundle).model
+    nodes = dict(model.graph.state_nodes)
+    for aid in ("Storage in Cloud", "Bill Payment"):
+        nodes[aid] = StateNodeDef(aid, ("Network",), ("Network.Status",))
+    graph = dataclasses.replace(model.graph, state_nodes=nodes)
+    net = translate(dataclasses.replace(model, graph=graph))
+    space = explore(net, limit=10000)
+    assert not space.partial
+    assert check_bounded(space, k=1, net=net).bounded
+    goal = goal_marking(net)
+    liveness = check_liveness(space, net)
+    assert liveness.dead_transitions == ()
+    assert liveness.dead_markings == (goal,)
+    ok, witness = check_reachable(space, goal)
+    assert ok and sorted(witness) == sorted(net.transitions)
+    assert check_home(space, goal)

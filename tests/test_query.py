@@ -12,11 +12,10 @@ from ctxflow.query import (
     QueryResult,
     apply_arith,
     evaluate,
-    format_query,
     parse_query,
 )
 
-from oracles import query_oracle
+from oracles import format_query, query_oracle
 
 
 def pred(category, subject, attribute, value, connector="=", instance_of=None):

@@ -7,7 +7,6 @@ libyaml's parser and the one-pass builder of ``files._located``. The mutated
 kiosk documents are compared in ``test_loader_mutations.py``.
 """
 
-import sys
 import tempfile
 from pathlib import Path
 
@@ -15,10 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-
-from bundlegen import ACTIONS, Shape, generate  # noqa: E402
-from oracles import parsed_alike  # noqa: E402
+from bundlegen import ACTIONS, Shape, generate
+from oracles import parsed_alike
 
 pytestmark = pytest.mark.usefixtures("loader")
 
