@@ -246,6 +246,17 @@ def _texts(spec: dict, key: str, where: str) -> list:
     return items
 
 
+def _distinct_texts(spec: dict, key: str, where: str, noun: str) -> list:
+    """``_texts``, unless one item repeats an earlier one."""
+    items = _texts(spec, key, where)
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise _error(where, "duplicate %s %r" % (noun, item))
+        seen.add(item)
+    return items
+
+
 def _count(spec: dict, key: str, where: str) -> int:
     value = spec.get(key, 0)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -420,8 +431,8 @@ def _graph(doc: dict) -> ContextGraph:
         nodes.append(
             StateNodeDef(
                 id=_text(spec, "id", where),
-                parameters=tuple(_texts(spec, "parameters", where)),
-                attributes=tuple(_texts(spec, "attributes", where)),
+                parameters=tuple(_distinct_texts(spec, "parameters", where, "parameter")),
+                attributes=tuple(_distinct_texts(spec, "attributes", where, "attribute")),
                 composition=(
                     _composition(spec["composition"], where)
                     if "composition" in spec
@@ -443,6 +454,16 @@ def _graph(doc: dict) -> ContextGraph:
         raise LoadError("context graph has findings:\n" + "\n".join(
             "%s: %s" % (f.code, f.message) for f in findings
         ))
+    # The net gives a parameter's entity a step that hands out its
+    # attributes, which needs at least one.
+    described = {attribute.entity for attribute in attributes}
+    for i, node in enumerate(nodes):
+        for parameter in node.parameters:
+            if parameter not in described:
+                raise _error(
+                    "state node %d" % i,
+                    "parameter %r names an entity with no attributes" % (parameter,),
+                )
     return graph
 
 

@@ -36,12 +36,10 @@ def execution_time(p: CostParams) -> float:
 
 def structural_metrics(model, base_activity_count: int,
                        base_split_branches: int = 0) -> Dict[str, int]:
-    """Extra-activity, extra-gateway, extra-control-path and CFC figures.
+    """Extra-activity, extra-control-path and CFC figures.
 
     ``noa_extra`` counts activities beyond the baseline chain (zero in the
-    ideal state). ``noac_extra`` additionally counts gateway-bearing
-    additions; adaptation never introduces gateways, so it equals
-    ``noa_extra``. ``mcc_extra`` measures the control paths added by the
+    ideal state). ``mcc_extra`` measures the control paths added by the
     contextual-event wiring: n events plus n event-to-activity transfers give
     E' - N' + 2 = 2 regardless of n. ``cfc`` is the base model's
     split-branch count, unchanged by adaptation.
@@ -54,7 +52,6 @@ def structural_metrics(model, base_activity_count: int,
     return {
         "n": n,
         "noa_extra": noa_extra,
-        "noac_extra": noa_extra,
         "mcc_extra": 2,
         "cfc": base_split_branches,
     }

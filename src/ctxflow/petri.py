@@ -52,6 +52,9 @@ class Arc:
 
 # Per transition, (key index, count) pairs in key order.
 Vector = Tuple[Tuple[int, int], ...]
+# Per transition and key it consumes or changes, in key order:
+# ((place, label), place, label, tokens needed, net change).
+Moves = Tuple[Tuple[Tuple[str, str], str, str, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,9 @@ class Net:
     For the transition at position i of ``transitions``, ``pre_vectors[i]``
     is what it consumes, ``deltas[i]`` its non-zero net effect, and
     ``affected[i]`` the transitions that consume a key its delta changes:
-    the only ones whose enabling can change when it fires.
+    the only ones whose enabling can change when it fires. ``moves[i]``
+    holds the same need and change per key, named, for ``fire`` to merge
+    with a marking.
     """
 
     places: Mapping[str, Place]
@@ -76,6 +81,7 @@ class Net:
     pre_vectors: Tuple[Vector, ...] = field(init=False, repr=False, compare=False)
     deltas: Tuple[Vector, ...] = field(init=False, repr=False, compare=False)
     affected: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    moves: Tuple[Moves, ...] = field(init=False, repr=False, compare=False)
     _inputs: Mapping[str, Counter] = field(init=False, repr=False, compare=False)
     _outputs: Mapping[str, Counter] = field(init=False, repr=False, compare=False)
 
@@ -128,11 +134,15 @@ class Net:
         keys = tuple(sorted(set().union(*pres, *posts)))
         index = {key: k for k, key in enumerate(keys)}
         deltas = []
+        moves = []
         for pre, post in zip(pres, posts):
-            post.subtract(pre)
+            post.subtract(pre)  # now the change of every key pre or post names
             deltas.append(tuple(sorted(
                 (index[key], change) for key, change in post.items() if change
             )))
+            moves.append(tuple(
+                (key, key[0], key[1], pre[key], post[key]) for key in sorted(post)
+            ))
         pre_vectors = tuple(
             tuple(sorted((index[key], need) for key, need in pre.items()))
             for pre in pres
@@ -152,6 +162,7 @@ class Net:
             ("pre_vectors", pre_vectors),
             ("deltas", tuple(deltas)),
             ("affected", affected),
+            ("moves", tuple(moves)),
         ):
             object.__setattr__(self, attribute, value)
 
@@ -196,27 +207,52 @@ def enabled(net: Net, marking: Marking) -> List[str]:
 
 
 def fire(net: Net, marking: Marking, transition: str) -> Marking:
-    """Consume the input tokens of ``transition`` and produce its outputs."""
+    """Consume the input tokens of ``transition`` and produce its outputs.
+
+    ``marking`` is canonical, so its entries are in key order, as the
+    transition's moves are: one walk over both, in step, copies the
+    entries no move touches and rewrites those it does.
+    """
     t = net.transition_index.get(transition)
     if t is None:
         raise NotEnabledError("unknown transition %r" % (transition,))
-    keys = net.keys
-    tokens = {(place, label): count for place, label, count in marking}
-    for k, need in net.pre_vectors[t]:
-        if tokens.get(keys[k], 0) < need:
+    result = []
+    i, n = 0, len(marking)
+    for key, place, label, need, change in net.moves[t]:
+        # An entry sorts before a key when its (place, label) does: an
+        # entry under the key itself sorts after it, being longer.
+        while i < n and marking[i] < key:
+            result.append(marking[i])
+            i += 1
+        if i < n and marking[i][0] == place and marking[i][1] == label:
+            have = marking[i][2]
+            i += 1
+        else:
+            have = 0
+        if have < need:
             raise NotEnabledError(
                 "transition %r is not enabled at this marking" % (transition,)
             )
-    for k, change in net.deltas[t]:
-        tokens[keys[k]] = tokens.get(keys[k], 0) + change
-    return make_marking(tokens)
+        if have + change:
+            result.append((place, label, have + change))
+    result += marking[i:]
+    return tuple(result)
 
 
 @dataclass
 class StateSpace:
+    """The explored markings and arcs.
+
+    ``successors`` maps each expanded marking to its (transition, successor)
+    arcs, in ``arcs`` order; a dead marking maps to ``[]``. A partial space
+    lacks the markings left unexpanded, and the last one expanded may lack
+    some of its arcs, as ``arcs`` does.
+    """
+
     initial: Marking
     nodes: Set[Marking] = field(default_factory=set)
     arcs: List[Tuple[Marking, str, Marking]] = field(default_factory=list)
+    successors: Dict[Marking, List[Tuple[str, Marking]]] = field(default_factory=dict)
     partial: bool = False
 
     @property
@@ -237,7 +273,8 @@ def explore(net: Net, initial: Optional[Marking] = None, limit: int = 100000) ->
     rule. Each marking waiting in the frontier also carries its integer
     marking and its enabled transitions; after a firing, only the
     transitions in ``net.affected`` of the fired one are rechecked.
-    Every distinct marking is one object, shared by ``nodes`` and ``arcs``.
+    Every distinct marking is one object, shared by ``nodes``, ``arcs`` and
+    ``successors``, which records each marking's arcs as it is expanded.
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
@@ -245,11 +282,13 @@ def explore(net: Net, initial: Optional[Marking] = None, limit: int = 100000) ->
     space = StateSpace(initial=m0)
     names = tuple(net.transitions)
     pre_vectors, deltas, affected = net.pre_vectors, net.deltas, net.affected
+    arcs, successors = space.arcs, space.successors
     canonical = {m0: m0}
     state = net.state(m0)
     frontier = deque([(m0, state, net.enabled_at(state))])
     while frontier and not space.partial:
         marking, state, live = frontier.popleft()
+        successors[marking] = out = []
         for t in live:
             name = names[t]
             successor = fire(net, marking, name)
@@ -270,7 +309,8 @@ def explore(net: Net, initial: Optional[Marking] = None, limit: int = 100000) ->
                 ]
                 now.sort()
                 frontier.append((successor, after, now))
-            space.arcs.append((marking, name, known))
+            arcs.append((marking, name, known))
+            out.append((name, known))
     space.nodes.update(canonical)
     return space
 
@@ -295,12 +335,19 @@ def check_bounded(space: StateSpace, k: int = 1, net: Optional[Net] = None) -> B
     bounds: Dict[str, int] = {}
     if net is not None:
         bounds.update({p: 0 for p in net.places})
+    get = bounds.get
     for marking in space.nodes:
-        per_place: Dict[str, int] = {}
-        for place, label, count in marking:
-            per_place[place] = per_place.get(place, 0) + count
-        for place, total in per_place.items():
-            bounds[place] = max(bounds.get(place, 0), total)
+        # A canonical marking lists each place's entries together.
+        place, total = None, 0
+        for p, _, count in marking:
+            if p == place:
+                total += count
+                continue
+            if place is not None and total > get(place, -1):
+                bounds[place] = total
+            place, total = p, count
+        if place is not None and total > get(place, -1):
+            bounds[place] = total
     return BoundednessReport(bounds, k)
 
 
@@ -316,8 +363,7 @@ def check_liveness(space: StateSpace, net: Net) -> LivenessReport:
         raise PartialSpaceError("liveness needs an exact state space")
     fired = Counter(t for _, t, _ in space.arcs)
     dead_transitions = tuple(sorted(t for t in net.transitions if fired[t] == 0))
-    sources = {m for m, _, _ in space.arcs}
-    dead_markings = tuple(sorted(m for m in space.nodes if m not in sources))
+    dead_markings = tuple(sorted(m for m, out in space.successors.items() if not out))
     return LivenessReport(dead_transitions, dead_markings, dict(fired))
 
 
@@ -327,9 +373,7 @@ def check_reachable(space: StateSpace, goal) -> Tuple[bool, List[str]]:
     ``goal`` is either a marking or a predicate over markings.
     """
     predicate = goal if callable(goal) else (lambda m: m == goal)
-    adjacency: Dict[Marking, List[Tuple[str, Marking]]] = {}
-    for src, t, dst in space.arcs:
-        adjacency.setdefault(src, []).append((t, dst))
+    successors = space.successors
     seen = {space.initial: None}
     frontier = deque([space.initial])
     while frontier:
@@ -342,7 +386,7 @@ def check_reachable(space: StateSpace, goal) -> Tuple[bool, List[str]]:
                 path.append(t)
                 cursor = prev
             return True, list(reversed(path))
-        for t, dst in sorted(adjacency.get(marking, [])):
+        for t, dst in sorted(successors.get(marking, ())):
             if dst not in seen:
                 seen[dst] = (marking, t)
                 frontier.append(dst)
@@ -354,8 +398,9 @@ def check_home(space: StateSpace, marking: Marking) -> bool:
     if space.partial:
         raise PartialSpaceError("home property needs an exact state space")
     reverse: Dict[Marking, List[Marking]] = {}
-    for src, _, dst in space.arcs:
-        reverse.setdefault(dst, []).append(src)
+    for src, out in space.successors.items():
+        for _, dst in out:
+            reverse.setdefault(dst, []).append(src)
     reached = {marking}
     frontier = deque([marking])
     while frontier:

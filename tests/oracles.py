@@ -7,7 +7,8 @@ step, a runner that checks the whole chain after every rewrite, a runner
 that offers every situation to every activity,
 per-context classification for state diffing, subset
 enumeration for query evaluation, arc-scanning token counters for
-state-space exploration, and PyYAML's pure-Python loader and constructor
+state-space exploration, a dict-and-sort firing rule and property checks
+that rebuild their maps from the arc list, and PyYAML's pure-Python loader and constructor
 for the document loader. The repository and query formatters invert their
 parsers, for round-trip tests; the engine itself never writes either form.
 """
@@ -24,8 +25,8 @@ import yaml
 
 from ctxflow import chain as chain_mod
 from ctxflow import files
-from ctxflow.errors import NotEnabledError
-from ctxflow.petri import StateSpace, make_marking
+from ctxflow.errors import NotEnabledError, PartialSpaceError
+from ctxflow.petri import BoundednessReport, LivenessReport, StateSpace, make_marking
 
 
 # -- pure-Python YAML loader ------------------------------------------------
@@ -432,6 +433,7 @@ def explore_oracle(net, initial=None, limit=100000):
     frontier = deque([m0])
     while frontier:
         marking = frontier.popleft()
+        space.successors[marking] = []
         for transition in enabled_oracle(net, marking):
             successor = fire_oracle(net, marking, transition)
             if successor not in space.nodes:
@@ -441,4 +443,87 @@ def explore_oracle(net, initial=None, limit=100000):
                 space.nodes.add(successor)
                 frontier.append(successor)
             space.arcs.append((marking, transition, successor))
+            space.successors[marking].append((transition, successor))
     return space
+
+
+# -- dict-and-sort firing and arc-scanning property checks ------------------
+
+
+def fire_by_sort_oracle(net, marking, transition):
+    """``fire`` through a dict of the marking's tokens, sorted back."""
+    t = net.transition_index.get(transition)
+    if t is None:
+        raise NotEnabledError("unknown transition %r" % (transition,))
+    keys = net.keys
+    tokens = {(place, label): count for place, label, count in marking}
+    for k, need in net.pre_vectors[t]:
+        if tokens.get(keys[k], 0) < need:
+            raise NotEnabledError("transition %r is not enabled" % (transition,))
+    for k, change in net.deltas[t]:
+        tokens[keys[k]] = tokens.get(keys[k], 0) + change
+    return make_marking(tokens)
+
+
+def check_bounded_oracle(space, k=1, net=None):
+    bounds = {}
+    if net is not None:
+        bounds.update({p: 0 for p in net.places})
+    for marking in space.nodes:
+        per_place = {}
+        for place, label, count in marking:
+            per_place[place] = per_place.get(place, 0) + count
+        for place, total in per_place.items():
+            bounds[place] = max(bounds.get(place, 0), total)
+    return BoundednessReport(bounds, k)
+
+
+def check_liveness_oracle(space, net):
+    if space.partial:
+        raise PartialSpaceError("liveness needs an exact state space")
+    fired = Counter(t for _, t, _ in space.arcs)
+    dead_transitions = tuple(sorted(t for t in net.transitions if fired[t] == 0))
+    sources = {m for m, _, _ in space.arcs}
+    dead_markings = tuple(sorted(m for m in space.nodes if m not in sources))
+    return LivenessReport(dead_transitions, dead_markings, dict(fired))
+
+
+def check_reachable_oracle(space, goal):
+    predicate = goal if callable(goal) else (lambda m: m == goal)
+    adjacency = {}
+    for src, t, dst in space.arcs:
+        adjacency.setdefault(src, []).append((t, dst))
+    seen = {space.initial: None}
+    frontier = deque([space.initial])
+    while frontier:
+        marking = frontier.popleft()
+        if predicate(marking):
+            path = []
+            cursor = marking
+            while seen[cursor] is not None:
+                prev, t = seen[cursor]
+                path.append(t)
+                cursor = prev
+            return True, list(reversed(path))
+        for t, dst in sorted(adjacency.get(marking, [])):
+            if dst not in seen:
+                seen[dst] = (marking, t)
+                frontier.append(dst)
+    return False, []
+
+
+def check_home_oracle(space, marking):
+    if space.partial:
+        raise PartialSpaceError("home property needs an exact state space")
+    reverse = {}
+    for src, _, dst in space.arcs:
+        reverse.setdefault(dst, []).append(src)
+    reached = {marking}
+    frontier = deque([marking])
+    while frontier:
+        cursor = frontier.popleft()
+        for prev in reverse.get(cursor, []):
+            if prev not in reached:
+                reached.add(prev)
+                frontier.append(prev)
+    return space.nodes <= reached

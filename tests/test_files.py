@@ -226,6 +226,62 @@ class TestBundleLoading:
         assert node.composition.items == (inner, inner)
         assert inner.op == "OR"
 
+    @pytest.mark.parametrize("command", ["validate", "run", "verify"])
+    @pytest.mark.parametrize(
+        "entity, links, problem",
+        [
+            (
+                "  - {name: Ghost}\n",
+                ("[Network, Online_Payment]", "[Network, Online_Payment, Ghost]"),
+                "parameter 'Ghost' names an entity with no attributes",
+            ),
+            (
+                "",
+                ("[Network, Online_Payment]", "[Network, Online_Payment, Network]"),
+                "duplicate parameter 'Network'",
+            ),
+            (
+                "",
+                (
+                    "[Network.Status, Online_Payment.Status]",
+                    "[Network.Status, Online_Payment.Status, Network.Status]",
+                ),
+                "duplicate attribute 'Network.Status'",
+            ),
+        ],
+        ids=["attribute-less-entity", "repeated-parameter", "repeated-attribute"],
+    )
+    def test_state_node_the_net_cannot_mirror_is_a_load_error(
+        self, tmp_path, kiosk_dir, capsys, command, entity, links, problem
+    ):
+        # Bill Payment, the last state node, is the only one to read these.
+        old, new = links
+        graph = (kiosk_dir / "graph.yaml").read_text()
+        assert graph.count(old) == 1
+        graph = graph.replace(old, new)
+        graph = graph.replace("\nattributes:\n", "\n" + entity + "\nattributes:\n", 1)
+        self._kiosk_with_graph(tmp_path, kiosk_dir, graph)
+        assert main([command, str(tmp_path / "bundle.yaml")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "invalid: %s: state node 4: %s\n" % (tmp_path / "graph.yaml", problem)
+        assert "Traceback" not in out + err
+
+    def test_attribute_less_entity_no_state_node_names_loads(
+        self, tmp_path, kiosk_dir, capsys
+    ):
+        graph = (kiosk_dir / "graph.yaml").read_text()
+        graph = graph.replace("\nattributes:\n", "\n  - {name: Ghost}\n\nattributes:\n", 1)
+        self._kiosk_with_graph(tmp_path, kiosk_dir, graph)
+        assert "Ghost" in load_bundle(tmp_path / "bundle.yaml").graph.entities
+        assert main(["verify", str(tmp_path / "bundle.yaml")]) == 0
+        assert '"verdict": "pass"' in capsys.readouterr().out
+
+    @staticmethod
+    def _kiosk_with_graph(tmp_path, kiosk_dir, graph):
+        for name in ("bundle.yaml", "model.yaml", "repo.yaml", "scenario.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        (tmp_path / "graph.yaml").write_text(graph)
+
     def test_rule_with_unknown_fragment_rejected(self, tmp_path, kiosk_dir):
         for name in ("graph.yaml", "repo.yaml", "scenario.yaml", "bundle.yaml"):
             (tmp_path / name).write_text((kiosk_dir / name).read_text())

@@ -34,7 +34,16 @@ from ctxflow.petri import (
 )
 
 from bundlegen import Shape, chain_state_space, generate
-from oracles import enabled_oracle, explore_oracle, fire_oracle
+from oracles import (
+    check_bounded_oracle,
+    check_home_oracle,
+    check_liveness_oracle,
+    check_reachable_oracle,
+    enabled_oracle,
+    explore_oracle,
+    fire_by_sort_oracle,
+    fire_oracle,
+)
 
 
 def two_step_net():
@@ -288,7 +297,54 @@ def assert_same_space(net, initial=None, limit=100000):
     assert space.nodes == expected.nodes
     assert space.arcs == expected.arcs
     assert space.partial == expected.partial
+    assert space.successors == expected.successors
+    assert_successor_index(space)
     return space
+
+
+def assert_successor_index(space):
+    """``successors`` holds ``arcs`` grouped by source, in order, and maps
+    every marking of an exact space, a dead one to ``[]``."""
+    grouped = {}
+    for src, t, dst in space.arcs:
+        grouped.setdefault(src, []).append((t, dst))
+    assert {m: out for m, out in space.successors.items() if out} == grouped
+    assert set(space.successors) <= space.nodes
+    if not space.partial:
+        assert set(space.successors) == space.nodes
+
+
+def assert_checks_match_oracles(space, net):
+    """Every property check reports what its arc-scanning oracle does, down
+    to the order of the places in ``bounds``."""
+    for over in (net, None):
+        bounds = check_bounded(space, k=1, net=over)
+        expected = check_bounded_oracle(space, k=1, net=over)
+        assert list(bounds.bounds.items()) == list(expected.bounds.items())
+        assert bounds.violations() == expected.violations()
+    goal = goal_marking(net)
+    targets = [goal, net.initial_marking, make_marking({("nowhere", "x"): 1})]
+    targets += sorted(space.nodes)[:3]
+    for target in targets:
+        assert check_reachable(space, target) == check_reachable_oracle(space, target)
+    emptier = lambda m: len(m) < len(space.initial)  # noqa: E731
+    assert check_reachable(space, emptier) == check_reachable_oracle(space, emptier)
+    if space.partial:
+        for check, oracle, arg in (
+            (check_liveness, check_liveness_oracle, net),
+            (check_home, check_home_oracle, goal),
+        ):
+            with pytest.raises(PartialSpaceError):
+                check(space, arg)
+            with pytest.raises(PartialSpaceError):
+                oracle(space, arg)
+        return
+    liveness = check_liveness(space, net)
+    expected = check_liveness_oracle(space, net)
+    assert liveness == expected
+    assert list(liveness.occurrence_counts) == list(expected.occurrence_counts)
+    for target in targets:
+        assert check_home(space, target) == check_home_oracle(space, target)
 
 
 def assert_shared_objects(space):
@@ -312,12 +368,37 @@ class TestExplorerMatchesOracle:
             space = assert_same_space(kiosk_net, limit=limit)
         assert space.partial == (limit is not None and limit < 343)
         assert_shared_objects(space)
+        assert_checks_match_oracles(space, kiosk_net)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_translated_chains(self, n):
         net = translate(chain_model(n))
         space = assert_same_space(net)
         assert (space.node_count, space.arc_count) == (8 * n * n + 2 * n + 1, 16 * n * n - 6 * n)
+        assert_checks_match_oracles(space, net)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [Shape(activities=n) for n in range(1, 7)]
+        + [Shape(activities=a, entities=e, situations=1) for a, e in ((2, 1), (4, 2), (9, 8))],
+        ids=lambda shape: "%d/%d" % (shape.activities, shape.entities),
+    )
+    def test_generated_bundles(self, shape, tmp_path):
+        bundle, _ = generate(shape, 1, tmp_path)
+        net = translate(load_bundle(bundle).model)
+        markings, arcs = chain_state_space(shape.activities)
+        if markings <= 400:
+            space = assert_same_space(net)
+        else:
+            space = explore(net)
+            assert_successor_index(space)
+        assert (space.node_count, space.arc_count) == (markings, arcs)
+        assert_checks_match_oracles(space, net)
+        for limit in (1, markings // 2):
+            partial = explore(net, limit=limit)
+            assert partial.partial
+            assert_successor_index(partial)
+            assert_checks_match_oracles(partial, net)
 
     def test_tokens_off_the_net_are_carried_through(self):
         net = two_step_net()
@@ -362,21 +443,41 @@ def small_nets(draw):
     return Net(places, transitions, tuple(arcs), make_marking(tokens))
 
 
+def assert_fire_matches_oracles(net, marking):
+    for name in list(net.transitions) + ["nope"]:
+        outcomes = []
+        for step in (fire, fire_oracle, fire_by_sort_oracle):
+            try:
+                outcomes.append(step(net, marking, name))
+            except NotEnabledError:
+                outcomes.append(NotEnabledError)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
 @given(net=small_nets(), limit=st.integers(1, 60))
 @settings(max_examples=300, deadline=None)
 def test_random_nets_match_oracle(net, limit):
     space = assert_same_space(net, limit=limit)
     assert_shared_objects(space)
+    assert_checks_match_oracles(space, net)
     for marking in list(space.nodes)[:10]:
         assert enabled(net, marking) == enabled_oracle(net, marking)
-        for name in net.transitions:
-            try:
-                expected = fire_oracle(net, marking, name)
-            except NotEnabledError:
-                with pytest.raises(NotEnabledError):
-                    fire(net, marking, name)
-            else:
-                assert fire(net, marking, name) == expected
+        assert_fire_matches_oracles(net, marking)
+
+
+@given(net=small_nets(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fire_matches_oracles_on_any_marking(net, data):
+    # Any canonical marking, reachable or not: several labels on one place,
+    # tokens on ``idle``, which no arc touches, and on ``ghost``, which the
+    # net lacks, whose entries sort before, between and after the net's.
+    places = sorted(net.places) + ["ghost", "a_first", "zz_last"]
+    tokens = data.draw(st.dictionaries(
+        st.tuples(st.sampled_from(places), st.sampled_from(LABELS)),
+        st.integers(0, 3),
+        max_size=8,
+    ))
+    assert_fire_matches_oracles(net, make_marking(tokens))
 
 
 # -- pipelines that share entities ------------------------------------------

@@ -31,7 +31,8 @@ SCENARIO_WEATHER = (
 )
 
 # (document, text to replace, replacement, README's quote, what validate
-# prints after "invalid: " when that is not "kiosk/" + the quote)
+# prints after "invalid: " when that is not "kiosk/" + the quote); a case
+# that changes two places gives a tuple of texts and one of replacements)
 CASES = {
     "entity without a name": (
         "graph.yaml",
@@ -60,6 +61,29 @@ CASES = {
         GRAPH_NODE_0,
         GRAPH_NODE_0 + "    composition: &c {op: AND, items: [Receptionist.Status, *c]}\n",
         "graph.yaml: state node 0: composition refers to itself",
+        None,
+    ),
+    "state node parameter used twice": (
+        "graph.yaml",
+        "parameters: [Network, Online_Payment]",
+        "parameters: [Network, Online_Payment, Network]",
+        "graph.yaml: state node 4: duplicate parameter 'Network'",
+        None,
+    ),
+    "state node attribute used twice": (
+        "graph.yaml",
+        GRAPH_LAST_NODE,
+        "    attributes: [Network.Status, Online_Payment.Status, Network.Status]\n",
+        "graph.yaml: state node 4: duplicate attribute 'Network.Status'",
+        None,
+    ),
+    "parameter whose entity has no attributes": (
+        "graph.yaml",
+        ("  - {name: Online_Payment, category: organization}\n",
+         "parameters: [Network, Online_Payment]"),
+        ("  - {name: Online_Payment, category: organization}\n  - {name: Ghost}\n",
+         "parameters: [Network, Online_Payment, Ghost]"),
+        "graph.yaml: state node 4: parameter 'Ghost' names an entity with no attributes",
         None,
     ),
     "graph findings": (
@@ -176,13 +200,18 @@ CASES = {
 
 def validate_mutant(tmp_path, monkeypatch, capsys, document, old, new):
     """``ctxflow validate``'s exit code and output on a kiosk copy with ``old``
-    replaced by ``new`` once in ``document``."""
+    replaced by ``new`` once in ``document``, or each text of a tuple ``old``
+    by its counterpart in ``new``."""
     copy = tmp_path / "kiosk"
     shutil.copytree(KIOSK, copy)
     path = copy / document
     text = path.read_text(encoding="utf-8")
-    assert text.count(old) >= 1
-    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    if isinstance(old, str):
+        old, new = (old,), (new,)
+    for before, after in zip(old, new):
+        assert text.count(before) >= 1
+        text = text.replace(before, after, 1)
+    path.write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     code = main(["validate", "kiosk/bundle.yaml"])
     return code, capsys.readouterr().out
