@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .context import (
@@ -443,15 +443,33 @@ class _Pending:
     value: CompositeValue
 
 
+class _Watch:
+    """The scoped activities that share one scope, and their caught state.
+
+    Activities with equal scopes start from the same restriction of the
+    ideal and catch the same situations, so one state serves them all. It
+    carries the id of the first of them; ``_caught`` hands each activity the
+    state under its own id. ``waiting`` counts the activities still awaiting
+    evaluation. Watches hash by identity.
+    """
+
+    __slots__ = ("scope", "state", "waiting")
+
+    def __init__(self, scope: ScopeFilter, state: ContextState):
+        self.scope = scope
+        self.state = state
+        self.waiting = 0
+
+
 class _Runner:
     def __init__(self, model: ProcessModel, scenario: Sequence[ContextualSituation]):
         self.model = model
         self.chain = model.chain.copy()
         self.scenario = list(scenario)
         self.trace = AdaptationTrace()
-        # The caught context state of each scoped activity that awaits
-        # evaluation; evaluating the activity drops its state.
-        self.states: Dict[str, ContextState] = {}
+        # The watch of each scoped activity that awaits evaluation;
+        # evaluating the activity drops it.
+        self.watches: Dict[str, _Watch] = {}
         self.executed: Set[str] = set()
         # Deferred actions by activity, in deferral order. An activity is
         # evaluated once and stays in the chain while its action waits, so
@@ -462,61 +480,75 @@ class _Runner:
         self.resume = 0
         self.clock = self.scenario[0].timestamp if self.scenario else 0
         self.next_situation = 0
-        # Watchers: the scoped activities, filed in chain order under each
-        # parameter and each qualified attribute their scopes name.
-        self.watchers_by_parameter: Dict[str, Dict[str, None]] = {}
-        self.watchers_by_attribute: Dict[str, Dict[str, None]] = {}
+        # One watch per distinct scope, filed in chain order under each
+        # parameter and each qualified attribute the scope names.
+        self.watchers_by_parameter: Dict[str, Dict[_Watch, None]] = {}
+        self.watchers_by_attribute: Dict[str, Dict[_Watch, None]] = {}
+        by_scope: Dict[ScopeFilter, _Watch] = {}
         for node in self.chain.nodes.values():
-            if node.scope is not None:
-                self._init_activity(node)
+            scope = node.scope
+            if scope is None:
+                continue
+            watch = by_scope.get(scope)
+            if watch is None:
+                watch = by_scope[scope] = self._watch(node.id, scope)
+            watch.waiting += 1
+            self.watches[node.id] = watch
 
-    def _init_activity(self, node: ActivityNode) -> None:
-        ideal = [ctx for ctx in self.model.ideal.values() if node.scope.covers(ctx)]
+    def _watch(self, activity_id: str, scope: ScopeFilter) -> _Watch:
+        ideal = [ctx for ctx in self.model.ideal.values() if scope.covers(ctx)]
         # Timestamp -1 marks the design-time ideal, older than any observation.
-        self.states[node.id] = ContextState.initial(node.id, ideal, timestamp=-1)
-        for name in node.scope.relevant_parameters:
-            self.watchers_by_parameter.setdefault(name, {})[node.id] = None
-        for name in node.scope.relevant_attributes:
-            self.watchers_by_attribute.setdefault(name, {})[node.id] = None
+        watch = _Watch(scope, ContextState.initial(activity_id, ideal, timestamp=-1))
+        for name in scope.relevant_parameters:
+            self.watchers_by_parameter.setdefault(name, {})[watch] = None
+        for name in scope.relevant_attributes:
+            self.watchers_by_attribute.setdefault(name, {})[watch] = None
+        return watch
 
     # -- scenario ingestion --------------------------------------------------
 
     def _ingest_due_situations(self) -> None:
-        """Fold each due situation into the states of the activities it touches.
+        """Fold each due situation into the states of the scopes it touches.
 
-        Only watchers of the situation's parameters and attributes are
-        candidates, and of those only the ones that still have a state: an
-        activity is evaluated once, and leaves the chain or executes only
-        after its evaluation. The index never goes stale, because scopes are
-        set once at load and inserted activities carry none.
+        Only watches of the situation's parameters and attributes are
+        candidates, and of those only the ones with an activity still
+        awaiting evaluation: an activity is evaluated once, and leaves the
+        chain or executes only after its evaluation. The index never goes
+        stale, because scopes are set once at load and inserted activities
+        carry none.
         """
-        nodes = self.chain.nodes
-        states = self.states
         while (
             self.next_situation < len(self.scenario)
             and self.scenario[self.next_situation].timestamp <= self.clock
         ):
             cs = self.scenario[self.next_situation]
             self.next_situation += 1
-            touched: Dict[str, None] = {}
+            touched: Dict[_Watch, None] = {}
             for q in cs.attributes:
                 ctx = cs.bindings.get(q)
                 if ctx is not None:
                     touched.update(self.watchers_by_parameter.get(ctx.parameter, ()))
                     touched.update(self.watchers_by_attribute.get(ctx.qualified, ()))
-            for activity_id in touched:
-                state = states.get(activity_id)
-                if state is not None:
-                    states[activity_id] = catch_context(
-                        cs, state, nodes[activity_id].scope
-                    )
+            for watch in touched:
+                if watch.waiting:
+                    watch.state = catch_context(cs, watch.state, watch.scope)
+
+    def _caught(self, activity_id: str) -> ContextState:
+        """Drop ``activity_id``'s watch and return the state it caught,
+        carrying ``activity_id``."""
+        watch = self.watches.pop(activity_id)
+        watch.waiting -= 1
+        state = watch.state
+        if state.activity_id != activity_id:
+            state = replace(state, activity_id=activity_id)
+        return state
 
     # -- evaluation ----------------------------------------------------------
 
     def _evaluate(self, node: ActivityNode, at: int) -> None:
         """Evaluate ``node``'s contextual event and act on it; ``at`` is the
         node's position in ``chain.ids``."""
-        state = self.states.pop(node.id)
+        state = self._caught(node.id)
         graph = self.model.graph
         inst = instantiate(graph, state)
         if inst.is_empty:
@@ -679,7 +711,7 @@ class _Runner:
                     continue
                 break
             node = self.chain.nodes[self.chain.ids[at]]
-            if node.id in self.states:
+            if node.id in self.watches:
                 self._evaluate(node, at)
                 continue  # chain may have been rewritten; re-resolve position
             self.executed.add(node.id)

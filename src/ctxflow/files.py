@@ -119,6 +119,10 @@ class _OnePass:
             return build(node)
         except Exception:
             return super().construct_document(node)
+        finally:
+            # ``build`` refers to itself: drop it, or the cycle keeps every
+            # node of the document alive until the cyclic collector runs.
+            del build
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,6 +25,7 @@ import yaml
 
 from ctxflow import chain as chain_mod
 from ctxflow import files
+from ctxflow.context import ContextState
 from ctxflow.errors import NotEnabledError, PartialSpaceError
 from ctxflow.petri import BoundednessReport, LivenessReport, StateSpace, make_marking
 
@@ -233,13 +234,27 @@ class CheckedRunner(chain_mod._Runner):
 
 
 class _AllStatesRunner(chain_mod._Runner):
-    """The runner with every situation offered to every activity's state.
+    """The runner with a state of its own for every scoped activity, and
+    every situation offered to every state.
 
-    Each due situation goes through ``catch_context`` for every activity
-    that still has a state, touched or not; ``catch_context`` itself
-    restricts the situation and drops what the scope does not cover. The
-    walk is the production one.
+    Each scoped activity starts from the ideal restricted by its own scope,
+    at timestamp -1. Each due situation goes through ``catch_context`` for
+    every activity that still has a state, touched or not; ``catch_context``
+    itself restricts the situation and drops what the scope does not cover.
+    The walk is the production one, but evaluates the oracle's states.
     """
+
+    def __init__(self, model, scenario):
+        super().__init__(model, scenario)
+        self.states = {
+            node.id: ContextState.initial(
+                node.id,
+                [ctx for ctx in model.ideal.values() if node.scope.covers(ctx)],
+                timestamp=-1,
+            )
+            for node in self.chain.nodes.values()
+            if node.scope is not None
+        }
 
     def _ingest_due_situations(self):
         while (
@@ -251,6 +266,10 @@ class _AllStatesRunner(chain_mod._Runner):
             for activity_id, state in list(self.states.items()):
                 scope = self.chain.nodes[activity_id].scope
                 self.states[activity_id] = chain_mod.catch_context(cs, state, scope)
+
+    def _caught(self, activity_id):
+        super()._caught(activity_id)  # the walk's record of who awaits evaluation
+        return self.states.pop(activity_id)
 
 
 # -- classification oracle for situation/state diffing ----------------------

@@ -3,9 +3,12 @@
 Every test runs under each YAML loader (see the ``loader`` fixture).
 """
 
+import gc
+
 import pytest
 import yaml
 
+from bundlegen import generate
 from ctxflow.cli import main
 from ctxflow.errors import LoadError
 from ctxflow.files import (
@@ -14,6 +17,7 @@ from ctxflow.files import (
     load_scenario,
     parse_time,
 )
+from run import WORKLOADS
 
 pytestmark = pytest.mark.usefixtures("loader")
 
@@ -291,3 +295,18 @@ class TestBundleLoading:
         with pytest.raises(LoadError) as err:
             load_bundle(tmp_path / "bundle.yaml")
         assert "unknown fragment" in str(err.value)
+
+    def test_loading_leaves_nothing_for_the_cyclic_collector(
+        self, tmp_path, kiosk_bundle
+    ):
+        """Each document's nodes are freed as soon as it is built, not kept
+        alive by a reference cycle until the collector runs."""
+        generate(WORKLOADS["run-observe"].shape, 1, tmp_path)
+        gc.collect()
+        gc.disable()
+        try:
+            for path in (kiosk_bundle, tmp_path / "bundle.yaml"):
+                load_bundle(path)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

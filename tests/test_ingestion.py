@@ -1,16 +1,20 @@
-"""Situation ingestion against the all-states oracle, plus a call guard.
+"""Situation ingestion against the all-states oracle, plus call guards.
 
-The production runner offers a situation only to the watchers of its
-parameters and attributes that still await evaluation;
-``oracles._AllStatesRunner`` runs ``catch_context`` for every activity that
-has a state. Both must produce identical traces (values included) and final
-orders, or the same error, and agree on every state.
+The production runner keeps one state per distinct scope and offers a
+situation only to the scopes whose parameters and attributes it names and
+that an activity still awaiting evaluation holds;
+``oracles._AllStatesRunner`` keeps a state per activity and runs
+``catch_context`` for every activity that has one. Both must produce
+identical traces (values included) and final orders, or the same error,
+and agree on every activity's state.
 """
 
 import collections
 import pathlib
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +29,7 @@ from ctxflow.chain import (
     ProcessModel,
 )
 from ctxflow.context import AtomicContext, ContextualSituation, ScopeFilter
+from ctxflow.errors import CtxflowError
 from ctxflow.files import load_bundle
 from ctxflow.fragments import (
     FragmentActivity,
@@ -42,6 +47,8 @@ from ctxflow.graph import (
 )
 
 import oracles
+from bundlegen import generate
+from run import WORKLOADS
 
 KIOSK = pathlib.Path(__file__).parent / "fixtures" / "kiosk" / "bundle.yaml"
 
@@ -189,9 +196,17 @@ def random_model(rng):
     return model, scenario, {a: scoped[a][0] for a in ids}
 
 
+def states_of(runner):
+    """Each activity awaiting evaluation and its state: the oracle's own
+    states, or the engine's state of the activity's scope, stamped with the
+    activity's id."""
+    if isinstance(runner, oracles._AllStatesRunner):
+        return dict(runner.states)
+    return {a: replace(w.state, activity_id=a) for a, w in runner.watches.items()}
+
+
 def recording(runner_class):
-    """``runner_class`` noting its states after each ingested situation: the
-    states of the activities that await evaluation."""
+    """``runner_class`` noting its states after each ingested situation."""
 
     class Recording(runner_class):
         def __init__(self, model, scenario):
@@ -202,7 +217,7 @@ def recording(runner_class):
             seen = self.next_situation
             super()._ingest_due_situations()
             if self.next_situation != seen:
-                self.snapshots.append(dict(self.states))
+                self.snapshots.append(states_of(self))
 
     return Recording
 
@@ -274,16 +289,49 @@ def test_kiosk_matches_oracle():
     assert len([e for e in entries if e.action]) == 5
 
 
+def test_shared_scope_checks_each_activity_against_its_own_state_node():
+    """``a0`` and ``a1`` watch the same scope and share its state, but only
+    ``a0``'s state node links ``E0.t``: the evaluation of ``a1`` must check
+    the changed attributes against ``a1``'s node and fail there."""
+    scope = ScopeFilter(frozenset({"E0"}), frozenset())
+    graph = ContextGraph.build(
+        entities=[EntityNode("E0")],
+        attributes=[AttributeNode(q) for q in ("E0.s", "E0.t")],
+        state_nodes=[
+            StateNodeDef("a0", ("E0",), ("E0.s", "E0.t"), Composition("AND", ("E0.s",))),
+            StateNodeDef("a1", ("E0",), ("E0.s",), Composition("AND", ("E0.s",))),
+        ],
+    )
+    model = ProcessModel(
+        graph,
+        ActivityChain.from_nodes(
+            [ActivityNode(a, sub_goal="g0", scope=scope) for a in ("a0", "a1")]
+        ),
+        FragmentRepository((SubgoalEntry(1, "g0"),), {}),
+        (),
+        {q: AtomicContext("E0", q[3:], value="good") for q in ("E0.s", "E0.t")},
+    )
+    scenario = [ContextualSituation.from_contexts(
+        [AtomicContext("E0", a, value="bad") for a in ("s", "t")], timestamp=0
+    )]
+    got = assert_matches_oracle(model, scenario)
+    assert got[:3] == (
+        "raised",
+        "UnknownContextError",
+        "attribute 'E0.t' of state 'a1' has no blue link",
+    )
+
+
 # -- call guard --------------------------------------------------------------
 
 
 def guarded_calls(runner_class, model, scenario, monkeypatch):
     """Run ``runner_class`` with ``catch_context`` wrapped; list the calls.
 
-    Each call is recorded as (activity, situation timestamp, whether the
+    Each call is recorded as (situation index, scope, whether the state's
     activity had executed, whether the scope covers anything in the
-    situation passed, whether the scope is the one the activity's node
-    carries in the chain).
+    situation passed, whether an activity awaiting evaluation carries an
+    equal scope in the chain).
     """
     model.validate()
     runner = runner_class(model, scenario)
@@ -291,20 +339,20 @@ def guarded_calls(runner_class, model, scenario, monkeypatch):
     original = chain_mod.catch_context
 
     def wrapped(cs, state, scope):
-        node = runner.chain.nodes.get(state.activity_id)
+        nodes = runner.chain.nodes
         calls.append((
-            state.activity_id,
-            cs.timestamp,
+            runner.next_situation - 1,
+            scope,
             state.activity_id in runner.executed,
             any(scope.covers(ctx) for ctx in cs.bindings.values()),
-            node is not None and node.scope is scope,
+            any(nodes[a].scope == scope for a in runner.watches),
         ))
         return original(cs, state, scope)
 
     monkeypatch.setattr(chain_mod, "catch_context", wrapped)
     try:
         runner.run()
-    except Exception:  # both runners raise at the same point
+    except CtxflowError:  # both runners raise at the same point
         pass
     finally:
         monkeypatch.setattr(chain_mod, "catch_context", original)
@@ -315,57 +363,93 @@ def test_kiosk_calls_catch_context_five_times(monkeypatch):
     bundle = load_bundle(KIOSK)
     calls = guarded_calls(chain_mod._Runner, bundle.model, bundle.scenario, monkeypatch)
     assert len(calls) == 5
-    assert all(not executed and touched and current
-               for _, _, executed, touched, current in calls)
+    assert all(not executed and touched and live
+               for _, _, executed, touched, live in calls)
 
 
-def test_catch_context_only_for_unexecuted_touched_activities(monkeypatch):
-    checked = 0
+def test_catch_context_once_per_touched_scope_awaiting_evaluation(monkeypatch):
+    checked = shared = 0
     for seed in range(200):
         model, scenario, _ = random_model(random.Random(seed))
         calls = guarded_calls(chain_mod._Runner, model, scenario, monkeypatch)
-        assert all(not executed and touched and current
-                   for _, _, executed, touched, current in calls)
-        # The oracle offers every situation to every state; the engine's
-        # calls are exactly its calls on unexecuted activities that the
-        # situation touches.
+        assert all(touched and live for _, _, _, touched, live in calls)
+        # The oracle offers every situation to every state; the engine calls
+        # once per situation and distinct scope among the oracle's calls on
+        # unexecuted activities that the situation touches.
         oracle_calls = guarded_calls(
             oracles._AllStatesRunner, model, scenario, monkeypatch
         )
-        expected = [
-            (a, t) for a, t, executed, touched, _ in oracle_calls
+        touched = [
+            (i, scope) for i, scope, executed, touched, _ in oracle_calls
             if touched and not executed
         ]
-        assert sorted((a, t) for a, t, *_ in calls) == sorted(expected)
+        engine = collections.Counter((i, scope) for i, scope, *_ in calls)
+        assert engine == collections.Counter(set(touched))
         checked += len(calls)
-    assert checked > 0
+        shared += len(touched) - len(calls)
+    assert checked > 0 and shared > 0
+
+
+@pytest.mark.parametrize("name", ["run-observe", "run-adapt"])
+def test_bench_shapes_catch_once_per_situation_and_live_scope(
+    name, monkeypatch, tmp_path
+):
+    """On the benchmark's run shapes, no rewrite happens before the last
+    situation is due, so an activity is evaluated when the clock reaches
+    the first situation's timestamp plus the durations of the activities
+    before it, and its scope is live for every situation due by then."""
+    generate(WORKLOADS[name].shape, 3300, tmp_path)
+    bundle = load_bundle(tmp_path / "bundle.yaml")
+    clock = bundle.scenario[0].timestamp
+    evaluated_at = {}
+    for node in bundle.model.chain.nodes.values():
+        if node.scope is not None:
+            evaluated_at[node.scope] = clock
+        clock += node.duration
+    pairs = sum(
+        1
+        for cs in bundle.scenario
+        for scope, at in evaluated_at.items()
+        if at >= cs.timestamp
+        and any(scope.covers(ctx) for ctx in cs.bindings.values())
+    )
+    assert pairs == {"run-observe": 1200, "run-adapt": 8}[name]
+    calls = []
+    original = chain_mod.catch_context
+
+    def counted(cs, state, scope):
+        calls.append(scope)
+        return original(cs, state, scope)
+
+    monkeypatch.setattr(chain_mod, "catch_context", counted)
+    chain_mod.run_instance(bundle.model, bundle.scenario)
+    assert len(calls) == pairs
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_evaluated_activity_never_catches_a_situation(seed):
-    """Once evaluated, an activity's state is never offered a situation, not
-    even while its deferred action waits for a timed value."""
-    model, scenario, _ = random_model(random.Random(seed))
+def test_finished_scope_never_catches_a_situation(seed):
+    """Once every activity of a scope has been evaluated, the scope is never
+    offered a situation, not even while a deferred action waits for a timed
+    value."""
+    model, scenario, scopes = random_model(random.Random(seed))
     model.validate()
     evaluated = set()
     original = chain_mod.catch_context
 
     class Noting(chain_mod._Runner):
-        def _evaluate(self, node):
+        def _evaluate(self, node, at):
             evaluated.add(node.id)
-            super()._evaluate(node)
+            super()._evaluate(node, at)
 
     def wrapped(cs, state, scope):
-        assert state.activity_id not in evaluated
+        assert any(s == scope and a not in evaluated for a, s in scopes.items())
         return original(cs, state, scope)
 
     chain_mod.catch_context = wrapped
     try:
         Noting(model, scenario).run()
-    except AssertionError:
-        raise
-    except Exception:  # a model that cannot run still must not break the rule
+    except CtxflowError:  # a model that cannot run still must not break the rule
         pass
     finally:
         chain_mod.catch_context = original

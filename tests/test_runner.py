@@ -368,9 +368,10 @@ def test_growing_chain_does_not_trip_the_progress_guard():
 def test_stalled_runner_fails_the_progress_guard():
     class Stalled(chain_mod._Runner):
         def _evaluate(self, node, at):
-            state = self.states[node.id]
+            watch = self.watches[node.id]
             super()._evaluate(node, at)
-            self.states[node.id] = state  # every pass evaluates it again
+            self.watches[node.id] = watch  # every pass evaluates it again
+            watch.waiting += 1
 
     model, scenario = inserting_chain(3, 1)
     model = dataclasses.replace(model, rules=())
