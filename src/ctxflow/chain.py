@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .context import (
     AtomicContext,
@@ -42,26 +42,17 @@ from .graph import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActivityNode:
+    """One activity; a value, so a rewrite stores a changed copy under its id."""
+
     id: str
     sub_goal: str
     role: str = ""
     medium: str = ""
-    output_data: Set[str] = field(default_factory=set)
+    output_data: FrozenSet[str] = frozenset()
     scope: Optional[ScopeFilter] = None
     duration: int = 0
-
-    def copy(self) -> "ActivityNode":
-        return ActivityNode(
-            self.id,
-            self.sub_goal,
-            self.role,
-            self.medium,
-            set(self.output_data),
-            self.scope,
-            self.duration,
-        )
 
 
 class ActivityChain:
@@ -83,9 +74,8 @@ class ActivityChain:
         return cls(nodes, list(nodes))
 
     def copy(self) -> "ActivityChain":
-        return ActivityChain(
-            {k: v.copy() for k, v in self.nodes.items()}, list(self.ids)
-        )
+        """A chain of its own over the same (immutable) activities."""
+        return ActivityChain(dict(self.nodes), list(self.ids))
 
     def __len__(self):
         return len(self.nodes)
@@ -226,12 +216,9 @@ def replace_attribute(
 ) -> ActivityChain:
     """Change who performs the activity (role) or how (medium); no rewiring."""
     node = chain.node(target)
-    if kind == "role":
-        node.role = new_value
-    elif kind == "medium":
-        node.medium = new_value
-    else:
+    if kind not in ("role", "medium"):
         raise ValueError("kind must be 'role' or 'medium'")
+    chain.nodes[target] = replace(node, **{kind: new_value})
     return chain
 
 
@@ -282,7 +269,7 @@ def reorder(
 def data_level_change(chain: ActivityChain, target: str, delta) -> ActivityChain:
     """Update the activity's output data; topology is untouched."""
     node = chain.node(target)
-    node.output_data |= set(delta)
+    chain.nodes[target] = replace(node, output_data=node.output_data.union(delta))
     return chain
 
 
@@ -355,11 +342,17 @@ def select_rule(
 ) -> Optional[AdaptationRule]:
     """First rule (declaration order) matching the value/fragment pair."""
     fragment_id = fragment.id if fragment is not None else None
-    for rule in sorted(rules, key=lambda r: r.declaration_order):
-        if rule.value_pattern.matches(value) and rule.fragment_pattern == fragment_id:
-            return rule
-    logger.debug("no adaptation rule matched value %s", value.render())
-    return None
+    best = None
+    for rule in rules:
+        if (
+            (best is None or rule.declaration_order < best.declaration_order)
+            and rule.fragment_pattern == fragment_id
+            and rule.value_pattern.matches(value)
+        ):
+            best = rule
+    if best is None:
+        logger.debug("no adaptation rule matched value %s", value.render())
+    return best
 
 
 # -- the integrated model and its runner ------------------------------------
@@ -444,13 +437,12 @@ class _Pending:
 
 
 class _Watch:
-    """The scoped activities that share one scope, and their caught state.
+    """One scope, the state it caught, and how many of its activities await
+    evaluation.
 
     Activities with equal scopes start from the same restriction of the
-    ideal and catch the same situations, so one state serves them all. It
-    carries the id of the first of them; ``_caught`` hands each activity the
-    state under its own id. ``waiting`` counts the activities still awaiting
-    evaluation. Watches hash by identity.
+    ideal and catch the same situations, so one state serves them all; the
+    state names no activity. Watches hash by identity.
     """
 
     __slots__ = ("scope", "state", "waiting")
@@ -491,14 +483,14 @@ class _Runner:
                 continue
             watch = by_scope.get(scope)
             if watch is None:
-                watch = by_scope[scope] = self._watch(node.id, scope)
+                watch = by_scope[scope] = self._watch(scope)
             watch.waiting += 1
             self.watches[node.id] = watch
 
-    def _watch(self, activity_id: str, scope: ScopeFilter) -> _Watch:
+    def _watch(self, scope: ScopeFilter) -> _Watch:
         ideal = [ctx for ctx in self.model.ideal.values() if scope.covers(ctx)]
         # Timestamp -1 marks the design-time ideal, older than any observation.
-        watch = _Watch(scope, ContextState.initial(activity_id, ideal, timestamp=-1))
+        watch = _Watch(scope, ContextState.from_contexts(ideal, -1))
         for name in scope.relevant_parameters:
             self.watchers_by_parameter.setdefault(name, {})[watch] = None
         for name in scope.relevant_attributes:
@@ -534,14 +526,10 @@ class _Runner:
                     watch.state = catch_context(cs, watch.state, watch.scope)
 
     def _caught(self, activity_id: str) -> ContextState:
-        """Drop ``activity_id``'s watch and return the state it caught,
-        carrying ``activity_id``."""
+        """Drop ``activity_id``'s watch and return the state it caught."""
         watch = self.watches.pop(activity_id)
         watch.waiting -= 1
-        state = watch.state
-        if state.activity_id != activity_id:
-            state = replace(state, activity_id=activity_id)
-        return state
+        return watch.state
 
     # -- evaluation ----------------------------------------------------------
 
@@ -550,7 +538,7 @@ class _Runner:
         node's position in ``chain.ids``."""
         state = self._caught(node.id)
         graph = self.model.graph
-        inst = instantiate(graph, state)
+        inst = instantiate(graph, node.id, state)
         if inst.is_empty:
             self._record(node.id, None, None, None)
             return
@@ -571,7 +559,7 @@ class _Runner:
             )
             self._record(node.id, value, thrown.fragment, rule, deferred_until=due)
             return
-        self._apply(node.id, rule, thrown.fragment, value, at)
+        self._apply(node.id, rule, thrown.fragment, at)
         self._record(node.id, value, thrown.fragment, rule)
 
     def _record(
@@ -599,7 +587,6 @@ class _Runner:
         activity_id: str,
         rule: AdaptationRule,
         fragment: Optional[ProcessFragment],
-        value: CompositeValue,
         at: Optional[int] = None,
     ) -> None:
         """Apply ``rule``'s action to ``activity_id``, found at ``at`` if the
@@ -607,14 +594,6 @@ class _Runner:
         splices, has its target looked up."""
         action = rule.action
         chain = self.chain
-        if action.kind == "reorder":
-            start, window, permutation = self._resolve_reorder(
-                activity_id, action.order, at
-            )
-            # The target has not executed, so only a reorder reaches behind
-            # the walk's position: its window may start at an executed
-            # predecessor, which the permutation can move after the target.
-            self.resume = min(self.resume, start)
         if action.kind in ("add_before", "add_after"):
             add_fragment(
                 chain, activity_id, action.kind.split("_", 1)[1], fragment, at=at
@@ -628,6 +607,13 @@ class _Runner:
         elif action.kind == "bypass":
             bypass(chain, activity_id, at=at)
         elif action.kind == "reorder":
+            start, window, permutation = self._resolve_reorder(
+                activity_id, action.order, at
+            )
+            # The target has not executed, so only a reorder reaches behind
+            # the walk's position: its window may start at an executed
+            # predecessor, which the permutation can move after the target.
+            self.resume = min(self.resume, start)
             reorder(chain, window, permutation, at=start)
         elif action.kind == "data_change":
             data_level_change(chain, activity_id, action.data)
@@ -687,7 +673,7 @@ class _Runner:
         due = [p for p in self.pending.values() if p.due <= self.clock]
         for item in due:
             del self.pending[item.activity_id]
-            self._apply(item.activity_id, item.rule, item.fragment, item.value)
+            self._apply(item.activity_id, item.rule, item.fragment)
             self._record(item.activity_id, item.value, item.fragment, item.rule)
 
     def run(self) -> AdaptationTrace:

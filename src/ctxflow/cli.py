@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_VERIFICATION = 3
+
+COST_FLAGS = ("ta", "tp", "tcm", "tth", "cct")
 
 
 def _dump(document: dict, path: Path | None) -> str:
@@ -147,7 +150,24 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+def _metrics_flag_error(args) -> str | None:
+    """The first ``metrics`` flag outside its range, as an error line."""
+    floors = dict.fromkeys(COST_FLAGS + ("base_activities", "base_branches"), 0)
+    # A Halstead total counts at least its unique elements.
+    floors.update(n1=1, n2=1, N1=args.n1, N2=args.n2)
+    for name, floor in floors.items():
+        value = getattr(args, name)
+        if value is not None and not (math.isfinite(value) and value >= floor):
+            return "--%s must be a finite number >= %s, got %s" % (
+                name.replace("_", "-"), floor, value)
+    return None
+
+
 def cmd_metrics(args) -> int:
+    error = _metrics_flag_error(args)
+    if error:
+        print("invalid: %s" % error)
+        return EXIT_VALIDATION
     bundle = load_bundle(args.bundle)
     n = len(bundle.model.chain)
     params = CostParams(
@@ -233,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="performance and complexity figures")
     p.add_argument("bundle")
-    for flag in ("ta", "tp", "tcm", "tth", "cct"):
+    for flag in COST_FLAGS:
         p.add_argument("--%s" % flag, type=float, default=1.0)
     p.add_argument("--n1", type=int, default=1, help="base unique flow elements")
     p.add_argument("--n2", type=int, default=1, help="base unique data objects")

@@ -1,7 +1,7 @@
-"""Context algebra: atomic contexts, situations, per-activity states and diffing.
+"""Context algebra: atomic contexts, situations, per-scope states and diffing.
 
 The central operation is :func:`diff`, which compares an incoming contextual
-situation against an activity's last observed state and produces the change
+situation against a scope's last observed state and produces the change
 set (new parameters, changed attributes) that drives adaptation downstream.
 All values here are immutable; operations are pure functions.
 """
@@ -115,26 +115,17 @@ class ContextualSituation:
 
 @dataclass(frozen=True)
 class ContextState(ContextualSituation):
-    """Per-activity restriction of a situation, plus removal annotation.
+    """The restriction of a situation to one scope, plus removal annotation.
 
+    A state belongs to its scope, not to an activity: every activity with
+    that scope catches the same situations, so they share one state, and
+    the activity being evaluated is named where the state is instantiated.
     ``removed_parameters`` records parameters that were present in the
     previous state but are absent from the latest situation; they do not
     enter ``parameters`` and never trigger adaptation by themselves.
     """
 
-    activity_id: str = ""
     removed_parameters: Tuple[str, ...] = ()
-
-    @classmethod
-    def initial(cls, activity_id: str, contexts=(), timestamp: int = 0) -> "ContextState":
-        base = ContextualSituation.from_contexts(contexts, timestamp)
-        return cls(
-            parameters=base.parameters,
-            attributes=base.attributes,
-            timestamp=base.timestamp,
-            bindings=base.bindings,
-            activity_id=activity_id,
-        )
 
 
 @dataclass(frozen=True)
@@ -212,7 +203,6 @@ def diff(new: ContextualSituation, old: ContextState) -> ContextState:
         attributes=tuple(changed_attrs),
         timestamp=new.timestamp,
         bindings=bindings,
-        activity_id=old.activity_id,
         removed_parameters=removed,
     )
 

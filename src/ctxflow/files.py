@@ -556,27 +556,26 @@ def load_fragments(path) -> FragmentRepository:
 def _activity(spec, where: str, graph: ContextGraph,
               repo: FragmentRepository) -> ActivityNode:
     spec = _mapping(spec, where, "id")
-    node = ActivityNode(
-        id=_text(spec, "id", where),
-        sub_goal=_subgoal_key(spec, where, spec["id"]),
-        role=_text(spec, "role", where),
-        medium=_text(spec, "medium", where),
-        output_data=set(_texts(spec, "output_data", where)),
-        duration=_count(spec, "duration", where),
-    )
-    state = graph.state_nodes.get(node.id)
+    activity_id = _text(spec, "id", where)
+    sub_goal = _subgoal_key(spec, where, spec["id"])
+    role = _text(spec, "role", where)
+    medium = _text(spec, "medium", where)
+    output_data = frozenset(_texts(spec, "output_data", where))
+    duration = _count(spec, "duration", where)
+    state = graph.state_nodes.get(activity_id)
+    scope = None
     if spec.get("scope") is not None:
         at = where + " scope"
-        scope = _mapping(spec["scope"], at)
-        node.scope = ScopeFilter(
-            frozenset(_texts(scope, "parameters", at)),
-            frozenset(_texts(scope, "attributes", at)),
+        declared = _mapping(spec["scope"], at)
+        scope = ScopeFilter(
+            frozenset(_texts(declared, "parameters", at)),
+            frozenset(_texts(declared, "attributes", at)),
         )
         if state is None:
             raise _error(where, "has a scope but no state node")
         for kind, named, mapped in (
-            ("parameter", node.scope.relevant_parameters, state.parameters),
-            ("attribute", node.scope.relevant_attributes, state.attributes),
+            ("parameter", scope.relevant_parameters, state.parameters),
+            ("attribute", scope.relevant_attributes, state.attributes),
         ):
             unmapped = sorted(named.difference(mapped))
             if unmapped:
@@ -584,19 +583,19 @@ def _activity(spec, where: str, graph: ContextGraph,
                              % (kind, unmapped[0]))
     elif state is not None:
         # Default scope: exactly what the activity's state node maps.
-        node.scope = ScopeFilter(
-            frozenset(state.parameters), frozenset(state.attributes)
-        )
-    if node.scope is not None:
+        scope = ScopeFilter(frozenset(state.parameters), frozenset(state.attributes))
+    if scope is not None:
         # Only activities with a scope are evaluated, so only their
         # sub-goals are ever looked up.
         try:
-            repo.subgoal(node.sub_goal)
+            repo.subgoal(sub_goal)
         except UnknownSubgoalError:
             raise _error(
-                where, "sub_goal %r names no repository sub-goal" % (node.sub_goal,)
+                where, "sub_goal %r names no repository sub-goal" % (sub_goal,)
             ) from None
-    return node
+    return ActivityNode(
+        activity_id, sub_goal, role, medium, output_data, scope, duration
+    )
 
 
 def _rule(spec, where: str, order: int, chain: ActivityChain,

@@ -305,23 +305,24 @@ class SubgraphInstance:
         return self.activated_state is None
 
 
-def instantiate(g: ContextGraph, s: ContextState) -> SubgraphInstance:
-    """Activate the entities/attributes that are the link image of ``s``."""
+def instantiate(g: ContextGraph, activity_id: str, s: ContextState) -> SubgraphInstance:
+    """Activate the entities/attributes that are the link image of ``s``
+    under the state node of ``activity_id``."""
     if s.is_empty:
         return SubgraphInstance(g, None, frozenset(), frozenset())
 
-    node = g.state_nodes.get(s.activity_id)
+    node = g.state_nodes.get(activity_id)
     if node is None:
-        raise UnknownContextError("no state node for activity %r" % (s.activity_id,))
+        raise UnknownContextError("no state node for activity %r" % (activity_id,))
     for p in s.parameters:
         if p not in node.parameters or p not in g.entities:
             raise UnknownContextError(
-                "parameter %r of state %r has no red link" % (p, s.activity_id)
+                "parameter %r of state %r has no red link" % (p, activity_id)
             )
     for a in s.attributes:
         if a not in node.attributes or a not in g.attributes:
             raise UnknownContextError(
-                "attribute %r of state %r has no blue link" % (a, s.activity_id)
+                "attribute %r of state %r has no blue link" % (a, activity_id)
             )
 
     return SubgraphInstance(

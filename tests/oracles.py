@@ -182,7 +182,7 @@ class _RescanRunner(chain_mod._Runner):
                 return i
         return None
 
-    def _apply(self, activity_id, rule, fragment, value, at=None):
+    def _apply(self, activity_id, rule, fragment, at=None):
         action = rule.action
         chain = self.chain
         if action.kind in ("add_before", "add_after"):
@@ -208,7 +208,7 @@ class _RescanRunner(chain_mod._Runner):
             if item.due > self.clock:
                 continue
             del self.pending[item.activity_id]
-            self._apply(item.activity_id, item.rule, item.fragment, item.value)
+            self._apply(item.activity_id, item.rule, item.fragment)
             self._record(item.activity_id, item.value, item.fragment, item.rule)
 
 
@@ -225,8 +225,8 @@ class CheckedRunner(chain_mod._Runner):
     rewrite, where production checks each splice locally and the whole
     chain once at the end of the run."""
 
-    def _apply(self, activity_id, rule, fragment, value, at=None):
-        super()._apply(activity_id, rule, fragment, value, at)
+    def _apply(self, activity_id, rule, fragment, at=None):
+        super()._apply(activity_id, rule, fragment, at)
         self.chain.validate()
 
 
@@ -247,10 +247,8 @@ class _AllStatesRunner(chain_mod._Runner):
     def __init__(self, model, scenario):
         super().__init__(model, scenario)
         self.states = {
-            node.id: ContextState.initial(
-                node.id,
-                [ctx for ctx in model.ideal.values() if node.scope.covers(ctx)],
-                timestamp=-1,
+            node.id: ContextState.from_contexts(
+                [ctx for ctx in model.ideal.values() if node.scope.covers(ctx)], -1
             )
             for node in self.chain.nodes.values()
             if node.scope is not None

@@ -96,14 +96,13 @@ def test_criterion_1_kiosk_golden_run(kiosk_bundle):
 
 def test_criterion_2_weather_diff():
     with criterion(2, "10:30->11:00 weather diff yields the exact change set"):
-        old = ContextState.initial(
-            "Storage in Cloud",
+        old = ContextState.from_contexts(
             [
                 ctx("Weather", "Status", "Sunny"),
                 ctx("Watch", "Time", "10.30 am"),
                 ctx("Healthcare_Employee", "Status", "Present"),
             ],
-            timestamp=630,
+            630,
         )
         new = ContextualSituation.from_contexts(
             [ctx("Weather", "Status", "Rainy"), ctx("Watch", "Time", "11.00 am")],
@@ -118,10 +117,8 @@ def test_criterion_2_weather_diff():
 
         # The same situation leaves Patient Registration's state untouched:
         # none of its relevant contexts are mentioned.
-        registration = ContextState.initial(
-            "Patient Registration",
-            [ctx("Healthcare_Employee", "Status", "Present")],
-            timestamp=630,
+        registration = ContextState.from_contexts(
+            [ctx("Healthcare_Employee", "Status", "Present")], 630
         )
         scope = ScopeFilter(frozenset({"Healthcare_Employee"}), frozenset())
         assert catch_context(new, registration, scope) is registration
@@ -217,7 +214,6 @@ def _check_diff_vectors(rng, count):
             attributes=old_cs.attributes,
             timestamp=old_cs.timestamp,
             bindings=old_cs.bindings,
-            activity_id="A",
         )
         new = _random_situation(rng, rng.randint(0, 10))
         out = diff(new, state)
@@ -235,13 +231,11 @@ def _check_fixpoint_permutations(kiosk_dir):
     bundle = load_bundle(kiosk_dir / "bundle.yaml")
     graph = bundle.graph
     assert len(graph.dependency_rules) <= 5
-    state = ContextState.initial(
-        "Storage in Cloud",
-        [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Available")],
-        timestamp=1,
+    state = ContextState.from_contexts(
+        [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Available")], 1
     )
     inst = assign_values(
-        instantiate(graph, state),
+        instantiate(graph, "Storage in Cloud", state),
         {"Weather.Status": "Rainy", "Network.Status": "Available"},
     )
     baseline = None

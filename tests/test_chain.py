@@ -120,14 +120,26 @@ class TestChainBasics:
         with pytest.raises(UnknownActivityError):
             chain.position("zz", 0)
 
-    def test_copy_is_deep_for_links_and_data(self):
-        chain = make_chain("a", "b")
-        chain.nodes["a"].output_data.add("x")
+    def test_rewrites_of_a_copy_leave_the_original_alone(self):
+        chain = make_chain("a", "b", "c", "d")
+        ids, nodes = list(chain.ids), dict(chain.nodes)
         clone = chain.copy()
-        bypass(clone, "b")
-        clone.nodes["a"].output_data.add("y")
-        assert chain.order() == ["a", "b"]
-        assert chain.nodes["a"].output_data == {"x"}
+        add_fragment(clone, "a", "before", fragment("f"))
+        add_fragment(clone, "a", "after", fragment("g"))
+        replace_activity(clone, "b", fragment("p", "q"))
+        replace_attribute(clone, "c", "role", "R")
+        replace_attribute(clone, "c", "medium", "M")
+        data_level_change(clone, "c", {"x"})
+        bypass(clone, "d")
+        reorder(clone, ["g", "p"], ["p", "g"])
+        assert clone.order() == ["f", "a", "p", "g", "q", "c"]
+        assert clone.nodes["c"] == ActivityNode(
+            "c", sub_goal="c", role="R", medium="M", output_data=frozenset({"x"})
+        )
+        assert chain.ids == ids
+        assert chain.nodes == nodes
+        assert all(chain.nodes[a] is node for a, node in nodes.items())
+        assert chain.nodes["c"] == ActivityNode("c", sub_goal="c")
 
 
 class TestRewriteOperations:
@@ -164,6 +176,9 @@ class TestRewriteOperations:
         assert chain.nodes["a"].medium == "cash"
         with pytest.raises(ValueError):
             replace_attribute(chain, "a", "colour", "x")
+        # An unknown activity is reported before a bad kind.
+        with pytest.raises(UnknownActivityError):
+            replace_attribute(chain, "zz", "colour", "x")
 
     def test_bypass_middle_and_ends(self):
         chain = make_chain("a", "b", "c")

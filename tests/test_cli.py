@@ -463,6 +463,32 @@ class TestVerify:
 
 
 class TestMetrics:
+    @pytest.mark.parametrize("flag, value", [
+        ("--n1", "0"),
+        ("--n2", "0"),
+        ("--N1", "-1"),
+        ("--N2", "0"),
+        ("--ta", "-1"),
+        ("--ta", "nan"),
+        ("--ta", "inf"),
+        ("--cct", "-inf"),
+        ("--base-activities", "-3"),
+        ("--base-branches", "-1"),
+    ])
+    def test_out_of_range_flag_is_refused(self, kiosk_bundle, capsys, flag, value):
+        assert main(["metrics", str(kiosk_bundle), "%s=%s" % (flag, value)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("invalid: %s must be " % flag)
+        assert out.count("\n") == 1
+
+    def test_edge_values_are_accepted(self, kiosk_bundle, capsys):
+        assert main([
+            "metrics", str(kiosk_bundle), "--ta", "0", "--n1", "2", "--N1", "2",
+            "--base-activities", "0", "--base-branches", "0",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["structure"]["noa_extra"] == 5
+
     def test_defaults(self, kiosk_bundle, capsys):
         assert main(["metrics", str(kiosk_bundle)]) == 0
         report = json.loads(capsys.readouterr().out)

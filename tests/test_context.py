@@ -85,14 +85,13 @@ class TestScopeFilter:
 
 class TestDiff:
     def old_state(self):
-        return ContextState.initial(
-            "Storage in Cloud",
+        return ContextState.from_contexts(
             [
                 ctx("Weather", "Status", "Sunny"),
                 ctx("Watch", "Time", "10.30 am"),
                 ctx("Healthcare_Employee", "Status", "Present"),
             ],
-            timestamp=630,
+            630,
         )
 
     def test_not_newer_returns_old_identically(self):
@@ -125,7 +124,6 @@ class TestDiff:
         assert out.bindings["Watch.Time"].value == "11.00 am"
         assert out.timestamp == 660
         assert out.removed_parameters == ("Healthcare_Employee",)
-        assert out.activity_id == "Storage in Cloud"
 
     def test_new_parameter_is_added_without_value_comparison(self):
         old = self.old_state()
@@ -189,7 +187,6 @@ def test_diff_matches_oracle(old, new):
         attributes=old.attributes,
         timestamp=old.timestamp,
         bindings=old.bindings,
-        activity_id="A",
     )
     out = diff(new, state)
     expected = diff_oracle(new, state)
@@ -203,7 +200,7 @@ def test_diff_matches_oracle(old, new):
 
 
 def test_diff_reads_dotted_parameter_from_context():
-    state = ContextState.initial("A", [ctx("Net.Op", "Status", "up")], timestamp=0)
+    state = ContextState.from_contexts([ctx("Net.Op", "Status", "up")], 0)
     new = ContextualSituation.from_contexts([ctx("Net.Op", "Status", "down")], 1)
     out = diff(new, state)
     assert out.parameters == ("Net.Op",)
@@ -214,10 +211,8 @@ def test_diff_reads_dotted_parameter_from_context():
 
 class TestCatchContext:
     def test_out_of_scope_situation_leaves_state_untouched(self):
-        state = ContextState.initial(
-            "Patient Registration",
-            [ctx("Healthcare_Employee", "Status", "Present")],
-            timestamp=630,
+        state = ContextState.from_contexts(
+            [ctx("Healthcare_Employee", "Status", "Present")], 630
         )
         scope = ScopeFilter(frozenset({"Healthcare_Employee"}), frozenset())
         rain = ContextualSituation.from_contexts(
@@ -227,9 +222,7 @@ class TestCatchContext:
         assert catch_context(rain, state, scope) is state
 
     def test_in_scope_change_replaces_state(self):
-        state = ContextState.initial(
-            "Storage in Cloud", [ctx("Weather", "Status", "Sunny")], timestamp=630
-        )
+        state = ContextState.from_contexts([ctx("Weather", "Status", "Sunny")], 630)
         scope = ScopeFilter(frozenset({"Weather"}), frozenset())
         rain = ContextualSituation.from_contexts(
             [ctx("Weather", "Status", "Rainy"), ctx("Patient", "Condition", "OK")],

@@ -78,8 +78,8 @@ def small_graph():
     )
 
 
-def state_for(graph, activity, contexts, timestamp=1):
-    return ContextState.initial(activity, contexts, timestamp=timestamp)
+def state_of(contexts, timestamp=1):
+    return ContextState.from_contexts(contexts, timestamp)
 
 
 def ctx(p, a, v):
@@ -144,19 +144,19 @@ class TestStructureValidation:
 class TestInstantiation:
     def test_empty_state_gives_empty_instance(self):
         g = small_graph()
-        s = state_for(g, "Bill Payment", [])
-        inst = instantiate(g, s)
+        activity = "Bill Payment"
+        s = state_of([])
+        inst = instantiate(g, activity, s)
         assert inst.is_empty
         assert inst.activated_entities == inst.activated_attributes == frozenset()
 
     def test_activates_the_link_image_of_the_state(self):
         g = small_graph()
-        s = state_for(
-            g,
-            "Storage in Cloud",
-            [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Unavailable")],
+        activity = "Storage in Cloud"
+        s = state_of(
+            [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Unavailable")]
         )
-        inst = instantiate(g, s)
+        inst = instantiate(g, activity, s)
         assert inst.activated_state == "Storage in Cloud"
         assert inst.activated_entities == frozenset({"Weather", "Network"})
         assert inst.activated_attributes == frozenset(
@@ -165,22 +165,25 @@ class TestInstantiation:
 
     def test_unknown_activity_raises(self):
         g = small_graph()
-        s = state_for(g, "Nope", [ctx("Weather", "Status", "Rainy")])
+        activity = "Nope"
+        s = state_of([ctx("Weather", "Status", "Rainy")])
         with pytest.raises(UnknownContextError):
-            instantiate(g, s)
+            instantiate(g, activity, s)
 
     def test_unmapped_parameter_raises(self):
         g = small_graph()
-        s = state_for(g, "Bill Payment", [ctx("Weather", "Status", "Rainy")])
+        activity = "Bill Payment"
+        s = state_of([ctx("Weather", "Status", "Rainy")])
         with pytest.raises(UnknownContextError):
-            instantiate(g, s)
+            instantiate(g, activity, s)
 
 
 class TestAssignValues:
     def test_direct_attribute_needs_observation(self):
         g = small_graph()
-        s = state_for(g, "Storage in Cloud", [ctx("Weather", "Status", "Rainy")])
-        inst = instantiate(g, s)
+        activity = "Storage in Cloud"
+        s = state_of([ctx("Weather", "Status", "Rainy")])
+        inst = instantiate(g, activity, s)
         with pytest.raises(UnobservedAttributeError):
             assign_values(inst, {})
 
@@ -192,32 +195,33 @@ class TestAssignValues:
                 StateNodeDef("A", ("Receptionist",), ("Receptionist.Availability",))
             ],
         )
-        s = state_for(g, "A", [ctx("Receptionist", "Availability", "11.00 am")])
-        inst = assign_values(instantiate(g, s), {"Receptionist.Availability": "11.00 am"})
+        activity = "A"
+        s = state_of([ctx("Receptionist", "Availability", "11.00 am")])
+        inst = assign_values(
+            instantiate(g, activity, s), {"Receptionist.Availability": "11.00 am"}
+        )
         assert inst.bound_values["Receptionist.Availability"].delay == 30
 
     def test_derived_attributes_are_skipped(self):
         g = small_graph()
-        s = state_for(
-            g,
-            "Bill Payment",
+        activity = "Bill Payment"
+        s = state_of(
             [ctx("Network", "Status", "Unavailable"),
-             ctx("Online_Payment", "Status", "Not_Possible")],
+             ctx("Online_Payment", "Status", "Not_Possible")]
         )
-        inst = assign_values(instantiate(g, s), {"Network.Status": "Unavailable"})
+        inst = assign_values(instantiate(g, activity, s), {"Network.Status": "Unavailable"})
         assert "Online_Payment.Status" not in inst.bound_values
 
 
 class TestDependencies:
     def evaluate(self, rules_order=None):
         g = small_graph()
-        s = state_for(
-            g,
-            "Bill Payment",
+        activity = "Bill Payment"
+        s = state_of(
             [ctx("Network", "Status", "Unavailable"),
-             ctx("Online_Payment", "Status", "Not_Possible")],
+             ctx("Online_Payment", "Status", "Not_Possible")]
         )
-        inst = assign_values(instantiate(g, s), {"Network.Status": "Unavailable"})
+        inst = assign_values(instantiate(g, activity, s), {"Network.Status": "Unavailable"})
         rules = g.dependency_rules if rules_order is None else rules_order
         return apply_dependencies(inst, tuple(rules))
 
@@ -236,13 +240,12 @@ class TestDependencies:
 
     def test_partial_rule_overwrites_observation(self):
         g = small_graph()
-        s = state_for(
-            g,
-            "Storage in Cloud",
-            [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Available")],
+        activity = "Storage in Cloud"
+        s = state_of(
+            [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Available")]
         )
         inst = assign_values(
-            instantiate(g, s),
+            instantiate(g, activity, s),
             {"Weather.Status": "Rainy", "Network.Status": "Available"},
         )
         out = apply_dependencies(inst, g.dependency_rules)
@@ -270,11 +273,13 @@ class TestDependencies:
                 )
             ],
         )
-        s = state_for(
-            g, "A",
-            [ctx("Receptionist", "Availability", "Soon"), ctx("Desk", "Status", "x")],
+        activity = "A"
+        s = state_of(
+            [ctx("Receptionist", "Availability", "Soon"), ctx("Desk", "Status", "x")]
         )
-        inst = assign_values(instantiate(g, s), {"Receptionist.Availability": "Soon"})
+        inst = assign_values(
+            instantiate(g, activity, s), {"Receptionist.Availability": "Soon"}
+        )
         out = apply_dependencies(inst, g.dependency_rules)
         assert out.bound_values["Desk.Status"].delay == 30
 
@@ -304,8 +309,9 @@ class TestDependencies:
             DependencyRule("partial", (RulePattern("E.a", 1), RulePattern("E.b", 4)),
                            RulePattern("E.b", 2)),
         )
-        s = state_for(g, "A", [ctx("E", "a", 1), ctx("E", "b", 0)])
-        inst = assign_values(instantiate(g, s), {"E.a": 1, "E.b": 0})
+        activity = "A"
+        s = state_of([ctx("E", "a", 1), ctx("E", "b", 0)])
+        inst = assign_values(instantiate(g, activity, s), {"E.a": 1, "E.b": 0})
         with pytest.raises(DependencyCycleError):
             apply_dependencies(inst, rules)
 
@@ -313,13 +319,12 @@ class TestDependencies:
 class TestComposeValue:
     def test_default_composition_is_conjunction(self):
         g = small_graph()
-        s = state_for(
-            g,
-            "Storage in Cloud",
-            [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Unavailable")],
+        activity = "Storage in Cloud"
+        s = state_of(
+            [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Unavailable")]
         )
         inst = assign_values(
-            instantiate(g, s),
+            instantiate(g, activity, s),
             {"Weather.Status": "Rainy", "Network.Status": "Unavailable"},
         )
         value = compose_value(inst, g.state_nodes["Storage in Cloud"])
@@ -334,13 +339,12 @@ class TestComposeValue:
 
     def test_unbound_attribute_raises(self):
         g = small_graph()
-        s = state_for(
-            g,
-            "Bill Payment",
+        activity = "Bill Payment"
+        s = state_of(
             [ctx("Network", "Status", "Unavailable"),
-             ctx("Online_Payment", "Status", "x")],
+             ctx("Online_Payment", "Status", "x")]
         )
-        inst = assign_values(instantiate(g, s), {"Network.Status": "Unavailable"})
+        inst = assign_values(instantiate(g, activity, s), {"Network.Status": "Unavailable"})
         with pytest.raises(IncompleteBindingError):
             compose_value(inst, g.state_nodes["Bill Payment"])
 

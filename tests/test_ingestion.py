@@ -12,7 +12,6 @@ and agree on every activity's state.
 import collections
 import pathlib
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -198,11 +197,10 @@ def random_model(rng):
 
 def states_of(runner):
     """Each activity awaiting evaluation and its state: the oracle's own
-    states, or the engine's state of the activity's scope, stamped with the
-    activity's id."""
+    states, or the engine's state of the activity's scope."""
     if isinstance(runner, oracles._AllStatesRunner):
         return dict(runner.states)
-    return {a: replace(w.state, activity_id=a) for a, w in runner.watches.items()}
+    return {a: w.state for a, w in runner.watches.items()}
 
 
 def recording(runner_class):
@@ -328,10 +326,10 @@ def test_shared_scope_checks_each_activity_against_its_own_state_node():
 def guarded_calls(runner_class, model, scenario, monkeypatch):
     """Run ``runner_class`` with ``catch_context`` wrapped; list the calls.
 
-    Each call is recorded as (situation index, scope, whether the state's
-    activity had executed, whether the scope covers anything in the
-    situation passed, whether an activity awaiting evaluation carries an
-    equal scope in the chain).
+    Each call is recorded as (situation index, scope, whether every
+    activity that carries an equal scope in the chain had executed, whether
+    the scope covers anything in the situation passed, whether an activity
+    awaiting evaluation carries an equal scope in the chain).
     """
     model.validate()
     runner = runner_class(model, scenario)
@@ -343,7 +341,7 @@ def guarded_calls(runner_class, model, scenario, monkeypatch):
         calls.append((
             runner.next_situation - 1,
             scope,
-            state.activity_id in runner.executed,
+            all(a in runner.executed for a, n in nodes.items() if n.scope == scope),
             any(scope.covers(ctx) for ctx in cs.bindings.values()),
             any(nodes[a].scope == scope for a in runner.watches),
         ))
@@ -372,7 +370,8 @@ def test_catch_context_once_per_touched_scope_awaiting_evaluation(monkeypatch):
     for seed in range(200):
         model, scenario, _ = random_model(random.Random(seed))
         calls = guarded_calls(chain_mod._Runner, model, scenario, monkeypatch)
-        assert all(touched and live for _, _, _, touched, live in calls)
+        assert all(not executed and touched and live
+                   for _, _, executed, touched, live in calls)
         # The oracle offers every situation to every state; the engine calls
         # once per situation and distinct scope among the oracle's calls on
         # unexecuted activities that the situation touches.

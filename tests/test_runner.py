@@ -44,6 +44,8 @@ from ctxflow.graph import (
 )
 
 import oracles
+from bundlegen import generate
+from run import WORKLOADS
 
 KIOSK = pathlib.Path(__file__).parent / "fixtures" / "kiosk" / "bundle.yaml"
 
@@ -53,8 +55,8 @@ class AuditedRunner(oracles.CheckedRunner):
     activity left it, and at the end that every deferred action was applied
     exactly once."""
 
-    def _apply(self, activity_id, rule, fragment, value, at=None):
-        super()._apply(activity_id, rule, fragment, value, at)
+    def _apply(self, activity_id, rule, fragment, at=None):
+        super()._apply(activity_id, rule, fragment, at)
         assert self.executed <= self.chain.nodes.keys()
 
     def run(self):
@@ -121,8 +123,10 @@ def kiosk_variant(rng):
         },
     )
     chain = model.chain.copy()
-    for node in chain.nodes.values():
-        node.duration = rng.choice((0, 5, 15, 60))
+    for node in model.chain.nodes.values():
+        chain.nodes[node.id] = dataclasses.replace(
+            node, duration=rng.choice((0, 5, 15, 60))
+        )
     variant = ProcessModel(graph, chain, model.repo, model.rules, model.ideal)
     return variant, bundle.scenario
 
@@ -456,3 +460,29 @@ def test_rules_for_keeps_declaration_tuple_order():
             r for r in model.rules if r.activity_id == a
         )
     assert model.rules_for("nobody") == ()
+
+
+@pytest.mark.parametrize("name", ["kiosk", "run-adapt"])
+def test_a_run_shares_the_loaded_model_and_leaves_it_alone(name, tmp_path):
+    """The runner copies only the id list and the node map: the loaded
+    activities are shared, immutable values, and a run that rewrites its
+    own chain leaves the model's ids and activities as they were."""
+    if name == "kiosk":
+        bundle = load_bundle(KIOSK)
+    else:
+        generate(WORKLOADS[name].shape, 3, tmp_path)
+        bundle = load_bundle(tmp_path / "bundle.yaml")
+    chain = bundle.model.chain
+    ids, nodes = chain.ids, chain.nodes
+    before_ids, before_nodes = list(ids), dict(nodes)
+    trace = run_instance(bundle.model, bundle.scenario)
+    kinds = {e.action.split("(")[0] for e in trace.actions}
+    assert len(kinds) == {"kiosk": 5, "run-adapt": 8}[name]
+    assert bundle.model.chain is chain
+    assert chain.ids is ids and ids == before_ids
+    assert chain.nodes is nodes and nodes == before_nodes
+    assert all(nodes[a] is node for a, node in before_nodes.items())
+    node = nodes[before_ids[0]]
+    for field in dataclasses.fields(node):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field.name, getattr(node, field.name))
