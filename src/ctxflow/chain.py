@@ -319,7 +319,6 @@ class AdaptationRule:
     value_pattern: CompositeValue
     fragment_pattern: Optional[str]  # fragment id, or None
     action: Action
-    declaration_order: int = 0
 
     def __post_init__(self):
         if not self.value_pattern.pairs:
@@ -340,19 +339,14 @@ def select_rule(
     value: CompositeValue,
     fragment: Optional[ProcessFragment],
 ) -> Optional[AdaptationRule]:
-    """First rule (declaration order) matching the value/fragment pair."""
+    """The first rule in ``rules`` whose fragment and value pattern match the
+    value/fragment pair, or None: a rule listed earlier takes precedence."""
     fragment_id = fragment.id if fragment is not None else None
-    best = None
     for rule in rules:
-        if (
-            (best is None or rule.declaration_order < best.declaration_order)
-            and rule.fragment_pattern == fragment_id
-            and rule.value_pattern.matches(value)
-        ):
-            best = rule
-    if best is None:
-        logger.debug("no adaptation rule matched value %s", value.render())
-    return best
+        if rule.fragment_pattern == fragment_id and rule.value_pattern.matches(value):
+            return rule
+    logger.debug("no adaptation rule matched value %s", value.render())
+    return None
 
 
 # -- the integrated model and its runner ------------------------------------
@@ -360,7 +354,11 @@ def select_rule(
 
 @dataclass
 class ProcessModel:
-    """Context graph + chain + rules + ideal context assignment."""
+    """Context graph + chain + rules + ideal context assignment.
+
+    ``rules`` is in precedence order: of the rules that match an activity's
+    evaluation, the first one listed for the activity applies.
+    """
 
     graph: ContextGraph
     chain: ActivityChain
@@ -538,15 +536,15 @@ class _Runner:
         node's position in ``chain.ids``."""
         state = self._caught(node.id)
         graph = self.model.graph
-        inst = instantiate(graph, node.id, state)
-        if inst.is_empty:
+        activated = instantiate(graph, node.id, state)
+        if activated is None:
             self._record(node.id, None, None, None)
             return
-        inst = assign_values(
-            inst, {q: ctx.value for q, ctx in state.bindings.items()}
+        bound = assign_values(
+            graph, activated, {q: ctx.value for q, ctx in state.bindings.items()}
         )
-        inst = apply_dependencies(inst, graph.dependency_rules)
-        value = compose_value(inst, graph.state_nodes[node.id])
+        bound = apply_dependencies(bound, activated, graph.dependency_rules)
+        value = compose_value(bound, graph.state_nodes[node.id])
         thrown = throw_activity(self.model.repo, node.sub_goal, value)
         rule = select_rule(self.model.rules_for(node.id), value, thrown.fragment)
         if rule is None:

@@ -199,11 +199,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_query(args) -> int:
-    situations = load_scenario(args.cs)
     predicates = []
-    for cs in situations:
-        for q in cs.attributes:
-            ctx = cs.bindings[q]
+    for _, contexts in load_scenario(args.cs):
+        for ctx in contexts:
             predicates.append(
                 ContextPredicate(
                     category=ctx.parameter,

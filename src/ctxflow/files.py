@@ -13,7 +13,7 @@ import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import yaml
 from yaml.constructor import ConstructorError
@@ -598,7 +598,7 @@ def _activity(spec, where: str, graph: ContextGraph,
     )
 
 
-def _rule(spec, where: str, order: int, chain: ActivityChain,
+def _rule(spec, where: str, chain: ActivityChain,
           repo: FragmentRepository) -> AdaptationRule:
     spec = _mapping(spec, where, "activity", "value", "action")
     activity_id = _text(spec, "activity", where)
@@ -631,7 +631,6 @@ def _rule(spec, where: str, order: int, chain: ActivityChain,
             order=tuple(_texts(action, "order", at)),
             data=tuple(_texts(action, "data", at)),
         ),
-        declaration_order=order,
     )
 
 
@@ -682,7 +681,7 @@ def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessM
     _check_bound(chain, graph, bound)
 
     rules = tuple(
-        _rule(spec, "rule %d" % i, i, chain, repo)
+        _rule(spec, "rule %d" % i, chain, repo)
         for i, spec in enumerate(_list(doc, "rules"))
     )
     return ProcessModel(graph, chain, repo, rules, ideal)
@@ -695,8 +694,12 @@ def load_model(path, graph: ContextGraph, repo: FragmentRepository) -> ProcessMo
 # -- scenario ----------------------------------------------------------------
 
 
-def _scenario(doc: dict) -> List[ContextualSituation]:
-    situations: List[ContextualSituation] = []
+# A situation, and its contexts as the scenario lists them.
+ListedSituation = Tuple[ContextualSituation, List[AtomicContext]]
+
+
+def _scenario(doc: dict) -> List[ListedSituation]:
+    situations: List[ListedSituation] = []
     for i, spec in enumerate(_list(doc, "situations")):
         where = "situation %d" % i
         spec = _mapping(spec, where, "time")
@@ -705,18 +708,24 @@ def _scenario(doc: dict) -> List[ContextualSituation]:
             cs = ContextualSituation.from_contexts(contexts, parse_time(spec["time"]))
         except (LoadError, ValueError) as exc:
             raise _error(where, str(exc)) from None
-        if situations and cs.timestamp < situations[-1].timestamp:
+        if situations and cs.timestamp < situations[-1][0].timestamp:
             raise _error(where, "time goes back: scenario times must be monotone")
-        situations.append(cs)
+        situations.append((cs, contexts))
     return situations
 
 
-def load_scenario(path) -> List[ContextualSituation]:
+def load_scenario(path) -> List[ListedSituation]:
+    """Each situation of the scenario at ``path``, paired with its contexts
+    as the document lists them.
+
+    A situation binds one context per qualified attribute, the last one
+    listed, while the list keeps every instance of an attribute.
+    """
     return _load(path, "scenario", _scenario)
 
 
 def _model_scenario(doc: dict, model: ProcessModel) -> List[ContextualSituation]:
-    situations = _scenario(doc)
+    situations = [cs for cs, _ in _scenario(doc)]
     _check_bound(model.chain, model.graph, (
         ("situation %d" % i, ctx)
         for i, cs in enumerate(situations)

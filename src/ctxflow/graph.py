@@ -2,16 +2,18 @@
 
 Level 1 holds state nodes (one per activity with a contextual event), level 2
 entities and attributes with their relationships and dependency rules, level 3
-the atomic and composite value slots. A context state instantiates the
-sub-graph it maps onto; observed values are bound, dependency rules run to
-fixpoint, and the state node's composition expression yields the composite
-value handed back to the process layer.
+the atomic and composite value slots. Evaluating a context state takes four
+steps that pass plain values: ``instantiate`` checks the state's links and
+returns the attributes it activates, ``assign_values`` binds observed values
+to them, ``apply_dependencies`` runs the dependency rules to fixpoint over
+those bindings, and ``compose_value`` applies the state node's composition
+to yield the composite value handed back to the process layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from .context import ContextState, Value, normalize_value, values_equal
 from .errors import (
@@ -71,9 +73,6 @@ class EntityRelation:
 class RulePattern:
     attribute: str
     value: Value
-
-    def matches(self, bound: Optional["TimedValue"]) -> bool:
-        return bound is not None and values_equal(bound.value, self.value)
 
 
 @dataclass(frozen=True)
@@ -290,26 +289,14 @@ def validate_graph(g: ContextGraph) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-@dataclass(frozen=True)
-class SubgraphInstance:
-    """The run-time sub-graph activated by one context state."""
-
-    graph: ContextGraph
-    activated_state: Optional[str]
-    activated_entities: frozenset
-    activated_attributes: frozenset
-    bound_values: Mapping[str, TimedValue] = field(default_factory=dict)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.activated_state is None
-
-
-def instantiate(g: ContextGraph, activity_id: str, s: ContextState) -> SubgraphInstance:
-    """Activate the entities/attributes that are the link image of ``s``
-    under the state node of ``activity_id``."""
+def instantiate(
+    g: ContextGraph, activity_id: str, s: ContextState
+) -> Optional[FrozenSet[str]]:
+    """The attributes ``s`` activates under the state node of
+    ``activity_id``: the blue-link image of its attributes, or None for an
+    empty state. Every parameter and attribute must have its link."""
     if s.is_empty:
-        return SubgraphInstance(g, None, frozenset(), frozenset())
+        return None
 
     node = g.state_nodes.get(activity_id)
     if node is None:
@@ -324,29 +311,20 @@ def instantiate(g: ContextGraph, activity_id: str, s: ContextState) -> SubgraphI
             raise UnknownContextError(
                 "attribute %r of state %r has no blue link" % (a, activity_id)
             )
-
-    return SubgraphInstance(
-        graph=g,
-        activated_state=node.id,
-        activated_entities=frozenset(s.parameters),
-        activated_attributes=frozenset(s.attributes),
-    )
+    return frozenset(s.attributes)
 
 
 def assign_values(
-    inst: SubgraphInstance, observations: Mapping[str, Value]
-) -> SubgraphInstance:
-    """Bind observed values to the instance's direct attributes.
+    g: ContextGraph, activated: FrozenSet[str], observations: Mapping[str, Value]
+) -> Dict[str, TimedValue]:
+    """Bind observed values to the activated direct attributes.
 
     Each value picks up its attribute's green-link delay. Derived attributes
     stay unbound until dependency evaluation.
     """
-    if inst.is_empty and not observations:
-        return inst
-
-    bound = dict(inst.bound_values)
-    for name in sorted(inst.activated_attributes):
-        attr = inst.graph.attributes[name]
+    bound = {}
+    for name in sorted(activated):
+        attr = g.attributes[name]
         if attr.derivation != "direct":
             continue
         if name not in observations:
@@ -354,34 +332,36 @@ def assign_values(
                 "direct attribute %r has no observation" % (name,)
             )
         bound[name] = TimedValue(observations[name], attr.delay)
-    return SubgraphInstance(
-        inst.graph, inst.activated_state, inst.activated_entities,
-        inst.activated_attributes, bound,
-    )
+    return bound
 
 
 def apply_dependencies(
-    inst: SubgraphInstance, rules: Tuple[DependencyRule, ...]
-) -> SubgraphInstance:
-    """Fire dependency rules pass-by-pass until the bindings stabilise.
+    bound: Mapping[str, TimedValue],
+    activated: FrozenSet[str],
+    rules: Tuple[DependencyRule, ...],
+) -> Dict[str, TimedValue]:
+    """Fire dependency rules pass-by-pass until the bindings stabilise, and
+    return the bindings they reach; ``bound`` is left as it is.
 
-    Each pass evaluates every rule against the current bindings and applies
-    all resulting writes at once, which makes the fixpoint independent of
-    rule ordering. Two rules producing different values for one attribute in
-    the same pass is a conflict, not a silent choice.
+    Only rules whose target is activated fire. Each pass evaluates every
+    rule against the current bindings and applies all resulting writes at
+    once, which makes the fixpoint independent of rule ordering. Two rules
+    producing different values for one attribute in the same pass is a
+    conflict, not a silent choice.
     """
-    if inst.is_empty:
-        return inst
-
-    bound = dict(inst.bound_values)
-    cap = len(rules) * max(len(inst.activated_attributes), 1) + 1
+    bound = dict(bound)
+    cap = len(rules) * max(len(activated), 1) + 1
     for _ in range(cap):
         proposals = {}
         for rule in rules:
             target = rule.consequent.attribute
-            if target not in inst.activated_attributes:
+            if target not in activated:
                 continue
-            if not all(bound_matches(bound, pat) for pat in rule.antecedent):
+            if not all(
+                p.attribute in bound
+                and values_equal(bound[p.attribute].value, p.value)
+                for p in rule.antecedent
+            ):
                 continue
             delay = max(
                 (bound[p.attribute].delay for p in rule.antecedent), default=0
@@ -402,32 +382,25 @@ def apply_dependencies(
                 bound[target] = value
                 changed = True
         if not changed:
-            return SubgraphInstance(
-                inst.graph, inst.activated_state, inst.activated_entities,
-                inst.activated_attributes, bound,
-            )
+            return bound
     raise DependencyCycleError(
         "dependency rules did not stabilise within %d passes" % (cap,)
     )
 
 
-def bound_matches(bound, pattern: RulePattern) -> bool:
-    return pattern.matches(bound.get(pattern.attribute))
-
-
-def compose_value(inst: SubgraphInstance, node: StateNodeDef) -> CompositeValue:
-    """Evaluate the state node's composition over the instance's bindings."""
+def compose_value(bound: Mapping[str, TimedValue], node: StateNodeDef) -> CompositeValue:
+    """Evaluate the state node's composition over the bindings ``bound``."""
     comp = node.effective_composition()
     pairs = []
     max_delay = 0
     for attr in comp.attributes():
-        bound = inst.bound_values.get(attr)
-        if bound is None:
+        value = bound.get(attr)
+        if value is None:
             raise IncompleteBindingError(
                 "attribute %r is unbound in composition of %r" % (attr, node.id)
             )
-        pairs.append((attr, bound.value))
-        max_delay = max(max_delay, bound.delay)
+        pairs.append((attr, value.value))
+        max_delay = max(max_delay, value.delay)
     return CompositeValue(comp.op, tuple(pairs), max_delay)
 
 

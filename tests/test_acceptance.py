@@ -234,15 +234,15 @@ def _check_fixpoint_permutations(kiosk_dir):
     state = ContextState.from_contexts(
         [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Available")], 1
     )
-    inst = assign_values(
-        instantiate(graph, "Storage in Cloud", state),
-        {"Weather.Status": "Rainy", "Network.Status": "Available"},
+    activated = instantiate(graph, "Storage in Cloud", state)
+    bound = assign_values(
+        graph, activated, {"Weather.Status": "Rainy", "Network.Status": "Available"}
     )
     baseline = None
     for perm in itertools.permutations(graph.dependency_rules):
         got = {
             k: v.value
-            for k, v in apply_dependencies(inst, tuple(perm)).bound_values.items()
+            for k, v in apply_dependencies(bound, activated, tuple(perm)).items()
         }
         if baseline is None:
             baseline = got

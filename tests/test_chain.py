@@ -261,25 +261,24 @@ class TestActionsAndRules:
                 "a", composite_from_pairs([]), None, Action("bypass")
             )
 
-    def test_select_rule_first_match_in_declaration_order(self):
+    def test_select_rule_first_listed_match(self):
         pattern = composite_from_pairs([("A.x", 1)])
-        first = AdaptationRule("a", pattern, None, Action("bypass"), 0)
-        second = AdaptationRule(
-            "a", pattern, None, Action("replace_role", role="Z"), 1
-        )
-        assert select_rule([second, first], pattern, None) is first
+        first = AdaptationRule("a", pattern, None, Action("bypass"))
+        second = AdaptationRule("a", pattern, None, Action("replace_role", role="Z"))
+        assert select_rule([second, first], pattern, None) is second
+        assert select_rule([first, second], pattern, None) is first
 
     def test_select_rule_requires_fragment_agreement(self):
         pattern = composite_from_pairs([("A.x", 1)])
         frag = fragment("p")
-        with_frag = AdaptationRule("a", pattern, frag.id, Action("add_after"), 0)
+        with_frag = AdaptationRule("a", pattern, frag.id, Action("add_after"))
         assert select_rule([with_frag], pattern, None) is None
         assert select_rule([with_frag], pattern, frag) is with_frag
 
     def test_select_rule_no_match_returns_none(self):
         pattern = composite_from_pairs([("A.x", 1)])
         other = composite_from_pairs([("A.x", 2)])
-        rule = AdaptationRule("a", pattern, None, Action("bypass"), 0)
+        rule = AdaptationRule("a", pattern, None, Action("bypass"))
         assert select_rule([rule], other, None) is None
 
 
@@ -379,7 +378,6 @@ def tiny_model(delay=0, durations=(0, 0), action=None):
             composite_from_pairs([("E.status", "bad")]),
             None,
             action or Action("replace_role", role="Z"),
-            0,
         ),
     )
     ideal = {
@@ -456,7 +454,6 @@ class TestRunner:
                     composite_from_pairs([("E.status", "bad")]),
                     frag.id,
                     Action("add_before"),
-                    0,
                 ),
             ),
             model.ideal,
@@ -494,7 +491,6 @@ class TestRunner:
                     composite_from_pairs([("E.status", "bad")]),
                     None,
                     Action("reorder", order=("L2", "L3", "L1")),
-                    0,
                 ),
             ),
             {
@@ -518,7 +514,6 @@ class TestRunner:
                     composite_from_pairs([("E.status", "bad")]),
                     None,
                     Action("bypass"),
-                    0,
                 ),
             ),
             model.ideal,

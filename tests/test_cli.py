@@ -544,3 +544,27 @@ class TestQuery:
             ]
         )
         assert rc == 2
+
+    def test_every_listed_instance_of_an_attribute(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump({
+            "version": 1,
+            "kind": "scenario",
+            "situations": [{"time": 600, "contexts": [
+                {"parameter": "Network", "attribute": "Status",
+                 "value": "Available", "instance": "OperatorA"},
+                {"parameter": "Network", "attribute": "Status",
+                 "value": "Unavailable", "instance": "OperatorB"},
+            ]}],
+        }))
+        queries = (
+            "OR Network WHERE attribute = Status AND value = Available",
+            "AND Network WHERE parameter INSTANCE_OF Network",
+        )
+        for query in queries:
+            assert main(["query", str(scenario), query]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Network(OperatorA, Status, =, Available)",
+            "Network(OperatorA, Status, =, Available) AND "
+            "Network(OperatorB, Status, =, Unavailable)",
+        ]

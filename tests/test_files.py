@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from bundlegen import generate
+from ctxflow.chain import run_instance
 from ctxflow.cli import main
 from ctxflow.errors import LoadError
 from ctxflow.files import (
@@ -143,7 +144,8 @@ class TestScenarioLoading:
     def test_kiosk_scenario(self, kiosk_dir):
         situations = load_scenario(kiosk_dir / "scenario.yaml")
         assert len(situations) == 1
-        cs = situations[0]
+        cs, contexts = situations[0]
+        assert [ctx.qualified for ctx in contexts] == list(cs.attributes)
         assert cs.timestamp == 840
         assert len(cs.attributes) == 8
         assert cs.bindings["Weather.Status"].value == "Rainy"
@@ -178,6 +180,23 @@ class TestBundleLoading:
         bundle = load_bundle(kiosk_bundle)
         scope = bundle.model.chain.nodes["Treatment"].scope
         assert scope.relevant_parameters == frozenset({"Caregiver", "Patient_Bed"})
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_first_listed_of_two_matching_rules_applies(self, tmp_path, kiosk_dir, swap):
+        for name in ("graph.yaml", "repo.yaml", "scenario.yaml", "bundle.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        model = yaml.safe_load((kiosk_dir / "model.yaml").read_text())
+        rule = model["rules"][0]
+        assert rule["activity"] == "Patient Registration"
+        twin = dict(rule, action={"kind": "replace_role", "role": "Y"})
+        model["rules"][:1] = [rule, twin][::-1] if swap else [rule, twin]
+        (tmp_path / "model.yaml").write_text(yaml.safe_dump(model))
+        bundle = load_bundle(tmp_path / "bundle.yaml")
+        trace = run_instance(bundle.model, bundle.scenario)
+        actions = [
+            e.action for e in trace.entries if e.activity_id == "Patient Registration"
+        ]
+        assert actions == ["replace_role(Y)" if swap else "replace_role(Z)"]
 
     def test_missing_entry_rejected(self, tmp_path, kiosk_dir):
         p = tmp_path / "bundle.yaml"

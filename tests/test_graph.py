@@ -146,9 +146,7 @@ class TestInstantiation:
         g = small_graph()
         activity = "Bill Payment"
         s = state_of([])
-        inst = instantiate(g, activity, s)
-        assert inst.is_empty
-        assert inst.activated_entities == inst.activated_attributes == frozenset()
+        assert instantiate(g, activity, s) is None
 
     def test_activates_the_link_image_of_the_state(self):
         g = small_graph()
@@ -156,10 +154,7 @@ class TestInstantiation:
         s = state_of(
             [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Unavailable")]
         )
-        inst = instantiate(g, activity, s)
-        assert inst.activated_state == "Storage in Cloud"
-        assert inst.activated_entities == frozenset({"Weather", "Network"})
-        assert inst.activated_attributes == frozenset(
+        assert instantiate(g, activity, s) == frozenset(
             {"Weather.Status", "Network.Status"}
         )
 
@@ -183,9 +178,8 @@ class TestAssignValues:
         g = small_graph()
         activity = "Storage in Cloud"
         s = state_of([ctx("Weather", "Status", "Rainy")])
-        inst = instantiate(g, activity, s)
         with pytest.raises(UnobservedAttributeError):
-            assign_values(inst, {})
+            assign_values(g, instantiate(g, activity, s), {})
 
     def test_raw_value_picks_up_green_link_delay(self):
         g = ContextGraph.build(
@@ -197,10 +191,10 @@ class TestAssignValues:
         )
         activity = "A"
         s = state_of([ctx("Receptionist", "Availability", "11.00 am")])
-        inst = assign_values(
-            instantiate(g, activity, s), {"Receptionist.Availability": "11.00 am"}
+        bound = assign_values(
+            g, instantiate(g, activity, s), {"Receptionist.Availability": "11.00 am"}
         )
-        assert inst.bound_values["Receptionist.Availability"].delay == 30
+        assert bound["Receptionist.Availability"].delay == 30
 
     def test_derived_attributes_are_skipped(self):
         g = small_graph()
@@ -209,8 +203,10 @@ class TestAssignValues:
             [ctx("Network", "Status", "Unavailable"),
              ctx("Online_Payment", "Status", "Not_Possible")]
         )
-        inst = assign_values(instantiate(g, activity, s), {"Network.Status": "Unavailable"})
-        assert "Online_Payment.Status" not in inst.bound_values
+        bound = assign_values(
+            g, instantiate(g, activity, s), {"Network.Status": "Unavailable"}
+        )
+        assert "Online_Payment.Status" not in bound
 
 
 class TestDependencies:
@@ -221,19 +217,20 @@ class TestDependencies:
             [ctx("Network", "Status", "Unavailable"),
              ctx("Online_Payment", "Status", "Not_Possible")]
         )
-        inst = assign_values(instantiate(g, activity, s), {"Network.Status": "Unavailable"})
+        activated = instantiate(g, activity, s)
+        bound = assign_values(g, activated, {"Network.Status": "Unavailable"})
         rules = g.dependency_rules if rules_order is None else rules_order
-        return apply_dependencies(inst, tuple(rules))
+        return apply_dependencies(bound, activated, tuple(rules))
 
     def test_total_rule_derives_value(self):
-        inst = self.evaluate()
-        assert inst.bound_values["Online_Payment.Status"].value == "Not_Possible"
+        bound = self.evaluate()
+        assert bound["Online_Payment.Status"].value == "Not_Possible"
 
     def test_fixpoint_is_order_independent(self):
         g = small_graph()
-        baseline = self.evaluate().bound_values
+        baseline = self.evaluate()
         for perm in itertools.permutations(g.dependency_rules):
-            got = self.evaluate(perm).bound_values
+            got = self.evaluate(perm)
             assert {k: v.value for k, v in got.items()} == {
                 k: v.value for k, v in baseline.items()
             }
@@ -244,12 +241,21 @@ class TestDependencies:
         s = state_of(
             [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Available")]
         )
-        inst = assign_values(
-            instantiate(g, activity, s),
-            {"Weather.Status": "Rainy", "Network.Status": "Available"},
+        activated = instantiate(g, activity, s)
+        bound = assign_values(
+            g, activated, {"Weather.Status": "Rainy", "Network.Status": "Available"}
         )
-        out = apply_dependencies(inst, g.dependency_rules)
-        assert out.bound_values["Network.Status"].value == "Unavailable"
+        out = apply_dependencies(bound, activated, g.dependency_rules)
+        assert out["Network.Status"].value == "Unavailable"
+        assert bound["Network.Status"].value == "Available"
+
+    def test_rule_with_an_inactive_target_does_not_fire(self):
+        g = small_graph()
+        activity = "Storage in Cloud"
+        s = state_of([ctx("Weather", "Status", "Rainy")])
+        activated = instantiate(g, activity, s)
+        bound = assign_values(g, activated, {"Weather.Status": "Rainy"})
+        assert apply_dependencies(bound, activated, g.dependency_rules) == bound
 
     def test_derived_delay_is_max_of_antecedents(self):
         g = ContextGraph.build(
@@ -277,11 +283,10 @@ class TestDependencies:
         s = state_of(
             [ctx("Receptionist", "Availability", "Soon"), ctx("Desk", "Status", "x")]
         )
-        inst = assign_values(
-            instantiate(g, activity, s), {"Receptionist.Availability": "Soon"}
-        )
-        out = apply_dependencies(inst, g.dependency_rules)
-        assert out.bound_values["Desk.Status"].delay == 30
+        activated = instantiate(g, activity, s)
+        bound = assign_values(g, activated, {"Receptionist.Availability": "Soon"})
+        out = apply_dependencies(bound, activated, g.dependency_rules)
+        assert out["Desk.Status"].delay == 30
 
     def test_conflicting_rules_raise(self):
         g = small_graph()
@@ -311,9 +316,10 @@ class TestDependencies:
         )
         activity = "A"
         s = state_of([ctx("E", "a", 1), ctx("E", "b", 0)])
-        inst = assign_values(instantiate(g, activity, s), {"E.a": 1, "E.b": 0})
+        activated = instantiate(g, activity, s)
+        bound = assign_values(g, activated, {"E.a": 1, "E.b": 0})
         with pytest.raises(DependencyCycleError):
-            apply_dependencies(inst, rules)
+            apply_dependencies(bound, activated, rules)
 
 
 class TestComposeValue:
@@ -323,11 +329,12 @@ class TestComposeValue:
         s = state_of(
             [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Unavailable")]
         )
-        inst = assign_values(
+        bound = assign_values(
+            g,
             instantiate(g, activity, s),
             {"Weather.Status": "Rainy", "Network.Status": "Unavailable"},
         )
-        value = compose_value(inst, g.state_nodes["Storage in Cloud"])
+        value = compose_value(bound, g.state_nodes["Storage in Cloud"])
         assert value.op == "AND"
         assert value.pairs == (
             ("Weather.Status", "Rainy"),
@@ -344,9 +351,23 @@ class TestComposeValue:
             [ctx("Network", "Status", "Unavailable"),
              ctx("Online_Payment", "Status", "x")]
         )
-        inst = assign_values(instantiate(g, activity, s), {"Network.Status": "Unavailable"})
+        bound = assign_values(
+            g, instantiate(g, activity, s), {"Network.Status": "Unavailable"}
+        )
         with pytest.raises(IncompleteBindingError):
-            compose_value(inst, g.state_nodes["Bill Payment"])
+            compose_value(bound, g.state_nodes["Bill Payment"])
+
+    def test_nested_composition_keeps_only_its_attributes(self):
+        node = StateNodeDef(
+            "A",
+            ("E",),
+            ("E.a", "E.b", "E.c"),
+            Composition("AND", ("E.a", Composition("OR", ("E.b", "E.c")))),
+        )
+        bound = {a: TimedValue(v) for a, v in (("E.a", 1), ("E.b", 2), ("E.c", 3))}
+        value = compose_value(bound, node)
+        assert value.op == "AND"
+        assert value.render() == "[(E.a, 1) AND (E.b, 2) AND (E.c, 3)]"
 
     def test_max_delay_propagates(self):
         value = CompositeValue(

@@ -166,7 +166,7 @@ def random_model(rng):
                     order=tuple(rng.sample(("L1", "L2", "L3"), 3)),
                     data=("d",),
                 )
-                rules.append(AdaptationRule(a, value, pattern, action, len(rules)))
+                rules.append(AdaptationRule(a, value, pattern, action))
     ideal = {
         q: AtomicContext(*q.split("."), value="good")
         for q in QUALIFIED

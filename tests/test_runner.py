@@ -248,10 +248,12 @@ def random_model(rng):
                         order=tuple(rng.sample(("L1", "L2", "L3"), 3)),
                         data=("d",),
                     ),
-                    len(rules),
                 )
             )
-    rng.shuffle(rules)
+    # Rules apply in list order, so they keep creation order. Shuffling a
+    # copy spends the draws a shuffle of the rules would, so each seed's
+    # ideal and scenario stay independent of how the rules are ordered.
+    rng.shuffle(list(rules))
     ideal = {
         attribute(e): AtomicContext(parameter=e, attribute="s", value="good")
         for e in entities
@@ -346,8 +348,8 @@ def inserting_chain(n, k):
         ActivityChain.from_nodes(nodes),
         FragmentRepository((SubgoalEntry(1, "s", ((bad, "F"),)),), {"F": fragment}),
         tuple(
-            AdaptationRule(a, bad, "F", Action("add_after"), i)
-            for i, a in enumerate(ids)
+            AdaptationRule(a, bad, "F", Action("add_after"))
+            for a in ids
         ),
         {"E.s": AtomicContext(parameter="E", attribute="s", value="good")},
     )
