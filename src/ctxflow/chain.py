@@ -335,18 +335,16 @@ class AdaptationRule:
 
 
 def select_rule(
-    rules: Sequence[AdaptationRule],
-    value: CompositeValue,
+    model: "ProcessModel", activity_id: str, value: CompositeValue,
     fragment: Optional[ProcessFragment],
 ) -> Optional[AdaptationRule]:
-    """The first rule in ``rules`` whose fragment and value pattern match the
-    value/fragment pair, or None: a rule listed earlier takes precedence."""
+    """The first rule listed for ``activity_id`` whose fragment and value
+    pattern match the value/fragment pair, or None, found by one lookup."""
     fragment_id = fragment.id if fragment is not None else None
-    for rule in rules:
-        if rule.fragment_pattern == fragment_id and rule.value_pattern.matches(value):
-            return rule
-    logger.debug("no adaptation rule matched value %s", value.render())
-    return None
+    rule = model._rule_index.get((activity_id, fragment_id, value.normalized()))
+    if rule is None:
+        logger.debug("no adaptation rule matched value %s", value.render())
+    return rule
 
 
 # -- the integrated model and its runner ------------------------------------
@@ -365,19 +363,17 @@ class ProcessModel:
     repo: FragmentRepository
     rules: Tuple[AdaptationRule, ...]
     ideal: Mapping[str, AtomicContext]  # qualified attribute -> ideal context
-    _rules_by_activity: Dict[str, Tuple[AdaptationRule, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    _rule_index: Dict[tuple, AdaptationRule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grouped: Dict[str, List[AdaptationRule]] = {}
+        # The first rule listed under an (activity, fragment id, pattern) key wins.
+        index: Dict[tuple, AdaptationRule] = {}
+        shared: Dict[object, object] = {}
         for rule in self.rules:
-            grouped.setdefault(rule.activity_id, []).append(rule)
-        self._rules_by_activity = {k: tuple(v) for k, v in grouped.items()}
-
-    def rules_for(self, activity_id: str) -> Tuple[AdaptationRule, ...]:
-        """The activity's rules in ``rules`` order, from an index built once."""
-        return self._rules_by_activity.get(activity_id, ())
+            key = rule.value_pattern.normalized()
+            key = (rule.activity_id, rule.fragment_pattern, shared.setdefault(key, key))
+            index.setdefault(key, rule)
+        self._rule_index = index
 
     def validate(self) -> None:
         self.chain.validate()
@@ -546,7 +542,7 @@ class _Runner:
         bound = apply_dependencies(bound, activated, graph.dependency_rules)
         value = compose_value(bound, graph.state_nodes[node.id])
         thrown = throw_activity(self.model.repo, node.sub_goal, value)
-        rule = select_rule(self.model.rules_for(node.id), value, thrown.fragment)
+        rule = select_rule(self.model, node.id, value, thrown.fragment)
         if rule is None:
             self._record(node.id, value, thrown.fragment, None)
             return
@@ -685,7 +681,8 @@ class _Runner:
             if passes > 2 * model_size + len(self.executed) + 1:
                 raise ChainIntegrityError("runner failed to make progress")
             self._ingest_due_situations()
-            self._apply_due_pending()
+            if self.pending:
+                self._apply_due_pending()
             at = self._next_unexecuted()
             if at is None:
                 if self.pending:

@@ -97,14 +97,15 @@ class ContextualSituation:
 
     @classmethod
     def from_contexts(cls, contexts, timestamp: int) -> "ContextualSituation":
-        """Package a plain list of atomic contexts as a situation."""
-        params = {}  # insertion-ordered set
-        attrs = []
+        """Package a plain list of atomic contexts as a situation; a repeated
+        attribute is named at its first listing and bound to its last."""
+        params = {}  # insertion-ordered sets
+        attrs = {}
         bindings = {}
         for ctx in contexts:
             params[ctx.parameter] = None
             q = ctx.qualified
-            attrs.append(q)
+            attrs[q] = None
             bindings[q] = ctx
         return cls(tuple(params), tuple(attrs), timestamp, bindings)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -277,7 +278,9 @@ def _subgoal_key(spec: dict, where: str, default):
 
 
 def _is_value(value) -> bool:
-    return isinstance(value, (str, int, float))
+    # Values compare as numbers, so a whole number must fit a float.
+    return isinstance(value, (str, float)) or (
+        isinstance(value, int) and abs(value) <= sys.float_info.max)
 
 
 def _pairs(items: list, where: str) -> list:

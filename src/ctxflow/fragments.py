@@ -3,9 +3,9 @@
 The repository mirrors the tabular layout used at design time: an indexed
 sub-goal list, each sub-goal carrying value-pattern -> fragment rows, plus
 the fragment definitions themselves. Sub-goals are found through a name/index
-dict built once; lookup is then a linear scan of one sub-goal's rows. The
-repository is immutable after load; ``files.load_repository`` builds it from
-its document.
+dict, fragments through a (sub-goal position, normalized pattern) dict; both
+are built once. The repository is immutable after load;
+``files.load_repository`` builds it from its document.
 """
 
 from __future__ import annotations
@@ -46,50 +46,50 @@ class SubgoalEntry:
 class FragmentRepository:
     subgoals: Tuple[SubgoalEntry, ...]
     fragments: Mapping[str, ProcessFragment]
-    _by_key: Dict[object, SubgoalEntry] = field(
-        init=False, repr=False, compare=False
-    )
+    _positions: Dict[object, int] = field(init=False, repr=False, compare=False)
+    _rows: Dict[Tuple[int, object], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The first entry named or indexed by a key wins, as in a scan of
-        # ``subgoals``. An unhashable name cannot equal any hashable key.
-        by_key: Dict[object, SubgoalEntry] = {}
-        for entry in self.subgoals:
+        # The first entry named or indexed by a key wins, and the first row of
+        # an entry with a pattern, as in a scan; an unhashable name equals no
+        # hashable key. Entries may share an index, so rows key by position.
+        positions: Dict[object, int] = {}
+        rows: Dict[Tuple[int, object], str] = {}
+        shared: Dict[object, object] = {}
+        for position, entry in enumerate(self.subgoals):
             for key in (entry.name, entry.index):
                 try:
-                    by_key.setdefault(key, entry)
+                    positions.setdefault(key, position)
                 except TypeError:
                     pass
-        object.__setattr__(self, "_by_key", by_key)
+            for pattern, fragment_id in entry.rows:
+                key = pattern.normalized()
+                rows.setdefault((position, shared.setdefault(key, key)), fragment_id)
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_rows", rows)
 
-    def subgoal(self, key) -> SubgoalEntry:
+    def _position(self, key) -> int:
         try:
-            return self._by_key[key]
+            return self._positions[key]
         except (KeyError, TypeError):
             raise UnknownSubgoalError(
                 "sub-goal %r not in repository" % (key,)
             ) from None
 
+    def subgoal(self, key) -> SubgoalEntry:
+        return self.subgoals[self._position(key)]
+
 
 @dataclass(frozen=True)
 class ThrowResult:
     fragment: Optional[ProcessFragment]
-    comparisons: int
 
 
 def throw_activity(
     repo: FragmentRepository, subgoal, value: CompositeValue
 ) -> ThrowResult:
-    """Select the fragment stored for ``(subgoal, value)``, if any.
-
-    Scans the sub-goal's rows in declaration order and returns on the first
-    pattern matching the normalized composite value; no match yields a NULL
-    fragment. ``comparisons`` reports how many patterns were inspected.
-    """
-    entry = repo.subgoal(subgoal)
-    comparisons = 0
-    for pattern, fragment_id in entry.rows:
-        comparisons += 1
-        if pattern.matches(value):
-            return ThrowResult(repo.fragments[fragment_id], comparisons)
-    return ThrowResult(None, comparisons)
+    """Select the fragment stored for ``(subgoal, value)``, if any: that of
+    the sub-goal's first row whose pattern matches ``value``, found by one
+    lookup. No match yields a NULL fragment."""
+    fragment_id = repo._rows.get((repo._position(subgoal), value.normalized()))
+    return ThrowResult(None if fragment_id is None else repo.fragments[fragment_id])

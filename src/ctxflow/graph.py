@@ -152,15 +152,13 @@ class CompositeValue:
     max_delay: int = 0
 
     def normalized(self):
+        """The selection key: the op and the casefolded, normalized pairs."""
         return (
             self.op,
             frozenset(
                 (attr.casefold(), normalize_value(value)) for attr, value in self.pairs
             ),
         )
-
-    def matches(self, other: "CompositeValue") -> bool:
-        return self.normalized() == other.normalized()
 
     def render(self) -> str:
         joint = " %s " % self.op

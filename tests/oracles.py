@@ -2,7 +2,8 @@
 
 Each oracle re-derives expected results with a deliberately different
 technique from the production code: plain list splicing for chain rewrites,
-a linear sub-goal scan, a runner that rescans the chain order on every
+a linear sub-goal scan, linear row and rule scans that normalize every
+pattern on every comparison, a runner that rescans the chain order on every
 step, a runner that checks the whole chain after every rewrite, a runner
 that offers every situation to every activity,
 per-context classification for state diffing, subset
@@ -20,13 +21,15 @@ import math
 import re
 from collections import Counter, deque
 from dataclasses import replace
+from unittest import mock
 
 import yaml
 
 from ctxflow import chain as chain_mod
 from ctxflow import files
 from ctxflow.context import ContextState
-from ctxflow.errors import NotEnabledError, PartialSpaceError
+from ctxflow.errors import NotEnabledError, PartialSpaceError, UnknownSubgoalError
+from ctxflow.fragments import ThrowResult
 from ctxflow.petri import BoundednessReport, LivenessReport, StateSpace, make_marking
 
 
@@ -76,6 +79,53 @@ def subgoal_oracle(repo, key):
         if entry.name == key or entry.index == key:
             return entry
     return None
+
+
+# -- linear-scan oracles for fragment and rule selection ----------------------
+
+
+def patterns_match(pattern, value):
+    """Whether two composite values match, both normalized on every call."""
+    return pattern.normalized() == value.normalized()
+
+
+def throw_scan(repo, subgoal, value):
+    """The fragment of the first row of the sub-goal ``subgoal`` names whose
+    pattern matches ``value``, scanning the rows in declaration order, or
+    None; a sub-goal missing from the repository raises."""
+    entry = subgoal_oracle(repo, subgoal)
+    if entry is None:
+        raise UnknownSubgoalError("sub-goal %r not in repository" % (subgoal,))
+    for pattern, fragment_id in entry.rows:
+        if patterns_match(pattern, value):
+            return repo.fragments[fragment_id]
+    return None
+
+
+def select_rule_scan(model, activity_id, value, fragment):
+    """The first rule in ``model.rules`` for ``activity_id`` whose fragment
+    and value pattern match, scanning every rule, or None."""
+    fragment_id = fragment.id if fragment is not None else None
+    for rule in model.rules:
+        if (
+            rule.activity_id == activity_id
+            and rule.fragment_pattern == fragment_id
+            and patterns_match(rule.value_pattern, value)
+        ):
+            return rule
+    return None
+
+
+def selecting_by_scans():
+    """A context in which the runner selects fragments and rules through the
+    scans above instead of the engine's lookups."""
+    return mock.patch.multiple(
+        chain_mod,
+        throw_activity=lambda repo, subgoal, value: ThrowResult(
+            throw_scan(repo, subgoal, value)
+        ),
+        select_rule=select_rule_scan,
+    )
 
 
 # -- formatters: the inverse of the repository and query parsers ------------

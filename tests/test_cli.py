@@ -398,6 +398,12 @@ class TestMalformedDocuments:
              "relation 1: missing target"),
             ("graph.yaml", _set(("dependency_rules", 0), "then", "Network.Status"),
              "dependency rule 0: not an [attribute, value] pair"),
+            ("model.yaml", _set(("rules", 1, "value", "pairs", 0), 1, 10 ** 400),
+             "rule 1 value: not an [attribute, value] pair"),
+            ("model.yaml", _set(("ideal", 0), "value", -(10 ** 400)),
+             "ideal entry 0: bad context entry"),
+            ("repo.yaml", _set(("subgoals", 2, "entries", 0, "value", 1), 1, 10 ** 400),
+             "sub-goal 2 entry 0: not an [attribute, value] pair"),
             ("graph.yaml", _del(("dependency_rules", 2), "then"),
              "dependency rule 2: missing then"),
             ("graph.yaml", _del(("state_nodes", 3), "id"), "state node 3: missing id"),

@@ -59,6 +59,16 @@ class TestContextualSituation:
         assert cs.parameters == ("Weather",)
         assert cs.attributes == ("Weather.Status", "Weather.Wind")
 
+    def test_repeated_attribute_is_named_once_and_bound_to_its_last_context(self):
+        first = ctx("Network", "Status", "Available", instance="OperatorA")
+        last = ctx("Network", "Status", "Unavailable", instance="OperatorB")
+        cs = ContextualSituation.from_contexts(
+            [first, ctx("Weather", "Status", "Rainy"), last], timestamp=5
+        )
+        assert cs.parameters == ("Network", "Weather")
+        assert cs.attributes == ("Network.Status", "Weather.Status")
+        assert cs.bindings["Network.Status"] is last
+
     def test_static_contexts_rejected(self):
         with pytest.raises(ValueError):
             ContextualSituation.from_contexts(
@@ -231,3 +241,18 @@ class TestCatchContext:
         out = catch_context(rain, state, scope)
         assert out is not state
         assert out.attributes == ("Weather.Status",)
+
+    def test_attribute_listed_for_two_instances_changes_once(self):
+        state = ContextState.from_contexts([ctx("Network", "Status", "Available")], 630)
+        scope = ScopeFilter(frozenset({"Network"}), frozenset())
+        both = ContextualSituation.from_contexts(
+            [
+                ctx("Network", "Status", "Unavailable", instance="OperatorA"),
+                ctx("Network", "Status", "Down", instance="OperatorB"),
+            ],
+            timestamp=660,
+        )
+        out = catch_context(both, state, scope)
+        assert out.parameters == ("Network",)
+        assert out.attributes == ("Network.Status",)
+        assert out.bindings["Network.Status"].instance == "OperatorB"

@@ -1,9 +1,20 @@
-"""Tests for the process-fragment repository and fragment selection."""
+"""Tests for the process-fragment repository, and fragment and rule selection."""
+
+import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxflow.chain import (
+    Action,
+    ActivityChain,
+    ActivityNode,
+    AdaptationRule,
+    ProcessModel,
+    select_rule,
+)
 from ctxflow.errors import LoadError, UnknownSubgoalError
 from ctxflow.files import load_repository
 from ctxflow.fragments import (
@@ -11,9 +22,10 @@ from ctxflow.fragments import (
     FragmentRepository,
     ProcessFragment,
     SubgoalEntry,
+    ThrowResult,
     throw_activity,
 )
-from ctxflow.graph import composite_from_pairs
+from ctxflow.graph import ContextGraph, composite_from_pairs
 
 import oracles
 
@@ -132,8 +144,15 @@ class TestLoading:
             ProcessFragment(id="empty", activities=())
 
 
+def thrown(repo, subgoal, value):
+    """The fragment ``throw_activity`` selects, checked against the scan."""
+    fragment = throw_activity(repo, subgoal, value).fragment
+    assert fragment is oracles.throw_scan(repo, subgoal, value)
+    return fragment
+
+
 class TestThrowActivity:
-    def test_match_returns_fragment_and_comparison_count(self):
+    def test_match_returns_fragment(self):
         repo = load_repository(document())
         value = composite_from_pairs(
             [
@@ -141,11 +160,9 @@ class TestThrowActivity:
                 ("Patient_Bed.Availability", "NOT_AVAILABLE"),
             ]
         )
-        out = throw_activity(repo, "Treatment", value)
-        assert out.fragment.id == "transfer_fragment"
-        assert out.comparisons == 1
+        assert thrown(repo, "Treatment", value).id == "transfer_fragment"
 
-    def test_second_row_costs_two_comparisons(self):
+    def test_second_row_matches(self):
         repo = load_repository(document())
         value = composite_from_pairs(
             [
@@ -153,26 +170,47 @@ class TestThrowActivity:
                 ("Patient_Bed.Availability", "Not_Available"),
             ]
         )
-        out = throw_activity(repo, "Treatment", value)
-        assert out.fragment.id == "home_care"
-        assert out.comparisons == 2
+        assert thrown(repo, "Treatment", value).id == "home_care"
 
     def test_no_match_returns_null_fragment(self):
         repo = load_repository(document())
         value = composite_from_pairs([("Caregiver.Expertise", "Surgery")])
-        out = throw_activity(repo, "Treatment", value)
-        assert out.fragment is None
-        assert out.comparisons == len(repo.subgoal("Treatment").rows)
+        assert thrown(repo, "Treatment", value) is None
 
-    def test_scan_is_linear_in_subgoal_rows_only(self):
-        # Cost never exceeds the row count of the queried sub-goal,
-        # regardless of how many other sub-goals the repository holds.
+    def test_other_subgoals_rows_are_not_selected(self):
+        # Filler sub-goals map the same patterns to their own fragments.
         doc = document()
+        rows = doc["subgoals"][1]["entries"]
         for i in range(50):
-            doc["subgoals"].append({"name": "Filler_%d" % i, "entries": []})
+            row = dict(rows[i % 2], fragment="f%d" % i)
+            doc["fragments"].append({"id": "f%d" % i, "activities": [{"name": "F"}]})
+            doc["subgoals"].append({"name": "Filler_%d" % i, "entries": [row]})
         repo = load_repository(doc)
-        value = composite_from_pairs([("Caregiver.Expertise", "Surgery")])
-        assert throw_activity(repo, "Treatment", value).comparisons == 2
+        value = composite_from_pairs(rows[0]["value"])
+        assert thrown(repo, "Treatment", value).id == "transfer_fragment"
+        assert thrown(repo, "Filler_7", value) is None
+        assert thrown(repo, "Filler_8", value).id == "f8"
+
+    def test_entries_sharing_an_index_throw_their_own_fragments(self):
+        doc = document()
+        doc["subgoals"][0] = dict(doc["subgoals"][1], name="Triage", index=2)
+        doc["subgoals"][0]["entries"] = [
+            dict(row, fragment=fragment_id)
+            for row, fragment_id in zip(
+                doc["subgoals"][1]["entries"], ("home_care", "transfer_fragment")
+            )
+        ]
+        repo = load_repository(doc)
+        assert [(s.index, s.name) for s in repo.subgoals] == [
+            (2, "Triage"), (2, "Treatment")
+        ]
+        value = composite_from_pairs(doc["subgoals"][1]["entries"][0]["value"])
+        assert thrown(repo, "Triage", value).id == "home_care"
+        assert thrown(repo, "Treatment", value).id == "transfer_fragment"
+        assert thrown(repo, 2, value).id == "home_care"
+
+    def test_result_carries_only_the_fragment(self):
+        assert [f.name for f in dataclasses.fields(ThrowResult)] == ["fragment"]
 
     def test_unknown_subgoal_raises(self):
         repo = load_repository(document())
@@ -202,7 +240,7 @@ class TestThrowActivity:
             ],
             op="OR",
         )
-        assert throw_activity(repo, "Treatment", value).fragment.id == "ghost"
+        assert thrown(repo, "Treatment", value).id == "ghost"
 
 
 class TestFragmentActivityDefaults:
@@ -229,3 +267,100 @@ def test_subgoal_lookup_matches_linear_scan(entries, key):
             repo.subgoal(key)
     else:
         assert repo.subgoal(key) is expected
+
+
+# -- lookup against scan on patterns that normalize alike ---------------------
+
+ATTRIBUTES = ("E.a", "E.b", "F.c")
+
+
+def value_variants(value):
+    """Values that normalize like ``value``, and near misses."""
+    if isinstance(value, bool):
+        return [value, int(value), not value]
+    if isinstance(value, int):
+        return [value, float(value), value == 1, value + 1]
+    if isinstance(value, float):
+        # The same NaN object equals itself; another NaN object does not.
+        return [value, float("nan"), 2.5]
+    return [value, value.upper(), value.swapcase(), "  %s\t" % value, value + "x"]
+
+
+@st.composite
+def variants(draw, base, op):
+    """A composite value that differs from ``(op, base)`` in spelling, pair
+    order or op, in ways that do or do not change its normalized key."""
+    pairs = [
+        (
+            draw(st.sampled_from([attr, attr.upper(), attr.swapcase(), " %s" % attr])),
+            draw(st.sampled_from(value_variants(value))),
+        )
+        for attr, value in base
+    ]
+    pairs = draw(st.permutations(pairs))
+    return composite_from_pairs(pairs, draw(st.sampled_from([op, op, "AND", "OR"])))
+
+
+BASES = st.lists(
+    st.tuples(
+        st.sampled_from(ATTRIBUTES),
+        st.one_of(
+            st.sampled_from(["on", "Off", " x "]),
+            st.integers(-1, 2),
+            st.sampled_from([True, False, 0.5, math.nan]),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda pair: pair[0],
+)
+
+
+@given(data=st.data(), base=BASES, op=st.sampled_from(["AND", "OR"]))
+@settings(max_examples=300, deadline=None)
+def test_throw_lookup_matches_row_scan(data, base, op):
+    rows = data.draw(st.lists(variants(base, op), min_size=1, max_size=5))
+    fragments = {
+        "f%d" % i: ProcessFragment("f%d" % i, (FragmentActivity("F"),))
+        for i in range(len(rows))
+    }
+    repo = FragmentRepository(
+        (
+            SubgoalEntry(1, "S", tuple((row, "f%d" % i) for i, row in enumerate(rows))),
+            SubgoalEntry(1, "T", tuple((row, "f0") for row in rows[:1])),
+        ),
+        fragments,
+    )
+    value = data.draw(variants(base, op))
+    for subgoal in ("S", "T", 1):
+        assert throw_activity(repo, subgoal, value).fragment is oracles.throw_scan(
+            repo, subgoal, value
+        )
+
+
+@given(data=st.data(), base=BASES, op=st.sampled_from(["AND", "OR"]))
+@settings(max_examples=300, deadline=None)
+def test_rule_lookup_matches_rule_scan(data, base, op):
+    frag = ProcessFragment("f", (FragmentActivity("F"),))
+    rules = []
+    for i in range(data.draw(st.integers(1, 6))):
+        activity_id = data.draw(st.sampled_from(["a", "b"]))
+        pattern = data.draw(variants(base, op))
+        if data.draw(st.booleans()):
+            rules.append(AdaptationRule(activity_id, pattern, "f", Action("add_after")))
+        else:
+            action = Action("replace_role", role="R%d" % i)
+            rules.append(AdaptationRule(activity_id, pattern, None, action))
+    model = ProcessModel(
+        ContextGraph.build([], []),
+        ActivityChain.from_nodes([ActivityNode("a", "a"), ActivityNode("b", "b")]),
+        FragmentRepository((), {"f": frag}),
+        tuple(rules),
+        {},
+    )
+    value = data.draw(variants(base, op))
+    for activity_id in ("a", "b", "c"):
+        for fragment in (None, frag):
+            assert select_rule(model, activity_id, value, fragment) is (
+                oracles.select_rule_scan(model, activity_id, value, fragment)
+            )

@@ -300,6 +300,26 @@ def test_random_chains_cover_every_action():
     assert deferred > 0
 
 
+# -- selection by lookup against the scans -----------------------------------
+
+
+def run_selecting_by_scans(model, scenario):
+    with oracles.selecting_by_scans():
+        return run_instance(model, scenario)
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    make=st.sampled_from([kiosk_variant, random_model]),
+)
+@settings(max_examples=300, deadline=None)
+def test_lookups_select_as_the_scans_do(seed, make):
+    model, scenario = make(random.Random(seed))
+    assert outcome(run_selecting_by_scans, model, scenario) == outcome(
+        run_instance, model, scenario
+    )
+
+
 # -- the whole-chain check after every rewrite -------------------------------
 
 
@@ -440,6 +460,26 @@ def test_only_a_deferred_action_looks_its_target_up(monkeypatch):
     assert looked_up > 0
 
 
+def test_only_a_run_with_a_deferral_looks_for_due_ones(monkeypatch):
+    pending = []
+    apply_due_pending = chain_mod._Runner._apply_due_pending
+
+    def counted(self):
+        pending.append(len(self.pending))
+        return apply_due_pending(self)
+
+    monkeypatch.setattr(chain_mod._Runner, "_apply_due_pending", counted)
+    bundle = kiosk()
+    assert len(run_instance(bundle.model, bundle.scenario).actions) == 5
+    assert pending == []
+    deferred = 0
+    for seed in range(40):
+        trace = run_instance(*kiosk_variant(random.Random(seed)))
+        deferred += sum(e.deferred_until is not None for e in trace.entries)
+    assert deferred > 0
+    assert pending and all(pending)
+
+
 def test_a_run_checks_the_whole_chain_at_start_and_end(monkeypatch):
     calls = []
     validate = ActivityChain.validate
@@ -453,15 +493,6 @@ def test_a_run_checks_the_whole_chain_at_start_and_end(monkeypatch):
     trace = run_instance(bundle.model, bundle.scenario)
     assert len(trace.actions) == 5
     assert calls == [bundle.model.chain.ids, trace.final_order]
-
-
-def test_rules_for_keeps_declaration_tuple_order():
-    model, _ = random_model(random.Random(3))
-    for a in model.chain.nodes:
-        assert model.rules_for(a) == tuple(
-            r for r in model.rules if r.activity_id == a
-        )
-    assert model.rules_for("nobody") == ()
 
 
 @pytest.mark.parametrize("name", ["kiosk", "run-adapt"])
