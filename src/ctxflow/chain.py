@@ -335,16 +335,14 @@ class AdaptationRule:
 
 
 def select_rule(
-    model: "ProcessModel", activity_id: str, value: CompositeValue,
+    model: "ProcessModel", activity_id: str, key,
     fragment: Optional[ProcessFragment],
 ) -> Optional[AdaptationRule]:
     """The first rule listed for ``activity_id`` whose fragment and value
-    pattern match the value/fragment pair, or None, found by one lookup."""
+    pattern match the fragment and the value normalized to ``key``
+    (``CompositeValue.normalized``), or None, found by one lookup."""
     fragment_id = fragment.id if fragment is not None else None
-    rule = model._rule_index.get((activity_id, fragment_id, value.normalized()))
-    if rule is None:
-        logger.debug("no adaptation rule matched value %s", value.render())
-    return rule
+    return model._rule_index.get((activity_id, fragment_id, key))
 
 
 # -- the integrated model and its runner ------------------------------------
@@ -541,9 +539,12 @@ class _Runner:
         )
         bound = apply_dependencies(bound, activated, graph.dependency_rules)
         value = compose_value(bound, graph.state_nodes[node.id])
-        thrown = throw_activity(self.model.repo, node.sub_goal, value)
-        rule = select_rule(self.model, node.id, value, thrown.fragment)
+        key = value.normalized()
+        thrown = throw_activity(self.model.repo, node.sub_goal, key)
+        rule = select_rule(self.model, node.id, key, thrown.fragment)
         if rule is None:
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug("no adaptation rule matched value %s", value.render())
             self._record(node.id, value, thrown.fragment, None)
             return
         if value.max_delay > 0:

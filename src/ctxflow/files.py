@@ -10,6 +10,7 @@ here, checked with one set of entry helpers: a malformed entry is a
 from __future__ import annotations
 
 import functools
+import gc
 import re
 import sys
 from dataclasses import dataclass
@@ -516,11 +517,12 @@ def load_repository(document: dict) -> FragmentRepository:
         fragments[frag.id] = frag
 
     subgoals = []
+    keys = []  # each sub-goal's normalized row patterns, for the repository
     for i, spec in enumerate(_list(document, "subgoals")):
         where = "sub-goal %d" % i
         spec = _mapping(spec, where, "name")
         rows = []
-        seen = set()
+        seen = {}  # each row's normalized pattern, in row order: none repeats
         used = set()
         for k, row in enumerate(_list(spec, "entries", where)):
             at = "%s entry %d" % (where, k)
@@ -536,7 +538,7 @@ def load_repository(document: dict) -> FragmentRepository:
                 raise _error(at, "unknown fragment %r" % (fragment_id,))
             if fragment_id in used:
                 raise _error(at, "fragment %r is mapped twice" % (fragment_id,))
-            seen.add(normalized)
+            seen[normalized] = None
             used.add(fragment_id)
             rows.append((pattern, fragment_id))
         index = spec.get("index", i + 1)
@@ -545,8 +547,9 @@ def load_repository(document: dict) -> FragmentRepository:
         subgoals.append(
             SubgoalEntry(index=index, name=_text(spec, "name", where), rows=tuple(rows))
         )
+        keys.append(tuple(seen))
 
-    return FragmentRepository(tuple(subgoals), fragments)
+    return FragmentRepository(tuple(subgoals), fragments, keys)
 
 
 def load_fragments(path) -> FragmentRepository:
@@ -762,11 +765,23 @@ def load_bundle(path) -> ProjectBundle:
     findings, a model that does not fit its graph or repository, an ideal
     or a situation binding an attribute that a scoped activity takes in but
     cannot map, and any malformed entry are ``LoadError``s naming the file.
+
+    The cyclic collector is paused while the bundle loads: a load builds
+    no reference cycles, so each pass would only walk the growing heap of
+    nodes and trees and free nothing. The caller's setting is put back
+    afterwards, whether the load succeeds or fails. The setting is
+    process-wide, so another thread sees the collector paused meanwhile.
     """
-    path = Path(path)
-    paths = _load(path, "bundle", _bundle_paths, path.parent)
-    graph = load_graph(paths["graph"])
-    repo = load_fragments(paths["repository"])
-    model = load_model(paths["model"], graph, repo)
-    scenario = _load(paths["scenario"], "scenario", _model_scenario, model)
-    return ProjectBundle(graph, model, repo, scenario)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        path = Path(path)
+        paths = _load(path, "bundle", _bundle_paths, path.parent)
+        graph = load_graph(paths["graph"])
+        repo = load_fragments(paths["repository"])
+        model = load_model(paths["model"], graph, repo)
+        scenario = _load(paths["scenario"], "scenario", _model_scenario, model)
+        return ProjectBundle(graph, model, repo, scenario)
+    finally:
+        if collecting:
+            gc.enable()

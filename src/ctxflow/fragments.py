@@ -10,8 +10,8 @@ are built once. The repository is immutable after load;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import InitVar, dataclass, field
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import UnknownSubgoalError
 from .graph import CompositeValue
@@ -46,10 +46,13 @@ class SubgoalEntry:
 class FragmentRepository:
     subgoals: Tuple[SubgoalEntry, ...]
     fragments: Mapping[str, ProcessFragment]
+    # Each row's normalized pattern, sub-goal by sub-goal, when the caller
+    # has them already; otherwise they are computed here.
+    keys: InitVar[Optional[Sequence[Sequence[object]]]] = None
     _positions: Dict[object, int] = field(init=False, repr=False, compare=False)
     _rows: Dict[Tuple[int, object], str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, keys):
         # The first entry named or indexed by a key wins, and the first row of
         # an entry with a pattern, as in a scan; an unhashable name equals no
         # hashable key. Entries may share an index, so rows key by position.
@@ -62,8 +65,11 @@ class FragmentRepository:
                     positions.setdefault(key, position)
                 except TypeError:
                     pass
-            for pattern, fragment_id in entry.rows:
-                key = pattern.normalized()
+            row_keys = (
+                keys[position] if keys is not None
+                else [pattern.normalized() for pattern, _ in entry.rows]
+            )
+            for key, (_, fragment_id) in zip(row_keys, entry.rows):
                 rows.setdefault((position, shared.setdefault(key, key)), fragment_id)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_rows", rows)
@@ -85,11 +91,10 @@ class ThrowResult:
     fragment: Optional[ProcessFragment]
 
 
-def throw_activity(
-    repo: FragmentRepository, subgoal, value: CompositeValue
-) -> ThrowResult:
-    """Select the fragment stored for ``(subgoal, value)``, if any: that of
-    the sub-goal's first row whose pattern matches ``value``, found by one
-    lookup. No match yields a NULL fragment."""
-    fragment_id = repo._rows.get((repo._position(subgoal), value.normalized()))
+def throw_activity(repo: FragmentRepository, subgoal, key) -> ThrowResult:
+    """Select the fragment stored for ``(subgoal, key)``, if any: that of
+    the sub-goal's first row whose pattern matches the value normalized to
+    ``key`` (``CompositeValue.normalized``), found by one lookup. No match
+    yields a NULL fragment."""
+    fragment_id = repo._rows.get((repo._position(subgoal), key))
     return ThrowResult(None if fragment_id is None else repo.fragments[fragment_id])

@@ -84,25 +84,26 @@ def subgoal_oracle(repo, key):
 # -- linear-scan oracles for fragment and rule selection ----------------------
 
 
-def patterns_match(pattern, value):
-    """Whether two composite values match, both normalized on every call."""
-    return pattern.normalized() == value.normalized()
+def patterns_match(pattern, key):
+    """Whether a composite value matches the value normalized to ``key``,
+    the pattern normalized on every call."""
+    return pattern.normalized() == key
 
 
-def throw_scan(repo, subgoal, value):
+def throw_scan(repo, subgoal, key):
     """The fragment of the first row of the sub-goal ``subgoal`` names whose
-    pattern matches ``value``, scanning the rows in declaration order, or
+    pattern matches ``key``, scanning the rows in declaration order, or
     None; a sub-goal missing from the repository raises."""
     entry = subgoal_oracle(repo, subgoal)
     if entry is None:
         raise UnknownSubgoalError("sub-goal %r not in repository" % (subgoal,))
     for pattern, fragment_id in entry.rows:
-        if patterns_match(pattern, value):
+        if patterns_match(pattern, key):
             return repo.fragments[fragment_id]
     return None
 
 
-def select_rule_scan(model, activity_id, value, fragment):
+def select_rule_scan(model, activity_id, key, fragment):
     """The first rule in ``model.rules`` for ``activity_id`` whose fragment
     and value pattern match, scanning every rule, or None."""
     fragment_id = fragment.id if fragment is not None else None
@@ -110,7 +111,7 @@ def select_rule_scan(model, activity_id, value, fragment):
         if (
             rule.activity_id == activity_id
             and rule.fragment_pattern == fragment_id
-            and patterns_match(rule.value_pattern, value)
+            and patterns_match(rule.value_pattern, key)
         ):
             return rule
     return None
@@ -121,8 +122,8 @@ def selecting_by_scans():
     scans above instead of the engine's lookups."""
     return mock.patch.multiple(
         chain_mod,
-        throw_activity=lambda repo, subgoal, value: ThrowResult(
-            throw_scan(repo, subgoal, value)
+        throw_activity=lambda repo, subgoal, key: ThrowResult(
+            throw_scan(repo, subgoal, key)
         ),
         select_rule=select_rule_scan,
     )

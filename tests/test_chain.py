@@ -265,27 +265,27 @@ class TestActionsAndRules:
         pattern = composite_from_pairs([("A.x", 1)])
         first = AdaptationRule("a", pattern, None, Action("bypass"))
         second = AdaptationRule("a", pattern, None, Action("replace_role", role="Z"))
-        assert select_rule(rule_model(second, first), "a", pattern, None) is second
-        assert select_rule(rule_model(first, second), "a", pattern, None) is first
+        assert select_rule(rule_model(second, first), "a", pattern.normalized(), None) is second
+        assert select_rule(rule_model(first, second), "a", pattern.normalized(), None) is first
 
     def test_select_rule_requires_fragment_agreement(self):
         pattern = composite_from_pairs([("A.x", 1)])
         frag = fragment("p")
         with_frag = AdaptationRule("a", pattern, frag.id, Action("add_after"))
         model = rule_model(with_frag)
-        assert select_rule(model, "a", pattern, None) is None
-        assert select_rule(model, "a", pattern, frag) is with_frag
+        assert select_rule(model, "a", pattern.normalized(), None) is None
+        assert select_rule(model, "a", pattern.normalized(), frag) is with_frag
 
     def test_select_rule_no_match_returns_none(self):
         pattern = composite_from_pairs([("A.x", 1)])
         other = composite_from_pairs([("A.x", 2)])
         model = rule_model(AdaptationRule("a", pattern, None, Action("bypass")))
-        assert select_rule(model, "a", other, None) is None
+        assert select_rule(model, "a", other.normalized(), None) is None
 
     def test_select_rule_reads_only_the_activitys_rules(self):
         pattern = composite_from_pairs([("A.x", 1)])
         rule = AdaptationRule("a", pattern, None, Action("bypass"))
-        assert select_rule(rule_model(rule), "b", pattern, None) is None
+        assert select_rule(rule_model(rule), "b", pattern.normalized(), None) is None
 
 
 def rule_model(*rules):

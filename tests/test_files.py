@@ -4,6 +4,7 @@ Every test runs under each YAML loader (see the ``loader`` fixture).
 """
 
 import gc
+import sys
 
 import pytest
 import yaml
@@ -12,6 +13,7 @@ from bundlegen import generate
 from ctxflow.chain import run_instance
 from ctxflow.cli import main
 from ctxflow.errors import LoadError
+from ctxflow.graph import CompositeValue
 from ctxflow.files import (
     load_bundle,
     load_document,
@@ -21,6 +23,35 @@ from ctxflow.files import (
 from run import WORKLOADS
 
 pytestmark = pytest.mark.usefixtures("loader")
+
+
+@pytest.fixture(scope="module")
+def run_adapt_bundle(tmp_path_factory):
+    """The ``run-adapt`` benchmark's bundle: 800 activities."""
+    path = tmp_path_factory.mktemp("run-adapt")
+    generate(WORKLOADS["run-adapt"].shape, 3, path)
+    return path / "bundle.yaml"
+
+
+def collections_during_load(path):
+    """The generation of each cyclic collection that starts while
+    ``load_bundle`` loads ``path``."""
+    starts = []
+
+    def started(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code is load_bundle.__code__:
+                starts.append(info["generation"])
+                return
+            frame = frame.f_back
+
+    gc.callbacks.append(started)
+    try:
+        load_bundle(path)
+    finally:
+        gc.callbacks.remove(started)
+    return starts
 
 
 class TestParseTime:
@@ -305,18 +336,22 @@ class TestBundleLoading:
             (tmp_path / name).write_text((kiosk_dir / name).read_text())
         (tmp_path / "graph.yaml").write_text(graph)
 
-    def test_rule_with_unknown_fragment_rejected(self, tmp_path, kiosk_dir):
+    @staticmethod
+    def _kiosk_with_unknown_fragment(tmp_path, kiosk_dir):
         for name in ("graph.yaml", "repo.yaml", "scenario.yaml", "bundle.yaml"):
             (tmp_path / name).write_text((kiosk_dir / name).read_text())
         model = yaml.safe_load((kiosk_dir / "model.yaml").read_text())
         model["rules"][2]["fragment"] = "ghost_fragment"
         (tmp_path / "model.yaml").write_text(yaml.safe_dump(model))
+        return tmp_path / "bundle.yaml"
+
+    def test_rule_with_unknown_fragment_rejected(self, tmp_path, kiosk_dir):
         with pytest.raises(LoadError) as err:
-            load_bundle(tmp_path / "bundle.yaml")
+            load_bundle(self._kiosk_with_unknown_fragment(tmp_path, kiosk_dir))
         assert "unknown fragment" in str(err.value)
 
     def test_loading_leaves_nothing_for_the_cyclic_collector(
-        self, tmp_path, kiosk_bundle
+        self, tmp_path, kiosk_bundle, run_adapt_bundle
     ):
         """Each document's nodes are freed as soon as it is built, not kept
         alive by a reference cycle until the collector runs."""
@@ -324,8 +359,40 @@ class TestBundleLoading:
         gc.collect()
         gc.disable()
         try:
-            for path in (kiosk_bundle, tmp_path / "bundle.yaml"):
+            for path in (kiosk_bundle, tmp_path / "bundle.yaml", run_adapt_bundle):
                 load_bundle(path)
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_loading_starts_no_cyclic_collection(self, run_adapt_bundle):
+        assert gc.isenabled()
+        assert collections_during_load(run_adapt_bundle) == []
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    def test_loading_puts_back_the_callers_collector_setting(
+        self, tmp_path, kiosk_dir, kiosk_bundle, collecting
+    ):
+        broken = self._kiosk_with_unknown_fragment(tmp_path, kiosk_dir)
+        if not collecting:
+            gc.disable()
+        try:
+            load_bundle(kiosk_bundle)
+            assert gc.isenabled() is collecting
+            with pytest.raises(LoadError):
+                load_bundle(broken)
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
+
+    def test_loading_normalizes_each_pattern_once(self, run_adapt_bundle, monkeypatch):
+        calls = []
+        normalized = CompositeValue.normalized
+        monkeypatch.setattr(
+            CompositeValue, "normalized",
+            lambda value: calls.append(value) or normalized(value),
+        )
+        bundle = load_bundle(run_adapt_bundle)
+        rows = [p for entry in bundle.repo.subgoals for p, _ in entry.rows]
+        assert len(calls) == len(bundle.model.rules) + len(rows) == 1750

@@ -8,6 +8,7 @@ final orders.
 
 import dataclasses
 import functools
+import logging
 import pathlib
 import random
 
@@ -37,6 +38,7 @@ from ctxflow.fragments import (
 )
 from ctxflow.graph import (
     AttributeNode,
+    CompositeValue,
     ContextGraph,
     EntityNode,
     StateNodeDef,
@@ -318,6 +320,41 @@ def test_lookups_select_as_the_scans_do(seed, make):
     assert outcome(run_selecting_by_scans, model, scenario) == outcome(
         run_instance, model, scenario
     )
+
+
+def test_each_evaluation_normalizes_its_value_once(monkeypatch):
+    """Fragment and rule selection share one key per evaluated value."""
+    bundle = load_bundle(KIOSK)
+    calls = []
+    normalized = CompositeValue.normalized
+    monkeypatch.setattr(
+        CompositeValue, "normalized", lambda value: calls.append(value) or normalized(value)
+    )
+    trace = run_instance(bundle.model, bundle.scenario)
+    assert calls == [e.value for e in trace.entries if e.value is not None]
+    assert trace.actions
+
+
+@pytest.mark.parametrize(
+    "level", [logging.DEBUG, logging.INFO], ids=["debug", "info"]
+)
+def test_a_miss_renders_its_value_only_for_the_debug_log(monkeypatch, caplog, level):
+    bundle = load_bundle(KIOSK.with_name("ideal-bundle.yaml"))
+    rendered = []
+    render = CompositeValue.render
+    monkeypatch.setattr(
+        CompositeValue, "render", lambda value: rendered.append(value) or render(value)
+    )
+    with caplog.at_level(level, logger="ctxflow"):
+        trace = run_instance(bundle.model, bundle.scenario)
+    misses = [e.value for e in trace.entries if e.value is not None and e.action is None]
+    assert misses
+    if level > logging.DEBUG:
+        misses = []
+    assert rendered == misses
+    assert [r.getMessage() for r in caplog.records] == [
+        "no adaptation rule matched value %s" % render(value) for value in misses
+    ]
 
 
 # -- the whole-chain check after every rewrite -------------------------------
