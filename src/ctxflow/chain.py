@@ -534,9 +534,7 @@ class _Runner:
         if activated is None:
             self._record(node.id, None, None, None)
             return
-        bound = assign_values(
-            graph, activated, {q: ctx.value for q, ctx in state.bindings.items()}
-        )
+        bound = assign_values(graph, activated, state.bindings)
         bound = apply_dependencies(bound, activated, graph.dependency_rules)
         value = compose_value(bound, graph.state_nodes[node.id])
         key = value.normalized()

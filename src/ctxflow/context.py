@@ -72,6 +72,11 @@ class AtomicContext:
         """Qualified attribute name, e.g. ``Weather.Status``."""
         return "%s.%s" % (self.parameter, self.attribute)
 
+    @cached_property
+    def key(self):
+        """The value normalized (``normalize_value``), as diffs compare it."""
+        return normalize_value(self.value)
+
 
 @dataclass(frozen=True)
 class ContextualSituation:
@@ -87,13 +92,6 @@ class ContextualSituation:
     attributes: Tuple[str, ...]
     timestamp: int
     bindings: Mapping[str, AtomicContext] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for ctx in self.bindings.values():
-            if ctx.temporality == "static":
-                raise ValueError(
-                    "static context %r cannot appear in a change set" % (ctx.qualified,)
-                )
 
     @classmethod
     def from_contexts(cls, contexts, timestamp: int) -> "ContextualSituation":
@@ -177,7 +175,7 @@ def diff(new: ContextualSituation, old: ContextState) -> ContextState:
                 added_params.append(ctx.parameter)
         else:
             prior = old.bindings.get(q)
-            if prior is None or not values_equal(prior.value, ctx.value):
+            if prior is None or prior.key != ctx.key:
                 changed_attrs.append(q)
 
     if not added_params and not changed_attrs:

@@ -712,8 +712,12 @@ def _scenario(doc: dict) -> List[ListedSituation]:
         try:
             contexts = [_context_from_spec(c) for c in _list(spec, "contexts")]
             cs = ContextualSituation.from_contexts(contexts, parse_time(spec["time"]))
-        except (LoadError, ValueError) as exc:
+        except LoadError as exc:
             raise _error(where, str(exc)) from None
+        for ctx in cs.bindings.values():
+            if ctx.temporality == "static":
+                raise _error(where, "static context %r cannot appear in a change set"
+                             % (ctx.qualified,))
         if situations and cs.timestamp < situations[-1][0].timestamp:
             raise _error(where, "time goes back: scenario times must be monotone")
         situations.append((cs, contexts))

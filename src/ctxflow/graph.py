@@ -13,9 +13,10 @@ to yield the composite value handed back to the process layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
-from .context import ContextState, Value, normalize_value, values_equal
+from .context import AtomicContext, ContextState, Value, normalize_value
 from .errors import (
     DependencyConflictError,
     DependencyCycleError,
@@ -74,6 +75,11 @@ class RulePattern:
     attribute: str
     value: Value
 
+    @cached_property
+    def key(self):
+        """The value normalized (``normalize_value``), as bindings compare it."""
+        return normalize_value(self.value)
+
 
 @dataclass(frozen=True)
 class DependencyRule:
@@ -122,25 +128,23 @@ class StateNodeDef:
     id: str
     parameters: Tuple[str, ...]
     attributes: Tuple[str, ...]
-    composition: Optional[Composition] = None
+    composition: Optional[Composition] = None  # None: AND over ``attributes``
 
-    def effective_composition(self) -> Composition:
-        # Plain conjunction over the node's attributes when not spelled out.
-        if self.composition is not None:
-            return self.composition
-        return Composition("AND", tuple(self.attributes))
+    def __post_init__(self):
+        if self.composition is None:
+            object.__setattr__(
+                self, "composition", Composition("AND", tuple(self.attributes))
+            )
 
 
 @dataclass(frozen=True)
 class TimedValue:
-    """A value plus the delay (minutes) until it becomes effective."""
+    """A value, the delay (minutes) until it becomes effective, and the key
+    of the context or rule pattern the value comes from."""
 
     value: Value
-    delay: int = 0
-
-    def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
+    delay: int
+    key: object
 
 
 @dataclass(frozen=True)
@@ -276,7 +280,7 @@ def validate_graph(g: ContextGraph) -> ValidationReport:
                     "state node %r maps attribute %r but not its entity %r"
                     % (node.id, a, g.attributes[a].entity),
                 ))
-        for a in node.effective_composition().attributes():
+        for a in node.composition.attributes():
             if a not in node.attributes:
                 findings.append(Finding(
                     "composition-scope",
@@ -313,23 +317,24 @@ def instantiate(
 
 
 def assign_values(
-    g: ContextGraph, activated: FrozenSet[str], observations: Mapping[str, Value]
+    g: ContextGraph, activated: FrozenSet[str], bindings: Mapping[str, AtomicContext]
 ) -> Dict[str, TimedValue]:
-    """Bind observed values to the activated direct attributes.
+    """Bind the observed contexts ``bindings`` to the activated direct attributes.
 
-    Each value picks up its attribute's green-link delay. Derived attributes
-    stay unbound until dependency evaluation.
+    Each value picks up its attribute's green-link delay and its context's
+    key. Derived attributes stay unbound until dependency evaluation.
     """
     bound = {}
     for name in sorted(activated):
         attr = g.attributes[name]
         if attr.derivation != "direct":
             continue
-        if name not in observations:
+        if name not in bindings:
             raise UnobservedAttributeError(
                 "direct attribute %r has no observation" % (name,)
             )
-        bound[name] = TimedValue(observations[name], attr.delay)
+        ctx = bindings[name]
+        bound[name] = TimedValue(ctx.value, attr.delay, ctx.key)
     return bound
 
 
@@ -345,7 +350,7 @@ def apply_dependencies(
     rule against the current bindings and applies all resulting writes at
     once, which makes the fixpoint independent of rule ordering. Two rules
     producing different values for one attribute in the same pass is a
-    conflict, not a silent choice.
+    conflict, not a silent choice. Values compare by their keys.
     """
     bound = dict(bound)
     cap = len(rules) * max(len(activated), 1) + 1
@@ -356,18 +361,13 @@ def apply_dependencies(
             if target not in activated:
                 continue
             if not all(
-                p.attribute in bound
-                and values_equal(bound[p.attribute].value, p.value)
+                p.attribute in bound and bound[p.attribute].key == p.key
                 for p in rule.antecedent
             ):
                 continue
-            delay = max(
-                (bound[p.attribute].delay for p in rule.antecedent), default=0
-            )
-            value = TimedValue(rule.consequent.value, delay)
-            if target in proposals and not values_equal(
-                proposals[target].value, value.value
-            ):
+            delay = max(bound[p.attribute].delay for p in rule.antecedent)
+            value = TimedValue(rule.consequent.value, delay, rule.consequent.key)
+            if target in proposals and proposals[target].key != value.key:
                 raise DependencyConflictError(
                     "rules disagree on %r: %r vs %r"
                     % (target, proposals[target].value, value.value)
@@ -376,7 +376,7 @@ def apply_dependencies(
         changed = False
         for target, value in proposals.items():
             prior = bound.get(target)
-            if prior is None or not values_equal(prior.value, value.value):
+            if prior is None or prior.key != value.key:
                 bound[target] = value
                 changed = True
         if not changed:
@@ -388,7 +388,7 @@ def apply_dependencies(
 
 def compose_value(bound: Mapping[str, TimedValue], node: StateNodeDef) -> CompositeValue:
     """Evaluate the state node's composition over the bindings ``bound``."""
-    comp = node.effective_composition()
+    comp = node.composition
     pairs = []
     max_delay = 0
     for attr in comp.attributes():

@@ -6,7 +6,8 @@ a linear sub-goal scan, linear row and rule scans that normalize every
 pattern on every comparison, a runner that rescans the chain order on every
 step, a runner that checks the whole chain after every rewrite, a runner
 that offers every situation to every activity,
-per-context classification for state diffing, subset
+per-context classification for state diffing, a dependency fixpoint that
+normalizes both sides of every comparison, subset
 enumeration for query evaluation, arc-scanning token counters for
 state-space exploration, a dict-and-sort firing rule and property checks
 that rebuild their maps from the arc list, and PyYAML's pure-Python loader and constructor
@@ -28,7 +29,13 @@ import yaml
 from ctxflow import chain as chain_mod
 from ctxflow import files
 from ctxflow.context import ContextState
-from ctxflow.errors import NotEnabledError, PartialSpaceError, UnknownSubgoalError
+from ctxflow.errors import (
+    DependencyConflictError,
+    DependencyCycleError,
+    NotEnabledError,
+    PartialSpaceError,
+    UnknownSubgoalError,
+)
 from ctxflow.fragments import ThrowResult
 from ctxflow.petri import BoundednessReport, LivenessReport, StateSpace, make_marking
 
@@ -376,6 +383,51 @@ def diff_oracle(new, old):
         "removed": removed,
         "timestamp": new.timestamp,
     }
+
+
+# -- normalize-on-compare oracle for the dependency fixpoint ----------------
+
+
+def apply_dependencies_oracle(bound, activated, rules):
+    """The dependency fixpoint over raw values, each comparison normalizing
+    both sides with ``_norm``; bindings map to ``(value, delay)`` pairs.
+
+    Every pass fires each rule whose target is activated and whose
+    antecedents all hold, and applies the writes together; the cap counts
+    every rule, whatever its target.
+    """
+    bound = {attr: (timed.value, timed.delay) for attr, timed in bound.items()}
+    cap = len(rules) * max(len(activated), 1) + 1
+    for _ in range(cap):
+        proposals = {}
+        for rule in rules:
+            target = rule.consequent.attribute
+            if target not in activated:
+                continue
+            if not all(
+                p.attribute in bound and _norm(bound[p.attribute][0]) == _norm(p.value)
+                for p in rule.antecedent
+            ):
+                continue
+            delay = max(bound[p.attribute][1] for p in rule.antecedent)
+            value = (rule.consequent.value, delay)
+            if target in proposals and _norm(proposals[target][0]) != _norm(value[0]):
+                raise DependencyConflictError(
+                    "rules disagree on %r: %r vs %r"
+                    % (target, proposals[target][0], value[0])
+                )
+            proposals[target] = value
+        changed = False
+        for target, value in proposals.items():
+            prior = bound.get(target)
+            if prior is None or _norm(prior[0]) != _norm(value[0]):
+                bound[target] = value
+                changed = True
+        if not changed:
+            return bound
+    raise DependencyCycleError(
+        "dependency rules did not stabilise within %d passes" % (cap,)
+    )
 
 
 # -- subset-enumeration oracle for query evaluation -------------------------

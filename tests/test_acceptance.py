@@ -194,7 +194,7 @@ def test_criterion_5_metrics():
 def _random_situation(rng, timestamp):
     params = ("Weather", "Watch", "Patient", "Network")
     attrs = ("Status", "Time", "Level")
-    values = ("A", "B", "C", 1, 2)
+    values = ("A", "B", "C", 1, 2, "a", " A ", 1.0, True, float("nan"))
     seen = set()
     contexts = []
     for _ in range(rng.randint(0, 6)):
@@ -235,9 +235,7 @@ def _check_fixpoint_permutations(kiosk_dir):
         [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Available")], 1
     )
     activated = instantiate(graph, "Storage in Cloud", state)
-    bound = assign_values(
-        graph, activated, {"Weather.Status": "Rainy", "Network.Status": "Available"}
-    )
+    bound = assign_values(graph, activated, state.bindings)
     baseline = None
     for perm in itertools.permutations(graph.dependency_rules):
         got = {

@@ -62,6 +62,24 @@ class TestRun:
             "Bill Payment",
         ]
 
+    def test_static_ideal_context_runs_as_the_plain_one(
+        self, tmp_path, kiosk_bundle, kiosk_dir, capsys
+    ):
+        # The ideal is a state, not a change set, so it may hold a static
+        # context; the run reads only its values.
+        for name in ("bundle.yaml", "graph.yaml", "repo.yaml", "scenario.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        entry = "value: General_Physician, category: role}"
+        model = (kiosk_dir / "model.yaml").read_text()
+        assert model.count(entry) == 1
+        (tmp_path / "model.yaml").write_text(
+            model.replace(entry, entry[:-1] + ", temporality: static}")
+        )
+        assert main(["run", str(kiosk_bundle)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["run", str(tmp_path / "bundle.yaml")]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_output_files_are_byte_identical_across_runs(
         self, kiosk_bundle, tmp_path
     ):

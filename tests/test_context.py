@@ -49,6 +49,12 @@ class TestValueNormalization:
     def test_bool_is_not_number(self):
         assert normalize_value(True) != normalize_value(1)
 
+    def test_key_is_the_normalized_value_computed_once(self):
+        c = ctx("Weather", "Status", "  Rainy ")
+        assert c.key == normalize_value("  Rainy ") == "rainy"
+        assert c.key is c.key
+        assert "key" in vars(c)
+
 
 class TestContextualSituation:
     def test_from_contexts_collects_parameters_once(self):
@@ -69,12 +75,12 @@ class TestContextualSituation:
         assert cs.attributes == ("Network.Status", "Weather.Status")
         assert cs.bindings["Network.Status"] is last
 
-    def test_static_contexts_rejected(self):
-        with pytest.raises(ValueError):
-            ContextualSituation.from_contexts(
-                [ctx("Kiosk", "Location", "Village", temporality="static")],
-                timestamp=0,
-            )
+    def test_static_contexts_may_be_bound(self):
+        # A state binds the ideal, which may hold a static context; the
+        # loader refuses one only in a scenario's situation.
+        static = ctx("Kiosk", "Location", "Village", temporality="static")
+        state = ContextState.from_contexts([static], timestamp=-1)
+        assert state.bindings == {"Kiosk.Location": static}
 
 
 class TestScopeFilter:
@@ -166,7 +172,9 @@ class TestDiff:
 
 PARAMS = ("Weather", "Watch", "Patient", "Network", "Net.Op")
 ATTRS = ("Status", "Time", "Level")
-VALUES = ("A", "B", "C", 1, 2)
+# Case, blanks, int against float, a truth value and NaN, which equals
+# nothing, not even itself.
+VALUES = ("A", "B", "C", 1, 2, "a", " A ", 1.0, True, float("nan"))
 
 
 @st.composite

@@ -198,6 +198,26 @@ class TestScenarioLoading:
         with pytest.raises(LoadError):
             load_scenario(p)
 
+    def test_static_context_in_a_situation_is_refused(self, tmp_path):
+        static = {"parameter": "Kiosk", "attribute": "Location", "value": "Village",
+                  "temporality": "static"}
+        p = tmp_path / "scenario.yaml"
+        p.write_text(yaml.safe_dump({
+            "version": 1,
+            "kind": "scenario",
+            "situations": [
+                # A situation binds an attribute's last listing only.
+                {"time": 10, "contexts": [static, dict(static, temporality="steady")]},
+                {"time": 20, "contexts": [static]},
+            ],
+        }))
+        with pytest.raises(LoadError) as caught:
+            load_scenario(p)
+        assert str(caught.value) == (
+            "%s: situation 1: static context 'Kiosk.Location' cannot appear in a "
+            "change set" % (p,)
+        )
+
 
 class TestBundleLoading:
     def test_kiosk_bundle_loads_fully(self, kiosk_bundle):

@@ -1,10 +1,15 @@
 """Tests for the three-level context graph and its value computation."""
 
 import itertools
+import random
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctxflow.context import AtomicContext, ContextState
+from ctxflow.context import AtomicContext, ContextState, normalize_value
 from ctxflow.errors import (
     DependencyConflictError,
     DependencyCycleError,
@@ -31,6 +36,8 @@ from ctxflow.graph import (
     instantiate,
     validate_graph,
 )
+
+import oracles
 
 
 def small_graph():
@@ -136,6 +143,11 @@ class TestStructureValidation:
         )
         assert "composition-scope" in validate_graph(g).codes()
 
+    def test_negative_green_link_delay_is_refused(self):
+        # Bound values take their delays from here unchecked.
+        with pytest.raises(ValueError, match="green-link delay must be >= 0"):
+            AttributeNode("E.a", delay=-1)
+
     def test_relation_cardinality_checked(self):
         with pytest.raises(ValueError):
             EntityRelation("A", "B", cardinality="many")
@@ -191,9 +203,7 @@ class TestAssignValues:
         )
         activity = "A"
         s = state_of([ctx("Receptionist", "Availability", "11.00 am")])
-        bound = assign_values(
-            g, instantiate(g, activity, s), {"Receptionist.Availability": "11.00 am"}
-        )
+        bound = assign_values(g, instantiate(g, activity, s), s.bindings)
         assert bound["Receptionist.Availability"].delay == 30
 
     def test_derived_attributes_are_skipped(self):
@@ -203,10 +213,16 @@ class TestAssignValues:
             [ctx("Network", "Status", "Unavailable"),
              ctx("Online_Payment", "Status", "Not_Possible")]
         )
-        bound = assign_values(
-            g, instantiate(g, activity, s), {"Network.Status": "Unavailable"}
-        )
+        bound = assign_values(g, instantiate(g, activity, s), s.bindings)
         assert "Online_Payment.Status" not in bound
+
+    def test_bound_value_carries_its_context_key(self):
+        g = small_graph()
+        s = state_of([ctx("Network", "Status", " unavailable ")])
+        bound = assign_values(g, instantiate(g, "Bill Payment", s), s.bindings)
+        timed = bound["Network.Status"]
+        assert timed.value == " unavailable "
+        assert timed.key is s.bindings["Network.Status"].key == "unavailable"
 
 
 class TestDependencies:
@@ -218,7 +234,7 @@ class TestDependencies:
              ctx("Online_Payment", "Status", "Not_Possible")]
         )
         activated = instantiate(g, activity, s)
-        bound = assign_values(g, activated, {"Network.Status": "Unavailable"})
+        bound = assign_values(g, activated, s.bindings)
         rules = g.dependency_rules if rules_order is None else rules_order
         return apply_dependencies(bound, activated, tuple(rules))
 
@@ -242,9 +258,7 @@ class TestDependencies:
             [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Available")]
         )
         activated = instantiate(g, activity, s)
-        bound = assign_values(
-            g, activated, {"Weather.Status": "Rainy", "Network.Status": "Available"}
-        )
+        bound = assign_values(g, activated, s.bindings)
         out = apply_dependencies(bound, activated, g.dependency_rules)
         assert out["Network.Status"].value == "Unavailable"
         assert bound["Network.Status"].value == "Available"
@@ -254,7 +268,7 @@ class TestDependencies:
         activity = "Storage in Cloud"
         s = state_of([ctx("Weather", "Status", "Rainy")])
         activated = instantiate(g, activity, s)
-        bound = assign_values(g, activated, {"Weather.Status": "Rainy"})
+        bound = assign_values(g, activated, s.bindings)
         assert apply_dependencies(bound, activated, g.dependency_rules) == bound
 
     def test_derived_delay_is_max_of_antecedents(self):
@@ -284,9 +298,28 @@ class TestDependencies:
             [ctx("Receptionist", "Availability", "Soon"), ctx("Desk", "Status", "x")]
         )
         activated = instantiate(g, activity, s)
-        bound = assign_values(g, activated, {"Receptionist.Availability": "Soon"})
+        bound = assign_values(g, activated, s.bindings)
         out = apply_dependencies(bound, activated, g.dependency_rules)
         assert out["Desk.Status"].delay == 30
+
+    def test_antecedents_and_consequents_compare_normalized(self):
+        g = small_graph()
+        s = state_of([ctx("Network", "Status", "  UNAVAILABLE")])
+        activated = frozenset({"Network.Status", "Online_Payment.Status"})
+        bound = assign_values(g, activated, s.bindings)
+        out = apply_dependencies(bound, activated, g.dependency_rules)
+        derived = out["Online_Payment.Status"]
+        assert (derived.value, derived.key) == ("Not_Possible", "not_possible")
+        agreeing = g.dependency_rules + (
+            DependencyRule(
+                "total",
+                (RulePattern("Network.Status", "unavailable"),),
+                RulePattern("Online_Payment.Status", " not_possible "),
+            ),
+        )
+        assert apply_dependencies(bound, activated, agreeing)[
+            "Online_Payment.Status"
+        ].key == "not_possible"
 
     def test_conflicting_rules_raise(self):
         g = small_graph()
@@ -317,9 +350,87 @@ class TestDependencies:
         activity = "A"
         s = state_of([ctx("E", "a", 1), ctx("E", "b", 0)])
         activated = instantiate(g, activity, s)
-        bound = assign_values(g, activated, {"E.a": 1, "E.b": 0})
+        bound = assign_values(g, activated, s.bindings)
         with pytest.raises(DependencyCycleError):
             apply_dependencies(bound, activated, rules)
+
+
+FIXPOINT_ATTRIBUTES = ("E.a", "E.b", "E.c")
+# Values that differ only by case, blanks, int against float or truth value,
+# and NaN, which equals nothing, not even itself.
+FIXPOINT_VALUES = ("a", " A ", 1, 1.0, True, float("nan"))
+
+
+def random_fixpoint(rng):
+    """Bindings, activated attributes and partial and total dependency rules
+    over a few attributes: enough rules on few values that chains,
+    conflicts and oscillations all come up."""
+    activated = frozenset(a for a in FIXPOINT_ATTRIBUTES if rng.random() < 0.8)
+    bound = {}
+    for attr in sorted(activated):
+        if rng.random() < 0.7:
+            value = rng.choice(FIXPOINT_VALUES)
+            bound[attr] = TimedValue(value, rng.choice((0, 5, 30)), normalize_value(value))
+
+    def pattern():
+        return RulePattern(rng.choice(FIXPOINT_ATTRIBUTES), rng.choice(FIXPOINT_VALUES))
+
+    rules = tuple(
+        DependencyRule(
+            rng.choice(("partial", "total")),
+            tuple(pattern() for _ in range(rng.randint(1, 2))),
+            pattern(),
+        )
+        for _ in range(rng.randint(0, 10))
+    )
+    return bound, activated, rules
+
+
+def fixpoint_outcome(apply, bound, activated, rules):
+    """The bindings ``apply`` reaches as sorted ``(attribute, (value, delay))``
+    text, or the type and text of the error it raises."""
+    try:
+        out = apply(bound, activated, rules)
+    except Exception as exc:  # compared as data: engine and oracle must agree
+        return ("raised", type(exc).__name__, str(exc))
+    pairs = {
+        attr: (got.value, got.delay) if isinstance(got, TimedValue) else got
+        for attr, got in out.items()
+    }
+    return ("ran", repr(sorted(pairs.items(), key=lambda item: item[0])))
+
+
+def assert_fixpoint_matches_oracle(bound, activated, rules):
+    before = dict(bound)
+    got = fixpoint_outcome(apply_dependencies, bound, activated, rules)
+    assert got == fixpoint_outcome(
+        oracles.apply_dependencies_oracle, bound, activated, rules
+    )
+    assert bound == before
+    return got
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_random_fixpoints_match_oracle(seed):
+    assert_fixpoint_matches_oracle(*random_fixpoint(random.Random(seed)))
+
+
+def test_random_fixpoints_cover_every_outcome():
+    outcomes = Counter()
+    told_apart = 0
+    for seed in range(400):
+        case = random_fixpoint(random.Random(seed))
+        got = assert_fixpoint_matches_oracle(*case)
+        outcomes[got[0] if got[0] == "ran" else got[1]] += 1
+        # Comparing raw values instead would give another outcome.
+        with mock.patch.object(oracles, "_norm", lambda value: value):
+            told_apart += got != fixpoint_outcome(
+                oracles.apply_dependencies_oracle, *case
+            )
+    assert set(outcomes) == {"ran", "DependencyConflictError", "DependencyCycleError"}
+    assert min(outcomes.values()) >= 10, outcomes
+    assert told_apart >= 10
 
 
 class TestComposeValue:
@@ -329,11 +440,7 @@ class TestComposeValue:
         s = state_of(
             [ctx("Weather", "Status", "Rainy"), ctx("Network", "Status", "Unavailable")]
         )
-        bound = assign_values(
-            g,
-            instantiate(g, activity, s),
-            {"Weather.Status": "Rainy", "Network.Status": "Unavailable"},
-        )
+        bound = assign_values(g, instantiate(g, activity, s), s.bindings)
         value = compose_value(bound, g.state_nodes["Storage in Cloud"])
         assert value.op == "AND"
         assert value.pairs == (
@@ -344,6 +451,11 @@ class TestComposeValue:
             "[(Weather.Status, Rainy) AND (Network.Status, Unavailable)]"
         )
 
+    def test_default_composition_is_built_with_the_node(self):
+        node = StateNodeDef("A", ("E",), ("E.a", "E.b"))
+        assert node.composition == Composition("AND", ("E.a", "E.b"))
+        assert node == StateNodeDef("A", ("E",), ("E.a", "E.b"), node.composition)
+
     def test_unbound_attribute_raises(self):
         g = small_graph()
         activity = "Bill Payment"
@@ -351,9 +463,7 @@ class TestComposeValue:
             [ctx("Network", "Status", "Unavailable"),
              ctx("Online_Payment", "Status", "x")]
         )
-        bound = assign_values(
-            g, instantiate(g, activity, s), {"Network.Status": "Unavailable"}
-        )
+        bound = assign_values(g, instantiate(g, activity, s), s.bindings)
         with pytest.raises(IncompleteBindingError):
             compose_value(bound, g.state_nodes["Bill Payment"])
 
@@ -364,7 +474,10 @@ class TestComposeValue:
             ("E.a", "E.b", "E.c"),
             Composition("AND", ("E.a", Composition("OR", ("E.b", "E.c")))),
         )
-        bound = {a: TimedValue(v) for a, v in (("E.a", 1), ("E.b", 2), ("E.c", 3))}
+        bound = {
+            a: TimedValue(v, 0, normalize_value(v))
+            for a, v in (("E.a", 1), ("E.b", 2), ("E.c", 3))
+        }
         value = compose_value(bound, node)
         assert value.op == "AND"
         assert value.render() == "[(E.a, 1) AND (E.b, 2) AND (E.c, 3)]"
@@ -374,7 +487,7 @@ class TestComposeValue:
             "AND", (("A.x", "v"),), max_delay=0
         )
         assert value.max_delay == 0
-        timed = TimedValue("v", 30)
+        timed = TimedValue("v", 30, "v")
         assert timed.delay == 30
 
     def test_pattern_matching_is_order_insensitive(self):

@@ -165,6 +165,14 @@ CASES = {
         "map it",
         None,
     ),
+    "static context in a situation": (
+        "scenario.yaml",
+        SCENARIO_WEATHER,
+        SCENARIO_WEATHER.replace("external}", "external, temporality: static}"),
+        "scenario.yaml: situation 0: static context 'Weather.Status' cannot appear in "
+        "a change set",
+        None,
+    ),
     "timestamp with month 13": (
         "scenario.yaml",
         'time: "2:00 pm"',
