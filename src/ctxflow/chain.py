@@ -494,28 +494,44 @@ class _Runner:
     def _ingest_due_situations(self) -> None:
         """Fold each due situation into the states of the scopes it touches.
 
-        Only watches of the situation's parameters and attributes are
-        candidates, and of those only the ones with an activity still
-        awaiting evaluation: an activity is evaluated once, and leaves the
-        chain or executes only after its evaluation. The index never goes
-        stale, because scopes are set once at load and inserted activities
-        carry none.
+        One walk over a situation hands each context, in situation order, to
+        the watches filed under its parameter and its qualified attribute,
+        once per watch, and each watch then folds the contexts it got. Only
+        watches with an activity awaiting evaluation take part: an activity
+        leaves the chain or executes only after its one evaluation. The
+        index never goes stale: scopes are set at load, and inserted
+        activities have none.
         """
+        by_parameter = self.watchers_by_parameter
+        by_attribute = self.watchers_by_attribute
         while (
             self.next_situation < len(self.scenario)
             and self.scenario[self.next_situation].timestamp <= self.clock
         ):
             cs = self.scenario[self.next_situation]
             self.next_situation += 1
-            touched: Dict[_Watch, None] = {}
+            routed: Dict[_Watch, List[AtomicContext]] = {}
+            bindings = cs.bindings
             for q in cs.attributes:
-                ctx = cs.bindings.get(q)
-                if ctx is not None:
-                    touched.update(self.watchers_by_parameter.get(ctx.parameter, ()))
-                    touched.update(self.watchers_by_attribute.get(ctx.qualified, ()))
-            for watch in touched:
-                if watch.waiting:
-                    watch.state = catch_context(cs, watch.state, watch.scope)
+                ctx = bindings.get(q)
+                if ctx is None:
+                    continue
+                for watch in by_parameter.get(ctx.parameter, ()):
+                    if watch.waiting:
+                        contexts = routed.get(watch)
+                        if contexts is None:
+                            routed[watch] = [ctx]
+                        else:
+                            contexts.append(ctx)
+                for watch in by_attribute.get(ctx.qualified, ()):
+                    if watch.waiting:
+                        contexts = routed.get(watch)
+                        if contexts is None:
+                            routed[watch] = [ctx]
+                        elif contexts[-1] is not ctx:
+                            contexts.append(ctx)
+            for watch, contexts in routed.items():
+                watch.state = catch_context(contexts, watch.state, cs.timestamp)
 
     def _caught(self, activity_id: str) -> ContextState:
         """Drop ``activity_id``'s watch and return the state it caught."""

@@ -1,8 +1,9 @@
 """Context algebra: atomic contexts, situations, per-scope states and diffing.
 
-The central operation is :func:`diff`, which compares an incoming contextual
-situation against a scope's last observed state and produces the change
-set (new parameters, changed attributes) that drives adaptation downstream.
+The central operation is :func:`catch_context`, which folds the contexts an
+incoming situation binds within one scope into that scope's last observed
+state and produces the change set (new parameters, changed attributes) that
+drives adaptation downstream; :func:`diff` folds a whole situation.
 All values here are immutable; operations are pure functions.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 Value = Union[str, int, float, bool]
 
@@ -140,16 +141,6 @@ class ScopeFilter:
             or ctx.qualified in self.relevant_attributes
         )
 
-    def restrict(self, cs: ContextualSituation) -> ContextualSituation:
-        """Drop every context of ``cs`` outside this scope."""
-        bindings = cs.bindings
-        kept = []
-        for q in cs.attributes:
-            ctx = bindings.get(q)
-            if ctx is not None and self.covers(ctx):
-                kept.append(ctx)
-        return ContextualSituation.from_contexts(kept, cs.timestamp)
-
 
 def diff(new: ContextualSituation, old: ContextState) -> ContextState:
     """Compute the contextual change made in ``old`` by ``new``.
@@ -160,61 +151,50 @@ def diff(new: ContextualSituation, old: ContextState) -> ContextState:
     parameters already known), and the owners of those attributes. Parameters
     dropped since the previous state land in ``removed_parameters`` only.
     """
-    if new.timestamp <= old.timestamp:
-        return old
-
-    old_params = set(old.parameters)
-    old_params.update(ctx.parameter for ctx in old.bindings.values())
-
-    added_params = []
-    changed_attrs = []
-    for q in new.attributes:
-        ctx = new.bindings[q]
-        if ctx.parameter not in old_params:
-            if ctx.parameter not in added_params:
-                added_params.append(ctx.parameter)
-        else:
-            prior = old.bindings.get(q)
-            if prior is None or prior.key != ctx.key:
-                changed_attrs.append(q)
-
-    if not added_params and not changed_attrs:
-        return old
-
-    # Each attribute's parameter comes from its bound context: a parameter
-    # name may itself contain a dot.
-    owner = {q: new.bindings[q].parameter for q in new.attributes}
-    new_params = set(owner.values())
-    removed = tuple(p for p in sorted(old_params) if p not in new_params)
-
-    involved = set(added_params)
-    involved.update(owner[q] for q in changed_attrs)
-    params_out = []
-    for q in new.attributes:
-        p = owner[q]
-        if p in involved and p not in params_out:
-            params_out.append(p)
-
-    keep = set(params_out)
-    bindings = {q: new.bindings[q] for q in new.attributes if owner[q] in keep}
-    return ContextState(
-        parameters=tuple(params_out),
-        attributes=tuple(changed_attrs),
-        timestamp=new.timestamp,
-        bindings=bindings,
-        removed_parameters=removed,
-    )
+    bindings = new.bindings
+    return catch_context([bindings[q] for q in new.attributes], old, new.timestamp)
 
 
 def catch_context(
-    cs: ContextualSituation, state: ContextState, scope: ScopeFilter
+    contexts: Sequence[AtomicContext], state: ContextState, timestamp: int
 ) -> ContextState:
-    """Restrict ``cs`` to ``scope`` and fold the real changes into ``state``.
+    """Fold ``contexts``, the contexts a situation at ``timestamp`` binds
+    within one scope, in situation order, into the scope's ``state``.
 
     Mirrors the contextual-event trigger: the stored state is replaced by the
-    change set when one exists, otherwise it is returned untouched.
+    change set when one exists (see :func:`diff`), otherwise it is returned
+    untouched. Each context is classified once, and its parameter comes from
+    the context itself: a parameter name may contain a dot.
     """
-    restricted = scope.restrict(cs)
-    if restricted.is_empty:
+    if timestamp <= state.timestamp:
         return state
-    return diff(restricted, state)
+    old = state.bindings
+    known = {ctx.parameter for ctx in old.values()}
+    known.update(state.parameters)
+    # Each parameter of ``contexts`` in first-listed order, and whether it
+    # is involved in the change: added, or owning a changed attribute.
+    involved = {}
+    changed = []
+    for ctx in contexts:
+        p = ctx.parameter
+        if p not in known:
+            involved[p] = True
+            continue
+        q = ctx.qualified
+        prior = old.get(q)
+        if prior is None or prior.key != ctx.key:
+            changed.append(q)
+            involved[p] = True
+        elif p not in involved:
+            involved[p] = False
+    parameters = [p for p, hit in involved.items() if hit]
+    if not parameters:
+        return state
+    removed = known.difference(involved)
+    return ContextState(
+        parameters=tuple(parameters),
+        attributes=tuple(changed),
+        timestamp=timestamp,
+        bindings={ctx.qualified: ctx for ctx in contexts if involved[ctx.parameter]},
+        removed_parameters=tuple(sorted(removed)) if removed else (),
+    )

@@ -353,13 +353,13 @@ def apply_dependencies(
     conflict, not a silent choice. Values compare by their keys.
     """
     bound = dict(bound)
+    # The cap counts every rule, whatever its target; only the live ones fire.
     cap = len(rules) * max(len(activated), 1) + 1
+    live = [rule for rule in rules if rule.consequent.attribute in activated]
     for _ in range(cap):
         proposals = {}
-        for rule in rules:
+        for rule in live:
             target = rule.consequent.attribute
-            if target not in activated:
-                continue
             if not all(
                 p.attribute in bound and bound[p.attribute].key == p.key
                 for p in rule.antecedent

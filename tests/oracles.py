@@ -5,8 +5,9 @@ technique from the production code: plain list splicing for chain rewrites,
 a linear sub-goal scan, linear row and rule scans that normalize every
 pattern on every comparison, a runner that rescans the chain order on every
 step, a runner that checks the whole chain after every rewrite, a runner
-that offers every situation to every activity,
-per-context classification for state diffing, a dependency fixpoint that
+that offers every situation to every activity and restricts it to the
+activity's scope before diffing, a diff that rebuilds its facts from whole
+situations, per-context classification for state diffing, a dependency fixpoint that
 normalizes both sides of every comparison, subset
 enumeration for query evaluation, arc-scanning token counters for
 state-space exploration, a dict-and-sort firing rule and property checks
@@ -28,7 +29,7 @@ import yaml
 
 from ctxflow import chain as chain_mod
 from ctxflow import files
-from ctxflow.context import ContextState
+from ctxflow.context import ContextState, ContextualSituation
 from ctxflow.errors import (
     DependencyConflictError,
     DependencyCycleError,
@@ -291,15 +292,85 @@ class CheckedRunner(chain_mod._Runner):
 # -- all-states oracle for situation ingestion -------------------------------
 
 
+def restrict(scope, cs):
+    """Drop every context of ``cs`` outside ``scope``, as a new situation."""
+    bindings = cs.bindings
+    kept = []
+    for q in cs.attributes:
+        ctx = bindings.get(q)
+        if ctx is not None and scope.covers(ctx):
+            kept.append(ctx)
+    return ContextualSituation.from_contexts(kept, cs.timestamp)
+
+
+def diff_rebuilding(new, old):
+    """``diff`` over a whole situation that rebuilds its classification
+    facts (the state's known parameters, each attribute's owner) from the
+    two situations."""
+    if new.timestamp <= old.timestamp:
+        return old
+
+    old_params = set(old.parameters)
+    old_params.update(ctx.parameter for ctx in old.bindings.values())
+
+    added_params = []
+    changed_attrs = []
+    for q in new.attributes:
+        ctx = new.bindings[q]
+        if ctx.parameter not in old_params:
+            if ctx.parameter not in added_params:
+                added_params.append(ctx.parameter)
+        else:
+            prior = old.bindings.get(q)
+            if prior is None or prior.key != ctx.key:
+                changed_attrs.append(q)
+
+    if not added_params and not changed_attrs:
+        return old
+
+    owner = {q: new.bindings[q].parameter for q in new.attributes}
+    new_params = set(owner.values())
+    removed = tuple(p for p in sorted(old_params) if p not in new_params)
+
+    involved = set(added_params)
+    involved.update(owner[q] for q in changed_attrs)
+    params_out = []
+    for q in new.attributes:
+        p = owner[q]
+        if p in involved and p not in params_out:
+            params_out.append(p)
+
+    keep = set(params_out)
+    bindings = {q: new.bindings[q] for q in new.attributes if owner[q] in keep}
+    return ContextState(
+        parameters=tuple(params_out),
+        attributes=tuple(changed_attrs),
+        timestamp=new.timestamp,
+        bindings=bindings,
+        removed_parameters=removed,
+    )
+
+
+def catch_context_oracle(cs, state, scope):
+    """Restrict the whole situation ``cs`` to ``scope`` and diff it into
+    ``state`` with :func:`diff_rebuilding`; an empty restriction leaves
+    ``state`` as it is."""
+    restricted = restrict(scope, cs)
+    if restricted.is_empty:
+        return state
+    return diff_rebuilding(restricted, state)
+
+
 class _AllStatesRunner(chain_mod._Runner):
     """The runner with a state of its own for every scoped activity, and
     every situation offered to every state.
 
     Each scoped activity starts from the ideal restricted by its own scope,
-    at timestamp -1. Each due situation goes through ``catch_context`` for
-    every activity that still has a state, touched or not; ``catch_context``
-    itself restricts the situation and drops what the scope does not cover.
-    The walk is the production one, but evaluates the oracle's states.
+    at timestamp -1. Each due situation goes through
+    :func:`catch_context_oracle` for every activity that still has a state,
+    touched or not; it restricts the situation and drops what the scope does
+    not cover, so the engine's routing takes no part. The walk is the
+    production one, but evaluates the oracle's states.
     """
 
     def __init__(self, model, scenario):
@@ -321,7 +392,8 @@ class _AllStatesRunner(chain_mod._Runner):
             self.next_situation += 1
             for activity_id, state in list(self.states.items()):
                 scope = self.chain.nodes[activity_id].scope
-                self.states[activity_id] = chain_mod.catch_context(cs, state, scope)
+                # Looked up at each call, so that tests can wrap it.
+                self.states[activity_id] = catch_context_oracle(cs, state, scope)
 
     def _caught(self, activity_id):
         super()._caught(activity_id)  # the walk's record of who awaits evaluation

@@ -121,7 +121,9 @@ def test_criterion_2_weather_diff():
             [ctx("Healthcare_Employee", "Status", "Present")], 630
         )
         scope = ScopeFilter(frozenset({"Healthcare_Employee"}), frozenset())
-        assert catch_context(new, registration, scope) is registration
+        covered = [c for c in new.bindings.values() if scope.covers(c)]
+        assert covered == []
+        assert catch_context(covered, registration, new.timestamp) is registration
 
 
 def test_criterion_3_reasoning_examples():

@@ -15,11 +15,17 @@ from ctxflow.context import (
     values_equal,
 )
 
-from oracles import diff_oracle
+from oracles import diff_oracle, diff_rebuilding, restrict
 
 
 def ctx(parameter, attribute, value, **kw):
     return AtomicContext(parameter=parameter, attribute=attribute, value=value, **kw)
+
+
+def in_scope(cs, scope):
+    """The contexts ``cs`` binds within ``scope``, in situation order: what
+    the runner routes to the scope's state."""
+    return [cs.bindings[q] for q in cs.attributes if scope.covers(cs.bindings[q])]
 
 
 class TestAtomicContext:
@@ -90,7 +96,7 @@ class TestScopeFilter:
             [ctx("Weather", "Status", "Rainy"), ctx("Patient", "Condition", "Serious")],
             timestamp=1,
         )
-        restricted = scope.restrict(cs)
+        restricted = restrict(scope, cs)
         assert restricted.parameters == ("Weather",)
 
     def test_covers_by_qualified_attribute(self):
@@ -237,7 +243,7 @@ class TestCatchContext:
             [ctx("Weather", "Status", "Rainy"), ctx("Watch", "Time", "11.00 am")],
             timestamp=660,
         )
-        assert catch_context(rain, state, scope) is state
+        assert catch_context(in_scope(rain, scope), state, rain.timestamp) is state
 
     def test_in_scope_change_replaces_state(self):
         state = ContextState.from_contexts([ctx("Weather", "Status", "Sunny")], 630)
@@ -246,7 +252,7 @@ class TestCatchContext:
             [ctx("Weather", "Status", "Rainy"), ctx("Patient", "Condition", "OK")],
             timestamp=660,
         )
-        out = catch_context(rain, state, scope)
+        out = catch_context(in_scope(rain, scope), state, rain.timestamp)
         assert out is not state
         assert out.attributes == ("Weather.Status",)
 
@@ -260,7 +266,52 @@ class TestCatchContext:
             ],
             timestamp=660,
         )
-        out = catch_context(both, state, scope)
+        out = catch_context(in_scope(both, scope), state, both.timestamp)
         assert out.parameters == ("Network",)
         assert out.attributes == ("Network.Status",)
         assert out.bindings["Network.Status"].instance == "OperatorB"
+
+    def test_no_contexts_leave_state_untouched(self):
+        state = ContextState.from_contexts([ctx("Weather", "Status", "Sunny")], 630)
+        assert catch_context([], state, 660) is state
+
+    def test_fold_is_the_diff_of_the_restriction(self):
+        state = ContextState.from_contexts(
+            [ctx("Weather", "Status", "Sunny"), ctx("Watch", "Time", "10.30 am")], 630
+        )
+        scope = ScopeFilter(frozenset({"Weather"}), frozenset({"Ambulance.Availability"}))
+        cs = ContextualSituation.from_contexts(
+            [
+                ctx("Ambulance", "Availability", "Ready"),
+                ctx("Watch", "Time", "11.00 am"),
+                ctx("Weather", "Status", "Rainy"),
+            ],
+            timestamp=660,
+        )
+        out = catch_context(in_scope(cs, scope), state, cs.timestamp)
+        assert out == diff(restrict(scope, cs), state)
+        assert out.parameters == ("Ambulance", "Weather")
+        assert out.attributes == ("Weather.Status",)
+        assert list(out.bindings) == ["Ambulance.Availability", "Weather.Status"]
+        assert out.removed_parameters == ("Watch",)
+
+    def test_a_bound_parameter_is_known_though_not_listed(self):
+        # A state lists only the parameters its last change involved; one it
+        # merely binds is known all the same, so its attribute is changed,
+        # not added, and it is not removed.
+        state = ContextState(
+            parameters=("Watch",),
+            attributes=(),
+            timestamp=630,
+            bindings={
+                "Weather.Status": ctx("Weather", "Status", "Sunny"),
+                "Watch.Time": ctx("Watch", "Time", "10.30 am"),
+            },
+        )
+        rain = [ctx("Weather", "Status", "Rainy"), ctx("Watch", "Time", "10.30 am")]
+        out = catch_context(rain, state, 660)
+        assert out.parameters == ("Weather",)
+        assert out.attributes == ("Weather.Status",)
+        assert out.removed_parameters == ()
+        new = ContextualSituation.from_contexts(rain, 660)
+        assert out == diff(new, state) == diff_rebuilding(new, state)

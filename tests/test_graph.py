@@ -354,6 +354,36 @@ class TestDependencies:
         with pytest.raises(DependencyCycleError):
             apply_dependencies(bound, activated, rules)
 
+    def test_cycle_cap_counts_rules_whose_target_is_not_activated(self):
+        # Four rules oscillate on E.a and E.b; three more target E.c, which
+        # is not activated, and never fire. The cap still counts all seven
+        # rules: 7 rules x 2 activated attributes + 1 = 15 passes, not the
+        # 4 x 2 + 1 = 9 of the live rules alone.
+        g = ContextGraph.build(
+            entities=[EntityNode("E")],
+            attributes=[AttributeNode(q) for q in ("E.a", "E.b", "E.c")],
+            state_nodes=[StateNodeDef("A", ("E",), ("E.a", "E.b", "E.c"))],
+        )
+        rules = (
+            DependencyRule("partial", (RulePattern("E.c", 0),), RulePattern("E.c", 1)),
+            DependencyRule("partial", (RulePattern("E.b", 0),), RulePattern("E.a", 1)),
+            DependencyRule("partial", (RulePattern("E.a", 1),), RulePattern("E.b", 1)),
+            DependencyRule("partial", (RulePattern("E.a", 0),), RulePattern("E.c", 2)),
+            DependencyRule("partial", (RulePattern("E.b", 1),), RulePattern("E.a", 0)),
+            DependencyRule("partial", (RulePattern("E.a", 0),), RulePattern("E.b", 0)),
+            DependencyRule("partial", (RulePattern("E.a", 1),), RulePattern("E.c", 3)),
+        )
+        s = state_of([ctx("E", "a", 0), ctx("E", "b", 0)])
+        activated = instantiate(g, "A", s)
+        assert activated == {"E.a", "E.b"}
+        bound = assign_values(g, activated, s.bindings)
+        with pytest.raises(DependencyCycleError) as raised:
+            apply_dependencies(bound, activated, rules)
+        assert str(raised.value) == "dependency rules did not stabilise within 15 passes"
+        with pytest.raises(DependencyCycleError) as expected:
+            oracles.apply_dependencies_oracle(bound, activated, rules)
+        assert str(expected.value) == str(raised.value)
+
 
 FIXPOINT_ATTRIBUTES = ("E.a", "E.b", "E.c")
 # Values that differ only by case, blanks, int against float or truth value,

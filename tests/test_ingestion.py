@@ -3,8 +3,9 @@
 The production runner keeps one state per distinct scope and offers a
 situation only to the scopes whose parameters and attributes it names and
 that an activity still awaiting evaluation holds;
-``oracles._AllStatesRunner`` keeps a state per activity and runs
-``catch_context`` for every activity that has one. Both must produce
+``oracles._AllStatesRunner`` keeps a state per activity and restricts and
+diffs every situation into every activity's state
+(``oracles.catch_context_oracle``). Both must produce
 identical traces (values included) and final orders, or the same error,
 and agree on every activity's state.
 """
@@ -320,23 +321,174 @@ def test_shared_scope_checks_each_activity_against_its_own_state_node():
     )
 
 
+# -- routing and the fold against restrict-then-diff -----------------------
+
+# "Net.Op" + "Status" and "Net" + "Op.Status" share the qualified name
+# "Net.Op.Status".
+ROUTE_PARAMETERS = ("Net.Op", "Net", "W")
+ROUTE_ATTRIBUTES = ("Status", "Op.Status", "Level")
+ROUTE_QUALIFIED = tuple(
+    sorted({"%s.%s" % (p, a) for p in ROUTE_PARAMETERS for a in ROUTE_ATTRIBUTES})
+)
+# Case, blanks, int against float and a truth value.
+ROUTE_VALUES = ("a", " A ", "b", 1, 1.0, True)
+
+
+def random_contexts(rng, most):
+    """Up to ``most`` contexts, an attribute possibly listed more than once."""
+    return [
+        AtomicContext(
+            rng.choice(ROUTE_PARAMETERS),
+            rng.choice(ROUTE_ATTRIBUTES),
+            value=rng.choice(ROUTE_VALUES),
+        )
+        for _ in range(rng.randint(0, most))
+    ]
+
+
+def random_routing(rng):
+    """Scopes naming parameters, qualified attributes or both, an ideal, a
+    scenario whose timestamps may repeat, the activities evaluated before
+    it starts, and each situation's contexts as drawn."""
+    scopes = [
+        ScopeFilter(
+            frozenset(p for p in ROUTE_PARAMETERS if rng.random() < 0.3),
+            frozenset(q for q in ROUTE_QUALIFIED if rng.random() < 0.2),
+        )
+        for _ in range(rng.randint(1, 5))
+    ]
+    ids = ["a%d" % i for i in range(rng.randint(1, 6))]
+    nodes = [ActivityNode(a, sub_goal="g0", scope=rng.choice(scopes)) for a in ids]
+    model = ProcessModel(
+        ContextGraph.build(entities=[], attributes=[]),
+        ActivityChain.from_nodes(nodes),
+        FragmentRepository((SubgoalEntry(1, "g0"),), {}),
+        (),
+        ContextualSituation.from_contexts(random_contexts(rng, 5), -1).bindings,
+    )
+    times = sorted(rng.randint(0, 6) for _ in range(rng.randint(1, 8)))
+    listed = [random_contexts(rng, 5) for _ in times]
+    scenario = [
+        ContextualSituation.from_contexts(contexts, timestamp=t)
+        for contexts, t in zip(listed, times)
+    ]
+    evaluated = [a for a in ids if rng.random() < 0.2]
+    return model, scenario, evaluated, listed
+
+
+def routed_against_oracle(model, scenario, evaluated):
+    """Ingest ``scenario`` one situation at a time and check every watch's
+    state against ``oracles.catch_context_oracle`` on the watch's scope: the
+    identical state when the oracle hands its state back, an equal one
+    (bindings in the same order) otherwise, and no change to a watch whose
+    activities were all evaluated. Returns the number of (situation, watch)
+    pairs that changed, that stayed, and that were skipped."""
+    runner = chain_mod._Runner(model, [])
+    for a in evaluated:
+        runner._caught(a)
+    watches = set(runner.watches.values()).union(*(
+        filed
+        for index in (runner.watchers_by_parameter, runner.watchers_by_attribute)
+        for filed in index.values()
+    ))
+    expected = {w: w.state for w in watches}
+    counts = collections.Counter()
+    for cs in scenario:
+        before = {w: w.state for w in expected}
+        runner.scenario.append(cs)
+        runner.clock = cs.timestamp
+        runner._ingest_due_situations()
+        for w, prior in before.items():
+            if not w.waiting:
+                assert w.state is prior
+                counts["skipped"] += 1
+                continue
+            oracle = oracles.catch_context_oracle(cs, expected[w], w.scope)
+            if oracle is expected[w]:
+                assert w.state is prior
+                counts["stayed"] += 1
+            else:
+                assert w.state is not prior
+                assert w.state == oracle
+                assert list(w.state.bindings.items()) == list(oracle.bindings.items())
+                counts["changed"] += 1
+            expected[w] = oracle
+    return counts
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_routing_and_fold_match_restrict_then_diff(seed):
+    model, scenario, evaluated, _ = random_routing(random.Random(seed))
+    routed_against_oracle(model, scenario, evaluated)
+
+
+def test_routing_cases_come_up():
+    seen = collections.Counter()
+    for seed in range(300):
+        model, scenario, evaluated, listed = random_routing(random.Random(seed))
+        seen.update(routed_against_oracle(model, scenario, evaluated))
+        bound = dict(model.ideal)
+        for cs, drawn in zip(scenario, listed):
+            contexts = [cs.bindings[q] for q in cs.attributes]
+            seen["repeated"] += len(contexts) < len(drawn)
+            # Two parameters listed under one qualified name: one binding.
+            seen["collision"] += len(cs.parameters) > len(
+                {ctx.parameter for ctx in contexts}
+            )
+            seen["both names"] += any(
+                ctx.parameter in node.scope.relevant_parameters
+                and ctx.qualified in node.scope.relevant_attributes
+                for node in model.chain.nodes.values()
+                for ctx in contexts
+            )
+            for ctx in contexts:
+                prior = bound.get(ctx.qualified)
+                if prior is not None and prior.value != ctx.value:
+                    seen["equal keys"] += prior.key == ctx.key
+                if prior is not None and prior.value == ctx.value:
+                    seen["truth against number"] += prior.key != ctx.key
+                bound[ctx.qualified] = ctx
+        times = [cs.timestamp for cs in scenario]
+        seen["not newer"] += len(set(times)) < len(times)
+    for case in ("changed", "stayed", "skipped", "collision", "repeated",
+                 "both names", "equal keys", "truth against number", "not newer"):
+        assert seen[case] > 0, case
+
+
 # -- call guard --------------------------------------------------------------
 
 
-def guarded_calls(runner_class, model, scenario, monkeypatch):
-    """Run ``runner_class`` with ``catch_context`` wrapped; list the calls.
+def scope_of_state(watches):
+    """A function from a state to the scope of the watch holding it, over
+    ``watches`` (every watch a runner made); states are told apart by
+    identity."""
+    watches = set(watches)
 
-    Each call is recorded as (situation index, scope, whether every
-    activity that carries an equal scope in the chain had executed, whether
-    the scope covers anything in the situation passed, whether an activity
-    awaiting evaluation carries an equal scope in the chain).
+    def scope_of(state):
+        held = [w.scope for w in watches if w.state is state]
+        assert len(held) == 1
+        return held[0]
+
+    return scope_of
+
+
+def guarded_calls(runner_class, model, scenario, monkeypatch):
+    """Run ``runner_class`` with its catch wrapped; list the calls.
+
+    The engine calls ``catch_context``; the all-states oracle calls
+    ``oracles.catch_context_oracle``. Each call is recorded as (situation
+    index, scope, whether every activity that carries an equal scope in the
+    chain had executed, whether the scope covers anything in the situation
+    passed, whether an activity awaiting evaluation carries an equal scope
+    in the chain). Each engine call must also be passed exactly the
+    contexts the oracle's restriction keeps, and the situation's timestamp.
     """
     model.validate()
     runner = runner_class(model, scenario)
     calls = []
-    original = chain_mod.catch_context
 
-    def wrapped(cs, state, scope):
+    def record(cs, scope):
         nodes = runner.chain.nodes
         calls.append((
             runner.next_situation - 1,
@@ -345,15 +497,34 @@ def guarded_calls(runner_class, model, scenario, monkeypatch):
             any(scope.covers(ctx) for ctx in cs.bindings.values()),
             any(nodes[a].scope == scope for a in runner.watches),
         ))
-        return original(cs, state, scope)
 
-    monkeypatch.setattr(chain_mod, "catch_context", wrapped)
+    if runner_class is oracles._AllStatesRunner:
+        module, name = oracles, "catch_context_oracle"
+
+        def wrapped(cs, state, scope):
+            record(cs, scope)
+            return original(cs, state, scope)
+    else:
+        module, name = chain_mod, "catch_context"
+        scope_of = scope_of_state(runner.watches.values())
+
+        def wrapped(contexts, state, timestamp):
+            cs = runner.scenario[runner.next_situation - 1]
+            scope = scope_of(state)
+            restricted = oracles.restrict(scope, cs)
+            assert contexts == [restricted.bindings[q] for q in restricted.attributes]
+            assert timestamp == cs.timestamp
+            record(cs, scope)
+            return original(contexts, state, timestamp)
+
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, wrapped)
     try:
         runner.run()
     except CtxflowError:  # both runners raise at the same point
         pass
     finally:
-        monkeypatch.setattr(chain_mod, "catch_context", original)
+        monkeypatch.setattr(module, name, original)
     return calls
 
 
@@ -416,9 +587,9 @@ def test_bench_shapes_catch_once_per_situation_and_live_scope(
     calls = []
     original = chain_mod.catch_context
 
-    def counted(cs, state, scope):
-        calls.append(scope)
-        return original(cs, state, scope)
+    def counted(contexts, state, timestamp):
+        calls.append(state)
+        return original(contexts, state, timestamp)
 
     monkeypatch.setattr(chain_mod, "catch_context", counted)
     chain_mod.run_instance(bundle.model, bundle.scenario)
@@ -441,13 +612,17 @@ def test_finished_scope_never_catches_a_situation(seed):
             evaluated.add(node.id)
             super()._evaluate(node, at)
 
-    def wrapped(cs, state, scope):
+    runner = Noting(model, scenario)
+    scope_of = scope_of_state(runner.watches.values())
+
+    def wrapped(contexts, state, timestamp):
+        scope = scope_of(state)
         assert any(s == scope and a not in evaluated for a, s in scopes.items())
-        return original(cs, state, scope)
+        return original(contexts, state, timestamp)
 
     chain_mod.catch_context = wrapped
     try:
-        Noting(model, scenario).run()
+        runner.run()
     except CtxflowError:  # a model that cannot run still must not break the rule
         pass
     finally:
