@@ -14,6 +14,7 @@ hold and arcs require/produce specific labels.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
@@ -82,37 +83,35 @@ class Net:
     deltas: Tuple[Vector, ...] = field(init=False, repr=False, compare=False)
     affected: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     moves: Tuple[Moves, ...] = field(init=False, repr=False, compare=False)
-    _inputs: Mapping[str, Counter] = field(init=False, repr=False, compare=False)
-    _outputs: Mapping[str, Counter] = field(init=False, repr=False, compare=False)
+    _inputs: Mapping[str, Dict[Tuple[str, str], int]] = field(init=False, repr=False, compare=False)
+    _outputs: Mapping[str, Dict[Tuple[str, str], int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        place_names = set(self.places)
-        transition_names = set(self.transitions)
-        if place_names & transition_names:
+        places, transitions = self.places, self.transitions
+        if places.keys() & transitions.keys():
             raise ValueError("place and transition names must be disjoint")
-        inputs = {t: Counter() for t in self.transitions}
-        outputs = {t: Counter() for t in self.transitions}
+        inputs = {t: {} for t in transitions}
+        outputs = {t: {} for t in transitions}
         for arc in self.arcs:
-            if arc.source in place_names and arc.target in transition_names:
-                inputs[arc.target][(arc.source, arc.label)] += 1
-                if arc.label not in self.places[arc.source].colorset:
-                    raise ValueError(
-                        "arc %s->%s consumes label %r outside the color set"
-                        % (arc.source, arc.target, arc.label)
-                    )
-            elif arc.source in transition_names and arc.target in place_names:
-                outputs[arc.source][(arc.target, arc.label)] += 1
-                if arc.label not in self.places[arc.target].colorset:
-                    raise ValueError(
-                        "arc %s->%s produces label %r outside the color set"
-                        % (arc.source, arc.target, arc.label)
-                    )
+            source, target, label = arc.source, arc.target, arc.label
+            if source in places and target in transitions:
+                counts, key, verb = inputs[target], (source, label), "consumes"
+                colorset = places[source].colorset
+            elif source in transitions and target in places:
+                counts, key, verb = outputs[source], (target, label), "produces"
+                colorset = places[target].colorset
             else:
                 raise ValueError(
                     "arc %s->%s does not connect a place and a transition"
-                    % (arc.source, arc.target)
+                    % (source, target)
                 )
-        for t in transition_names:
+            counts[key] = counts.get(key, 0) + 1
+            if label not in colorset:
+                raise ValueError(
+                    "arc %s->%s %s label %r outside the color set"
+                    % (source, target, verb, label)
+                )
+        for t in transitions:
             if not inputs[t] or not outputs[t]:
                 raise ValueError("transition %r lacks input or output arcs" % (t,))
         object.__setattr__(self, "_inputs", inputs)
@@ -133,24 +132,24 @@ class Net:
         posts = [self.post(name) for name in names]
         keys = tuple(sorted(set().union(*pres, *posts)))
         index = {key: k for k, key in enumerate(keys)}
-        deltas = []
-        moves = []
-        for pre, post in zip(pres, posts):
-            post.subtract(pre)  # now the change of every key pre or post names
-            deltas.append(tuple(sorted(
-                (index[key], change) for key, change in post.items() if change
-            )))
-            moves.append(tuple(
-                (key, key[0], key[1], pre[key], post[key]) for key in sorted(post)
-            ))
-        pre_vectors = tuple(
-            tuple(sorted((index[key], need) for key, need in pre.items()))
-            for pre in pres
-        )
         readers: List[List[int]] = [[] for _ in keys]
-        for t, vector in enumerate(pre_vectors):
-            for k, _ in vector:
-                readers[k].append(t)
+        pre_vectors, deltas, moves = [], [], []
+        for t, (pre, post) in enumerate(zip(pres, posts)):
+            vector, delta, move = [], [], []
+            # Key positions ascend as the keys do, so this is key order.
+            for k in sorted([index[key] for key in pre.keys() | post.keys()]):
+                key = keys[k]
+                need = pre.get(key, 0)
+                change = post.get(key, 0) - need
+                if need:
+                    vector.append((k, need))
+                    readers[k].append(t)
+                if change:
+                    delta.append((k, change))
+                move.append((key, key[0], key[1], need, change))
+            pre_vectors.append(tuple(vector))
+            deltas.append(tuple(delta))
+            moves.append(tuple(move))
         affected = tuple(
             tuple(sorted({t for k, _ in delta for t in readers[k]}))
             for delta in deltas
@@ -159,7 +158,7 @@ class Net:
             ("keys", keys),
             ("key_index", index),
             ("transition_index", {name: t for t, name in enumerate(names)}),
-            ("pre_vectors", pre_vectors),
+            ("pre_vectors", tuple(pre_vectors)),
             ("deltas", tuple(deltas)),
             ("affected", affected),
             ("moves", tuple(moves)),
@@ -275,43 +274,60 @@ def explore(net: Net, initial: Optional[Marking] = None, limit: int = 100000) ->
     transitions in ``net.affected`` of the fired one are rechecked.
     Every distinct marking is one object, shared by ``nodes``, ``arcs`` and
     ``successors``, which records each marking's arcs as it is expanded.
+
+    The walk builds no reference cycles, so the cyclic collector is paused
+    for the call: each pass would only walk the growing space and free
+    nothing. The caller's setting is put back afterwards, whether the walk
+    ends or raises. The setting is process-wide, so another thread sees
+    the collector paused meanwhile.
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
-    m0 = initial if initial is not None else net.initial_marking
-    space = StateSpace(initial=m0)
-    names = tuple(net.transitions)
-    pre_vectors, deltas, affected = net.pre_vectors, net.deltas, net.affected
-    arcs, successors = space.arcs, space.successors
-    canonical = {m0: m0}
-    state = net.state(m0)
-    frontier = deque([(m0, state, net.enabled_at(state))])
-    while frontier and not space.partial:
-        marking, state, live = frontier.popleft()
-        successors[marking] = out = []
-        for t in live:
-            name = names[t]
-            successor = fire(net, marking, name)
-            known = canonical.get(successor)
-            if known is None:
-                if len(canonical) >= limit:
-                    space.partial = True
-                    break
-                canonical[successor] = known = successor
-                after = list(state)
-                for k, change in deltas[t]:
-                    after[k] += change
-                recheck = affected[t]
-                now = [u for u in live if u not in recheck]
-                now += [
-                    u for u in recheck
-                    if all(after[k] >= need for k, need in pre_vectors[u])
-                ]
-                now.sort()
-                frontier.append((successor, after, now))
-            arcs.append((marking, name, known))
-            out.append((name, known))
-    space.nodes.update(canonical)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        m0 = initial if initial is not None else net.initial_marking
+        space = StateSpace(initial=m0)
+        names = tuple(net.transitions)
+        pre_vectors, deltas, affected = net.pre_vectors, net.deltas, net.affected
+        rechecked = [frozenset(ts) for ts in affected]
+        arcs, successors = space.arcs, space.successors
+        canonical = {m0: m0}
+        state = net.state(m0)
+        frontier = deque([(m0, state, net.enabled_at(state))])
+        while frontier and not space.partial:
+            marking, state, live = frontier.popleft()
+            successors[marking] = out = []
+            for t in live:
+                name = names[t]
+                successor = fire(net, marking, name)
+                known = canonical.setdefault(successor, successor)
+                # ``fire`` returns a new tuple, never the empty one (the
+                # firing produced a token), so it is known iff not kept.
+                if known is successor:
+                    if len(canonical) > limit:
+                        del canonical[successor]
+                        space.partial = True
+                        break
+                    after = list(state)
+                    for k, change in deltas[t]:
+                        after[k] += change
+                    recheck = rechecked[t]
+                    now = [u for u in live if u not in recheck]
+                    for u in affected[t]:
+                        for k, need in pre_vectors[u]:
+                            if after[k] < need:
+                                break
+                        else:
+                            now.append(u)
+                    now.sort()
+                    frontier.append((successor, after, now))
+                arcs.append((marking, name, known))
+                out.append((name, known))
+        space.nodes.update(canonical)
+    finally:
+        if collecting:
+            gc.enable()
     return space
 
 
@@ -394,22 +410,31 @@ def check_reachable(space: StateSpace, goal) -> Tuple[bool, List[str]]:
 
 
 def check_home(space: StateSpace, marking: Marking) -> bool:
-    """True when ``marking`` is reachable from every reachable marking."""
+    """True when ``marking`` is reachable from every reachable marking.
+
+    The markings are numbered once, in ``successors`` order; an exact space
+    maps each of its markings there. The backward search from ``marking``
+    then walks lists of numbers and marks what it reaches in a bytearray.
+    """
     if space.partial:
         raise PartialSpaceError("home property needs an exact state space")
-    reverse: Dict[Marking, List[Marking]] = {}
-    for src, out in space.successors.items():
+    number = {m: i for i, m in enumerate(space.successors)}
+    target = number.get(marking)
+    if target is None:
+        return False  # not reachable, so not even from the initial marking
+    reverse: List[List[int]] = [[] for _ in number]
+    for i, out in enumerate(space.successors.values()):
         for _, dst in out:
-            reverse.setdefault(dst, []).append(src)
-    reached = {marking}
-    frontier = deque([marking])
-    while frontier:
-        cursor = frontier.popleft()
-        for prev in reverse.get(cursor, []):
-            if prev not in reached:
-                reached.add(prev)
-                frontier.append(prev)
-    return space.nodes <= reached
+            reverse[number[dst]].append(i)
+    reached = bytearray(len(number))
+    reached[target] = 1
+    stack = [target]
+    while stack:
+        for prev in reverse[stack.pop()]:
+            if not reached[prev]:
+                reached[prev] = 1
+                stack.append(prev)
+    return reached.count(1) == len(space.nodes)
 
 
 def goal_marking(net: Net) -> Marking:

@@ -10,7 +10,8 @@ activity's scope before diffing, a diff that rebuilds its facts from whole
 situations, per-context classification for state diffing, a dependency fixpoint that
 normalizes both sides of every comparison, subset
 enumeration for query evaluation, arc-scanning token counters for
-state-space exploration, a dict-and-sort firing rule and property checks
+state-space exploration, a net compiled from per-transition ``Counter``
+subtraction, a dict-and-sort firing rule and property checks
 that rebuild their maps from the arc list, and PyYAML's pure-Python loader and constructor
 for the document loader. The repository and query formatters invert their
 parsers, for round-trip tests; the engine itself never writes either form.
@@ -592,6 +593,48 @@ def net_post(net, transition):
     return Counter(
         (arc.target, arc.label) for arc in net.arcs if arc.source == transition
     )
+
+
+def compile_oracle(net):
+    """The compiled form of ``net`` from arc-scanned ``Counter``s: keys,
+    key positions, per-transition vectors, deltas, moves and the
+    transitions each firing can enable or disable."""
+    names = tuple(net.transitions)
+    pres = [net_pre(net, name) for name in names]
+    posts = [net_post(net, name) for name in names]
+    keys = tuple(sorted(set().union(*pres, *posts)))
+    index = {key: k for k, key in enumerate(keys)}
+    deltas = []
+    moves = []
+    for pre, post in zip(pres, posts):
+        post.subtract(pre)  # now the change of every key pre or post names
+        deltas.append(tuple(sorted(
+            (index[key], change) for key, change in post.items() if change
+        )))
+        moves.append(tuple(
+            (key, key[0], key[1], pre[key], post[key]) for key in sorted(post)
+        ))
+    pre_vectors = tuple(
+        tuple(sorted((index[key], need) for key, need in pre.items()))
+        for pre in pres
+    )
+    readers = [[] for _ in keys]
+    for t, vector in enumerate(pre_vectors):
+        for k, _ in vector:
+            readers[k].append(t)
+    affected = tuple(
+        tuple(sorted({t for k, _ in delta for t in readers[k]}))
+        for delta in deltas
+    )
+    return {
+        "keys": keys,
+        "key_index": index,
+        "transition_index": {name: t for t, name in enumerate(names)},
+        "pre_vectors": pre_vectors,
+        "deltas": tuple(deltas),
+        "affected": affected,
+        "moves": tuple(moves),
+    }
 
 
 def enabled_oracle(net, marking):

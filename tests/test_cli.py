@@ -476,6 +476,44 @@ class TestVerify:
         assert main(["verify", str(kiosk_bundle), "--limit", limit]) == 1
         assert "--limit" in capsys.readouterr().out
 
+    KIOSK_REPORT = """\
+{
+  "arcs": 698,
+  "bound_violations": [],
+  "dead_markings": 1,
+  "dead_transitions": [],
+  "goal_is_home_marking": true,
+  "goal_is_only_dead_marking": true,
+  "goal_reachable": true,
+  "markings": 343,
+  "one_safe": true,
+  "partial": false,
+  "verdict": "pass",
+  "witness_length": 58
+}
+"""
+    KIOSK_LIMIT_5_REPORT = """\
+{
+  "arcs": 4,
+  "markings": 5,
+  "partial": true,
+  "verdict": "inconclusive: exploration limit reached"
+}
+"""
+
+    @pytest.mark.parametrize("flags, code, expected", [
+        ([], 0, KIOSK_REPORT),
+        (["--limit", "5"], 3, KIOSK_LIMIT_5_REPORT),
+    ], ids=["full", "limit-5"])
+    def test_kiosk_report_is_byte_identical(
+        self, kiosk_bundle, tmp_path, capsys, flags, code, expected
+    ):
+        assert main(["verify", str(kiosk_bundle), *flags]) == code
+        assert capsys.readouterr().out == expected
+        assert main(["verify", str(kiosk_bundle), *flags, "-o", str(tmp_path)]) == code
+        assert capsys.readouterr().out == expected
+        assert (tmp_path / "report.json").read_text() == expected
+
     def test_report_written_deterministically(self, kiosk_bundle, tmp_path, capsys):
         out1, out2 = tmp_path / "one", tmp_path / "two"
         main(["verify", str(kiosk_bundle), "-o", str(out1)])

@@ -1,16 +1,18 @@
 """Tests for the colored-token net translation and state-space analysis."""
 
 import dataclasses
+import gc
 import io
 import json
 import tempfile
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxflow import cli
+from ctxflow import cli, petri
 from ctxflow.chain import ActivityChain, ActivityNode, ProcessModel
 from ctxflow.errors import NotEnabledError, PartialSpaceError
 from ctxflow.files import load_bundle
@@ -39,10 +41,13 @@ from oracles import (
     check_home_oracle,
     check_liveness_oracle,
     check_reachable_oracle,
+    compile_oracle,
     enabled_oracle,
     explore_oracle,
     fire_by_sort_oracle,
     fire_oracle,
+    net_post,
+    net_pre,
 )
 
 
@@ -63,33 +68,69 @@ def two_step_net():
     return Net(places, transitions, arcs, make_marking({("p0", "tok"): 1}))
 
 
+def net_error(places, transitions, arcs):
+    """The message of the ``ValueError`` that building the net raises."""
+    with pytest.raises(ValueError) as raised:
+        Net(places, transitions, tuple(arcs), ())
+    return str(raised.value)
+
+
 class TestNetConstruction:
+    RED = {
+        "p": Place("p", frozenset({"red"})),
+        "q": Place("q", frozenset({"red"})),
+    }
+
     def test_place_transition_names_must_be_disjoint(self):
-        with pytest.raises(ValueError):
-            Net(
-                {"x": Place("x", frozenset({"t"}))},
-                {"x": Transition("x")},
-                (Arc("x", "x", "t"),),
-                (),
-            )
+        assert net_error(
+            {"x": Place("x", frozenset({"t"}))},
+            {"x": Transition("x")},
+            [Arc("x", "x", "t")],
+        ) == "place and transition names must be disjoint"
 
-    def test_arc_label_must_be_in_color_set(self):
-        places = {
-            "p": Place("p", frozenset({"red"})),
-            "q": Place("q", frozenset({"red"})),
-        }
-        with pytest.raises(ValueError):
-            Net(
-                places,
-                {"t": Transition("t")},
-                (Arc("p", "t", "blue"), Arc("t", "q", "red")),
-                (),
-            )
+    @pytest.mark.parametrize("arcs, message", [
+        ([Arc("p", "t", "blue"), Arc("t", "q", "red")],
+         "arc p->t consumes label 'blue' outside the color set"),
+        ([Arc("p", "t", "red"), Arc("t", "q", "blue")],
+         "arc t->q produces label 'blue' outside the color set"),
+    ], ids=["consumed", "produced"])
+    def test_arc_label_must_be_in_color_set(self, arcs, message):
+        assert net_error(self.RED, {"t": Transition("t")}, arcs) == message
 
-    def test_transition_needs_input_and_output(self):
+    @pytest.mark.parametrize("source, target", [
+        ("p", "q"), ("t", "u"), ("p", "nowhere"), ("nowhere", "t"),
+    ])
+    def test_arc_must_connect_a_place_and_a_transition(self, source, target):
+        transitions = {"t": Transition("t"), "u": Transition("u")}
+        assert net_error(self.RED, transitions, [Arc(source, target, "red")]) == (
+            "arc %s->%s does not connect a place and a transition" % (source, target)
+        )
+
+    @pytest.mark.parametrize("arc", [Arc("p", "t1", "t"), Arc("t1", "p", "t")],
+                             ids=["no-output", "no-input"])
+    def test_transition_needs_input_and_output(self, arc):
         places = {"p": Place("p", frozenset({"t"}))}
-        with pytest.raises(ValueError):
-            Net(places, {"t1": Transition("t1")}, (Arc("p", "t1", "t"),), ())
+        assert net_error(places, {"t1": Transition("t1")}, [arc]) == (
+            "transition 't1' lacks input or output arcs"
+        )
+
+    def test_first_fault_is_reported(self):
+        # Arcs are checked in order, and every arc before any transition;
+        # transitions lacking arcs are named in net order.
+        transitions = {"t": Transition("t"), "idle": Transition("idle"), "u": Transition("u")}
+        arcs = [Arc("p", "t", "red"), Arc("t", "q", "blue"), Arc("p", "q", "red")]
+        assert net_error(self.RED, transitions, arcs) == (
+            "arc t->q produces label 'blue' outside the color set"
+        )
+        assert net_error(self.RED, transitions, arcs[:1] + arcs[2:]) == (
+            "arc p->q does not connect a place and a transition"
+        )
+        assert net_error(self.RED, transitions, arcs[:1]) == (
+            "transition 't' lacks input or output arcs"
+        )
+        assert net_error(self.RED, transitions, [arcs[0], Arc("t", "q", "red")]) == (
+            "transition 'idle' lacks input or output arcs"
+        )
 
 
 class TestFiringSemantics:
@@ -478,6 +519,91 @@ def test_fire_matches_oracles_on_any_marking(net, data):
         max_size=8,
     ))
     assert_fire_matches_oracles(net, make_marking(tokens))
+
+
+# -- the one-walk compiler against the Counter-based one ---------------------
+
+
+def assert_compiled_like_oracle(net):
+    for attribute, value in compile_oracle(net).items():
+        assert getattr(net, attribute) == value, attribute
+    for name in net.transitions:
+        pre, post = net.pre(name), net.post(name)
+        assert type(pre) is type(post) is Counter
+        assert (pre, post) == (net_pre(net, name), net_post(net, name))
+        pre[("scratch", "x")] += 1  # a copy: the net is not changed
+        assert net.pre(name) == net_pre(net, name)
+
+
+@given(net=small_nets())
+@settings(max_examples=300, deadline=None)
+def test_random_nets_compile_like_oracle(net):
+    assert_compiled_like_oracle(net)
+
+
+def test_kiosk_compiles_like_oracle(kiosk_bundle):
+    assert_compiled_like_oracle(translate(load_bundle(kiosk_bundle).model))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_translated_chains_compile_like_oracle(n):
+    assert_compiled_like_oracle(translate(chain_model(n)))
+
+
+# -- the collector is paused while exploring --------------------------------
+
+
+def watch_fire(monkeypatch, fail_after=None):
+    """Record ``gc.isenabled()`` at each call of ``fire``; with
+    ``fail_after``, the call after that many raises ``NotEnabledError``."""
+    seen = []
+
+    def watched(net, marking, transition):
+        if len(seen) == fail_after:
+            raise NotEnabledError("stopped after %d firings" % fail_after)
+        seen.append(gc.isenabled())
+        return fire(net, marking, transition)
+
+    monkeypatch.setattr(petri, "fire", watched)
+    return seen
+
+
+class TestCollectorPause:
+    @pytest.fixture()
+    def kiosk_net(self, kiosk_bundle):
+        return translate(load_bundle(kiosk_bundle).model)
+
+    @pytest.mark.parametrize("limit", [1, 5, 100000])
+    def test_paused_while_walking_and_on_again_after(self, kiosk_net, monkeypatch, limit):
+        seen = watch_fire(monkeypatch)
+        assert gc.isenabled()
+        space = explore(kiosk_net, limit=limit)
+        assert space.partial == (limit < 343)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("limit", [1, 5, 100000])
+    def test_a_caller_that_turned_it_off_keeps_it_off(self, kiosk_net, limit):
+        gc.disable()
+        try:
+            explore(kiosk_net, limit=limit)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("fail_after", [0, 1, 50])
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_restored_when_the_walk_raises(self, kiosk_net, monkeypatch, fail_after, collecting):
+        seen = watch_fire(monkeypatch, fail_after)
+        if not collecting:
+            gc.disable()
+        try:
+            with pytest.raises(NotEnabledError, match="stopped after %d firings" % fail_after):
+                explore(kiosk_net)
+            assert len(seen) == fail_after and not any(seen)
+            assert gc.isenabled() == collecting
+        finally:
+            gc.enable()
 
 
 # -- pipelines that share entities ------------------------------------------
