@@ -353,7 +353,11 @@ class ProcessModel:
     """Context graph + chain + rules + ideal context assignment.
 
     ``rules`` is in precedence order: of the rules that match an activity's
-    evaluation, the first one listed for the activity applies.
+    evaluation, the first one listed for the activity applies. A model is
+    checked once, when it is built: its chain must list every activity
+    exactly once, and every rule and ideal context must name an activity
+    and an attribute the model has. Commands trust a built model, and a
+    run works on a copy of its chain.
     """
 
     graph: ContextGraph
@@ -364,37 +368,44 @@ class ProcessModel:
     _rule_index: Dict[tuple, AdaptationRule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.chain.validate()
         # The first rule listed under an (activity, fragment id, pattern) key wins.
         index: Dict[tuple, AdaptationRule] = {}
         shared: Dict[object, object] = {}
-        for rule in self.rules:
-            key = rule.value_pattern.normalized()
-            key = (rule.activity_id, rule.fragment_pattern, shared.setdefault(key, key))
-            index.setdefault(key, rule)
-        self._rule_index = index
-
-    def validate(self) -> None:
-        self.chain.validate()
         for rule in self.rules:
             if rule.activity_id not in self.chain:
                 raise UnknownActivityError(
                     "rule targets unknown activity %r" % (rule.activity_id,)
                 )
+            key = rule.value_pattern.normalized()
+            key = (rule.activity_id, rule.fragment_pattern, shared.setdefault(key, key))
+            index.setdefault(key, rule)
         for q in self.ideal:
             if q not in self.graph.attributes:
                 raise UnknownActivityError(
                     "ideal assignment names unknown attribute %r" % (q,)
                 )
+        self._rule_index = index
 
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One decision of the runner, taken at ``timestamp``.
+
+    ``kind`` says which: ``"no-change"`` (the activity's state activated
+    nothing), ``"no-rule"`` (a value, but no rule matched it),
+    ``"applied"``, ``"deferred"`` (a timed value postponed the action to
+    ``deferred_until``) or ``"deferred-applied"`` (that action applying
+    later). Every kind but the last is the one evaluation of an activity.
+    """
+
+    kind: str
     timestamp: int
     activity_id: str
     value: Optional[CompositeValue]
     fragment_id: Optional[str]
     action: Optional[str]
-    deferred_until: Optional[int] = None
+    deferred_until: Optional[int]
 
     def describe(self) -> str:
         parts = [
@@ -548,7 +559,7 @@ class _Runner:
         graph = self.model.graph
         activated = instantiate(graph, node.id, state)
         if activated is None:
-            self._record(node.id, None, None, None)
+            self._record("no-change", node.id, None, None, None)
             return
         bound = assign_values(graph, activated, state.bindings)
         bound = apply_dependencies(bound, activated, graph.dependency_rules)
@@ -559,20 +570,23 @@ class _Runner:
         if rule is None:
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug("no adaptation rule matched value %s", value.render())
-            self._record(node.id, value, thrown.fragment, None)
+            self._record("no-rule", node.id, value, thrown.fragment, None)
             return
         if value.max_delay > 0:
             due = self.clock + value.max_delay
             self.pending[node.id] = _Pending(
                 due, node.id, rule, thrown.fragment, value
             )
-            self._record(node.id, value, thrown.fragment, rule, deferred_until=due)
+            self._record(
+                "deferred", node.id, value, thrown.fragment, rule, deferred_until=due
+            )
             return
         self._apply(node.id, rule, thrown.fragment, at)
-        self._record(node.id, value, thrown.fragment, rule)
+        self._record("applied", node.id, value, thrown.fragment, rule)
 
     def _record(
         self,
+        kind: str,
         activity_id: str,
         value: Optional[CompositeValue],
         fragment: Optional[ProcessFragment],
@@ -582,6 +596,7 @@ class _Runner:
         """Append the trace entry of one decision, taken at the current clock."""
         self.trace.entries.append(
             TraceEntry(
+                kind,
                 self.clock,
                 activity_id,
                 value,
@@ -683,7 +698,10 @@ class _Runner:
         for item in due:
             del self.pending[item.activity_id]
             self._apply(item.activity_id, item.rule, item.fragment)
-            self._record(item.activity_id, item.value, item.fragment, item.rule)
+            self._record(
+                "deferred-applied", item.activity_id, item.value, item.fragment,
+                item.rule,
+            )
 
     def run(self) -> AdaptationTrace:
         # Each pass evaluates a model activity, executes one, jumps the clock
@@ -732,7 +750,6 @@ def run_instance(
     executes. Actions whose composite value is timed are deferred by its
     maximum delay.
     """
-    model.validate()
     for i in range(1, len(scenario)):
         if scenario[i].timestamp < scenario[i - 1].timestamp:
             raise ValueError("scenario timestamps must be monotone")

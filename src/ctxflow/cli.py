@@ -60,34 +60,26 @@ def cmd_run(args) -> int:
     except (CtxflowError, ValueError) as exc:
         print("run failed: %s" % exc)
         return EXIT_RUNTIME
-    # The trace records a deferred action twice: when it is deferred, and
-    # again when it applies. An activity is evaluated once, so the second
-    # entry is the next one for an activity whose action waits.
+    # A deferred action is listed once, at the evaluation that chose it.
+    evaluations = [e for e in trace.entries if e.kind != "deferred-applied"]
     adaptations = []
-    waiting = set()
-    evaluations = 0
-    for entry in trace.entries:
-        if entry.activity_id in waiting:
-            waiting.remove(entry.activity_id)
-            continue
-        evaluations += 1
-        if entry.action is None:
+    for entry in evaluations:
+        if entry.kind not in ("applied", "deferred"):
             continue
         adaptation = {
             "time": entry.timestamp,
             "activity": entry.activity_id,
-            "value": entry.value.render() if entry.value else None,
+            "value": entry.value.render(),
             "fragment": entry.fragment_id,
             "action": entry.action,
         }
-        if entry.deferred_until is not None:
+        if entry.kind == "deferred":
             adaptation["deferred_until"] = entry.deferred_until
-            waiting.add(entry.activity_id)
         adaptations.append(adaptation)
     summary = {
         "final_order": trace.final_order,
         "adaptations": adaptations,
-        "evaluations": evaluations,
+        "evaluations": len(evaluations),
     }
     outdir = Path(args.out) if args.out else None
     text = _dump(summary, outdir / "summary.json" if outdir else None)
@@ -280,7 +272,7 @@ def main(argv=None) -> int:
         print("invalid: %s" % exc)
         return EXIT_VALIDATION
     except CtxflowError as exc:
-        print("error (%s): %s" % (exc.code, exc))
+        print("error (%s): %s" % (type(exc).__name__, exc))
         return EXIT_RUNTIME
 
 

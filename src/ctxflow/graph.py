@@ -402,6 +402,6 @@ def compose_value(bound: Mapping[str, TimedValue], node: StateNodeDef) -> Compos
     return CompositeValue(comp.op, tuple(pairs), max_delay)
 
 
-def composite_from_pairs(pairs, op: str = "AND", max_delay: int = 0) -> CompositeValue:
+def composite_from_pairs(pairs, op: str = "AND") -> CompositeValue:
     """Build a composite value pattern from raw (attribute, value) pairs."""
-    return CompositeValue(op, tuple((str(a), v) for a, v in pairs), max_delay)
+    return CompositeValue(op, tuple((str(a), v) for a, v in pairs))

@@ -44,7 +44,6 @@ def structural_metrics(model, base_activity_count: int,
     E' - N' + 2 = 2 regardless of n. ``cfc`` is the base model's
     split-branch count, unchanged by adaptation.
     """
-    model.validate()
     n = len(model.chain)
     if n < 1:
         raise ValueError("model has no activities")

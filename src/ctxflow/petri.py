@@ -17,7 +17,7 @@ from __future__ import annotations
 import gc
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from .errors import NotEnabledError, PartialSpaceError
 
@@ -263,8 +263,9 @@ class StateSpace:
         return len(self.arcs)
 
 
-def explore(net: Net, initial: Optional[Marking] = None, limit: int = 100000) -> StateSpace:
-    """Breadth-first exhaustive exploration of the reachable markings.
+def explore(net: Net, limit: int = 100000) -> StateSpace:
+    """Breadth-first exhaustive exploration of the markings reachable from
+    ``net.initial_marking``.
 
     The result is exact when fewer than ``limit`` markings exist, else it is
     flagged partial. Canonical marking encoding makes the space independent
@@ -286,7 +287,7 @@ def explore(net: Net, initial: Optional[Marking] = None, limit: int = 100000) ->
     collecting = gc.isenabled()
     gc.disable()
     try:
-        m0 = initial if initial is not None else net.initial_marking
+        m0 = net.initial_marking
         space = StateSpace(initial=m0)
         names = tuple(net.transitions)
         pre_vectors, deltas, affected = net.pre_vectors, net.deltas, net.affected
@@ -347,10 +348,9 @@ class BoundednessReport:
         return {p: b for p, b in self.bounds.items() if b > self.k}
 
 
-def check_bounded(space: StateSpace, k: int = 1, net: Optional[Net] = None) -> BoundednessReport:
-    bounds: Dict[str, int] = {}
-    if net is not None:
-        bounds.update({p: 0 for p in net.places})
+def check_bounded(space: StateSpace, k: int, net: Net) -> BoundednessReport:
+    """The most tokens each place holds in any marking of ``space``."""
+    bounds: Dict[str, int] = dict.fromkeys(net.places, 0)
     get = bounds.get
     for marking in space.nodes:
         # A canonical marking lists each place's entries together.
@@ -371,30 +371,25 @@ def check_bounded(space: StateSpace, k: int = 1, net: Optional[Net] = None) -> B
 class LivenessReport:
     dead_transitions: Tuple[str, ...]
     dead_markings: Tuple[Marking, ...]
-    occurrence_counts: Mapping[str, int]  # fairness is reported as counts only
 
 
 def check_liveness(space: StateSpace, net: Net) -> LivenessReport:
     if space.partial:
         raise PartialSpaceError("liveness needs an exact state space")
-    fired = Counter(t for _, t, _ in space.arcs)
-    dead_transitions = tuple(sorted(t for t in net.transitions if fired[t] == 0))
+    fired = {t for _, t, _ in space.arcs}
+    dead_transitions = tuple(sorted(t for t in net.transitions if t not in fired))
     dead_markings = tuple(sorted(m for m, out in space.successors.items() if not out))
-    return LivenessReport(dead_transitions, dead_markings, dict(fired))
+    return LivenessReport(dead_transitions, dead_markings)
 
 
-def check_reachable(space: StateSpace, goal) -> Tuple[bool, List[str]]:
-    """Shortest transition path from the initial marking to a goal marking.
-
-    ``goal`` is either a marking or a predicate over markings.
-    """
-    predicate = goal if callable(goal) else (lambda m: m == goal)
+def check_reachable(space: StateSpace, goal: Marking) -> Tuple[bool, List[str]]:
+    """Shortest transition path from the initial marking to ``goal``."""
     successors = space.successors
     seen = {space.initial: None}
     frontier = deque([space.initial])
     while frontier:
         marking = frontier.popleft()
-        if predicate(marking):
+        if marking == goal:
             path = []
             cursor = marking
             while seen[cursor] is not None:
@@ -455,7 +450,6 @@ def translate(model) -> Net:
     attribute and value nodes suffixed by its position. Each activity's
     substitution transition is a begin/busy/end task sequence.
     """
-    model.validate()
     order = model.chain.order()
     n = len(order)
     graph = model.graph

@@ -20,7 +20,9 @@ kinds are supported:
 Conditions are AND/OR trees over leaves ``attr <name> <op> <value>``,
 ``param <op> <value>``, ``instance <op> <value>`` and ``value <op> <value>``,
 with parentheses for grouping. Values may be bare words, numbers or quoted
-strings.
+strings. Text that does not parse raises ``QueryParseError``, which holds
+the offending position; its message says what is wrong there, and names
+the token expected where one was.
 """
 
 from __future__ import annotations
@@ -196,30 +198,22 @@ class _Parser:
 
     def take(self, expected=None):
         if self.index >= len(self.tokens):
-            raise QueryParseError(
-                "unexpected end of query", position=len(self.text), expected=expected
-            )
+            raise QueryParseError("unexpected end of query", position=len(self.text))
         token, pos, quoted = self.tokens[self.index]
         if expected is not None and token.upper() != expected.upper():
             raise QueryParseError(
-                "expected %r, found %r" % (expected, token),
-                position=pos,
-                expected=expected,
+                "expected %r, found %r" % (expected, token), position=pos
             )
         self.index += 1
         return token
 
     def done(self):
         if self.index != len(self.tokens):
-            raise QueryParseError(
-                "trailing input", position=self.position(), expected="end of query"
-            )
+            raise QueryParseError("trailing input", position=self.position())
 
     def value(self) -> Value:
         if self.index >= len(self.tokens):
-            raise QueryParseError(
-                "expected a value", position=len(self.text), expected="value"
-            )
+            raise QueryParseError("expected a value", position=len(self.text))
         token, pos, quoted = self.tokens[self.index]
         self.index += 1
         if quoted:
@@ -255,9 +249,7 @@ class _Parser:
             next_op = self.take().upper()
             if op is not None and next_op != op:
                 raise QueryParseError(
-                    "mixed AND/OR without parentheses",
-                    position=self.position(),
-                    expected=op,
+                    "mixed AND/OR without parentheses", position=self.position()
                 )
             op = next_op
             children.append(self.condition_term())
@@ -276,7 +268,6 @@ class _Parser:
             raise QueryParseError(
                 "unknown condition field %r" % (fieldname,),
                 position=self.tokens[self.index - 1][1],
-                expected="attr/param/instance/value",
             )
         name = ""
         if fieldname == "attr":
@@ -286,7 +277,6 @@ class _Parser:
             raise QueryParseError(
                 "unknown comparison %r" % (cmp,),
                 position=self.tokens[self.index - 1][1],
-                expected="comparison operator",
             )
         value = self.value()
         return Condition("leaf", field=fieldname, name=name, cmp=cmp, value=value)
@@ -297,7 +287,7 @@ def parse_query(text: str) -> Query:
     parser = _Parser(text)
     head = parser.peek()
     if head is None:
-        raise QueryParseError("empty query", position=0, expected="AND/OR/NOT/ADD/SUB")
+        raise QueryParseError("empty query", position=0)
     head = head.upper()
 
     if head == "AND":
@@ -362,7 +352,6 @@ def parse_query(text: str) -> Query:
         raise QueryParseError(
             "expected 'instance' or 'attribute'",
             position=parser.tokens[parser.index - 1][1],
-            expected="instance/attribute",
         )
 
     if head == "NOT":
@@ -381,9 +370,7 @@ def parse_query(text: str) -> Query:
         op = "+" if head == "ADD" else "-"
         return Query("arith", arith_op=op, operands=(left, right))
 
-    raise QueryParseError(
-        "unknown query head %r" % (head,), position=0, expected="AND/OR/NOT/ADD/SUB"
-    )
+    raise QueryParseError("unknown query head %r" % (head,), position=0)
 
 
 def _category_matches(pred: ContextPredicate, category: str) -> bool:

@@ -269,11 +269,13 @@ class _RescanRunner(chain_mod._Runner):
                 continue
             del self.pending[item.activity_id]
             self._apply(item.activity_id, item.rule, item.fragment)
-            self._record(item.activity_id, item.value, item.fragment, item.rule)
+            self._record(
+                "deferred-applied", item.activity_id, item.value, item.fragment,
+                item.rule,
+            )
 
 
 def run_instance_oracle(model, scenario):
-    model.validate()
     return _RescanRunner(model, scenario).run()
 
 
@@ -660,9 +662,9 @@ def fire_oracle(net, marking, transition):
     return make_marking(tokens)
 
 
-def explore_oracle(net, initial=None, limit=100000):
+def explore_oracle(net, limit=100000):
     """Breadth-first exploration that recomputes every enabled set from arcs."""
-    m0 = initial if initial is not None else net.initial_marking
+    m0 = net.initial_marking
     space = StateSpace(initial=m0)
     space.nodes.add(m0)
     frontier = deque([m0])
@@ -700,10 +702,8 @@ def fire_by_sort_oracle(net, marking, transition):
     return make_marking(tokens)
 
 
-def check_bounded_oracle(space, k=1, net=None):
-    bounds = {}
-    if net is not None:
-        bounds.update({p: 0 for p in net.places})
+def check_bounded_oracle(space, k, net):
+    bounds = {p: 0 for p in net.places}
     for marking in space.nodes:
         per_place = {}
         for place, label, count in marking:
@@ -720,11 +720,10 @@ def check_liveness_oracle(space, net):
     dead_transitions = tuple(sorted(t for t in net.transitions if fired[t] == 0))
     sources = {m for m, _, _ in space.arcs}
     dead_markings = tuple(sorted(m for m in space.nodes if m not in sources))
-    return LivenessReport(dead_transitions, dead_markings, dict(fired))
+    return LivenessReport(dead_transitions, dead_markings)
 
 
 def check_reachable_oracle(space, goal):
-    predicate = goal if callable(goal) else (lambda m: m == goal)
     adjacency = {}
     for src, t, dst in space.arcs:
         adjacency.setdefault(src, []).append((t, dst))
@@ -732,7 +731,7 @@ def check_reachable_oracle(space, goal):
     frontier = deque([space.initial])
     while frontier:
         marking = frontier.popleft()
-        if predicate(marking):
+        if marking == goal:
             path = []
             cursor = marking
             while seen[cursor] is not None:

@@ -519,21 +519,51 @@ class TestRunner:
         trace = run_instance(model, [situation("bad", 5)])
         assert trace.final_order == ["a", "c", "b"]
 
-    def test_rules_must_target_known_activities(self):
+
+class TestModelIsCheckedWhenBuilt:
+    """``ProcessModel`` refuses a broken model at construction, so no run or
+    translation has to check it again."""
+
+    def test_rule_for_an_unknown_activity(self):
         model = tiny_model()
-        bad = ProcessModel(
-            model.graph,
-            model.chain,
-            model.repo,
-            (
-                AdaptationRule(
-                    "ghost",
-                    composite_from_pairs([("E.status", "bad")]),
-                    None,
-                    Action("bypass"),
-                ),
-            ),
-            model.ideal,
+        rule = AdaptationRule(
+            "ghost", composite_from_pairs([("E.status", "bad")]), None, Action("bypass")
         )
-        with pytest.raises(UnknownActivityError):
-            run_instance(bad, [])
+        with pytest.raises(
+            UnknownActivityError, match="^rule targets unknown activity 'ghost'$"
+        ):
+            ProcessModel(model.graph, model.chain, model.repo, (rule,), model.ideal)
+
+    def test_ideal_naming_an_unknown_attribute(self):
+        model = tiny_model()
+        ideal = dict(model.ideal, **{
+            "E.ghost": AtomicContext(parameter="E", attribute="ghost", value="x")
+        })
+        with pytest.raises(
+            UnknownActivityError,
+            match="^ideal assignment names unknown attribute 'E.ghost'$",
+        ):
+            ProcessModel(model.graph, model.chain, model.repo, model.rules, ideal)
+
+    @pytest.mark.parametrize("ids, fault", [
+        (["a"], r"unlisted \['b'\]"),
+        (["a", "b", "b"], r"repeated \['b'\]"),
+        (["a", "b", "zz"], r"unknown \['zz'\]"),
+    ], ids=["unlisted", "repeated", "unknown"])
+    def test_chain_whose_parts_disagree(self, ids, fault):
+        model = tiny_model()
+        chain = ActivityChain(dict(model.chain.nodes), ids)
+        with pytest.raises(ChainIntegrityError, match=fault):
+            ProcessModel(model.graph, chain, model.repo, model.rules, model.ideal)
+
+    def test_chain_is_checked_before_rules_and_rules_before_ideal(self):
+        model = tiny_model()
+        rule = AdaptationRule(
+            "ghost", composite_from_pairs([("E.status", "bad")]), None, Action("bypass")
+        )
+        ideal = {"E.ghost": AtomicContext(parameter="E", attribute="ghost", value="x")}
+        chain = ActivityChain(dict(model.chain.nodes), ["a"])
+        with pytest.raises(ChainIntegrityError):
+            ProcessModel(model.graph, chain, model.repo, (rule,), ideal)
+        with pytest.raises(UnknownActivityError, match="^rule targets"):
+            ProcessModel(model.graph, model.chain, model.repo, (rule,), ideal)

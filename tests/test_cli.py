@@ -6,7 +6,9 @@ import logging
 import pytest
 import yaml
 
+from ctxflow import cli
 from ctxflow.cli import main
+from ctxflow.errors import UnknownActivityError
 
 
 class TestValidate:
@@ -630,3 +632,16 @@ class TestQuery:
             "Network(OperatorA, Status, =, Available) AND "
             "Network(OperatorB, Status, =, Unavailable)",
         ]
+
+
+def test_unexpected_engine_error_is_one_line_naming_its_class(
+    kiosk_bundle, monkeypatch, capsys
+):
+    # No command lets this error out; ``main`` reports what one would.
+    def failing(args):
+        raise UnknownActivityError("x")
+
+    monkeypatch.setattr(cli, "cmd_validate", failing)
+    assert main(["validate", str(kiosk_bundle)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("error (UnknownActivityError): x\n", "")

@@ -148,3 +148,102 @@ def test_engine_defines_nothing_only_tests_name():
     }
     definers = [str(path.relative_to(ROOT)) for path in ENGINE]
     assert unnamed_definitions(definers, sources) == []
+
+
+# -- defaulted parameters that nothing in the engine or the bench passes ------
+
+# ``cli.main(argv)`` is how tests and the entry point hand the CLI its
+# arguments; the console script passes none.
+SEAMS = {("src/ctxflow/cli.py", "main", "argv")}
+
+
+def passed_arguments(trees):
+    """Callee name -> (most positional arguments of any call, keyword names
+    passed), over every call in ``trees``; ``None`` among the keywords
+    stands for ``**kwargs``, and a ``*args`` call passes every position."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            positional = len(node.args)
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                positional = float("inf")
+            most, keywords = passed.get(name, (0, frozenset()))
+            passed[name] = (
+                max(most, positional),
+                keywords | {keyword.arg for keyword in node.keywords},
+            )
+    return passed
+
+
+def unset_defaults(definers, sources):
+    """``(module, function, parameter)`` of each parameter with a default,
+    of each module-level function in ``definers``, that no call in
+    ``sources`` passes, by position or by keyword.
+
+    Both arguments map a module name to its source text. Calls are matched
+    by the callee's name, as ``unnamed_definitions`` matches names.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    passed = passed_arguments(trees.values())
+    unset = []
+    for module in definers:
+        for node in trees[module].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            most, keywords = passed.get(node.name, (0, frozenset()))
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index, param in enumerate(positional[first:], first):
+                by_keyword = param not in args.posonlyargs and (
+                    param.arg in keywords or None in keywords
+                )
+                if index >= most and not by_keyword:
+                    unset.append((module, node.name, param.arg))
+            for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None and not keywords & {param.arg, None}:
+                    unset.append((module, node.name, param.arg))
+    return unset
+
+
+def test_unset_default_is_found():
+    sources = {
+        "engine": (
+            "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+            "def g(a=1, b=2): pass\n"
+            "def h(a=1, /, b=2): pass\n"
+            "def unused(a=1): pass\n"
+        ),
+        "bench": (
+            "f(0, 1, e=5)\n"
+            "x.g(*pair)\n"
+            "h(a=1, **more)\n"
+        ),
+    }
+    assert unset_defaults(["engine"], sources) == [
+        ("engine", "f", "c"),
+        ("engine", "f", "d"),
+        ("engine", "h", "a"),
+        ("engine", "unused", "a"),
+    ]
+
+
+def test_engine_offers_no_option_only_tests_set():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in SHIPPED
+        if not path.name.startswith("test_")
+    }
+    definers = [str(path.relative_to(ROOT)) for path in ENGINE]
+    assert [
+        unset for unset in unset_defaults(definers, sources) if unset not in SEAMS
+    ] == []

@@ -223,7 +223,6 @@ def recording(runner_class):
 
 def outcome(runner_class, model, scenario):
     """Trace entries, final order and state snapshots, or the raised error."""
-    model.validate()
     runner = recording(runner_class)(model, scenario)
     try:
         trace = runner.run()
@@ -360,7 +359,10 @@ def random_routing(rng):
     ids = ["a%d" % i for i in range(rng.randint(1, 6))]
     nodes = [ActivityNode(a, sub_goal="g0", scope=rng.choice(scopes)) for a in ids]
     model = ProcessModel(
-        ContextGraph.build(entities=[], attributes=[]),
+        # The graph declares only what the ideal names: nothing is evaluated.
+        ContextGraph.build(
+            entities=[], attributes=[AttributeNode(q) for q in ROUTE_QUALIFIED]
+        ),
         ActivityChain.from_nodes(nodes),
         FragmentRepository((SubgoalEntry(1, "g0"),), {}),
         (),
@@ -484,7 +486,6 @@ def guarded_calls(runner_class, model, scenario, monkeypatch):
     in the chain). Each engine call must also be passed exactly the
     contexts the oracle's restriction keeps, and the situation's timestamp.
     """
-    model.validate()
     runner = runner_class(model, scenario)
     calls = []
 
@@ -603,7 +604,6 @@ def test_finished_scope_never_catches_a_situation(seed):
     offered a situation, not even while a deferred action waits for a timed
     value."""
     model, scenario, scopes = random_model(random.Random(seed))
-    model.validate()
     evaluated = set()
     original = chain_mod.catch_context
 

@@ -186,7 +186,6 @@ class TestPropertyChecks:
         liveness = check_liveness(space, net)
         assert liveness.dead_transitions == ()
         assert liveness.dead_markings == (make_marking({("p2", "tok"): 1}),)
-        assert liveness.occurrence_counts == {"t1": 1, "t2": 1}
 
     def test_dead_transition_detected(self):
         places = {
@@ -331,9 +330,9 @@ def chain_model(n):
     return ProcessModel(graph, chain, FragmentRepository((), {}), (), {})
 
 
-def assert_same_space(net, initial=None, limit=100000):
-    space = explore(net, initial=initial, limit=limit)
-    expected = explore_oracle(net, initial=initial, limit=limit)
+def assert_same_space(net, limit=100000):
+    space = explore(net, limit=limit)
+    expected = explore_oracle(net, limit=limit)
     assert space.initial is expected.initial
     assert space.nodes == expected.nodes
     assert space.arcs == expected.arcs
@@ -358,18 +357,15 @@ def assert_successor_index(space):
 def assert_checks_match_oracles(space, net):
     """Every property check reports what its arc-scanning oracle does, down
     to the order of the places in ``bounds``."""
-    for over in (net, None):
-        bounds = check_bounded(space, k=1, net=over)
-        expected = check_bounded_oracle(space, k=1, net=over)
-        assert list(bounds.bounds.items()) == list(expected.bounds.items())
-        assert bounds.violations() == expected.violations()
+    bounds = check_bounded(space, k=1, net=net)
+    expected = check_bounded_oracle(space, k=1, net=net)
+    assert list(bounds.bounds.items()) == list(expected.bounds.items())
+    assert bounds.violations() == expected.violations()
     goal = goal_marking(net)
     targets = [goal, net.initial_marking, make_marking({("nowhere", "x"): 1})]
     targets += sorted(space.nodes)[:3]
     for target in targets:
         assert check_reachable(space, target) == check_reachable_oracle(space, target)
-    emptier = lambda m: len(m) < len(space.initial)  # noqa: E731
-    assert check_reachable(space, emptier) == check_reachable_oracle(space, emptier)
     if space.partial:
         for check, oracle, arg in (
             (check_liveness, check_liveness_oracle, net),
@@ -380,10 +376,7 @@ def assert_checks_match_oracles(space, net):
             with pytest.raises(PartialSpaceError):
                 oracle(space, arg)
         return
-    liveness = check_liveness(space, net)
-    expected = check_liveness_oracle(space, net)
-    assert liveness == expected
-    assert list(liveness.occurrence_counts) == list(expected.occurrence_counts)
+    assert check_liveness(space, net) == check_liveness_oracle(space, net)
     for target in targets:
         assert check_home(space, target) == check_home_oracle(space, target)
 
@@ -442,9 +435,10 @@ class TestExplorerMatchesOracle:
             assert_checks_match_oracles(partial, net)
 
     def test_tokens_off_the_net_are_carried_through(self):
-        net = two_step_net()
+        line = two_step_net()
         initial = make_marking({("p0", "tok"): 1, ("elsewhere", "x"): 2})
-        space = assert_same_space(net, initial=initial)
+        net = Net(line.places, line.transitions, line.arcs, initial)
+        space = assert_same_space(net)
         assert make_marking({("p2", "tok"): 1, ("elsewhere", "x"): 2}) in space.nodes
 
 

@@ -52,6 +52,15 @@ from run import WORKLOADS
 KIOSK = pathlib.Path(__file__).parent / "fixtures" / "kiosk" / "bundle.yaml"
 
 
+# An evaluation's kind by whether it has a value, an action and a deferral.
+KIND_OF = {
+    (False, False, False): "no-change",
+    (True, False, False): "no-rule",
+    (True, True, False): "applied",
+    (True, True, True): "deferred",
+}
+
+
 class AuditedRunner(oracles.CheckedRunner):
     """Asserts after every rewrite that the chain is whole and no executed
     activity left it, and at the end that every deferred action was applied
@@ -65,6 +74,16 @@ class AuditedRunner(oracles.CheckedRunner):
         trace = super().run()
         assert self.pending == {}
         entries = trace.entries
+        for entry in entries:
+            facts = (
+                entry.value is not None,
+                entry.action is not None,
+                entry.deferred_until is not None,
+            )
+            if entry.kind == "deferred-applied":
+                assert facts == (True, True, False)
+            else:
+                assert entry.kind == KIND_OF[facts]
         for i, deferred in enumerate(entries):
             if deferred.deferred_until is None:
                 continue
@@ -73,6 +92,7 @@ class AuditedRunner(oracles.CheckedRunner):
             ]
             assert len(later) == 1
             (applied,) = later
+            assert applied.kind == "deferred-applied"
             assert applied.deferred_until is None
             assert applied.timestamp >= deferred.deferred_until
             assert (applied.value, applied.fragment_id, applied.action) == (
@@ -82,7 +102,6 @@ class AuditedRunner(oracles.CheckedRunner):
 
 
 def run_checked(model, scenario):
-    model.validate()
     runner = AuditedRunner(model, scenario)
     trace = runner.run()
     assert set(trace.final_order) == set(runner.chain.nodes)
@@ -361,7 +380,6 @@ def test_a_miss_renders_its_value_only_for_the_debug_log(monkeypatch, caplog, le
 
 
 def run_with_whole_chain_checks(model, scenario):
-    model.validate()
     return oracles.CheckedRunner(model, scenario).run()
 
 
@@ -517,7 +535,7 @@ def test_only_a_run_with_a_deferral_looks_for_due_ones(monkeypatch):
     assert pending and all(pending)
 
 
-def test_a_run_checks_the_whole_chain_at_start_and_end(monkeypatch):
+def test_the_whole_chain_is_checked_when_built_and_once_per_run(monkeypatch):
     calls = []
     validate = ActivityChain.validate
 
@@ -527,9 +545,57 @@ def test_a_run_checks_the_whole_chain_at_start_and_end(monkeypatch):
 
     monkeypatch.setattr(ActivityChain, "validate", counted)
     bundle = load_bundle(KIOSK)
+    assert calls == [bundle.model.chain.ids]
+    for _ in range(2):
+        trace = run_instance(bundle.model, bundle.scenario)
+        assert len(trace.actions) == 5
+        assert calls[1:] == [trace.final_order]
+        del calls[1:]
+
+
+# -- trace kinds -------------------------------------------------------------
+
+
+def kiosk_with_weather_delay(tmp_path):
+    """A kiosk copy whose ``Weather.Status`` has a 30-minute green link."""
+    link = "  - {name: Weather.Status}\n"
+    for path in KIOSK.parent.iterdir():
+        text = path.read_text()
+        if path.name == "graph.yaml":
+            assert text.count(link) == 1
+            text = text.replace(link, "  - {name: Weather.Status, delay: 30}\n")
+        (tmp_path / path.name).write_text(text)
+    return load_bundle(tmp_path / "bundle.yaml")
+
+
+def test_kiosk_trace_kinds():
+    bundle = load_bundle(KIOSK)
     trace = run_instance(bundle.model, bundle.scenario)
-    assert len(trace.actions) == 5
-    assert calls == [bundle.model.chain.ids, trace.final_order]
+    assert [e.kind for e in trace.entries] == ["applied"] * 5
+    bundle = load_bundle(KIOSK.parent / "ideal-bundle.yaml")
+    trace = run_instance(bundle.model, bundle.scenario)
+    assert [e.kind for e in trace.entries] == ["no-rule"] * 5
+
+
+def test_a_deferred_action_is_traced_at_its_evaluation_and_when_it_applies(tmp_path):
+    bundle = kiosk_with_weather_delay(tmp_path)
+    trace = run_instance(bundle.model, bundle.scenario)
+    assert [(e.kind, e.timestamp, e.activity_id, e.deferred_until) for e in trace.entries] == [
+        ("applied", 840, "Patient Registration", None),
+        ("applied", 840, "Patient Medical Info Collection", None),
+        ("applied", 840, "Treatment", None),
+        ("deferred", 840, "Storage in Cloud", 870),
+        ("applied", 840, "Bill Payment", None),
+        ("deferred-applied", 870, "Storage in Cloud", None),
+    ]
+    assert trace.entries[5].action == trace.entries[3].action == "reorder(L2->L3->L1)"
+
+
+def test_an_empty_state_is_traced_as_no_change():
+    model = load_bundle(KIOSK).model
+    bare = ProcessModel(model.graph, model.chain, model.repo, model.rules, {})
+    trace = run_instance(bare, [])
+    assert [(e.kind, e.value) for e in trace.entries] == [("no-change", None)] * 5
 
 
 @pytest.mark.parametrize("name", ["kiosk", "run-adapt"])
