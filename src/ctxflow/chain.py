@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .context import (
@@ -28,6 +29,7 @@ from .errors import (
     EmptyChainError,
     InvalidWindowError,
     UnknownActivityError,
+    UnknownContextError,
 )
 from .fragments import FragmentRepository, ProcessFragment, throw_activity
 from .graph import (
@@ -303,14 +305,25 @@ class Action:
     def needs_fragment(self) -> bool:
         return self.kind in FRAGMENT_ACTIONS
 
+    @cached_property
+    def description(self) -> str:
+        """The kind, with the extra it takes in brackets when there is one,
+        as traces show it; an action is fixed at load, so this is built once."""
+        kind = self.kind
+        if kind == "replace_role":
+            extra = self.role
+        elif kind == "replace_medium":
+            extra = self.medium
+        elif kind == "reorder":
+            extra = "->".join(self.order)
+        elif kind == "data_change":
+            extra = "+".join(sorted(self.data))
+        else:
+            extra = ""
+        return "%s(%s)" % (kind, extra) if extra else kind
+
     def describe(self) -> str:
-        extra = {
-            "replace_role": self.role,
-            "replace_medium": self.medium,
-            "reorder": "->".join(self.order),
-            "data_change": "+".join(sorted(self.data)),
-        }.get(self.kind, "")
-        return "%s(%s)" % (self.kind, extra) if extra else self.kind
+        return self.description
 
 
 @dataclass(frozen=True)
@@ -382,13 +395,13 @@ class ProcessModel:
             index.setdefault(key, rule)
         for q in self.ideal:
             if q not in self.graph.attributes:
-                raise UnknownActivityError(
+                raise UnknownContextError(
                     "ideal assignment names unknown attribute %r" % (q,)
                 )
         self._rule_index = index
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEntry:
     """One decision of the runner, taken at ``timestamp``.
 
@@ -562,7 +575,7 @@ class _Runner:
             self._record("no-change", node.id, None, None, None)
             return
         bound = assign_values(graph, activated, state.bindings)
-        bound = apply_dependencies(bound, activated, graph.dependency_rules)
+        bound = apply_dependencies(bound, activated, graph)
         value = compose_value(bound, graph.state_nodes[node.id])
         key = value.normalized()
         thrown = throw_activity(self.model.repo, node.sub_goal, key)

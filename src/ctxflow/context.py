@@ -4,7 +4,10 @@ The central operation is :func:`catch_context`, which folds the contexts an
 incoming situation binds within one scope into that scope's last observed
 state and produces the change set (new parameters, changed attributes) that
 drives adaptation downstream; :func:`diff` folds a whole situation.
-All values here are immutable; operations are pure functions.
+Atomic contexts and scope filters are frozen values. Situations and states
+are plain slotted records, which are cheaper to build: a run builds one
+per change it catches, and nothing mutates one once built. Operations are
+pure functions.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ class AtomicContext:
         return normalize_value(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContextualSituation:
     """The change set affecting the whole process since the last observation.
 
@@ -113,7 +116,7 @@ class ContextualSituation:
         return not self.parameters and not self.attributes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContextState(ContextualSituation):
     """The restriction of a situation to one scope, plus removal annotation.
 

@@ -86,7 +86,7 @@ class FragmentRepository:
         return self.subgoals[self._position(key)]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ThrowResult:
     fragment: Optional[ProcessFragment]
 

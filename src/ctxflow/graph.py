@@ -137,7 +137,7 @@ class StateNodeDef:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimedValue:
     """A value, the delay (minutes) until it becomes effective, and the key
     of the context or rule pattern the value comes from."""
@@ -147,7 +147,7 @@ class TimedValue:
     key: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompositeValue:
     """The observed value of a state node: (attribute, value) pairs under AND/OR."""
 
@@ -173,11 +173,30 @@ class CompositeValue:
 
 @dataclass(frozen=True)
 class ContextGraph:
+    """The graph's nodes by name, its relations and its dependency rules.
+
+    ``rules_by_target`` maps each attribute a dependency rule targets to
+    the positions of those rules in ``dependency_rules``, ascending; it is
+    built once, with the graph.
+    """
+
     entities: Mapping[str, EntityNode]
     attributes: Mapping[str, AttributeNode]
     relations: Tuple[EntityRelation, ...] = ()
     dependency_rules: Tuple[DependencyRule, ...] = ()
     state_nodes: Mapping[str, StateNodeDef] = field(default_factory=dict)
+    rules_by_target: Mapping[str, Tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        positions: Dict[str, list] = {}
+        for i, rule in enumerate(self.dependency_rules):
+            positions.setdefault(rule.consequent.attribute, []).append(i)
+        object.__setattr__(
+            self, "rules_by_target",
+            {target: tuple(found) for target, found in positions.items()},
+        )
 
     @classmethod
     def build(cls, entities, attributes, relations=(), dependency_rules=(),
@@ -341,21 +360,29 @@ def assign_values(
 def apply_dependencies(
     bound: Mapping[str, TimedValue],
     activated: FrozenSet[str],
-    rules: Tuple[DependencyRule, ...],
+    g: ContextGraph,
 ) -> Dict[str, TimedValue]:
-    """Fire dependency rules pass-by-pass until the bindings stabilise, and
-    return the bindings they reach; ``bound`` is left as it is.
+    """Fire ``g``'s dependency rules pass-by-pass until the bindings
+    stabilise, and return the bindings they reach; ``bound`` is left as it is.
 
-    Only rules whose target is activated fire. Each pass evaluates every
-    rule against the current bindings and applies all resulting writes at
-    once, which makes the fixpoint independent of rule ordering. Two rules
-    producing different values for one attribute in the same pass is a
-    conflict, not a silent choice. Values compare by their keys.
+    Only rules whose target is activated fire, found through
+    ``g.rules_by_target`` and taken in rule order; with none, the bindings
+    are returned as they are, as one pass would. Each pass evaluates every
+    such rule against the current bindings and applies all resulting writes
+    at once, which makes the fixpoint independent of rule ordering. Two
+    rules producing different values for one attribute in the same pass is
+    a conflict, not a silent choice. Values compare by their keys.
     """
     bound = dict(bound)
+    by_target = g.rules_by_target
+    positions = [i for target in activated for i in by_target.get(target, ())]
+    if not positions:
+        return bound  # a pass with no live rule changes nothing
+    positions.sort()
+    rules = g.dependency_rules
+    live = [rules[i] for i in positions]
     # The cap counts every rule, whatever its target; only the live ones fire.
     cap = len(rules) * max(len(activated), 1) + 1
-    live = [rule for rule in rules if rule.consequent.attribute in activated]
     for _ in range(cap):
         proposals = {}
         for rule in live:

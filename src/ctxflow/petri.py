@@ -449,111 +449,122 @@ def translate(model) -> Net:
     nodes of activities present in the chain, with each pipeline's entity,
     attribute and value nodes suffixed by its position. Each activity's
     substitution transition is a begin/busy/end task sequence.
+
+    As in ``explore``, the cyclic collector is paused for the call: the
+    translation builds no reference cycles, so each pass would only walk
+    the growing net and free nothing. The caller's setting is put back
+    afterwards, whether the translation ends or raises.
     """
-    order = model.chain.order()
-    n = len(order)
-    graph = model.graph
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        order = model.chain.order()
+        n = len(order)
+        graph = model.graph
 
-    places: Dict[str, Place] = {}
-    transitions: Dict[str, Transition] = {}
-    arcs: List[Arc] = []
+        places: Dict[str, Place] = {}
+        transitions: Dict[str, Transition] = {}
+        arcs: List[Arc] = []
 
-    def place(name, *labels):
-        places[name] = Place(name, frozenset(labels))
-        return name
+        def place(name, *labels):
+            places[name] = Place(name, frozenset(labels))
+            return name
 
-    def transition(name):
-        transitions[name] = Transition(name)
-        return name
+        def transition(name):
+            transitions[name] = Transition(name)
+            return name
 
-    def arc(source, target, label):
-        arcs.append(Arc(source, target, label))
+        def arc(source, target, label):
+            arcs.append(Arc(source, target, label))
 
-    # Which activities carry a context pipeline (state node present). The
-    # situation token is colored by pipeline stage (cs1, cs2, ...) so the
-    # pipelines consume it strictly in activity order.
-    piped = [i for i, aid in enumerate(order, start=1) if aid in graph.state_nodes]
-    last_piped = piped[-1] if piped else None
-    stage_of = {i: k for k, i in enumerate(piped, start=1)}
+        # Which activities carry a context pipeline (state node present). The
+        # situation token is colored by pipeline stage (cs1, cs2, ...) so the
+        # pipelines consume it strictly in activity order.
+        piped = [i for i, aid in enumerate(order, start=1) if aid in graph.state_nodes]
+        last_piped = piped[-1] if piped else None
+        stage_of = {i: k for k, i in enumerate(piped, start=1)}
 
-    place("Start", CASE)
-    place("End", CASE)
-    cs_labels = tuple("%s%d" % (CS, k) for k in range(1, len(piped) + 1)) or (CS,)
-    place("ContextualSituation", *cs_labels)
-    for i in range(1, n):
-        place("INFO_%d" % i, CASE)
+        place("Start", CASE)
+        place("End", CASE)
+        cs_labels = tuple("%s%d" % (CS, k) for k in range(1, len(piped) + 1)) or (CS,)
+        place("ContextualSituation", *cs_labels)
+        for i in range(1, n):
+            place("INFO_%d" % i, CASE)
 
-    attributes_of: Dict[str, List[str]] = {}
-    for name in sorted(graph.attributes):
-        attributes_of.setdefault(graph.attributes[name].entity, []).append(name)
+        attributes_of: Dict[str, List[str]] = {}
+        for name in sorted(graph.attributes):
+            attributes_of.setdefault(graph.attributes[name].entity, []).append(name)
 
-    for i, aid in enumerate(order, start=1):
-        upstream = "Start" if i == 1 else "INFO_%d" % (i - 1)
-        downstream = "End" if i == n else "INFO_%d" % i
+        for i, aid in enumerate(order, start=1):
+            upstream = "Start" if i == 1 else "INFO_%d" % (i - 1)
+            downstream = "End" if i == n else "INFO_%d" % i
 
-        node = graph.state_nodes.get(aid)
-        has_pipeline = node is not None
-        if has_pipeline:
-            ce = place("ContextualEvent_%d" % i, STATE, STATE_VALUE)
-            returned = place("Returned_%d" % i, FRAG)
-            state_place = place("State_%d" % i, STATE)
-            value_place = place("VALUE_%d" % i, COMPOSITE)
+            node = graph.state_nodes.get(aid)
+            has_pipeline = node is not None
+            if has_pipeline:
+                ce = place("ContextualEvent_%d" % i, STATE, STATE_VALUE)
+                returned = place("Returned_%d" % i, FRAG)
+                state_place = place("State_%d" % i, STATE)
+                value_place = place("VALUE_%d" % i, COMPOSITE)
 
-            stage = stage_of[i]
-            catch = transition("catchContext_%d" % i)
-            arc("ContextualSituation", catch, "%s%d" % (CS, stage))
-            arc(catch, ce, STATE)
+                stage = stage_of[i]
+                catch = transition("catchContext_%d" % i)
+                arc("ContextualSituation", catch, "%s%d" % (CS, stage))
+                arc(catch, ce, STATE)
 
-            propagate_state = transition("PropagateState_%d" % i)
-            arc(ce, propagate_state, STATE)
-            arc(propagate_state, state_place, STATE)
+                propagate_state = transition("PropagateState_%d" % i)
+                arc(ce, propagate_state, STATE)
+                arc(propagate_state, state_place, STATE)
 
-            # The pipeline's own entity -> attribute -> value chains, so
-            # that no other pipeline's composition can take their values.
-            mapping = transition("Mapping_%d" % i)
-            arc(state_place, mapping, STATE)
-            composition = transition("Composition_%d" % i)
-            for entity in node.parameters:
-                entity_place = place("Entity_%s_%d" % (entity, i), ENTITY)
-                spread = transition("Attributes_%s_%d" % (entity, i))
-                arc(mapping, entity_place, ENTITY)
-                arc(entity_place, spread, ENTITY)
-                for attr_name in attributes_of[entity]:
-                    held = place("A_%s_%d" % (attr_name, i), ATTR)
-                    grab = transition("Grab_value_%s_%d" % (attr_name, i))
-                    value = place("value_%s_%d" % (attr_name, i), ATOMIC)
-                    arc(spread, held, ATTR)
-                    arc(held, grab, ATTR)
-                    arc(grab, value, ATOMIC)
-                    arc(value, composition, ATOMIC)
-            arc(composition, value_place, COMPOSITE)
+                # The pipeline's own entity -> attribute -> value chains, so
+                # that no other pipeline's composition can take their values.
+                mapping = transition("Mapping_%d" % i)
+                arc(state_place, mapping, STATE)
+                composition = transition("Composition_%d" % i)
+                for entity in node.parameters:
+                    entity_place = place("Entity_%s_%d" % (entity, i), ENTITY)
+                    spread = transition("Attributes_%s_%d" % (entity, i))
+                    arc(mapping, entity_place, ENTITY)
+                    arc(entity_place, spread, ENTITY)
+                    for attr_name in attributes_of[entity]:
+                        held = place("A_%s_%d" % (attr_name, i), ATTR)
+                        grab = transition("Grab_value_%s_%d" % (attr_name, i))
+                        value = place("value_%s_%d" % (attr_name, i), ATOMIC)
+                        arc(spread, held, ATTR)
+                        arc(held, grab, ATTR)
+                        arc(grab, value, ATOMIC)
+                        arc(value, composition, ATOMIC)
+                arc(composition, value_place, COMPOSITE)
 
-            propagate_v = transition("PropagateV_%d" % i)
-            arc(value_place, propagate_v, COMPOSITE)
-            arc(propagate_v, ce, STATE_VALUE)
+                propagate_v = transition("PropagateV_%d" % i)
+                arc(value_place, propagate_v, COMPOSITE)
+                arc(propagate_v, ce, STATE_VALUE)
 
-            throw = transition("throwActivity_%d" % i)
-            arc(ce, throw, STATE_VALUE)
-            arc(throw, returned, FRAG)
-            if i != last_piped:
-                # Hand the situation token on, recolored for the next stage.
-                arc(throw, "ContextualSituation", "%s%d" % (CS, stage + 1))
+                throw = transition("throwActivity_%d" % i)
+                arc(ce, throw, STATE_VALUE)
+                arc(throw, returned, FRAG)
+                if i != last_piped:
+                    # Hand the situation token on, recolored for the next stage.
+                    arc(throw, "ContextualSituation", "%s%d" % (CS, stage + 1))
 
-        # Substitution-transition internals for Activity_i: begin, then end.
-        busy = place("Activity_%d_p1" % i, CASE)
-        begin = transition("Activity_%d_begin" % i)
-        arc(upstream, begin, CASE)
-        arc(begin, busy, CASE)
-        if has_pipeline:
-            arc("Returned_%d" % i, begin, FRAG)
-        end = transition("Activity_%d_end" % i)
-        arc(busy, end, CASE)
-        arc(end, downstream, CASE)
+            # Substitution-transition internals for Activity_i: begin, then end.
+            busy = place("Activity_%d_p1" % i, CASE)
+            begin = transition("Activity_%d_begin" % i)
+            arc(upstream, begin, CASE)
+            arc(begin, busy, CASE)
+            if has_pipeline:
+                arc("Returned_%d" % i, begin, FRAG)
+            end = transition("Activity_%d_end" % i)
+            arc(busy, end, CASE)
+            arc(end, downstream, CASE)
 
-    initial = make_marking(
-        {
-            ("Start", CASE): 1,
-            ("ContextualSituation", "%s1" % CS): 1 if piped else 0,
-        }
-    )
-    return Net(places, transitions, tuple(arcs), initial)
+        initial = make_marking(
+            {
+                ("Start", CASE): 1,
+                ("ContextualSituation", "%s1" % CS): 1 if piped else 0,
+            }
+        )
+        return Net(places, transitions, tuple(arcs), initial)
+    finally:
+        if collecting:
+            gc.enable()

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the engine.
 
 Each oracle re-derives expected results with a deliberately different
-technique from the production code: plain list splicing for chain rewrites,
+technique from the production code: an action description rebuilt from
+every kind's extra on each call, plain list splicing for chain rewrites,
 a linear sub-goal scan, linear row and rule scans that normalize every
 pattern on every comparison, a runner that rescans the chain order on every
 step, a runner that checks the whole chain after every rewrite, a runner
@@ -53,6 +54,21 @@ def parsed_alike(text: str) -> bool:
     return repr(yaml.load(text, Loader=files._located(files._Loader))) == repr(
         yaml.load(text, Loader=yaml.SafeLoader)
     )
+
+
+# -- per-call action description --------------------------------------------
+
+
+def describe_oracle(action):
+    """An action's description built as it once was on every call: the
+    extras of all four kinds that take one, then the action's own picked."""
+    extra = {
+        "replace_role": action.role,
+        "replace_medium": action.medium,
+        "reorder": "->".join(action.order),
+        "data_change": "+".join(sorted(action.data)),
+    }.get(action.kind, "")
+    return "%s(%s)" % (action.kind, extra) if extra else action.kind
 
 
 # -- array-splice oracle for chain rewrites ---------------------------------

@@ -5,6 +5,7 @@ prints the collected lines in the terminal summary so they are visible in
 any pytest run. A failed assertion still fails the test normally.
 """
 
+import dataclasses
 import itertools
 import json
 import random
@@ -242,7 +243,9 @@ def _check_fixpoint_permutations(kiosk_dir):
     for perm in itertools.permutations(graph.dependency_rules):
         got = {
             k: v.value
-            for k, v in apply_dependencies(bound, activated, tuple(perm)).items()
+            for k, v in apply_dependencies(
+                bound, activated, dataclasses.replace(graph, dependency_rules=perm)
+            ).items()
         }
         if baseline is None:
             baseline = got

@@ -1,5 +1,6 @@
 """Tests for the activity chain, rewrite strategies, rules and the runner."""
 
+import dataclasses
 import itertools
 import random
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxflow.chain import (
+    FRAGMENT_ACTIONS,
+    PLAIN_ACTIONS,
     Action,
     ActivityChain,
     ActivityNode,
@@ -28,6 +31,7 @@ from ctxflow.errors import (
     EmptyChainError,
     InvalidWindowError,
     UnknownActivityError,
+    UnknownContextError,
 )
 from ctxflow.fragments import (
     FragmentActivity,
@@ -288,6 +292,39 @@ class TestActionsAndRules:
         assert select_rule(rule_model(rule), "b", pattern.normalized(), None) is None
 
 
+# Each kind's own extra, as a keyword of ``Action``.
+OWN_EXTRA = {
+    "replace_role": {"role": "Z"},
+    "replace_medium": {"medium": "cash"},
+    "reorder": {"order": ("L2", "L3", "L1")},
+    "data_change": {"data": ("b", "a", "c")},
+}
+EVERY_EXTRA = {key: value for extra in OWN_EXTRA.values() for key, value in extra.items()}
+
+
+@pytest.mark.parametrize("extras", ["none", "own", "every"])
+@pytest.mark.parametrize("kind", FRAGMENT_ACTIONS + PLAIN_ACTIONS)
+def test_an_action_is_described_once_as_it_was_on_every_call(kind, extras):
+    action = Action(kind, **{
+        "none": {}, "own": OWN_EXTRA.get(kind, {}), "every": EVERY_EXTRA,
+    }[extras])
+    text = action.describe()
+    assert text == oracles.describe_oracle(action)
+    assert action.describe() is text
+    # The cached text is no field: equal actions stay equal and hash alike.
+    fresh = dataclasses.replace(action)
+    assert fresh == action and hash(fresh) == hash(action)
+
+
+def test_the_described_extras_are_the_kinds_own():
+    assert [
+        Action(kind, **EVERY_EXTRA).describe() for kind in FRAGMENT_ACTIONS + PLAIN_ACTIONS
+    ] == [
+        "add_before", "add_after", "replace_fragment", "replace_role(Z)",
+        "replace_medium(cash)", "bypass", "reorder(L2->L3->L1)", "data_change(a+b+c)",
+    ]
+
+
 def rule_model(*rules):
     """A model over activities ``a`` and ``b`` holding ``rules``."""
     return ProcessModel(
@@ -540,7 +577,7 @@ class TestModelIsCheckedWhenBuilt:
             "E.ghost": AtomicContext(parameter="E", attribute="ghost", value="x")
         })
         with pytest.raises(
-            UnknownActivityError,
+            UnknownContextError,
             match="^ideal assignment names unknown attribute 'E.ghost'$",
         ):
             ProcessModel(model.graph, model.chain, model.repo, model.rules, ideal)

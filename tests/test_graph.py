@@ -85,6 +85,12 @@ def small_graph():
     )
 
 
+def with_rules(rules):
+    """A graph holding only the dependency rules ``rules``: the fixpoint
+    reads its rules, and their index, from a graph."""
+    return ContextGraph.build([], [], dependency_rules=rules)
+
+
 def state_of(contexts, timestamp=1):
     return ContextState.from_contexts(contexts, timestamp)
 
@@ -235,8 +241,9 @@ class TestDependencies:
         )
         activated = instantiate(g, activity, s)
         bound = assign_values(g, activated, s.bindings)
-        rules = g.dependency_rules if rules_order is None else rules_order
-        return apply_dependencies(bound, activated, tuple(rules))
+        if rules_order is not None:
+            g = with_rules(rules_order)
+        return apply_dependencies(bound, activated, g)
 
     def test_total_rule_derives_value(self):
         bound = self.evaluate()
@@ -259,7 +266,7 @@ class TestDependencies:
         )
         activated = instantiate(g, activity, s)
         bound = assign_values(g, activated, s.bindings)
-        out = apply_dependencies(bound, activated, g.dependency_rules)
+        out = apply_dependencies(bound, activated, g)
         assert out["Network.Status"].value == "Unavailable"
         assert bound["Network.Status"].value == "Available"
 
@@ -269,7 +276,7 @@ class TestDependencies:
         s = state_of([ctx("Weather", "Status", "Rainy")])
         activated = instantiate(g, activity, s)
         bound = assign_values(g, activated, s.bindings)
-        assert apply_dependencies(bound, activated, g.dependency_rules) == bound
+        assert apply_dependencies(bound, activated, g) == bound
 
     def test_derived_delay_is_max_of_antecedents(self):
         g = ContextGraph.build(
@@ -299,7 +306,7 @@ class TestDependencies:
         )
         activated = instantiate(g, activity, s)
         bound = assign_values(g, activated, s.bindings)
-        out = apply_dependencies(bound, activated, g.dependency_rules)
+        out = apply_dependencies(bound, activated, g)
         assert out["Desk.Status"].delay == 30
 
     def test_antecedents_and_consequents_compare_normalized(self):
@@ -307,7 +314,7 @@ class TestDependencies:
         s = state_of([ctx("Network", "Status", "  UNAVAILABLE")])
         activated = frozenset({"Network.Status", "Online_Payment.Status"})
         bound = assign_values(g, activated, s.bindings)
-        out = apply_dependencies(bound, activated, g.dependency_rules)
+        out = apply_dependencies(bound, activated, g)
         derived = out["Online_Payment.Status"]
         assert (derived.value, derived.key) == ("Not_Possible", "not_possible")
         agreeing = g.dependency_rules + (
@@ -317,7 +324,7 @@ class TestDependencies:
                 RulePattern("Online_Payment.Status", " not_possible "),
             ),
         )
-        assert apply_dependencies(bound, activated, agreeing)[
+        assert apply_dependencies(bound, activated, with_rules(agreeing))[
             "Online_Payment.Status"
         ].key == "not_possible"
 
@@ -352,7 +359,7 @@ class TestDependencies:
         activated = instantiate(g, activity, s)
         bound = assign_values(g, activated, s.bindings)
         with pytest.raises(DependencyCycleError):
-            apply_dependencies(bound, activated, rules)
+            apply_dependencies(bound, activated, with_rules(rules))
 
     def test_cycle_cap_counts_rules_whose_target_is_not_activated(self):
         # Four rules oscillate on E.a and E.b; three more target E.c, which
@@ -378,7 +385,7 @@ class TestDependencies:
         assert activated == {"E.a", "E.b"}
         bound = assign_values(g, activated, s.bindings)
         with pytest.raises(DependencyCycleError) as raised:
-            apply_dependencies(bound, activated, rules)
+            apply_dependencies(bound, activated, with_rules(rules))
         assert str(raised.value) == "dependency rules did not stabilise within 15 passes"
         with pytest.raises(DependencyCycleError) as expected:
             oracles.apply_dependencies_oracle(bound, activated, rules)
@@ -430,9 +437,13 @@ def fixpoint_outcome(apply, bound, activated, rules):
     return ("ran", repr(sorted(pairs.items(), key=lambda item: item[0])))
 
 
+def apply_with_index(bound, activated, rules):
+    return apply_dependencies(bound, activated, with_rules(rules))
+
+
 def assert_fixpoint_matches_oracle(bound, activated, rules):
     before = dict(bound)
-    got = fixpoint_outcome(apply_dependencies, bound, activated, rules)
+    got = fixpoint_outcome(apply_with_index, bound, activated, rules)
     assert got == fixpoint_outcome(
         oracles.apply_dependencies_oracle, bound, activated, rules
     )
@@ -461,6 +472,84 @@ def test_random_fixpoints_cover_every_outcome():
     assert set(outcomes) == {"ran", "DependencyConflictError", "DependencyCycleError"}
     assert min(outcomes.values()) >= 10, outcomes
     assert told_apart >= 10
+
+
+# Attributes that rules may target, bindings may hold and states may
+# activate: more of them than the fixpoint's own few, so that many rules
+# target an attribute that is not activated, and many activated attributes
+# have no rule.
+INDEX_ATTRIBUTES = FIXPOINT_ATTRIBUTES + ("E.d", "E.e", "F.a")
+index_patterns = st.builds(
+    RulePattern, st.sampled_from(INDEX_ATTRIBUTES), st.sampled_from(FIXPOINT_VALUES)
+)
+index_rules = st.lists(
+    st.builds(
+        DependencyRule,
+        st.sampled_from(("partial", "total")),
+        st.lists(index_patterns, min_size=1, max_size=2).map(tuple),
+        index_patterns,
+    ),
+    max_size=14,
+).map(tuple)
+
+
+@given(
+    rules=index_rules,
+    activated=st.frozensets(st.sampled_from(INDEX_ATTRIBUTES)),
+    observed=st.dictionaries(
+        st.sampled_from(INDEX_ATTRIBUTES),
+        st.tuples(st.sampled_from(FIXPOINT_VALUES), st.sampled_from((0, 5, 30))),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_indexed_live_rules_fire_as_the_scan_does(rules, activated, observed):
+    """The graph's index lists, by target, the position of every rule with
+    that target, ascending; the fixpoint that picks its live rules from it
+    reaches the scanning oracle's bindings, in the same order, or raises
+    its error with the same class and text, conflicts and cycles included."""
+    g = with_rules(rules)
+    assert g.rules_by_target == {
+        target: tuple(
+            i for i, rule in enumerate(rules) if rule.consequent.attribute == target
+        )
+        for target in {rule.consequent.attribute for rule in rules}
+    }
+    bound = {
+        attr: TimedValue(value, delay, normalize_value(value))
+        for attr, (value, delay) in observed.items()
+        if attr in activated
+    }
+    if assert_fixpoint_matches_oracle(bound, activated, rules)[0] == "ran":
+        # Rules fire in rule order, so new bindings are added in that order.
+        assert list(apply_with_index(bound, activated, rules)) == list(
+            oracles.apply_dependencies_oracle(bound, activated, rules)
+        )
+
+
+def test_new_bindings_are_added_in_rule_order():
+    # Whichever order a set iterates E.b and E.c in, one of the two rule
+    # orders differs from it.
+    def derive(target):
+        return DependencyRule("total", (RulePattern("E.a", 1),), RulePattern(target, 2))
+
+    bound = {"E.a": TimedValue(1, 0, normalize_value(1))}
+    activated = frozenset({"E.a", "E.b", "E.c"})
+    for targets in (("E.b", "E.c"), ("E.c", "E.b")):
+        rules = with_rules(tuple(derive(target) for target in targets))
+        assert list(apply_dependencies(bound, activated, rules)) == ["E.a", *targets]
+
+
+def test_the_index_is_built_with_the_graph_and_not_compared():
+    rules = (
+        DependencyRule("partial", (RulePattern("E.a", 1),), RulePattern("E.b", 2)),
+        DependencyRule("total", (RulePattern("E.b", 2),), RulePattern("E.c", 3)),
+        DependencyRule("partial", (RulePattern("E.c", 3),), RulePattern("E.b", 4)),
+    )
+    g = with_rules(rules)
+    assert g.rules_by_target == {"E.b": (0, 2), "E.c": (1,)}
+    assert with_rules(()).rules_by_target == {}
+    assert g == ContextGraph({}, {}, dependency_rules=rules)
+    assert "rules_by_target" not in repr(g)
 
 
 class TestComposeValue:

@@ -600,6 +600,49 @@ class TestCollectorPause:
             gc.enable()
 
 
+def watch_net(monkeypatch, fail):
+    """Record ``gc.isenabled()`` when ``translate`` builds its ``Net``; with
+    ``fail``, that build raises ``ValueError`` instead."""
+    seen = []
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        if fail:
+            raise ValueError("net refused")
+        return Net(*args)
+
+    monkeypatch.setattr(petri, "Net", watched)
+    return seen
+
+
+@pytest.mark.parametrize("fail", [False, True])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_translate_pauses_the_collector_and_restores_it(
+    kiosk_bundle, monkeypatch, collecting, fail
+):
+    model = load_bundle(kiosk_bundle).model
+    seen = watch_net(monkeypatch, fail)
+    if not collecting:
+        gc.disable()
+    try:
+        if fail:
+            with pytest.raises(ValueError, match="^net refused$"):
+                translate(model)
+        else:
+            assert isinstance(translate(model), Net)
+        assert seen == [False]
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable()
+
+
+def test_translate_restores_the_collector_when_the_model_is_refused():
+    assert gc.isenabled()
+    with pytest.raises(AttributeError):
+        translate(None)
+    assert gc.isenabled()
+
+
 # -- pipelines that share entities ------------------------------------------
 
 

@@ -25,9 +25,10 @@ from ctxflow.chain import (
     ActivityNode,
     AdaptationRule,
     ProcessModel,
+    TraceEntry,
     run_instance,
 )
-from ctxflow.context import AtomicContext, ContextualSituation, ScopeFilter
+from ctxflow.context import AtomicContext, ContextState, ContextualSituation, ScopeFilter
 from ctxflow.errors import ChainIntegrityError
 from ctxflow.files import load_bundle
 from ctxflow.fragments import (
@@ -35,6 +36,7 @@ from ctxflow.fragments import (
     FragmentRepository,
     ProcessFragment,
     SubgoalEntry,
+    ThrowResult,
 )
 from ctxflow.graph import (
     AttributeNode,
@@ -42,6 +44,7 @@ from ctxflow.graph import (
     ContextGraph,
     EntityNode,
     StateNodeDef,
+    TimedValue,
     composite_from_pairs,
 )
 
@@ -622,3 +625,95 @@ def test_a_run_shares_the_loaded_model_and_leaves_it_alone(name, tmp_path):
     for field in dataclasses.fields(node):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, field.name, getattr(node, field.name))
+
+
+# -- the records a run builds are never changed once built ------------------
+
+# Plain (unfrozen) records: the runner builds them per situation or per
+# evaluation, where a frozen dataclass's construction cost shows.
+PLAIN_RECORDS = (
+    TimedValue, CompositeValue, ThrowResult, TraceEntry, ContextualSituation,
+    ContextState,
+)
+
+
+def held(record):
+    """The object each field of ``record`` holds, with a dict's items."""
+    out = []
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        out.append((value, list(value.items()) if isinstance(value, dict) else None))
+    return out
+
+
+def assert_unchanged(records):
+    for record, was in records:
+        now = held(record)
+        assert all(a is b for (a, _), (b, _) in zip(now, was)), record
+        assert [items for _, items in now] == [items for _, items in was], record
+
+
+def recording_builds(monkeypatch):
+    """Each plain record built from now on, with what its fields held then."""
+    built = []
+    for cls in PLAIN_RECORDS:
+        def recorded(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append((self, held(self)))
+        monkeypatch.setattr(cls, "__init__", recorded)
+    return built
+
+
+def small_generated(name, tmp_path):
+    shape = dataclasses.replace(WORKLOADS[name].shape, **{
+        "run-adapt": dict(activities=48),
+        "run-observe": dict(activities=20, situations=60, dependency_rules=30),
+    }[name])
+    bundle, _ = generate(shape, 5, tmp_path)
+    return load_bundle(bundle)
+
+
+@pytest.mark.parametrize("name", ["kiosk", "kiosk-delay", "run-adapt", "run-observe"])
+def test_a_run_changes_no_record_once_built(name, tmp_path, monkeypatch):
+    """Situations, states, timed and composite values, thrown results and
+    trace entries are plain records, not frozen ones: after a run, each
+    one built during it, and each the loaded bundle holds, still holds in
+    every field the object it was built with."""
+    if name == "kiosk":
+        bundle = load_bundle(KIOSK)
+    elif name == "kiosk-delay":
+        bundle = kiosk_with_weather_delay(tmp_path)
+    else:
+        bundle = small_generated(name, tmp_path)
+    loaded = [(cs, held(cs)) for cs in bundle.scenario]
+    loaded += [(rule.value_pattern, held(rule.value_pattern)) for rule in bundle.model.rules]
+    loaded += [
+        (pattern, held(pattern))
+        for entry in bundle.model.repo.subgoals
+        for pattern, _ in entry.rows
+    ]
+    built = recording_builds(monkeypatch)
+    trace = run_instance(bundle.model, bundle.scenario)
+    assert [entry for entry, _ in built if type(entry) is TraceEntry] == trace.entries
+    kinds = {type(record) for record, _ in built}
+    assert kinds >= {TimedValue, CompositeValue, ThrowResult, TraceEntry, ContextState}
+    assert_unchanged(built)
+    assert_unchanged(loaded)
+
+
+def test_a_changed_record_is_seen(monkeypatch):
+    built = recording_builds(monkeypatch)
+    key = object()
+    value = TimedValue("v", 0, key)
+    bindings = {}
+    state = ContextState((), (), 1, bindings)
+    assert [record for record, _ in built] == [value, state]
+    assert_unchanged(built)
+    value.key = object()
+    with pytest.raises(AssertionError):
+        assert_unchanged(built)
+    value.key = key
+    assert_unchanged(built)
+    bindings["E.a"] = None
+    with pytest.raises(AssertionError):
+        assert_unchanged(built)
