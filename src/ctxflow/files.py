@@ -19,7 +19,16 @@ from typing import Dict, List, Tuple
 
 import yaml
 from yaml.constructor import ConstructorError
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.events import (
+    AliasEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+    StreamEndEvent,
+)
+from yaml.nodes import ScalarNode
 from yaml.reader import ReaderError
 
 from .chain import Action, ActivityChain, ActivityNode, AdaptationRule, ProcessModel
@@ -72,66 +81,115 @@ def _at_node(construct):
 
 
 _STR = "tag:yaml.org,2002:str"
-_SEQ = "tag:yaml.org,2002:seq"
-_MAP = "tag:yaml.org,2002:map"
 
 
-class _OnePass:
-    """A loader mixin that builds each document in one pass over its nodes.
+class _LeftToPyYAML(Exception):
+    """A document that ``_FromEvents`` leaves to PyYAML."""
+
+
+class _FromEvents:
+    """A loader mixin that builds each document straight from the parser's
+    events, so that a load never holds PyYAML's node tree.
 
     Plain scalars, lists and dicts are all a document of ours holds. The
-    pass builds a ``str`` scalar as its text, the other implicit scalar
-    types with the loader's own constructors, and a default-tagged sequence
-    or mapping as a list or dict, sharing an aliased one as PyYAML does.
-    Whatever it does not build (another tag, a merge or ``=`` key, a
-    non-scalar key, a recursive alias, a failure) is left to PyYAML's
-    constructor, which then builds the whole document, so the tree and any
-    error are PyYAML's.
+    builder keeps its open containers on a stack of its own. It resolves
+    each untagged scalar once per text and per whether the text may take an
+    implicit type (``implicit[0]``, true for a plain scalar): the safe
+    loaders have no path resolvers, so resolving is pure and reads only
+    those two. It keeps the first such text, so that equal texts share one
+    ``str``. A ``str`` scalar is that text; the other implicit types are
+    built with the loader's own constructors, on a ``ScalarNode`` carrying
+    the event's marks. A list or dict is built when its end event comes,
+    and an anchored one is shared wherever it is aliased after that.
+
+    Whatever else a document holds (another tag, a ``<<`` or ``=`` key, a
+    key that is not a scalar, an alias into an unfinished container, an
+    unknown or repeated anchor, a second document) stops the builder, and so
+    does any exception. The loader then parses the saved text again with its
+    own composer and constructor, so the tree, its sharing and any error,
+    and the order in which errors arise, are PyYAML's. The stream must be
+    text or bytes, which can be read twice.
     """
 
-    def construct_document(self, node):
-        scalars = self.scalar_constructors
-        built = {}  # container node -> its object, None while it is built
+    def __init__(self, stream):
+        self.saved_text = stream
+        super().__init__(stream)
 
-        def build(node):
-            cls = type(node)
-            if cls is ScalarNode:
-                if node.tag == _STR:
-                    return node.value
-                return scalars[node.tag](self, node)
-            if node in built:  # an alias
-                if built[node] is None:
-                    raise RecursionError("recursive alias")
-                return built[node]
-            built[node] = None
-            if cls is SequenceNode and node.tag == _SEQ:
-                data = [build(child) for child in node.value]
-            elif cls is MappingNode and node.tag == _MAP:
-                data = {}
-                for key, value in node.value:
-                    if type(key) is not ScalarNode:
-                        raise TypeError("non-scalar key")
-                    data[build(key)] = build(value)
-            else:
-                raise KeyError(node.tag)
-            built[node] = data
-            return data
-
+    def get_single_data(self):
         try:
-            return build(node)
+            return self._build()
         except Exception:
-            return super().construct_document(node)
+            pass
+        again = type(self)(self.saved_text)
+        try:
+            return super(_FromEvents, again).get_single_data()
         finally:
-            # ``build`` refers to itself: drop it, or the cycle keeps every
-            # node of the document alive until the cyclic collector runs.
-            del build
+            again.dispose()
+
+    def _build(self):
+        next_event = self.get_event
+        resolve = self.resolve
+        constructors = self.scalar_constructors
+        # By ``implicit[0]``: text -> its tag (None for a ``str``), that text
+        plain, quoted = {}, {}
+        anchors = {}  # anchor -> its node's object, once the node is finished
+        stack = []  # (items, anchor) of each container around the open one
+        items = []  # the open container's; a mapping's alternate keys and values
+        next_event()  # the stream's start
+        if type(next_event()) is StreamEndEvent:  # else the document's start
+            return None
+        while True:
+            event = next_event()
+            cls = type(event)
+            if cls is ScalarEvent:
+                if event.tag is not None and event.tag != "!":
+                    raise _LeftToPyYAML(event.tag)
+                text = event.value
+                known = plain if event.implicit[0] else quoted
+                scalar = known.get(text)
+                if scalar is None:
+                    tag = resolve(ScalarNode, text, event.implicit)
+                    scalar = known[text] = (None if tag == _STR else tag, text)
+                tag, value = scalar
+                if tag is not None:
+                    # ``<<`` and ``=`` resolve to tags with no constructor here.
+                    node = ScalarNode(tag, value, event.start_mark, event.end_mark)
+                    value = constructors[tag](self, node)
+                anchor = event.anchor
+            elif cls is MappingStartEvent or cls is SequenceStartEvent:
+                if event.tag is not None and event.tag != "!":
+                    raise _LeftToPyYAML(event.tag)
+                stack.append((items, event.anchor))
+                items = []
+                continue
+            elif cls is MappingEndEvent:
+                pairs = iter(items)
+                value = dict(zip(pairs, pairs))  # a list or dict key cannot hash
+                items, anchor = stack.pop()
+            elif cls is SequenceEndEvent:
+                value = items
+                items, anchor = stack.pop()
+            elif cls is AliasEvent:  # an unknown or unfinished node is not there
+                items.append(anchors[event.anchor])
+                continue
+            else:  # the document's end
+                break
+            if anchor is not None:
+                if anchor in anchors:
+                    raise _LeftToPyYAML("repeated anchor")
+                anchors[anchor] = value
+            items.append(value)
+        if type(next_event()) is not StreamEndEvent:
+            raise _LeftToPyYAML("a second document")
+        (data,) = items
+        return data
 
 
 @functools.lru_cache(maxsize=None)
 def _located(loader):
     """``loader`` with those failures raised as YAML errors at their node,
-    building each document in one pass (see ``_OnePass``)."""
-    located = type(loader.__name__, (_OnePass, loader), {})
+    building each document from its events (see ``_FromEvents``)."""
+    located = type(loader.__name__, (_FromEvents, loader), {})
     for tag in _BUILT_SCALARS:
         located.add_constructor(tag, _at_node(loader.yaml_constructors[tag]))
     located.scalar_constructors = {
@@ -319,8 +377,9 @@ def _build(where: str, make, *args, **kwargs):
 def _load(path, kind: str, build, *args):
     """Build from the document at ``path``, naming the file in any error.
 
-    A document nested deeper than Python's recursion limit stops the
-    pure-Python parser, or the first check that recurses into it.
+    A document nested deeper than Python's recursion limit stops the first
+    check that recurses into it, such as the ``repr`` in an entry's error,
+    or the pure-Python composer if the document is left to PyYAML.
     """
     try:
         doc = load_document(path, kind)
@@ -772,8 +831,8 @@ def load_bundle(path) -> ProjectBundle:
 
     The cyclic collector is paused while the bundle loads: a load builds
     no reference cycles, so each pass would only walk the growing heap of
-    nodes and trees and free nothing. The caller's setting is put back
-    afterwards, whether the load succeeds or fails. The setting is
+    trees and model objects and free nothing. The caller's setting is put
+    back afterwards, whether the load succeeds or fails. The setting is
     process-wide, so another thread sees the collector paused meanwhile.
     """
     collecting = gc.isenabled()

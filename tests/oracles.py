@@ -47,7 +47,7 @@ from ctxflow.petri import BoundednessReport, LivenessReport, StateSpace, make_ma
 
 
 def parsed_alike(text: str) -> bool:
-    """Whether ``files.load_document``'s loader, with its one-pass builder,
+    """Whether ``files.load_document``'s loader, with its event builder,
     parses ``text`` into stock ``yaml.SafeLoader``'s tree. ``repr`` also
     compares types and key order: ``==`` holds between ``1``, ``1.0`` and
     ``True``."""

@@ -3,13 +3,16 @@
 Every test runs under each YAML loader (see the ``loader`` fixture).
 """
 
+import dataclasses
 import gc
 import sys
+import tracemalloc
 
 import pytest
 import yaml
 
 from bundlegen import generate
+from ctxflow import files
 from ctxflow.chain import run_instance
 from ctxflow.cli import main
 from ctxflow.errors import LoadError
@@ -30,6 +33,14 @@ def run_adapt_bundle(tmp_path_factory):
     """The ``run-adapt`` benchmark's bundle: 800 activities."""
     path = tmp_path_factory.mktemp("run-adapt")
     generate(WORKLOADS["run-adapt"].shape, 3, path)
+    return path / "bundle.yaml"
+
+
+@pytest.fixture(scope="module")
+def small_run_adapt_bundle(tmp_path_factory):
+    """A bundle shaped like ``run-adapt``'s, with 100 activities."""
+    path = tmp_path_factory.mktemp("small-run-adapt")
+    generate(dataclasses.replace(WORKLOADS["run-adapt"].shape, activities=100), 1, path)
     return path / "bundle.yaml"
 
 
@@ -156,8 +167,9 @@ class TestParseErrors:
         assert "Traceback" not in out + err
 
     def test_deeply_nested_document_is_a_load_error(self, tmp_path, kiosk_dir, capsys):
-        # The pure-Python parser recurses once per level; libyaml's does not,
-        # and the first entry check that prints the activity recurses instead.
+        # Neither loader composes nodes: the tree is built from the parser's
+        # events without recursing, so the ``repr`` of the first entry check
+        # that prints the activity is what recurses.
         for name in ("bundle.yaml", "graph.yaml", "repo.yaml", "scenario.yaml"):
             (tmp_path / name).write_text((kiosk_dir / name).read_text())
         model = (kiosk_dir / "model.yaml").read_text()
@@ -405,6 +417,49 @@ class TestBundleLoading:
             assert gc.isenabled() is collecting
         finally:
             gc.enable()
+
+    def test_loading_composes_no_node(
+        self, kiosk_bundle, small_run_adapt_bundle, loader, monkeypatch
+    ):
+        """Each document is built from its events: neither the builder nor
+        its fallback to PyYAML composes a node tree."""
+        def compose(self):
+            raise AssertionError("a document was composed into nodes")
+
+        monkeypatch.setattr(files._located(loader), "get_single_node", compose)
+        assert len(load_bundle(kiosk_bundle).model.chain) == 5
+        assert len(load_bundle(small_run_adapt_bundle).model.chain) == 100
+
+    def test_a_merge_key_falls_back_to_pyyaml_once(self, tmp_path, loader, monkeypatch):
+        composed = []
+        monkeypatch.setattr(
+            files._located(loader), "get_single_node",
+            lambda self: composed.append(self) or loader.get_single_node(self),
+        )
+        path = tmp_path / "scenario.yaml"
+        path.write_text(
+            "version: 1\nkind: scenario\nat: &at {time: 10}\n"
+            "situations: [{<<: *at, contexts: []}, {<<: *at, time: 12}]\n"
+        )
+        (first, _), (second, _) = load_scenario(path)
+        assert (first.timestamp, second.timestamp) == (10, 12)
+        assert len(composed) == 1
+
+    def test_loading_holds_no_node_tree(self, small_run_adapt_bundle):
+        """A load's traced peak stays below twice what it keeps. PyYAML's
+        node tree of a document took about twice as much as the tree built
+        from it, and composing one raised the ratio to 2.5 or more."""
+        load_bundle(small_run_adapt_bundle)  # builds the located loader once
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bundle = load_bundle(small_run_adapt_bundle)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bundle.model.chain) == 100
+        assert peak - start < 2 * (kept - start)
 
     def test_loading_normalizes_each_pattern_once(self, run_adapt_bundle, monkeypatch):
         calls = []

@@ -1,12 +1,12 @@
-"""The one-pass builder of ``files._located`` against PyYAML's constructor.
+"""The event builder of ``files._located`` against PyYAML's own loading.
 
 Each text is loaded under each loader ``L`` twice: with ``files._located(L)``,
-and with the same loader built by PyYAML's own ``construct_document``, which
-serves as the oracle. Both must give the same tree (``repr`` also compares
-types and key order) whose containers are shared in the same places, or
-both must raise the same error, located and worded alike. Where the oracle
-builds a tree, ``L`` itself builds it too: the located scalar constructors
-change only errors.
+and with the same located loader building as PyYAML does, with ``L``'s own
+composer and PyYAML's constructor, which serves as the oracle. Both must
+give the same tree (``repr`` also compares types and key order) whose
+containers are shared in the same places, or both must raise the same
+error, located and worded alike. Where the oracle builds a tree, ``L``
+itself builds it too: the located scalar constructors change only errors.
 """
 
 from pathlib import Path
@@ -23,9 +23,10 @@ PATH = Path("doc.yaml")
 
 
 def _stock(loader):
-    """``files._located(loader)``, built by PyYAML's constructor."""
+    """``files._located(loader)``, composing each document into nodes and
+    building it with PyYAML's constructor."""
     return type("Stock" + loader.__name__, (files._located(loader),),
-                {"construct_document": loader.construct_document})
+                {"get_single_data": loader.get_single_data})
 
 
 def sharing(tree):
@@ -62,10 +63,8 @@ def assert_built_alike(loader, text):
         assert built == outcome(loader, text), text
 
 
-# The plain documents the builder builds, and every case it must leave to
-# PyYAML. A builder that called a collection constructor on ``!!seq a`` would
-# return a generator object where PyYAML raises.
-CASES = [
+# The plain documents the builder builds itself, composing no node.
+BUILT = [
     "{a: [b, {c: d}], e: [[f]], g: {}, h: []}",
     "[~, null, '', true, False, yes, off, 0, -12, 0x1f, 0o17, 0b101, 1_000,"
     " '190:20:30', 190:20:30, 1.5, -1e3, .inf, -.Inf, .nan, 2026-10-18,"
@@ -73,6 +72,25 @@ CASES = [
     "{1: a, 1.5: b, true: c, ~: d, 2026-10-18: e, x: f}",
     "{a: &x [1, 2], b: *x, c: &y {k: *x}, d: [*y, *y]}",
     "[&s x, *s, &t 5, *t]",
+    "{a: 1, a: 2}",
+    "time: 2026-10-18",
+    "",
+    "# only a comment\n",
+    "--- a\n...",
+    "--- {a: 1}\n...\n",
+    "! 12",
+    "! [a]",
+    "a:\n  - b\n  - c: d\n    e:\n      - [f, 1]\n      - g: {h: ~}\ni: 2\n",
+    "{&k a: 1, b: *k, *k : 2}",
+    "[{&k 1: a}, {*k : b}]",
+]
+
+# Those, and every case the builder must leave to PyYAML. A builder that
+# called a collection constructor on ``!!seq a`` would return a generator
+# object where PyYAML raises. In the last case, a scalar that cannot be
+# built comes before a repeated anchor: PyYAML composes the whole document
+# before it builds one scalar, so the anchor is its error.
+CASES = BUILT + [
     "&a [*a]",
     "&a {x: *a}",
     "{a: *ghost}",
@@ -83,7 +101,6 @@ CASES = [
     "{=: 1, b: 2}",
     "{? [a] : 1}",
     "{&k [1]: *k}",
-    "{a: 1, a: 2}",
     "[!!str 12, !!str, !!str ~]",
     "!!int x",
     "[!!int 12, !!int x]",
@@ -107,8 +124,10 @@ CASES = [
     "!foo x",
     "{a: !foo [1]}",
     "time: 2026-13-45",
-    "time: 2026-10-18",
     "[a, b",
+    "a\n--- b",
+    "--- [a]\n--- [a, b",
+    "&a {? a : 2026-13-45, ? a : &a []}",
 ]
 
 
@@ -116,6 +135,26 @@ CASES = [
 @pytest.mark.parametrize("text", CASES)
 def test_builder_matches_pyyaml(loader, text):
     assert_built_alike(loader, text)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda L: L.__name__)
+def test_equal_texts_share_one_str(loader):
+    first, second = yaml.load(
+        "[{id: A1, role: nurse}, {id: A2, role: nurse}]", Loader=files._located(loader)
+    )
+    assert [a is b for a, b in zip(first, second)] == [True, True]
+    assert first["role"] is second["role"]
+    assert (first["id"], second["id"]) == ("A1", "A2")
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda L: L.__name__)
+@pytest.mark.parametrize("text", BUILT)
+def test_builder_builds_plain_documents_itself(loader, text, monkeypatch):
+    def compose(self):
+        raise AssertionError("the document was left to PyYAML")
+
+    monkeypatch.setattr(files._located(loader), "get_single_node", compose)
+    yaml.load(text, Loader=files._located(loader))
 
 
 SCALARS = (
@@ -142,7 +181,13 @@ def _flow(children):
     ).map("".join)
 
 
-texts = st.recursive(st.sampled_from(SCALARS), _flow, max_leaves=12)
+nodes = st.recursive(st.sampled_from(SCALARS), _flow, max_leaves=12)
+# A document's node, with or without its markers, alone or before another.
+texts = st.tuples(
+    st.sampled_from(("", "", "--- ")),
+    nodes,
+    st.sampled_from(("", "", "\n...\n", "\n--- b", "\n...\n--- [a\n")),
+).map("".join)
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda L: L.__name__)

@@ -3,7 +3,7 @@
 pure-Python loader with PyYAML's own constructor, which serves as its oracle.
 
 The suite runs under each loader (see the ``loader`` fixture), so it checks
-libyaml's parser and the one-pass builder of ``files._located``. The mutated
+libyaml's parser and the event builder of ``files._located``. The mutated
 kiosk documents are compared in ``test_loader_mutations.py``.
 """
 
