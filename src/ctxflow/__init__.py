@@ -1,6 +1,6 @@
 """Executable engine for context-aware business process models.
 
-Diffs streams of contextual information into per-activity context states,
+Folds streams of contextual situations into per-scope context states,
 evaluates a three-level context graph with dependency rules, selects process
 fragments, rewrites the activity chain through five adaptation strategies,
 and verifies the adapted model by exhaustive state-space analysis of a
@@ -13,7 +13,6 @@ from .context import (
     ContextualSituation,
     ScopeFilter,
     catch_context,
-    diff,
 )
 from .chain import (
     ActivityChain,
@@ -33,7 +32,6 @@ __all__ = [
     "ContextualSituation",
     "ContextState",
     "ScopeFilter",
-    "diff",
     "catch_context",
     "ActivityChain",
     "ActivityNode",

@@ -322,9 +322,6 @@ class Action:
             extra = ""
         return "%s(%s)" % (kind, extra) if extra else kind
 
-    def describe(self) -> str:
-        return self.description
-
 
 @dataclass(frozen=True)
 class AdaptationRule:
@@ -535,11 +532,7 @@ class _Runner:
             cs = self.scenario[self.next_situation]
             self.next_situation += 1
             routed: Dict[_Watch, List[AtomicContext]] = {}
-            bindings = cs.bindings
-            for q in cs.attributes:
-                ctx = bindings.get(q)
-                if ctx is None:
-                    continue
+            for ctx in cs.bindings.values():
                 for watch in by_parameter.get(ctx.parameter, ()):
                     if watch.waiting:
                         contexts = routed.get(watch)
@@ -614,7 +607,7 @@ class _Runner:
                 activity_id,
                 value,
                 fragment.id if fragment else None,
-                rule.action.describe() if rule else None,
+                rule.action.description if rule else None,
                 deferred_until,
             )
         )

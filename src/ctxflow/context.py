@@ -1,18 +1,19 @@
-"""Context algebra: atomic contexts, situations, per-scope states and diffing.
+"""Context algebra: atomic contexts, situations and per-scope states.
 
-The central operation is :func:`catch_context`, which folds the contexts an
-incoming situation binds within one scope into that scope's last observed
-state and produces the change set (new parameters, changed attributes) that
-drives adaptation downstream; :func:`diff` folds a whole situation.
+A situation is what the environment reports at one moment: its time and the
+atomic context bound to each qualified attribute. The central operation is
+:func:`catch_context`, which folds the contexts a situation binds within one
+scope into that scope's last observed state and produces the change set (new
+parameters, changed attributes) that drives adaptation downstream.
 Atomic contexts and scope filters are frozen values. Situations and states
 are plain slotted records, which are cheaper to build: a run builds one
-per change it catches, and nothing mutates one once built. Operations are
-pure functions.
+state per change it catches, and nothing mutates one once built. Operations
+are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -78,57 +79,56 @@ class AtomicContext:
 
     @cached_property
     def key(self):
-        """The value normalized (``normalize_value``), as diffs compare it."""
+        """The value normalized (``normalize_value``), as states compare it."""
         return normalize_value(self.value)
 
 
 @dataclass(slots=True)
 class ContextualSituation:
-    """The change set affecting the whole process since the last observation.
+    """What the environment reports at ``timestamp``: ``bindings`` maps each
+    qualified attribute to its current atomic context."""
 
-    ``parameters`` lists the parameters involved in the change,
-    ``attributes`` the qualified attributes that were added or whose values
-    changed, and ``bindings`` maps each qualified attribute to its current
-    atomic context.
+    timestamp: int
+    bindings: Mapping[str, AtomicContext]
+
+    @classmethod
+    def from_contexts(cls, contexts, timestamp: int) -> "ContextualSituation":
+        """Package a plain list of atomic contexts as a situation; a repeated
+        attribute keeps its first place and binds its last context."""
+        return cls(timestamp, {ctx.qualified: ctx for ctx in contexts})
+
+
+@dataclass(slots=True)
+class ContextState:
+    """The state of one scope: the change it last caught.
+
+    ``parameters`` lists the parameters that change involved, ``attributes``
+    the changed attributes of known parameters, and ``bindings`` maps each
+    qualified attribute of an involved parameter to its context. Activities
+    with equal scopes catch the same situations, so they share one state;
+    the activity being evaluated is named where the state is instantiated.
     """
 
     parameters: Tuple[str, ...]
     attributes: Tuple[str, ...]
     timestamp: int
-    bindings: Mapping[str, AtomicContext] = field(default_factory=dict)
+    bindings: Mapping[str, AtomicContext]
 
     @classmethod
-    def from_contexts(cls, contexts, timestamp: int) -> "ContextualSituation":
-        """Package a plain list of atomic contexts as a situation; a repeated
-        attribute is named at its first listing and bound to its last."""
-        params = {}  # insertion-ordered sets
-        attrs = {}
+    def from_contexts(cls, contexts, timestamp: int) -> "ContextState":
+        """The state that binds ``contexts``, naming every parameter and
+        attribute in first-listed order; a repeated attribute binds its last
+        context."""
+        params = {}  # an insertion-ordered set
         bindings = {}
         for ctx in contexts:
             params[ctx.parameter] = None
-            q = ctx.qualified
-            attrs[q] = None
-            bindings[q] = ctx
-        return cls(tuple(params), tuple(attrs), timestamp, bindings)
+            bindings[ctx.qualified] = ctx
+        return cls(tuple(params), tuple(bindings), timestamp, bindings)
 
     @property
     def is_empty(self) -> bool:
         return not self.parameters and not self.attributes
-
-
-@dataclass(slots=True)
-class ContextState(ContextualSituation):
-    """The restriction of a situation to one scope, plus removal annotation.
-
-    A state belongs to its scope, not to an activity: every activity with
-    that scope catches the same situations, so they share one state, and
-    the activity being evaluated is named where the state is instantiated.
-    ``removed_parameters`` records parameters that were present in the
-    previous state but are absent from the latest situation; they do not
-    enter ``parameters`` and never trigger adaptation by themselves.
-    """
-
-    removed_parameters: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -145,19 +145,6 @@ class ScopeFilter:
         )
 
 
-def diff(new: ContextualSituation, old: ContextState) -> ContextState:
-    """Compute the contextual change made in ``old`` by ``new``.
-
-    Returns ``old`` itself (bit-identically) when ``new`` is not newer or no
-    parameter/attribute change is detected. Otherwise the result lists the
-    newly added parameters, the attributes whose bound values changed (for
-    parameters already known), and the owners of those attributes. Parameters
-    dropped since the previous state land in ``removed_parameters`` only.
-    """
-    bindings = new.bindings
-    return catch_context([bindings[q] for q in new.attributes], old, new.timestamp)
-
-
 def catch_context(
     contexts: Sequence[AtomicContext], state: ContextState, timestamp: int
 ) -> ContextState:
@@ -165,9 +152,10 @@ def catch_context(
     within one scope, in situation order, into the scope's ``state``.
 
     Mirrors the contextual-event trigger: the stored state is replaced by the
-    change set when one exists (see :func:`diff`), otherwise it is returned
-    untouched. Each context is classified once, and its parameter comes from
-    the context itself: a parameter name may contain a dot.
+    change set when one exists, and returned untouched otherwise or when
+    ``timestamp`` is not newer. Each context is classified once, and its
+    parameter comes from the context itself: a parameter name may contain a
+    dot.
     """
     if timestamp <= state.timestamp:
         return state
@@ -193,11 +181,9 @@ def catch_context(
     parameters = [p for p, hit in involved.items() if hit]
     if not parameters:
         return state
-    removed = known.difference(involved)
     return ContextState(
         parameters=tuple(parameters),
         attributes=tuple(changed),
         timestamp=timestamp,
         bindings={ctx.qualified: ctx for ctx in contexts if involved[ctx.parameter]},
-        removed_parameters=tuple(sorted(removed)) if removed else (),
     )

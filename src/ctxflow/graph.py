@@ -111,11 +111,14 @@ class Composition:
         if self.op not in ("AND", "OR"):
             raise ValueError("composition operator must be AND or OR")
 
+    @cached_property
     def attributes(self) -> Tuple[str, ...]:
+        """The attribute references, nested ones flattened in order; a
+        composition is fixed at load, so this is built once."""
         out = []
         for item in self.items:
             if isinstance(item, Composition):
-                out.extend(item.attributes())
+                out.extend(item.attributes)
             else:
                 out.append(item)
         return tuple(out)
@@ -299,7 +302,7 @@ def validate_graph(g: ContextGraph) -> ValidationReport:
                     "state node %r maps attribute %r but not its entity %r"
                     % (node.id, a, g.attributes[a].entity),
                 ))
-        for a in node.composition.attributes():
+        for a in node.composition.attributes:
             if a not in node.attributes:
                 findings.append(Finding(
                     "composition-scope",
@@ -418,7 +421,7 @@ def compose_value(bound: Mapping[str, TimedValue], node: StateNodeDef) -> Compos
     comp = node.composition
     pairs = []
     max_delay = 0
-    for attr in comp.attributes():
+    for attr in comp.attributes:
         value = bound.get(attr)
         if value is None:
             raise IncompleteBindingError(

@@ -7,9 +7,9 @@ a linear sub-goal scan, linear row and rule scans that normalize every
 pattern on every comparison, a runner that rescans the chain order on every
 step, a runner that checks the whole chain after every rewrite, a runner
 that offers every situation to every activity and restricts it to the
-activity's scope before diffing, a diff that rebuilds its facts from whole
-situations, per-context classification for state diffing, a dependency fixpoint that
-normalizes both sides of every comparison, subset
+activity's scope before folding it, a fold that rebuilds its facts from
+whole situations, per-context classification for state changes, a
+dependency fixpoint that normalizes both sides of every comparison, subset
 enumeration for query evaluation, arc-scanning token counters for
 state-space exploration, a net compiled from per-transition ``Counter``
 subtraction, a dict-and-sort firing rule and property checks
@@ -313,19 +313,14 @@ class CheckedRunner(chain_mod._Runner):
 
 def restrict(scope, cs):
     """Drop every context of ``cs`` outside ``scope``, as a new situation."""
-    bindings = cs.bindings
-    kept = []
-    for q in cs.attributes:
-        ctx = bindings.get(q)
-        if ctx is not None and scope.covers(ctx):
-            kept.append(ctx)
+    kept = [ctx for ctx in cs.bindings.values() if scope.covers(ctx)]
     return ContextualSituation.from_contexts(kept, cs.timestamp)
 
 
 def diff_rebuilding(new, old):
-    """``diff`` over a whole situation that rebuilds its classification
-    facts (the state's known parameters, each attribute's owner) from the
-    two situations."""
+    """``catch_context`` over a whole situation that rebuilds its
+    classification facts (the state's known parameters, each attribute's
+    owner) from the situation and the state."""
     if new.timestamp <= old.timestamp:
         return old
 
@@ -334,8 +329,7 @@ def diff_rebuilding(new, old):
 
     added_params = []
     changed_attrs = []
-    for q in new.attributes:
-        ctx = new.bindings[q]
+    for q, ctx in new.bindings.items():
         if ctx.parameter not in old_params:
             if ctx.parameter not in added_params:
                 added_params.append(ctx.parameter)
@@ -347,35 +341,30 @@ def diff_rebuilding(new, old):
     if not added_params and not changed_attrs:
         return old
 
-    owner = {q: new.bindings[q].parameter for q in new.attributes}
-    new_params = set(owner.values())
-    removed = tuple(p for p in sorted(old_params) if p not in new_params)
-
+    owner = {q: ctx.parameter for q, ctx in new.bindings.items()}
     involved = set(added_params)
     involved.update(owner[q] for q in changed_attrs)
     params_out = []
-    for q in new.attributes:
-        p = owner[q]
+    for p in owner.values():
         if p in involved and p not in params_out:
             params_out.append(p)
 
     keep = set(params_out)
-    bindings = {q: new.bindings[q] for q in new.attributes if owner[q] in keep}
+    bindings = {q: ctx for q, ctx in new.bindings.items() if owner[q] in keep}
     return ContextState(
         parameters=tuple(params_out),
         attributes=tuple(changed_attrs),
         timestamp=new.timestamp,
         bindings=bindings,
-        removed_parameters=removed,
     )
 
 
 def catch_context_oracle(cs, state, scope):
-    """Restrict the whole situation ``cs`` to ``scope`` and diff it into
+    """Restrict the whole situation ``cs`` to ``scope`` and fold it into
     ``state`` with :func:`diff_rebuilding`; an empty restriction leaves
     ``state`` as it is."""
     restricted = restrict(scope, cs)
-    if restricted.is_empty:
+    if not restricted.bindings:
         return state
     return diff_rebuilding(restricted, state)
 
@@ -419,7 +408,7 @@ class _AllStatesRunner(chain_mod._Runner):
         return self.states.pop(activity_id)
 
 
-# -- classification oracle for situation/state diffing ----------------------
+# -- classification oracle for folding a situation into a state -------------
 
 
 def _norm(v):
@@ -431,10 +420,11 @@ def _norm(v):
 
 
 def diff_oracle(new, old):
-    """Classify each incoming context and predict the diff fields.
+    """Classify each context of the situation ``new`` and predict the fields
+    of the state ``catch_context`` folds it into from ``old``.
 
     Returns None when the engine should hand back the old state untouched,
-    else a dict with the expected parameters/attributes/removed tuples.
+    else a dict with the expected parameters, attributes and timestamp.
     """
     if new.timestamp <= old.timestamp:
         return None
@@ -443,8 +433,7 @@ def diff_oracle(new, old):
         known.add(ctx.parameter)
 
     classes = {}  # qualified -> "added" | "changed" | "same"
-    for q in new.attributes:
-        ctx = new.bindings[q]
+    for q, ctx in new.bindings.items():
         if ctx.parameter not in known:
             classes[q] = "added"
         else:
@@ -456,22 +445,17 @@ def diff_oracle(new, old):
     if all(c == "same" for c in classes.values()):
         return None
 
-    changed_attrs = [q for q in new.attributes if classes[q] == "changed"]
-    interesting = set()
-    for q in new.attributes:
-        if classes[q] in ("added", "changed"):
-            interesting.add(new.bindings[q].parameter)
+    changed_attrs = [q for q, c in classes.items() if c == "changed"]
+    interesting = {
+        new.bindings[q].parameter for q, c in classes.items() if c != "same"
+    }
     params = []
-    for q in new.attributes:
-        p = new.bindings[q].parameter
-        if p in interesting and p not in params:
-            params.append(p)
-    current = {new.bindings[q].parameter for q in new.attributes}
-    removed = tuple(sorted(p for p in known if p not in current))
+    for ctx in new.bindings.values():
+        if ctx.parameter in interesting and ctx.parameter not in params:
+            params.append(ctx.parameter)
     return {
         "parameters": tuple(params),
         "attributes": tuple(changed_attrs),
-        "removed": removed,
         "timestamp": new.timestamp,
     }
 

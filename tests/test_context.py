@@ -1,4 +1,7 @@
-"""Tests for the context algebra: atomic contexts, situations, states, diff."""
+"""Tests for the context algebra: atomic contexts, situations, states and
+the fold of a situation into a state."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,6 @@ from ctxflow.context import (
     ContextualSituation,
     ScopeFilter,
     catch_context,
-    diff,
     normalize_value,
     values_equal,
 )
@@ -25,7 +27,12 @@ def ctx(parameter, attribute, value, **kw):
 def in_scope(cs, scope):
     """The contexts ``cs`` binds within ``scope``, in situation order: what
     the runner routes to the scope's state."""
-    return [cs.bindings[q] for q in cs.attributes if scope.covers(cs.bindings[q])]
+    return [c for c in cs.bindings.values() if scope.covers(c)]
+
+
+def fold(cs, state):
+    """Fold the whole situation ``cs`` into ``state``."""
+    return catch_context(list(cs.bindings.values()), state, cs.timestamp)
 
 
 class TestAtomicContext:
@@ -63,23 +70,40 @@ class TestValueNormalization:
 
 
 class TestContextualSituation:
-    def test_from_contexts_collects_parameters_once(self):
-        cs = ContextualSituation.from_contexts(
+    def test_a_situation_is_its_time_and_bindings(self):
+        fields = [f.name for f in dataclasses.fields(ContextualSituation)]
+        assert fields == ["timestamp", "bindings"]
+        assert not issubclass(ContextState, ContextualSituation)
+        assert "removed_parameters" not in {
+            f.name for f in dataclasses.fields(ContextState)
+        }
+
+    def test_from_contexts_binds_each_attribute(self):
+        status = ctx("Weather", "Status", "Rainy")
+        wind = ctx("Weather", "Wind", "High")
+        cs = ContextualSituation.from_contexts([status, wind], timestamp=5)
+        assert cs.timestamp == 5
+        assert cs.bindings == {"Weather.Status": status, "Weather.Wind": wind}
+
+    def test_state_from_contexts_names_parameters_once(self):
+        state = ContextState.from_contexts(
             [ctx("Weather", "Status", "Rainy"), ctx("Weather", "Wind", "High")],
             timestamp=5,
         )
-        assert cs.parameters == ("Weather",)
-        assert cs.attributes == ("Weather.Status", "Weather.Wind")
+        assert state.parameters == ("Weather",)
+        assert state.attributes == ("Weather.Status", "Weather.Wind")
 
     def test_repeated_attribute_is_named_once_and_bound_to_its_last_context(self):
         first = ctx("Network", "Status", "Available", instance="OperatorA")
         last = ctx("Network", "Status", "Unavailable", instance="OperatorB")
-        cs = ContextualSituation.from_contexts(
-            [first, ctx("Weather", "Status", "Rainy"), last], timestamp=5
-        )
-        assert cs.parameters == ("Network", "Weather")
-        assert cs.attributes == ("Network.Status", "Weather.Status")
+        contexts = [first, ctx("Weather", "Status", "Rainy"), last]
+        cs = ContextualSituation.from_contexts(contexts, timestamp=5)
+        assert list(cs.bindings) == ["Network.Status", "Weather.Status"]
         assert cs.bindings["Network.Status"] is last
+        state = ContextState.from_contexts(contexts, timestamp=5)
+        assert state.parameters == ("Network", "Weather")
+        assert state.attributes == ("Network.Status", "Weather.Status")
+        assert state.bindings == cs.bindings
 
     def test_static_contexts_may_be_bound(self):
         # A state binds the ideal, which may hold a static context; the
@@ -97,7 +121,7 @@ class TestScopeFilter:
             timestamp=1,
         )
         restricted = restrict(scope, cs)
-        assert restricted.parameters == ("Weather",)
+        assert list(restricted.bindings) == ["Weather.Status"]
 
     def test_covers_by_qualified_attribute(self):
         scope = ScopeFilter(frozenset(), frozenset({"Watch.Time"}))
@@ -105,7 +129,7 @@ class TestScopeFilter:
         assert not scope.covers(ctx("Watch", "Brand", "X"))
 
 
-class TestDiff:
+class TestFold:
     def old_state(self):
         return ContextState.from_contexts(
             [
@@ -121,38 +145,38 @@ class TestDiff:
         new = ContextualSituation.from_contexts(
             [ctx("Weather", "Status", "Rainy")], timestamp=630
         )
-        assert diff(new, old) is old
+        assert fold(new, old) is old
 
     def test_no_change_returns_old_identically(self):
         old = self.old_state()
         new = ContextualSituation.from_contexts(
             [ctx("Weather", "Status", "sunny")], timestamp=700
         )
-        assert diff(new, old) is old
+        assert fold(new, old) is old
 
     def test_weather_change_set(self):
         # The 10:30 -> 11:00 rain onset: both known parameters report
-        # changed attribute values; the absent employee parameter is only
-        # annotated as removed.
+        # changed attribute values; the absent employee parameter is neither
+        # listed nor bound.
         old = self.old_state()
         new = ContextualSituation.from_contexts(
             [ctx("Weather", "Status", "Rainy"), ctx("Watch", "Time", "11.00 am")],
             timestamp=660,
         )
-        out = diff(new, old)
+        out = fold(new, old)
         assert out.parameters == ("Weather", "Watch")
         assert out.attributes == ("Weather.Status", "Watch.Time")
         assert out.bindings["Weather.Status"].value == "Rainy"
         assert out.bindings["Watch.Time"].value == "11.00 am"
         assert out.timestamp == 660
-        assert out.removed_parameters == ("Healthcare_Employee",)
+        assert "Healthcare_Employee.Status" not in out.bindings
 
     def test_new_parameter_is_added_without_value_comparison(self):
         old = self.old_state()
         new = ContextualSituation.from_contexts(
             [ctx("Ambulance", "Availability", "Ready")], timestamp=700
         )
-        out = diff(new, old)
+        out = fold(new, old)
         assert out.parameters == ("Ambulance",)
         # Attributes list only changed values of known parameters.
         assert out.attributes == ()
@@ -168,12 +192,11 @@ class TestDiff:
             ],
             timestamp=700,
         )
-        out = diff(new, old)
+        out = fold(new, old)
         expected = diff_oracle(new, old)
         assert expected is not None
         assert out.parameters == expected["parameters"]
         assert out.attributes == expected["attributes"]
-        assert out.removed_parameters == expected["removed"]
 
 
 PARAMS = ("Weather", "Watch", "Patient", "Network", "Net.Op")
@@ -205,31 +228,24 @@ def situations(draw, timestamp):
     new=situations(st.integers(0, 10)),
 )
 @settings(max_examples=200)
-def test_diff_matches_oracle(old, new):
-    state = ContextState(
-        parameters=old.parameters,
-        attributes=old.attributes,
-        timestamp=old.timestamp,
-        bindings=old.bindings,
-    )
-    out = diff(new, state)
+def test_fold_matches_oracle(old, new):
+    state = ContextState.from_contexts(list(old.bindings.values()), old.timestamp)
+    out = fold(new, state)
     expected = diff_oracle(new, state)
     if expected is None:
         assert out is state
     else:
         assert out.parameters == expected["parameters"]
         assert out.attributes == expected["attributes"]
-        assert out.removed_parameters == expected["removed"]
         assert out.timestamp == expected["timestamp"]
 
 
-def test_diff_reads_dotted_parameter_from_context():
+def test_fold_reads_dotted_parameter_from_context():
     state = ContextState.from_contexts([ctx("Net.Op", "Status", "up")], 0)
     new = ContextualSituation.from_contexts([ctx("Net.Op", "Status", "down")], 1)
-    out = diff(new, state)
+    out = fold(new, state)
     assert out.parameters == ("Net.Op",)
     assert out.attributes == ("Net.Op.Status",)
-    assert out.removed_parameters == ()
     assert out.bindings == {"Net.Op.Status": ctx("Net.Op", "Status", "down")}
 
 
@@ -275,7 +291,7 @@ class TestCatchContext:
         state = ContextState.from_contexts([ctx("Weather", "Status", "Sunny")], 630)
         assert catch_context([], state, 660) is state
 
-    def test_fold_is_the_diff_of_the_restriction(self):
+    def test_fold_of_the_scope_is_the_fold_of_the_restriction(self):
         state = ContextState.from_contexts(
             [ctx("Weather", "Status", "Sunny"), ctx("Watch", "Time", "10.30 am")], 630
         )
@@ -289,16 +305,15 @@ class TestCatchContext:
             timestamp=660,
         )
         out = catch_context(in_scope(cs, scope), state, cs.timestamp)
-        assert out == diff(restrict(scope, cs), state)
+        assert out == fold(restrict(scope, cs), state)
         assert out.parameters == ("Ambulance", "Weather")
         assert out.attributes == ("Weather.Status",)
         assert list(out.bindings) == ["Ambulance.Availability", "Weather.Status"]
-        assert out.removed_parameters == ("Watch",)
 
     def test_a_bound_parameter_is_known_though_not_listed(self):
         # A state lists only the parameters its last change involved; one it
         # merely binds is known all the same, so its attribute is changed,
-        # not added, and it is not removed.
+        # not added.
         state = ContextState(
             parameters=("Watch",),
             attributes=(),
@@ -312,6 +327,5 @@ class TestCatchContext:
         out = catch_context(rain, state, 660)
         assert out.parameters == ("Weather",)
         assert out.attributes == ("Weather.Status",)
-        assert out.removed_parameters == ()
         new = ContextualSituation.from_contexts(rain, 660)
-        assert out == diff(new, state) == diff_rebuilding(new, state)
+        assert out == fold(new, state) == diff_rebuilding(new, state)

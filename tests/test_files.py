@@ -188,9 +188,9 @@ class TestScenarioLoading:
         situations = load_scenario(kiosk_dir / "scenario.yaml")
         assert len(situations) == 1
         cs, contexts = situations[0]
-        assert [ctx.qualified for ctx in contexts] == list(cs.attributes)
+        assert [ctx.qualified for ctx in contexts] == list(cs.bindings)
         assert cs.timestamp == 840
-        assert len(cs.attributes) == 8
+        assert len(cs.bindings) == 8
         assert cs.bindings["Weather.Status"].value == "Rainy"
 
     def test_non_monotone_timestamps_rejected(self, tmp_path):

@@ -601,6 +601,28 @@ class TestComposeValue:
         assert value.op == "AND"
         assert value.render() == "[(E.a, 1) AND (E.b, 2) AND (E.c, 3)]"
 
+    def test_two_evaluations_read_one_flattened_tuple(self):
+        inner = Composition("OR", ("E.b", "E.c"))
+        node = StateNodeDef(
+            "A", ("E",), ("E.a", "E.b", "E.c"), Composition("AND", ("E.a", inner))
+        )
+        bound = {
+            a: TimedValue(v, 0, normalize_value(v))
+            for a, v in (("E.a", 1), ("E.b", 2), ("E.c", 3))
+        }
+        comp = node.composition
+        assert "attributes" not in vars(comp)
+        first = compose_value(bound, node)
+        flat = vars(comp)["attributes"]
+        assert flat == ("E.a", "E.b", "E.c")
+        assert vars(inner)["attributes"] == ("E.b", "E.c")
+        assert compose_value(bound, node) == first
+        assert vars(comp)["attributes"] is flat
+        # The cached tuple is no field: equal compositions stay equal and
+        # hash alike.
+        fresh = Composition("AND", ("E.a", Composition("OR", ("E.b", "E.c"))))
+        assert fresh == comp and hash(fresh) == hash(comp)
+
     def test_max_delay_propagates(self):
         value = CompositeValue(
             "AND", (("A.x", "v"),), max_delay=0

@@ -1,5 +1,6 @@
 """No module under ``src/`` or ``tests/`` imports a name it never uses, and
-the engine defines no function or class that only its tests name.
+the engine defines no function or class that only its tests name, no field
+that only its tests read, and no option that only its tests set.
 
 A name counts as used when it is read anywhere in the module, including
 inside a string annotation, or listed in ``__all__``.
@@ -148,6 +149,81 @@ def test_engine_defines_nothing_only_tests_name():
     }
     definers = [str(path.relative_to(ROOT)) for path in ENGINE]
     assert unnamed_definitions(definers, sources) == []
+
+
+# -- fields that nothing in the engine or the bench reads --------------------
+
+
+def annotated_fields(tree):
+    """``(class, field)`` for each annotated name in the body of each
+    module-level class of ``tree``: a dataclass's fields."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def read_names(tree):
+    """Every attribute ``tree`` loads, and each part of a string that is a
+    dotted name (a bench hook, or the name a ``getattr`` reads)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.match(node.value):
+                found.update(node.value.split("."))
+    return found
+
+
+def unread_fields(definers, sources):
+    """``(module, class, field)`` of each annotated field of a module-level
+    class in ``definers`` whose name no source in ``sources`` reads.
+
+    Both arguments map a module name to its source text. Reads are matched
+    by the attribute's name, as ``unnamed_definitions`` matches names; a
+    field that is only passed to its constructor or stored is unread.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    return [
+        (module, cls, name)
+        for module in definers
+        for cls, name in annotated_fields(trees[module])
+        if name not in read
+    ]
+
+
+def test_unread_field_is_found():
+    sources = {
+        "engine": (
+            "@dataclass\n"
+            "class Record:\n"
+            "    loaded: int\n"
+            "    hooked: int\n"
+            "    stored: int = 0\n"
+            "    passed: int = 0\n"
+            "    def get(self): return self.loaded\n"
+            "r = Record(1, 2, passed=3)\n"
+            "r.stored = 4\n"
+        ),
+        "bench": 'HOOKS = [getattr(r, "hooked"), "engine.Record.get"]\n',
+    }
+    assert unread_fields(["engine"], sources) == [
+        ("engine", "Record", "stored"),
+        ("engine", "Record", "passed"),
+    ]
+
+
+def test_engine_holds_no_field_that_nothing_reads():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for path in SHIPPED
+        if not path.name.startswith("test_")
+    }
+    definers = [str(path.relative_to(ROOT)) for path in ENGINE]
+    assert unread_fields(definers, sources) == []
 
 
 # -- defaulted parameters that nothing in the engine or the bench passes ------

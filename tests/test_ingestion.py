@@ -4,7 +4,7 @@ The production runner keeps one state per distinct scope and offers a
 situation only to the scopes whose parameters and attributes it names and
 that an activity still awaiting evaluation holds;
 ``oracles._AllStatesRunner`` keeps a state per activity and restricts and
-diffs every situation into every activity's state
+folds every situation into every activity's state
 (``oracles.catch_context_oracle``). Both must produce
 identical traces (values included) and final orders, or the same error,
 and agree on every activity's state.
@@ -432,10 +432,10 @@ def test_routing_cases_come_up():
         seen.update(routed_against_oracle(model, scenario, evaluated))
         bound = dict(model.ideal)
         for cs, drawn in zip(scenario, listed):
-            contexts = [cs.bindings[q] for q in cs.attributes]
+            contexts = list(cs.bindings.values())
             seen["repeated"] += len(contexts) < len(drawn)
             # Two parameters listed under one qualified name: one binding.
-            seen["collision"] += len(cs.parameters) > len(
+            seen["collision"] += len({ctx.parameter for ctx in drawn}) > len(
                 {ctx.parameter for ctx in contexts}
             )
             seen["both names"] += any(
@@ -513,7 +513,7 @@ def guarded_calls(runner_class, model, scenario, monkeypatch):
             cs = runner.scenario[runner.next_situation - 1]
             scope = scope_of(state)
             restricted = oracles.restrict(scope, cs)
-            assert contexts == [restricted.bindings[q] for q in restricted.attributes]
+            assert contexts == list(restricted.bindings.values())
             assert timestamp == cs.timestamp
             record(cs, scope)
             return original(contexts, state, timestamp)
