@@ -809,7 +809,6 @@ class ProjectBundle:
 
     graph: ContextGraph
     model: ProcessModel
-    repo: FragmentRepository
     scenario: List[ContextualSituation]
 
 
@@ -844,7 +843,7 @@ def load_bundle(path) -> ProjectBundle:
         repo = load_fragments(paths["repository"])
         model = load_model(paths["model"], graph, repo)
         scenario = _load(paths["scenario"], "scenario", _model_scenario, model)
-        return ProjectBundle(graph, model, repo, scenario)
+        return ProjectBundle(graph, model, scenario)
     finally:
         if collecting:
             gc.enable()

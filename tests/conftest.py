@@ -1,3 +1,4 @@
+import gc
 import pathlib
 import sys
 
@@ -22,6 +23,30 @@ def loader(request):
     files._Loader = request.param
     yield request.param
     files._Loader = saved
+
+
+@pytest.fixture
+def collections_during():
+    """Call ``func(*args)`` and give its result with the generation of each
+    cyclic collection that started inside ``func``."""
+    def watch(func, *args):
+        starts = []
+
+        def started(phase, info):
+            frame = sys._getframe(1)
+            while phase == "start" and frame is not None:
+                if frame.f_code is func.__code__:
+                    starts.append(info["generation"])
+                    return
+                frame = frame.f_back
+
+        gc.callbacks.append(started)
+        try:
+            return func(*args), starts
+        finally:
+            gc.callbacks.remove(started)
+
+    return watch
 
 
 @pytest.fixture

@@ -82,6 +82,24 @@ class TestRun:
         assert main(["run", str(tmp_path / "bundle.yaml")]) == 0
         assert capsys.readouterr().out == plain
 
+    def test_recased_padded_pattern_selects_the_same_fragment_and_rule(
+        self, tmp_path, kiosk_bundle, kiosk_dir, capsys
+    ):
+        # Patterns match case- and padding-blind, so kiosk's Treatment row and
+        # rule still select transfer_fragment and add it after Treatment.
+        for name in ("bundle.yaml", "graph.yaml", "scenario.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        pattern = "[Caregiver.Expertise, Childcare]"
+        recased = '[caregiver.EXPERTISE, "  CHILDCARE "]'
+        for name in ("repo.yaml", "model.yaml"):
+            text = (kiosk_dir / name).read_text().replace(pattern, recased)
+            assert text.count(recased) == 1
+            (tmp_path / name).write_text(text)
+        assert main(["run", str(kiosk_bundle)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["run", str(tmp_path / "bundle.yaml")]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_output_files_are_byte_identical_across_runs(
         self, kiosk_bundle, tmp_path
     ):

@@ -5,7 +5,7 @@ Every test runs under each YAML loader (see the ``loader`` fixture).
 
 import dataclasses
 import gc
-import sys
+import re
 import tracemalloc
 
 import pytest
@@ -42,27 +42,6 @@ def small_run_adapt_bundle(tmp_path_factory):
     path = tmp_path_factory.mktemp("small-run-adapt")
     generate(dataclasses.replace(WORKLOADS["run-adapt"].shape, activities=100), 1, path)
     return path / "bundle.yaml"
-
-
-def collections_during_load(path):
-    """The generation of each cyclic collection that starts while
-    ``load_bundle`` loads ``path``."""
-    starts = []
-
-    def started(phase, info):
-        frame = sys._getframe(1)
-        while phase == "start" and frame is not None:
-            if frame.f_code is load_bundle.__code__:
-                starts.append(info["generation"])
-                return
-            frame = frame.f_back
-
-    gc.callbacks.append(started)
-    try:
-        load_bundle(path)
-    finally:
-        gc.callbacks.remove(started)
-    return starts
 
 
 class TestParseTime:
@@ -166,6 +145,31 @@ class TestParseErrors:
         assert out.count("\n") == 1 and len(out) > len(prefix) + 1
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize(
+        "command,name,edit,where",
+        [
+            ("validate", "model.yaml", lambda text: text + "a: b: c\n", "line 57, column 5"),
+            (
+                "run",
+                "scenario.yaml",
+                lambda text: re.sub("time: .*", "time: 2026-13-45", text, count=1),
+                "line 5, column 11",
+            ),
+        ],
+        ids=["not-yaml", "bad-scalar"],
+    )
+    def test_kiosk_document_is_refused_where_parsing_stopped(
+        self, tmp_path, kiosk_dir, capsys, command, name, edit, where
+    ):
+        for other in ("bundle.yaml", "graph.yaml", "repo.yaml", "model.yaml",
+                      "scenario.yaml"):
+            (tmp_path / other).write_text((kiosk_dir / other).read_text())
+        (tmp_path / name).write_text(edit((kiosk_dir / name).read_text()))
+        assert main([command, str(tmp_path / "bundle.yaml")]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("invalid: cannot parse %s: %s: " % (tmp_path / name, where))
+        assert "Traceback" not in out + err
+
     def test_deeply_nested_document_is_a_load_error(self, tmp_path, kiosk_dir, capsys):
         # Neither loader composes nodes: the tree is built from the parser's
         # events without recursing, so the ``repr`` of the first entry check
@@ -237,7 +241,7 @@ class TestBundleLoading:
         assert len(bundle.model.chain) == 5
         assert len(bundle.model.rules) == 5
         assert len(bundle.graph.state_nodes) == 5
-        assert "transfer_fragment" in bundle.repo.fragments
+        assert "transfer_fragment" in bundle.model.repo.fragments
 
     def test_default_scope_mirrors_state_node(self, kiosk_bundle):
         bundle = load_bundle(kiosk_bundle)
@@ -397,9 +401,13 @@ class TestBundleLoading:
         finally:
             gc.enable()
 
-    def test_loading_starts_no_cyclic_collection(self, run_adapt_bundle):
+    def test_loading_starts_no_cyclic_collection(
+        self, run_adapt_bundle, collections_during
+    ):
         assert gc.isenabled()
-        assert collections_during_load(run_adapt_bundle) == []
+        bundle, starts = collections_during(load_bundle, run_adapt_bundle)
+        assert len(bundle.model.chain) == 800
+        assert starts == []
         assert gc.isenabled()
 
     @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
@@ -469,5 +477,5 @@ class TestBundleLoading:
             lambda value: calls.append(value) or normalized(value),
         )
         bundle = load_bundle(run_adapt_bundle)
-        rows = [p for entry in bundle.repo.subgoals for p, _ in entry.rows]
+        rows = [p for entry in bundle.model.repo.subgoals for p, _ in entry.rows]
         assert len(calls) == len(bundle.model.rules) + len(rows) == 1750

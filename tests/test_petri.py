@@ -9,7 +9,7 @@ from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxflow import cli, petri
@@ -49,6 +49,7 @@ from oracles import (
     net_post,
     net_pre,
 )
+from run import WORKLOADS
 
 
 def two_step_net():
@@ -599,6 +600,15 @@ class TestCollectorPause:
         finally:
             gc.enable()
 
+    def test_a_large_chain_starts_no_collection(self, tmp_path, collections_during):
+        generate(Shape(activities=24), 1, tmp_path)
+        net = translate(load_bundle(tmp_path / "bundle.yaml").model)
+        assert gc.isenabled()
+        space, starts = collections_during(explore, net)
+        assert (space.node_count, space.arc_count) == chain_state_space(24)
+        assert starts == []
+        assert gc.isenabled()
+
 
 def watch_net(monkeypatch, fail):
     """Record ``gc.isenabled()`` when ``translate`` builds its ``Net``; with
@@ -636,6 +646,16 @@ def test_translate_pauses_the_collector_and_restores_it(
         gc.enable()
 
 
+def test_translating_a_large_model_starts_no_collection(tmp_path, collections_during):
+    generate(WORKLOADS["run-adapt"].shape, 1, tmp_path)
+    model = load_bundle(tmp_path / "bundle.yaml").model
+    assert gc.isenabled()
+    net, starts = collections_during(translate, model)
+    assert (len(net.transitions), len(net.arcs)) == (8000, 17599)
+    assert starts == []
+    assert gc.isenabled()
+
+
 def test_translate_restores_the_collector_when_the_model_is_refused():
     assert gc.isenabled()
     with pytest.raises(AttributeError):
@@ -654,6 +674,7 @@ def shared_shapes(draw):
 
 
 @given(shape=shared_shapes(), seed=st.integers(0, 9))
+@example(shape=Shape(activities=2, entities=1, situations=1), seed=1)
 @settings(max_examples=40, deadline=None)
 def test_shared_entities_verify_like_a_chain(shape, seed):
     # Each pipeline has its own entity chain, so activities that share an
