@@ -9,7 +9,8 @@ attribute and value places, composes into the activity's composite value,
 and returns to the contextual event where the fragment decision is thrown.
 
 Tokens carry a color label; a place's color set is the set of labels it may
-hold and arcs require/produce specific labels.
+hold and arcs require/produce specific labels. A net is plain data: a place
+is its name and color set, a transition its name, an arc a triple.
 """
 
 from __future__ import annotations
@@ -33,24 +34,7 @@ COMPOSITE = "V"
 FRAG = "frag"  # throwActivity decision token
 
 
-@dataclass(frozen=True)
-class Place:
-    name: str
-    colorset: FrozenSet[str]
-
-
-@dataclass(frozen=True)
-class Transition:
-    name: str
-
-
-@dataclass(frozen=True)
-class Arc:
-    source: str
-    target: str
-    label: str  # token color consumed/produced
-
-
+Arc = Tuple[str, str, str]  # (source, target, label) of a token consumed/produced
 # Per transition, (key index, count) pairs in key order.
 Vector = Tuple[Tuple[int, int], ...]
 # Per transition and key it consumes or changes, in key order:
@@ -62,8 +46,10 @@ Moves = Tuple[Tuple[Tuple[str, str], str, str, int, int], ...]
 class Net:
     """A net, compiled once on construction for firing on integer markings.
 
-    ``keys`` holds, sorted, the (place, label) pairs that arcs consume or
-    produce, and an integer marking (``state``) holds one count per key.
+    ``places`` maps each place name to its color set, and ``transitions``
+    lists the transition names. ``keys`` holds, sorted, the (place, label)
+    pairs that arcs consume or produce; an integer marking (``state``)
+    holds one count per key.
     For the transition at position i of ``transitions``, ``pre_vectors[i]``
     is what it consumes, ``deltas[i]`` its non-zero net effect, and
     ``affected[i]`` the transitions that consume a key its delta changes:
@@ -72,8 +58,8 @@ class Net:
     with a marking.
     """
 
-    places: Mapping[str, Place]
-    transitions: Mapping[str, Transition]
+    places: Mapping[str, FrozenSet[str]]
+    transitions: Tuple[str, ...]
     arcs: Tuple[Arc, ...]
     initial_marking: "Marking"
     keys: Tuple[Tuple[str, str], ...] = field(init=False, repr=False, compare=False)
@@ -88,18 +74,20 @@ class Net:
 
     def __post_init__(self):
         places, transitions = self.places, self.transitions
-        if places.keys() & transitions.keys():
-            raise ValueError("place and transition names must be disjoint")
         inputs = {t: {} for t in transitions}
+        if len(inputs) < len(transitions):
+            repeated = next(t for t, n in Counter(transitions).items() if n > 1)
+            raise ValueError("transition name %r is repeated" % (repeated,))
+        if places.keys() & inputs.keys():
+            raise ValueError("place and transition names must be disjoint")
         outputs = {t: {} for t in transitions}
-        for arc in self.arcs:
-            source, target, label = arc.source, arc.target, arc.label
-            if source in places and target in transitions:
+        for source, target, label in self.arcs:
+            if source in places and target in inputs:
                 counts, key, verb = inputs[target], (source, label), "consumes"
-                colorset = places[source].colorset
-            elif source in transitions and target in places:
+                colorset = places[source]
+            elif source in inputs and target in places:
                 counts, key, verb = outputs[source], (target, label), "produces"
-                colorset = places[target].colorset
+                colorset = places[target]
             else:
                 raise ValueError(
                     "arc %s->%s does not connect a place and a transition"
@@ -127,7 +115,7 @@ class Net:
         return Counter(self._outputs.get(transition, ()))
 
     def _compile(self):
-        names = tuple(self.transitions)
+        names = self.transitions
         pres = [self.pre(name) for name in names]
         posts = [self.post(name) for name in names]
         keys = tuple(sorted(set().union(*pres, *posts)))
@@ -201,8 +189,7 @@ def make_marking(tokens: Mapping[Tuple[str, str], int]) -> Marking:
 
 def enabled(net: Net, marking: Marking) -> List[str]:
     """Names of the transitions enabled at ``marking``, in net order."""
-    names = tuple(net.transitions)
-    return [names[t] for t in net.enabled_at(net.state(marking))]
+    return [net.transitions[t] for t in net.enabled_at(net.state(marking))]
 
 
 def fire(net: Net, marking: Marking, transition: str) -> Marking:
@@ -242,15 +229,14 @@ def fire(net: Net, marking: Marking, transition: str) -> Marking:
 class StateSpace:
     """The explored markings and arcs.
 
-    ``successors`` maps each expanded marking to its (transition, successor)
-    arcs, in ``arcs`` order; a dead marking maps to ``[]``. A partial space
-    lacks the markings left unexpanded, and the last one expanded may lack
-    some of its arcs, as ``arcs`` does.
+    ``successors``, the one record of the arcs, maps each expanded marking
+    to its (transition, successor) arcs, in firing order; a dead marking
+    maps to ``[]``. A partial space lacks the markings left unexpanded, and
+    the last one expanded may lack some of its arcs.
     """
 
     initial: Marking
     nodes: Set[Marking] = field(default_factory=set)
-    arcs: List[Tuple[Marking, str, Marking]] = field(default_factory=list)
     successors: Dict[Marking, List[Tuple[str, Marking]]] = field(default_factory=dict)
     partial: bool = False
 
@@ -259,8 +245,13 @@ class StateSpace:
         return len(self.nodes)
 
     @property
+    def arcs(self) -> List[Tuple[Marking, str, Marking]]:
+        """(marking, transition, successor) for every arc, in ``successors`` order."""
+        return [(m, t, dst) for m, out in self.successors.items() for t, dst in out]
+
+    @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return sum(map(len, self.successors.values()))
 
 
 def explore(net: Net, limit: int = 100000) -> StateSpace:
@@ -273,8 +264,8 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
     rule. Each marking waiting in the frontier also carries its integer
     marking and its enabled transitions; after a firing, only the
     transitions in ``net.affected`` of the fired one are rechecked.
-    Every distinct marking is one object, shared by ``nodes``, ``arcs`` and
-    ``successors``, which records each marking's arcs as it is expanded.
+    Every distinct marking is one object, shared by ``nodes`` and
+    ``successors``, which records each arc once, as its marking is expanded.
 
     The walk builds no reference cycles, so the cyclic collector is paused
     for the call: each pass would only walk the growing space and free
@@ -289,10 +280,10 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
     try:
         m0 = net.initial_marking
         space = StateSpace(initial=m0)
-        names = tuple(net.transitions)
+        names = net.transitions
         pre_vectors, deltas, affected = net.pre_vectors, net.deltas, net.affected
         rechecked = [frozenset(ts) for ts in affected]
-        arcs, successors = space.arcs, space.successors
+        successors = space.successors
         canonical = {m0: m0}
         state = net.state(m0)
         frontier = deque([(m0, state, net.enabled_at(state))])
@@ -323,7 +314,6 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
                             now.append(u)
                     now.sort()
                     frontier.append((successor, after, now))
-                arcs.append((marking, name, known))
                 out.append((name, known))
         space.nodes.update(canonical)
     finally:
@@ -376,7 +366,7 @@ class LivenessReport:
 def check_liveness(space: StateSpace, net: Net) -> LivenessReport:
     if space.partial:
         raise PartialSpaceError("liveness needs an exact state space")
-    fired = {t for _, t, _ in space.arcs}
+    fired = {t for out in space.successors.values() for t, _ in out}
     dead_transitions = tuple(sorted(t for t in net.transitions if t not in fired))
     dead_markings = tuple(sorted(m for m, out in space.successors.items() if not out))
     return LivenessReport(dead_transitions, dead_markings)
@@ -462,20 +452,20 @@ def translate(model) -> Net:
         n = len(order)
         graph = model.graph
 
-        places: Dict[str, Place] = {}
-        transitions: Dict[str, Transition] = {}
+        places: Dict[str, FrozenSet[str]] = {}
+        transitions: List[str] = []
         arcs: List[Arc] = []
 
         def place(name, *labels):
-            places[name] = Place(name, frozenset(labels))
+            places[name] = frozenset(labels)
             return name
 
         def transition(name):
-            transitions[name] = Transition(name)
+            transitions.append(name)
             return name
 
         def arc(source, target, label):
-            arcs.append(Arc(source, target, label))
+            arcs.append((source, target, label))
 
         # Which activities carry a context pipeline (state node present). The
         # situation token is colored by pipeline stage (cs1, cs2, ...) so the
@@ -564,7 +554,7 @@ def translate(model) -> Net:
                 ("ContextualSituation", "%s1" % CS): 1 if piped else 0,
             }
         )
-        return Net(places, transitions, tuple(arcs), initial)
+        return Net(places, tuple(transitions), tuple(arcs), initial)
     finally:
         if collecting:
             gc.enable()

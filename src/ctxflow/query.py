@@ -14,7 +14,7 @@ kinds are supported:
 * ``OR <Cat> WHERE attribute = <A> AND value = <V>`` -- disjunction of
   predicates sharing attribute and value (differing instances).
 * ``NOT <predicate>`` -- negation of a literal predicate.
-* ``ADD <predicate>, <predicate>`` / ``SUB ...`` -- arithmetic over two
+* ``ADD <predicate>[,] <predicate>`` / ``SUB ...`` -- arithmetic over two
   compatible numeric predicates.
 
 Conditions are AND/OR trees over leaves ``attr <name> <op> <value>``,
@@ -159,8 +159,8 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())  # trailing blanks end the text
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
             raise QueryParseError("unreadable input", position=pos)

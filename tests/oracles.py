@@ -587,13 +587,13 @@ def halstead_oracle(n1, n2, N1, N2):
 
 def net_pre(net, transition):
     return Counter(
-        (arc.source, arc.label) for arc in net.arcs if arc.target == transition
+        (source, label) for source, target, label in net.arcs if target == transition
     )
 
 
 def net_post(net, transition):
     return Counter(
-        (arc.target, arc.label) for arc in net.arcs if arc.source == transition
+        (target, label) for source, target, label in net.arcs if source == transition
     )
 
 
@@ -679,7 +679,6 @@ def explore_oracle(net, limit=100000):
                     return space
                 space.nodes.add(successor)
                 frontier.append(successor)
-            space.arcs.append((marking, transition, successor))
             space.successors[marking].append((transition, successor))
     return space
 

@@ -601,6 +601,15 @@ class TestQuery:
             "Network(Network, Status, =, Unavailable)"
         )
 
+    @pytest.mark.parametrize("blank", [" ", "\n"])
+    def test_trailing_blank_is_ignored(self, kiosk_dir, capsys, blank):
+        query = "AND Network WHERE parameter INSTANCE_OF Network"
+        scenario = str(kiosk_dir / "scenario.yaml")
+        assert main(["query", scenario, query]) == 0
+        stripped = capsys.readouterr()
+        assert main(["query", scenario, query + blank]) == 0
+        assert capsys.readouterr() == stripped
+
     def test_null_result(self, kiosk_dir, capsys):
         rc = main(
             [

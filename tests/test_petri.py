@@ -19,10 +19,7 @@ from ctxflow.files import load_bundle
 from ctxflow.fragments import FragmentRepository
 from ctxflow.graph import AttributeNode, ContextGraph, EntityNode, StateNodeDef
 from ctxflow.petri import (
-    Arc,
     Net,
-    Place,
-    Transition,
     check_bounded,
     check_home,
     check_liveness,
@@ -55,16 +52,16 @@ from run import WORKLOADS
 def two_step_net():
     """p0 --t1--> p1 --t2--> p2 with a single black token."""
     places = {
-        "p0": Place("p0", frozenset({"tok"})),
-        "p1": Place("p1", frozenset({"tok"})),
-        "p2": Place("p2", frozenset({"tok"})),
+        "p0": frozenset({"tok"}),
+        "p1": frozenset({"tok"}),
+        "p2": frozenset({"tok"}),
     }
-    transitions = {"t1": Transition("t1"), "t2": Transition("t2")}
+    transitions = ("t1", "t2")
     arcs = (
-        Arc("p0", "t1", "tok"),
-        Arc("t1", "p1", "tok"),
-        Arc("p1", "t2", "tok"),
-        Arc("t2", "p2", "tok"),
+        ("p0", "t1", "tok"),
+        ("t1", "p1", "tok"),
+        ("p1", "t2", "tok"),
+        ("t2", "p2", "tok"),
     )
     return Net(places, transitions, arcs, make_marking({("p0", "tok"): 1}))
 
@@ -78,48 +75,58 @@ def net_error(places, transitions, arcs):
 
 class TestNetConstruction:
     RED = {
-        "p": Place("p", frozenset({"red"})),
-        "q": Place("q", frozenset({"red"})),
+        "p": frozenset({"red"}),
+        "q": frozenset({"red"}),
     }
 
     def test_place_transition_names_must_be_disjoint(self):
         assert net_error(
-            {"x": Place("x", frozenset({"t"}))},
-            {"x": Transition("x")},
-            [Arc("x", "x", "t")],
+            {"x": frozenset({"t"})},
+            ("x",),
+            [("x", "x", "t")],
         ) == "place and transition names must be disjoint"
 
     @pytest.mark.parametrize("arcs, message", [
-        ([Arc("p", "t", "blue"), Arc("t", "q", "red")],
+        ([("p", "t", "blue"), ("t", "q", "red")],
          "arc p->t consumes label 'blue' outside the color set"),
-        ([Arc("p", "t", "red"), Arc("t", "q", "blue")],
+        ([("p", "t", "red"), ("t", "q", "blue")],
          "arc t->q produces label 'blue' outside the color set"),
     ], ids=["consumed", "produced"])
     def test_arc_label_must_be_in_color_set(self, arcs, message):
-        assert net_error(self.RED, {"t": Transition("t")}, arcs) == message
+        assert net_error(self.RED, ("t",), arcs) == message
 
     @pytest.mark.parametrize("source, target", [
         ("p", "q"), ("t", "u"), ("p", "nowhere"), ("nowhere", "t"),
     ])
     def test_arc_must_connect_a_place_and_a_transition(self, source, target):
-        transitions = {"t": Transition("t"), "u": Transition("u")}
-        assert net_error(self.RED, transitions, [Arc(source, target, "red")]) == (
+        transitions = ("t", "u")
+        assert net_error(self.RED, transitions, [(source, target, "red")]) == (
             "arc %s->%s does not connect a place and a transition" % (source, target)
         )
 
-    @pytest.mark.parametrize("arc", [Arc("p", "t1", "t"), Arc("t1", "p", "t")],
+    @pytest.mark.parametrize("arc", [("p", "t1", "t"), ("t1", "p", "t")],
                              ids=["no-output", "no-input"])
     def test_transition_needs_input_and_output(self, arc):
-        places = {"p": Place("p", frozenset({"t"}))}
-        assert net_error(places, {"t1": Transition("t1")}, [arc]) == (
+        places = {"p": frozenset({"t"})}
+        assert net_error(places, ("t1",), [arc]) == (
             "transition 't1' lacks input or output arcs"
+        )
+
+    @pytest.mark.parametrize("transitions, repeated", [
+        (("t", "u", "t"), "t"), (("u", "t", "t", "u"), "u"), (("p", "p"), "p"),
+    ])
+    def test_a_repeated_transition_name_is_refused(self, transitions, repeated):
+        # Named before any other fault: here every arc is also faulty, and
+        # ``p`` is a place too.
+        assert net_error(self.RED, transitions, [("p", "nowhere", "blue")]) == (
+            "transition name %r is repeated" % (repeated,)
         )
 
     def test_first_fault_is_reported(self):
         # Arcs are checked in order, and every arc before any transition;
         # transitions lacking arcs are named in net order.
-        transitions = {"t": Transition("t"), "idle": Transition("idle"), "u": Transition("u")}
-        arcs = [Arc("p", "t", "red"), Arc("t", "q", "blue"), Arc("p", "q", "red")]
+        transitions = ("t", "idle", "u")
+        arcs = [("p", "t", "red"), ("t", "q", "blue"), ("p", "q", "red")]
         assert net_error(self.RED, transitions, arcs) == (
             "arc t->q produces label 'blue' outside the color set"
         )
@@ -129,7 +136,7 @@ class TestNetConstruction:
         assert net_error(self.RED, transitions, arcs[:1]) == (
             "transition 't' lacks input or output arcs"
         )
-        assert net_error(self.RED, transitions, [arcs[0], Arc("t", "q", "red")]) == (
+        assert net_error(self.RED, transitions, [arcs[0], ("t", "q", "red")]) == (
             "transition 'idle' lacks input or output arcs"
         )
 
@@ -190,16 +197,16 @@ class TestPropertyChecks:
 
     def test_dead_transition_detected(self):
         places = {
-            "p0": Place("p0", frozenset({"tok"})),
-            "p1": Place("p1", frozenset({"tok"})),
-            "p9": Place("p9", frozenset({"tok"})),
+            "p0": frozenset({"tok"}),
+            "p1": frozenset({"tok"}),
+            "p9": frozenset({"tok"}),
         }
-        transitions = {"t1": Transition("t1"), "never": Transition("never")}
+        transitions = ("t1", "never")
         arcs = (
-            Arc("p0", "t1", "tok"),
-            Arc("t1", "p1", "tok"),
-            Arc("p9", "never", "tok"),
-            Arc("never", "p0", "tok"),
+            ("p0", "t1", "tok"),
+            ("t1", "p1", "tok"),
+            ("p9", "never", "tok"),
+            ("never", "p0", "tok"),
         )
         net = Net(places, transitions, arcs, make_marking({("p0", "tok"): 1}))
         space = explore(net)
@@ -226,14 +233,14 @@ class TestPropertyChecks:
 
     def test_unbounded_place_reported(self):
         places = {
-            "src": Place("src", frozenset({"tok"})),
-            "sink": Place("sink", frozenset({"tok"})),
+            "src": frozenset({"tok"}),
+            "sink": frozenset({"tok"}),
         }
-        transitions = {"t": Transition("t")}
+        transitions = ("t",)
         arcs = (
-            Arc("src", "t", "tok"),
-            Arc("t", "src", "tok"),
-            Arc("t", "sink", "tok"),
+            ("src", "t", "tok"),
+            ("t", "src", "tok"),
+            ("t", "sink", "tok"),
         )
         net = Net(places, transitions, arcs, make_marking({("src", "tok"): 1}))
         space = explore(net, limit=10)
@@ -280,12 +287,31 @@ class TestTranslation:
     def test_each_value_feeds_its_own_composition(self, kiosk_net):
         # Storage in Cloud (4) and Bill Payment (5) both read Network.Status.
         readers = {}
-        for a in kiosk_net.arcs:
-            if a.source.startswith("value_"):
-                readers.setdefault(a.source, []).append(a.target)
+        for source, target, _ in kiosk_net.arcs:
+            if source.startswith("value_"):
+                readers.setdefault(source, []).append(target)
         assert readers
         for value, targets in readers.items():
             assert targets == ["Composition_" + value.rsplit("_", 1)[1]]
+
+    def test_the_net_is_plain_data(self, kiosk_net):
+        assert kiosk_net.places
+        assert all(type(colors) is frozenset for colors in kiosk_net.places.values())
+        assert type(kiosk_net.transitions) is tuple
+        assert len(set(kiosk_net.transitions)) == len(kiosk_net.transitions)
+        assert all(
+            type(arc) is tuple and len(arc) == 3 for arc in kiosk_net.arcs
+        )
+
+    @pytest.mark.parametrize("limit", [5, 100, None])
+    def test_each_arc_is_recorded_once(self, kiosk_net, limit):
+        space = explore(kiosk_net) if limit is None else explore(kiosk_net, limit=limit)
+        assert space.partial == (limit is not None)
+        assert space.arc_count == len(space.arcs) == sum(
+            map(len, space.successors.values())
+        )
+        if limit is None:
+            assert (space.node_count, space.arc_count) == (343, 698)
 
     def test_initial_marking_start_and_situation(self, kiosk_net):
         tokens = dict(
@@ -458,29 +484,29 @@ def small_nets(draw):
     keys = st.tuples(st.sampled_from(["p%d" % i for i in range(place_count)]),
                      st.sampled_from(LABELS))
     arcs = []
-    transitions = {}
+    transitions = []
     for t in range(draw(st.integers(1, 5))):
         name = "t%d" % t
-        transitions[name] = Transition(name)
+        transitions.append(name)
         inputs = draw(st.lists(keys, min_size=1, max_size=3))
         outputs = draw(st.lists(keys, min_size=1, max_size=3))
         if draw(st.booleans()):
             outputs.append(inputs[0])  # self-loop
-        arcs += [Arc(place, name, label) for place, label in inputs]
-        arcs += [Arc(name, place, label) for place, label in outputs]
+        arcs += [(place, name, label) for place, label in inputs]
+        arcs += [(name, place, label) for place, label in outputs]
     colors = {"p%d" % i: set() for i in range(place_count)}
-    for arc in arcs:
-        colors[arc.source if arc.source in colors else arc.target].add(arc.label)
+    for source, target, label in arcs:
+        colors[source if source in colors else target].add(label)
     colors["idle"] = set(LABELS)
-    places = {p: Place(p, frozenset(c or LABELS)) for p, c in colors.items()}
+    places = {p: frozenset(c or LABELS) for p, c in colors.items()}
     marked = st.sampled_from(sorted(colors) + ["ghost"])
     tokens = draw(st.dictionaries(st.tuples(marked, st.sampled_from(LABELS)),
                                   st.integers(0, 3), max_size=6))
-    return Net(places, transitions, tuple(arcs), make_marking(tokens))
+    return Net(places, tuple(transitions), tuple(arcs), make_marking(tokens))
 
 
 def assert_fire_matches_oracles(net, marking):
-    for name in list(net.transitions) + ["nope"]:
+    for name in net.transitions + ("nope",):
         outcomes = []
         for step in (fire, fire_oracle, fire_by_sort_oracle):
             try:

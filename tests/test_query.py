@@ -92,6 +92,21 @@ class TestParsing:
         assert q.arith_op == "+"
         assert q.operands[0].value == 10
 
+    def test_arith_comma_is_optional(self):
+        assert parse_query("ADD M(HA, Count, =, 10) M(HA, R, =, 6)") == parse_query(
+            "ADD M(HA, Count, =, 10), M(HA, R, =, 6)"
+        )
+
+    @pytest.mark.parametrize("text", [
+        "AND Network WHERE parameter INSTANCE_OF Network",
+        "AND CHAIN Patient -> Caregiver",
+        'OR Resource WHERE attribute = Connectivity AND value = "Very Poor"',
+        "NOT Patient(X, Suffering, from, Malaria)",
+    ])
+    @pytest.mark.parametrize("blank", [" ", "\n", " \t\n"])
+    def test_trailing_blanks_are_ignored(self, text, blank):
+        assert parse_query(text + blank) == parse_query(text)
+
     def test_error_reports_position_and_expectation(self):
         with pytest.raises(QueryParseError) as err:
             parse_query("AND Resource WHERE")
@@ -111,9 +126,11 @@ class TestParsing:
         with pytest.raises(QueryParseError):
             parse_query("NOT Patient(X, Suffering, from, Malaria) extra")
 
-    def test_empty_query(self):
-        with pytest.raises(QueryParseError):
-            parse_query("   ")
+    @pytest.mark.parametrize("text", ["", "   ", "\n"])
+    def test_empty_query(self, text):
+        with pytest.raises(QueryParseError) as err:
+            parse_query(text)
+        assert (str(err.value), err.value.position) == ("empty query", 0)
 
 
 class TestFormatting:

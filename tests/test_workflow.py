@@ -2,13 +2,14 @@
 
 Each ``run:`` step must be the install line, the tier-1 command, a pytest
 call on test files and the classes and functions they define, a step that
-runs the benchmark, or lines that each call the installed ``ctxflow``
-command. A check written inline in the workflow would run only in CI, so
-no tier-1 run would ever see it fail.
+runs the benchmark with no heredoc or ``sed`` line in it, or lines that
+each call the installed ``ctxflow`` command. A check written inline in the
+workflow would run only in CI, so no tier-1 run would ever see it fail.
 """
 
 import ast
 import pathlib
+import re
 import shlex
 
 import pytest
@@ -23,6 +24,8 @@ TIER_1 = (
     " --continue-on-collection-errors"
 )
 PYTEST = "PYTHONPATH=src python -m pytest -q "
+BENCH = "python3 bench/run.py"
+INLINE = re.compile(r"<<|\bsed\b")  # a heredoc, or a sed line
 
 
 def missing_node(node_id):
@@ -50,8 +53,10 @@ def refusal(script):
     """Why the workflow may not run ``script``, or None if it may."""
     script = script.strip()
     lines = script.splitlines()
-    if script in (INSTALL, TIER_1) or "python3 bench/run.py" in script:
+    if script in (INSTALL, TIER_1):
         return None
+    if BENCH in script:
+        return "inline code beside the bench" if INLINE.search(script) else None
     if all(line.startswith("ctxflow ") for line in lines):
         return None
     if len(lines) == 1 and script.startswith(PYTEST):
@@ -86,9 +91,11 @@ def test_every_step_runs_a_known_entry_point():
         PYTEST + "tests/test_cli.py::TestRun::test_no_such_test",
         PYTEST + "tests/test_cli.py::test_deferred_adaptation_is_listed_once",
         PYTEST + "tests/test_cli.py::TestRun\n" + PYTEST + "bench",
+        "sed -i 's/1200/0/' tests/test_files.py\n" + BENCH + " --workload run-adapt",
+        "python - <<'EOF'\nassert True\nEOF\necho " + BENCH,
     ],
     ids=["heredoc", "sed", "echo", "option", "no-file", "misspelt",
-         "outside-its-class", "two-lines"],
+         "outside-its-class", "two-lines", "sed-before-bench", "heredoc-then-bench"],
 )
 def test_an_inline_check_is_refused(script):
     assert refusal(script)
