@@ -17,19 +17,30 @@ kinds are supported:
 * ``ADD <predicate>[,] <predicate>`` / ``SUB ...`` -- arithmetic over two
   compatible numeric predicates.
 
+The four selection kinds share one evaluation: each keeps the predicates
+of its category that pass its membership test, in situation order, joined
+by its ``AND`` or ``OR``. A chain keeps exactly the predicates that lie on
+some complete chain.
+
 Conditions are AND/OR trees over leaves ``attr <name> <op> <value>``,
 ``param <op> <value>``, ``instance <op> <value>`` and ``value <op> <value>``,
-with parentheses for grouping. Values may be bare words, numbers or quoted
-strings. Text that does not parse raises ``QueryParseError``, which holds
-the offending position; its message says what is wrong there, and names
-the token expected where one was.
+with parentheses for grouping. Keywords are case-insensitive. A bare value
+is typed as the loaders type a plain YAML scalar: a bool, an int or a float
+becomes that value, one YAML cannot build (``0b_``) does not parse, and
+any other word (``inf``, a date, ``null``) stays text. A quoted value is
+always text. Text that does not parse raises ``QueryParseError``, which
+holds the offending position; its message says what is wrong there, and
+names the token expected where one was.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
+
+import yaml
 
 from .context import Value, normalize_value, values_equal
 from .errors import IncompatibleOperandsError, QueryParseError
@@ -115,6 +126,9 @@ class Condition:
         return compare(pred.value, self.cmp, self.value)
 
 
+_ORDERINGS = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le}
+
+
 def compare(left: Value, op: str, right: Value) -> bool:
     if op == "=":
         return values_equal(left, right)
@@ -124,12 +138,7 @@ def compare(left: Value, op: str, right: Value) -> bool:
         lf, rf = float(left), float(right)
     except (TypeError, ValueError):
         return False
-    return {
-        ">": lf > rf,
-        "<": lf < rf,
-        ">=": lf >= rf,
-        "<=": lf <= rf,
-    }[op]
+    return _ORDERINGS[op](lf, rf)
 
 
 @dataclass(frozen=True)
@@ -164,14 +173,17 @@ def _tokenize(text: str):
         m = _TOKEN_RE.match(text, pos)
         if m is None or m.end() == pos:
             raise QueryParseError("unreadable input", position=pos)
-        if m.group("string") is not None:
-            tokens.append((m.group("string")[1:-1], m.start("string"), True))
-        elif m.group("op") is not None:
-            tokens.append((m.group("op"), m.start("op"), False))
-        elif m.group("word") is not None:
-            tokens.append((m.group("word"), m.start("word"), False))
+        kind, quoted = m.lastgroup, m.lastgroup == "string"
+        token = m.group(kind)
+        tokens.append((token[1:-1] if quoted else token, m.start(kind), quoted))
         pos = m.end()
     return tokens
+
+
+# Bare values are typed by PyYAML's safe resolver and constructors, which
+# the loaders use too; both read nothing of the loader's state.
+_YAML = yaml.SafeLoader("")
+_TYPED = {"tag:yaml.org,2002:" + name for name in ("bool", "int", "float")}
 
 
 class _Parser:
@@ -185,11 +197,13 @@ class _Parser:
             return self.tokens[self.index][0]
         return None
 
-    def peek_at(self, offset):
-        i = self.index + offset
-        if i < len(self.tokens):
-            return self.tokens[i][0]
-        return None
+    def at(self, *keywords) -> bool:
+        """Whether the next tokens are ``keywords``, in any case."""
+        ahead = self.tokens[self.index:self.index + len(keywords)]
+        return len(ahead) == len(keywords) and all(
+            token.upper() == keyword.upper()
+            for (token, _, _), keyword in zip(ahead, keywords)
+        )
 
     def position(self) -> int:
         if self.index < len(self.tokens):
@@ -218,15 +232,15 @@ class _Parser:
         self.index += 1
         if quoted:
             return token
+        tag = _YAML.resolve(yaml.ScalarNode, token, (True, False))
+        if tag not in _TYPED:
+            return token
         try:
-            return int(token)
+            return _YAML.yaml_constructors[tag](_YAML, yaml.ScalarNode(tag, token))
         except ValueError:
-            pass
-        try:
-            return float(token)
-        except ValueError:
-            pass
-        return token
+            raise QueryParseError(
+                "%r is not a valid %s" % (token, tag.rsplit(":", 1)[-1]), position=pos
+            ) from None
 
     def predicate(self) -> ContextPredicate:
         category = self.take()
@@ -245,7 +259,7 @@ class _Parser:
         node = self.condition_term()
         children = [node]
         op = None
-        while self.peek() in ("AND", "OR"):
+        while self.at("AND") or self.at("OR"):
             next_op = self.take().upper()
             if op is not None and next_op != op:
                 raise QueryParseError(
@@ -292,7 +306,7 @@ def parse_query(text: str) -> Query:
 
     if head == "AND":
         parser.take("AND")
-        if parser.peek() is not None and parser.peek().upper() == "CHAIN":
+        if parser.at("CHAIN"):
             parser.take("CHAIN")
             chain = [parser.take()]
             parser.take("->")
@@ -304,12 +318,7 @@ def parse_query(text: str) -> Query:
             return Query("and_cross_category", chain=tuple(chain))
         category = parser.take()
         parser.take("WHERE")
-        if (
-            parser.peek() is not None
-            and parser.peek().lower() == "parameter"
-            and parser.peek_at(1) is not None
-            and parser.peek_at(1).upper() == "INSTANCE_OF"
-        ):
+        if parser.at("parameter", "INSTANCE_OF"):
             parser.take()
             parser.take()
             target = parser.take()
@@ -377,109 +386,68 @@ def _category_matches(pred: ContextPredicate, category: str) -> bool:
     return pred.category.casefold() == category.casefold()
 
 
+# Each selection kind's join and its membership test, met by a predicate of
+# the query's category.
+_SELECTIONS = {
+    "and_by_parameter": ("AND", lambda q, p: p.is_instance_of(q.target)),
+    "and_conditional": ("AND", lambda q, p: q.condition.holds(p)),
+    "or_same_instance": (
+        "OR",
+        lambda q, p: values_equal(p.subject, q.instance)
+        and values_equal(p.attribute, q.attribute),
+    ),
+    "or_same_value": (
+        "OR",
+        lambda q, p: values_equal(p.attribute, q.attribute)
+        and values_equal(p.value, q.value),
+    ),
+}
+
+
 def evaluate(q: Query, cs: Sequence[ContextPredicate]) -> QueryResult:
     """Evaluate a query over the situation's predicate list.
 
     Result predicates keep the situation's declaration order; an empty
     selection yields NULL (except arithmetic, which errors on bad operands).
     """
-    if q.kind == "and_by_parameter":
-        chosen = [
-            p
-            for p in cs
-            if _category_matches(p, q.category) and p.is_instance_of(q.target)
-        ]
-        return _joined("AND", chosen)
-
-    if q.kind == "and_cross_category":
-        chosen = _chain_participants(q.chain, cs)
-        return _joined("AND", chosen)
-
-    if q.kind == "and_conditional":
-        chosen = [
-            p
-            for p in cs
-            if _category_matches(p, q.category) and q.condition.holds(p)
-        ]
-        return _joined("AND", chosen)
-
-    if q.kind == "or_same_instance":
-        chosen = [
-            p
-            for p in cs
-            if _category_matches(p, q.category)
-            and values_equal(p.subject, q.instance)
-            and values_equal(p.attribute, q.attribute)
-        ]
-        return _joined("OR", chosen)
-
-    if q.kind == "or_same_value":
-        chosen = [
-            p
-            for p in cs
-            if _category_matches(p, q.category)
-            and values_equal(p.attribute, q.attribute)
-            and values_equal(p.value, q.value)
-        ]
-        return _joined("OR", chosen)
-
     if q.kind == "not":
         return QueryResult(None, (q.predicate,))
-
     if q.kind == "arith":
         return QueryResult(None, (apply_arith(q.arith_op, *q.operands),))
-
-    raise ValueError("unknown query kind %r" % (q.kind,))
-
-
-def _joined(op: str, predicates) -> QueryResult:
-    if not predicates:
-        return QueryResult.NULL
-    return QueryResult(op, tuple(predicates))
+    if q.kind == "and_cross_category":
+        op, chosen = "AND", _chain_participants(q.chain, cs)
+    elif q.kind in _SELECTIONS:
+        op, member = _SELECTIONS[q.kind]
+        chosen = [p for p in cs if _category_matches(p, q.category) and member(q, p)]
+    else:
+        raise ValueError("unknown query kind %r" % (q.kind,))
+    return QueryResult(op, tuple(chosen)) if chosen else QueryResult.NULL
 
 
 def _chain_participants(chain, cs):
     """Predicates taking part in at least one complete category chain.
 
-    A chain links predicates where the previous value equals the next
-    subject. Chains longer than two links are supported but rarely useful.
+    A chain takes one predicate of each category in turn, where each
+    predicate's value equals the next one's subject.
     """
-    stages = [
-        [p for p in cs if _category_matches(p, cat)] for cat in chain
-    ]
-    # forward[i][p] = True if a partial chain from stage 0 reaches p
-    forward = []
-    for i, stage in enumerate(stages):
-        marks = {}
-        for p in stage:
-            if i == 0:
-                marks[id(p)] = True
-            else:
-                marks[id(p)] = any(
-                    forward[i - 1][id(prev)]
-                    and values_equal(prev.value, p.subject)
-                    for prev in stages[i - 1]
-                )
-        forward.append(marks)
-    backward = [None] * len(stages)
-    for i in range(len(stages) - 1, -1, -1):
-        marks = {}
-        for p in stages[i]:
-            if i == len(stages) - 1:
-                marks[id(p)] = True
-            else:
-                marks[id(p)] = any(
-                    backward[i + 1][id(nxt)]
-                    and values_equal(p.value, nxt.subject)
-                    for nxt in stages[i + 1]
-                )
-        backward[i] = marks
-    participating = set()
-    for i, stage in enumerate(stages):
-        for p in stage:
-            if forward[i][id(p)] and backward[i][id(p)]:
-                participating.add(id(p))
-    return [p for p in cs if id(p) in participating]
+    # Forward: the predicates of each stage that some chain from stage 0 reaches.
+    reached = [[p for p in cs if _category_matches(p, chain[0])]]
+    for category in chain[1:]:
+        reached.append([
+            p for p in cs
+            if _category_matches(p, category)
+            and any(values_equal(prev.value, p.subject) for prev in reached[-1])
+        ])
+    # Backward: of those, the ones that also reach the last stage.
+    kept = reached[-1]
+    on_chain = set(map(id, kept))
+    for stage in reversed(reached[:-1]):
+        kept = [
+            p for p in stage
+            if any(values_equal(p.value, nxt.subject) for nxt in kept)
+        ]
+        on_chain.update(map(id, kept))
+    return [p for p in cs if id(p) in on_chain]
 
 
 def apply_arith(

@@ -223,9 +223,18 @@ def format_query(q):
 
 
 def _format_value(v):
-    if isinstance(v, str) and re.search(r"[\s=<>!(),]", v):
+    """``v`` as query text: a string is quoted where it holds a separator,
+    or where YAML would read the bare word as something other than it."""
+    if isinstance(v, str) and (re.search(r"[\s=<>!(),]", v) or _retyped(v)):
         return '"%s"' % v
     return str(v)
+
+
+def _retyped(word):
+    try:
+        return yaml.safe_load(word) != word
+    except (yaml.YAMLError, ValueError):
+        return True
 
 
 def _format_condition(c):

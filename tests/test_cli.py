@@ -661,6 +661,59 @@ class TestQuery:
         ]
 
 
+    @pytest.mark.parametrize("joiner", ["or", "Or", "OR"])
+    def test_joiner_between_terms_in_any_case(self, kiosk_dir, capsys, joiner):
+        query = "AND Weather WHERE attr Status = Rainy %s attr Status = Sunny"
+        rc = main(["query", str(kiosk_dir / "scenario.yaml"), query % joiner])
+        assert rc == 0
+        assert capsys.readouterr().out == "Weather(Weather, Status, =, Rainy)\n"
+
+    def test_mixed_joiners_in_any_case_are_refused(self, kiosk_dir, capsys):
+        query = (
+            "AND Weather WHERE attr Status = Rainy and attr Status = Sunny"
+            " OR attr Status = Cloudy"
+        )
+        rc = main(["query", str(kiosk_dir / "scenario.yaml"), query])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "query error at position %d: mixed AND/OR without parentheses\n"
+            % query.index("attr Status = Cloudy")
+        )
+
+    def test_bare_value_selects_what_the_scenario_holds(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "version: 1\nkind: scenario\nsituations:\n"
+            "  - time: 600\n    contexts:\n"
+            "      - {parameter: Sensor, attribute: Reading, value: inf}\n"
+            "      - {parameter: Sensor, attribute: Armed, value: true}\n"
+            "      - {parameter: Sensor, attribute: Code, value: 0x1F}\n"
+        )
+        reading = "Sensor(Sensor, Reading, =, inf)"
+        armed = "Sensor(Sensor, Armed, =, True)"
+        code = "Sensor(Sensor, Code, =, 31)"
+        expected = {
+            "OR Sensor WHERE attribute = Reading AND value = inf": reading,
+            'OR Sensor WHERE attribute = Reading AND value = "inf"': reading,
+            "OR Sensor WHERE attribute = Armed AND value = true": armed,
+            "OR Sensor WHERE attribute = Armed AND value = On": armed,
+            'OR Sensor WHERE attribute = Armed AND value = "true"': "NULL",
+            "AND Sensor WHERE attr Code = 0x1F": code,
+            "AND Sensor WHERE attr Code = 31": code,
+        }
+        for query in expected:
+            assert main(["query", str(scenario), query]) == 0
+        assert capsys.readouterr().out.splitlines() == list(expected.values())
+
+    def test_arith_on_a_bare_inf_is_runtime_error(self, kiosk_dir, capsys):
+        query = "ADD Manpower(HA, Count, =, inf), Manpower(HA, Count, =, 1)"
+        rc = main(["query", str(kiosk_dir / "scenario.yaml"), query])
+        assert rc == 2
+        assert capsys.readouterr().out == (
+            "query failed: non-numeric operand Manpower(HA, Count, =, inf)\n"
+        )
+
+
 def test_unexpected_engine_error_is_one_line_naming_its_class(
     kiosk_bundle, monkeypatch, capsys
 ):

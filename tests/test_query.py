@@ -1,7 +1,9 @@
 """Tests for the context predicate algebra and its query language."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctxflow.errors import IncompatibleOperandsError, QueryParseError
@@ -122,9 +124,52 @@ class TestParsing:
         with pytest.raises(QueryParseError):
             parse_query("AND C WHERE attr a = 1 AND attr b = 2 OR attr c = 3")
 
+    @pytest.mark.parametrize("joiner", ["and", "or", "Or", "aNd"])
+    def test_joiner_between_terms_is_case_insensitive(self, joiner):
+        text = "AND Weather WHERE attr Status = Rainy %s attr Status = Sunny"
+        assert parse_query(text % joiner) == parse_query(text % joiner.upper())
+
+    @pytest.mark.parametrize("text", [
+        "AND C WHERE attr a = 1 and attr b = 2 OR attr c = 3",
+        "AND C WHERE attr a = 1 or attr b = 2 AND attr c = 3",
+        "AND C WHERE attr a = 1 and attr b = 2 or attr c = 3",
+    ])
+    def test_mixed_lower_case_joiners_need_parentheses(self, text):
+        with pytest.raises(QueryParseError) as err:
+            parse_query(text)
+        assert str(err.value) == "mixed AND/OR without parentheses"
+        assert err.value.position == text.index("attr c")
+
     def test_trailing_garbage(self):
         with pytest.raises(QueryParseError):
             parse_query("NOT Patient(X, Suffering, from, Malaria) extra")
+
+    # A bare word is what the same word is in a scenario document.
+    @pytest.mark.parametrize("word, typed", [
+        ("inf", "inf"), ("nan", "nan"), ("1e5", "1e5"), ("1.5e3", "1.5e3"),
+        ("true", True), ("No", False), ("on", True), ("0x1F", 31), ("1:30", 90),
+        ("017", 15), (".inf", float("inf")), ("2.5", 2.5), ("-3", -3),
+        ("null", "null"), ("2026-01-01", "2026-01-01"), ("Rainy", "Rainy"),
+    ])
+    def test_bare_value_is_typed_as_yaml_types_it(self, word, typed):
+        values = (
+            parse_query("OR Sensor WHERE attribute = Reading AND value = %s" % word).value,
+            parse_query("AND Sensor WHERE value = %s" % word).condition.value,
+            parse_query("NOT Sensor(S, Reading, =, %s)" % word).predicate.value,
+        )
+        assert [(type(v), v) for v in values] == [(type(typed), typed)] * 3
+
+    @pytest.mark.parametrize("word", ["true", "3", "inf", "0x1F", "null"])
+    def test_quoted_value_is_text(self, word):
+        q = parse_query('OR Sensor WHERE attribute = Reading AND value = "%s"' % word)
+        assert q.value == word
+
+    def test_bare_value_yaml_cannot_build_is_a_parse_error(self):
+        text = "AND Sensor WHERE value = 0b_"
+        with pytest.raises(QueryParseError) as err:
+            parse_query(text)
+        assert str(err.value) == "'0b_' is not a valid int"
+        assert err.value.position == text.index("0b_")
 
     @pytest.mark.parametrize("text", ["", "   ", "\n"])
     def test_empty_query(self, text):
@@ -276,7 +321,10 @@ class TestArithCompatibility:
 CATEGORIES = ("Resource", "Caregiver", "Season")
 SUBJECTS = ("BSNL_Network", "Reliance_Network", "Z1", "Z2", "Weather")
 ATTRS = ("Connectivity", "Status", "Expertise")
-VALUES = ("Very Poor", "Average", "Present", "Absent", 3)
+# Values that link to a subject ("Z1", " weather"), that YAML types ("true"
+# is text here), and that YAML leaves as text ("inf").
+VALUES = ("Very Poor", "Average", "Present", "Absent", 3, True, "true", "inf",
+          "Z1", " weather")
 
 predicates = st.builds(
     pred,
@@ -284,6 +332,11 @@ predicates = st.builds(
     subject=st.sampled_from(SUBJECTS),
     attribute=st.sampled_from(ATTRS),
     value=st.sampled_from(VALUES),
+)
+
+# A situation may list one predicate object more than once.
+situations = st.lists(predicates, max_size=6).flatmap(
+    lambda ps: st.lists(st.sampled_from(ps), max_size=8) if ps else st.just([])
 )
 
 queries = st.one_of(
@@ -294,7 +347,7 @@ queries = st.one_of(
     ),
     st.builds(
         lambda chain: Query("and_cross_category", chain=chain),
-        st.tuples(st.sampled_from(CATEGORIES), st.sampled_from(CATEGORIES)),
+        st.lists(st.sampled_from(CATEGORIES), min_size=2, max_size=4).map(tuple),
     ),
     st.builds(
         lambda c, a, v: Query(
@@ -321,12 +374,61 @@ queries = st.one_of(
 )
 
 
-@given(q=queries, cs=st.lists(predicates, max_size=8))
+# A repeated category, over a situation that lists one predicate twice.
+PATIENTS = (
+    pred("Patient", "X", "Next", "Y"),
+    pred("Patient", "Y", "Next", "Z"),
+    pred("Patient", "W", "Next", "V"),
+)
+PATIENT_CHAIN = Query("and_cross_category", chain=("Patient", "Patient"))
+
+
+@given(q=queries, cs=situations)
+@example(q=PATIENT_CHAIN, cs=[*PATIENTS, PATIENTS[0]])
 @settings(max_examples=300)
 def test_evaluator_matches_subset_oracle(q, cs):
     got = evaluate(q, cs)
     expected = query_oracle(q, cs)
     assert list(got.predicates) == expected
+    # Each kind joins by the word it starts with; nothing selected is NULL.
+    if expected:
+        assert got.op == q.kind.split("_")[0].upper()
+    else:
+        assert got is QueryResult.NULL
+
+
+@given(q=queries)
+def test_every_generated_query_round_trips(q):
+    assert parse_query(format_query(q)) == q
+
+
+def test_random_chains_match_the_oracle():
+    # Chains of 2-4 categories, some repeated and re-cased, over situations
+    # whose values mostly name a subject and that list predicates again;
+    # about a quarter of the chains are complete.
+    rng = random.Random(1)
+    for _ in range(5000):
+        chain = tuple(
+            rng.choice(("Patient", "Caregiver", "patient"))
+            for _ in range(rng.randint(2, 4))
+        )
+        listed = [
+            pred(
+                rng.choice(("Patient", "Caregiver")),
+                rng.choice(("Z1", "Z2", "Z3")),
+                "Next",
+                rng.choice(("Z1", " z2", "z3 ", 3)),
+            )
+            for _ in range(rng.randint(2, 6))
+        ]
+        cs = [rng.choice(listed) for _ in range(rng.randint(2, 9))]
+        q = Query("and_cross_category", chain=chain)
+        assert list(evaluate(q, cs).predicates) == query_oracle(q, cs)
+
+
+def test_chain_may_repeat_a_category_and_a_listed_predicate():
+    x, y, _ = PATIENTS
+    assert evaluate(PATIENT_CHAIN, [*PATIENTS, x]).predicates == (x, y, x)
 
 
 def test_null_result_is_shared_sentinel():

@@ -5,6 +5,7 @@ call on test files and the classes and functions they define, a step that
 runs the benchmark with no heredoc or ``sed`` line in it, or lines that
 each call the installed ``ctxflow`` command. A check written inline in the
 workflow would run only in CI, so no tier-1 run would ever see it fail.
+No pytest step may run a test that an earlier one runs already.
 """
 
 import ast
@@ -68,6 +69,36 @@ def refusal(script):
     return "not a known entry point"
 
 
+def node_ids(script):
+    """The node ids a one-line pytest step runs; none for any other step."""
+    script = script.strip()
+    if "\n" in script or not script.startswith(PYTEST):
+        return []
+    return shlex.split(script[len(PYTEST):])
+
+
+def runs(node_id, other):
+    """Whether running ``node_id`` runs ``other`` too."""
+    return other == node_id or other.startswith((node_id + "::", node_id + "/"))
+
+
+def repeats(scripts):
+    """Each (node id, earlier node id) where a pytest step runs a test that
+    an earlier step runs already: the same id, one inside the other's path
+    or class, or one holding the other."""
+    found, earlier = [], []
+    for script in scripts:
+        ids = node_ids(script)
+        found += [
+            (node_id, seen)
+            for node_id in ids
+            for seen in earlier
+            if runs(seen, node_id) or runs(node_id, seen)
+        ]
+        earlier += ids
+    return found
+
+
 def run_steps():
     workflow = yaml.safe_load(WORKFLOW.read_text())
     for job in workflow["jobs"].values():
@@ -78,6 +109,58 @@ def run_steps():
 
 def test_every_step_runs_a_known_entry_point():
     assert [(name, refusal(run)) for name, run in run_steps() if refusal(run)] == []
+
+
+def test_no_step_runs_a_test_an_earlier_step_runs():
+    assert repeats(run for _, run in run_steps()) == []
+
+
+PARSE_ERRORS = "tests/test_files.py::TestParseErrors"
+DEEP = PARSE_ERRORS + "::test_deeply_nested_document_is_a_load_error"
+
+
+def test_the_parse_error_class_once_ran_three_times():
+    steps = [PYTEST + PARSE_ERRORS, PYTEST + PARSE_ERRORS, PYTEST + DEEP]
+    assert repeats(steps) == [
+        (PARSE_ERRORS, PARSE_ERRORS), (DEEP, PARSE_ERRORS), (DEEP, PARSE_ERRORS)
+    ]
+
+
+@pytest.mark.parametrize(
+    "earlier, later",
+    [
+        (PARSE_ERRORS, PARSE_ERRORS),
+        (PARSE_ERRORS, DEEP),
+        ("tests/test_files.py", PARSE_ERRORS),
+        ("tests", PARSE_ERRORS),
+        (DEEP, PARSE_ERRORS),
+        ("tests/test_cli.py::TestRun " + PARSE_ERRORS, "bench " + DEEP),
+    ],
+    ids=["same", "method-of-class", "class-of-file", "file-of-directory",
+         "class-holding-method", "second-id"],
+)
+def test_a_repeated_node_id_is_refused(earlier, later):
+    assert len(repeats([PYTEST + earlier, PYTEST + later])) == 1
+
+
+@pytest.mark.parametrize(
+    "earlier, later",
+    [
+        ("tests/test_petri.py::test_translate_pauses_the_collector_and_restores_it",
+         "tests/test_petri.py::test_translating_a_large_model_starts_no_collection"),
+        ("tests/test_cli.py::TestRun", "tests/test_cli.py::TestRunner"),
+        ("tests/test_cli.py", "tests/test_cli.pyc"),
+        ("bench", "tests/test_cli.py"),
+    ],
+    ids=["sibling-functions", "prefix-of-class-name", "prefix-of-file-name",
+         "other-directory"],
+)
+def test_distinct_node_ids_are_accepted(earlier, later):
+    assert repeats([PYTEST + earlier, PYTEST + later]) == []
+
+
+def test_only_pytest_steps_are_compared():
+    assert repeats([TIER_1, INSTALL, PYTEST + PARSE_ERRORS, "ctxflow run x"]) == []
 
 
 @pytest.mark.parametrize(
