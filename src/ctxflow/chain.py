@@ -423,7 +423,7 @@ class TraceEntry:
             self.activity_id,
             self.value.render() if self.value is not None else "-",
             self.fragment_id or "-",
-            self.action or "no-change",
+            self.action or self.kind,
         ]
         if self.deferred_until is not None:
             parts.append("deferred-until=%d" % self.deferred_until)

@@ -4,7 +4,9 @@ Every document starts with ``version: 1`` and a ``kind`` tag; loaders reject
 unknown versions and mismatched kinds so that a bundle wired to the wrong
 file fails fast with the offending path in the error. Every schema lives
 here, checked with one set of entry helpers: a malformed entry is a
-``LoadError`` of the form ``<file>: <entry> N: <problem>``.
+``LoadError`` of the form ``<file>: <entry> N: <problem>``, where an entry
+listed inside another names both places (``situation 0 context 3``). One
+walker, ``_entries``, names and checks every listed entry.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import functools
 import gc
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -32,7 +33,7 @@ from yaml.nodes import ScalarNode
 from yaml.reader import ReaderError
 
 from .chain import Action, ActivityChain, ActivityNode, AdaptationRule, ProcessModel
-from .context import AtomicContext, ContextualSituation, ScopeFilter
+from .context import AtomicContext, ContextualSituation, ScopeFilter, is_value
 from .errors import LoadError, UnknownSubgoalError
 from .fragments import (
     FragmentActivity,
@@ -295,6 +296,16 @@ def _list(spec: dict, key: str, where: str = "") -> list:
     return items
 
 
+def _entries(spec: dict, key: str, noun: str, *required, where: str = ""):
+    """``(place, entry)`` for each item listed under ``key``: ``place`` reads
+    ``<where> <noun> N``, and ``entry`` is a mapping holding ``required``."""
+    items = _list(spec, key, where)
+    prefix = where + " " if where else ""
+    for i, entry in enumerate(items):
+        place = "%s%s %d" % (prefix, noun, i)
+        yield place, _mapping(entry, place, *required)
+
+
 def _text(spec: dict, key: str, where: str = "", default: str = "") -> str:
     value = spec.get(key, default)
     if not isinstance(value, str):
@@ -336,12 +347,6 @@ def _subgoal_key(spec: dict, where: str, default):
     return value
 
 
-def _is_value(value) -> bool:
-    # Values compare as numbers, so a whole number must fit a float.
-    return isinstance(value, (str, float)) or (
-        isinstance(value, int) and abs(value) <= sys.float_info.max)
-
-
 def _pairs(items: list, where: str) -> list:
     """``[attribute, value]`` pairs: text and a text, number or truth value."""
     for item in items:
@@ -349,7 +354,7 @@ def _pairs(items: list, where: str) -> list:
             isinstance(item, list)
             and len(item) == 2
             and isinstance(item[0], str)
-            and _is_value(item[1])
+            and is_value(item[1])
         ):
             raise _error(where, "not an [attribute, value] pair: %r" % (item,))
     return [tuple(item) for item in items]
@@ -391,30 +396,20 @@ def _load(path, kind: str, build, *args):
         raise LoadError("cannot parse %s: nested too deeply" % (path,)) from None
 
 
-def _context_from_spec(spec: dict) -> AtomicContext:
-    if not isinstance(spec, dict):
-        raise LoadError("context entry %r is not a mapping" % (spec,))
-    for key in ("parameter", "attribute", "connector", "instance", "category",
-                "temporality"):
-        if key in spec and not isinstance(spec[key], str):
-            raise LoadError("bad context entry %r: %s must be text" % (spec, key))
-    if not _is_value(spec.get("value", "")):
-        raise LoadError(
-            "bad context entry %r: value must be text, a number or a truth value"
-            % (spec,)
-        )
-    try:
-        return AtomicContext(
-            parameter=spec["parameter"],
-            attribute=spec["attribute"],
-            connector=spec.get("connector", "="),
-            value=spec.get("value", ""),
-            instance=spec.get("instance"),
-            category=spec.get("category", "organization"),
-            temporality=spec.get("temporality", "dynamic"),
-        )
-    except (KeyError, ValueError) as exc:
-        raise LoadError("bad context entry %r: %s" % (spec, exc))
+def _context(spec: dict, where: str) -> AtomicContext:
+    """The context ``spec``, a mapping holding its parameter and attribute."""
+    parameter = _text(spec, "parameter", where)
+    attribute = _text(spec, "attribute", where)
+    connector = _text(spec, "connector", where, "=")
+    instance = _text(spec, "instance", where) if "instance" in spec else None
+    category = _text(spec, "category", where, "organization")
+    temporality = _text(spec, "temporality", where, "dynamic")
+    value = spec.get("value", "")
+    if not is_value(value):
+        raise _error(where, "value must be text, a number or a truth value, not %r"
+                     % (value,))
+    return _build(where, AtomicContext, parameter, attribute, connector, value,
+                  instance, category, temporality)
 
 
 # -- context graph -----------------------------------------------------------
@@ -439,47 +434,37 @@ def _composition(spec, node: str, enclosing=()) -> Composition:
 
 
 def _graph(doc: dict) -> ContextGraph:
-    entities = []
-    for i, spec in enumerate(_list(doc, "entities")):
-        where = "entity %d" % i
-        spec = _mapping(spec, where, "name")
-        entities.append(
-            EntityNode(
-                _text(spec, "name", where),
-                _text(spec, "category", where, "organization"),
-            )
+    entities = [
+        EntityNode(
+            _text(spec, "name", where),
+            _text(spec, "category", where, "organization"),
         )
-    attributes = []
-    for i, spec in enumerate(_list(doc, "attributes")):
-        where = "attribute %d" % i
-        spec = _mapping(spec, where, "name")
-        attributes.append(
-            _build(
-                where,
-                AttributeNode,
-                _text(spec, "name", where),
-                temporality=_text(spec, "temporality", where, "dynamic"),
-                derivation=_text(spec, "derivation", where, "direct"),
-                delay=_count(spec, "delay", where),
-            )
+        for where, spec in _entries(doc, "entities", "entity", "name")
+    ]
+    attributes = [
+        _build(
+            where,
+            AttributeNode,
+            _text(spec, "name", where),
+            temporality=_text(spec, "temporality", where, "dynamic"),
+            derivation=_text(spec, "derivation", where, "direct"),
+            delay=_count(spec, "delay", where),
         )
-    relations = []
-    for i, spec in enumerate(_list(doc, "relations")):
-        where = "relation %d" % i
-        spec = _mapping(spec, where, "source", "target")
-        relations.append(
-            _build(
-                where,
-                EntityRelation,
-                _text(spec, "source", where),
-                _text(spec, "target", where),
-                _text(spec, "cardinality", where, "one-one"),
-            )
+        for where, spec in _entries(doc, "attributes", "attribute", "name")
+    ]
+    relations = [
+        _build(
+            where,
+            EntityRelation,
+            _text(spec, "source", where),
+            _text(spec, "target", where),
+            _text(spec, "cardinality", where, "one-one"),
         )
+        for where, spec in _entries(doc, "relations", "relation", "source", "target")
+    ]
     rules = []
-    for i, spec in enumerate(_list(doc, "dependency_rules")):
-        where = "dependency rule %d" % i
-        spec = _mapping(spec, where, "if", "then")
+    for where, spec in _entries(doc, "dependency_rules", "dependency rule",
+                                "if", "then"):
         antecedent = _pairs(_list(spec, "if", where), where)
         (consequent,) = _pairs([spec["then"]], where)
         rules.append(
@@ -491,22 +476,19 @@ def _graph(doc: dict) -> ContextGraph:
                 consequent=RulePattern(*consequent),
             )
         )
-    nodes = []
-    for i, spec in enumerate(_list(doc, "state_nodes")):
-        where = "state node %d" % i
-        spec = _mapping(spec, where, "id")
-        nodes.append(
-            StateNodeDef(
-                id=_text(spec, "id", where),
-                parameters=tuple(_distinct_texts(spec, "parameters", where, "parameter")),
-                attributes=tuple(_distinct_texts(spec, "attributes", where, "attribute")),
-                composition=(
-                    _composition(spec["composition"], where)
-                    if "composition" in spec
-                    else None
-                ),
-            )
+    nodes = [
+        StateNodeDef(
+            id=_text(spec, "id", where),
+            parameters=tuple(_distinct_texts(spec, "parameters", where, "parameter")),
+            attributes=tuple(_distinct_texts(spec, "attributes", where, "attribute")),
+            composition=(
+                _composition(spec["composition"], where)
+                if "composition" in spec
+                else None
+            ),
         )
+        for where, spec in _entries(doc, "state_nodes", "state node", "id")
+    ]
     # The graph files each kind by name, where a repeat would replace the
     # entry before it.
     graph = ContextGraph.build(
@@ -553,21 +535,18 @@ def load_repository(document: dict) -> FragmentRepository:
         raise LoadError("repository document must be a mapping")
 
     fragments = {}
-    for i, spec in enumerate(_list(document, "fragments")):
-        where = "fragment %d" % i
-        spec = _mapping(spec, where, "id", "activities")
-        activities = []
-        for k, a in enumerate(_list(spec, "activities", where)):
-            at = "%s activity %d" % (where, k)
-            a = _mapping(a, at, "name")
-            activities.append(
-                FragmentActivity(
-                    name=_text(a, "name", at),
-                    sub_goal=_subgoal_key(a, at, ""),
-                    role=_text(a, "role", at),
-                    medium=_text(a, "medium", at),
-                )
+    for where, spec in _entries(document, "fragments", "fragment", "id",
+                                "activities"):
+        activities = [
+            FragmentActivity(
+                name=_text(a, "name", at),
+                sub_goal=_subgoal_key(a, at, ""),
+                role=_text(a, "role", at),
+                medium=_text(a, "medium", at),
             )
+            for at, a in _entries(spec, "activities", "activity", "name",
+                                  where=where)
+        ]
         frag = _build(
             where, ProcessFragment, _text(spec, "id", where), tuple(activities)
         )
@@ -577,15 +556,12 @@ def load_repository(document: dict) -> FragmentRepository:
 
     subgoals = []
     keys = []  # each sub-goal's normalized row patterns, for the repository
-    for i, spec in enumerate(_list(document, "subgoals")):
-        where = "sub-goal %d" % i
-        spec = _mapping(spec, where, "name")
+    for where, spec in _entries(document, "subgoals", "sub-goal", "name"):
         rows = []
         seen = {}  # each row's normalized pattern, in row order: none repeats
         used = set()
-        for k, row in enumerate(_list(spec, "entries", where)):
-            at = "%s entry %d" % (where, k)
-            row = _mapping(row, at, "value", "fragment")
+        for at, row in _entries(spec, "entries", "entry", "value", "fragment",
+                                where=where):
             pattern = composite_from_pairs(
                 _pairs(_list(row, "value", at), at), _text(row, "op", at, "AND")
             )
@@ -600,7 +576,7 @@ def load_repository(document: dict) -> FragmentRepository:
             seen[normalized] = None
             used.add(fragment_id)
             rows.append((pattern, fragment_id))
-        index = spec.get("index", i + 1)
+        index = spec.get("index", len(subgoals) + 1)
         if isinstance(index, bool) or not isinstance(index, int):
             raise _error(where, "index must be a whole number, not %r" % (index,))
         subgoals.append(
@@ -618,9 +594,8 @@ def load_fragments(path) -> FragmentRepository:
 # -- process model -----------------------------------------------------------
 
 
-def _activity(spec, where: str, graph: ContextGraph,
+def _activity(spec: dict, where: str, graph: ContextGraph,
               repo: FragmentRepository) -> ActivityNode:
-    spec = _mapping(spec, where, "id")
     activity_id = _text(spec, "id", where)
     sub_goal = _subgoal_key(spec, where, spec["id"])
     role = _text(spec, "role", where)
@@ -663,9 +638,8 @@ def _activity(spec, where: str, graph: ContextGraph,
     )
 
 
-def _rule(spec, where: str, chain: ActivityChain,
+def _rule(spec: dict, where: str, chain: ActivityChain,
           repo: FragmentRepository) -> AdaptationRule:
-    spec = _mapping(spec, where, "activity", "value", "action")
     activity_id = _text(spec, "activity", where)
     if activity_id not in chain:
         raise _error(where, "unknown activity %r" % (activity_id,))
@@ -724,8 +698,8 @@ def _check_bound(chain: ActivityChain, graph: ContextGraph, bound) -> None:
 
 def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessModel:
     ordered = _unique([
-        _activity(spec, "activity %d" % i, graph, repo)
-        for i, spec in enumerate(_list(doc, "activities"))
+        _activity(spec, where, graph, repo)
+        for where, spec in _entries(doc, "activities", "activity", "id")
     ], "activity", "id")
     if not ordered:
         raise LoadError("declares no activities")
@@ -733,12 +707,9 @@ def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessM
 
     ideal: Dict[str, AtomicContext] = {}
     bound = []
-    for i, spec in enumerate(_list(doc, "ideal")):
-        where = "ideal entry %d" % i
-        try:
-            ctx = _context_from_spec(spec)
-        except LoadError as exc:
-            raise _error(where, str(exc)) from None
+    for where, spec in _entries(doc, "ideal", "ideal entry", "parameter",
+                                "attribute"):
+        ctx = _context(spec, where)
         if ctx.qualified not in graph.attributes:
             raise _error(where, "unknown attribute %r" % (ctx.qualified,))
         ideal[ctx.qualified] = ctx
@@ -746,8 +717,9 @@ def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessM
     _check_bound(chain, graph, bound)
 
     rules = tuple(
-        _rule(spec, "rule %d" % i, chain, repo)
-        for i, spec in enumerate(_list(doc, "rules"))
+        _rule(spec, where, chain, repo)
+        for where, spec in _entries(doc, "rules", "rule", "activity", "value",
+                                    "action")
     )
     return ProcessModel(graph, chain, repo, rules, ideal)
 
@@ -765,11 +737,13 @@ ListedSituation = Tuple[ContextualSituation, List[AtomicContext]]
 
 def _scenario(doc: dict) -> List[ListedSituation]:
     situations: List[ListedSituation] = []
-    for i, spec in enumerate(_list(doc, "situations")):
-        where = "situation %d" % i
-        spec = _mapping(spec, where, "time")
+    for where, spec in _entries(doc, "situations", "situation", "time"):
+        contexts = [
+            _context(c, at)
+            for at, c in _entries(spec, "contexts", "context", "parameter",
+                                  "attribute", where=where)
+        ]
         try:
-            contexts = [_context_from_spec(c) for c in _list(spec, "contexts")]
             cs = ContextualSituation.from_contexts(contexts, parse_time(spec["time"]))
         except LoadError as exc:
             raise _error(where, str(exc)) from None

@@ -26,11 +26,13 @@ Conditions are AND/OR trees over leaves ``attr <name> <op> <value>``,
 ``param <op> <value>``, ``instance <op> <value>`` and ``value <op> <value>``,
 with parentheses for grouping. Keywords are case-insensitive. A bare value
 is typed as the loaders type a plain YAML scalar: a bool, an int or a float
-becomes that value, one YAML cannot build (``0b_``) does not parse, and
-any other word (``inf``, a date, ``null``) stays text. A quoted value is
-always text. Text that does not parse raises ``QueryParseError``, which
-holds the offending position; its message says what is wrong there, and
-names the token expected where one was.
+becomes that value, one YAML cannot build (``0b_``) or a whole number too
+large for a float does not parse, and any other word (``inf``, a date,
+``null``) stays text. A quoted value is always text. Only two numbers are
+ordered, and exactly: text and truth values never are. Text that does not
+parse raises ``QueryParseError``, which holds the offending position; its
+message says what is wrong there, and names the token expected where one
+was.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Optional, Sequence, Tuple
 
 import yaml
 
-from .context import Value, normalize_value, values_equal
+from .context import Value, is_value, normalize_value, values_equal
 from .errors import IncompatibleOperandsError, QueryParseError
 
 
@@ -129,16 +131,17 @@ class Condition:
 _ORDERINGS = {">": operator.gt, "<": operator.lt, ">=": operator.ge, "<=": operator.le}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def compare(left: Value, op: str, right: Value) -> bool:
+    """Whether ``left op right``. Only two numbers are ordered, exactly."""
     if op == "=":
         return values_equal(left, right)
     if op == "!=":
         return not values_equal(left, right)
-    try:
-        lf, rf = float(left), float(right)
-    except (TypeError, ValueError):
-        return False
-    return _ORDERINGS[op](lf, rf)
+    return _is_number(left) and _is_number(right) and _ORDERINGS[op](left, right)
 
 
 @dataclass(frozen=True)
@@ -236,11 +239,16 @@ class _Parser:
         if tag not in _TYPED:
             return token
         try:
-            return _YAML.yaml_constructors[tag](_YAML, yaml.ScalarNode(tag, token))
+            value = _YAML.yaml_constructors[tag](_YAML, yaml.ScalarNode(tag, token))
         except ValueError:
             raise QueryParseError(
                 "%r is not a valid %s" % (token, tag.rsplit(":", 1)[-1]), position=pos
             ) from None
+        if not is_value(value):
+            raise QueryParseError(
+                "%r is a whole number too large for a float" % (token,), position=pos
+            )
+        return value
 
     def predicate(self) -> ContextPredicate:
         category = self.take()
@@ -459,7 +467,7 @@ def apply_arith(
     result keeps the first operand's attribute name.
     """
     for pred in (left, right):
-        if isinstance(pred.value, bool) or not isinstance(pred.value, (int, float)):
+        if not _is_number(pred.value):
             raise IncompatibleOperandsError("non-numeric operand %s" % pred.render())
     if not values_equal(left.subject, right.subject) or not _category_matches(
         left, right.category

@@ -111,6 +111,16 @@ class TestRun:
         ).read_bytes()
         assert (out1 / "trace.log").read_bytes() == (out2 / "trace.log").read_bytes()
 
+    def test_trace_log_names_a_decision_no_rule_matched(self, tmp_path, kiosk_dir):
+        # Without its rule, Patient Registration's value matches none.
+        assert _run_mutated(tmp_path, kiosk_dir, "model.yaml", _del(("rules",), 0)) == 0
+        out = tmp_path / "out"
+        assert main(["run", str(tmp_path / "bundle.yaml"), "-o", str(out)]) == 0
+        assert (out / "trace.log").read_text().splitlines()[0] == (
+            "t=840 | Patient Registration | [(Receptionist.Status, Absent) AND "
+            "(Healthcare_Assistant.Status, Present)] | - | no-rule"
+        )
+
     def test_deferred_adaptation_is_listed_once(self, tmp_path, kiosk_dir):
         # A 30-minute green link on Weather.Status defers the Storage in Cloud
         # reorder from t=840 to t=870; the trace records it at both times.
@@ -167,30 +177,33 @@ class TestRun:
         assert main(["run", str(tmp_path / "bundle.yaml")]) == 1
 
     @pytest.mark.parametrize(
-        "situations,index,reason",
+        "situations,place,reason",
         [
-            ([{"time": 10, "contexts": []}, {"contexts": []}], 1, "missing time"),
-            ([{"time": 10, "contexts": "oops"}], 0, "must be a list"),
-            ([{"time": 10, "contexts": ["oops"]}], 0, "not a mapping"),
-            ([{"time": 10, "contexts": [["Weather", "Status"]]}], 0, "not a mapping"),
-            (["oops"], 0, "not a mapping"),
+            ([{"time": 10, "contexts": []}, {"contexts": []}], "situation 1",
+             "missing time"),
+            ([{"time": 10, "contexts": "oops"}], "situation 0", "must be a list"),
+            ([{"time": 10, "contexts": ["oops"]}], "situation 0 context 0",
+             "not a mapping"),
+            ([{"time": 10, "contexts": [["Weather", "Status"]]}],
+             "situation 0 context 0", "not a mapping"),
+            (["oops"], "situation 0", "not a mapping"),
             (
                 [{"time": 10, "contexts": [
                     {"parameter": ["Weather"], "attribute": "Status"}]}],
-                0,
+                "situation 0 context 0",
                 "must be text",
             ),
             (
                 [{"time": 10, "contexts": [
                     {"parameter": "Weather", "attribute": "Status",
                      "temporality": "static"}]}],
-                0,
+                "situation 0",
                 "static context",
             ),
         ],
     )
     def test_malformed_situation_is_a_load_error(
-        self, tmp_path, kiosk_dir, capsys, situations, index, reason
+        self, tmp_path, kiosk_dir, capsys, situations, place, reason
     ):
         for name in ("graph.yaml", "repo.yaml", "model.yaml", "bundle.yaml"):
             (tmp_path / name).write_text((kiosk_dir / name).read_text())
@@ -202,7 +215,7 @@ class TestRun:
         assert main(["run", str(tmp_path / "bundle.yaml")]) == 1
         out = capsys.readouterr().out
         assert out.startswith("invalid: ")
-        assert "scenario.yaml: situation %d: " % index in out
+        assert "scenario.yaml: %s: " % place in out
         assert reason in out
 
 
@@ -233,6 +246,10 @@ def _run_mutated(tmp_path, kiosk_dir, name, mutate, command="run"):
 
 def _append(path, item):
     return lambda doc: _at(doc, path).append(item)
+
+
+def _both(first, second):
+    return lambda doc: (first(doc), second(doc))
 
 
 # One kiosk graph mutation per finding code a document can produce.
@@ -439,7 +456,7 @@ class TestMalformedDocuments:
             ("model.yaml", _set(("rules", 1, "value", "pairs", 0), 1, 10 ** 400),
              "rule 1 value: not an [attribute, value] pair"),
             ("model.yaml", _set(("ideal", 0), "value", -(10 ** 400)),
-             "ideal entry 0: bad context entry"),
+             "ideal entry 0: value must be text, a number or a truth value, not -1000"),
             ("repo.yaml", _set(("subgoals", 2, "entries", 0, "value", 1), 1, 10 ** 400),
              "sub-goal 2 entry 0: not an [attribute, value] pair"),
             ("graph.yaml", _del(("dependency_rules", 2), "then"),
@@ -470,9 +487,52 @@ class TestMalformedDocuments:
         mutate = _set(("ideal",), 2, "oops")
         assert _run_mutated(tmp_path, kiosk_dir, "model.yaml", mutate) == 1
         assert capsys.readouterr().out == (
-            "invalid: %s: ideal entry 2: context entry 'oops' is not a mapping\n"
+            "invalid: %s: ideal entry 2: not a mapping: 'oops'\n"
             % (tmp_path / "model.yaml",)
         )
+
+    @pytest.mark.parametrize(
+        "name,path,mutate,message",
+        [
+            pytest.param(name, path, mutate, place + ": " + problem,
+                         id="%s: %s: %s" % (name, place, problem))
+            for name, path, entry in (
+                ("model.yaml", ("ideal",), "ideal entry %d"),
+                ("scenario.yaml", ("situations", 0, "contexts"),
+                 "situation 0 context %d"),
+            )
+            for mutate, place, problem in (
+                (lambda at: _del(at + (1,), "attribute"), entry % 1,
+                 "missing attribute"),
+                (lambda at: _set(at + (0,), "parameter", 7), entry % 0,
+                 "parameter must be text, not 7"),
+                (lambda at: _set(at + (3,), "connector", 1.5), entry % 3,
+                 "connector must be text, not 1.5"),
+                (lambda at: _set(at + (2,), "value", None), entry % 2,
+                 "value must be text, a number or a truth value, not None"),
+                (lambda at: _set(at + (5,), "value", ["x"]), entry % 5,
+                 "value must be text, a number or a truth value, not ['x']"),
+                (lambda at: _set(at + (0,), "instance", None), entry % 0,
+                 "instance must be text, not None"),
+                (lambda at: _set(at, 4, "oops"), entry % 4,
+                 "not a mapping: 'oops'"),
+                (lambda at: _set(at, 6, ["Network", "Status"]), entry % 6,
+                 "not a mapping: ['Network', 'Status']"),
+                (lambda at: _set(at + (7,), "connector", "~"), entry % 7,
+                 "unknown connector '~'"),
+                # Of two faults, a missing key is named first.
+                (lambda at: _both(_set(at + (3,), "category", 7),
+                                  _del(at + (3,), "parameter")),
+                 entry % 3, "missing parameter"),
+            )
+        ],
+    )
+    def test_malformed_context_is_named_by_its_place(
+        self, tmp_path, kiosk_dir, capsys, name, path, mutate, message
+    ):
+        assert _run_mutated(tmp_path, kiosk_dir, name, mutate(path)) == 1
+        assert capsys.readouterr().out == "invalid: %s: %s\n" % (
+            tmp_path / name, message)
 
 
 class TestVerify:
@@ -679,6 +739,36 @@ class TestQuery:
             "query error at position %d: mixed AND/OR without parentheses\n"
             % query.index("attr Status = Cloudy")
         )
+
+    def test_bare_int_too_large_for_a_float_is_refused(self, kiosk_dir, capsys):
+        word = "1" + "0" * 400
+        query = "AND Weather WHERE value = " + word
+        assert main(["query", str(kiosk_dir / "scenario.yaml"), query]) == 1
+        assert capsys.readouterr().out == (
+            "query error at position 26: %r is a whole number too large for a float\n"
+            % (word,)
+        )
+
+    def test_only_numbers_are_ordered(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "version: 1\nkind: scenario\nsituations:\n"
+            "  - time: 600\n    contexts:\n"
+            "      - {parameter: Sensor, attribute: Reading, value: inf}\n"
+            "      - {parameter: Sensor, attribute: Reading, value: 1e5}\n"
+            "      - {parameter: Sensor, attribute: Reading, value: '5'}\n"
+            "      - {parameter: Sensor, attribute: Reading, value: true}\n"
+            "      - {parameter: Sensor, attribute: Reading, value: 2.5}\n"
+            "      - {parameter: Sensor, attribute: Reading, value: 9007199254740993}\n"
+        )
+        for query in ("AND Sensor WHERE value > 3", "AND Sensor WHERE value < 3",
+                      "AND Sensor WHERE value > 9007199254740992"):
+            assert main(["query", str(scenario), query]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Sensor(Sensor, Reading, =, 9007199254740993)",
+            "Sensor(Sensor, Reading, =, 2.5)",
+            "Sensor(Sensor, Reading, =, 9007199254740993)",
+        ]
 
     def test_bare_value_selects_what_the_scenario_holds(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"

@@ -1,6 +1,7 @@
 """Tests for the context predicate algebra and its query language."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from ctxflow.query import (
     Query,
     QueryResult,
     apply_arith,
+    compare,
     evaluate,
     parse_query,
 )
@@ -171,6 +173,16 @@ class TestParsing:
         assert str(err.value) == "'0b_' is not a valid int"
         assert err.value.position == text.index("0b_")
 
+    @pytest.mark.parametrize("word", [
+        str(int(sys.float_info.max) + 1), "1" + "0" * 400, "-1" + "0" * 400,
+    ])
+    def test_bare_int_too_large_for_a_float_is_a_parse_error(self, word):
+        text = "AND Sensor WHERE value = %s" % word
+        with pytest.raises(QueryParseError) as err:
+            parse_query(text)
+        assert str(err.value) == "%r is a whole number too large for a float" % (word,)
+        assert err.value.position == text.index(word)
+
     @pytest.mark.parametrize("text", ["", "   ", "\n"])
     def test_empty_query(self, text):
         with pytest.raises(QueryParseError) as err:
@@ -284,6 +296,21 @@ class TestEvaluation:
         out = evaluate(q, SITUATION)
         assert out.render() == text
         assert parse_query(format_query(q)) == q
+
+
+class TestOrdering:
+    @pytest.mark.parametrize("value", ["inf", "1e5", "5", " 7 ", True, False])
+    @pytest.mark.parametrize("op", [">", "<", ">=", "<="])
+    def test_only_two_numbers_are_ordered(self, value, op):
+        assert not compare(value, op, 3)
+        assert not compare(3, op, value)
+
+    def test_numbers_are_ordered_exactly(self):
+        big = 2 ** 53 + 1  # a float rounds it down to 2 ** 53
+        assert compare(big, ">", 2 ** 53)
+        assert compare(big, ">", float(2 ** 53))
+        assert compare(float(2 ** 53), "<", big)
+        assert not compare(big, "<=", float(2 ** 53))
 
 
 class TestArithCompatibility:
