@@ -16,7 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import petri
 from .chain import run_instance
 from .errors import CtxflowError, LoadError, QueryParseError
 from .files import load_bundle, load_scenario
@@ -28,7 +27,6 @@ from .metrics import (
     halstead,
     structural_metrics,
 )
-from .query import ContextPredicate, evaluate, parse_query
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -93,6 +91,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import petri  # only ``verify`` pays for the net and the explorer
+
     if args.limit <= 0:
         print("invalid: --limit must be positive, got %d" % args.limit)
         return EXIT_VALIDATION
@@ -191,6 +191,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from .query import ContextPredicate, evaluate, parse_query  # only ``query`` needs it
+
     predicates = []
     for _, contexts in load_scenario(args.cs):
         for ctx in contexts:

@@ -29,15 +29,15 @@ def normalize_value(value: Value):
     """Canonical form used for change detection and pattern matching.
 
     Text compares case-insensitively (and ignores surrounding blanks),
-    numbers compare numerically, booleans stand on their own.
+    numbers compare numerically, booleans stand on their own. A number is
+    its own form: an int and a float that are equal compare and hash
+    alike, and whole numbers past 2**53 stay exact.
     """
     if isinstance(value, bool):
         # Tagged so that True does not collide with the number 1.
         return ("bool", value)
     if isinstance(value, str):
         return value.strip().casefold()
-    if isinstance(value, (int, float)):
-        return float(value)
     return value
 
 

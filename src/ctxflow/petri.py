@@ -11,6 +11,10 @@ and returns to the contextual event where the fragment decision is thrown.
 Tokens carry a color label; a place's color set is the set of labels it may
 hold and arcs require/produce specific labels. A net is plain data: a place
 is its name and color set, a transition its name, an arc a triple.
+
+``explore`` numbers the reachable markings once, in discovery order, and
+records the arcs between those numbers; the property checks walk the
+numbers and hash no marking beyond one lookup of their goal.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import gc
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, KeysView, List, Mapping, Sequence, Tuple
 
 from .errors import NotEnabledError, PartialSpaceError
 
@@ -227,31 +231,50 @@ def fire(net: Net, marking: Marking, transition: str) -> Marking:
 
 @dataclass
 class StateSpace:
-    """The explored markings and arcs.
+    """The explored markings, numbered, and the arcs between their numbers.
 
-    ``successors``, the one record of the arcs, maps each expanded marking
-    to its (transition, successor) arcs, in firing order; a dead marking
-    maps to ``[]``. A partial space lacks the markings left unexpanded, and
-    the last one expanded may lack some of its arcs.
+    ``number`` maps each marking to its number, in discovery order: the
+    initial marking is 0. ``out[i]`` holds the (transition, successor
+    number) arcs of marking i, in firing order, and is the one record of
+    the arcs; a dead marking has ``[]``. Markings are expanded in number
+    order, so ``out`` covers the first ``len(out)`` numbers: all of them in
+    an exact space. A partial space lacks the markings left undiscovered,
+    has no ``out`` entry for those discovered but not expanded, and the
+    last one expanded may lack some of its arcs.
     """
 
-    initial: Marking
-    nodes: Set[Marking] = field(default_factory=set)
-    successors: Dict[Marking, List[Tuple[str, Marking]]] = field(default_factory=dict)
-    partial: bool = False
+    number: Dict[Marking, int]
+    out: List[List[Tuple[str, int]]]
+    partial: bool
+
+    @property
+    def initial(self) -> Marking:
+        return next(iter(self.number))
+
+    @property
+    def nodes(self) -> KeysView[Marking]:
+        """The markings, in number order."""
+        return self.number.keys()
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.number)
 
     @property
     def arcs(self) -> List[Tuple[Marking, str, Marking]]:
-        """(marking, transition, successor) for every arc, in ``successors`` order."""
-        return [(m, t, dst) for m, out in self.successors.items() for t, dst in out]
+        """(marking, transition, successor) for every arc, in ``out`` order."""
+        nodes = list(self.number)
+        return [(nodes[i], t, nodes[j]) for i, arcs in enumerate(self.out) for t, j in arcs]
+
+    @property
+    def successors(self) -> Dict[Marking, List[Tuple[str, Marking]]]:
+        """Each expanded marking's arcs, by marking rather than number."""
+        nodes = list(self.number)
+        return {nodes[i]: [(t, nodes[j]) for t, j in arcs] for i, arcs in enumerate(self.out)}
 
     @property
     def arc_count(self) -> int:
-        return sum(map(len, self.successors.values()))
+        return sum(map(len, self.out))
 
 
 def explore(net: Net, limit: int = 100000) -> StateSpace:
@@ -264,8 +287,9 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
     rule. Each marking waiting in the frontier also carries its integer
     marking and its enabled transitions; after a firing, only the
     transitions in ``net.affected`` of the fired one are rechecked.
-    Every distinct marking is one object, shared by ``nodes`` and
-    ``successors``, which records each arc once, as its marking is expanded.
+    Each successor is hashed once, to file it in ``number`` or find its
+    number there; the arc records that number. No other step hashes a
+    marking, and every check then walks numbers.
 
     The walk builds no reference cycles, so the cyclic collector is paused
     for the call: each pass would only walk the growing space and free
@@ -278,28 +302,28 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        m0 = net.initial_marking
-        space = StateSpace(initial=m0)
         names = net.transitions
         pre_vectors, deltas, affected = net.pre_vectors, net.deltas, net.affected
         rechecked = [frozenset(ts) for ts in affected]
-        successors = space.successors
-        canonical = {m0: m0}
+        m0 = net.initial_marking
+        number = {m0: 0}
+        out: List[List[Tuple[str, int]]] = []
+        partial = False
         state = net.state(m0)
         frontier = deque([(m0, state, net.enabled_at(state))])
-        while frontier and not space.partial:
+        while frontier and not partial:
             marking, state, live = frontier.popleft()
-            successors[marking] = out = []
+            arcs: List[Tuple[str, int]] = []
+            out.append(arcs)
             for t in live:
                 name = names[t]
                 successor = fire(net, marking, name)
-                known = canonical.setdefault(successor, successor)
-                # ``fire`` returns a new tuple, never the empty one (the
-                # firing produced a token), so it is known iff not kept.
-                if known is successor:
-                    if len(canonical) > limit:
-                        del canonical[successor]
-                        space.partial = True
+                count = len(number)
+                j = number.setdefault(successor, count)
+                if j == count:
+                    if count >= limit:
+                        del number[successor]
+                        partial = True
                         break
                     after = list(state)
                     for k, change in deltas[t]:
@@ -314,12 +338,11 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
                             now.append(u)
                     now.sort()
                     frontier.append((successor, after, now))
-                out.append((name, known))
-        space.nodes.update(canonical)
+                arcs.append((name, j))
+        return StateSpace(number, out, partial)
     finally:
         if collecting:
             gc.enable()
-    return space
 
 
 # -- property checks --------------------------------------------------------
@@ -342,7 +365,7 @@ def check_bounded(space: StateSpace, k: int, net: Net) -> BoundednessReport:
     """The most tokens each place holds in any marking of ``space``."""
     bounds: Dict[str, int] = dict.fromkeys(net.places, 0)
     get = bounds.get
-    for marking in space.nodes:
+    for marking in space.number:
         # A canonical marking lists each place's entries together.
         place, total = None, 0
         for p, _, count in marking:
@@ -366,52 +389,65 @@ class LivenessReport:
 def check_liveness(space: StateSpace, net: Net) -> LivenessReport:
     if space.partial:
         raise PartialSpaceError("liveness needs an exact state space")
-    fired = {t for out in space.successors.values() for t, _ in out}
+    fired = {t for arcs in space.out for t, _ in arcs}
     dead_transitions = tuple(sorted(t for t in net.transitions if t not in fired))
-    dead_markings = tuple(sorted(m for m, out in space.successors.items() if not out))
+    dead_markings = tuple(sorted(m for m, arcs in zip(space.number, space.out) if not arcs))
     return LivenessReport(dead_transitions, dead_markings)
 
 
 def check_reachable(space: StateSpace, goal: Marking) -> Tuple[bool, List[str]]:
-    """Shortest transition path from the initial marking to ``goal``."""
-    successors = space.successors
-    seen = {space.initial: None}
-    frontier = deque([space.initial])
-    while frontier:
-        marking = frontier.popleft()
-        if marking == goal:
-            path = []
-            cursor = marking
-            while seen[cursor] is not None:
-                prev, t = seen[cursor]
-                path.append(t)
-                cursor = prev
-            return True, list(reversed(path))
-        for t, dst in sorted(successors.get(marking, ())):
-            if dst not in seen:
-                seen[dst] = (marking, t)
-                frontier.append(dst)
-    return False, []
+    """Shortest transition path from the initial marking to ``goal``.
+
+    ``goal`` is looked up once; the breadth-first search then walks
+    numbers, taking each marking's arcs sorted by transition name. A
+    marking's arcs have distinct names, so this is the order of its
+    (transition, successor) pairs. ``via[j]`` holds the number and the
+    transition that first reached j, and the search stops there when j is
+    the goal. A marking of a partial space that was never expanded has no
+    arcs to follow.
+    """
+    target = space.number.get(goal)
+    if target is None:
+        return False, []
+    out = space.out
+    expanded = len(out)
+    via = [None] * len(space.number)
+    via[0] = (0, "")
+    frontier = deque([0])
+    while frontier and via[target] is None:
+        i = frontier.popleft()
+        if i < expanded:
+            for name, j in sorted(out[i]):
+                if via[j] is None:
+                    via[j] = (i, name)
+                    frontier.append(j)
+    if via[target] is None:
+        return False, []
+    path = []
+    while target:
+        target, name = via[target]
+        path.append(name)
+    path.reverse()
+    return True, path
 
 
 def check_home(space: StateSpace, marking: Marking) -> bool:
     """True when ``marking`` is reachable from every reachable marking.
 
-    The markings are numbered once, in ``successors`` order; an exact space
-    maps each of its markings there. The backward search from ``marking``
-    then walks lists of numbers and marks what it reaches in a bytearray.
+    ``marking`` is looked up once. The backward search from its number then
+    walks the reverse of ``out``, as lists of numbers, and marks what it
+    reaches in a bytearray.
     """
     if space.partial:
         raise PartialSpaceError("home property needs an exact state space")
-    number = {m: i for i, m in enumerate(space.successors)}
-    target = number.get(marking)
+    target = space.number.get(marking)
     if target is None:
         return False  # not reachable, so not even from the initial marking
-    reverse: List[List[int]] = [[] for _ in number]
-    for i, out in enumerate(space.successors.values()):
-        for _, dst in out:
-            reverse[number[dst]].append(i)
-    reached = bytearray(len(number))
+    reverse: List[List[int]] = [[] for _ in space.out]
+    for i, arcs in enumerate(space.out):
+        for _, j in arcs:
+            reverse[j].append(i)
+    reached = bytearray(len(reverse))
     reached[target] = 1
     stack = [target]
     while stack:
@@ -419,7 +455,7 @@ def check_home(space: StateSpace, marking: Marking) -> bool:
             if not reached[prev]:
                 reached[prev] = 1
                 stack.append(prev)
-    return reached.count(1) == len(space.nodes)
+    return reached.count(1) == len(reverse)
 
 
 def goal_marking(net: Net) -> Marking:

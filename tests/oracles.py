@@ -24,7 +24,7 @@ import itertools
 import math
 import re
 from collections import Counter, deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import yaml
@@ -40,7 +40,7 @@ from ctxflow.errors import (
     UnknownSubgoalError,
 )
 from ctxflow.fragments import ThrowResult
-from ctxflow.petri import BoundednessReport, LivenessReport, StateSpace, make_marking
+from ctxflow.petri import BoundednessReport, LivenessReport, make_marking
 
 
 # -- pure-Python YAML loader ------------------------------------------------
@@ -671,22 +671,43 @@ def fire_oracle(net, marking, transition):
     return make_marking(tokens)
 
 
+@dataclass
+class ExploredSpace:
+    """The oracle's own record of an explored space: the markings in
+    discovery order, and each expanded marking's (transition, successor)
+    arcs, keyed by the marking itself."""
+
+    initial: tuple
+    order: list
+    successors: dict
+    partial: bool = False
+
+    @property
+    def nodes(self):
+        return set(self.order)
+
+    @property
+    def arcs(self):
+        return [(m, t, dst) for m, out in self.successors.items() for t, dst in out]
+
+
 def explore_oracle(net, limit=100000):
     """Breadth-first exploration that recomputes every enabled set from arcs."""
     m0 = net.initial_marking
-    space = StateSpace(initial=m0)
-    space.nodes.add(m0)
+    space = ExploredSpace(initial=m0, order=[m0], successors={})
+    seen = {m0}
     frontier = deque([m0])
     while frontier:
         marking = frontier.popleft()
         space.successors[marking] = []
         for transition in enabled_oracle(net, marking):
             successor = fire_oracle(net, marking, transition)
-            if successor not in space.nodes:
-                if len(space.nodes) >= limit:
+            if successor not in seen:
+                if len(seen) >= limit:
                     space.partial = True
                     return space
-                space.nodes.add(successor)
+                seen.add(successor)
+                space.order.append(successor)
                 frontier.append(successor)
             space.successors[marking].append((transition, successor))
     return space

@@ -2,6 +2,10 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -770,6 +774,26 @@ class TestQuery:
             "Sensor(Sensor, Reading, =, 9007199254740993)",
         ]
 
+    def test_whole_numbers_past_2_53_compare_exactly(self, tmp_path, capsys):
+        # 2**53 + 1 has no float of its own: equality must not round it to
+        # 2**53, as ordering does not.
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "version: 1\nkind: scenario\nsituations:\n"
+            "  - time: 600\n    contexts:\n"
+            "      - {parameter: Sensor, attribute: Reading, value: 9007199254740993}\n"
+        )
+        reading = "Sensor(Sensor, Reading, =, 9007199254740993)"
+        expected = {
+            "AND Sensor WHERE value = 9007199254740992": "NULL",
+            "AND Sensor WHERE value > 9007199254740992": reading,
+            "AND Sensor WHERE value != 9007199254740992"
+            " AND value > 9007199254740992": reading,
+        }
+        for query in expected:
+            assert main(["query", str(scenario), query]) == 0
+        assert capsys.readouterr().out.splitlines() == list(expected.values())
+
     def test_bare_value_selects_what_the_scenario_holds(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(
@@ -815,3 +839,30 @@ def test_unexpected_engine_error_is_one_line_naming_its_class(
     assert main(["validate", str(kiosk_bundle)]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("error (UnknownActivityError): x\n", "")
+
+
+SRC = Path(cli.__file__).resolve().parent.parent
+LAZY = ("ctxflow.petri", "ctxflow.query")
+REPORT_LAZY = (
+    "import sys\n"
+    "from ctxflow.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(m for m in %r if m in sys.modules))\n"
+    "sys.exit(code)\n" % (LAZY,)
+)
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("run", ""), ("validate", ""), ("verify", "ctxflow.petri"),
+])
+def test_only_verify_and_query_import_their_modules(kiosk_bundle, command, loaded):
+    # In a fresh interpreter, as the installed command runs: ``run`` and
+    # ``validate`` pay for neither the net nor the query language.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", REPORT_LAZY, command, str(kiosk_bundle)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == loaded

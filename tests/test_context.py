@@ -59,6 +59,10 @@ class TestValueNormalization:
     def test_numbers_compare_numerically(self):
         assert values_equal(16, 16.0)
 
+    def test_whole_numbers_past_2_53_stay_exact(self):
+        assert not values_equal(2**53 + 1, 2**53)
+        assert values_equal(2**53 + 1, 2**53 + 1)
+
     def test_bool_is_not_number(self):
         assert normalize_value(True) != normalize_value(1)
 

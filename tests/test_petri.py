@@ -505,6 +505,66 @@ def small_nets(draw):
     return Net(places, tuple(transitions), tuple(arcs), make_marking(tokens))
 
 
+def assert_numbered(space, net, limit=100000):
+    """The markings are numbered in the oracle's discovery order, from the
+    initial marking as 0, and every arc leads to a number of the space.
+    ``out`` has an entry for every marking of an exact space; a partial one
+    may lack entries for markings discovered but never expanded."""
+    expected = explore_oracle(net, limit=limit)
+    assert space.initial is net.initial_marking
+    assert space.number[net.initial_marking] == 0
+    assert list(space.nodes) == expected.order
+    assert list(space.number.values()) == list(range(space.node_count))
+    assert all(j < space.node_count for arcs in space.out for _, j in arcs)
+    if space.partial:
+        assert len(space.out) <= space.node_count
+    else:
+        assert len(space.out) == space.node_count
+
+
+class TestNumberedSpace:
+    @pytest.fixture()
+    def kiosk_net(self, kiosk_bundle):
+        return translate(load_bundle(kiosk_bundle).model)
+
+    @pytest.mark.parametrize("limit", [1, 5, 100, 343, None])
+    def test_kiosk(self, kiosk_net, limit):
+        limit = limit or 100000
+        assert_numbered(explore(kiosk_net, limit=limit), kiosk_net, limit)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_generated_chains(self, n, tmp_path):
+        bundle, _ = generate(Shape(activities=n), 1, tmp_path)
+        net = translate(load_bundle(bundle).model)
+        markings, _ = chain_state_space(n)
+        for limit in (1, markings // 2, markings, 100000):
+            assert_numbered(explore(net, limit=limit), net, limit)
+
+    @given(net=small_nets(), limit=st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_random_nets(self, net, limit):
+        assert_numbered(explore(net, limit=limit), net, limit)
+
+    @pytest.mark.parametrize("limit", [7, 100, 131])
+    def test_markings_discovered_but_not_expanded_are_reached(self, kiosk_net, limit):
+        # The limit stops the walk with a frontier left: those markings
+        # have numbers but no arcs, and the search still finds each one.
+        # At 7 and 131, the search pops a marking that was never expanded
+        # before it finds its target.
+        space = explore(kiosk_net, limit=limit)
+        assert space.partial and len(space.out) < space.node_count
+        unexpanded = list(space.nodes)[len(space.out):]
+        for target in unexpanded:
+            found = check_reachable(space, target)
+            assert found[0] and found == check_reachable_oracle(space, target)
+
+    def test_a_partial_space_may_have_expanded_every_marking(self, kiosk_net):
+        # One marking, expanded, and a first successor past the limit.
+        space = explore(kiosk_net, limit=1)
+        assert space.partial
+        assert (space.node_count, len(space.out), space.arc_count) == (1, 1, 0)
+
+
 def assert_fire_matches_oracles(net, marking):
     for name in net.transitions + ("nope",):
         outcomes = []
