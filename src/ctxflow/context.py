@@ -13,7 +13,6 @@ are pure functions.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple, Union
@@ -42,10 +41,8 @@ def normalize_value(value: Value):
 
 
 def is_value(value) -> bool:
-    """Whether ``value`` is text, a number or a truth value. Values compare
-    as numbers, so a whole number must fit a float."""
-    return isinstance(value, (str, float)) or (
-        isinstance(value, int) and abs(value) <= sys.float_info.max)
+    """Whether ``value`` is text, a number or a truth value."""
+    return isinstance(value, (str, int, float))
 
 
 def values_equal(a: Value, b: Value) -> bool:

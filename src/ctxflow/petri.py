@@ -12,17 +12,25 @@ Tokens carry a color label; a place's color set is the set of labels it may
 hold and arcs require/produce specific labels. A net is plain data: a place
 is its name and color set, a transition its name, an arc a triple.
 
-``explore`` numbers the reachable markings once, in discovery order, and
-records the arcs between those numbers; the property checks walk the
-numbers and hash no marking beyond one lookup of their goal.
+A marking is canonically a sorted tuple of (place, label, count) entries.
+``explore`` walks packed markings: one int with a ``w``-bit field per key
+that an arc touches, ``w`` being 8 unless an initial count or arc weight
+needs more. The top bit of each field is a guard: a count that reaches it
+makes ``explore`` start over with fields twice as wide. Tokens on keys no
+arc touches never change; the net keeps them once, as a canonical tail.
+``fire``, the one firing rule, works on packed markings, once per arc. The
+space decodes markings on demand; each check encodes its goal once.
 """
 
 from __future__ import annotations
 
+import copy
 import gc
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, KeysView, List, Mapping, Sequence, Tuple
+from functools import reduce
+from operator import or_
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .errors import NotEnabledError, PartialSpaceError
 
@@ -39,27 +47,22 @@ FRAG = "frag"  # throwActivity decision token
 
 
 Arc = Tuple[str, str, str]  # (source, target, label) of a token consumed/produced
-# Per transition, (key index, count) pairs in key order.
-Vector = Tuple[Tuple[int, int], ...]
-# Per transition and key it consumes or changes, in key order:
-# ((place, label), place, label, tokens needed, net change).
-Moves = Tuple[Tuple[Tuple[str, str], str, str, int, int], ...]
 
 
 @dataclass(frozen=True)
 class Net:
-    """A net, compiled once on construction for firing on integer markings.
+    """A net, compiled once on construction for firing on packed markings.
 
     ``places`` maps each place name to its color set, and ``transitions``
     lists the transition names. ``keys`` holds, sorted, the (place, label)
-    pairs that arcs consume or produce; an integer marking (``state``)
-    holds one count per key.
-    For the transition at position i of ``transitions``, ``pre_vectors[i]``
-    is what it consumes, ``deltas[i]`` its non-zero net effect, and
-    ``affected[i]`` the transitions that consume a key its delta changes:
-    the only ones whose enabling can change when it fires. ``moves[i]``
-    holds the same need and change per key, named, for ``fire`` to merge
-    with a marking.
+    pairs that arcs consume or produce; a packed marking holds key k's count
+    in the ``width`` bits from bit ``k * width``. ``mask`` covers one field
+    and ``guard`` the top bit of each. ``tail`` holds the initial marking's
+    entries on other keys, and ``initial_state`` the packed rest of it.
+    For the transition at position t, ``pre_vectors[t]`` holds a (shift,
+    need) pair per key it consumes, ``deltas[t]`` the sum of each key's
+    change shifted to its field, and ``affected[t]`` the transitions that
+    consume a key it changes: the only ones it can enable or disable.
     """
 
     places: Mapping[str, FrozenSet[str]]
@@ -68,11 +71,15 @@ class Net:
     initial_marking: "Marking"
     keys: Tuple[Tuple[str, str], ...] = field(init=False, repr=False, compare=False)
     key_index: Mapping[Tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    transition_index: Mapping[str, int] = field(init=False, repr=False, compare=False)
-    pre_vectors: Tuple[Vector, ...] = field(init=False, repr=False, compare=False)
-    deltas: Tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+    width: int = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
+    guard: int = field(init=False, repr=False, compare=False)
+    tail: "Marking" = field(init=False, repr=False, compare=False)
+    initial_state: int = field(init=False, repr=False, compare=False)
+    pre_vectors: Tuple[Tuple[Tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False)
+    deltas: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     affected: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    moves: Tuple[Moves, ...] = field(init=False, repr=False, compare=False)
     _inputs: Mapping[str, Dict[Tuple[str, str], int]] = field(init=False, repr=False, compare=False)
     _outputs: Mapping[str, Dict[Tuple[str, str], int]] = field(init=False, repr=False, compare=False)
 
@@ -93,22 +100,17 @@ class Net:
                 counts, key, verb = outputs[source], (target, label), "produces"
                 colorset = places[target]
             else:
-                raise ValueError(
-                    "arc %s->%s does not connect a place and a transition"
-                    % (source, target)
-                )
+                raise ValueError("arc %s->%s does not connect a place and a transition"
+                                 % (source, target))
             counts[key] = counts.get(key, 0) + 1
             if label not in colorset:
-                raise ValueError(
-                    "arc %s->%s %s label %r outside the color set"
-                    % (source, target, verb, label)
-                )
+                raise ValueError("arc %s->%s %s label %r outside the color set"
+                                 % (source, target, verb, label))
         for t in transitions:
             if not inputs[t] or not outputs[t]:
                 raise ValueError("transition %r lacks input or output arcs" % (t,))
-        object.__setattr__(self, "_inputs", inputs)
-        object.__setattr__(self, "_outputs", outputs)
-        self._compile()
+        self.__dict__.update(_inputs=inputs, _outputs=outputs)  # frozen: no setattr
+        self._compile(8)
 
     def pre(self, transition: str) -> Counter:
         """(place, label) -> tokens ``transition`` consumes."""
@@ -118,65 +120,48 @@ class Net:
         """(place, label) -> tokens ``transition`` produces."""
         return Counter(self._outputs.get(transition, ()))
 
-    def _compile(self):
-        names = self.transitions
-        pres = [self.pre(name) for name in names]
-        posts = [self.post(name) for name in names]
+    def _compile(self, width: int):
+        """Pack the net in fields of ``width`` bits, doubled until each initial
+        count and arc weight is below the guard bit: then no field carries."""
+        pres = [self.pre(name) for name in self.transitions]
+        posts = [self.post(name) for name in self.transitions]
         keys = tuple(sorted(set().union(*pres, *posts)))
         index = {key: k for k, key in enumerate(keys)}
+        initial = [(index.get(entry[:2]), entry) for entry in self.initial_marking]
+        counts = [entry[2] for k, entry in initial if k is not None]
+        largest = max(counts + [n for c in pres + posts for n in c.values()], default=0)
+        while largest >> (width - 1):
+            width *= 2
         readers: List[List[int]] = [[] for _ in keys]
-        pre_vectors, deltas, moves = [], [], []
+        pre_vectors, deltas, changes = [], [], []
         for t, (pre, post) in enumerate(zip(pres, posts)):
-            vector, delta, move = [], [], []
+            vector, delta, changed = [], 0, []
             # Key positions ascend as the keys do, so this is key order.
             for k in sorted([index[key] for key in pre.keys() | post.keys()]):
-                key = keys[k]
-                need = pre.get(key, 0)
-                change = post.get(key, 0) - need
+                need = pre.get(keys[k], 0)
+                change = post.get(keys[k], 0) - need
                 if need:
-                    vector.append((k, need))
+                    vector.append((k * width, need))
                     readers[k].append(t)
                 if change:
-                    delta.append((k, change))
-                move.append((key, key[0], key[1], need, change))
+                    delta += change << k * width
+                    changed.append(k)
             pre_vectors.append(tuple(vector))
-            deltas.append(tuple(delta))
-            moves.append(tuple(move))
-        affected = tuple(
-            tuple(sorted({t for k, _ in delta for t in readers[k]}))
-            for delta in deltas
+            deltas.append(delta)
+            changes.append(changed)
+        mask = (1 << width) - 1
+        self.__dict__.update(
+            keys=keys, key_index=index, width=width, mask=mask,
+            # The top bit of each field: the sum of 1 << k * width, shifted.
+            guard=((1 << len(keys) * width) - 1) // mask << (width - 1),
+            tail=tuple(entry for k, entry in initial if k is None),
+            initial_state=sum(entry[2] << k * width for k, entry in initial if k is not None),
+            pre_vectors=tuple(pre_vectors),
+            deltas=tuple(deltas),
+            affected=tuple(
+                tuple(sorted({t for k in changed for t in readers[k]})) for changed in changes
+            ),
         )
-        for attribute, value in (
-            ("keys", keys),
-            ("key_index", index),
-            ("transition_index", {name: t for t, name in enumerate(names)}),
-            ("pre_vectors", tuple(pre_vectors)),
-            ("deltas", tuple(deltas)),
-            ("affected", affected),
-            ("moves", tuple(moves)),
-        ):
-            object.__setattr__(self, attribute, value)
-
-    def state(self, marking: "Marking") -> List[int]:
-        """The integer marking of ``marking``: its count for every key.
-
-        Tokens under keys that no arc touches are left out; no firing reads
-        or changes them.
-        """
-        counts = [0] * len(self.keys)
-        for place, label, count in marking:
-            k = self.key_index.get((place, label))
-            if k is not None:
-                counts[k] = count
-        return counts
-
-    def enabled_at(self, state: Sequence[int]) -> List[int]:
-        """Positions of the transitions enabled at the integer marking ``state``."""
-        return [
-            t
-            for t, pre in enumerate(self.pre_vectors)
-            if all(state[k] >= need for k, need in pre)
-        ]
 
 
 # A marking maps (place, label) -> token count; canonically a sorted tuple.
@@ -184,77 +169,98 @@ Marking = Tuple[Tuple[str, str, int], ...]
 
 
 def make_marking(tokens: Mapping[Tuple[str, str], int]) -> Marking:
-    return tuple([
-        (place, label, count)
-        for (place, label), count in sorted(tokens.items())
-        if count > 0
-    ])
+    return tuple(sorted([key + (count,) for key, count in tokens.items() if count > 0]))
+
+
+def encode(net: Net, marking: Marking) -> Optional[int]:
+    """The packed form of the canonical ``marking`` in ``net``, or None when
+    no marking that ``net`` reaches has one: its entries on keys that no
+    arc touches differ from the tail, or a count reaches the guard bit."""
+    state, tail = 0, []
+    for entry in marking:
+        k = net.key_index.get(entry[:2])
+        if k is None:
+            tail.append(entry)
+        elif entry[2] >> (net.width - 1):
+            return None
+        else:
+            state += entry[2] << k * net.width
+    return state if tuple(tail) == net.tail else None
+
+
+def _counts(state: int, size: int, width: int):
+    """The counts in the first ``size`` fields of ``width`` bits of ``state``."""
+    step = width // 8
+    raw = state.to_bytes(size * step, "little")
+    return raw if step == 1 else [
+        int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+
+
+def decode(net: Net, state: int) -> Marking:
+    """The canonical marking of the packed ``state``: the keys whose fields
+    hold tokens, with the tail merged in."""
+    counts = _counts(state, len(net.keys), net.width)
+    entries = [key + (count,) for key, count in zip(net.keys, counts) if count]
+    return tuple(sorted(entries + list(net.tail)) if net.tail else entries)
+
+
+def _enabled_at(net: Net, state: int) -> List[int]:
+    """Positions of the transitions enabled at the packed ``state``."""
+    return [t for t, pre in enumerate(net.pre_vectors)
+            if all(state >> shift & net.mask >= need for shift, need in pre)]
 
 
 def enabled(net: Net, marking: Marking) -> List[str]:
-    """Names of the transitions enabled at ``marking``, in net order."""
-    return [net.transitions[t] for t in net.enabled_at(net.state(marking))]
+    """Names of the transitions enabled at ``marking``, which ``encode`` must
+    pack for ``net``, in net order."""
+    state = encode(net, marking)
+    if state is None:
+        raise ValueError("the marking has no packed form in this net")
+    return [net.transitions[t] for t in _enabled_at(net, state)]
 
 
-def fire(net: Net, marking: Marking, transition: str) -> Marking:
-    """Consume the input tokens of ``transition`` and produce its outputs.
-
-    ``marking`` is canonical, so its entries are in key order, as the
-    transition's moves are: one walk over both, in step, copies the
-    entries no move touches and rewrites those it does.
-    """
-    t = net.transition_index.get(transition)
-    if t is None:
-        raise NotEnabledError("unknown transition %r" % (transition,))
-    result = []
-    i, n = 0, len(marking)
-    for key, place, label, need, change in net.moves[t]:
-        # An entry sorts before a key when its (place, label) does: an
-        # entry under the key itself sorts after it, being longer.
-        while i < n and marking[i] < key:
-            result.append(marking[i])
-            i += 1
-        if i < n and marking[i][0] == place and marking[i][1] == label:
-            have = marking[i][2]
-            i += 1
-        else:
-            have = 0
-        if have < need:
-            raise NotEnabledError(
-                "transition %r is not enabled at this marking" % (transition,)
-            )
-        if have + change:
-            result.append((place, label, have + change))
-    result += marking[i:]
-    return tuple(result)
+def fire(net: Net, state: int, t: int) -> int:
+    """The packed marking after the transition at position ``t`` fires at
+    the packed ``state``, whose fields, read by shift and mask, must hold
+    what it consumes: one addition applies its delta. Raises
+    ``NotEnabledError`` when ``t`` is no position or not enabled."""
+    if not 0 <= t < len(net.deltas):
+        raise NotEnabledError("no transition at position %r" % (t,))
+    mask = net.mask
+    for shift, need in net.pre_vectors[t]:
+        if state >> shift & mask < need:
+            raise NotEnabledError("transition %r is not enabled" % (net.transitions[t],))
+    return state + net.deltas[t]
 
 
 @dataclass
 class StateSpace:
     """The explored markings, numbered, and the arcs between their numbers.
 
-    ``number`` maps each marking to its number, in discovery order: the
-    initial marking is 0. ``out[i]`` holds the (transition, successor
+    ``number`` maps each packed marking to its number, in discovery order:
+    the initial marking is 0. ``out[i]`` holds the (transition, successor
     number) arcs of marking i, in firing order, and is the one record of
     the arcs; a dead marking has ``[]``. Markings are expanded in number
     order, so ``out`` covers the first ``len(out)`` numbers: all of them in
     an exact space. A partial space lacks the markings left undiscovered,
     has no ``out`` entry for those discovered but not expanded, and the
-    last one expanded may lack some of its arcs.
+    last one expanded may lack some of its arcs. ``net``, packed as wide as
+    the walk needed, decodes ``nodes`` and ``arcs`` on demand.
     """
 
-    number: Dict[Marking, int]
+    number: Dict[int, int]
     out: List[List[Tuple[str, int]]]
     partial: bool
+    net: Net
 
     @property
     def initial(self) -> Marking:
-        return next(iter(self.number))
+        return self.net.initial_marking
 
     @property
-    def nodes(self) -> KeysView[Marking]:
+    def nodes(self) -> List[Marking]:
         """The markings, in number order."""
-        return self.number.keys()
+        return [decode(self.net, state) for state in self.number]
 
     @property
     def node_count(self) -> int:
@@ -263,14 +269,8 @@ class StateSpace:
     @property
     def arcs(self) -> List[Tuple[Marking, str, Marking]]:
         """(marking, transition, successor) for every arc, in ``out`` order."""
-        nodes = list(self.number)
+        nodes = self.nodes
         return [(nodes[i], t, nodes[j]) for i, arcs in enumerate(self.out) for t, j in arcs]
-
-    @property
-    def successors(self) -> Dict[Marking, List[Tuple[str, Marking]]]:
-        """Each expanded marking's arcs, by marking rather than number."""
-        nodes = list(self.number)
-        return {nodes[i]: [(t, nodes[j]) for t, j in arcs] for i, arcs in enumerate(self.out)}
 
     @property
     def arc_count(self) -> int:
@@ -282,64 +282,60 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
     ``net.initial_marking``.
 
     The result is exact when fewer than ``limit`` markings exist, else it is
-    flagged partial. Canonical marking encoding makes the space independent
-    of internal work ordering. Successors come from ``fire``, the one firing
-    rule. Each marking waiting in the frontier also carries its integer
-    marking and its enabled transitions; after a firing, only the
-    transitions in ``net.affected`` of the fired one are rechecked.
-    Each successor is hashed once, to file it in ``number`` or find its
-    number there; the arc records that number. No other step hashes a
-    marking, and every check then walks numbers.
+    flagged partial. The walk runs on packed markings (see the module
+    notes): each arc's successor comes from one call of ``fire`` and is
+    hashed once, an int, to file it in ``number`` or find its number. Each
+    marking in the frontier carries its enabled transitions; a firing
+    rechecks, by shift and mask, only those in ``net.affected``. A new
+    successor with a guard bit set starts the walk over on a copy of the
+    net packed twice as wide, which numbers the markings alike.
 
     The walk builds no reference cycles, so the cyclic collector is paused
     for the call: each pass would only walk the growing space and free
     nothing. The caller's setting is put back afterwards, whether the walk
-    ends or raises. The setting is process-wide, so another thread sees
-    the collector paused meanwhile.
+    ends or raises; being process-wide, it is paused for other threads too.
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
     collecting = gc.isenabled()
     gc.disable()
     try:
-        names = net.transitions
-        pre_vectors, deltas, affected = net.pre_vectors, net.deltas, net.affected
-        rechecked = [frozenset(ts) for ts in affected]
-        m0 = net.initial_marking
-        number = {m0: 0}
-        out: List[List[Tuple[str, int]]] = []
-        partial = False
-        state = net.state(m0)
-        frontier = deque([(m0, state, net.enabled_at(state))])
-        while frontier and not partial:
-            marking, state, live = frontier.popleft()
-            arcs: List[Tuple[str, int]] = []
-            out.append(arcs)
-            for t in live:
-                name = names[t]
-                successor = fire(net, marking, name)
-                count = len(number)
-                j = number.setdefault(successor, count)
-                if j == count:
-                    if count >= limit:
-                        del number[successor]
-                        partial = True
-                        break
-                    after = list(state)
-                    for k, change in deltas[t]:
-                        after[k] += change
-                    recheck = rechecked[t]
-                    now = [u for u in live if u not in recheck]
-                    for u in affected[t]:
-                        for k, need in pre_vectors[u]:
-                            if after[k] < need:
-                                break
-                        else:
-                            now.append(u)
-                    now.sort()
-                    frontier.append((successor, after, now))
-                arcs.append((name, j))
-        return StateSpace(number, out, partial)
+        while True:
+            names, mask, guard = net.transitions, net.mask, net.guard
+            pre_vectors, affected = net.pre_vectors, net.affected
+            rechecked = [frozenset(ts) for ts in affected]
+            start = net.initial_state
+            number, out, partial = {start: 0}, [], False
+            frontier = deque([(start, _enabled_at(net, start))])
+            while frontier and not partial:
+                state, live = frontier.popleft()
+                arcs: List[Tuple[str, int]] = []
+                out.append(arcs)
+                for t in live:
+                    successor = fire(net, state, t)
+                    count = len(number)
+                    j = number.setdefault(successor, count)
+                    if j == count:
+                        if count >= limit or successor & guard:
+                            del number[successor]
+                            partial = True
+                            break
+                        recheck = rechecked[t]
+                        now = [u for u in live if u not in recheck]
+                        for u in affected[t]:
+                            for shift, need in pre_vectors[u]:
+                                if successor >> shift & mask < need:
+                                    break
+                            else:
+                                now.append(u)
+                        now.sort()
+                        frontier.append((successor, now))
+                    arcs.append((names[t], j))
+            # A walk stopped short of the limit stopped at a guard bit.
+            if not partial or len(number) >= limit:
+                return StateSpace(number, out, partial, net)
+            net = copy.copy(net)
+            net._compile(2 * net.width)
     finally:
         if collecting:
             gc.enable()
@@ -362,21 +358,46 @@ class BoundednessReport:
 
 
 def check_bounded(space: StateSpace, k: int, net: Net) -> BoundednessReport:
-    """The most tokens each place holds in any marking of ``space``."""
+    """The most tokens each place holds in any marking of ``space``.
+
+    A marking's discovery arc (the first in ``out`` to reach it) leaves a
+    marking numbered before it, so a place holds its most at the initial
+    marking or at one whose discovery arc produced into it. The markings a
+    transition discovered are ORed together: the fields of a place it
+    produces into, read from that union, bound the place's total there and
+    give it when they add up to at most one token. Past that, each is read.
+    """
+    packed, width = space.net, space.net.width
     bounds: Dict[str, int] = dict.fromkeys(net.places, 0)
-    get = bounds.get
-    for marking in space.number:
-        # A canonical marking lists each place's entries together.
-        place, total = None, 0
-        for p, _, count in marking:
-            if p == place:
-                total += count
-                continue
-            if place is not None and total > get(place, -1):
-                bounds[place] = total
-            place, total = p, count
-        if place is not None and total > get(place, -1):
-            bounds[place] = total
+    for place, _, count in space.initial:
+        bounds[place] = bounds.get(place, 0) + count
+    tail: Dict[str, int] = {}  # the same in every marking
+    for place, _, count in packed.tail:
+        tail[place] = tail.get(place, 0) + count
+    # A place's keys sort together, so its fields are one run of bits.
+    fields: Dict[str, Tuple[int, int]] = {}  # place -> (first key, last key + 1)
+    for key, (place, _) in enumerate(packed.keys):
+        fields[place] = (fields.get(place, (key,))[0], key + 1)
+    discovered: Dict[str, List[int]] = {name: [] for name in net.transitions}
+    states = list(space.number)
+    found = 1
+    for arcs in space.out:
+        for name, j in arcs:
+            if j == found:
+                found += 1
+                discovered[name].append(states[j])
+    unions = {name: reduce(or_, group) for name, group in discovered.items() if group}
+    # Only a transition that produces into a place can raise its total.
+    for name, place in {(source, target) for source, target, _ in net.arcs if source in unions}:
+        first, end = fields[place]
+        size = end - first
+        shift, span = first * width, (1 << size * width) - 1
+        most = unions[name] >> shift & span
+        if size > 1:
+            most = sum(_counts(most, size, width))
+        if most > 1:
+            most = max(sum(_counts(s >> shift & span, size, width)) for s in discovered[name])
+        bounds[place] = max(bounds[place], most + tail.get(place, 0))
     return BoundednessReport(bounds, k)
 
 
@@ -387,26 +408,26 @@ class LivenessReport:
 
 
 def check_liveness(space: StateSpace, net: Net) -> LivenessReport:
+    """Transitions no arc fires, and the markings without arcs, decoded."""
     if space.partial:
         raise PartialSpaceError("liveness needs an exact state space")
     fired = {t for arcs in space.out for t, _ in arcs}
     dead_transitions = tuple(sorted(t for t in net.transitions if t not in fired))
-    dead_markings = tuple(sorted(m for m, arcs in zip(space.number, space.out) if not arcs))
+    dead_markings = tuple(sorted(decode(space.net, state) for state, arcs
+                                 in zip(space.number, space.out) if not arcs))
     return LivenessReport(dead_transitions, dead_markings)
 
 
 def check_reachable(space: StateSpace, goal: Marking) -> Tuple[bool, List[str]]:
     """Shortest transition path from the initial marking to ``goal``.
 
-    ``goal`` is looked up once; the breadth-first search then walks
-    numbers, taking each marking's arcs sorted by transition name. A
-    marking's arcs have distinct names, so this is the order of its
-    (transition, successor) pairs. ``via[j]`` holds the number and the
-    transition that first reached j, and the search stops there when j is
-    the goal. A marking of a partial space that was never expanded has no
-    arcs to follow.
+    ``goal`` is encoded and looked up once: one with no packed form is
+    unreachable. The breadth-first search then walks numbers, taking each
+    marking's arcs sorted by transition name, as its (transition,
+    successor) pairs sort. ``via[j]`` holds the number and the transition
+    that first reached j. A marking never expanded has no arcs to follow.
     """
-    target = space.number.get(goal)
+    target = space.number.get(encode(space.net, goal))
     if target is None:
         return False, []
     out = space.out
@@ -434,13 +455,12 @@ def check_reachable(space: StateSpace, goal: Marking) -> Tuple[bool, List[str]]:
 def check_home(space: StateSpace, marking: Marking) -> bool:
     """True when ``marking`` is reachable from every reachable marking.
 
-    ``marking`` is looked up once. The backward search from its number then
-    walks the reverse of ``out``, as lists of numbers, and marks what it
-    reaches in a bytearray.
+    ``marking`` is encoded and looked up once. The backward search from its
+    number walks the reverse of ``out`` and marks what it reaches.
     """
     if space.partial:
         raise PartialSpaceError("home property needs an exact state space")
-    target = space.number.get(marking)
+    target = space.number.get(encode(space.net, marking))
     if target is None:
         return False  # not reachable, so not even from the initial marking
     reverse: List[List[int]] = [[] for _ in space.out]
@@ -476,10 +496,8 @@ def translate(model) -> Net:
     attribute and value nodes suffixed by its position. Each activity's
     substitution transition is a begin/busy/end task sequence.
 
-    As in ``explore``, the cyclic collector is paused for the call: the
-    translation builds no reference cycles, so each pass would only walk
-    the growing net and free nothing. The caller's setting is put back
-    afterwards, whether the translation ends or raises.
+    As in ``explore``, and for the same reason, the cyclic collector is
+    paused for the call, and the caller's setting put back afterwards.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -584,13 +602,8 @@ def translate(model) -> Net:
             arc(busy, end, CASE)
             arc(end, downstream, CASE)
 
-        initial = make_marking(
-            {
-                ("Start", CASE): 1,
-                ("ContextualSituation", "%s1" % CS): 1 if piped else 0,
-            }
-        )
-        return Net(places, tuple(transitions), tuple(arcs), initial)
+        initial = {("Start", CASE): 1, ("ContextualSituation", "%s1" % CS): 1 if piped else 0}
+        return Net(places, tuple(transitions), tuple(arcs), make_marking(initial))
     finally:
         if collecting:
             gc.enable()

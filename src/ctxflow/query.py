@@ -26,13 +26,12 @@ Conditions are AND/OR trees over leaves ``attr <name> <op> <value>``,
 ``param <op> <value>``, ``instance <op> <value>`` and ``value <op> <value>``,
 with parentheses for grouping. Keywords are case-insensitive. A bare value
 is typed as the loaders type a plain YAML scalar: a bool, an int or a float
-becomes that value, one YAML cannot build (``0b_``) or a whole number too
-large for a float does not parse, and any other word (``inf``, a date,
-``null``) stays text. A quoted value is always text. Only two numbers are
-ordered, and exactly: text and truth values never are. Text that does not
-parse raises ``QueryParseError``, which holds the offending position; its
-message says what is wrong there, and names the token expected where one
-was.
+becomes that value, one YAML cannot build (``0b_``) does not parse, and
+any other word (``inf``, a date, ``null``) stays text. A quoted value is
+always text. Only two numbers are ordered, and exactly: text and truth
+values never are. Text that does not parse raises ``QueryParseError``,
+which holds the offending position; its message says what is wrong there,
+and names the token expected where one was.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Optional, Sequence, Tuple
 
 import yaml
 
-from .context import Value, is_value, normalize_value, values_equal
+from .context import Value, normalize_value, values_equal
 from .errors import IncompatibleOperandsError, QueryParseError
 
 
@@ -239,16 +238,11 @@ class _Parser:
         if tag not in _TYPED:
             return token
         try:
-            value = _YAML.yaml_constructors[tag](_YAML, yaml.ScalarNode(tag, token))
+            return _YAML.yaml_constructors[tag](_YAML, yaml.ScalarNode(tag, token))
         except ValueError:
             raise QueryParseError(
                 "%r is not a valid %s" % (token, tag.rsplit(":", 1)[-1]), position=pos
             ) from None
-        if not is_value(value):
-            raise QueryParseError(
-                "%r is a whole number too large for a float" % (token,), position=pos
-            )
-        return value
 
     def predicate(self) -> ContextPredicate:
         category = self.take()
@@ -476,5 +470,10 @@ def apply_arith(
             "operands describe different parameters: %s vs %s"
             % (left.render(), right.render())
         )
-    value = left.value + right.value if op == "+" else left.value - right.value
+    try:
+        value = left.value + right.value if op == "+" else left.value - right.value
+    except OverflowError:  # a whole number past the largest float, with a float
+        raise IncompatibleOperandsError(
+            "%s and %s do not add up to a float" % (left.render(), right.render())
+        ) from None
     return replace(left, value=value)

@@ -608,43 +608,49 @@ def net_post(net, transition):
 
 def compile_oracle(net):
     """The compiled form of ``net`` from arc-scanned ``Counter``s: keys,
-    key positions, per-transition vectors, deltas, moves and the
-    transitions each firing can enable or disable."""
+    key positions, the field width and its masks, the tail and the packed
+    initial marking, per-transition vectors and deltas, and the transitions
+    each firing can enable or disable."""
     names = tuple(net.transitions)
     pres = [net_pre(net, name) for name in names]
     posts = [net_post(net, name) for name in names]
     keys = tuple(sorted(set().union(*pres, *posts)))
     index = {key: k for k, key in enumerate(keys)}
+    packed = {(p, l): c for p, l, c in net.initial_marking if (p, l) in index}
+    largest = max([*packed.values(), *(n for c in pres + posts for n in c.values())],
+                  default=0)
+    width = 8
+    while largest >= 2 ** (width - 1):
+        width *= 2
     deltas = []
-    moves = []
+    changed = []
     for pre, post in zip(pres, posts):
         post.subtract(pre)  # now the change of every key pre or post names
-        deltas.append(tuple(sorted(
-            (index[key], change) for key, change in post.items() if change
-        )))
-        moves.append(tuple(
-            (key, key[0], key[1], pre[key], post[key]) for key in sorted(post)
-        ))
+        deltas.append(sum(change * 2 ** (index[key] * width) for key, change in post.items()))
+        changed.append({index[key] for key, change in post.items() if change})
     pre_vectors = tuple(
-        tuple(sorted((index[key], need) for key, need in pre.items()))
+        tuple(sorted((index[key] * width, need) for key, need in pre.items()))
         for pre in pres
     )
     readers = [[] for _ in keys]
-    for t, vector in enumerate(pre_vectors):
-        for k, _ in vector:
-            readers[k].append(t)
+    for t, pre in enumerate(pres):
+        for key in pre:
+            readers[index[key]].append(t)
     affected = tuple(
-        tuple(sorted({t for k, _ in delta for t in readers[k]}))
-        for delta in deltas
+        tuple(sorted({t for k in keys_changed for t in readers[k]}))
+        for keys_changed in changed
     )
     return {
         "keys": keys,
         "key_index": index,
-        "transition_index": {name: t for t, name in enumerate(names)},
+        "width": width,
+        "mask": 2 ** width - 1,
+        "guard": sum(2 ** (k * width + width - 1) for k in range(len(keys))),
+        "tail": tuple(entry for entry in net.initial_marking if entry[:2] not in index),
+        "initial_state": sum(c * 2 ** (index[key] * width) for key, c in packed.items()),
         "pre_vectors": pre_vectors,
         "deltas": tuple(deltas),
         "affected": affected,
-        "moves": tuple(moves),
     }
 
 
@@ -717,17 +723,16 @@ def explore_oracle(net, limit=100000):
 
 
 def fire_by_sort_oracle(net, marking, transition):
-    """``fire`` through a dict of the marking's tokens, sorted back."""
-    t = net.transition_index.get(transition)
-    if t is None:
+    """Firing through a dict of the marking's tokens, sorted back."""
+    if transition not in net.transitions:
         raise NotEnabledError("unknown transition %r" % (transition,))
-    keys = net.keys
     tokens = {(place, label): count for place, label, count in marking}
-    for k, need in net.pre_vectors[t]:
-        if tokens.get(keys[k], 0) < need:
+    pre, post = net.pre(transition), net.post(transition)
+    for key, need in pre.items():
+        if tokens.get(key, 0) < need:
             raise NotEnabledError("transition %r is not enabled" % (transition,))
-    for k, change in net.deltas[t]:
-        tokens[keys[k]] = tokens.get(keys[k], 0) + change
+    for key in pre.keys() | post.keys():
+        tokens[key] = tokens.get(key, 0) - pre[key] + post[key]
     return make_marking(tokens)
 
 
@@ -789,4 +794,4 @@ def check_home_oracle(space, marking):
             if prev not in reached:
                 reached.add(prev)
                 frontier.append(prev)
-    return space.nodes <= reached
+    return set(space.nodes) <= reached

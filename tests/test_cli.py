@@ -457,11 +457,11 @@ class TestMalformedDocuments:
              "relation 1: missing target"),
             ("graph.yaml", _set(("dependency_rules", 0), "then", "Network.Status"),
              "dependency rule 0: not an [attribute, value] pair"),
-            ("model.yaml", _set(("rules", 1, "value", "pairs", 0), 1, 10 ** 400),
+            ("model.yaml", _set(("rules", 1, "value", "pairs", 0), 1, None),
              "rule 1 value: not an [attribute, value] pair"),
-            ("model.yaml", _set(("ideal", 0), "value", -(10 ** 400)),
-             "ideal entry 0: value must be text, a number or a truth value, not -1000"),
-            ("repo.yaml", _set(("subgoals", 2, "entries", 0, "value", 1), 1, 10 ** 400),
+            ("model.yaml", _set(("ideal", 0), "value", [10 ** 400]),
+             "ideal entry 0: value must be text, a number or a truth value, not [1000"),
+            ("repo.yaml", _set(("subgoals", 2, "entries", 0, "value", 1), 1, None),
              "sub-goal 2 entry 0: not an [attribute, value] pair"),
             ("graph.yaml", _del(("dependency_rules", 2), "then"),
              "dependency rule 2: missing then"),
@@ -484,6 +484,22 @@ class TestMalformedDocuments:
         assert _run_mutated(tmp_path, kiosk_dir, name, mutate) == 1
         out = capsys.readouterr().out
         assert out.startswith("invalid: %s: %s" % (tmp_path / name, message))
+
+    @pytest.mark.parametrize(
+        "name,mutate",
+        [
+            ("model.yaml", _set(("rules", 1, "value", "pairs", 0), 1, 10 ** 400)),
+            ("model.yaml", _set(("ideal", 0), "value", -(10 ** 400))),
+            ("repo.yaml", _set(("subgoals", 2, "entries", 0, "value", 1), 1, 10 ** 400)),
+        ],
+        ids=["rule-pattern", "ideal", "repository-entry"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_whole_number_too_large_for_a_float_loads(
+        self, tmp_path, kiosk_dir, capsys, name, mutate, command
+    ):
+        assert _run_mutated(tmp_path, kiosk_dir, name, mutate, command) == 0
+        assert "invalid" not in capsys.readouterr().out
 
     def test_non_mapping_ideal_entry_names_file_and_index(
         self, tmp_path, kiosk_dir, capsys
@@ -744,14 +760,25 @@ class TestQuery:
             % query.index("attr Status = Cloudy")
         )
 
-    def test_bare_int_too_large_for_a_float_is_refused(self, kiosk_dir, capsys):
+    def test_bare_int_too_large_for_a_float_compares_exactly(self, tmp_path, capsys):
+        # 10**400 has no float: it loads, parses and compares as the int it is.
         word = "1" + "0" * 400
-        query = "AND Weather WHERE value = " + word
-        assert main(["query", str(kiosk_dir / "scenario.yaml"), query]) == 1
-        assert capsys.readouterr().out == (
-            "query error at position 26: %r is a whole number too large for a float\n"
-            % (word,)
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "version: 1\nkind: scenario\nsituations:\n"
+            "  - time: 600\n    contexts:\n"
+            "      - {parameter: Sensor, attribute: Reading, value: %s}\n" % word
         )
+        reading = "Sensor(Sensor, Reading, =, %s)" % word
+        expected = {
+            "AND Sensor WHERE value = " + word: reading,
+            "AND Sensor WHERE value = " + word[:-1] + "1": "NULL",
+            "AND Sensor WHERE value > " + "9" * 400: reading,
+            "AND Sensor WHERE value < " + word: "NULL",
+        }
+        for query in expected:
+            assert main(["query", str(scenario), query]) == 0
+        assert capsys.readouterr().out.splitlines() == list(expected.values())
 
     def test_only_numbers_are_ordered(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"
@@ -825,6 +852,15 @@ class TestQuery:
         assert rc == 2
         assert capsys.readouterr().out == (
             "query failed: non-numeric operand Manpower(HA, Count, =, inf)\n"
+        )
+
+    def test_arith_past_every_float_is_runtime_error(self, kiosk_dir, capsys):
+        word = "1" + "0" * 400
+        query = "ADD Manpower(HA, Count, =, %s), Manpower(HA, Count, =, 2.5)" % word
+        assert main(["query", str(kiosk_dir / "scenario.yaml"), query]) == 2
+        assert capsys.readouterr().out == (
+            "query failed: Manpower(HA, Count, =, %s) and Manpower(HA, Count, =, 2.5)"
+            " do not add up to a float\n" % word
         )
 
 

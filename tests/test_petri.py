@@ -24,7 +24,9 @@ from ctxflow.petri import (
     check_home,
     check_liveness,
     check_reachable,
+    decode,
     enabled,
+    encode,
     explore,
     fire,
     goal_marking,
@@ -141,25 +143,42 @@ class TestNetConstruction:
         )
 
 
+def fire_canonical(net, marking, name):
+    """``fire`` on canonical markings: ``marking`` packed in a copy of ``net``
+    that starts there, and a name the net lacks given the position past its
+    last transition."""
+    net = dataclasses.replace(net, initial_marking=marking)
+    names = net.transitions
+    t = names.index(name) if name in names else len(names)
+    return decode(net, fire(net, encode(net, marking), t))
+
+
 class TestFiringSemantics:
     def test_enabled_lists_fireable_transitions(self):
         net = two_step_net()
         assert enabled(net, net.initial_marking) == ["t1"]
 
+    def test_enabled_refuses_a_marking_the_net_cannot_pack(self):
+        net = two_step_net()
+        with pytest.raises(ValueError, match="no packed form"):
+            enabled(net, make_marking({("p0", "tok"): 1, ("elsewhere", "x"): 1}))
+
     def test_fire_moves_the_token(self):
         net = two_step_net()
-        m1 = fire(net, net.initial_marking, "t1")
-        assert m1 == make_marking({("p1", "tok"): 1})
+        m1 = fire(net, encode(net, net.initial_marking), 0)
+        assert decode(net, m1) == make_marking({("p1", "tok"): 1})
+        assert fire_canonical(net, net.initial_marking, "t1") == decode(net, m1)
 
     def test_fire_disabled_raises(self):
         net = two_step_net()
-        with pytest.raises(NotEnabledError):
-            fire(net, net.initial_marking, "t2")
+        with pytest.raises(NotEnabledError, match="'t2' is not enabled"):
+            fire(net, encode(net, net.initial_marking), 1)
 
-    def test_fire_unknown_transition_raises(self):
+    @pytest.mark.parametrize("t", [2, -1])
+    def test_fire_at_no_position_raises(self, t):
         net = two_step_net()
-        with pytest.raises(NotEnabledError):
-            fire(net, net.initial_marking, "nope")
+        with pytest.raises(NotEnabledError, match="no transition at position"):
+            fire(net, encode(net, net.initial_marking), t)
 
 
 class TestExploration:
@@ -308,7 +327,7 @@ class TestTranslation:
         space = explore(kiosk_net) if limit is None else explore(kiosk_net, limit=limit)
         assert space.partial == (limit is not None)
         assert space.arc_count == len(space.arcs) == sum(
-            map(len, space.successors.values())
+            map(len, successors(space).values())
         )
         if limit is None:
             assert (space.node_count, space.arc_count) == (343, 698)
@@ -357,14 +376,21 @@ def chain_model(n):
     return ProcessModel(graph, chain, FragmentRepository((), {}), (), {})
 
 
+def successors(space):
+    """Each expanded marking's (transition, successor) arcs, keyed by the
+    marking: ``out`` decoded."""
+    nodes = space.nodes
+    return {nodes[i]: [(t, nodes[j]) for t, j in arcs] for i, arcs in enumerate(space.out)}
+
+
 def assert_same_space(net, limit=100000):
     space = explore(net, limit=limit)
     expected = explore_oracle(net, limit=limit)
     assert space.initial is expected.initial
-    assert space.nodes == expected.nodes
+    assert space.nodes == expected.order
     assert space.arcs == expected.arcs
     assert space.partial == expected.partial
-    assert space.successors == expected.successors
+    assert successors(space) == expected.successors
     assert_successor_index(space)
     return space
 
@@ -375,10 +401,11 @@ def assert_successor_index(space):
     grouped = {}
     for src, t, dst in space.arcs:
         grouped.setdefault(src, []).append((t, dst))
-    assert {m: out for m, out in space.successors.items() if out} == grouped
-    assert set(space.successors) <= space.nodes
+    index = successors(space)
+    assert {m: out for m, out in index.items() if out} == grouped
+    assert set(index) <= set(space.nodes)
     if not space.partial:
-        assert set(space.successors) == space.nodes
+        assert set(index) == set(space.nodes)
 
 
 def assert_checks_match_oracles(space, net):
@@ -408,14 +435,6 @@ def assert_checks_match_oracles(space, net):
         assert check_home(space, target) == check_home_oracle(space, target)
 
 
-def assert_shared_objects(space):
-    canonical = {m: m for m in space.nodes}
-    assert all(
-        canonical[src] is src and canonical[dst] is dst
-        for src, _, dst in space.arcs
-    )
-
-
 class TestExplorerMatchesOracle:
     @pytest.fixture()
     def kiosk_net(self, kiosk_bundle):
@@ -428,7 +447,6 @@ class TestExplorerMatchesOracle:
         else:
             space = assert_same_space(kiosk_net, limit=limit)
         assert space.partial == (limit is not None and limit < 343)
-        assert_shared_objects(space)
         assert_checks_match_oracles(space, kiosk_net)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -512,7 +530,8 @@ def assert_numbered(space, net, limit=100000):
     may lack entries for markings discovered but never expanded."""
     expected = explore_oracle(net, limit=limit)
     assert space.initial is net.initial_marking
-    assert space.number[net.initial_marking] == 0
+    assert space.number[encode(space.net, net.initial_marking)] == 0
+    assert all(type(state) is int for state in space.number)  # no marking tuple kept
     assert list(space.nodes) == expected.order
     assert list(space.number.values()) == list(range(space.node_count))
     assert all(j < space.node_count for arcs in space.out for _, j in arcs)
@@ -565,10 +584,114 @@ class TestNumberedSpace:
         assert (space.node_count, len(space.out), space.arc_count) == (1, 1, 0)
 
 
+# -- the packed encoding: wide counts, self-loops and the tail ---------------
+
+
+def net_of(transitions, tokens):
+    """A net whose ``transitions`` map each name to its (inputs, outputs)
+    lists of (place, label) keys, a key listed n times being an arc of
+    weight n, with the ``tokens`` mapping as its initial marking. Each place
+    holds the labels its arcs name."""
+    arcs, colors = [], {}
+    for name, (inputs, outputs) in transitions.items():
+        arcs += [(place, name, label) for place, label in inputs]
+        arcs += [(name, place, label) for place, label in outputs]
+        for place, label in inputs + outputs:
+            colors.setdefault(place, set()).add(label)
+    places = {place: frozenset(labels) for place, labels in colors.items()}
+    return Net(places, tuple(transitions), tuple(arcs), make_marking(tokens))
+
+
+P, Q, R = ("p", "x"), ("q", "x"), ("r", "x")
+# t doubles each token on p; the self-loop u reads q, which sits above p's
+# field, so a carry out of p's field would change it.
+PUMP = net_of({"t": ([P], [P, P]), "u": ([Q], [Q])}, {P: 1, Q: 1})
+DRAIN = net_of({"t": ([P], [Q])}, {P: 200})
+HEAVY = net_of({"t": ([P] * 130, [Q] * 129 + [R])}, {P: 300})
+LOOP = net_of({"t": ([P, R], [P, Q]), "u": ([Q], [R])}, {P: 1, R: 3})
+OFF_ARCS = net_of({"t": ([P], [Q]), "u": ([Q], [P])},
+                  {P: 2, ("p", "y"): 3, ("a_ghost", "z"): 1, ("zz_ghost", "z"): 4})
+
+
+class TestPackedEncoding:
+    @pytest.mark.parametrize("limit", [1, 2, 127, 128, 129, 300])
+    def test_a_pump_widens_its_fields_past_127_tokens(self, limit):
+        space = assert_same_space(PUMP, limit=limit)
+        assert_checks_match_oracles(space, PUMP)
+        assert space.partial and space.node_count == limit
+        assert space.nodes[-1] == make_marking({P: limit, Q: 1})
+        assert PUMP.width == 8
+        assert space.net.width == (8 if limit < 128 else 16)
+        bounds = check_bounded(space, k=1, net=PUMP).bounds
+        assert bounds == {"p": limit, "q": 1}
+
+    def test_a_pump_widens_twice(self):
+        space = explore(PUMP, limit=33000)
+        assert space.net.width == 32
+        assert space.nodes[-1] == make_marking({P: 33000, Q: 1})
+        assert check_bounded(space, k=1, net=PUMP).bounds == {"p": 33000, "q": 1}
+
+    @pytest.mark.parametrize("limit", [1, 100, 200, 201, None])
+    def test_an_initial_count_past_127_starts_wide(self, limit):
+        space = assert_same_space(DRAIN, limit=limit or 100000)
+        assert_checks_match_oracles(space, DRAIN)
+        assert DRAIN.width == space.net.width == 16
+        assert (space.node_count, space.partial) == (limit or 201, limit not in (201, None))
+
+    @pytest.mark.parametrize("limit", [1, 2, None])
+    def test_an_arc_weight_past_127_starts_wide(self, limit):
+        space = assert_same_space(HEAVY, limit=limit or 100000)
+        assert_checks_match_oracles(space, HEAVY)
+        assert HEAVY.width == 16
+        if limit is None:
+            assert space.nodes == [
+                make_marking({P: 300}),
+                make_marking({P: 170, Q: 129, R: 1}),
+                make_marking({P: 40, Q: 258, R: 2}),
+            ]
+
+    @pytest.mark.parametrize("limit", [1, 3, None])
+    def test_a_self_loop_keeps_its_token(self, limit):
+        space = assert_same_space(LOOP, limit=limit or 100000)
+        assert_checks_match_oracles(space, LOOP)
+        assert all(dict(((p, l), c) for p, l, c in m)[P] == 1 for m in space.nodes)
+        if limit is None:
+            assert space.node_count == 4
+
+    @pytest.mark.parametrize("limit", [1, 2, None])
+    def test_tokens_off_the_arcs_are_kept_once(self, limit):
+        space = assert_same_space(OFF_ARCS, limit=limit or 100000)
+        assert_checks_match_oracles(space, OFF_ARCS)
+        tail = (("a_ghost", "z", 1), ("p", "y", 3), ("zz_ghost", "z", 4))
+        assert OFF_ARCS.tail == tail
+        assert all(set(tail) <= set(m) for m in space.nodes)
+        if limit is None:
+            bounds = check_bounded(space, k=1, net=OFF_ARCS).bounds
+            assert bounds == {"p": 5, "q": 2, "a_ghost": 1, "zz_ghost": 4}
+
+    @pytest.mark.parametrize("net", [PUMP, DRAIN, HEAVY, LOOP, OFF_ARCS],
+                             ids=["pump", "drain", "heavy", "loop", "off-arcs"])
+    def test_encode_and_decode_are_inverse(self, net):
+        space = explore(net, limit=300)
+        for state, marking in zip(space.number, space.nodes):
+            assert encode(space.net, marking) == state
+            assert decode(space.net, state) == marking
+
+    def test_a_marking_the_net_cannot_reach_has_no_packed_form(self):
+        line = two_step_net()
+        assert encode(line, make_marking({("p0", "tok"): 127})) == 127
+        for tokens in ({("p0", "tok"): 128}, {("p0", "tok"): 1, ("elsewhere", "x"): 1}):
+            marking = make_marking(tokens)
+            assert encode(line, marking) is None
+            space = explore(line)
+            assert check_reachable(space, marking) == (False, [])
+            assert not check_home(space, marking)
+
+
 def assert_fire_matches_oracles(net, marking):
     for name in net.transitions + ("nope",):
         outcomes = []
-        for step in (fire, fire_oracle, fire_by_sort_oracle):
+        for step in (fire_canonical, fire_oracle, fire_by_sort_oracle):
             try:
                 outcomes.append(step(net, marking, name))
             except NotEnabledError:
@@ -580,10 +703,9 @@ def assert_fire_matches_oracles(net, marking):
 @settings(max_examples=300, deadline=None)
 def test_random_nets_match_oracle(net, limit):
     space = assert_same_space(net, limit=limit)
-    assert_shared_objects(space)
     assert_checks_match_oracles(space, net)
-    for marking in list(space.nodes)[:10]:
-        assert enabled(net, marking) == enabled_oracle(net, marking)
+    for marking in space.nodes[:10]:
+        assert enabled(space.net, marking) == enabled_oracle(net, marking)
         assert_fire_matches_oracles(net, marking)
 
 
@@ -639,11 +761,11 @@ def watch_fire(monkeypatch, fail_after=None):
     ``fail_after``, the call after that many raises ``NotEnabledError``."""
     seen = []
 
-    def watched(net, marking, transition):
+    def watched(net, state, t):
         if len(seen) == fail_after:
             raise NotEnabledError("stopped after %d firings" % fail_after)
         seen.append(gc.isenabled())
-        return fire(net, marking, transition)
+        return fire(net, state, t)
 
     monkeypatch.setattr(petri, "fire", watched)
     return seen
@@ -694,6 +816,36 @@ class TestCollectorPause:
         assert (space.node_count, space.arc_count) == chain_state_space(24)
         assert starts == []
         assert gc.isenabled()
+
+
+class TestOneFiringPerArc:
+    """``explore`` calls ``petri.fire`` once per arc it records, and once
+    more, for the successor past the limit, when the space is partial: the
+    bench counts state-space work by those calls."""
+
+    def test_kiosk(self, kiosk_bundle, monkeypatch):
+        net = translate(load_bundle(kiosk_bundle).model)
+        seen = watch_fire(monkeypatch)
+        space = explore(net)
+        assert len(seen) == space.arc_count == 698
+
+    def test_generated_chain(self, tmp_path, monkeypatch):
+        bundle, _ = generate(Shape(activities=3), 1, tmp_path)
+        net = translate(load_bundle(bundle).model)
+        seen = watch_fire(monkeypatch)
+        space = explore(net)
+        assert len(seen) == space.arc_count == chain_state_space(3)[1]
+
+    @given(net=small_nets(), limit=st.integers(1, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_random_nets(self, net, limit):
+        # Counts start below 4 and grow by at most 4 a firing, so within 30
+        # markings none reaches 128 and the walk never starts over.
+        with pytest.MonkeyPatch.context() as patch:
+            seen = watch_fire(patch)
+            space = explore(net, limit=limit)
+        assert space.net is net
+        assert len(seen) == space.arc_count + space.partial
 
 
 def watch_net(monkeypatch, fail):

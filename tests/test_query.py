@@ -176,12 +176,11 @@ class TestParsing:
     @pytest.mark.parametrize("word", [
         str(int(sys.float_info.max) + 1), "1" + "0" * 400, "-1" + "0" * 400,
     ])
-    def test_bare_int_too_large_for_a_float_is_a_parse_error(self, word):
-        text = "AND Sensor WHERE value = %s" % word
-        with pytest.raises(QueryParseError) as err:
-            parse_query(text)
-        assert str(err.value) == "%r is a whole number too large for a float" % (word,)
-        assert err.value.position == text.index(word)
+    def test_bare_int_too_large_for_a_float_is_exact(self, word):
+        value = parse_query("AND Sensor WHERE value = %s" % word).condition.value
+        assert (type(value), value) == (int, int(word))
+        assert compare(int(word), "=", value) and compare(int(word) + 1, ">", value)
+        assert not compare(int(word) + 1, "=", value)
 
     @pytest.mark.parametrize("text", ["", "   ", "\n"])
     def test_empty_query(self, text):
@@ -337,6 +336,13 @@ class TestArithCompatibility:
             apply_arith(
                 "+", pred("M", "HA", "Count", 1), pred("Other", "HA", "Count", 1)
             )
+
+    @pytest.mark.parametrize("op, exact", [("+", 10 ** 400 + 2), ("-", 10 ** 400 - 2)])
+    def test_whole_number_past_every_float_adds_only_to_whole_numbers(self, op, exact):
+        big = pred("M", "HA", "Count", 10 ** 400)
+        assert apply_arith(op, big, pred("M", "HA", "Count", 2)).value == exact
+        with pytest.raises(IncompatibleOperandsError, match="do not add up to a float"):
+            apply_arith(op, big, pred("M", "HA", "Count", 2.5))
 
     def test_different_attributes_same_subject_allowed(self):
         out = apply_arith(
