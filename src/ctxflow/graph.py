@@ -178,9 +178,9 @@ class CompositeValue:
 class ContextGraph:
     """The graph's nodes by name, its relations and its dependency rules.
 
-    ``rules_by_target`` maps each attribute a dependency rule targets to
-    the positions of those rules in ``dependency_rules``, ascending; it is
-    built once, with the graph.
+    ``rules_by_trigger`` maps the ``(attribute, key)`` of each dependency
+    rule's first antecedent to the positions of the rules that start with
+    it in ``dependency_rules``, ascending; it is built once, with the graph.
     """
 
     entities: Mapping[str, EntityNode]
@@ -188,17 +188,18 @@ class ContextGraph:
     relations: Tuple[EntityRelation, ...] = ()
     dependency_rules: Tuple[DependencyRule, ...] = ()
     state_nodes: Mapping[str, StateNodeDef] = field(default_factory=dict)
-    rules_by_target: Mapping[str, Tuple[int, ...]] = field(
+    rules_by_trigger: Mapping[Tuple[str, object], Tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        positions: Dict[str, list] = {}
+        positions: Dict[Tuple[str, object], list] = {}
         for i, rule in enumerate(self.dependency_rules):
-            positions.setdefault(rule.consequent.attribute, []).append(i)
+            first = rule.antecedent[0]
+            positions.setdefault((first.attribute, first.key), []).append(i)
         object.__setattr__(
-            self, "rules_by_target",
-            {target: tuple(found) for target, found in positions.items()},
+            self, "rules_by_trigger",
+            {trigger: tuple(found) for trigger, found in positions.items()},
         )
 
     @classmethod
@@ -368,29 +369,32 @@ def apply_dependencies(
     """Fire ``g``'s dependency rules pass-by-pass until the bindings
     stabilise, and return the bindings they reach; ``bound`` is left as it is.
 
-    Only rules whose target is activated fire, found through
-    ``g.rules_by_target`` and taken in rule order; with none, the bindings
-    are returned as they are, as one pass would. Each pass evaluates every
-    such rule against the current bindings and applies all resulting writes
-    at once, which makes the fixpoint independent of rule ordering. Two
-    rules producing different values for one attribute in the same pass is
-    a conflict, not a silent choice. Values compare by their keys.
+    Each pass looks up every binding's ``(attribute, key)`` in
+    ``g.rules_by_trigger``, built once with the graph, and takes the rules
+    it finds in rule order; only those whose target is activated and whose
+    every antecedent holds by ``==`` fire, so the lookup only narrows. A
+    pass applies all its writes at once, which makes the fixpoint
+    independent of rule ordering, and a pass that writes nothing ends the
+    call. Two rules producing different values for one attribute in the
+    same pass is a conflict, not a silent choice. Values compare by their
+    keys. The cap counts every rule, whatever its target.
     """
     bound = dict(bound)
-    by_target = g.rules_by_target
-    positions = [i for target in activated for i in by_target.get(target, ())]
-    if not positions:
-        return bound  # a pass with no live rule changes nothing
-    positions.sort()
+    by_trigger = g.rules_by_trigger
+    if not by_trigger:
+        return bound  # a graph without dependency rules derives nothing
     rules = g.dependency_rules
-    live = [rules[i] for i in positions]
-    # The cap counts every rule, whatever its target; only the live ones fire.
     cap = len(rules) * max(len(activated), 1) + 1
     for _ in range(cap):
+        hits = []
+        for attr, held in bound.items():
+            hits += by_trigger.get((attr, held.key), ())
+        hits.sort()
         proposals = {}
-        for rule in live:
+        for i in hits:
+            rule = rules[i]
             target = rule.consequent.attribute
-            if not all(
+            if target not in activated or not all(
                 p.attribute in bound and bound[p.attribute].key == p.key
                 for p in rule.antecedent
             ):

@@ -273,6 +273,43 @@ GRAPH_FINDINGS = {
 }
 
 
+def _rule(kind, antecedent, consequent):
+    return {"kind": kind, "if": [list(antecedent)], "then": list(consequent)}
+
+
+# Dependency rules added to kiosk's, one set per way the fixpoint fails a
+# run, and the line each failure prints. Bill Payment activates two
+# attributes, so five rules give a cap of 5 x 2 + 1 passes.
+FIXPOINT_FAILURES = {
+    "conflict": (
+        [_rule("total", ("Network.Status", "Unavailable"),
+               ("Online_Payment.Status", "Maybe"))],
+        "run failed: rules disagree on 'Online_Payment.Status':"
+        " 'Not_Possible' vs 'Maybe'",
+    ),
+    "cycle": (
+        [_rule("partial", ("Online_Payment.Status", "Not_Possible"),
+               ("Network.Status", "Available")),
+         _rule("partial", ("Online_Payment.Status", "Possible"),
+               ("Network.Status", "Unavailable"))],
+        "run failed: dependency rules did not stabilise within 11 passes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIXPOINT_FAILURES))
+def test_a_fixpoint_failure_ends_the_run_in_one_line(
+    tmp_path, kiosk_dir, capsys, case
+):
+    rules, line = FIXPOINT_FAILURES[case]
+
+    def mutate(doc):
+        doc["dependency_rules"].extend(rules)
+
+    assert _run_mutated(tmp_path, kiosk_dir, "graph.yaml", mutate) == 2
+    assert capsys.readouterr() == (line + "\n", "")
+
+
 class TestLoadGate:
     """Every command that reads a bundle refuses the same ill-formed ones."""
 

@@ -482,11 +482,22 @@ INDEX_ATTRIBUTES = FIXPOINT_ATTRIBUTES + ("E.d", "E.e", "F.a")
 index_patterns = st.builds(
     RulePattern, st.sampled_from(INDEX_ATTRIBUTES), st.sampled_from(FIXPOINT_VALUES)
 )
+# An attribute no binding holds: a rule that starts with it is never looked
+# up, whatever its later antecedents hold.
+UNBOUND_ATTRIBUTE = "G.a"
+first_patterns = st.one_of(
+    st.builds(RulePattern, st.just(UNBOUND_ATTRIBUTE), st.sampled_from(FIXPOINT_VALUES)),
+    index_patterns,
+)
 index_rules = st.lists(
     st.builds(
         DependencyRule,
         st.sampled_from(("partial", "total")),
-        st.lists(index_patterns, min_size=1, max_size=2).map(tuple),
+        st.builds(
+            lambda first, rest: (first, *rest),
+            first_patterns,
+            st.lists(index_patterns, max_size=2),
+        ),
         index_patterns,
     ),
     max_size=14,
@@ -503,16 +514,19 @@ index_rules = st.lists(
 )
 @settings(max_examples=300, deadline=None)
 def test_indexed_live_rules_fire_as_the_scan_does(rules, activated, observed):
-    """The graph's index lists, by target, the position of every rule with
-    that target, ascending; the fixpoint that picks its live rules from it
-    reaches the scanning oracle's bindings, in the same order, or raises
-    its error with the same class and text, conflicts and cycles included."""
+    """The graph's index lists, by the attribute and normalized value of a
+    rule's first antecedent, the position of every rule that starts with
+    it, ascending; the fixpoint that looks its candidates up there reaches
+    the scanning oracle's bindings, in the same order, or raises its error
+    with the same class and text, conflicts and cycles included."""
     g = with_rules(rules)
-    assert g.rules_by_target == {
-        target: tuple(
-            i for i, rule in enumerate(rules) if rule.consequent.attribute == target
-        )
-        for target in {rule.consequent.attribute for rule in rules}
+    triggers = [
+        (rule.antecedent[0].attribute, normalize_value(rule.antecedent[0].value))
+        for rule in rules
+    ]
+    assert g.rules_by_trigger == {
+        trigger: tuple(i for i, found in enumerate(triggers) if found == trigger)
+        for trigger in triggers
     }
     bound = {
         attr: TimedValue(value, delay, normalize_value(value))
@@ -542,14 +556,107 @@ def test_new_bindings_are_added_in_rule_order():
 def test_the_index_is_built_with_the_graph_and_not_compared():
     rules = (
         DependencyRule("partial", (RulePattern("E.a", 1),), RulePattern("E.b", 2)),
-        DependencyRule("total", (RulePattern("E.b", 2),), RulePattern("E.c", 3)),
-        DependencyRule("partial", (RulePattern("E.c", 3),), RulePattern("E.b", 4)),
+        DependencyRule("total", (RulePattern("E.b", " X "),), RulePattern("E.c", 3)),
+        DependencyRule("partial", (RulePattern("E.a", 1.0), RulePattern("E.c", 3)),
+                       RulePattern("E.b", 4)),
+        DependencyRule("partial", (RulePattern("E.c", 3), RulePattern("E.a", 1)),
+                       RulePattern("E.b", 5)),
     )
     g = with_rules(rules)
-    assert g.rules_by_target == {"E.b": (0, 2), "E.c": (1,)}
-    assert with_rules(()).rules_by_target == {}
-    assert g == ContextGraph({}, {}, dependency_rules=rules)
-    assert "rules_by_target" not in repr(g)
+    assert g.rules_by_trigger == {("E.a", 1): (0, 2), ("E.b", "x"): (1,), ("E.c", 3): (3,)}
+    assert with_rules(()).rules_by_trigger == {}
+    other = ContextGraph({}, {}, dependency_rules=rules)
+    object.__setattr__(other, "rules_by_trigger", {})
+    assert g == other
+    assert "rules_by_trigger" not in repr(g)
+
+
+class TestTriggerLookup:
+    """Cases where finding a rule by its first antecedent could part from
+    testing every antecedent with ``==``; each is checked against the
+    scanning oracle and pinned to its own outcome."""
+
+    ACTIVATED = frozenset({"E.a", "E.b", "E.c", "E.d", "E.e"})
+
+    @staticmethod
+    def bind(**values):
+        return {
+            "E." + attr: TimedValue(value, 0, normalize_value(value))
+            for attr, value in values.items()
+        }
+
+    def outcome(self, bound, rules):
+        return assert_fixpoint_matches_oracle(bound, self.ACTIVATED, rules)
+
+    def test_an_unbound_first_antecedent_keeps_a_rule_from_firing(self):
+        rules = (
+            DependencyRule("partial", (RulePattern("E.a", 1), RulePattern("E.b", 2)),
+                           RulePattern("E.c", 3)),
+        )
+        assert self.outcome(self.bind(b=2), rules) == (
+            "ran", repr([("E.b", (2, 0))])
+        )
+        assert self.outcome(self.bind(a=1, b=2), rules) == (
+            "ran", repr([("E.a", (1, 0)), ("E.b", (2, 0)), ("E.c", (3, 0))])
+        )
+
+    def test_a_nan_the_pattern_and_binding_share_is_found_but_never_holds(self):
+        nan = float("nan")
+        rules = (DependencyRule("partial", (RulePattern("E.a", nan),),
+                                RulePattern("E.b", 1)),)
+        bound = self.bind(a=nan)
+        assert bound["E.a"].key is nan
+        # The lookup compares by identity first, so it finds the rule ...
+        assert with_rules(rules).rules_by_trigger[("E.a", nan)] == (0,)
+        # ... and ``==`` still refuses it.
+        assert self.outcome(bound, rules) == ("ran", repr([("E.a", (nan, 0))]))
+
+    @pytest.mark.parametrize("held, fired", [
+        (1, ("E.b", "E.c")), (1.0, ("E.b", "E.c")), (True, ("E.d",)),
+    ])
+    def test_one_and_one_point_oh_trigger_alike_and_true_apart(self, held, fired):
+        rules = tuple(
+            DependencyRule("total", (RulePattern("E.a", trigger),),
+                           RulePattern(target, "set"))
+            for trigger, target in ((1, "E.b"), (1.0, "E.c"), (True, "E.d"))
+        )
+        bound = self.bind(a=held)
+        assert self.outcome(bound, rules)[0] == "ran"
+        assert list(apply_with_index(bound, self.ACTIVATED, rules)) == ["E.a", *fired]
+
+    @pytest.mark.parametrize("pattern, held", [(" A ", "a"), ("a", " A ")])
+    def test_text_triggers_by_its_normalized_form(self, pattern, held):
+        rules = (DependencyRule("partial", (RulePattern("E.a", pattern),),
+                                RulePattern("E.b", "hit")),)
+        assert self.outcome(self.bind(a=held), rules) == (
+            "ran", repr([("E.a", (held, 0)), ("E.b", ("hit", 0))])
+        )
+
+    def test_a_chain_of_four_rules_fires_one_a_pass(self):
+        # Listed last link first, so every pass but the first looks up a
+        # binding the pass before wrote, and rule order is not write order.
+        attrs = ("E.a", "E.b", "E.c", "E.d", "E.e")
+        rules = tuple(
+            DependencyRule("partial", (RulePattern(attrs[i], i),),
+                           RulePattern(attrs[i + 1], i + 1))
+            for i in reversed(range(4))
+        )
+        bound = {"E.a": TimedValue(0, 5, 0)}
+        assert self.outcome(bound, rules) == (
+            "ran", repr([(attr, (i, 5)) for i, attr in enumerate(attrs)])
+        )
+        assert list(apply_with_index(bound, self.ACTIVATED, rules)) == list(attrs)
+
+    def test_a_conflict_names_the_earlier_rule_first(self):
+        # E.a is bound before E.b, but the rule on E.b comes first.
+        rules = (
+            DependencyRule("total", (RulePattern("E.b", 1),), RulePattern("E.c", "x")),
+            DependencyRule("total", (RulePattern("E.a", 1),), RulePattern("E.c", "y")),
+        )
+        assert self.outcome(self.bind(a=1, b=1), rules) == (
+            "raised", "DependencyConflictError",
+            "rules disagree on 'E.c': 'x' vs 'y'",
+        )
 
 
 class TestComposeValue:

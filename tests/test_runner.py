@@ -28,7 +28,13 @@ from ctxflow.chain import (
     TraceEntry,
     run_instance,
 )
-from ctxflow.context import AtomicContext, ContextState, ContextualSituation, ScopeFilter
+from ctxflow.context import (
+    AtomicContext,
+    ContextState,
+    ContextualSituation,
+    ScopeFilter,
+    normalize_value,
+)
 from ctxflow.errors import ChainIntegrityError
 from ctxflow.files import load_bundle
 from ctxflow.fragments import (
@@ -673,18 +679,21 @@ def small_generated(name, tmp_path):
     return load_bundle(bundle)
 
 
+def bundle_named(name, tmp_path):
+    if name == "kiosk":
+        return load_bundle(KIOSK)
+    if name == "kiosk-delay":
+        return kiosk_with_weather_delay(tmp_path)
+    return small_generated(name, tmp_path)
+
+
 @pytest.mark.parametrize("name", ["kiosk", "kiosk-delay", "run-adapt", "run-observe"])
 def test_a_run_changes_no_record_once_built(name, tmp_path, monkeypatch):
     """Situations, states, timed and composite values, thrown results and
     trace entries are plain records, not frozen ones: after a run, each
     one built during it, and each the loaded bundle holds, still holds in
     every field the object it was built with."""
-    if name == "kiosk":
-        bundle = load_bundle(KIOSK)
-    elif name == "kiosk-delay":
-        bundle = kiosk_with_weather_delay(tmp_path)
-    else:
-        bundle = small_generated(name, tmp_path)
+    bundle = bundle_named(name, tmp_path)
     loaded = [(cs, held(cs)) for cs in bundle.scenario]
     loaded += [(rule.value_pattern, held(rule.value_pattern)) for rule in bundle.model.rules]
     loaded += [
@@ -699,6 +708,34 @@ def test_a_run_changes_no_record_once_built(name, tmp_path, monkeypatch):
     assert kinds >= {TimedValue, CompositeValue, ThrowResult, TraceEntry, ContextState}
     assert_unchanged(built)
     assert_unchanged(loaded)
+
+
+def apply_dependencies_by_oracle(bound, activated, graph, fired):
+    """``oracles.apply_dependencies_oracle`` in the engine's place: its
+    ``(value, delay)`` pairs come back as timed values keyed as the engine
+    keys them, and each call that changed a binding is counted in ``fired``."""
+    out = oracles.apply_dependencies_oracle(bound, activated, graph.dependency_rules)
+    fired[0] += out != {attr: (timed.value, timed.delay) for attr, timed in bound.items()}
+    return {
+        attr: TimedValue(value, delay, normalize_value(value))
+        for attr, (value, delay) in out.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["kiosk", "kiosk-delay", "run-observe"])
+def test_whole_runs_fire_dependencies_as_the_oracle_does(name, tmp_path, monkeypatch):
+    """A run with the indexed fixpoint and one with the scanning oracle in
+    its place give the same trace entries and final order."""
+    bundle = bundle_named(name, tmp_path)
+    got = outcome(run_instance, bundle.model, bundle.scenario)
+    assert got[0] == "ran"
+    fired = [0]
+    monkeypatch.setattr(
+        chain_mod, "apply_dependencies",
+        functools.partial(apply_dependencies_by_oracle, fired=fired),
+    )
+    assert outcome(run_instance, bundle.model, bundle.scenario) == got
+    assert fired[0] > 0  # rules fired, so the two runs had a fixpoint to agree on
 
 
 def test_a_changed_record_is_seen(monkeypatch):
