@@ -455,7 +455,8 @@ class _Watch:
 
     Activities with equal scopes start from the same restriction of the
     ideal and catch the same situations, so one state serves them all; the
-    state names no activity. Watches hash by identity.
+    state names no activity. A watch stays on the routes that list it, and
+    ingestion skips it once ``waiting`` is 0. Watches hash by identity.
     """
 
     __slots__ = ("scope", "state", "waiting")
@@ -489,6 +490,8 @@ class _Runner:
         # parameter and each qualified attribute the scope names.
         self.watchers_by_parameter: Dict[str, Dict[_Watch, None]] = {}
         self.watchers_by_attribute: Dict[str, Dict[_Watch, None]] = {}
+        # Each qualified name's route, built from the index on first use.
+        self.routes: Dict[str, Tuple[str, Tuple[_Watch, ...]]] = {}
         by_scope: Dict[ScopeFilter, _Watch] = {}
         for node in self.chain.nodes.values():
             scope = node.scope
@@ -516,36 +519,42 @@ class _Runner:
         """Fold each due situation into the states of the scopes it touches.
 
         One walk over a situation hands each context, in situation order, to
-        the watches filed under its parameter and its qualified attribute,
-        once per watch, and each watch then folds the contexts it got. Only
+        the watches its route lists, and each watch then folds the contexts
+        it got. A route is ``(parameter, watches)``, looked up once by the
+        context's qualified name and built on first use: the watches filed
+        under the parameter and then under the qualified attribute, each
+        once, in index order. Two contexts whose dotted names qualify alike
+        (``Net.Op`` + ``Status``, ``Net`` + ``Op.Status``) share a key but
+        not a route, so a route is rebuilt when its parameter differs. Only
         watches with an activity awaiting evaluation take part: an activity
-        leaves the chain or executes only after its one evaluation. The
-        index never goes stale: scopes are set at load, and inserted
-        activities have none.
+        leaves the chain or executes only after its one evaluation, so a
+        finished watch is skipped, not unfiled. The routes never go stale:
+        scopes are set at load, and inserted activities have none.
         """
-        by_parameter = self.watchers_by_parameter
-        by_attribute = self.watchers_by_attribute
-        while (
-            self.next_situation < len(self.scenario)
-            and self.scenario[self.next_situation].timestamp <= self.clock
-        ):
-            cs = self.scenario[self.next_situation]
-            self.next_situation += 1
+        scenario = self.scenario
+        at = self.next_situation
+        while at < len(scenario) and scenario[at].timestamp <= self.clock:
+            cs = scenario[at]
+            at += 1
+            # While a situation is folded, the cursor is already past it.
+            self.next_situation = at
             routed: Dict[_Watch, List[AtomicContext]] = {}
             for ctx in cs.bindings.values():
-                for watch in by_parameter.get(ctx.parameter, ()):
+                p = ctx.parameter
+                q = ctx.qualified
+                route = self.routes.get(q)
+                if route is None or route[0] != p:
+                    watches = {
+                        **self.watchers_by_parameter.get(p, {}),
+                        **self.watchers_by_attribute.get(q, {}),
+                    }
+                    route = self.routes[q] = (p, tuple(watches))
+                for watch in route[1]:
                     if watch.waiting:
                         contexts = routed.get(watch)
                         if contexts is None:
                             routed[watch] = [ctx]
                         else:
-                            contexts.append(ctx)
-                for watch in by_attribute.get(ctx.qualified, ()):
-                    if watch.waiting:
-                        contexts = routed.get(watch)
-                        if contexts is None:
-                            routed[watch] = [ctx]
-                        elif contexts[-1] is not ctx:
                             contexts.append(ctx)
             for watch, contexts in routed.items():
                 watch.state = catch_context(contexts, watch.state, cs.timestamp)

@@ -160,22 +160,28 @@ def catch_context(
     change set when one exists, and returned untouched otherwise or when
     ``timestamp`` is not newer. Each context is classified once, and its
     parameter comes from the context itself: a parameter name may contain a
-    dot.
+    dot. A parameter is known when the state lists it or binds one of its
+    attributes; the bound parameters are gathered only for a context whose
+    parameter the state does not list, which a state the runner built never
+    lacks.
     """
     if timestamp <= state.timestamp:
         return state
     old = state.bindings
-    known = {ctx.parameter for ctx in old.values()}
-    known.update(state.parameters)
+    listed = state.parameters
+    bound = None  # the parameters ``old`` binds, gathered on first need
     # Each parameter of ``contexts`` in first-listed order, and whether it
     # is involved in the change: added, or owning a changed attribute.
     involved = {}
     changed = []
     for ctx in contexts:
         p = ctx.parameter
-        if p not in known:
-            involved[p] = True
-            continue
+        if p not in listed:
+            if bound is None:
+                bound = {c.parameter for c in old.values()}
+            if p not in bound:
+                involved[p] = True
+                continue
         q = ctx.qualified
         prior = old.get(q)
         if prior is None or prior.key != ctx.key:
@@ -183,12 +189,8 @@ def catch_context(
             involved[p] = True
         elif p not in involved:
             involved[p] = False
-    parameters = [p for p, hit in involved.items() if hit]
+    parameters = tuple([p for p, hit in involved.items() if hit])
     if not parameters:
         return state
-    return ContextState(
-        parameters=tuple(parameters),
-        attributes=tuple(changed),
-        timestamp=timestamp,
-        bindings={ctx.qualified: ctx for ctx in contexts if involved[ctx.parameter]},
-    )
+    bindings = {ctx.qualified: ctx for ctx in contexts if involved[ctx.parameter]}
+    return ContextState(parameters, tuple(changed), timestamp, bindings)

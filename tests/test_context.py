@@ -17,7 +17,7 @@ from ctxflow.context import (
     values_equal,
 )
 
-from oracles import diff_oracle, diff_rebuilding, restrict
+from oracles import catch_context_oracle, diff_oracle, diff_rebuilding, restrict
 
 
 def ctx(parameter, attribute, value, **kw):
@@ -242,6 +242,41 @@ def test_fold_matches_oracle(old, new):
         assert out.parameters == expected["parameters"]
         assert out.attributes == expected["attributes"]
         assert out.timestamp == expected["timestamp"]
+
+
+@st.composite
+def unlisting_states(draw):
+    """A state that binds a drawn situation but lists only some of the
+    parameters its bindings hold, in their order."""
+    old = draw(situations(st.integers(0, 5)))
+    full = ContextState.from_contexts(list(old.bindings.values()), old.timestamp)
+    kept = draw(st.sets(st.sampled_from(full.parameters))) if full.parameters else ()
+    listed = tuple(p for p in full.parameters if p in kept)
+    return dataclasses.replace(full, parameters=listed)
+
+
+QUALIFIED_NAMES = tuple("%s.%s" % (p, a) for p in PARAMS for a in ATTRS)
+
+
+@given(
+    state=unlisting_states(),
+    new=situations(st.integers(0, 10)),
+    parameters=st.frozensets(st.sampled_from(PARAMS)),
+    attributes=st.frozensets(st.sampled_from(QUALIFIED_NAMES)),
+)
+@settings(max_examples=300)
+def test_a_bound_parameter_unlisted_is_known(state, new, parameters, attributes):
+    """Folds into a state that leaves out some of its bound parameters agree
+    with the oracles, which gather every bound parameter up front."""
+    out = fold(new, state)
+    rebuilt = diff_rebuilding(new, state)
+    assert out == rebuilt
+    assert (out is state) == (rebuilt is state)
+    scope = ScopeFilter(parameters, attributes)
+    caught = catch_context(in_scope(new, scope), state, new.timestamp)
+    oracle = catch_context_oracle(new, state, scope)
+    assert caught == oracle
+    assert (caught is state) == (oracle is state)
 
 
 def test_fold_reads_dotted_parameter_from_context():

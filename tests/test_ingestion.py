@@ -458,6 +458,104 @@ def test_routing_cases_come_up():
         assert seen[case] > 0, case
 
 
+# -- the route table: fixed cases ------------------------------------------
+
+
+def route_model(scopes, durations=None, ideal=()):
+    """Activities ``a0``, ``a1``, ... with ``scopes`` and ``durations``
+    (0 by default) over the routing names, the ``ideal`` contexts, and no
+    rules: each state node composes ``W.Level``, and each evaluation is a
+    ``no-rule`` entry."""
+    ids = ["a%d" % i for i in range(len(scopes))]
+    graph = ContextGraph.build(
+        entities=[EntityNode(p) for p in ROUTE_PARAMETERS],
+        attributes=[AttributeNode(q) for q in ROUTE_QUALIFIED],
+        state_nodes=[
+            StateNodeDef(
+                a, ROUTE_PARAMETERS, ROUTE_QUALIFIED, Composition("AND", ("W.Level",))
+            )
+            for a in ids
+        ],
+    )
+    nodes = [
+        ActivityNode(a, sub_goal="g0", scope=scope, duration=d)
+        for a, scope, d in zip(ids, scopes, durations or [0] * len(ids))
+    ]
+    return ProcessModel(
+        graph,
+        ActivityChain.from_nodes(nodes),
+        FragmentRepository((SubgoalEntry(1, "g0"),), {}),
+        (),
+        ContextualSituation.from_contexts(ideal, -1).bindings,
+    )
+
+
+def situation(timestamp, *contexts):
+    return ContextualSituation.from_contexts(
+        [AtomicContext(p, a, value=v) for p, a, v in contexts], timestamp
+    )
+
+
+def test_a_route_is_rebuilt_when_a_dotted_name_collides():
+    """``Net.Op`` + ``Status`` and ``Net`` + ``Op.Status`` both qualify as
+    ``Net.Op.Status``: each situation reaches only the scope of the
+    parameter that binds it, though the first one cached a route under
+    that name."""
+    model = route_model([
+        ScopeFilter(frozenset({"Net.Op"}), frozenset()),
+        ScopeFilter(frozenset({"Net"}), frozenset()),
+    ])
+    scenario = [
+        situation(1, ("Net.Op", "Status", "down")),
+        situation(2, ("Net", "Op.Status", "down")),
+        situation(3, ("Net.Op", "Status", "up")),
+    ]
+    counts = routed_against_oracle(model, scenario, [])
+    assert counts == {"changed": 3, "stayed": 3}
+
+
+def test_a_cached_route_skips_a_watch_that_finished(monkeypatch):
+    """Both scopes take the first ``W.Level``, which caches its route;
+    ``a0`` is then evaluated, and the next ``W.Level`` reaches only ``a1``'s
+    scope."""
+    by_parameter = ScopeFilter(frozenset({"W"}), frozenset())
+    by_attribute = ScopeFilter(frozenset(), frozenset({"W.Level"}))
+    model = route_model(
+        [by_parameter, by_attribute],
+        durations=[10, 0],
+        ideal=[AtomicContext("W", "Level", value="a")],
+    )
+    scenario = [situation(0, ("W", "Level", "b")), situation(5, ("W", "Level", "c"))]
+    calls = guarded_calls(chain_mod._Runner, model, scenario, monkeypatch)
+    assert [(i, scope) for i, scope, *_ in calls] == [
+        (0, by_parameter), (0, by_attribute), (1, by_attribute),
+    ]
+    assert all(not executed and touched and live
+               for _, _, executed, touched, live in calls)
+    kind, entries, final_order, _ = assert_matches_oracle(model, scenario)
+    assert kind == "ran" and final_order == ["a0", "a1"]
+    assert [(e.kind, e.activity_id, e.value.pairs) for e in entries] == [
+        ("no-rule", "a0", (("W.Level", "b"),)),
+        ("no-rule", "a1", (("W.Level", "c"),)),
+    ]
+
+
+def test_a_scope_filed_under_both_names_gets_the_context_once(monkeypatch):
+    both = ScopeFilter(frozenset({"W"}), frozenset({"W.Level"}))
+    model = route_model([both], ideal=[AtomicContext("W", "Level", value="a")])
+    scenario = [situation(0, ("W", "Level", "b"), ("W", "Status", "up"))]
+    # The guard checks that the contexts passed are the restriction's, each
+    # once.
+    calls = guarded_calls(chain_mod._Runner, model, scenario, monkeypatch)
+    assert [(i, scope) for i, scope, *_ in calls] == [(0, both)]
+    assert routed_against_oracle(model, scenario, []) == {"changed": 1}
+    kind, entries, _, _ = assert_matches_oracle(model, scenario)
+    assert kind == "ran"
+    assert [(e.kind, e.value.pairs) for e in entries] == [
+        ("no-rule", (("W.Level", "b"),)),
+    ]
+
+
 # -- call guard --------------------------------------------------------------
 
 
@@ -627,3 +725,21 @@ def test_finished_scope_never_catches_a_situation(seed):
         pass
     finally:
         chain_mod.catch_context = original
+
+
+@pytest.mark.parametrize("name", ["run-observe", "run-adapt"])
+def test_bench_shapes_match_oracle(name, tmp_path):
+    """The benchmark's run shapes at seed 1: the routed runner and the
+    all-states oracle agree on the trace, the final order and every state
+    after each situation."""
+    generate(WORKLOADS[name].shape, 1, tmp_path)
+    bundle = load_bundle(tmp_path / "bundle.yaml")
+    kind, entries, final_order, _ = assert_matches_oracle(
+        bundle.model, bundle.scenario
+    )
+    assert kind == "ran"
+    kinds = collections.Counter(e.kind for e in entries)
+    assert (kinds, len(final_order)) == {
+        "run-observe": ({"no-rule": 100}, 100),
+        "run-adapt": ({"no-rule": 400, "applied": 400}, 1000),
+    }[name]
