@@ -12,7 +12,6 @@ walker, ``_entries``, names and checks every listed entry.
 from __future__ import annotations
 
 import functools
-import gc
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +31,7 @@ from yaml.events import (
 from yaml.nodes import ScalarNode
 from yaml.reader import ReaderError
 
+from ._gc import collector_paused
 from .chain import Action, ActivityChain, ActivityNode, AdaptationRule, ProcessModel
 from .context import AtomicContext, ContextualSituation, ScopeFilter, is_value
 from .errors import LoadError, UnknownSubgoalError
@@ -100,16 +100,14 @@ class _FromEvents:
     those two. It keeps the first such text, so that equal texts share one
     ``str``. A ``str`` scalar is that text; the other implicit types are
     built with the loader's own constructors, on a ``ScalarNode`` carrying
-    the event's marks. A list or dict is built when its end event comes,
-    and an anchored one is shared wherever it is aliased after that.
+    the event's marks. A list or dict is built when its end event comes.
 
-    Whatever else a document holds (another tag, a ``<<`` or ``=`` key, a
-    key that is not a scalar, an alias into an unfinished container, an
-    unknown or repeated anchor, a second document) stops the builder, and so
-    does any exception. The loader then parses the saved text again with its
-    own composer and constructor, so the tree, its sharing and any error,
-    and the order in which errors arise, are PyYAML's. The stream must be
-    text or bytes, which can be read twice.
+    Whatever else a document holds (a tag, even ``!``, an anchor or alias,
+    a ``<<`` or ``=`` key, a key that is not a scalar, a second document)
+    stops the builder, and so does any exception. The loader then parses
+    the saved text again with its own composer and constructor, so the
+    tree, its sharing and any error, and the order in which errors arise,
+    are PyYAML's. The stream must be text or bytes, which can be read twice.
     """
 
     def __init__(self, stream):
@@ -133,8 +131,7 @@ class _FromEvents:
         constructors = self.scalar_constructors
         # By ``implicit[0]``: text -> its tag (None for a ``str``), that text
         plain, quoted = {}, {}
-        anchors = {}  # anchor -> its node's object, once the node is finished
-        stack = []  # (items, anchor) of each container around the open one
+        stack = []  # the items of each container around the open one
         items = []  # the open container's; a mapping's alternate keys and values
         next_event()  # the stream's start
         if type(next_event()) is StreamEndEvent:  # else the document's start
@@ -143,8 +140,8 @@ class _FromEvents:
             event = next_event()
             cls = type(event)
             if cls is ScalarEvent:
-                if event.tag is not None and event.tag != "!":
-                    raise _LeftToPyYAML(event.tag)
+                if event.tag is not None or event.anchor is not None:
+                    raise _LeftToPyYAML(event)
                 text = event.value
                 known = plain if event.implicit[0] else quoted
                 scalar = known.get(text)
@@ -156,29 +153,23 @@ class _FromEvents:
                     # ``<<`` and ``=`` resolve to tags with no constructor here.
                     node = ScalarNode(tag, value, event.start_mark, event.end_mark)
                     value = constructors[tag](self, node)
-                anchor = event.anchor
             elif cls is MappingStartEvent or cls is SequenceStartEvent:
-                if event.tag is not None and event.tag != "!":
-                    raise _LeftToPyYAML(event.tag)
-                stack.append((items, event.anchor))
+                if event.tag is not None or event.anchor is not None:
+                    raise _LeftToPyYAML(event)
+                stack.append(items)
                 items = []
                 continue
             elif cls is MappingEndEvent:
                 pairs = iter(items)
                 value = dict(zip(pairs, pairs))  # a list or dict key cannot hash
-                items, anchor = stack.pop()
+                items = stack.pop()
             elif cls is SequenceEndEvent:
                 value = items
-                items, anchor = stack.pop()
-            elif cls is AliasEvent:  # an unknown or unfinished node is not there
-                items.append(anchors[event.anchor])
-                continue
+                items = stack.pop()
+            elif cls is AliasEvent:
+                raise _LeftToPyYAML(event)
             else:  # the document's end
                 break
-            if anchor is not None:
-                if anchor in anchors:
-                    raise _LeftToPyYAML("repeated anchor")
-                anchors[anchor] = value
             items.append(value)
         if type(next_event()) is not StreamEndEvent:
             raise _LeftToPyYAML("a second document")
@@ -516,11 +507,6 @@ def _graph(doc: dict) -> ContextGraph:
     return graph
 
 
-def load_graph(path) -> ContextGraph:
-    """The context graph at ``path``; one with findings is a ``LoadError``."""
-    return _load(path, "context-graph", _graph)
-
-
 # -- fragment repository -----------------------------------------------------
 
 
@@ -585,10 +571,6 @@ def load_repository(document: dict) -> FragmentRepository:
         keys.append(tuple(seen))
 
     return FragmentRepository(tuple(subgoals), fragments, keys)
-
-
-def load_fragments(path) -> FragmentRepository:
-    return _load(path, "fragment-repository", load_repository)
 
 
 # -- process model -----------------------------------------------------------
@@ -724,10 +706,6 @@ def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessM
     return ProcessModel(graph, chain, repo, rules, ideal)
 
 
-def load_model(path, graph: ContextGraph, repo: FragmentRepository) -> ProcessModel:
-    return _load(path, "process-model", _model, graph, repo)
-
-
 # -- scenario ----------------------------------------------------------------
 
 
@@ -794,6 +772,7 @@ def _bundle_paths(doc: dict, base: Path) -> Dict[str, str]:
     return {part: str(base / _text(doc, part)) for part in _PARTS}
 
 
+@collector_paused
 def load_bundle(path) -> ProjectBundle:
     """Load the bundle at ``path`` and the four documents it names.
 
@@ -801,23 +780,12 @@ def load_bundle(path) -> ProjectBundle:
     findings, a model that does not fit its graph or repository, an ideal
     or a situation binding an attribute that a scoped activity takes in but
     cannot map, and any malformed entry are ``LoadError``s naming the file.
-
-    The cyclic collector is paused while the bundle loads: a load builds
-    no reference cycles, so each pass would only walk the growing heap of
-    trees and model objects and free nothing. The caller's setting is put
-    back afterwards, whether the load succeeds or fails. The setting is
-    process-wide, so another thread sees the collector paused meanwhile.
+    The cyclic collector is paused for the call (see ``_gc.collector_paused``).
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        path = Path(path)
-        paths = _load(path, "bundle", _bundle_paths, path.parent)
-        graph = load_graph(paths["graph"])
-        repo = load_fragments(paths["repository"])
-        model = load_model(paths["model"], graph, repo)
-        scenario = _load(paths["scenario"], "scenario", _model_scenario, model)
-        return ProjectBundle(graph, model, scenario)
-    finally:
-        if collecting:
-            gc.enable()
+    path = Path(path)
+    paths = _load(path, "bundle", _bundle_paths, path.parent)
+    graph = _load(paths["graph"], "context-graph", _graph)
+    repo = _load(paths["repository"], "fragment-repository", load_repository)
+    model = _load(paths["model"], "process-model", _model, graph, repo)
+    scenario = _load(paths["scenario"], "scenario", _model_scenario, model)
+    return ProjectBundle(graph, model, scenario)

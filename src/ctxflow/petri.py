@@ -25,13 +25,13 @@ space decodes markings on demand; each check encodes its goal once.
 from __future__ import annotations
 
 import copy
-import gc
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from ._gc import collector_paused
 from .errors import NotEnabledError, PartialSpaceError
 
 # Token color labels.
@@ -277,6 +277,7 @@ class StateSpace:
         return sum(map(len, self.out))
 
 
+@collector_paused
 def explore(net: Net, limit: int = 100000) -> StateSpace:
     """Breadth-first exhaustive exploration of the markings reachable from
     ``net.initial_marking``.
@@ -288,57 +289,47 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
     marking in the frontier carries its enabled transitions; a firing
     rechecks, by shift and mask, only those in ``net.affected``. A new
     successor with a guard bit set starts the walk over on a copy of the
-    net packed twice as wide, which numbers the markings alike.
-
-    The walk builds no reference cycles, so the cyclic collector is paused
-    for the call: each pass would only walk the growing space and free
-    nothing. The caller's setting is put back afterwards, whether the walk
-    ends or raises; being process-wide, it is paused for other threads too.
+    net packed twice as wide, which numbers the markings alike. The cyclic
+    collector is paused for the call (see ``_gc.collector_paused``).
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        while True:
-            names, mask, guard = net.transitions, net.mask, net.guard
-            pre_vectors, affected = net.pre_vectors, net.affected
-            rechecked = [frozenset(ts) for ts in affected]
-            start = net.initial_state
-            number, out, partial = {start: 0}, [], False
-            frontier = deque([(start, _enabled_at(net, start))])
-            while frontier and not partial:
-                state, live = frontier.popleft()
-                arcs: List[Tuple[str, int]] = []
-                out.append(arcs)
-                for t in live:
-                    successor = fire(net, state, t)
-                    count = len(number)
-                    j = number.setdefault(successor, count)
-                    if j == count:
-                        if count >= limit or successor & guard:
-                            del number[successor]
-                            partial = True
-                            break
-                        recheck = rechecked[t]
-                        now = [u for u in live if u not in recheck]
-                        for u in affected[t]:
-                            for shift, need in pre_vectors[u]:
-                                if successor >> shift & mask < need:
-                                    break
-                            else:
-                                now.append(u)
-                        now.sort()
-                        frontier.append((successor, now))
-                    arcs.append((names[t], j))
-            # A walk stopped short of the limit stopped at a guard bit.
-            if not partial or len(number) >= limit:
-                return StateSpace(number, out, partial, net)
-            net = copy.copy(net)
-            net._compile(2 * net.width)
-    finally:
-        if collecting:
-            gc.enable()
+    while True:
+        names, mask, guard = net.transitions, net.mask, net.guard
+        pre_vectors, affected = net.pre_vectors, net.affected
+        rechecked = [frozenset(ts) for ts in affected]
+        start = net.initial_state
+        number, out, partial = {start: 0}, [], False
+        frontier = deque([(start, _enabled_at(net, start))])
+        while frontier and not partial:
+            state, live = frontier.popleft()
+            arcs: List[Tuple[str, int]] = []
+            out.append(arcs)
+            for t in live:
+                successor = fire(net, state, t)
+                count = len(number)
+                j = number.setdefault(successor, count)
+                if j == count:
+                    if count >= limit or successor & guard:
+                        del number[successor]
+                        partial = True
+                        break
+                    recheck = rechecked[t]
+                    now = [u for u in live if u not in recheck]
+                    for u in affected[t]:
+                        for shift, need in pre_vectors[u]:
+                            if successor >> shift & mask < need:
+                                break
+                        else:
+                            now.append(u)
+                    now.sort()
+                    frontier.append((successor, now))
+                arcs.append((names[t], j))
+        # A walk stopped short of the limit stopped at a guard bit.
+        if not partial or len(number) >= limit:
+            return StateSpace(number, out, partial, net)
+        net = copy.copy(net)
+        net._compile(2 * net.width)
 
 
 # -- property checks --------------------------------------------------------
@@ -486,6 +477,7 @@ def goal_marking(net: Net) -> Marking:
 # -- translation ------------------------------------------------------------
 
 
+@collector_paused
 def translate(model) -> Net:
     """Generate the two-layer net for a (possibly adapted) process model.
 
@@ -494,116 +486,108 @@ def translate(model) -> Net:
     activities; layer 1 mirrors the context graph restricted to the state
     nodes of activities present in the chain, with each pipeline's entity,
     attribute and value nodes suffixed by its position. Each activity's
-    substitution transition is a begin/busy/end task sequence.
-
-    As in ``explore``, and for the same reason, the cyclic collector is
-    paused for the call, and the caller's setting put back afterwards.
+    substitution transition is a begin/busy/end task sequence. The cyclic
+    collector is paused for the call (see ``_gc.collector_paused``).
     """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        order = model.chain.order()
-        n = len(order)
-        graph = model.graph
+    order = model.chain.order()
+    n = len(order)
+    graph = model.graph
 
-        places: Dict[str, FrozenSet[str]] = {}
-        transitions: List[str] = []
-        arcs: List[Arc] = []
+    places: Dict[str, FrozenSet[str]] = {}
+    transitions: List[str] = []
+    arcs: List[Arc] = []
 
-        def place(name, *labels):
-            places[name] = frozenset(labels)
-            return name
+    def place(name, *labels):
+        places[name] = frozenset(labels)
+        return name
 
-        def transition(name):
-            transitions.append(name)
-            return name
+    def transition(name):
+        transitions.append(name)
+        return name
 
-        def arc(source, target, label):
-            arcs.append((source, target, label))
+    def arc(source, target, label):
+        arcs.append((source, target, label))
 
-        # Which activities carry a context pipeline (state node present). The
-        # situation token is colored by pipeline stage (cs1, cs2, ...) so the
-        # pipelines consume it strictly in activity order.
-        piped = [i for i, aid in enumerate(order, start=1) if aid in graph.state_nodes]
-        last_piped = piped[-1] if piped else None
-        stage_of = {i: k for k, i in enumerate(piped, start=1)}
+    # Which activities carry a context pipeline (state node present). The
+    # situation token is colored by pipeline stage (cs1, cs2, ...) so the
+    # pipelines consume it strictly in activity order.
+    piped = [i for i, aid in enumerate(order, start=1) if aid in graph.state_nodes]
+    last_piped = piped[-1] if piped else None
+    stage_of = {i: k for k, i in enumerate(piped, start=1)}
 
-        place("Start", CASE)
-        place("End", CASE)
-        cs_labels = tuple("%s%d" % (CS, k) for k in range(1, len(piped) + 1)) or (CS,)
-        place("ContextualSituation", *cs_labels)
-        for i in range(1, n):
-            place("INFO_%d" % i, CASE)
+    place("Start", CASE)
+    place("End", CASE)
+    cs_labels = tuple("%s%d" % (CS, k) for k in range(1, len(piped) + 1)) or (CS,)
+    place("ContextualSituation", *cs_labels)
+    for i in range(1, n):
+        place("INFO_%d" % i, CASE)
 
-        attributes_of: Dict[str, List[str]] = {}
-        for name in sorted(graph.attributes):
-            attributes_of.setdefault(graph.attributes[name].entity, []).append(name)
+    attributes_of: Dict[str, List[str]] = {}
+    for name in sorted(graph.attributes):
+        attributes_of.setdefault(graph.attributes[name].entity, []).append(name)
 
-        for i, aid in enumerate(order, start=1):
-            upstream = "Start" if i == 1 else "INFO_%d" % (i - 1)
-            downstream = "End" if i == n else "INFO_%d" % i
+    for i, aid in enumerate(order, start=1):
+        upstream = "Start" if i == 1 else "INFO_%d" % (i - 1)
+        downstream = "End" if i == n else "INFO_%d" % i
 
-            node = graph.state_nodes.get(aid)
-            has_pipeline = node is not None
-            if has_pipeline:
-                ce = place("ContextualEvent_%d" % i, STATE, STATE_VALUE)
-                returned = place("Returned_%d" % i, FRAG)
-                state_place = place("State_%d" % i, STATE)
-                value_place = place("VALUE_%d" % i, COMPOSITE)
+        node = graph.state_nodes.get(aid)
+        has_pipeline = node is not None
+        if has_pipeline:
+            ce = place("ContextualEvent_%d" % i, STATE, STATE_VALUE)
+            returned = place("Returned_%d" % i, FRAG)
+            state_place = place("State_%d" % i, STATE)
+            value_place = place("VALUE_%d" % i, COMPOSITE)
 
-                stage = stage_of[i]
-                catch = transition("catchContext_%d" % i)
-                arc("ContextualSituation", catch, "%s%d" % (CS, stage))
-                arc(catch, ce, STATE)
+            stage = stage_of[i]
+            catch = transition("catchContext_%d" % i)
+            arc("ContextualSituation", catch, "%s%d" % (CS, stage))
+            arc(catch, ce, STATE)
 
-                propagate_state = transition("PropagateState_%d" % i)
-                arc(ce, propagate_state, STATE)
-                arc(propagate_state, state_place, STATE)
+            propagate_state = transition("PropagateState_%d" % i)
+            arc(ce, propagate_state, STATE)
+            arc(propagate_state, state_place, STATE)
 
-                # The pipeline's own entity -> attribute -> value chains, so
-                # that no other pipeline's composition can take their values.
-                mapping = transition("Mapping_%d" % i)
-                arc(state_place, mapping, STATE)
-                composition = transition("Composition_%d" % i)
-                for entity in node.parameters:
-                    entity_place = place("Entity_%s_%d" % (entity, i), ENTITY)
-                    spread = transition("Attributes_%s_%d" % (entity, i))
-                    arc(mapping, entity_place, ENTITY)
-                    arc(entity_place, spread, ENTITY)
-                    for attr_name in attributes_of[entity]:
-                        held = place("A_%s_%d" % (attr_name, i), ATTR)
-                        grab = transition("Grab_value_%s_%d" % (attr_name, i))
-                        value = place("value_%s_%d" % (attr_name, i), ATOMIC)
-                        arc(spread, held, ATTR)
-                        arc(held, grab, ATTR)
-                        arc(grab, value, ATOMIC)
-                        arc(value, composition, ATOMIC)
-                arc(composition, value_place, COMPOSITE)
+            # The pipeline's own entity -> attribute -> value chains, so
+            # that no other pipeline's composition can take their values.
+            mapping = transition("Mapping_%d" % i)
+            arc(state_place, mapping, STATE)
+            composition = transition("Composition_%d" % i)
+            for entity in node.parameters:
+                entity_place = place("Entity_%s_%d" % (entity, i), ENTITY)
+                spread = transition("Attributes_%s_%d" % (entity, i))
+                arc(mapping, entity_place, ENTITY)
+                arc(entity_place, spread, ENTITY)
+                for attr_name in attributes_of[entity]:
+                    held = place("A_%s_%d" % (attr_name, i), ATTR)
+                    grab = transition("Grab_value_%s_%d" % (attr_name, i))
+                    value = place("value_%s_%d" % (attr_name, i), ATOMIC)
+                    arc(spread, held, ATTR)
+                    arc(held, grab, ATTR)
+                    arc(grab, value, ATOMIC)
+                    arc(value, composition, ATOMIC)
+            arc(composition, value_place, COMPOSITE)
 
-                propagate_v = transition("PropagateV_%d" % i)
-                arc(value_place, propagate_v, COMPOSITE)
-                arc(propagate_v, ce, STATE_VALUE)
+            propagate_v = transition("PropagateV_%d" % i)
+            arc(value_place, propagate_v, COMPOSITE)
+            arc(propagate_v, ce, STATE_VALUE)
 
-                throw = transition("throwActivity_%d" % i)
-                arc(ce, throw, STATE_VALUE)
-                arc(throw, returned, FRAG)
-                if i != last_piped:
-                    # Hand the situation token on, recolored for the next stage.
-                    arc(throw, "ContextualSituation", "%s%d" % (CS, stage + 1))
+            throw = transition("throwActivity_%d" % i)
+            arc(ce, throw, STATE_VALUE)
+            arc(throw, returned, FRAG)
+            if i != last_piped:
+                # Hand the situation token on, recolored for the next stage.
+                arc(throw, "ContextualSituation", "%s%d" % (CS, stage + 1))
 
-            # Substitution-transition internals for Activity_i: begin, then end.
-            busy = place("Activity_%d_p1" % i, CASE)
-            begin = transition("Activity_%d_begin" % i)
-            arc(upstream, begin, CASE)
-            arc(begin, busy, CASE)
-            if has_pipeline:
-                arc("Returned_%d" % i, begin, FRAG)
-            end = transition("Activity_%d_end" % i)
-            arc(busy, end, CASE)
-            arc(end, downstream, CASE)
+        # Substitution-transition internals for Activity_i: begin, then end.
+        busy = place("Activity_%d_p1" % i, CASE)
+        begin = transition("Activity_%d_begin" % i)
+        arc(upstream, begin, CASE)
+        arc(begin, busy, CASE)
+        if has_pipeline:
+            arc("Returned_%d" % i, begin, FRAG)
+        end = transition("Activity_%d_end" % i)
+        arc(busy, end, CASE)
+        arc(end, downstream, CASE)
 
-        initial = {("Start", CASE): 1, ("ContextualSituation", "%s1" % CS): 1 if piped else 0}
-        return Net(places, tuple(transitions), tuple(arcs), make_marking(initial))
-    finally:
-        if collecting:
-            gc.enable()
+    initial = {("Start", CASE): 1, ("ContextualSituation", "%s1" % CS): 1 if piped else 0}
+    return Net(places, tuple(transitions), tuple(arcs), make_marking(initial))

@@ -931,11 +931,26 @@ REPORT_LAZY = (
 def test_only_verify_and_query_import_their_modules(kiosk_bundle, command, loaded):
     # In a fresh interpreter, as the installed command runs: ``run`` and
     # ``validate`` pay for neither the net nor the query language.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    done = subprocess.run(
-        [sys.executable, "-c", REPORT_LAZY, command, str(kiosk_bundle)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    done = fresh_python(REPORT_LAZY, command, str(kiosk_bundle))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == loaded
+
+
+def test_the_net_module_loads_no_loader():
+    # ``petri`` shares the collector guard with ``files`` through ``_gc``.
+    done = fresh_python(
+        "import sys, ctxflow.petri\n"
+        "print(*(m in sys.modules for m in ('ctxflow.files', 'yaml')))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
+
+
+def fresh_python(code, *args):
+    """``python -c code *args`` in a fresh interpreter that finds ``ctxflow``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )

@@ -6,6 +6,7 @@ Every test runs under each YAML loader (see the ``loader`` fixture).
 import dataclasses
 import gc
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -104,6 +105,17 @@ class TestDocumentEnvelope:
             load_document(p, "scenario")
 
 
+def deeply_nested_kiosk(tmp_path, kiosk_dir, depth=3000):
+    """The kiosk bundle, copied to ``tmp_path`` with its model's activities
+    nested ``depth`` lists deep."""
+    for name in ("bundle.yaml", "graph.yaml", "repo.yaml", "scenario.yaml"):
+        (tmp_path / name).write_text((kiosk_dir / name).read_text())
+    model = (kiosk_dir / "model.yaml").read_text()
+    deep = "activities: " + "[" * depth + "]" * depth + "\nkiosk_activities:"
+    (tmp_path / "model.yaml").write_text(model.replace("activities:", deep, 1))
+    return tmp_path / "bundle.yaml"
+
+
 class TestParseErrors:
     """A document that is not YAML, or holds a scalar that cannot be built,
     names its file and where parsing stopped, counted the same under either
@@ -174,12 +186,8 @@ class TestParseErrors:
         # Neither loader composes nodes: the tree is built from the parser's
         # events without recursing, so the ``repr`` of the first entry check
         # that prints the activity is what recurses.
-        for name in ("bundle.yaml", "graph.yaml", "repo.yaml", "scenario.yaml"):
-            (tmp_path / name).write_text((kiosk_dir / name).read_text())
-        model = (kiosk_dir / "model.yaml").read_text()
-        deep = "activities: " + "[" * 3000 + "]" * 3000 + "\nkiosk_activities:"
-        (tmp_path / "model.yaml").write_text(model.replace("activities:", deep, 1))
-        assert main(["validate", str(tmp_path / "bundle.yaml")]) == 1
+        bundle = deeply_nested_kiosk(tmp_path, kiosk_dir)
+        assert main(["validate", str(bundle)]) == 1
         out, err = capsys.readouterr()
         assert out == "invalid: cannot parse %s: nested too deeply\n" % (
             tmp_path / "model.yaml",
@@ -422,6 +430,24 @@ class TestBundleLoading:
             assert gc.isenabled() is collecting
             with pytest.raises(LoadError):
                 load_bundle(broken)
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    def test_a_document_nested_too_deeply_puts_back_the_collector_setting(
+        self, tmp_path, kiosk_dir, collecting
+    ):
+        """The ``RecursionError`` a deep document raises inside the pause
+        ends as a ``LoadError``, with the caller's setting put back. Just past
+        the recursion limit: the pure-Python scanner takes time quadratic in
+        the depth."""
+        bundle = deeply_nested_kiosk(tmp_path, kiosk_dir, sys.getrecursionlimit() + 100)
+        if not collecting:
+            gc.disable()
+        try:
+            with pytest.raises(LoadError, match="nested too deeply"):
+                load_bundle(bundle)
             assert gc.isenabled() is collecting
         finally:
             gc.enable()

@@ -17,7 +17,7 @@ from ctxflow.errors import (
     UnknownContextError,
     UnobservedAttributeError,
 )
-from ctxflow.files import load_graph
+from ctxflow.files import load_bundle
 from ctxflow.graph import (
     AttributeNode,
     Composition,
@@ -747,6 +747,6 @@ class TestComposeValue:
 
 class TestKioskGraphFixture:
     def test_fixture_loads_and_validates(self, kiosk_dir):
-        g = load_graph(kiosk_dir / "graph.yaml")
+        g = load_bundle(kiosk_dir / "bundle.yaml").graph
         assert validate_graph(g).ok
         assert len(g.state_nodes) == 5

@@ -808,6 +808,26 @@ class TestCollectorPause:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    def test_restored_when_the_limit_is_refused(self, kiosk_net, collecting):
+        """The limit is checked inside the pause, so its refusal puts the
+        caller's setting back too."""
+        if not collecting:
+            gc.disable()
+        try:
+            with pytest.raises(ValueError, match="^limit must be positive$"):
+                explore(kiosk_net, limit=0)
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
+
+    def test_the_guarded_builds_keep_their_names_and_docs(self):
+        builds = (load_bundle, translate, explore)
+        assert [b.__name__ for b in builds] == ["load_bundle", "translate", "explore"]
+        for build in builds:
+            assert build.__doc__ == build.__wrapped__.__doc__
+            assert "collector_paused" in build.__doc__
+
     def test_a_large_chain_starts_no_collection(self, tmp_path, collections_during):
         generate(Shape(activities=24), 1, tmp_path)
         net = translate(load_bundle(tmp_path / "bundle.yaml").model)

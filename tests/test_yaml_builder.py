@@ -70,27 +70,28 @@ BUILT = [
     " '190:20:30', 190:20:30, 1.5, -1e3, .inf, -.Inf, .nan, 2026-10-18,"
     " 2026-10-18 12:00:00, 2026-10-18t12:00:00.5-05:00, abc, '2026-10-18']",
     "{1: a, 1.5: b, true: c, ~: d, 2026-10-18: e, x: f}",
-    "{a: &x [1, 2], b: *x, c: &y {k: *x}, d: [*y, *y]}",
-    "[&s x, *s, &t 5, *t]",
     "{a: 1, a: 2}",
     "time: 2026-10-18",
     "",
     "# only a comment\n",
     "--- a\n...",
     "--- {a: 1}\n...\n",
-    "! 12",
-    "! [a]",
     "a:\n  - b\n  - c: d\n    e:\n      - [f, 1]\n      - g: {h: ~}\ni: 2\n",
-    "{&k a: 1, b: *k, *k : 2}",
-    "[{&k 1: a}, {*k : b}]",
 ]
 
-# Those, and every case the builder must leave to PyYAML. A builder that
-# called a collection constructor on ``!!seq a`` would return a generator
-# object where PyYAML raises. In the last case, a scalar that cannot be
-# built comes before a repeated anchor: PyYAML composes the whole document
-# before it builds one scalar, so the anchor is its error.
+# Those, and every case the builder leaves to PyYAML: a tag, an anchor or
+# an alias among them. A builder that called a collection constructor on
+# ``!!seq a`` would return a generator object where PyYAML raises. In the
+# last case, a scalar that cannot be built comes before a repeated anchor:
+# PyYAML composes the whole document before it builds one scalar, so the
+# anchor is its error.
 CASES = BUILT + [
+    "{a: &x [1, 2], b: *x, c: &y {k: *x}, d: [*y, *y]}",
+    "[&s x, *s, &t 5, *t]",
+    "! 12",
+    "! [a]",
+    "{&k a: 1, b: *k, *k : 2}",
+    "[{&k 1: a}, {*k : b}]",
     "&a [*a]",
     "&a {x: *a}",
     "{a: *ghost}",
