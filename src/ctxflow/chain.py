@@ -450,21 +450,25 @@ class _Pending:
 
 
 class _Watch:
-    """One scope, the state it caught, and how many of its activities await
-    evaluation.
+    """One scope, the state it caught, how many of its activities await
+    evaluation, and the last evaluation made of the state.
 
     Activities with equal scopes start from the same restriction of the
     ideal and catch the same situations, so one state serves them all; the
     state names no activity. A watch stays on the routes that list it, and
-    ingestion skips it once ``waiting`` is 0. Watches hash by identity.
+    ingestion skips it once ``waiting`` is 0. ``slot`` is the state, the
+    state node's shape (``ContextGraph.state_shapes``), the composite value
+    and its selection key of the last evaluation kept, or None.
+    Watches hash by identity.
     """
 
-    __slots__ = ("scope", "state", "waiting")
+    __slots__ = ("scope", "state", "waiting", "slot")
 
     def __init__(self, scope: ScopeFilter, state: ContextState):
         self.scope = scope
         self.state = state
         self.waiting = 0
+        self.slot: Optional[Tuple[ContextState, int, CompositeValue, object]] = None
 
 
 class _Runner:
@@ -569,17 +573,39 @@ class _Runner:
 
     def _evaluate(self, node: ActivityNode, at: int) -> None:
         """Evaluate ``node``'s contextual event and act on it; ``at`` is the
-        node's position in ``chain.ids``."""
+        node's position in ``chain.ids``.
+
+        The value depends only on the state and on the state node's shape,
+        so it is computed once for each pair: an activity whose watch last
+        evaluated this very state under an equal shape reuses that value
+        and key. An activity without a state node has no shape and is
+        always evaluated, and an evaluation that raises is not kept, so
+        each error names its own activity. A value is kept only while
+        another activity of the watch awaits evaluation.
+        """
+        watch = self.watches[node.id]
         state = self._caught(node.id)
         graph = self.model.graph
-        activated = instantiate(graph, node.id, state)
-        if activated is None:
-            self._record("no-change", node.id, None, None, None)
-            return
-        bound = assign_values(graph, activated, state.bindings)
-        bound = apply_dependencies(bound, activated, graph)
-        value = compose_value(bound, graph.state_nodes[node.id])
-        key = value.normalized()
+        slot = watch.slot
+        # A value is kept only once instantiate has found the activity's
+        # state node, so a slot's shape is never None, and an activity
+        # without a state node never matches one.
+        if (
+            slot is not None and slot[0] is state
+            and slot[1] == graph.state_shapes.get(node.id)
+        ):
+            value, key = slot[2], slot[3]
+        else:
+            activated = instantiate(graph, node.id, state)
+            if activated is None:
+                self._record("no-change", node.id, None, None, None)
+                return
+            bound = assign_values(graph, activated, state.bindings)
+            bound = apply_dependencies(bound, activated, graph)
+            value = compose_value(bound, graph.state_nodes[node.id])
+            key = value.normalized()
+            if watch.waiting:  # only an activity still waiting can reuse it
+                watch.slot = (state, graph.state_shapes[node.id], value, key)
         thrown = throw_activity(self.model.repo, node.sub_goal, key)
         rule = select_rule(self.model, node.id, key, thrown.fragment)
         if rule is None:

@@ -1,18 +1,20 @@
 """The CLI contract: one sha256 per command line, over what ``ctxflow`` gives back.
 
-Each case runs ``cli.main`` in-process on the kiosk fixture or on a bundle
-``bench/bundlegen.py`` writes from a seed. Its digest covers the exit code,
-stdout, stderr and every file written under ``-o``, with the working
-directory replaced by a fixed token. ``tests/test_contract.py`` checks each
-digest against ``tests/fixtures/contract.json``. A change that alters a
-digest on purpose names each changed case, and why, in CHANGES.md, and then
-rewrites the file, from the root of a checkout, with::
+Each case runs ``cli.main`` in-process on the kiosk fixture, on a copy of it
+with one line edited, or on a bundle ``bench/bundlegen.py`` writes from a
+seed. Its digest covers the exit code, stdout, stderr and every file
+written under ``-o``, with the working directory replaced by a fixed token.
+``tests/test_contract.py`` checks each digest against
+``tests/fixtures/contract.json``. A change that alters a digest on purpose
+names each changed case, and why, in CHANGES.md, and then rewrites the file,
+from the root of a checkout, with::
 
     PYTHONPATH=src python tests/contract.py
 """
 
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import shutil
@@ -39,14 +41,44 @@ def _kiosk(name):
     return write
 
 
-def _generated(shape):
-    return lambda work: generate(shape, 1, work)[0]
+def _kiosk_edited(document, line, edited):
+    """Kiosk with its one ``line`` of ``document`` replaced by ``edited``."""
+    def write(work):
+        bundle = _kiosk("bundle.yaml")(work)
+        path = work / document
+        text = path.read_text()
+        assert text.count(line) == 1, (document, line)
+        path.write_text(text.replace(line, edited))
+        return bundle
+    return write
 
 
+def _generated(shape, seed=1):
+    return lambda work: generate(shape, seed, work)[0]
+
+
+REORDER = "    action: {kind: reorder, order: [L2, L3, L1]}\n"
+REORDERS = {
+    "kiosk-reorder-%s" % "-".join(order): _kiosk_edited(
+        "model.yaml", REORDER, REORDER.replace("L2, L3, L1", ", ".join(order))
+    )
+    for order in itertools.permutations(("L1", "L2", "L3"))
+}
+SEEDED = {
+    "%s-seed-%d" % (name, seed): _generated(WORKLOADS[name].shape, seed)
+    for name in ("run-adapt", "run-observe")
+    for seed in (2, 3)
+}
 BUNDLES = {
     "kiosk": _kiosk("bundle.yaml"),
     "ideal-kiosk": _kiosk("ideal-bundle.yaml"),
+    "kiosk-delay": _kiosk_edited(
+        "graph.yaml", "  - {name: Weather.Status}\n",
+        "  - {name: Weather.Status, delay: 30}\n",
+    ),
+    **REORDERS,
     **{name: _generated(w.shape) for name, w in WORKLOADS.items()},
+    **SEEDED,
     **{"chain-%d" % n: _generated(Shape(activities=n)) for n in range(1, 7)},
 }
 
@@ -65,6 +97,8 @@ CASES = {
     "%s: %s" % (bundle, " ".join(command)): (bundle, command)
     for bundles, commands in (
         (("kiosk", "ideal-kiosk"), KIOSK_COMMANDS),
+        (("kiosk-delay",), (("run",), ("run", OUT))),
+        (tuple(REORDERS) + tuple(SEEDED), (("run", OUT),)),
         (tuple(WORKLOADS), (("validate",), ("run",), ("metrics",))),
         (tuple("chain-%d" % n for n in range(1, 7)), (("verify",),)),
     )

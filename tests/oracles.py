@@ -7,7 +7,8 @@ a linear sub-goal scan, linear row and rule scans that normalize every
 pattern on every comparison, a runner that rescans the chain order on every
 step, a runner that checks the whole chain after every rewrite, a runner
 that offers every situation to every activity and restricts it to the
-activity's scope before folding it, a fold that rebuilds its facts from
+activity's scope before folding it, a runner that evaluates every
+activity's state afresh, a fold that rebuilds its facts from
 whole situations, per-context classification for state changes, a
 dependency fixpoint that normalizes both sides of every comparison, subset
 enumeration for query evaluation, arc-scanning token counters for
@@ -415,6 +416,48 @@ class _AllStatesRunner(chain_mod._Runner):
     def _caught(self, activity_id):
         super()._caught(activity_id)  # the walk's record of who awaits evaluation
         return self.states.pop(activity_id)
+
+
+# -- per-activity evaluation -------------------------------------------------
+
+
+class FreshEvaluationRunner(chain_mod._Runner):
+    """The runner with every activity's contextual event evaluated afresh:
+    the four steps and the selection key run once per activity, with no
+    value kept from one activity for the next. Ingestion, the walk and the
+    rewrites are the production ones."""
+
+    def _evaluate(self, node, at):
+        state = self._caught(node.id)
+        graph = self.model.graph
+        # Looked up at each call, so that tests can wrap them.
+        activated = chain_mod.instantiate(graph, node.id, state)
+        if activated is None:
+            self._record("no-change", node.id, None, None, None)
+            return
+        bound = chain_mod.assign_values(graph, activated, state.bindings)
+        bound = chain_mod.apply_dependencies(bound, activated, graph)
+        value = chain_mod.compose_value(bound, graph.state_nodes[node.id])
+        key = value.normalized()
+        thrown = chain_mod.throw_activity(self.model.repo, node.sub_goal, key)
+        rule = chain_mod.select_rule(self.model, node.id, key, thrown.fragment)
+        if rule is None:
+            self._record("no-rule", node.id, value, thrown.fragment, None)
+        elif value.max_delay > 0:
+            due = self.clock + value.max_delay
+            self.pending[node.id] = chain_mod._Pending(
+                due, node.id, rule, thrown.fragment, value
+            )
+            self._record(
+                "deferred", node.id, value, thrown.fragment, rule, deferred_until=due
+            )
+        else:
+            self._apply(node.id, rule, thrown.fragment, at)
+            self._record("applied", node.id, value, thrown.fragment, rule)
+
+
+def run_evaluating_afresh(model, scenario):
+    return FreshEvaluationRunner(model, scenario).run()
 
 
 # -- classification oracle for folding a situation into a state -------------

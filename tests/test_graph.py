@@ -571,6 +571,28 @@ def test_the_index_is_built_with_the_graph_and_not_compared():
     assert "rules_by_trigger" not in repr(g)
 
 
+def test_state_shapes_are_numbered_on_first_use_and_not_compared():
+    ab = ("E.a", "E.b")
+    nodes = [
+        StateNodeDef("and", ("E",), ab),
+        StateNodeDef("or", ("E",), ab, Composition("OR", ab)),
+        StateNodeDef("and-again", ("E",), ab, Composition("AND", ab)),
+        StateNodeDef("reordered", ("E",), ab, Composition("AND", ab[::-1])),
+        StateNodeDef("mapped", ("E",), ab + ("E.c",), Composition("AND", ab)),
+        StateNodeDef("nested", ("E",), ab, Composition("AND", (Composition("OR", ab),))),
+        StateNodeDef("or-again", ("E",), ab, Composition("OR", ab)),
+    ]
+    g = ContextGraph.build([EntityNode("E")], [], state_nodes=nodes)
+    assert "state_shapes" not in vars(g)
+    assert g.state_shapes == {
+        "and": 0, "or": 1, "and-again": 0, "reordered": 2, "mapped": 3,
+        "nested": 4, "or-again": 1,
+    }
+    assert g.state_shapes is g.state_shapes
+    assert g == ContextGraph.build([EntityNode("E")], [], state_nodes=nodes)
+    assert "state_shapes" not in repr(g)
+
+
 class TestTriggerLookup:
     """Cases where finding a rule by its first antecedent could part from
     testing every antecedent with ``==``; each is checked against the

@@ -11,6 +11,7 @@ import functools
 import logging
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,11 @@ from ctxflow.context import (
     ScopeFilter,
     normalize_value,
 )
-from ctxflow.errors import ChainIntegrityError
+from ctxflow.errors import (
+    ChainIntegrityError,
+    IncompleteBindingError,
+    UnknownContextError,
+)
 from ctxflow.files import load_bundle
 from ctxflow.fragments import (
     FragmentActivity,
@@ -46,6 +51,7 @@ from ctxflow.fragments import (
 )
 from ctxflow.graph import (
     AttributeNode,
+    Composition,
     CompositeValue,
     ContextGraph,
     EntityNode,
@@ -754,3 +760,230 @@ def test_a_changed_record_is_seen(monkeypatch):
     bindings["E.a"] = None
     with pytest.raises(AssertionError):
         assert_unchanged(built)
+
+
+# -- one evaluation per state and state-node shape ---------------------------
+
+
+def counting_compositions(monkeypatch):
+    """The number of ``compose_value`` calls from now on, as a one-item list."""
+    calls = [0]
+    compose = chain_mod.compose_value
+
+    def counted(bound, node):
+        calls[0] += 1
+        return compose(bound, node)
+
+    monkeypatch.setattr(chain_mod, "compose_value", counted)
+    return calls
+
+
+def assert_evaluates_as_afresh(model, scenario):
+    """The run, and the run that evaluates every activity afresh, give the
+    same outcome; that outcome is returned."""
+    got = outcome(run_instance, model, scenario)
+    assert got == outcome(oracles.run_evaluating_afresh, model, scenario)
+    return got
+
+
+@pytest.mark.parametrize("name", ["kiosk", "kiosk-delay"])
+def test_kiosk_evaluates_as_afresh(name, tmp_path):
+    bundle = bundle_named(name, tmp_path)
+    assert assert_evaluates_as_afresh(bundle.model, bundle.scenario)[0] == "ran"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_bench_shapes_evaluate_as_afresh(name, seed, tmp_path):
+    generate(WORKLOADS[name].shape, seed, tmp_path)
+    bundle = load_bundle(tmp_path / "bundle.yaml")
+    assert assert_evaluates_as_afresh(bundle.model, bundle.scenario)[0] == "ran"
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    make=st.sampled_from([kiosk_variant, random_model]),
+)
+@settings(max_examples=200, deadline=None)
+def test_random_chains_evaluate_as_afresh(seed, make):
+    assert_evaluates_as_afresh(*make(random.Random(seed)))
+
+
+WIDE = ScopeFilter(frozenset({"E"}), frozenset())
+NARROW = ScopeFilter(frozenset(), frozenset({"E.a", "E.b"}))
+AB = ("E.a", "E.b")
+SHAPES = {
+    "and": (AB, Composition("AND", AB)),
+    "or": (AB, Composition("OR", AB)),
+    "reordered": (AB, Composition("AND", AB[::-1])),
+    "mapped": (AB + ("E.c",), Composition("AND", AB)),
+}
+# Activities named ``<shape>-<n>``, on the wide scope unless in ``NARROWED``.
+SHARED_SCOPE_CHAINS = {
+    "compositions": [
+        "and-1", "or-1", "and-2", "and-3", "reordered-1", "or-2", "and-4",
+        "reordered-2", "reordered-3", "and-5", "or-3", "or-4",
+    ],
+    "mapped-attributes": [
+        "and-1", "mapped-1", "mapped-2", "and-2", "and-3", "mapped-3", "and-4",
+        "mapped-4", "and-5",
+    ],
+    "narrower-scope": [
+        "and-1", "and-2", "and-3", "and-4", "or-1", "and-5", "and-6", "and-7",
+    ],
+}
+NARROWED = {"and-2", "and-3", "and-6"}
+Y = composite_from_pairs([("E.a", "y"), ("E.b", "y")])
+# Each rule keyed by activity: reused values must still select by activity.
+SHARED_SCOPE_RULES = {
+    "and-2": (None, Action("data_change", data=("d",))),
+    "and-3": ("F", Action("add_after")),
+    "and-5": (None, Action("reorder", order=("L2", "L3", "L1"))),
+    "reordered-1": ("F", Action("add_before")),
+    "reordered-2": (None, Action("bypass")),
+    "mapped-1": (None, Action("replace_role", role="R")),
+    "mapped-2": (None, Action("bypass")),
+    "or-1": (None, Action("replace_medium", medium="M")),
+}
+
+
+def shared_scope_model(name, delay):
+    """Activities that share a scope but differ in composition or mapped
+    attributes, or share a shape but not a scope, under situations that
+    change both ``E.a`` and ``E.b`` every 12 minutes and bind ``E.c`` as the
+    ideal does, which only the wide scope covers; ``delay`` is ``E.b``'s.
+
+    A value of one state under ``and`` and under ``reordered`` normalizes to
+    one key, so both throw fragment ``F`` on sub-goal ``s``; they differ in
+    their pairs' order only.
+    """
+    ids = SHARED_SCOPE_CHAINS[name]
+    shape = {a: SHAPES[a.rsplit("-", 1)[0]] for a in ids}
+    graph = ContextGraph.build(
+        entities=[EntityNode("E")],
+        attributes=[
+            AttributeNode("E.a"), AttributeNode("E.b", delay=delay), AttributeNode("E.c"),
+        ],
+        state_nodes=[StateNodeDef(a, ("E",), *shape[a]) for a in ids],
+    )
+    nodes = [
+        ActivityNode(
+            id=a, sub_goal="s" if a in ("and-3", "reordered-1") else "t",
+            scope=NARROW if a in NARROWED else WIDE, duration=5,
+        )
+        for a in ids
+    ]
+    fragment = ProcessFragment("F", (FragmentActivity("x"),))
+    repo = FragmentRepository(
+        (SubgoalEntry(1, "s", ((Y, "F"),)), SubgoalEntry(2, "t")), {"F": fragment}
+    )
+    pattern = {op: dataclasses.replace(Y, op=op) for op in ("AND", "OR")}
+    rules = tuple(
+        AdaptationRule(a, pattern[shape[a][1].op], fragment_id, action)
+        for a, (fragment_id, action) in SHARED_SCOPE_RULES.items()
+        if a in shape
+    )
+
+    def context(attr, value):
+        return AtomicContext(parameter="E", attribute=attr, value=value)
+
+    ideal = {q: context(q[2:], v) for q, v in (("E.a", "x"), ("E.b", "x"), ("E.c", "z"))}
+    scenario = [
+        ContextualSituation.from_contexts(
+            [context("a", value), context("b", value), context("c", "z")],
+            timestamp=t,
+        )
+        for t, value in zip(range(0, 60, 12), "yxyxy")
+    ]
+    model = ProcessModel(graph, ActivityChain.from_nodes(nodes), repo, rules, ideal)
+    return model, scenario
+
+
+@pytest.mark.parametrize("delay", [0, 30])
+@pytest.mark.parametrize("name", sorted(SHARED_SCOPE_CHAINS))
+def test_shared_scopes_evaluate_as_afresh(name, delay, monkeypatch):
+    model, scenario = shared_scope_model(name, delay)
+    calls = counting_compositions(monkeypatch)
+    got = outcome(run_instance, model, scenario)
+    kept = calls[0]
+    assert got == outcome(oracles.run_evaluating_afresh, model, scenario)
+    kind, entries, _ = got
+    assert kind == "ran" and any(e.action for e in entries)
+    # The fresh run composed once per activity, the production run less.
+    assert calls[0] - kept == len(model.chain)
+    assert 0 < kept < len(model.chain)
+
+
+# (first node, second node, situation, error, message): the first node
+# evaluates the state, the second fails on it.
+FAILING_SECOND = {
+    "unbound-in-composition": (
+        (("E",), ("E.a",)), (("E",), AB), {"E.a": "y"}, IncompleteBindingError,
+        "attribute 'E.b' is unbound in composition of 'second'",
+    ),
+    "unlinked-attribute": (
+        (("E",), AB, Composition("AND", ("E.a",))), (("E",), ("E.a",)),
+        {"E.a": "y", "E.b": "y"}, UnknownContextError,
+        "attribute 'E.b' of state 'second' has no blue link",
+    ),
+    "unlinked-parameter": (
+        (("E", "F"), ("E.a",)), (("E",), ("E.a",)), {"E.a": "y", "F.a": "y"},
+        UnknownContextError, "parameter 'F' of state 'second' has no red link",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_SECOND))
+def test_an_error_after_a_kept_value_names_its_own_activity(case, monkeypatch):
+    """Two activities share a state: the first is evaluated and its value
+    kept, and the second, of another shape, fails on the same state."""
+    first, second, situation, error, message = FAILING_SECOND[case]
+    graph = ContextGraph.build(
+        entities=[EntityNode("E"), EntityNode("F")],
+        attributes=[AttributeNode(q) for q in ("E.a", "E.b", "F.a")],
+        state_nodes=[StateNodeDef("first", *first), StateNodeDef("second", *second)],
+    )
+    scope = ScopeFilter(frozenset({"E", "F"}), frozenset())
+    model = ProcessModel(
+        graph,
+        ActivityChain.from_nodes(
+            [ActivityNode(a, sub_goal="t", scope=scope) for a in ("first", "second")]
+        ),
+        FragmentRepository((SubgoalEntry(1, "t"),), {}),
+        (),
+        {q: AtomicContext(parameter="E", attribute=q[2:], value="x") for q in AB},
+    )
+    scenario = [
+        ContextualSituation.from_contexts(
+            [
+                AtomicContext(parameter=q[0], attribute=q[2:], value=v)
+                for q, v in situation.items()
+            ],
+            timestamp=0,
+        )
+    ]
+    calls = counting_compositions(monkeypatch)
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        run_instance(model, scenario)
+    assert calls[0] == 1 + (error is IncompleteBindingError)
+    assert outcome(run_instance, model, scenario) == outcome(
+        oracles.run_evaluating_afresh, model, scenario
+    )
+
+
+@pytest.mark.parametrize(
+    "name, evaluations, activities",
+    [("run-adapt", 8, 800), ("run-observe", 90, 100)],
+)
+def test_each_state_is_evaluated_once_per_shape(
+    name, evaluations, activities, tmp_path, monkeypatch
+):
+    """``run-adapt``'s 800 activities share 8 states, one per scope, under 8
+    shapes; of ``run-observe``'s 100, 10 find their scope's state evaluated
+    already (seed 1)."""
+    generate(WORKLOADS[name].shape, 1, tmp_path)
+    bundle = load_bundle(tmp_path / "bundle.yaml")
+    calls = counting_compositions(monkeypatch)
+    trace = run_instance(bundle.model, bundle.scenario)
+    assert sum(e.value is not None for e in trace.entries) == activities
+    assert calls == [evaluations]
