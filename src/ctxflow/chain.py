@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -375,21 +375,20 @@ class ProcessModel:
     repo: FragmentRepository
     rules: Tuple[AdaptationRule, ...]
     ideal: Mapping[str, AtomicContext]  # qualified attribute -> ideal context
+    keys: InitVar[Optional[Sequence[object]]] = None  # each rule's pattern normalized
     _rule_index: Dict[tuple, AdaptationRule] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, keys):
         self.chain.validate()
         # The first rule listed under an (activity, fragment id, pattern) key wins.
         index: Dict[tuple, AdaptationRule] = {}
-        shared: Dict[object, object] = {}
-        for rule in self.rules:
+        for i, rule in enumerate(self.rules):
             if rule.activity_id not in self.chain:
                 raise UnknownActivityError(
                     "rule targets unknown activity %r" % (rule.activity_id,)
                 )
-            key = rule.value_pattern.normalized()
-            key = (rule.activity_id, rule.fragment_pattern, shared.setdefault(key, key))
-            index.setdefault(key, rule)
+            key = keys[i] if keys is not None else rule.value_pattern.normalized()
+            index.setdefault((rule.activity_id, rule.fragment_pattern, key), rule)
         for q in self.ideal:
             if q not in self.graph.attributes:
                 raise UnknownContextError(
@@ -457,7 +456,7 @@ class _Watch:
     ideal and catch the same situations, so one state serves them all; the
     state names no activity. A watch stays on the routes that list it, and
     ingestion skips it once ``waiting`` is 0. ``slot`` is the state, the
-    state node's shape (``ContextGraph.state_shapes``), the composite value
+    state node's parameters, attributes and composition, the composite value
     and its selection key of the last evaluation kept, or None.
     Watches hash by identity.
     """
@@ -468,7 +467,7 @@ class _Watch:
         self.scope = scope
         self.state = state
         self.waiting = 0
-        self.slot: Optional[Tuple[ContextState, int, CompositeValue, object]] = None
+        self.slot: Optional[Tuple[ContextState, tuple, CompositeValue, object]] = None
 
 
 class _Runner:
@@ -496,14 +495,16 @@ class _Runner:
         self.watchers_by_attribute: Dict[str, Dict[_Watch, None]] = {}
         # Each qualified name's route, built from the index on first use.
         self.routes: Dict[str, Tuple[str, Tuple[_Watch, ...]]] = {}
-        by_scope: Dict[ScopeFilter, _Watch] = {}
+        # Grouped by name sets, which the loader shares between equal scopes.
+        by_scope: Dict[tuple, _Watch] = {}
         for node in self.chain.nodes.values():
             scope = node.scope
             if scope is None:
                 continue
-            watch = by_scope.get(scope)
+            names = (scope.relevant_parameters, scope.relevant_attributes)
+            watch = by_scope.get(names)
             if watch is None:
-                watch = by_scope[scope] = self._watch(scope)
+                watch = by_scope[names] = self._watch(scope)
             watch.waiting += 1
             self.watches[node.id] = watch
 
@@ -586,14 +587,13 @@ class _Runner:
         watch = self.watches[node.id]
         state = self._caught(node.id)
         graph = self.model.graph
+        stored = graph.state_nodes.get(node.id)
+        # The loader shares equal parts, which then compare by identity. A
+        # value is kept only once instantiate has found the state node, so a
+        # slot's shape is never None, and an activity without one never matches.
+        shape = stored and (stored.parameters, stored.attributes, stored.composition)
         slot = watch.slot
-        # A value is kept only once instantiate has found the activity's
-        # state node, so a slot's shape is never None, and an activity
-        # without a state node never matches one.
-        if (
-            slot is not None and slot[0] is state
-            and slot[1] == graph.state_shapes.get(node.id)
-        ):
+        if slot is not None and slot[0] is state and slot[1] == shape:
             value, key = slot[2], slot[3]
         else:
             activated = instantiate(graph, node.id, state)
@@ -602,10 +602,10 @@ class _Runner:
                 return
             bound = assign_values(graph, activated, state.bindings)
             bound = apply_dependencies(bound, activated, graph)
-            value = compose_value(bound, graph.state_nodes[node.id])
+            value = compose_value(bound, stored)
             key = value.normalized()
             if watch.waiting:  # only an activity still waiting can reuse it
-                watch.slot = (state, graph.state_shapes[node.id], value, key)
+                watch.slot = (state, shape, value, key)
         thrown = throw_activity(self.model.repo, node.sub_goal, key)
         rule = select_rule(self.model, node.id, key, thrown.fragment)
         if rule is None:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import yaml
 from yaml.constructor import ConstructorError
@@ -88,6 +89,10 @@ class _LeftToPyYAML(Exception):
     """A document that ``_FromEvents`` leaves to PyYAML."""
 
 
+class _NestedTooDeeply(RecursionError):
+    """A document nested deeper than ``_FromEvents.MAX_DEPTH``."""
+
+
 class _FromEvents:
     """A loader mixin that builds each document straight from the parser's
     events, so that a load never holds PyYAML's node tree.
@@ -108,7 +113,11 @@ class _FromEvents:
     the saved text again with its own composer and constructor, so the
     tree, its sharing and any error, and the order in which errors arise,
     are PyYAML's. The stream must be text or bytes, which can be read twice.
+    A container inside ``MAX_DEPTH`` others stops the load instead: the
+    pure-Python scanner takes time quadratic in the depth of flow brackets.
     """
+
+    MAX_DEPTH = 100
 
     def __init__(self, stream):
         self.saved_text = stream
@@ -117,6 +126,8 @@ class _FromEvents:
     def get_single_data(self):
         try:
             return self._build()
+        except _NestedTooDeeply:
+            raise
         except Exception:
             pass
         again = type(self)(self.saved_text)
@@ -156,6 +167,8 @@ class _FromEvents:
             elif cls is MappingStartEvent or cls is SequenceStartEvent:
                 if event.tag is not None or event.anchor is not None:
                     raise _LeftToPyYAML(event)
+                if len(stack) == self.MAX_DEPTH:
+                    raise _NestedTooDeeply(event.start_mark)
                 stack.append(items)
                 items = []
                 continue
@@ -370,12 +383,33 @@ def _build(where: str, make, *args, **kwargs):
         raise _error(where, str(exc)) from None
 
 
+def _once(shared: dict, key: tuple, build, *args):
+    """``build(*args or key)``, or what this load's ``shared[build]`` holds
+    under an equal ``key``: equal facts share one object (hash-consing).
+    Only successes are kept; an unhashable key is built afresh."""
+    table = shared[build]
+    try:
+        found = table.get(key)
+    except TypeError:
+        return build(*args or key)
+    if found is None:
+        found = table[key] = build(*args or key)
+    return found
+
+
+def _typed(value) -> tuple:
+    """What a key holds beside a value that may be other than text: its type,
+    since ``1``, ``1.0``, ``true`` and ``"1"`` are equal, and a zero's text,
+    since ``-0.0`` equals ``0.0`` but prints apart."""
+    return type(value), value == 0 and str(value)
+
+
 def _load(path, kind: str, build, *args):
     """Build from the document at ``path``, naming the file in any error.
 
-    A document nested deeper than Python's recursion limit stops the first
-    check that recurses into it, such as the ``repr`` in an entry's error,
-    or the pure-Python composer if the document is left to PyYAML.
+    A document nested deeper than the builder's ``MAX_DEPTH``, or than the
+    recursion limit of a check that recurses into it (the ``repr`` in an
+    entry's error, or PyYAML's composer), is refused as nested too deeply.
     """
     try:
         doc = load_document(path, kind)
@@ -387,8 +421,13 @@ def _load(path, kind: str, build, *args):
         raise LoadError("cannot parse %s: nested too deeply" % (path,)) from None
 
 
-def _context(spec: dict, where: str) -> AtomicContext:
+def _context(spec: dict, where: str, shared: dict) -> AtomicContext:
     """The context ``spec``, a mapping holding its parameter and attribute."""
+    key = (*spec, *spec.values(), *_typed(spec.get("value")))
+    return _once(shared, key, _new_context, spec, where)
+
+
+def _new_context(spec: dict, where: str) -> AtomicContext:
     parameter = _text(spec, "parameter", where)
     attribute = _text(spec, "attribute", where)
     connector = _text(spec, "connector", where, "=")
@@ -401,6 +440,19 @@ def _context(spec: dict, where: str) -> AtomicContext:
                      % (value,))
     return _build(where, AtomicContext, parameter, attribute, connector, value,
                   instance, category, temporality)
+
+
+def _pattern(spec: dict, field: str, where: str, shared: dict):
+    """The pattern of the pairs under ``spec[field]`` and ``op``, and its key."""
+    pairs = _pairs(_list(spec, field, where), where)
+    op = _text(spec, "op", where, "AND")
+    key = (op, *pairs, *[_typed(value) for _, value in pairs])
+    return _once(shared, key, _new_pattern, pairs, op)
+
+
+def _new_pattern(pairs: list, op: str):
+    pattern = composite_from_pairs(pairs, op)
+    return pattern, pattern.normalized()
 
 
 # -- context graph -----------------------------------------------------------
@@ -424,7 +476,12 @@ def _composition(spec, node: str, enclosing=()) -> Composition:
     return _build(where, Composition, _text(spec, "op", where, "AND"), items)
 
 
-def _graph(doc: dict) -> ContextGraph:
+def _shape(parameters: tuple, attributes: tuple, composition) -> tuple:
+    """A state node's parts; the composition defaults to AND over its attributes."""
+    return parameters, attributes, composition or Composition("AND", attributes)
+
+
+def _graph(doc: dict, shared: dict) -> ContextGraph:
     entities = [
         EntityNode(
             _text(spec, "name", where),
@@ -467,17 +524,13 @@ def _graph(doc: dict) -> ContextGraph:
                 consequent=RulePattern(*consequent),
             )
         )
+    # Nodes of equal shape share its parts, which the runner compares.
     nodes = [
-        StateNodeDef(
-            id=_text(spec, "id", where),
-            parameters=tuple(_distinct_texts(spec, "parameters", where, "parameter")),
-            attributes=tuple(_distinct_texts(spec, "attributes", where, "attribute")),
-            composition=(
-                _composition(spec["composition"], where)
-                if "composition" in spec
-                else None
-            ),
-        )
+        StateNodeDef(_text(spec, "id", where), *_once(shared, (
+            tuple(_distinct_texts(spec, "parameters", where, "parameter")),
+            tuple(_distinct_texts(spec, "attributes", where, "attribute")),
+            _composition(spec["composition"], where) if "composition" in spec else None,
+        ), _shape))
         for where, spec in _entries(doc, "state_nodes", "state node", "id")
     ]
     # The graph files each kind by name, where a repeat would replace the
@@ -510,13 +563,15 @@ def _graph(doc: dict) -> ContextGraph:
 # -- fragment repository -----------------------------------------------------
 
 
-def load_repository(document: dict) -> FragmentRepository:
+def load_repository(document: dict, shared: Optional[dict] = None) -> FragmentRepository:
     """Build a repository from its parsed document, validating invariants.
 
     A malformed entry raises ``LoadError`` naming it by its position in its
     list, counted from 0: ``fragment 0``, ``fragment 0 activity 1``,
-    ``sub-goal 2``, ``sub-goal 2 entry 0``.
+    ``sub-goal 2``, ``sub-goal 2 entry 0``. ``shared`` holds a load's
+    tables (``_once``).
     """
+    shared = defaultdict(dict) if shared is None else shared
     if not isinstance(document, dict):
         raise LoadError("repository document must be a mapping")
 
@@ -548,11 +603,8 @@ def load_repository(document: dict) -> FragmentRepository:
         used = set()
         for at, row in _entries(spec, "entries", "entry", "value", "fragment",
                                 where=where):
-            pattern = composite_from_pairs(
-                _pairs(_list(row, "value", at), at), _text(row, "op", at, "AND")
-            )
+            pattern, normalized = _pattern(row, "value", at, shared)
             fragment_id = _text(row, "fragment", at)
-            normalized = pattern.normalized()
             if normalized in seen:
                 raise _error(at, "duplicate value pattern")
             if fragment_id not in fragments:
@@ -577,7 +629,7 @@ def load_repository(document: dict) -> FragmentRepository:
 
 
 def _activity(spec: dict, where: str, graph: ContextGraph,
-              repo: FragmentRepository) -> ActivityNode:
+              repo: FragmentRepository, shared: dict) -> ActivityNode:
     activity_id = _text(spec, "id", where)
     sub_goal = _subgoal_key(spec, where, spec["id"])
     role = _text(spec, "role", where)
@@ -589,10 +641,10 @@ def _activity(spec: dict, where: str, graph: ContextGraph,
     if spec.get("scope") is not None:
         at = where + " scope"
         declared = _mapping(spec["scope"], at)
-        scope = ScopeFilter(
+        scope = _once(shared, (
             frozenset(_texts(declared, "parameters", at)),
             frozenset(_texts(declared, "attributes", at)),
-        )
+        ), ScopeFilter)
         if state is None:
             raise _error(where, "has a scope but no state node")
         for kind, named, mapped in (
@@ -605,7 +657,8 @@ def _activity(spec: dict, where: str, graph: ContextGraph,
                              % (kind, unmapped[0]))
     elif state is not None:
         # Default scope: exactly what the activity's state node maps.
-        scope = ScopeFilter(frozenset(state.parameters), frozenset(state.attributes))
+        names = (frozenset(state.parameters), frozenset(state.attributes))
+        scope = _once(shared, names, ScopeFilter)
     if scope is not None:
         # Only activities with a scope are evaluated, so only their
         # sub-goals are ever looked up.
@@ -621,7 +674,7 @@ def _activity(spec: dict, where: str, graph: ContextGraph,
 
 
 def _rule(spec: dict, where: str, chain: ActivityChain,
-          repo: FragmentRepository) -> AdaptationRule:
+          repo: FragmentRepository, shared: dict) -> Tuple[AdaptationRule, object]:
     activity_id = _text(spec, "activity", where)
     if activity_id not in chain:
         raise _error(where, "unknown activity %r" % (activity_id,))
@@ -631,10 +684,7 @@ def _rule(spec: dict, where: str, chain: ActivityChain,
         if fragment_id not in repo.fragments:
             raise _error(where, "unknown fragment %r" % (fragment_id,))
     at = where + " value"
-    value = _mapping(spec["value"], at, "pairs")
-    pattern = composite_from_pairs(
-        _pairs(_list(value, "pairs", at), at), _text(value, "op", at, "AND")
-    )
+    pattern, key = _pattern(_mapping(spec["value"], at, "pairs"), "pairs", at, shared)
     at = where + " action"
     action = _mapping(spec["action"], at, "kind")
     return _build(
@@ -652,7 +702,7 @@ def _rule(spec: dict, where: str, chain: ActivityChain,
             order=tuple(_texts(action, "order", at)),
             data=tuple(_texts(action, "data", at)),
         ),
-    )
+    ), key
 
 
 def _check_bound(chain: ActivityChain, graph: ContextGraph, bound) -> None:
@@ -678,9 +728,10 @@ def _check_bound(chain: ActivityChain, graph: ContextGraph, bound) -> None:
                     ) % (node.id, qualified, parameter))
 
 
-def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessModel:
+def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository,
+           shared: dict) -> ProcessModel:
     ordered = _unique([
-        _activity(spec, where, graph, repo)
+        _activity(spec, where, graph, repo, shared)
         for where, spec in _entries(doc, "activities", "activity", "id")
     ], "activity", "id")
     if not ordered:
@@ -691,19 +742,20 @@ def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessM
     bound = []
     for where, spec in _entries(doc, "ideal", "ideal entry", "parameter",
                                 "attribute"):
-        ctx = _context(spec, where)
+        ctx = _context(spec, where, shared)
         if ctx.qualified not in graph.attributes:
             raise _error(where, "unknown attribute %r" % (ctx.qualified,))
         ideal[ctx.qualified] = ctx
         bound.append((where, ctx))
     _check_bound(chain, graph, bound)
 
-    rules = tuple(
-        _rule(spec, where, chain, repo)
+    rules = [
+        _rule(spec, where, chain, repo, shared)
         for where, spec in _entries(doc, "rules", "rule", "activity", "value",
                                     "action")
-    )
-    return ProcessModel(graph, chain, repo, rules, ideal)
+    ]
+    return ProcessModel(graph, chain, repo, tuple(rule for rule, _ in rules), ideal,
+                        [key for _, key in rules])
 
 
 # -- scenario ----------------------------------------------------------------
@@ -713,11 +765,11 @@ def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository) -> ProcessM
 ListedSituation = Tuple[ContextualSituation, List[AtomicContext]]
 
 
-def _scenario(doc: dict) -> List[ListedSituation]:
+def _scenario(doc: dict, shared: dict) -> List[ListedSituation]:
     situations: List[ListedSituation] = []
     for where, spec in _entries(doc, "situations", "situation", "time"):
         contexts = [
-            _context(c, at)
+            _context(c, at, shared)
             for at, c in _entries(spec, "contexts", "context", "parameter",
                                   "attribute", where=where)
         ]
@@ -742,16 +794,17 @@ def load_scenario(path) -> List[ListedSituation]:
     A situation binds one context per qualified attribute, the last one
     listed, while the list keeps every instance of an attribute.
     """
-    return _load(path, "scenario", _scenario)
+    return _load(path, "scenario", _scenario, defaultdict(dict))
 
 
-def _model_scenario(doc: dict, model: ProcessModel) -> List[ContextualSituation]:
-    situations = [cs for cs, _ in _scenario(doc)]
-    _check_bound(model.chain, model.graph, (
-        ("situation %d" % i, ctx)
-        for i, cs in enumerate(situations)
-        for ctx in cs.bindings.values()
-    ))
+def _model_scenario(doc: dict, model: ProcessModel,
+                    shared: dict) -> List[ContextualSituation]:
+    situations = [cs for cs, _ in _scenario(doc, shared)]
+    first: Dict[int, tuple] = {}  # each shared context at its first place
+    for i, cs in enumerate(situations):
+        for ctx in cs.bindings.values():
+            first.setdefault(id(ctx), ("situation %d" % i, ctx))
+    _check_bound(model.chain, model.graph, first.values())
     return situations
 
 
@@ -784,8 +837,10 @@ def load_bundle(path) -> ProjectBundle:
     """
     path = Path(path)
     paths = _load(path, "bundle", _bundle_paths, path.parent)
-    graph = _load(paths["graph"], "context-graph", _graph)
-    repo = _load(paths["repository"], "fragment-repository", load_repository)
-    model = _load(paths["model"], "process-model", _model, graph, repo)
-    scenario = _load(paths["scenario"], "scenario", _model_scenario, model)
+    shared: dict = defaultdict(dict)  # this load's tables (see ``_once``)
+    graph = _load(paths["graph"], "context-graph", _graph, shared)
+    repo = _load(paths["repository"], "fragment-repository",
+                 lambda doc: load_repository(doc, shared))
+    model = _load(paths["model"], "process-model", _model, graph, repo, shared)
+    scenario = _load(paths["scenario"], "scenario", _model_scenario, model, shared)
     return ProjectBundle(graph, model, scenario)

@@ -58,7 +58,6 @@ class FragmentRepository:
         # hashable key. Entries may share an index, so rows key by position.
         positions: Dict[object, int] = {}
         rows: Dict[Tuple[int, object], str] = {}
-        shared: Dict[object, object] = {}
         for position, entry in enumerate(self.subgoals):
             for key in (entry.name, entry.index):
                 try:
@@ -70,7 +69,7 @@ class FragmentRepository:
                 else [pattern.normalized() for pattern, _ in entry.rows]
             )
             for key, (_, fragment_id) in zip(row_keys, entry.rows):
-                rows.setdefault((position, shared.setdefault(key, key)), fragment_id)
+                rows.setdefault((position, key), fragment_id)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_rows", rows)
 

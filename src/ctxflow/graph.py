@@ -181,8 +181,6 @@ class ContextGraph:
     ``rules_by_trigger`` maps the ``(attribute, key)`` of each dependency
     rule's first antecedent to the positions of the rules that start with
     it in ``dependency_rules``, ascending; it is built once, with the graph.
-    ``state_shapes`` numbers the state nodes by shape; it is built on first
-    use, since only a run reads it.
     """
 
     entities: Mapping[str, EntityNode]
@@ -203,19 +201,6 @@ class ContextGraph:
             self, "rules_by_trigger",
             {trigger: tuple(found) for trigger, found in positions.items()},
         )
-
-    @cached_property
-    def state_shapes(self) -> Mapping[str, int]:
-        """A small number for each state node, by id, shared by the nodes
-        with equal parameters, attributes and composition: evaluating one
-        state under any of them gives the same value."""
-        numbers: Dict[tuple, int] = {}
-        return {
-            name: numbers.setdefault(
-                (node.parameters, node.attributes, node.composition), len(numbers)
-            )
-            for name, node in self.state_nodes.items()
-        }
 
     @classmethod
     def build(cls, entities, attributes, relations=(), dependency_rules=(),

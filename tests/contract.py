@@ -69,6 +69,11 @@ SEEDED = {
     for name in ("run-adapt", "run-observe")
     for seed in (2, 3)
 }
+SHARED = {
+    "shared-%d-on-%d" % (a, e): _generated(Shape(activities=a, entities=e, situations=1))
+    for a, e in ((2, 1), (4, 2), (5, 1), (6, 3), (9, 8))
+}
+CHAINS = {"chain-%d" % n: _generated(Shape(activities=n)) for n in range(1, 13)}
 BUNDLES = {
     "kiosk": _kiosk("bundle.yaml"),
     "ideal-kiosk": _kiosk("ideal-bundle.yaml"),
@@ -79,7 +84,8 @@ BUNDLES = {
     **REORDERS,
     **{name: _generated(w.shape) for name, w in WORKLOADS.items()},
     **SEEDED,
-    **{"chain-%d" % n: _generated(Shape(activities=n)) for n in range(1, 7)},
+    **SHARED,
+    **CHAINS,
 }
 
 KIOSK_COMMANDS = (
@@ -100,7 +106,8 @@ CASES = {
         (("kiosk-delay",), (("run",), ("run", OUT))),
         (tuple(REORDERS) + tuple(SEEDED), (("run", OUT),)),
         (tuple(WORKLOADS), (("validate",), ("run",), ("metrics",))),
-        (tuple("chain-%d" % n for n in range(1, 7)), (("verify",),)),
+        (tuple(SHARED), (("validate",), ("run",), ("verify",))),
+        (tuple(CHAINS), (("verify",),)),
     )
     for bundle in bundles
     for command in commands

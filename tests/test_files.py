@@ -183,9 +183,8 @@ class TestParseErrors:
         assert "Traceback" not in out + err
 
     def test_deeply_nested_document_is_a_load_error(self, tmp_path, kiosk_dir, capsys):
-        # Neither loader composes nodes: the tree is built from the parser's
-        # events without recursing, so the ``repr`` of the first entry check
-        # that prints the activity is what recurses.
+        # The event builder stops at its ``MAX_DEPTH``, long before the
+        # pure-Python scanner, quadratic in flow depth, reaches the bottom.
         bundle = deeply_nested_kiosk(tmp_path, kiosk_dir)
         assert main(["validate", str(bundle)]) == 1
         out, err = capsys.readouterr()
@@ -193,6 +192,20 @@ class TestParseErrors:
             tmp_path / "model.yaml",
         )
         assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["at-the-cap", "past-the-cap"])
+    def test_the_builder_refuses_a_document_past_its_depth(self, tmp_path, past):
+        # The document's mapping holds its situations, lists nested in lists.
+        lists = files._FromEvents.MAX_DEPTH - 1 + past
+        path = tmp_path / "scenario.yaml"
+        path.write_text("version: 1\nkind: scenario\nsituations: %s%s\n"
+                        % ("[" * lists, "]" * lists))
+        with pytest.raises(LoadError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(
+            "cannot parse %s: nested too deeply" % (path,) if past
+            else "%s: situation 0: not a mapping" % (path,)
+        )
 
 
 class TestScenarioLoading:
@@ -495,7 +508,27 @@ class TestBundleLoading:
         assert len(bundle.model.chain) == 100
         assert peak - start < 2 * (kept - start)
 
+    def test_a_shared_context_is_refused_at_its_first_place(self, tmp_path, kiosk_dir):
+        """Later situations list one unmapped context twice, which the load
+        builds once; the error names the first situation that binds it."""
+        for name in ("bundle.yaml", "graph.yaml", "repo.yaml", "model.yaml"):
+            (tmp_path / name).write_text((kiosk_dir / name).read_text())
+        humid = "      - {parameter: Weather, attribute: Humidity, value: High}\n"
+        later = '  - time: "%s"\n    contexts:\n' + humid
+        (tmp_path / "scenario.yaml").write_text(
+            (kiosk_dir / "scenario.yaml").read_text() + later % "3:00 pm" + later % "4:00 pm"
+        )
+        with pytest.raises(LoadError) as err:
+            load_bundle(tmp_path / "bundle.yaml")
+        assert str(err.value) == (
+            "%s: situation 1: activity 'Storage in Cloud' takes in attribute "
+            "'Weather.Humidity' through parameter 'Weather', but its state node does "
+            "not map it" % (tmp_path / "scenario.yaml",)
+        )
+
     def test_loading_normalizes_each_pattern_once(self, run_adapt_bundle, monkeypatch):
+        """Once per distinct typed pattern of the rows and rules together:
+        1,750 patterns of 24 distinct values (seed 3)."""
         calls = []
         normalized = CompositeValue.normalized
         monkeypatch.setattr(
@@ -504,4 +537,7 @@ class TestBundleLoading:
         )
         bundle = load_bundle(run_adapt_bundle)
         rows = [p for entry in bundle.model.repo.subgoals for p, _ in entry.rows]
-        assert len(calls) == len(bundle.model.rules) + len(rows) == 1750
+        patterns = rows + [rule.value_pattern for rule in bundle.model.rules]
+        assert len(patterns) == 1750
+        assert len({id(p) for p in patterns}) == len(calls) == 24
+        assert len({(p.op, p.pairs) for p in patterns}) == 24

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxflow.context import AtomicContext, ContextState, normalize_value
+from bundlegen import Shape, generate
+from ctxflow import chain as chain_mod
+from ctxflow.chain import ActivityChain, ActivityNode, ProcessModel, run_instance
+from ctxflow.context import (
+    AtomicContext,
+    ContextState,
+    ContextualSituation,
+    ScopeFilter,
+    normalize_value,
+)
 from ctxflow.errors import (
     DependencyConflictError,
     DependencyCycleError,
@@ -18,6 +27,7 @@ from ctxflow.errors import (
     UnobservedAttributeError,
 )
 from ctxflow.files import load_bundle
+from ctxflow.fragments import FragmentRepository, SubgoalEntry
 from ctxflow.graph import (
     AttributeNode,
     Composition,
@@ -571,26 +581,56 @@ def test_the_index_is_built_with_the_graph_and_not_compared():
     assert "rules_by_trigger" not in repr(g)
 
 
-def test_state_shapes_are_numbered_on_first_use_and_not_compared():
-    ab = ("E.a", "E.b")
+def test_equal_shapes_share_one_evaluation_built_by_hand_or_loaded(tmp_path, monkeypatch):
+    """A run evaluates a state once for the activities of one scope whose
+    state nodes have equal parameters, attributes and composition, whether
+    the parts are equal objects built apart or the ones the loader shares;
+    a node of another composition is evaluated on its own."""
+    calls = []
+    compose = chain_mod.compose_value
+    monkeypatch.setattr(
+        chain_mod, "compose_value",
+        lambda bound, node: calls.append(node.id) or compose(bound, node),
+    )
+    ab = ["E.a", "E.b"]
     nodes = [
-        StateNodeDef("and", ("E",), ab),
-        StateNodeDef("or", ("E",), ab, Composition("OR", ab)),
-        StateNodeDef("and-again", ("E",), ab, Composition("AND", ab)),
-        StateNodeDef("reordered", ("E",), ab, Composition("AND", ab[::-1])),
-        StateNodeDef("mapped", ("E",), ab + ("E.c",), Composition("AND", ab)),
-        StateNodeDef("nested", ("E",), ab, Composition("AND", (Composition("OR", ab),))),
-        StateNodeDef("or-again", ("E",), ab, Composition("OR", ab)),
+        StateNodeDef("default", ("E",), tuple(ab)),
+        StateNodeDef("and", tuple(["E"]), tuple(ab), Composition("AND", tuple(ab))),
+        StateNodeDef("or", ("E",), tuple(ab), Composition("OR", tuple(ab))),
     ]
-    g = ContextGraph.build([EntityNode("E")], [], state_nodes=nodes)
-    assert "state_shapes" not in vars(g)
-    assert g.state_shapes == {
-        "and": 0, "or": 1, "and-again": 0, "reordered": 2, "mapped": 3,
-        "nested": 4, "or-again": 1,
-    }
-    assert g.state_shapes is g.state_shapes
-    assert g == ContextGraph.build([EntityNode("E")], [], state_nodes=nodes)
-    assert "state_shapes" not in repr(g)
+    assert nodes[0].composition == nodes[1].composition
+    assert nodes[0].composition is not nodes[1].composition
+    graph = ContextGraph.build(
+        [EntityNode("E")], [AttributeNode(a) for a in ab], state_nodes=nodes
+    )
+    activities = [
+        ActivityNode(node.id, "s", scope=ScopeFilter(frozenset({"E"}), frozenset()))
+        for node in nodes
+    ]
+    ideal = {"E.a": AtomicContext("E", "a"), "E.b": AtomicContext("E", "b")}
+    model = ProcessModel(
+        graph, ActivityChain.from_nodes(activities),
+        FragmentRepository((SubgoalEntry(1, "s"),), {}), (), ideal,
+    )
+    situation = ContextualSituation.from_contexts(
+        [AtomicContext("E", "a", value="x"), AtomicContext("E", "b", value="y")], 0
+    )
+    trace = run_instance(model, [situation])
+    assert [e.value.pairs for e in trace.entries] == [(("E.a", "x"), ("E.b", "y"))] * 3
+    assert calls == ["default", "or"]
+
+    # Activities A0000, A0002 and A0004 share entity E000 and one shape.
+    bundle = load_bundle(
+        generate(Shape(activities=6, entities=2, situations=1), 1, tmp_path)[0]
+    )
+    stored = bundle.graph.state_nodes
+    for part in ("parameters", "attributes", "composition"):
+        assert getattr(stored["A0000"], part) is getattr(stored["A0004"], part)
+        assert getattr(stored["A0000"], part) != getattr(stored["A0001"], part)
+    calls.clear()
+    trace = run_instance(bundle.model, bundle.scenario)
+    assert sum(e.value is not None for e in trace.entries) == 6
+    assert calls == ["A0000", "A0001"]
 
 
 class TestTriggerLookup:
