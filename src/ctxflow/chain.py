@@ -6,7 +6,8 @@ insertion, replacement (by fragment, of role, of medium), bypass, window
 reordering and data-level change; each is a splice of the id list. The
 runner walks the chain, evaluates each activity's contextual event just
 before it executes, and applies the action selected by the first matching
-rule.
+rule. The chain is the schedule: its head is what ran, in the order it ran,
+so at the end of a run the chain is the final order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import logging
 from collections import Counter
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .context import (
     AtomicContext,
@@ -479,13 +480,12 @@ class _Runner:
         # The watch of each scoped activity that awaits evaluation;
         # evaluating the activity drops it.
         self.watches: Dict[str, _Watch] = {}
-        self.executed: Set[str] = set()
         # Deferred actions by activity, in deferral order. An activity is
         # evaluated once and stays in the chain while its action waits, so
         # it has at most one; until it applies, the activity is blocked.
         self.pending: Dict[str, _Pending] = {}
-        # Where the walk resumes in ``chain.ids``; every activity before it
-        # has executed.
+        # ``chain.ids[:resume]`` is what ran, in the order it ran; no rewrite
+        # touches it, and the walk resumes at ``resume``.
         self.resume = 0
         self.clock = self.scenario[0].timestamp if self.scenario else 0
         self.next_situation = 0
@@ -675,10 +675,10 @@ class _Runner:
             start, window, permutation = self._resolve_reorder(
                 activity_id, action.order, at
             )
-            # The target has not executed, so only a reorder reaches behind
-            # the walk's position: its window may start at an executed
-            # predecessor, which the permutation can move after the target.
-            self.resume = min(self.resume, start)
+            # What ran keeps its place: only the window's first activity can
+            # have run, and then the rest take the permutation's order.
+            if start < self.resume:
+                permutation = window[:1] + [a for a in permutation if a != window[0]]
             reorder(chain, window, permutation, at=start)
         elif action.kind == "data_change":
             data_level_change(chain, activity_id, action.data)
@@ -721,16 +721,13 @@ class _Runner:
 
         An activity whose contextual event produced a timed value is blocked
         until the delay elapses; activities after it may run meanwhile, which
-        is how a timed value postpones its activity in the schedule. The walk
-        starts at ``resume`` and moves it up to the first unexecuted activity.
+        is how a timed value postpones its activity in the schedule. Every
+        activity from ``resume`` on is unexecuted.
         """
         ids = self.chain.ids
         end = len(ids)
         i = self.resume
-        while i < end and ids[i] in self.executed:
-            i += 1
-        self.resume = i
-        while i < end and (ids[i] in self.executed or ids[i] in self.pending):
+        while i < end and ids[i] in self.pending:
             i += 1
         return i if i < end else None
 
@@ -752,7 +749,7 @@ class _Runner:
         model_size = len(self.model.chain)
         while True:
             passes += 1
-            if passes > 2 * model_size + len(self.executed) + 1:
+            if passes > 2 * model_size + self.resume + 1:
                 raise ChainIntegrityError("runner failed to make progress")
             self._ingest_due_situations()
             if self.pending:
@@ -769,12 +766,15 @@ class _Runner:
             if node.id in self.watches:
                 self._evaluate(node, at)
                 continue  # chain may have been rewritten; re-resolve position
-            self.executed.add(node.id)
-            self.trace.final_order.append(node.id)
+            ids = self.chain.ids
+            if at != self.resume:  # it overtook deferred activities
+                ids.insert(self.resume, ids.pop(at))
+            self.resume += 1
             self.clock += node.duration
         # Each rewrite checked only its own splice; one full check per run
         # confirms the chain they left behind.
         self.chain.validate()
+        self.trace.final_order = self.chain.ids
         return self.trace
 
 

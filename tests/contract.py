@@ -64,6 +64,20 @@ REORDERS = {
     )
     for order in itertools.permutations(("L1", "L2", "L3"))
 }
+# Kiosk with a delay on one attribute. A delay on ``Receptionist.Status``
+# defers ``Patient Registration``, and the four activities after it overtake it.
+DELAYS = {
+    name: _kiosk_edited(
+        "graph.yaml", "  - {name: %s}\n" % attribute,
+        "  - {name: %s, delay: %d}\n" % (attribute, delay),
+    )
+    for name, attribute, delay in (
+        ("kiosk-delay", "Weather.Status", 30),
+        ("kiosk-delay-120", "Weather.Status", 120),
+        ("kiosk-delay-600", "Weather.Status", 600),
+        ("kiosk-registration-delay", "Receptionist.Status", 60),
+    )
+}
 SEEDED = {
     "%s-seed-%d" % (name, seed): _generated(WORKLOADS[name].shape, seed)
     for name in ("run-adapt", "run-observe")
@@ -77,10 +91,7 @@ CHAINS = {"chain-%d" % n: _generated(Shape(activities=n)) for n in range(1, 13)}
 BUNDLES = {
     "kiosk": _kiosk("bundle.yaml"),
     "ideal-kiosk": _kiosk("ideal-bundle.yaml"),
-    "kiosk-delay": _kiosk_edited(
-        "graph.yaml", "  - {name: Weather.Status}\n",
-        "  - {name: Weather.Status, delay: 30}\n",
-    ),
+    **DELAYS,
     **REORDERS,
     **{name: _generated(w.shape) for name, w in WORKLOADS.items()},
     **SEEDED,
@@ -103,7 +114,7 @@ CASES = {
     "%s: %s" % (bundle, " ".join(command)): (bundle, command)
     for bundles, commands in (
         (("kiosk", "ideal-kiosk"), KIOSK_COMMANDS),
-        (("kiosk-delay",), (("run",), ("run", OUT))),
+        (tuple(DELAYS), (("run",), ("run", OUT))),
         (tuple(REORDERS) + tuple(SEEDED), (("run", OUT),)),
         (tuple(WORKLOADS), (("validate",), ("run",), ("metrics",))),
         (tuple(SHARED), (("validate",), ("run",), ("verify",))),

@@ -5,10 +5,11 @@ technique from the production code: an action description rebuilt from
 every kind's extra on each call, plain list splicing for chain rewrites,
 a linear sub-goal scan, linear row and rule scans that normalize every
 pattern on every comparison, a runner that rescans the chain order on every
-step, a runner that checks the whole chain after every rewrite, a runner
-that offers every situation to every activity and restricts it to the
-activity's scope before folding it, a runner that evaluates every
-activity's state afresh, a fold that rebuilds its facts from
+step and keeps its own record of what ran, a runner that checks the whole
+chain after every rewrite, a runner that offers every situation to every
+activity and restricts it to the activity's scope before folding it, a
+runner that evaluates every activity's state afresh, a reference runner
+that composes those three, a fold that rebuilds its facts from
 whole situations, per-context classification for state changes, a
 dependency fixpoint that normalizes both sides of every comparison, subset
 enumeration for query evaluation, arc-scanning token counters for
@@ -32,7 +33,7 @@ import yaml
 
 from ctxflow import chain as chain_mod
 from ctxflow import files
-from ctxflow.context import ContextState, ContextualSituation
+from ctxflow.context import ContextState, ContextualSituation, normalize_value
 from ctxflow.errors import (
     DependencyConflictError,
     DependencyCycleError,
@@ -41,6 +42,7 @@ from ctxflow.errors import (
     UnknownSubgoalError,
 )
 from ctxflow.fragments import ThrowResult
+from ctxflow.graph import TimedValue
 from ctxflow.petri import BoundednessReport, LivenessReport, make_marking
 
 
@@ -253,18 +255,27 @@ def _format_condition(c):
 class _RescanRunner(chain_mod._Runner):
     """The runner with its walk done the plain way.
 
-    Every step rescans the chain order from its first activity, an activity
-    is blocked while any pending action names it, and the rewrites are
-    dispatched without the production resume bookkeeping. Evaluation,
-    ingestion and the main loop are the production ones.
+    Every step rescans the chain order from its first activity, and the
+    runner keeps its own record of what ran, in the order it ran. An
+    activity is blocked while any pending action names it, and the rewrites
+    are dispatched without position hints. A reorder keeps each activity
+    that ran at its own place in the window and fills the other places in
+    the permutation's order. Evaluation, ingestion, the main loop and the
+    applying of due actions are the production ones.
     """
+
+    def __init__(self, model, scenario):
+        super().__init__(model, scenario)
+        self.ran = {}  # the activities that ran, in the order they ran
 
     def _next_unexecuted(self):
         for i, cursor in enumerate(self.chain.order()):
             blocked = any(
                 p.activity_id == cursor for p in self.pending.values()
             )
-            if cursor not in self.executed and not blocked:
+            if cursor not in self.ran and not blocked:
+                if cursor not in self.watches:  # the walk executes it now
+                    self.ran[cursor] = None
                 return i
         return None
 
@@ -285,20 +296,11 @@ class _RescanRunner(chain_mod._Runner):
             chain_mod.bypass(chain, activity_id)
         elif action.kind == "reorder":
             _, window, permutation = self._resolve_reorder(activity_id, action.order)
-            chain_mod.reorder(chain, window, permutation)
+            rest = iter([a for a in permutation if a not in self.ran])
+            kept = [a if a in self.ran else next(rest) for a in window]
+            chain_mod.reorder(chain, window, kept)
         elif action.kind == "data_change":
             chain_mod.data_level_change(chain, activity_id, action.data)
-
-    def _apply_due_pending(self):
-        for item in list(self.pending.values()):
-            if item.due > self.clock:
-                continue
-            del self.pending[item.activity_id]
-            self._apply(item.activity_id, item.rule, item.fragment)
-            self._record(
-                "deferred-applied", item.activity_id, item.value, item.fragment,
-                item.rule,
-            )
 
 
 def run_instance_oracle(model, scenario):
@@ -458,6 +460,51 @@ class FreshEvaluationRunner(chain_mod._Runner):
 
 def run_evaluating_afresh(model, scenario):
     return FreshEvaluationRunner(model, scenario).run()
+
+
+# -- every layer at once -----------------------------------------------------
+
+
+class ReferenceRunner(_RescanRunner, _AllStatesRunner, FreshEvaluationRunner):
+    """The runner with the walk, the rewrites, ingestion and evaluation each
+    done by its oracle above; :func:`run_reference` adds the scanning
+    selection and dependency fixpoint. After every step it asserts that the
+    chain's first ``resume`` ids are the activities that ran, in the order
+    they ran, and at the end that the final order is the whole chain."""
+
+    def _assert_schedule(self):
+        assert self.chain.ids[:self.resume] == list(self.ran)
+
+    def _next_unexecuted(self):
+        self._assert_schedule()
+        return super()._next_unexecuted()
+
+    def _apply(self, activity_id, rule, fragment, at=None):
+        super()._apply(activity_id, rule, fragment, at)
+        self._assert_schedule()
+
+    def run(self):
+        trace = super().run()
+        assert trace.final_order == self.chain.ids == list(self.ran)
+        return trace
+
+
+def apply_dependencies_by_scans(bound, activated, graph):
+    """:func:`apply_dependencies_oracle` in the engine's place: its
+    ``(value, delay)`` pairs come back as timed values keyed as the engine
+    keys them."""
+    out = apply_dependencies_oracle(bound, activated, graph.dependency_rules)
+    return {
+        attr: TimedValue(value, delay, normalize_value(value))
+        for attr, (value, delay) in out.items()
+    }
+
+
+def run_reference(model, scenario):
+    with selecting_by_scans(), mock.patch.object(
+        chain_mod, "apply_dependencies", apply_dependencies_by_scans
+    ):
+        return ReferenceRunner(model, scenario).run()
 
 
 # -- classification oracle for folding a situation into a state -------------

@@ -589,10 +589,11 @@ def guarded_calls(runner_class, model, scenario, monkeypatch):
 
     def record(cs, scope):
         nodes = runner.chain.nodes
+        ran = runner.chain.ids[:runner.resume]
         calls.append((
             runner.next_situation - 1,
             scope,
-            all(a in runner.executed for a, n in nodes.items() if n.scope == scope),
+            all(a in ran for a, n in nodes.items() if n.scope == scope),
             any(scope.covers(ctx) for ctx in cs.bindings.values()),
             any(nodes[a].scope == scope for a in runner.watches),
         ))

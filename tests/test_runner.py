@@ -34,7 +34,6 @@ from ctxflow.context import (
     ContextState,
     ContextualSituation,
     ScopeFilter,
-    normalize_value,
 )
 from ctxflow.errors import (
     ChainIntegrityError,
@@ -77,16 +76,19 @@ KIND_OF = {
 
 
 class AuditedRunner(oracles.CheckedRunner):
-    """Asserts after every rewrite that the chain is whole and no executed
-    activity left it, and at the end that every deferred action was applied
-    exactly once."""
+    """Asserts after every rewrite that the chain is whole and that the ids
+    before ``resume``, what ran, are as they were, and at the end that the
+    final order is the chain and every deferred action was applied exactly
+    once."""
 
     def _apply(self, activity_id, rule, fragment, at=None):
+        ran = self.chain.ids[:self.resume]
         super()._apply(activity_id, rule, fragment, at)
-        assert self.executed <= self.chain.nodes.keys()
+        assert self.chain.ids[:self.resume] == ran
 
     def run(self):
         trace = super().run()
+        assert trace.final_order == self.chain.ids
         assert self.pending == {}
         entries = trace.entries
         for entry in entries:
@@ -717,15 +719,15 @@ def test_a_run_changes_no_record_once_built(name, tmp_path, monkeypatch):
 
 
 def apply_dependencies_by_oracle(bound, activated, graph, fired):
-    """``oracles.apply_dependencies_oracle`` in the engine's place: its
-    ``(value, delay)`` pairs come back as timed values keyed as the engine
-    keys them, and each call that changed a binding is counted in ``fired``."""
-    out = oracles.apply_dependencies_oracle(bound, activated, graph.dependency_rules)
-    fired[0] += out != {attr: (timed.value, timed.delay) for attr, timed in bound.items()}
-    return {
-        attr: TimedValue(value, delay, normalize_value(value))
-        for attr, (value, delay) in out.items()
-    }
+    """``oracles.apply_dependencies_by_scans``, with each call that changed a
+    binding counted in ``fired``."""
+    out = oracles.apply_dependencies_by_scans(bound, activated, graph)
+
+    def pairs(timed_values):
+        return {attr: (timed.value, timed.delay) for attr, timed in timed_values.items()}
+
+    fired[0] += pairs(out) != pairs(bound)
+    return out
 
 
 @pytest.mark.parametrize("name", ["kiosk", "kiosk-delay", "run-observe"])
