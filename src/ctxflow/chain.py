@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -350,8 +350,8 @@ def select_rule(
     fragment: Optional[ProcessFragment],
 ) -> Optional[AdaptationRule]:
     """The first rule listed for ``activity_id`` whose fragment and value
-    pattern match the fragment and the value normalized to ``key``
-    (``CompositeValue.normalized``), or None, found by one lookup."""
+    pattern match the fragment and the value whose ``CompositeValue.key``
+    is ``key``, or None, found by one lookup."""
     fragment_id = fragment.id if fragment is not None else None
     return model._rule_index.get((activity_id, fragment_id, key))
 
@@ -376,20 +376,19 @@ class ProcessModel:
     repo: FragmentRepository
     rules: Tuple[AdaptationRule, ...]
     ideal: Mapping[str, AtomicContext]  # qualified attribute -> ideal context
-    keys: InitVar[Optional[Sequence[object]]] = None  # each rule's pattern normalized
     _rule_index: Dict[tuple, AdaptationRule] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, keys):
+    def __post_init__(self):
         self.chain.validate()
         # The first rule listed under an (activity, fragment id, pattern) key wins.
         index: Dict[tuple, AdaptationRule] = {}
-        for i, rule in enumerate(self.rules):
+        for rule in self.rules:
             if rule.activity_id not in self.chain:
                 raise UnknownActivityError(
                     "rule targets unknown activity %r" % (rule.activity_id,)
                 )
-            key = keys[i] if keys is not None else rule.value_pattern.normalized()
-            index.setdefault((rule.activity_id, rule.fragment_pattern, key), rule)
+            key = (rule.activity_id, rule.fragment_pattern, rule.value_pattern.key)
+            index.setdefault(key, rule)
         for q in self.ideal:
             if q not in self.graph.attributes:
                 raise UnknownContextError(
@@ -457,8 +456,8 @@ class _Watch:
     ideal and catch the same situations, so one state serves them all; the
     state names no activity. A watch stays on the routes that list it, and
     ingestion skips it once ``waiting`` is 0. ``slot`` is the state, the
-    state node's parameters, attributes and composition, the composite value
-    and its selection key of the last evaluation kept, or None.
+    state node's parameters, attributes and composition, and the composite
+    value of the last evaluation kept, or None.
     Watches hash by identity.
     """
 
@@ -468,7 +467,7 @@ class _Watch:
         self.scope = scope
         self.state = state
         self.waiting = 0
-        self.slot: Optional[Tuple[ContextState, tuple, CompositeValue, object]] = None
+        self.slot: Optional[Tuple[ContextState, tuple, CompositeValue]] = None
 
 
 class _Runner:
@@ -578,11 +577,11 @@ class _Runner:
 
         The value depends only on the state and on the state node's shape,
         so it is computed once for each pair: an activity whose watch last
-        evaluated this very state under an equal shape reuses that value
-        and key. An activity without a state node has no shape and is
-        always evaluated, and an evaluation that raises is not kept, so
-        each error names its own activity. A value is kept only while
-        another activity of the watch awaits evaluation.
+        evaluated this very state under an equal shape reuses that value.
+        An activity without a state node has no shape and is always
+        evaluated, and an evaluation that raises is not kept, so each error
+        names its own activity. A value is kept only while another activity
+        of the watch awaits evaluation.
         """
         watch = self.watches[node.id]
         state = self._caught(node.id)
@@ -594,7 +593,7 @@ class _Runner:
         shape = stored and (stored.parameters, stored.attributes, stored.composition)
         slot = watch.slot
         if slot is not None and slot[0] is state and slot[1] == shape:
-            value, key = slot[2], slot[3]
+            value = slot[2]
         else:
             activated = instantiate(graph, node.id, state)
             if activated is None:
@@ -603,11 +602,10 @@ class _Runner:
             bound = assign_values(graph, activated, state.bindings)
             bound = apply_dependencies(bound, activated, graph)
             value = compose_value(bound, stored)
-            key = value.normalized()
             if watch.waiting:  # only an activity still waiting can reuse it
-                watch.slot = (state, shape, value, key)
-        thrown = throw_activity(self.model.repo, node.sub_goal, key)
-        rule = select_rule(self.model, node.id, key, thrown.fragment)
+                watch.slot = (state, shape, value)
+        thrown = throw_activity(self.model.repo, node.sub_goal, value.key)
+        rule = select_rule(self.model, node.id, value.key, thrown.fragment)
         if rule is None:
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug("no adaptation rule matched value %s", value.render())

@@ -5,8 +5,9 @@ unknown versions and mismatched kinds so that a bundle wired to the wrong
 file fails fast with the offending path in the error. Every schema lives
 here, checked with one set of entry helpers: a malformed entry is a
 ``LoadError`` of the form ``<file>: <entry> N: <problem>``, where an entry
-listed inside another names both places (``situation 0 context 3``). One
-walker, ``_entries``, names and checks every listed entry.
+listed inside another names both places (``situation 0 context 3``). The
+checks raise the bare problem; one walker, ``_each``, builds every listed
+entry and names the one that fails, so a place is written only for an error.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .fragments import (
 )
 from .graph import (
     AttributeNode,
+    CompositeValue,
     Composition,
     ContextGraph,
     DependencyRule,
@@ -275,83 +277,101 @@ def load_document(path, kind: str) -> dict:
 
 # -- entry checks ------------------------------------------------------------
 #
-# A malformed entry is named by its place in its list, counted from 0
-# (``rule 1``, ``sub-goal 2 entry 0``); ``_load`` puts the file in front.
+# A check raises the bare problem. ``_each`` and ``_at`` write the place in
+# front of it: ``<noun> N`` for an entry, counted from 0 in its list (``rule
+# 1``, ``sub-goal 2 entry 0``), or a field's name (``rule 1 action``);
+# ``_load`` puts the file in front of that.
 
 
-def _error(where: str, problem: str) -> LoadError:
-    return LoadError("%s: %s" % (where, problem) if where else problem)
+class _Placed(LoadError):
+    """A problem whose message starts with its place."""
 
 
-def _mapping(spec, where: str, *keys) -> dict:
+def _placed(place: str, exc: Exception) -> _Placed:
+    """``exc``, a ``LoadError`` or a constructor's ``ValueError``, with
+    ``place`` in front of any place it names."""
+    return _Placed("%s%s%s" % (place, " " if isinstance(exc, _Placed) else ": ", exc))
+
+
+def _each(spec: dict, key: str, noun: str, build, *required) -> list:
+    """``build(entry)`` for each entry listed under ``key``, a mapping
+    holding ``required``; a failing entry is placed as ``<noun> N``."""
+    built = []
+    for i, entry in enumerate(_list(spec, key)):
+        try:
+            built.append(build(_mapping(entry, *required)))
+        except (LoadError, ValueError) as exc:
+            raise _placed("%s %d" % (noun, i), exc) from None
+    return built
+
+
+def _at(place: str, build, *args):
+    """``build(*args)``, its failure placed at ``place``."""
+    try:
+        return build(*args)
+    except (LoadError, ValueError) as exc:
+        raise _placed(place, exc) from None
+
+
+def _mapping(spec, *keys) -> dict:
     """``spec`` if it is a mapping holding ``keys``, else a ``LoadError``."""
     if not isinstance(spec, dict):
-        raise _error(where, "not a mapping: %r" % (spec,))
+        raise LoadError("not a mapping: %r" % (spec,))
     for key in keys:
         if key not in spec:
-            raise _error(where, "missing %s" % (key,))
+            raise LoadError("missing %s" % (key,))
     return spec
 
 
-def _list(spec: dict, key: str, where: str = "") -> list:
+def _list(spec: dict, key: str) -> list:
     items = spec.get(key, [])
     if not isinstance(items, list):
-        raise _error(where, "%s must be a list, not %r" % (key, items))
+        raise LoadError("%s must be a list, not %r" % (key, items))
     return items
 
 
-def _entries(spec: dict, key: str, noun: str, *required, where: str = ""):
-    """``(place, entry)`` for each item listed under ``key``: ``place`` reads
-    ``<where> <noun> N``, and ``entry`` is a mapping holding ``required``."""
-    items = _list(spec, key, where)
-    prefix = where + " " if where else ""
-    for i, entry in enumerate(items):
-        place = "%s%s %d" % (prefix, noun, i)
-        yield place, _mapping(entry, place, *required)
-
-
-def _text(spec: dict, key: str, where: str = "", default: str = "") -> str:
+def _text(spec: dict, key: str, default: str = "") -> str:
     value = spec.get(key, default)
     if not isinstance(value, str):
-        raise _error(where, "%s must be text, not %r" % (key, value))
+        raise LoadError("%s must be text, not %r" % (key, value))
     return value
 
 
-def _texts(spec: dict, key: str, where: str) -> list:
-    items = _list(spec, key, where)
+def _texts(spec: dict, key: str) -> list:
+    items = _list(spec, key)
     for item in items:
         if not isinstance(item, str):
-            raise _error(where, "%s must list text, not %r" % (key, item))
+            raise LoadError("%s must list text, not %r" % (key, item))
     return items
 
 
-def _distinct_texts(spec: dict, key: str, where: str, noun: str) -> list:
+def _distinct_texts(spec: dict, key: str, noun: str) -> list:
     """``_texts``, unless one item repeats an earlier one."""
-    items = _texts(spec, key, where)
+    items = _texts(spec, key)
     seen = set()
     for item in items:
         if item in seen:
-            raise _error(where, "duplicate %s %r" % (noun, item))
+            raise LoadError("duplicate %s %r" % (noun, item))
         seen.add(item)
     return items
 
 
-def _count(spec: dict, key: str, where: str) -> int:
+def _count(spec: dict, key: str) -> int:
     value = spec.get(key, 0)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise _error(where, "%s must be a whole number >= 0, not %r" % (key, value))
+        raise LoadError("%s must be a whole number >= 0, not %r" % (key, value))
     return value
 
 
-def _subgoal_key(spec: dict, where: str, default):
+def _subgoal_key(spec: dict, default):
     """A sub-goal reference: its name, or its index in the repository."""
     value = spec.get("sub_goal", default)
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise _error(where, "sub_goal must be text or an index, not %r" % (value,))
+        raise LoadError("sub_goal must be text or an index, not %r" % (value,))
     return value
 
 
-def _pairs(items: list, where: str) -> list:
+def _pairs(items: list) -> list:
     """``[attribute, value]`` pairs: text and a text, number or truth value."""
     for item in items:
         if not (
@@ -360,7 +380,7 @@ def _pairs(items: list, where: str) -> list:
             and isinstance(item[0], str)
             and is_value(item[1])
         ):
-            raise _error(where, "not an [attribute, value] pair: %r" % (item,))
+            raise LoadError("not an [attribute, value] pair: %r" % (item,))
     return [tuple(item) for item in items]
 
 
@@ -370,17 +390,9 @@ def _unique(items: list, entry: str, field: str) -> list:
     for i, item in enumerate(items):
         value = getattr(item, field)
         if value in seen:
-            raise _error("%s %d" % (entry, i), "duplicate %s %r" % (field, value))
+            raise LoadError("%s %d: duplicate %s %r" % (entry, i, field, value))
         seen.add(value)
     return items
-
-
-def _build(where: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, with its ``ValueError`` as a ``LoadError``."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise _error(where, str(exc)) from None
 
 
 def _once(shared: dict, key: tuple, build, *args):
@@ -421,59 +433,52 @@ def _load(path, kind: str, build, *args):
         raise LoadError("cannot parse %s: nested too deeply" % (path,)) from None
 
 
-def _context(spec: dict, where: str, shared: dict) -> AtomicContext:
+def _context(spec: dict, shared: dict) -> AtomicContext:
     """The context ``spec``, a mapping holding its parameter and attribute."""
     key = (*spec, *spec.values(), *_typed(spec.get("value")))
-    return _once(shared, key, _new_context, spec, where)
+    return _once(shared, key, _new_context, spec)
 
 
-def _new_context(spec: dict, where: str) -> AtomicContext:
-    parameter = _text(spec, "parameter", where)
-    attribute = _text(spec, "attribute", where)
-    connector = _text(spec, "connector", where, "=")
-    instance = _text(spec, "instance", where) if "instance" in spec else None
-    category = _text(spec, "category", where, "organization")
-    temporality = _text(spec, "temporality", where, "dynamic")
+def _new_context(spec: dict) -> AtomicContext:
+    parameter = _text(spec, "parameter")
+    attribute = _text(spec, "attribute")
+    connector = _text(spec, "connector", "=")
+    instance = _text(spec, "instance") if "instance" in spec else None
+    category = _text(spec, "category", "organization")
+    temporality = _text(spec, "temporality", "dynamic")
     value = spec.get("value", "")
     if not is_value(value):
-        raise _error(where, "value must be text, a number or a truth value, not %r"
-                     % (value,))
-    return _build(where, AtomicContext, parameter, attribute, connector, value,
-                  instance, category, temporality)
+        raise LoadError("value must be text, a number or a truth value, not %r"
+                        % (value,))
+    return AtomicContext(parameter, attribute, connector, value, instance, category,
+                         temporality)
 
 
-def _pattern(spec: dict, field: str, where: str, shared: dict):
-    """The pattern of the pairs under ``spec[field]`` and ``op``, and its key."""
-    pairs = _pairs(_list(spec, field, where), where)
-    op = _text(spec, "op", where, "AND")
+def _pattern(spec, field: str, shared: dict) -> CompositeValue:
+    """The pattern of the pairs under ``spec[field]`` and ``op``."""
+    pairs = _pairs(_list(_mapping(spec, field), field))
+    op = _text(spec, "op", "AND")
     key = (op, *pairs, *[_typed(value) for _, value in pairs])
-    return _once(shared, key, _new_pattern, pairs, op)
-
-
-def _new_pattern(pairs: list, op: str):
-    pattern = composite_from_pairs(pairs, op)
-    return pattern, pattern.normalized()
+    return _once(shared, key, composite_from_pairs, pairs, op)
 
 
 # -- context graph -----------------------------------------------------------
 
 
-def _composition(spec, node: str, enclosing=()) -> Composition:
-    """The composition ``spec`` of the state node named ``node``.
+def _composition(spec, enclosing=()) -> Composition:
+    """The composition ``spec`` of a state node; its own problems, nested
+    ones too, are placed at ``composition``.
 
     ``enclosing`` holds the compositions around ``spec``: an alias can make
     one contain itself, which would otherwise recurse without end.
     """
-    where = node + " composition"
-    spec = _mapping(spec, where)
     if any(spec is outer for outer in enclosing):
-        raise _error(node, "composition refers to itself")
-    enclosing += (spec,)
+        raise LoadError("composition refers to itself")
     items = tuple(
-        item if isinstance(item, str) else _composition(item, node, enclosing)
-        for item in _list(spec, "items", where)
+        item if isinstance(item, str) else _composition(item, enclosing + (spec,))
+        for item in _at("composition", lambda: _list(_mapping(spec), "items"))
     )
-    return _build(where, Composition, _text(spec, "op", where, "AND"), items)
+    return _at("composition", lambda: Composition(_text(spec, "op", "AND"), items))
 
 
 def _shape(parameters: tuple, attributes: tuple, composition) -> tuple:
@@ -481,58 +486,41 @@ def _shape(parameters: tuple, attributes: tuple, composition) -> tuple:
     return parameters, attributes, composition or Composition("AND", attributes)
 
 
+def _dependency_rule(spec: dict) -> DependencyRule:
+    antecedent = _pairs(_list(spec, "if"))
+    (consequent,) = _pairs([spec["then"]])
+    return DependencyRule(
+        kind=_text(spec, "kind", "partial"),
+        antecedent=tuple(RulePattern(a, v) for a, v in antecedent),
+        consequent=RulePattern(*consequent),
+    )
+
+
 def _graph(doc: dict, shared: dict) -> ContextGraph:
-    entities = [
-        EntityNode(
-            _text(spec, "name", where),
-            _text(spec, "category", where, "organization"),
-        )
-        for where, spec in _entries(doc, "entities", "entity", "name")
-    ]
-    attributes = [
-        _build(
-            where,
-            AttributeNode,
-            _text(spec, "name", where),
-            temporality=_text(spec, "temporality", where, "dynamic"),
-            derivation=_text(spec, "derivation", where, "direct"),
-            delay=_count(spec, "delay", where),
-        )
-        for where, spec in _entries(doc, "attributes", "attribute", "name")
-    ]
-    relations = [
-        _build(
-            where,
-            EntityRelation,
-            _text(spec, "source", where),
-            _text(spec, "target", where),
-            _text(spec, "cardinality", where, "one-one"),
-        )
-        for where, spec in _entries(doc, "relations", "relation", "source", "target")
-    ]
-    rules = []
-    for where, spec in _entries(doc, "dependency_rules", "dependency rule",
-                                "if", "then"):
-        antecedent = _pairs(_list(spec, "if", where), where)
-        (consequent,) = _pairs([spec["then"]], where)
-        rules.append(
-            _build(
-                where,
-                DependencyRule,
-                kind=_text(spec, "kind", where, "partial"),
-                antecedent=tuple(RulePattern(a, v) for a, v in antecedent),
-                consequent=RulePattern(*consequent),
-            )
-        )
+    entities = _each(doc, "entities", "entity", lambda spec: EntityNode(
+        _text(spec, "name"), _text(spec, "category", "organization"),
+    ), "name")
+    attributes = _each(doc, "attributes", "attribute", lambda spec: AttributeNode(
+        _text(spec, "name"),
+        temporality=_text(spec, "temporality", "dynamic"),
+        derivation=_text(spec, "derivation", "direct"),
+        delay=_count(spec, "delay"),
+    ), "name")
+    relations = _each(doc, "relations", "relation", lambda spec: EntityRelation(
+        _text(spec, "source"),
+        _text(spec, "target"),
+        _text(spec, "cardinality", "one-one"),
+    ), "source", "target")
+    rules = _each(doc, "dependency_rules", "dependency rule", _dependency_rule,
+                  "if", "then")
     # Nodes of equal shape share its parts, which the runner compares.
-    nodes = [
-        StateNodeDef(_text(spec, "id", where), *_once(shared, (
-            tuple(_distinct_texts(spec, "parameters", where, "parameter")),
-            tuple(_distinct_texts(spec, "attributes", where, "attribute")),
-            _composition(spec["composition"], where) if "composition" in spec else None,
-        ), _shape))
-        for where, spec in _entries(doc, "state_nodes", "state node", "id")
-    ]
+    nodes = _each(doc, "state_nodes", "state node", lambda spec: StateNodeDef(
+        _text(spec, "id"), *_once(shared, (
+            tuple(_distinct_texts(spec, "parameters", "parameter")),
+            tuple(_distinct_texts(spec, "attributes", "attribute")),
+            _composition(spec["composition"]) if "composition" in spec else None,
+        ), _shape),
+    ), "id")
     # The graph files each kind by name, where a repeat would replace the
     # entry before it.
     graph = ContextGraph.build(
@@ -553,9 +541,9 @@ def _graph(doc: dict, shared: dict) -> ContextGraph:
     for i, node in enumerate(nodes):
         for parameter in node.parameters:
             if parameter not in described:
-                raise _error(
-                    "state node %d" % i,
-                    "parameter %r names an entity with no attributes" % (parameter,),
+                raise LoadError(
+                    "state node %d: parameter %r names an entity with no attributes"
+                    % (i, parameter)
                 )
     return graph
 
@@ -576,85 +564,81 @@ def load_repository(document: dict, shared: Optional[dict] = None) -> FragmentRe
         raise LoadError("repository document must be a mapping")
 
     fragments = {}
-    for where, spec in _entries(document, "fragments", "fragment", "id",
-                                "activities"):
-        activities = [
-            FragmentActivity(
-                name=_text(a, "name", at),
-                sub_goal=_subgoal_key(a, at, ""),
-                role=_text(a, "role", at),
-                medium=_text(a, "medium", at),
-            )
-            for at, a in _entries(spec, "activities", "activity", "name",
-                                  where=where)
-        ]
-        frag = _build(
-            where, ProcessFragment, _text(spec, "id", where), tuple(activities)
-        )
+
+    def fragment(spec: dict) -> None:
+        activities = _each(spec, "activities", "activity", lambda a: FragmentActivity(
+            name=_text(a, "name"),
+            sub_goal=_subgoal_key(a, ""),
+            role=_text(a, "role"),
+            medium=_text(a, "medium"),
+        ), "name")
+        frag = ProcessFragment(_text(spec, "id"), tuple(activities))
         if frag.id in fragments:
-            raise _error(where, "duplicate fragment id %r" % (frag.id,))
+            raise LoadError("duplicate fragment id %r" % (frag.id,))
         fragments[frag.id] = frag
 
     subgoals = []
-    keys = []  # each sub-goal's normalized row patterns, for the repository
-    for where, spec in _entries(document, "subgoals", "sub-goal", "name"):
-        rows = []
-        seen = {}  # each row's normalized pattern, in row order: none repeats
+
+    def subgoal(spec: dict) -> None:
+        rows = {}  # each row's pattern key -> the row, in row order: none repeats
         used = set()
-        for at, row in _entries(spec, "entries", "entry", "value", "fragment",
-                                where=where):
-            pattern, normalized = _pattern(row, "value", at, shared)
-            fragment_id = _text(row, "fragment", at)
-            if normalized in seen:
-                raise _error(at, "duplicate value pattern")
+
+        def row(spec: dict) -> None:
+            pattern = _pattern(spec, "value", shared)
+            fragment_id = _text(spec, "fragment")
+            if pattern.key in rows:
+                raise LoadError("duplicate value pattern")
             if fragment_id not in fragments:
-                raise _error(at, "unknown fragment %r" % (fragment_id,))
+                raise LoadError("unknown fragment %r" % (fragment_id,))
             if fragment_id in used:
-                raise _error(at, "fragment %r is mapped twice" % (fragment_id,))
-            seen[normalized] = None
+                raise LoadError("fragment %r is mapped twice" % (fragment_id,))
+            rows[pattern.key] = (pattern, fragment_id)
             used.add(fragment_id)
-            rows.append((pattern, fragment_id))
+
+        _each(spec, "entries", "entry", row, "value", "fragment")
         index = spec.get("index", len(subgoals) + 1)
         if isinstance(index, bool) or not isinstance(index, int):
-            raise _error(where, "index must be a whole number, not %r" % (index,))
-        subgoals.append(
-            SubgoalEntry(index=index, name=_text(spec, "name", where), rows=tuple(rows))
-        )
-        keys.append(tuple(seen))
+            raise LoadError("index must be a whole number, not %r" % (index,))
+        subgoals.append(SubgoalEntry(index, _text(spec, "name"), tuple(rows.values())))
 
-    return FragmentRepository(tuple(subgoals), fragments, keys)
+    _each(document, "fragments", "fragment", fragment, "id", "activities")
+    _each(document, "subgoals", "sub-goal", subgoal, "name")
+    return FragmentRepository(tuple(subgoals), fragments)
 
 
 # -- process model -----------------------------------------------------------
 
 
-def _activity(spec: dict, where: str, graph: ContextGraph,
-              repo: FragmentRepository, shared: dict) -> ActivityNode:
-    activity_id = _text(spec, "id", where)
-    sub_goal = _subgoal_key(spec, where, spec["id"])
-    role = _text(spec, "role", where)
-    medium = _text(spec, "medium", where)
-    output_data = frozenset(_texts(spec, "output_data", where))
-    duration = _count(spec, "duration", where)
+def _scope(spec, shared: dict) -> ScopeFilter:
+    spec = _mapping(spec)
+    return _once(shared, (
+        frozenset(_texts(spec, "parameters")),
+        frozenset(_texts(spec, "attributes")),
+    ), ScopeFilter)
+
+
+def _activity(spec: dict, graph: ContextGraph, repo: FragmentRepository,
+              shared: dict) -> ActivityNode:
+    activity_id = _text(spec, "id")
+    sub_goal = _subgoal_key(spec, spec["id"])
+    role = _text(spec, "role")
+    medium = _text(spec, "medium")
+    output_data = frozenset(_texts(spec, "output_data"))
+    duration = _count(spec, "duration")
     state = graph.state_nodes.get(activity_id)
     scope = None
     if spec.get("scope") is not None:
-        at = where + " scope"
-        declared = _mapping(spec["scope"], at)
-        scope = _once(shared, (
-            frozenset(_texts(declared, "parameters", at)),
-            frozenset(_texts(declared, "attributes", at)),
-        ), ScopeFilter)
+        scope = _at("scope", _scope, spec["scope"], shared)
         if state is None:
-            raise _error(where, "has a scope but no state node")
+            raise LoadError("has a scope but no state node")
         for kind, named, mapped in (
             ("parameter", scope.relevant_parameters, state.parameters),
             ("attribute", scope.relevant_attributes, state.attributes),
         ):
             unmapped = sorted(named.difference(mapped))
             if unmapped:
-                raise _error(where, "scope %s %r is not mapped by its state node"
-                             % (kind, unmapped[0]))
+                raise LoadError("scope %s %r is not mapped by its state node"
+                                % (kind, unmapped[0]))
     elif state is not None:
         # Default scope: exactly what the activity's state node maps.
         names = (frozenset(state.parameters), frozenset(state.attributes))
@@ -665,97 +649,91 @@ def _activity(spec: dict, where: str, graph: ContextGraph,
         try:
             repo.subgoal(sub_goal)
         except UnknownSubgoalError:
-            raise _error(
-                where, "sub_goal %r names no repository sub-goal" % (sub_goal,)
+            raise LoadError(
+                "sub_goal %r names no repository sub-goal" % (sub_goal,)
             ) from None
     return ActivityNode(
         activity_id, sub_goal, role, medium, output_data, scope, duration
     )
 
 
-def _rule(spec: dict, where: str, chain: ActivityChain,
-          repo: FragmentRepository, shared: dict) -> Tuple[AdaptationRule, object]:
-    activity_id = _text(spec, "activity", where)
+def _action(spec) -> Action:
+    spec = _mapping(spec, "kind")
+    return Action(
+        kind=_text(spec, "kind"),
+        role=_text(spec, "role"),
+        medium=_text(spec, "medium"),
+        order=tuple(_texts(spec, "order")),
+        data=tuple(_texts(spec, "data")),
+    )
+
+
+def _rule(spec: dict, chain: ActivityChain, repo: FragmentRepository,
+          shared: dict) -> AdaptationRule:
+    activity_id = _text(spec, "activity")
     if activity_id not in chain:
-        raise _error(where, "unknown activity %r" % (activity_id,))
+        raise LoadError("unknown activity %r" % (activity_id,))
     fragment_id = spec.get("fragment")
     if fragment_id is not None:
-        fragment_id = _text(spec, "fragment", where)
+        fragment_id = _text(spec, "fragment")
         if fragment_id not in repo.fragments:
-            raise _error(where, "unknown fragment %r" % (fragment_id,))
-    at = where + " value"
-    pattern, key = _pattern(_mapping(spec["value"], at, "pairs"), "pairs", at, shared)
-    at = where + " action"
-    action = _mapping(spec["action"], at, "kind")
-    return _build(
-        where,
-        AdaptationRule,
+            raise LoadError("unknown fragment %r" % (fragment_id,))
+    return AdaptationRule(
         activity_id=activity_id,
-        value_pattern=pattern,
+        value_pattern=_at("value", _pattern, spec["value"], "pairs", shared),
         fragment_pattern=fragment_id,
-        action=_build(
-            at,
-            Action,
-            kind=_text(action, "kind", at),
-            role=_text(action, "role", at),
-            medium=_text(action, "medium", at),
-            order=tuple(_texts(action, "order", at)),
-            data=tuple(_texts(action, "data", at)),
-        ),
-    ), key
+        action=_at("action", _action, spec["action"]),
+    )
 
 
-def _check_bound(chain: ActivityChain, graph: ContextGraph, bound) -> None:
+def _check_bound(chain: ActivityChain, graph: ContextGraph, noun: str,
+                 bound) -> None:
     """Refuse a bound attribute that a scoped activity takes in through its
     parameter while the activity's state node does not map it.
 
-    ``bound`` holds ``(where, context)`` pairs. The run would instantiate
-    the activity's state with the attribute and fail: it has no blue link.
+    ``bound`` holds ``(index, context)`` pairs, a refused one placed as
+    ``<noun> <index>``. The run would instantiate the activity's state with
+    the attribute and fail: it has no blue link.
     """
-    by_parameter: Dict[str, Dict[str, str]] = {}
-    for where, ctx in bound:
-        by_parameter.setdefault(ctx.parameter, {}).setdefault(ctx.qualified, where)
+    by_parameter: Dict[str, Dict[str, int]] = {}
+    for index, ctx in bound:
+        by_parameter.setdefault(ctx.parameter, {}).setdefault(ctx.qualified, index)
     for node in chain.nodes.values():
         if node.scope is None:
             continue
         mapped = graph.state_nodes[node.id].attributes
         for parameter in sorted(node.scope.relevant_parameters):
-            for qualified, where in by_parameter.get(parameter, {}).items():
+            for qualified, index in by_parameter.get(parameter, {}).items():
                 if qualified not in mapped:
-                    raise _error(where, (
-                        "activity %r takes in attribute %r through parameter %r, "
-                        "but its state node does not map it"
-                    ) % (node.id, qualified, parameter))
+                    raise LoadError((
+                        "%s %d: activity %r takes in attribute %r through "
+                        "parameter %r, but its state node does not map it"
+                    ) % (noun, index, node.id, qualified, parameter))
 
 
 def _model(doc: dict, graph: ContextGraph, repo: FragmentRepository,
            shared: dict) -> ProcessModel:
-    ordered = _unique([
-        _activity(spec, where, graph, repo, shared)
-        for where, spec in _entries(doc, "activities", "activity", "id")
-    ], "activity", "id")
+    ordered = _unique(_each(
+        doc, "activities", "activity",
+        lambda spec: _activity(spec, graph, repo, shared), "id",
+    ), "activity", "id")
     if not ordered:
         raise LoadError("declares no activities")
     chain = ActivityChain.from_nodes(ordered)
 
-    ideal: Dict[str, AtomicContext] = {}
-    bound = []
-    for where, spec in _entries(doc, "ideal", "ideal entry", "parameter",
-                                "attribute"):
-        ctx = _context(spec, where, shared)
+    def ideal_entry(spec: dict) -> AtomicContext:
+        ctx = _context(spec, shared)
         if ctx.qualified not in graph.attributes:
-            raise _error(where, "unknown attribute %r" % (ctx.qualified,))
-        ideal[ctx.qualified] = ctx
-        bound.append((where, ctx))
-    _check_bound(chain, graph, bound)
+            raise LoadError("unknown attribute %r" % (ctx.qualified,))
+        return ctx
 
-    rules = [
-        _rule(spec, where, chain, repo, shared)
-        for where, spec in _entries(doc, "rules", "rule", "activity", "value",
-                                    "action")
-    ]
-    return ProcessModel(graph, chain, repo, tuple(rule for rule, _ in rules), ideal,
-                        [key for _, key in rules])
+    bound = _each(doc, "ideal", "ideal entry", ideal_entry, "parameter", "attribute")
+    _check_bound(chain, graph, "ideal entry", enumerate(bound))
+    ideal: Dict[str, AtomicContext] = {ctx.qualified: ctx for ctx in bound}
+
+    rules = _each(doc, "rules", "rule", lambda spec: _rule(spec, chain, repo, shared),
+                  "activity", "value", "action")
+    return ProcessModel(graph, chain, repo, tuple(rules), ideal)
 
 
 # -- scenario ----------------------------------------------------------------
@@ -767,23 +745,20 @@ ListedSituation = Tuple[ContextualSituation, List[AtomicContext]]
 
 def _scenario(doc: dict, shared: dict) -> List[ListedSituation]:
     situations: List[ListedSituation] = []
-    for where, spec in _entries(doc, "situations", "situation", "time"):
-        contexts = [
-            _context(c, at, shared)
-            for at, c in _entries(spec, "contexts", "context", "parameter",
-                                  "attribute", where=where)
-        ]
-        try:
-            cs = ContextualSituation.from_contexts(contexts, parse_time(spec["time"]))
-        except LoadError as exc:
-            raise _error(where, str(exc)) from None
+
+    def situation(spec: dict) -> None:
+        contexts = _each(spec, "contexts", "context",
+                         lambda c: _context(c, shared), "parameter", "attribute")
+        cs = ContextualSituation.from_contexts(contexts, parse_time(spec["time"]))
         for ctx in cs.bindings.values():
             if ctx.temporality == "static":
-                raise _error(where, "static context %r cannot appear in a change set"
-                             % (ctx.qualified,))
+                raise LoadError("static context %r cannot appear in a change set"
+                                % (ctx.qualified,))
         if situations and cs.timestamp < situations[-1][0].timestamp:
-            raise _error(where, "time goes back: scenario times must be monotone")
+            raise LoadError("time goes back: scenario times must be monotone")
         situations.append((cs, contexts))
+
+    _each(doc, "situations", "situation", situation, "time")
     return situations
 
 
@@ -803,8 +778,8 @@ def _model_scenario(doc: dict, model: ProcessModel,
     first: Dict[int, tuple] = {}  # each shared context at its first place
     for i, cs in enumerate(situations):
         for ctx in cs.bindings.values():
-            first.setdefault(id(ctx), ("situation %d" % i, ctx))
-    _check_bound(model.chain, model.graph, first.values())
+            first.setdefault(id(ctx), (i, ctx))
+    _check_bound(model.chain, model.graph, "situation", first.values())
     return situations
 
 
@@ -821,7 +796,7 @@ _PARTS = ("graph", "repository", "model", "scenario")
 
 
 def _bundle_paths(doc: dict, base: Path) -> Dict[str, str]:
-    _mapping(doc, "", *_PARTS)
+    _mapping(doc, *_PARTS)
     return {part: str(base / _text(doc, part)) for part in _PARTS}
 
 

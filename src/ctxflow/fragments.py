@@ -3,15 +3,16 @@
 The repository mirrors the tabular layout used at design time: an indexed
 sub-goal list, each sub-goal carrying value-pattern -> fragment rows, plus
 the fragment definitions themselves. Sub-goals are found through a name/index
-dict, fragments through a (sub-goal position, normalized pattern) dict; both
-are built once. The repository is immutable after load;
-``files.load_repository`` builds it from its document.
+dict, fragments through a (sub-goal position, pattern key) dict, which reads
+each row pattern's ``CompositeValue.key``; both are built once. The
+repository is immutable after load; ``files.load_repository`` builds it
+from its document.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import UnknownSubgoalError
 from .graph import CompositeValue
@@ -46,13 +47,10 @@ class SubgoalEntry:
 class FragmentRepository:
     subgoals: Tuple[SubgoalEntry, ...]
     fragments: Mapping[str, ProcessFragment]
-    # Each row's normalized pattern, sub-goal by sub-goal, when the caller
-    # has them already; otherwise they are computed here.
-    keys: InitVar[Optional[Sequence[Sequence[object]]]] = None
     _positions: Dict[object, int] = field(init=False, repr=False, compare=False)
     _rows: Dict[Tuple[int, object], str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, keys):
+    def __post_init__(self):
         # The first entry named or indexed by a key wins, and the first row of
         # an entry with a pattern, as in a scan; an unhashable name equals no
         # hashable key. Entries may share an index, so rows key by position.
@@ -64,12 +62,8 @@ class FragmentRepository:
                     positions.setdefault(key, position)
                 except TypeError:
                     pass
-            row_keys = (
-                keys[position] if keys is not None
-                else [pattern.normalized() for pattern, _ in entry.rows]
-            )
-            for key, (_, fragment_id) in zip(row_keys, entry.rows):
-                rows.setdefault((position, key), fragment_id)
+            for pattern, fragment_id in entry.rows:
+                rows.setdefault((position, pattern.key), fragment_id)
         object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_rows", rows)
 
@@ -92,8 +86,8 @@ class ThrowResult:
 
 def throw_activity(repo: FragmentRepository, subgoal, key) -> ThrowResult:
     """Select the fragment stored for ``(subgoal, key)``, if any: that of
-    the sub-goal's first row whose pattern matches the value normalized to
-    ``key`` (``CompositeValue.normalized``), found by one lookup. No match
+    the sub-goal's first row whose pattern matches the value whose
+    ``CompositeValue.key`` is ``key``, found by one lookup. No match
     yields a NULL fragment."""
     fragment_id = repo._rows.get((repo._position(subgoal), key))
     return ThrowResult(None if fragment_id is None else repo.fragments[fragment_id])

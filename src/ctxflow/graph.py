@@ -152,11 +152,19 @@ class TimedValue:
 
 @dataclass(slots=True)
 class CompositeValue:
-    """The observed value of a state node: (attribute, value) pairs under AND/OR."""
+    """The observed value of a state node: (attribute, value) pairs under AND/OR.
+
+    ``key`` is the selection key (``normalized``), computed as the value is
+    built; it is neither compared nor shown.
+    """
 
     op: str
     pairs: Tuple[Tuple[str, Value], ...]
     max_delay: int = 0
+    key: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.key = self.normalized()
 
     def normalized(self):
         """The selection key: the op and the casefolded, normalized pairs."""
@@ -436,6 +444,6 @@ def compose_value(bound: Mapping[str, TimedValue], node: StateNodeDef) -> Compos
     return CompositeValue(comp.op, tuple(pairs), max_delay)
 
 
-def composite_from_pairs(pairs, op: str = "AND") -> CompositeValue:
+def composite_from_pairs(pairs, op: str) -> CompositeValue:
     """Build a composite value pattern from raw (attribute, value) pairs."""
     return CompositeValue(op, tuple((str(a), v) for a, v in pairs))

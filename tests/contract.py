@@ -1,8 +1,8 @@
 """The CLI contract: one sha256 per command line, over what ``ctxflow`` gives back.
 
 Each case runs ``cli.main`` in-process on the kiosk fixture, on a copy of it
-with one line edited, or on a bundle ``bench/bundlegen.py`` writes from a
-seed. Its digest covers the exit code, stdout, stderr and every file
+with one line edited, on a bundle ``bench/bundlegen.py`` writes from a seed,
+or, for ``query``, on the kiosk scenario alone. Its digest covers the exit code, stdout, stderr and every file
 written under ``-o``, with the working directory replaced by a fixed token.
 ``tests/test_contract.py`` checks each digest against
 ``tests/fixtures/contract.json``. A change that alters a digest on purpose
@@ -53,6 +53,9 @@ def _kiosk_edited(document, line, edited):
     return write
 
 
+SCENARIO = "kiosk-scenario"  # a scenario document alone, which only ``query`` reads
+
+
 def _generated(shape, seed=1):
     return lambda work: generate(shape, seed, work)[0]
 
@@ -91,6 +94,7 @@ CHAINS = {"chain-%d" % n: _generated(Shape(activities=n)) for n in range(1, 13)}
 BUNDLES = {
     "kiosk": _kiosk("bundle.yaml"),
     "ideal-kiosk": _kiosk("ideal-bundle.yaml"),
+    SCENARIO: _kiosk("scenario.yaml"),
     **DELAYS,
     **REORDERS,
     **{name: _generated(w.shape) for name, w in WORKLOADS.items()},
@@ -110,6 +114,23 @@ KIOSK_COMMANDS = (
     ("verify", "--limit", "100"),
     ("metrics", OUT),
 )
+# Each query README or ``tests/test_cli.py`` runs on the kiosk scenario,
+# among them a parse error (exit 1) and arithmetic errors (exit 2).
+NETWORK = "AND Network WHERE parameter INSTANCE_OF Network"
+QUERIES = (
+    NETWORK,
+    NETWORK + " ",
+    NETWORK + "\n",
+    "AND Caregiver WHERE attr Expertise = Surgery",
+    "HUH what",
+    "ADD Manpower(HA, Count, =, 1), Manpower(Other, Count, =, 2)",
+    *("AND Weather WHERE attr Status = Rainy %s attr Status = Sunny" % joiner
+      for joiner in ("or", "Or", "OR")),
+    "AND Weather WHERE attr Status = Rainy and attr Status = Sunny"
+    " OR attr Status = Cloudy",
+    "ADD Manpower(HA, Count, =, inf), Manpower(HA, Count, =, 1)",
+    "ADD Manpower(HA, Count, =, 1%s), Manpower(HA, Count, =, 2.5)" % ("0" * 400),
+)
 CASES = {
     "%s: %s" % (bundle, " ".join(command)): (bundle, command)
     for bundles, commands in (
@@ -119,6 +140,7 @@ CASES = {
         (tuple(WORKLOADS), (("validate",), ("run",), ("metrics",))),
         (tuple(SHARED), (("validate",), ("run",), ("verify",))),
         (tuple(CHAINS), (("verify",),)),
+        ((SCENARIO,), tuple(("query", query) for query in QUERIES)),
     )
     for bundle in bundles
     for command in commands

@@ -253,7 +253,7 @@ class TestActionsAndRules:
             Action(kind="explode")
 
     def test_fragment_actions_require_selected_fragment(self):
-        pattern = composite_from_pairs([("A.x", 1)])
+        pattern = composite_from_pairs([("A.x", 1)], "AND")
         with pytest.raises(ValueError):
             AdaptationRule("a", pattern, None, Action("add_after"))
         with pytest.raises(ValueError):
@@ -262,18 +262,18 @@ class TestActionsAndRules:
     def test_empty_value_pattern_rejected(self):
         with pytest.raises(ValueError):
             AdaptationRule(
-                "a", composite_from_pairs([]), None, Action("bypass")
+                "a", composite_from_pairs([], "AND"), None, Action("bypass")
             )
 
     def test_select_rule_first_listed_match(self):
-        pattern = composite_from_pairs([("A.x", 1)])
+        pattern = composite_from_pairs([("A.x", 1)], "AND")
         first = AdaptationRule("a", pattern, None, Action("bypass"))
         second = AdaptationRule("a", pattern, None, Action("replace_role", role="Z"))
         assert select_rule(rule_model(second, first), "a", pattern.normalized(), None) is second
         assert select_rule(rule_model(first, second), "a", pattern.normalized(), None) is first
 
     def test_select_rule_requires_fragment_agreement(self):
-        pattern = composite_from_pairs([("A.x", 1)])
+        pattern = composite_from_pairs([("A.x", 1)], "AND")
         frag = fragment("p")
         with_frag = AdaptationRule("a", pattern, frag.id, Action("add_after"))
         model = rule_model(with_frag)
@@ -281,13 +281,13 @@ class TestActionsAndRules:
         assert select_rule(model, "a", pattern.normalized(), frag) is with_frag
 
     def test_select_rule_no_match_returns_none(self):
-        pattern = composite_from_pairs([("A.x", 1)])
-        other = composite_from_pairs([("A.x", 2)])
+        pattern = composite_from_pairs([("A.x", 1)], "AND")
+        other = composite_from_pairs([("A.x", 2)], "AND")
         model = rule_model(AdaptationRule("a", pattern, None, Action("bypass")))
         assert select_rule(model, "a", other.normalized(), None) is None
 
     def test_select_rule_reads_only_the_activitys_rules(self):
-        pattern = composite_from_pairs([("A.x", 1)])
+        pattern = composite_from_pairs([("A.x", 1)], "AND")
         rule = AdaptationRule("a", pattern, None, Action("bypass"))
         assert select_rule(rule_model(rule), "b", pattern.normalized(), None) is None
 
@@ -429,7 +429,7 @@ def tiny_model(delay=0, durations=(0, 0), action=None):
     rules = (
         AdaptationRule(
             "b",
-            composite_from_pairs([("E.status", "bad")]),
+            composite_from_pairs([("E.status", "bad")], "AND"),
             None,
             action or Action("replace_role", role="Z"),
         ),
@@ -497,7 +497,7 @@ class TestRunner:
                     SubgoalEntry(
                         2,
                         "b",
-                        ((composite_from_pairs([("E.status", "bad")]), frag.id),),
+                        ((composite_from_pairs([("E.status", "bad")], "AND"), frag.id),),
                     ),
                 ),
                 {frag.id: frag},
@@ -505,7 +505,7 @@ class TestRunner:
             (
                 AdaptationRule(
                     "b",
-                    composite_from_pairs([("E.status", "bad")]),
+                    composite_from_pairs([("E.status", "bad")], "AND"),
                     frag.id,
                     Action("add_before"),
                 ),
@@ -542,7 +542,7 @@ class TestRunner:
             (
                 AdaptationRule(
                     "b",
-                    composite_from_pairs([("E.status", "bad")]),
+                    composite_from_pairs([("E.status", "bad")], "AND"),
                     None,
                     Action("reorder", order=("L2", "L3", "L1")),
                 ),
@@ -564,7 +564,7 @@ class TestModelIsCheckedWhenBuilt:
     def test_rule_for_an_unknown_activity(self):
         model = tiny_model()
         rule = AdaptationRule(
-            "ghost", composite_from_pairs([("E.status", "bad")]), None, Action("bypass")
+            "ghost", composite_from_pairs([("E.status", "bad")], "AND"), None, Action("bypass")
         )
         with pytest.raises(
             UnknownActivityError, match="^rule targets unknown activity 'ghost'$"
@@ -596,7 +596,7 @@ class TestModelIsCheckedWhenBuilt:
     def test_chain_is_checked_before_rules_and_rules_before_ideal(self):
         model = tiny_model()
         rule = AdaptationRule(
-            "ghost", composite_from_pairs([("E.status", "bad")]), None, Action("bypass")
+            "ghost", composite_from_pairs([("E.status", "bad")], "AND"), None, Action("bypass")
         )
         ideal = {"E.ghost": AtomicContext(parameter="E", attribute="ghost", value="x")}
         chain = ActivityChain(dict(model.chain.nodes), ["a"])

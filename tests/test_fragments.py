@@ -160,7 +160,7 @@ class TestThrowActivity:
             [
                 ("Caregiver.Expertise", "childcare"),
                 ("Patient_Bed.Availability", "NOT_AVAILABLE"),
-            ]
+            ], "AND"
         )
         assert thrown(repo, "Treatment", value).id == "transfer_fragment"
 
@@ -170,13 +170,13 @@ class TestThrowActivity:
             [
                 ("Caregiver.Expertise", "General_Physician"),
                 ("Patient_Bed.Availability", "Not_Available"),
-            ]
+            ], "AND"
         )
         assert thrown(repo, "Treatment", value).id == "home_care"
 
     def test_no_match_returns_null_fragment(self):
         repo = load_repository(document())
-        value = composite_from_pairs([("Caregiver.Expertise", "Surgery")])
+        value = composite_from_pairs([("Caregiver.Expertise", "Surgery")], "AND")
         assert thrown(repo, "Treatment", value) is None
 
     def test_other_subgoals_rows_are_not_selected(self):
@@ -188,7 +188,7 @@ class TestThrowActivity:
             doc["fragments"].append({"id": "f%d" % i, "activities": [{"name": "F"}]})
             doc["subgoals"].append({"name": "Filler_%d" % i, "entries": [row]})
         repo = load_repository(doc)
-        value = composite_from_pairs(rows[0]["value"])
+        value = composite_from_pairs(rows[0]["value"], "AND")
         assert thrown(repo, "Treatment", value).id == "transfer_fragment"
         assert thrown(repo, "Filler_7", value) is None
         assert thrown(repo, "Filler_8", value).id == "f8"
@@ -206,7 +206,7 @@ class TestThrowActivity:
         assert [(s.index, s.name) for s in repo.subgoals] == [
             (2, "Triage"), (2, "Treatment")
         ]
-        value = composite_from_pairs(doc["subgoals"][1]["entries"][0]["value"])
+        value = composite_from_pairs(doc["subgoals"][1]["entries"][0]["value"], "AND")
         assert thrown(repo, "Triage", value).id == "home_care"
         assert thrown(repo, "Treatment", value).id == "transfer_fragment"
         assert thrown(repo, 2, value).id == "home_care"
@@ -217,7 +217,7 @@ class TestThrowActivity:
     def test_unknown_subgoal_raises(self):
         repo = load_repository(document())
         with pytest.raises(UnknownSubgoalError):
-            throw_activity(repo, "Billing", composite_from_pairs([("A.x", 1)]).normalized())
+            throw_activity(repo, "Billing", composite_from_pairs([("A.x", 1)], "AND").normalized())
 
     def test_or_pattern_distinct_from_and(self):
         doc = document()

@@ -1,5 +1,6 @@
 """Tests for the three-level context graph and its value computation."""
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -801,10 +802,44 @@ class TestComposeValue:
         assert timed.delay == 30
 
     def test_pattern_matching_is_order_insensitive(self):
-        a = composite_from_pairs([("A.x", "1"), ("B.y", "2")])
-        b = composite_from_pairs([("B.y", "2"), ("A.x", "1")])
+        a = composite_from_pairs([("A.x", "1"), ("B.y", "2")], "AND")
+        b = composite_from_pairs([("B.y", "2"), ("A.x", "1")], "AND")
         assert a.normalized() == b.normalized()
-        assert a.normalized() != composite_from_pairs([("A.x", "1")]).normalized()
+        assert a.normalized() != composite_from_pairs([("A.x", "1")], "AND").normalized()
+
+
+# Text that casefolds or pads apart, and values that ``==`` makes equal or
+# that equal nothing (NaN).
+keyed_values = st.one_of(
+    st.builds(
+        "".join,
+        st.tuples(st.sampled_from(("", " ", "\t")), st.text("aAbBßẞ", max_size=4),
+                  st.sampled_from(("", " ", "\n"))),
+    ),
+    st.sampled_from((1, 1.0, True, 0.0, -0.0, float("nan"))),
+)
+
+
+@given(
+    pairs=st.lists(st.tuples(st.sampled_from(("A.x", "a.X", "B.y")), keyed_values),
+                   max_size=4),
+    op=st.sampled_from(("AND", "OR")),
+)
+def test_a_composite_value_carries_its_selection_key(pairs, op):
+    value = composite_from_pairs(pairs, op)
+    assert value.key == value.normalized()
+
+
+def test_the_key_is_neither_shown_nor_compared_and_is_rebuilt_by_replace():
+    value = composite_from_pairs([("A.x", "Rainy")], "AND")
+    recased = composite_from_pairs([("a.X", " rainy ")], "AND")
+    assert value.key == recased.key and value != recased
+    assert repr(value) == "CompositeValue(op='AND', pairs=(('A.x', 'Rainy'),), max_delay=0)"
+    other = composite_from_pairs([("A.x", "Rainy")], "AND")
+    other.key = None
+    assert other == value
+    changed = dataclasses.replace(value, op="OR", pairs=(("B.y", 2),))
+    assert changed.key == changed.normalized() == ("OR", frozenset({("b.y", 2)}))
 
 
 class TestKioskGraphFixture:

@@ -128,7 +128,7 @@ def random_model(rng):
             index,
             name,
             tuple(
-                (composite_from_pairs([(q, v)]), rng.choice(sorted(fragments)))
+                (composite_from_pairs([(q, v)], "AND"), rng.choice(sorted(fragments)))
                 for q in QUALIFIED
                 for v in VALUES
                 if rng.random() < 0.4
@@ -158,7 +158,7 @@ def random_model(rng):
             ]
         for kind, v in picks:
             patterns = sorted(fragments) if kind in FRAGMENT_ACTIONS else [None]
-            value = composite_from_pairs([(scoped[a][1], v)])
+            value = composite_from_pairs([(scoped[a][1], v)], "AND")
             for pattern in patterns:
                 action = Action(
                     kind,

@@ -61,7 +61,9 @@ def loaded(bundle_path):
             model.chain.ids, model.chain.nodes, bundle.scenario, load_scenario(scenario))
 
 
-@pytest.mark.parametrize("name", sorted(set(contract.BUNDLES) | set(BENCH)))
+@pytest.mark.parametrize(
+    "name", sorted(set(contract.BUNDLES) - {contract.SCENARIO} | set(BENCH))
+)
 def test_a_shared_load_equals_one_that_builds_every_entry(name, bundles, monkeypatch):
     shared = loaded(bundles[name])
     monkeypatch.setattr(files, "_once", every_probe_missed)

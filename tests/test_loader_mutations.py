@@ -11,11 +11,23 @@ Neither command ever raises, and a run never fails for a state its
 activity's state node cannot map (``has no red link``/``has no blue link``):
 the loader refuses those. Every mutated document parses into the same tree
 under ``files.load_document``'s loader as under stock ``yaml.SafeLoader``,
-and the suite runs under each loader (see the ``loader`` fixture).
+and the two tests that check this run under each loader (see the ``loader``
+fixture).
+
+The sweep pins every single mutant (each place dropped, then set to each
+wrong value of another type): one sha256 per document over each mutant's
+``validate`` exit code and stdout, and ``query``'s for each scenario mutant.
+It runs under the default loader only, in about 10 s. A change that alters
+a digest on purpose says why in CHANGES.md and prints the new ones, from
+the root of a checkout, with::
+
+    PYTHONPATH=src:tests python tests/test_loader_mutations.py
 """
 
+import collections
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import pathlib
@@ -26,10 +38,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxflow import files
 from ctxflow.cli import main
 from oracles import parsed_alike
-
-pytestmark = pytest.mark.usefixtures("loader")
 
 KIOSK = pathlib.Path(__file__).parent / "fixtures" / "kiosk"
 DOCUMENTS = ("graph.yaml", "repo.yaml", "model.yaml", "scenario.yaml")
@@ -38,6 +49,9 @@ ORIGINALS = {
 }
 WRONG_CONTAINERS = ({"x": 1}, ["x"], "oops")
 WRONG_SCALARS = (7, -3, 1.5, True, None, "oops", ["x"])
+DROP = object()  # stands for dropping the place
+DEFAULT_LOADER = files._Loader  # before a ``loader`` fixture swaps it
+QUERY = "AND Network WHERE parameter INSTANCE_OF Network"
 
 
 def places(node, at=()):
@@ -57,6 +71,25 @@ def places(node, at=()):
 PLACES = {name: list(places(doc)) for name, doc in ORIGINALS.items()}
 
 
+def wrong_values(value) -> list:
+    """Each wrong value of another type than ``value`` for its place."""
+    pool = WRONG_CONTAINERS if isinstance(value, (dict, list)) else WRONG_SCALARS
+    return [v for v in pool if type(v) is not type(value)]
+
+
+def mutated(name, path, wrong):
+    """Document ``name`` with the place at ``path`` dropped or set to ``wrong``."""
+    doc = copy.deepcopy(ORIGINALS[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if wrong is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = wrong
+    return doc
+
+
 @st.composite
 def mutants(draw):
     kind = draw(st.sampled_from(("drop", "wrong-type", "time-goes-back")))
@@ -67,19 +100,9 @@ def mutants(draw):
         doc["situations"].append(earlier)
         return "scenario.yaml", doc, kind
     name = draw(st.sampled_from(DOCUMENTS))
-    doc = copy.deepcopy(ORIGINALS[name])
     path, value = draw(st.sampled_from(PLACES[name]))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if kind == "drop":
-        del parent[path[-1]]
-    else:
-        pool = WRONG_CONTAINERS if isinstance(value, (dict, list)) else WRONG_SCALARS
-        parent[path[-1]] = draw(
-            st.sampled_from([v for v in pool if type(v) is not type(value)])
-        )
-    return name, doc, kind
+    wrong = DROP if kind == "drop" else draw(st.sampled_from(wrong_values(value)))
+    return name, mutated(name, path, wrong), kind
 
 
 def run_mutant(name, doc):
@@ -101,6 +124,7 @@ def run_mutant(name, doc):
         return results, tmp / name
 
 
+@pytest.mark.usefixtures("loader")
 @given(mutant=mutants())
 @settings(max_examples=100, deadline=None)
 def test_mutated_document_never_raises(mutant):
@@ -128,7 +152,68 @@ def test_mutated_document_never_raises(mutant):
         assert json.loads(verify_out)["verdict"] in ("pass", "fail")
 
 
+@pytest.mark.usefixtures("loader")
 def test_unmutated_documents_run():
     for name in DOCUMENTS:
         results, _ = run_mutant(name, ORIGINALS[name])
         assert [code for code, _ in results] == [0, 0], results
+
+
+def sweep(name):
+    """The sha256 over each single mutant of document ``name``: its id, and
+    the exit code and stdout of ``validate`` (and of ``query``, for the
+    scenario) with the work directory replaced by a fixed token; and the
+    tally of ``validate``'s exit codes."""
+    outcomes, tally = [], collections.Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        for other in DOCUMENTS + ("bundle.yaml",):
+            (tmp / other).write_text((KIOSK / other).read_text())
+        commands = [["validate", str(tmp / "bundle.yaml")]]
+        if name == "scenario.yaml":
+            commands.append(["query", str(tmp / name), QUERY])
+        for path, value in PLACES[name]:
+            for wrong in (DROP, *wrong_values(value)):
+                (tmp / name).write_text(yaml.safe_dump(mutated(name, path, wrong)))
+                mutant = "%s %s" % (
+                    "/".join(map(str, path)), "drop" if wrong is DROP else repr(wrong)
+                )
+                for argv in commands:
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = main(argv)
+                    outcomes.append(
+                        [mutant, argv[0], code, out.getvalue().replace(str(tmp), "<tmp>")]
+                    )
+                tally[outcomes[-len(commands)][2]] += 1
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest(), tally
+
+
+def swept():
+    """Each document's ``sweep`` digest, and the tally over all of them."""
+    digests, tally = {}, collections.Counter()
+    for name in DOCUMENTS:
+        digests[name], counts = sweep(name)
+        tally.update(counts)
+    return digests, dict(tally)
+
+
+# Written by this module's ``__main__`` (see the module docstring).
+SWEPT = {
+    "graph.yaml": "b84c41417a99fa3a61837a27c13cf5bbd18e441534c7579536933bf9861671bb",
+    "repo.yaml": "0491775fac5602b3d72201905df573ca63bc604baf625828b7cde0a4dbba89e2",
+    "model.yaml": "9cf26ce47e9ceb42e605535758fbbab00bdb0b630c5c08f0a1daa9aacfbc5fad",
+    "scenario.yaml": "8ee0107ba41b440a019378642d706ef218ed6c3d5369307f3453fdb9ce2b4846",
+}
+TALLY = {0: 276, 1: 1641}  # mutants by ``validate``'s exit code
+
+
+def test_every_single_mutant_gives_back_its_pinned_digest(monkeypatch):
+    monkeypatch.setattr(files, "_Loader", DEFAULT_LOADER)
+    assert swept() == (SWEPT, TALLY)
+
+
+if __name__ == "__main__":
+    digests, tally = swept()
+    print("SWEPT = %s" % json.dumps(digests, indent=4))
+    print("TALLY = %r" % (dict(sorted(tally.items())),))

@@ -243,7 +243,7 @@ def random_model(rng):
             SubgoalEntry(
                 index,
                 name,
-                tuple((composite_from_pairs([key]), fid) for key, fid in rows.items()),
+                tuple((composite_from_pairs([key], "AND"), fid) for key, fid in rows.items()),
             )
         )
     nodes = [
@@ -277,7 +277,7 @@ def random_model(rng):
             rules.append(
                 AdaptationRule(
                     a,
-                    composite_from_pairs([(attribute(entity_of[a]), value)]),
+                    composite_from_pairs([(attribute(entity_of[a]), value)], "AND"),
                     pattern,
                     Action(
                         kind,
@@ -425,7 +425,7 @@ def inserting_chain(n, k):
         attributes=[AttributeNode("E.s")],
         state_nodes=[StateNodeDef(a, ("E",), ("E.s",)) for a in ids],
     )
-    bad = composite_from_pairs([("E.s", "bad")])
+    bad = composite_from_pairs([("E.s", "bad")], "AND")
     fragment = ProcessFragment(
         "F", tuple(FragmentActivity("x%d" % j) for j in range(k))
     )
@@ -835,7 +835,7 @@ SHARED_SCOPE_CHAINS = {
     ],
 }
 NARROWED = {"and-2", "and-3", "and-6"}
-Y = composite_from_pairs([("E.a", "y"), ("E.b", "y")])
+Y = composite_from_pairs([("E.a", "y"), ("E.b", "y")], "AND")
 # Each rule keyed by activity: reused values must still select by activity.
 SHARED_SCOPE_RULES = {
     "and-2": (None, Action("data_change", data=("d",))),
