@@ -488,13 +488,10 @@ class _Runner:
         self.resume = 0
         self.clock = self.scenario[0].timestamp if self.scenario else 0
         self.next_situation = 0
-        # One watch per distinct scope, filed in chain order under each
-        # parameter and each qualified attribute the scope names.
-        self.watchers_by_parameter: Dict[str, Dict[_Watch, None]] = {}
-        self.watchers_by_attribute: Dict[str, Dict[_Watch, None]] = {}
-        # Each qualified name's route, built from the index on first use.
+        # Each qualified name's route, built on first use.
         self.routes: Dict[str, Tuple[str, Tuple[_Watch, ...]]] = {}
-        # Grouped by name sets, which the loader shares between equal scopes.
+        # One watch per distinct scope, in chain order, grouped by name
+        # sets, which the loader shares between equal scopes.
         by_scope: Dict[tuple, _Watch] = {}
         for node in self.chain.nodes.values():
             scope = node.scope
@@ -503,19 +500,12 @@ class _Runner:
             names = (scope.relevant_parameters, scope.relevant_attributes)
             watch = by_scope.get(names)
             if watch is None:
-                watch = by_scope[names] = self._watch(scope)
+                ideal = [ctx for ctx in model.ideal.values() if scope.covers(ctx)]
+                # Timestamp -1 marks the design-time ideal, older than any observation.
+                watch = by_scope[names] = _Watch(scope, ContextState.from_contexts(ideal, -1))
             watch.waiting += 1
             self.watches[node.id] = watch
-
-    def _watch(self, scope: ScopeFilter) -> _Watch:
-        ideal = [ctx for ctx in self.model.ideal.values() if scope.covers(ctx)]
-        # Timestamp -1 marks the design-time ideal, older than any observation.
-        watch = _Watch(scope, ContextState.from_contexts(ideal, -1))
-        for name in scope.relevant_parameters:
-            self.watchers_by_parameter.setdefault(name, {})[watch] = None
-        for name in scope.relevant_attributes:
-            self.watchers_by_attribute.setdefault(name, {})[watch] = None
-        return watch
+        self.distinct_watches: Tuple[_Watch, ...] = tuple(by_scope.values())
 
     # -- scenario ingestion --------------------------------------------------
 
@@ -525,14 +515,14 @@ class _Runner:
         One walk over a situation hands each context, in situation order, to
         the watches its route lists, and each watch then folds the contexts
         it got. A route is ``(parameter, watches)``, looked up once by the
-        context's qualified name and built on first use: the watches filed
-        under the parameter and then under the qualified attribute, each
-        once, in index order. Two contexts whose dotted names qualify alike
-        (``Net.Op`` + ``Status``, ``Net`` + ``Op.Status``) share a key but
-        not a route, so a route is rebuilt when its parameter differs. Only
-        watches with an activity awaiting evaluation take part: an activity
-        leaves the chain or executes only after its one evaluation, so a
-        finished watch is skipped, not unfiled. The routes never go stale:
+        context's qualified name and built on first use: the distinct
+        watches whose scope ``covers`` the context, in chain order. Two
+        contexts whose dotted names qualify alike (``Net.Op`` + ``Status``,
+        ``Net`` + ``Op.Status``) share a key but not a route, so a route is
+        rebuilt when its parameter differs. Only watches with an activity
+        awaiting evaluation take part: an activity leaves the chain or
+        executes only after its one evaluation, so a finished watch is
+        skipped, not taken off its routes. The routes never go stale:
         scopes are set at load, and inserted activities have none.
         """
         scenario = self.scenario
@@ -548,11 +538,8 @@ class _Runner:
                 q = ctx.qualified
                 route = self.routes.get(q)
                 if route is None or route[0] != p:
-                    watches = {
-                        **self.watchers_by_parameter.get(p, {}),
-                        **self.watchers_by_attribute.get(q, {}),
-                    }
-                    route = self.routes[q] = (p, tuple(watches))
+                    route = self.routes[q] = (p, tuple(
+                        [w for w in self.distinct_watches if w.scope.covers(ctx)]))
                 for watch in route[1]:
                     if watch.waiting:
                         contexts = routed.get(watch)

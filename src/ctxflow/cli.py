@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation failure, 2 runtime error,
 3 verification property failure. Validation happens once, in the loaders:
 a document that does not load, or a bundle that is not well formed, is a
-``LoadError`` that ``main`` reports as ``invalid: <file>: ...``. All
+``LoadError`` that ``main`` reports as ``invalid: <file>: ...``, and so is
+an ``-o`` path that cannot be written. All
 machine-readable outputs are deterministic — identical inputs produce
 byte-identical documents.
 """
@@ -39,9 +40,17 @@ COST_FLAGS = ("ta", "tp", "tcm", "tth", "cct")
 def _dump(document: dict, path: Path | None) -> str:
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if path is not None:
+        _write(path, text)
+    return text
+
+
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``; a ``LoadError`` names a path the system refuses."""
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-    return text
+    except OSError as exc:
+        raise LoadError("cannot write %s: %s" % (exc.filename or path, exc.strerror)) from None
 
 
 def cmd_validate(args) -> int:
@@ -83,7 +92,7 @@ def cmd_run(args) -> int:
     text = _dump(summary, outdir / "summary.json" if outdir else None)
     if outdir:
         log = "\n".join(e.describe() for e in trace.entries)
-        (outdir / "trace.log").write_text(log + "\n" if log else "")
+        _write(outdir / "trace.log", log + "\n" if log else "")
         print("wrote %s and %s" % (outdir / "summary.json", outdir / "trace.log"))
     else:
         sys.stdout.write(text)

@@ -11,7 +11,8 @@ class CtxflowError(Exception):
 
 
 class LoadError(CtxflowError):
-    """A document failed to parse or carried an unsupported version."""
+    """A document failed to parse or carried an unsupported version, or an
+    output file could not be written."""
 
 
 class UnknownContextError(CtxflowError):

@@ -14,10 +14,10 @@ is its name and color set, a transition its name, an arc a triple.
 
 A marking is canonically a sorted tuple of (place, label, count) entries.
 ``explore`` walks packed markings: one int with a ``w``-bit field per key
-that an arc touches, ``w`` being 8 unless an initial count or arc weight
-needs more. The top bit of each field is a guard: a count that reaches it
-makes ``explore`` start over with fields twice as wide. Tokens on keys no
-arc touches never change; the net keeps them once, as a canonical tail.
+that an arc touches or the initial marking holds, ``w`` being 8 unless an
+initial count or arc weight needs more. The top bit of each field is a
+guard: a count that reaches it makes ``explore`` start over with fields
+twice as wide. A field that no arc touches keeps its initial count.
 ``fire``, the one firing rule, works on packed markings, once per arc. The
 space decodes markings on demand; each check encodes its goal once.
 """
@@ -55,14 +55,14 @@ class Net:
 
     ``places`` maps each place name to its color set, and ``transitions``
     lists the transition names. ``keys`` holds, sorted, the (place, label)
-    pairs that arcs consume or produce; a packed marking holds key k's count
-    in the ``width`` bits from bit ``k * width``. ``mask`` covers one field
-    and ``guard`` the top bit of each. ``tail`` holds the initial marking's
-    entries on other keys, and ``initial_state`` the packed rest of it.
+    pairs that arcs consume or produce or the initial marking holds; a
+    packed marking holds key k's count in the ``width`` bits from bit
+    ``k * width``. ``mask`` covers one field and ``guard`` the top bit of
+    each. ``initial_state`` is the packed initial marking.
     For the transition at position t, ``pre_vectors[t]`` holds a (shift,
     need) pair per key it consumes, ``deltas[t]`` the sum of each key's
-    change shifted to its field, and ``affected[t]`` the transitions that
-    consume a key it changes: the only ones it can enable or disable.
+    change shifted to its field, and ``affected[t]`` the set of transitions
+    that consume a key it changes: the only ones it can enable or disable.
     """
 
     places: Mapping[str, FrozenSet[str]]
@@ -74,12 +74,11 @@ class Net:
     width: int = field(init=False, repr=False, compare=False)
     mask: int = field(init=False, repr=False, compare=False)
     guard: int = field(init=False, repr=False, compare=False)
-    tail: "Marking" = field(init=False, repr=False, compare=False)
     initial_state: int = field(init=False, repr=False, compare=False)
     pre_vectors: Tuple[Tuple[Tuple[int, int], ...], ...] = field(
         init=False, repr=False, compare=False)
     deltas: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    affected: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    affected: Tuple[FrozenSet[int], ...] = field(init=False, repr=False, compare=False)
     _inputs: Mapping[str, Dict[Tuple[str, str], int]] = field(init=False, repr=False, compare=False)
     _outputs: Mapping[str, Dict[Tuple[str, str], int]] = field(init=False, repr=False, compare=False)
 
@@ -125,10 +124,10 @@ class Net:
         count and arc weight is below the guard bit: then no field carries."""
         pres = [self.pre(name) for name in self.transitions]
         posts = [self.post(name) for name in self.transitions]
-        keys = tuple(sorted(set().union(*pres, *posts)))
+        initial = self.initial_marking
+        keys = tuple(sorted(set().union(*pres, *posts, [entry[:2] for entry in initial])))
         index = {key: k for k, key in enumerate(keys)}
-        initial = [(index.get(entry[:2]), entry) for entry in self.initial_marking]
-        counts = [entry[2] for k, entry in initial if k is not None]
+        counts = [entry[2] for entry in initial]
         largest = max(counts + [n for c in pres + posts for n in c.values()], default=0)
         while largest >> (width - 1):
             width *= 2
@@ -154,12 +153,11 @@ class Net:
             keys=keys, key_index=index, width=width, mask=mask,
             # The top bit of each field: the sum of 1 << k * width, shifted.
             guard=((1 << len(keys) * width) - 1) // mask << (width - 1),
-            tail=tuple(entry for k, entry in initial if k is None),
-            initial_state=sum(entry[2] << k * width for k, entry in initial if k is not None),
+            initial_state=sum(count << index[p, label] * width for p, label, count in initial),
             pre_vectors=tuple(pre_vectors),
             deltas=tuple(deltas),
             affected=tuple(
-                tuple(sorted({t for k in changed for t in readers[k]})) for changed in changes
+                frozenset([t for k in changed for t in readers[k]]) for changed in changes
             ),
         )
 
@@ -174,18 +172,15 @@ def make_marking(tokens: Mapping[Tuple[str, str], int]) -> Marking:
 
 def encode(net: Net, marking: Marking) -> Optional[int]:
     """The packed form of the canonical ``marking`` in ``net``, or None when
-    no marking that ``net`` reaches has one: its entries on keys that no
-    arc touches differ from the tail, or a count reaches the guard bit."""
-    state, tail = 0, []
-    for entry in marking:
-        k = net.key_index.get(entry[:2])
-        if k is None:
-            tail.append(entry)
-        elif entry[2] >> (net.width - 1):
+    it has none, so that ``net`` cannot reach it: an entry lies on a key
+    that ``net`` does not pack, or a count reaches the guard bit."""
+    state = 0
+    for place, label, count in marking:
+        k = net.key_index.get((place, label))
+        if k is None or count >> (net.width - 1):
             return None
-        else:
-            state += entry[2] << k * net.width
-    return state if tuple(tail) == net.tail else None
+        state += count << k * net.width
+    return state
 
 
 def _counts(state: int, size: int, width: int):
@@ -198,10 +193,9 @@ def _counts(state: int, size: int, width: int):
 
 def decode(net: Net, state: int) -> Marking:
     """The canonical marking of the packed ``state``: the keys whose fields
-    hold tokens, with the tail merged in."""
+    hold tokens, in key order."""
     counts = _counts(state, len(net.keys), net.width)
-    entries = [key + (count,) for key, count in zip(net.keys, counts) if count]
-    return tuple(sorted(entries + list(net.tail)) if net.tail else entries)
+    return tuple([key + (count,) for key, count in zip(net.keys, counts) if count])
 
 
 def _enabled_at(net: Net, state: int) -> List[int]:
@@ -297,7 +291,6 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
     while True:
         names, mask, guard = net.transitions, net.mask, net.guard
         pre_vectors, affected = net.pre_vectors, net.affected
-        rechecked = [frozenset(ts) for ts in affected]
         start = net.initial_state
         number, out, partial = {start: 0}, [], False
         frontier = deque([(start, _enabled_at(net, start))])
@@ -314,9 +307,9 @@ def explore(net: Net, limit: int = 100000) -> StateSpace:
                         del number[successor]
                         partial = True
                         break
-                    recheck = rechecked[t]
+                    recheck = affected[t]
                     now = [u for u in live if u not in recheck]
-                    for u in affected[t]:
+                    for u in recheck:
                         for shift, need in pre_vectors[u]:
                             if successor >> shift & mask < need:
                                 break
@@ -362,9 +355,6 @@ def check_bounded(space: StateSpace, k: int, net: Net) -> BoundednessReport:
     bounds: Dict[str, int] = dict.fromkeys(net.places, 0)
     for place, _, count in space.initial:
         bounds[place] = bounds.get(place, 0) + count
-    tail: Dict[str, int] = {}  # the same in every marking
-    for place, _, count in packed.tail:
-        tail[place] = tail.get(place, 0) + count
     # A place's keys sort together, so its fields are one run of bits.
     fields: Dict[str, Tuple[int, int]] = {}  # place -> (first key, last key + 1)
     for key, (place, _) in enumerate(packed.keys):
@@ -388,7 +378,7 @@ def check_bounded(space: StateSpace, k: int, net: Net) -> BoundednessReport:
             most = sum(_counts(most, size, width))
         if most > 1:
             most = max(sum(_counts(s >> shift & span, size, width)) for s in discovered[name])
-        bounds[place] = max(bounds[place], most + tail.get(place, 0))
+        bounds[place] = max(bounds[place], most)
     return BoundednessReport(bounds, k)
 
 

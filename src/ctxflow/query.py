@@ -24,7 +24,8 @@ some complete chain.
 
 Conditions are AND/OR trees over leaves ``attr <name> <op> <value>``,
 ``param <op> <value>``, ``instance <op> <value>`` and ``value <op> <value>``,
-with parentheses for grouping. Keywords are case-insensitive. A bare value
+with parentheses for grouping, nested at most ``_Parser.MAX_DEPTH`` deep.
+Keywords are case-insensitive. A bare value
 is typed as the loaders type a plain YAML scalar: a bool, an int or a float
 becomes that value, one YAML cannot build (``0b_``) does not parse, and
 any other word (``inf``, a date, ``null``) stays text. A quoted value is
@@ -189,10 +190,14 @@ _TYPED = {"tag:yaml.org,2002:" + name for name in ("bool", "int", "float")}
 
 
 class _Parser:
+    # Parentheses nest at most as deep as the loader's documents do.
+    MAX_DEPTH = 100
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # the parentheses open around the next token
 
     def peek(self):
         if self.index < len(self.tokens):
@@ -275,9 +280,13 @@ class _Parser:
 
     def condition_term(self) -> Condition:
         if self.peek() == "(":
+            if self.depth == self.MAX_DEPTH:
+                raise QueryParseError("nested too deeply", position=self.position())
             self.take("(")
+            self.depth += 1
             inner = self.condition()
             self.take(")")
+            self.depth -= 1
             return inner
         fieldname = self.take().lower()
         if fieldname not in ("attr", "param", "instance", "value"):

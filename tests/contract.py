@@ -32,6 +32,9 @@ from run import WORKLOADS  # noqa: E402
 
 TOKEN = "<work>"
 OUT = "-o"  # stands for ``-o DIR``, with DIR a fresh directory per case
+ONTO_FILE = "-o <bundle>"  # stands for ``-o FILE``, with FILE the bundle document
+DEEP = "<3000-deep query>"  # stands for a condition in 3,000 parentheses
+SPELLED = {DEEP: "AND Network WHERE " + "(" * 3000 + "value = 1" + ")" * 3000}
 
 
 def _kiosk(name):
@@ -107,6 +110,7 @@ KIOSK_COMMANDS = (
     ("validate",),
     ("run",),
     ("run", OUT),
+    ("run", ONTO_FILE),
     ("verify",),
     ("verify", OUT),
     ("verify", "--limit", "1"),
@@ -130,6 +134,7 @@ QUERIES = (
     " OR attr Status = Cloudy",
     "ADD Manpower(HA, Count, =, inf), Manpower(HA, Count, =, 1)",
     "ADD Manpower(HA, Count, =, 1%s), Manpower(HA, Count, =, 2.5)" % ("0" * 400),
+    DEEP,
 )
 CASES = {
     "%s: %s" % (bundle, " ".join(command)): (bundle, command)
@@ -159,7 +164,12 @@ def digest(case, paths, work):
     shutil.rmtree(out, ignore_errors=True)
     argv = [command, str(paths[bundle])]
     for flag in flags:
-        argv += ["-o", str(out)] if flag == OUT else [flag]
+        if flag == OUT:
+            argv += ["-o", str(out)]
+        elif flag == ONTO_FILE:
+            argv += ["-o", str(paths[bundle])]
+        else:
+            argv.append(SPELLED.get(flag, flag))
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         code = main(argv)

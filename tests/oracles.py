@@ -698,15 +698,16 @@ def net_post(net, transition):
 
 def compile_oracle(net):
     """The compiled form of ``net`` from arc-scanned ``Counter``s: keys,
-    key positions, the field width and its masks, the tail and the packed
-    initial marking, per-transition vectors and deltas, and the transitions
-    each firing can enable or disable."""
+    those of the arcs and of the initial marking, key positions, the field
+    width and its masks, the packed initial marking, per-transition vectors
+    and deltas, and the set of transitions each firing can enable or
+    disable."""
     names = tuple(net.transitions)
     pres = [net_pre(net, name) for name in names]
     posts = [net_post(net, name) for name in names]
-    keys = tuple(sorted(set().union(*pres, *posts)))
+    packed = {(p, l): c for p, l, c in net.initial_marking}
+    keys = tuple(sorted(set().union(*pres, *posts, packed)))
     index = {key: k for k, key in enumerate(keys)}
-    packed = {(p, l): c for p, l, c in net.initial_marking if (p, l) in index}
     largest = max([*packed.values(), *(n for c in pres + posts for n in c.values())],
                   default=0)
     width = 8
@@ -727,8 +728,7 @@ def compile_oracle(net):
         for key in pre:
             readers[index[key]].append(t)
     affected = tuple(
-        tuple(sorted({t for k in keys_changed for t in readers[k]}))
-        for keys_changed in changed
+        frozenset(t for k in keys_changed for t in readers[k]) for keys_changed in changed
     )
     return {
         "keys": keys,
@@ -736,7 +736,6 @@ def compile_oracle(net):
         "width": width,
         "mask": 2 ** width - 1,
         "guard": sum(2 ** (k * width + width - 1) for k in range(len(keys))),
-        "tail": tuple(entry for entry in net.initial_marking if entry[:2] not in index),
         "initial_state": sum(c * 2 ** (index[key] * width) for key, c in packed.items()),
         "pre_vectors": pre_vectors,
         "deltas": tuple(deltas),

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from ctxflow import cli
+from ctxflow import cli, files, query
 from ctxflow.cli import main
 from ctxflow.errors import UnknownActivityError
 
@@ -899,6 +899,37 @@ class TestQuery:
             "query failed: Manpower(HA, Count, =, %s) and Manpower(HA, Count, =, 2.5)"
             " do not add up to a float\n" % word
         )
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "file-sub"])
+@pytest.mark.parametrize("command", ["run", "verify", "metrics"])
+def test_out_onto_a_file_is_one_line(kiosk_bundle, tmp_path, capsys, command, under):
+    # ``-o`` names an existing file, or a directory below one: the command
+    # writes nothing and says which path the system refused, and why.
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    out = existing / "sub" if under else existing
+    assert main([command, str(kiosk_bundle), "-o", str(out)]) == 1
+    reason = "Not a directory" if under else "File exists"
+    assert capsys.readouterr() == ("invalid: cannot write %s: %s\n" % (out, reason), "")
+    assert existing.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("depth", [100, 101, 3000])
+def test_query_nesting_stops_at_the_loaders_depth(kiosk_dir, capsys, depth):
+    # As deep as a document may nest, a condition parses and selects; one
+    # parenthesis more is refused at that parenthesis, in one line.
+    head = "AND Weather WHERE "
+    text = head + "(" * depth + "attr Status = Rainy" + ")" * depth
+    code = main(["query", str(kiosk_dir / "scenario.yaml"), text])
+    out, err = capsys.readouterr()
+    limit = files._FromEvents.MAX_DEPTH
+    assert limit == query._Parser.MAX_DEPTH == 100
+    if depth <= limit:
+        assert (code, out, err) == (0, "Weather(Weather, Status, =, Rainy)\n", "")
+    else:
+        assert (code, out, err) == (
+            1, "query error at position %d: nested too deeply\n" % (len(head) + limit), "")
 
 
 def test_unexpected_engine_error_is_one_line_naming_its_class(

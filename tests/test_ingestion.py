@@ -388,12 +388,7 @@ def routed_against_oracle(model, scenario, evaluated):
     runner = chain_mod._Runner(model, [])
     for a in evaluated:
         runner._caught(a)
-    watches = set(runner.watches.values()).union(*(
-        filed
-        for index in (runner.watchers_by_parameter, runner.watchers_by_attribute)
-        for filed in index.values()
-    ))
-    expected = {w: w.state for w in watches}
+    expected = {w: w.state for w in runner.distinct_watches}
     counts = collections.Counter()
     for cs in scenario:
         before = {w: w.state for w in expected}

@@ -584,7 +584,7 @@ class TestNumberedSpace:
         assert (space.node_count, len(space.out), space.arc_count) == (1, 1, 0)
 
 
-# -- the packed encoding: wide counts, self-loops and the tail ---------------
+# -- the packed encoding: wide counts, self-loops and keys off the arcs ------
 
 
 def net_of(transitions, tokens):
@@ -662,9 +662,13 @@ class TestPackedEncoding:
     def test_tokens_off_the_arcs_are_kept_once(self, limit):
         space = assert_same_space(OFF_ARCS, limit=limit or 100000)
         assert_checks_match_oracles(space, OFF_ARCS)
-        tail = (("a_ghost", "z", 1), ("p", "y", 3), ("zz_ghost", "z", 4))
-        assert OFF_ARCS.tail == tail
-        assert all(set(tail) <= set(m) for m in space.nodes)
+        ghosts = (("a_ghost", "z", 1), ("p", "y", 3), ("zz_ghost", "z", 4))
+        # Each ghost key has a field of its own, which no transition reads.
+        net = space.net
+        read = {shift for vector in net.pre_vectors for shift, _ in vector}
+        shifts = {net.key_index[entry[:2]] * net.width for entry in ghosts}
+        assert len(shifts) == 3 and not shifts & read
+        assert all(set(ghosts) <= set(m) for m in space.nodes)
         if limit is None:
             bounds = check_bounded(space, k=1, net=OFF_ARCS).bounds
             assert bounds == {"p": 5, "q": 2, "a_ghost": 1, "zz_ghost": 4}
