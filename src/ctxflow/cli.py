@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Dict
 
 from .chain import run_instance
 from .errors import CtxflowError, LoadError, QueryParseError
@@ -40,17 +41,32 @@ COST_FLAGS = ("ta", "tp", "tcm", "tth", "cct")
 def _dump(document: dict, path: Path | None) -> str:
     text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if path is not None:
-        _write(path, text)
+        _write({path: text})
     return text
 
 
-def _write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``; a ``LoadError`` names a path the system refuses."""
+def _write(texts: Dict[Path, str]) -> None:
+    """Write each text to its path, or none when the system refuses a path:
+    every file is opened, without truncating, before any is written, and a
+    file this call made is removed again. A ``LoadError`` names the path
+    refused."""
+    opened = []  # (path, file, made by this call)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        for path in texts:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            made = not path.exists()
+            opened.append((path, path.open("a"), made))
+        for (path, out, _), text in zip(opened, texts.values()):
+            with out:
+                out.truncate(0)
+                out.write(text)
     except OSError as exc:
-        raise LoadError("cannot write %s: %s" % (exc.filename or path, exc.strerror)) from None
+        refused = exc.filename or path
+        for made_path, out, made in opened:
+            out.close()
+            if made:
+                made_path.unlink()
+        raise LoadError("cannot write %s: %s" % (refused, exc.strerror)) from None
 
 
 def cmd_validate(args) -> int:
@@ -89,10 +105,10 @@ def cmd_run(args) -> int:
         "evaluations": len(evaluations),
     }
     outdir = Path(args.out) if args.out else None
-    text = _dump(summary, outdir / "summary.json" if outdir else None)
+    text = _dump(summary, None)
     if outdir:
         log = "\n".join(e.describe() for e in trace.entries)
-        _write(outdir / "trace.log", log + "\n" if log else "")
+        _write({outdir / "summary.json": text, outdir / "trace.log": log + "\n" if log else ""})
         print("wrote %s and %s" % (outdir / "summary.json", outdir / "trace.log"))
     else:
         sys.stdout.write(text)

@@ -19,7 +19,7 @@ initial count or arc weight needs more. The top bit of each field is a
 guard: a count that reaches it makes ``explore`` start over with fields
 twice as wide. A field that no arc touches keeps its initial count.
 ``fire``, the one firing rule, works on packed markings, once per arc. The
-space decodes markings on demand; each check encodes its goal once.
+space decodes markings on demand; its checks share one index of its arcs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -227,6 +227,43 @@ def fire(net: Net, state: int, t: int) -> int:
     return state + net.deltas[t]
 
 
+class ArcIndex:
+    """What the checks read of a space's arcs, from one walk of ``out``:
+    ``into[j]`` lists the markings with an arc to j, ``fired`` names the
+    transitions some arc fires, and ``discovered`` maps a transition to the
+    packed markings whose first arc in ``out`` is one of its. The latest
+    backward search is kept, for ``check_reachable`` and ``check_home``.
+    """
+
+    def __init__(self, space: StateSpace):
+        states = list(space.number)
+        self.into = into = [[] for _ in states]
+        self.fired, self.discovered = fired, discovered = set(), {}
+        self._searched: Tuple[Optional[int], List[int]] = (None, [])
+        found = 1  # markings are numbered as they are discovered
+        for i, arcs in enumerate(space.out):
+            for name, j in arcs:
+                into[j].append(i)
+                fired.add(name)
+                if j == found:
+                    found += 1
+                    discovered.setdefault(name, []).append(states[j])
+
+    def distances(self, target: int) -> List[int]:
+        """The fewest arcs from each marking to marking ``target``, -1 where
+        none leads: a breadth-first search of ``into``."""
+        if self._searched[0] != target:
+            into, distances, order = self.into, [-1] * len(self.into), [target]
+            distances[target] = 0
+            for j in order:  # a queue: markings join it in order of distance
+                for i in into[j]:
+                    if distances[i] < 0:
+                        distances[i] = distances[j] + 1
+                        order.append(i)
+            self._searched = (target, distances)
+        return self._searched[1]
+
+
 @dataclass
 class StateSpace:
     """The explored markings, numbered, and the arcs between their numbers.
@@ -239,7 +276,8 @@ class StateSpace:
     an exact space. A partial space lacks the markings left undiscovered,
     has no ``out`` entry for those discovered but not expanded, and the
     last one expanded may lack some of its arcs. ``net``, packed as wide as
-    the walk needed, decodes ``nodes`` and ``arcs`` on demand.
+    the walk needed, decodes ``nodes`` and ``arcs`` on demand, and the
+    checks read the arcs through ``index``, derived on first use.
     """
 
     number: Dict[int, int]
@@ -270,13 +308,15 @@ class StateSpace:
     def arc_count(self) -> int:
         return sum(map(len, self.out))
 
+    index = cached_property(ArcIndex)
+
 
 @collector_paused
 def explore(net: Net, limit: int = 100000) -> StateSpace:
     """Breadth-first exhaustive exploration of the markings reachable from
     ``net.initial_marking``.
 
-    The result is exact when fewer than ``limit`` markings exist, else it is
+    The result is exact when at most ``limit`` markings exist, else it is
     flagged partial. The walk runs on packed markings (see the module
     notes): each arc's successor comes from one call of ``fire`` and is
     hashed once, an int, to file it in ``number`` or find its number. Each
@@ -347,9 +387,10 @@ def check_bounded(space: StateSpace, k: int, net: Net) -> BoundednessReport:
     A marking's discovery arc (the first in ``out`` to reach it) leaves a
     marking numbered before it, so a place holds its most at the initial
     marking or at one whose discovery arc produced into it. The markings a
-    transition discovered are ORed together: the fields of a place it
-    produces into, read from that union, bound the place's total there and
-    give it when they add up to at most one token. Past that, each is read.
+    transition discovered (``ArcIndex.discovered``) are ORed together: the
+    fields of a place it produces into, read from that union, bound the
+    place's total there and give it when they add up to at most one token.
+    Past that, each is read.
     """
     packed, width = space.net, space.net.width
     bounds: Dict[str, int] = dict.fromkeys(net.places, 0)
@@ -359,15 +400,8 @@ def check_bounded(space: StateSpace, k: int, net: Net) -> BoundednessReport:
     fields: Dict[str, Tuple[int, int]] = {}  # place -> (first key, last key + 1)
     for key, (place, _) in enumerate(packed.keys):
         fields[place] = (fields.get(place, (key,))[0], key + 1)
-    discovered: Dict[str, List[int]] = {name: [] for name in net.transitions}
-    states = list(space.number)
-    found = 1
-    for arcs in space.out:
-        for name, j in arcs:
-            if j == found:
-                found += 1
-                discovered[name].append(states[j])
-    unions = {name: reduce(or_, group) for name, group in discovered.items() if group}
+    discovered = space.index.discovered
+    unions = {name: reduce(or_, group) for name, group in discovered.items()}
     # Only a transition that produces into a place can raise its total.
     for name, place in {(source, target) for source, target, _ in net.arcs if source in unions}:
         first, end = fields[place]
@@ -389,10 +423,10 @@ class LivenessReport:
 
 
 def check_liveness(space: StateSpace, net: Net) -> LivenessReport:
-    """Transitions no arc fires, and the markings without arcs, decoded."""
+    """Transitions no arc fires (``ArcIndex.fired``), and dead markings, decoded."""
     if space.partial:
         raise PartialSpaceError("liveness needs an exact state space")
-    fired = {t for arcs in space.out for t, _ in arcs}
+    fired = space.index.fired
     dead_transitions = tuple(sorted(t for t in net.transitions if t not in fired))
     dead_markings = tuple(sorted(decode(space.net, state) for state, arcs
                                  in zip(space.number, space.out) if not arcs))
@@ -400,63 +434,28 @@ def check_liveness(space: StateSpace, net: Net) -> LivenessReport:
 
 
 def check_reachable(space: StateSpace, goal: Marking) -> Tuple[bool, List[str]]:
-    """Shortest transition path from the initial marking to ``goal``.
-
-    ``goal`` is encoded and looked up once: one with no packed form is
-    unreachable. The breadth-first search then walks numbers, taking each
-    marking's arcs sorted by transition name, as its (transition,
-    successor) pairs sort. ``via[j]`` holds the number and the transition
-    that first reached j. A marking never expanded has no arcs to follow.
-    """
+    """The least, name by name, of the shortest transition paths from the
+    initial marking to ``goal``, encoded and looked up once: one with no
+    packed form is unreachable. Each step from marking 0 takes the arc with
+    the least name among those one step closer to ``goal`` in the backward
+    search from it (``ArcIndex.distances``)."""
     target = space.number.get(encode(space.net, goal))
-    if target is None:
-        return False, []
-    out = space.out
-    expanded = len(out)
-    via = [None] * len(space.number)
-    via[0] = (0, "")
-    frontier = deque([0])
-    while frontier and via[target] is None:
-        i = frontier.popleft()
-        if i < expanded:
-            for name, j in sorted(out[i]):
-                if via[j] is None:
-                    via[j] = (i, name)
-                    frontier.append(j)
-    if via[target] is None:
-        return False, []
-    path = []
-    while target:
-        target, name = via[target]
+    distances = [-1] if target is None else space.index.distances(target)
+    out, i, path = space.out, 0, []
+    for d in reversed(range(distances[0])):
+        name, i = min([arc for arc in out[i] if distances[arc[1]] == d])
         path.append(name)
-    path.reverse()
-    return True, path
+    return distances[0] >= 0, path
 
 
 def check_home(space: StateSpace, marking: Marking) -> bool:
-    """True when ``marking`` is reachable from every reachable marking.
-
-    ``marking`` is encoded and looked up once. The backward search from its
-    number walks the reverse of ``out`` and marks what it reaches.
-    """
+    """True when ``marking`` is reachable from every reachable marking: when
+    the backward search from it, shared with ``check_reachable``, reaches
+    every marking. One with no packed form is not even reachable."""
     if space.partial:
         raise PartialSpaceError("home property needs an exact state space")
     target = space.number.get(encode(space.net, marking))
-    if target is None:
-        return False  # not reachable, so not even from the initial marking
-    reverse: List[List[int]] = [[] for _ in space.out]
-    for i, arcs in enumerate(space.out):
-        for _, j in arcs:
-            reverse[j].append(i)
-    reached = bytearray(len(reverse))
-    reached[target] = 1
-    stack = [target]
-    while stack:
-        for prev in reverse[stack.pop()]:
-            if not reached[prev]:
-                reached[prev] = 1
-                stack.append(prev)
-    return reached.count(1) == len(reverse)
+    return target is not None and -1 not in space.index.distances(target)
 
 
 def goal_marking(net: Net) -> Marking:

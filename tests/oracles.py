@@ -14,8 +14,9 @@ whole situations, per-context classification for state changes, a
 dependency fixpoint that normalizes both sides of every comparison, subset
 enumeration for query evaluation, arc-scanning token counters for
 state-space exploration, a net compiled from per-transition ``Counter``
-subtraction, a dict-and-sort firing rule and property checks
-that rebuild their maps from the arc list, and PyYAML's pure-Python loader and constructor
+subtraction, a dict-and-sort firing rule, property checks
+that rebuild their maps from the arc list, a forward search of the
+numbered space and separate scans of its arcs for the arc index, and PyYAML's pure-Python loader and constructor
 for the document loader. The repository and query formatters invert their
 parsers, for round-trip tests; the engine itself never writes either form.
 """
@@ -43,7 +44,7 @@ from ctxflow.errors import (
 )
 from ctxflow.fragments import ThrowResult
 from ctxflow.graph import TimedValue
-from ctxflow.petri import BoundednessReport, LivenessReport, make_marking
+from ctxflow.petri import BoundednessReport, LivenessReport, encode, make_marking
 
 
 # -- pure-Python YAML loader ------------------------------------------------
@@ -884,3 +885,57 @@ def check_home_oracle(space, marking):
                 reached.add(prev)
                 frontier.append(prev)
     return set(space.nodes) <= reached
+
+
+# -- the numbered space's forward search and arc scans ----------------------
+
+
+def check_reachable_forward_oracle(space, goal):
+    """The shortest path to ``goal`` by a breadth-first search forward from
+    marking 0 over the numbered space, taking each marking's arcs sorted by
+    transition name. ``via[j]`` holds the number and the transition that
+    first reached j. A marking never expanded has no arcs to follow."""
+    target = space.number.get(encode(space.net, goal))
+    if target is None:
+        return False, []
+    out = space.out
+    expanded = len(out)
+    via = [None] * len(space.number)
+    via[0] = (0, "")
+    frontier = deque([0])
+    while frontier and via[target] is None:
+        i = frontier.popleft()
+        if i < expanded:
+            for name, j in sorted(out[i]):
+                if via[j] is None:
+                    via[j] = (i, name)
+                    frontier.append(j)
+    if via[target] is None:
+        return False, []
+    path = []
+    while target:
+        target, name = via[target]
+        path.append(name)
+    path.reverse()
+    return True, path
+
+
+def arc_index_oracle(space):
+    """``into``, ``fired`` and ``discovered`` of ``space``'s arc index, each
+    from its own scan of ``out``. ``discovered`` groups by transition name
+    the packed markings whose first arc in ``out`` is one of its, found by
+    counting markings up as the arcs first reach them."""
+    into = [[] for _ in space.number]
+    for i, arcs in enumerate(space.out):
+        for _, j in arcs:
+            into[j].append(i)
+    fired = {t for arcs in space.out for t, _ in arcs}
+    states = list(space.number)
+    discovered = {}
+    found = 1
+    for arcs in space.out:
+        for name, j in arcs:
+            if j == found:
+                found += 1
+                discovered.setdefault(name, []).append(states[j])
+    return into, fired, discovered

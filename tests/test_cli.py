@@ -915,6 +915,24 @@ def test_out_onto_a_file_is_one_line(kiosk_bundle, tmp_path, capsys, command, un
     assert existing.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("before", [None, "kept\n"], ids=["new", "existing"])
+@pytest.mark.parametrize("refused", ["summary.json", "trace.log"])
+def test_a_run_out_that_is_refused_writes_neither_file(kiosk_bundle, tmp_path, capsys,
+                                                       refused, before):
+    # One of run's two files is a directory: run writes neither, leaves the
+    # other as it was, or absent, and names the path it could not write.
+    out = tmp_path / "d"
+    (out / refused).mkdir(parents=True)
+    other = out / ({"summary.json", "trace.log"} - {refused}).pop()
+    if before is not None:
+        other.write_text(before)
+    assert main(["run", str(kiosk_bundle), "-o", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "invalid: cannot write %s: Is a directory\n" % (out / refused), "")
+    assert (other.read_text() if other.exists() else None) == before
+    assert {p.name for p in out.iterdir()} == {refused} | ({other.name} if before else set())
+
+
 @pytest.mark.parametrize("depth", [100, 101, 3000])
 def test_query_nesting_stops_at_the_loaders_depth(kiosk_dir, capsys, depth):
     # As deep as a document may nest, a condition parses and selects; one

@@ -20,6 +20,7 @@ from ctxflow.fragments import FragmentRepository
 from ctxflow.graph import AttributeNode, ContextGraph, EntityNode, StateNodeDef
 from ctxflow.petri import (
     Net,
+    StateSpace,
     check_bounded,
     check_home,
     check_liveness,
@@ -36,9 +37,11 @@ from ctxflow.petri import (
 
 from bundlegen import Shape, chain_state_space, generate
 from oracles import (
+    arc_index_oracle,
     check_bounded_oracle,
     check_home_oracle,
     check_liveness_oracle,
+    check_reachable_forward_oracle,
     check_reachable_oracle,
     compile_oracle,
     enabled_oracle,
@@ -383,6 +386,28 @@ def successors(space):
     return {nodes[i]: [(t, nodes[j]) for t, j in arcs] for i, arcs in enumerate(space.out)}
 
 
+def least_shortest_paths(space):
+    """The least, as a list of transition names, of the shortest paths from
+    the initial marking to each marking the arcs reach: level by level,
+    each marking keeps the least of its parents' paths, each extended by
+    the arc's transition."""
+    arcs = successors(space)
+    paths = {space.nodes[0]: []}
+    level = [space.nodes[0]]
+    while level:
+        reached = {}
+        for marking in level:
+            for name, successor in arcs.get(marking, []):
+                if successor in paths:
+                    continue
+                path = paths[marking] + [name]
+                if successor not in reached or path < reached[successor]:
+                    reached[successor] = path
+        paths.update(reached)
+        level = list(reached)
+    return paths
+
+
 def assert_same_space(net, limit=100000):
     space = explore(net, limit=limit)
     expected = explore_oracle(net, limit=limit)
@@ -410,29 +435,44 @@ def assert_successor_index(space):
 
 def assert_checks_match_oracles(space, net):
     """Every property check reports what its arc-scanning oracle does, down
-    to the order of the places in ``bounds``."""
+    to the order of the places in ``bounds``, and the arc index holds what
+    its scans find. ``check_home`` runs before ``check_reachable`` on one
+    fresh copy of ``space`` and after it on another, goal after goal, so a
+    search kept for one goal is never read for another."""
     bounds = check_bounded(space, k=1, net=net)
     expected = check_bounded_oracle(space, k=1, net=net)
     assert list(bounds.bounds.items()) == list(expected.bounds.items())
     assert bounds.violations() == expected.violations()
+    into, fired, discovered = arc_index_oracle(space)
+    assert space.index.into == into
+    assert space.index.fired == fired
+    assert list(space.index.discovered.items()) == list(discovered.items())
     goal = goal_marking(net)
     targets = [goal, net.initial_marking, make_marking({("nowhere", "x"): 1})]
-    targets += sorted(space.nodes)[:3]
-    for target in targets:
-        assert check_reachable(space, target) == check_reachable_oracle(space, target)
+    targets += sorted(space.nodes)[:3] + list(reversed(space.nodes))[:3] + [goal]
     if space.partial:
-        for check, oracle, arg in (
-            (check_liveness, check_liveness_oracle, net),
-            (check_home, check_home_oracle, goal),
-        ):
-            with pytest.raises(PartialSpaceError):
-                check(space, arg)
-            with pytest.raises(PartialSpaceError):
-                oracle(space, arg)
-        return
-    assert check_liveness(space, net) == check_liveness_oracle(space, net)
-    for target in targets:
-        assert check_home(space, target) == check_home_oracle(space, target)
+        with pytest.raises(PartialSpaceError):
+            check_liveness(space, net)
+        with pytest.raises(PartialSpaceError):
+            check_liveness_oracle(space, net)
+    else:
+        assert check_liveness(space, net) == check_liveness_oracle(space, net)
+    for home_first in (True, False):
+        fresh = StateSpace(space.number, space.out, space.partial, space.net)
+        for target in targets:
+            reachable = check_reachable_oracle(space, target)
+            assert check_reachable_forward_oracle(fresh, target) == reachable
+            if not home_first:
+                assert check_reachable(fresh, target) == reachable
+            if space.partial:
+                with pytest.raises(PartialSpaceError):
+                    check_home(fresh, target)
+                with pytest.raises(PartialSpaceError):
+                    check_home_oracle(space, target)
+            else:
+                assert check_home(fresh, target) == check_home_oracle(space, target)
+            if home_first:
+                assert check_reachable(fresh, target) == reachable
 
 
 class TestExplorerMatchesOracle:
@@ -449,10 +489,12 @@ class TestExplorerMatchesOracle:
         assert space.partial == (limit is not None and limit < 343)
         assert_checks_match_oracles(space, kiosk_net)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_translated_chains(self, n):
+        # Up to the verify-chain benchmark's twelve activities; the
+        # arc-scanning explorer checks the first six.
         net = translate(chain_model(n))
-        space = assert_same_space(net)
+        space = assert_same_space(net) if n <= 6 else explore(net)
         assert (space.node_count, space.arc_count) == (8 * n * n + 2 * n + 1, 16 * n * n - 6 * n)
         assert_checks_match_oracles(space, net)
 
@@ -577,11 +619,71 @@ class TestNumberedSpace:
             found = check_reachable(space, target)
             assert found[0] and found == check_reachable_oracle(space, target)
 
+    @pytest.mark.parametrize("limit", [343, 342])
+    def test_a_space_is_exact_up_to_limit_markings(self, kiosk_net, limit):
+        # Kiosk has 343 markings: a limit of 343 holds them all, one less
+        # stops the walk with 342 numbered and the space partial.
+        space = explore(kiosk_net, limit=limit)
+        assert space.partial == (limit < 343)
+        assert space.node_count == limit
+        if not space.partial:
+            assert space.arc_count == 698
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_a_chain_is_exact_up_to_its_markings(self, n):
+        net = translate(chain_model(n))
+        markings, arcs = chain_state_space(n)
+        exact, cut = explore(net, limit=markings), explore(net, limit=markings - 1)
+        assert not exact.partial and (exact.node_count, exact.arc_count) == (markings, arcs)
+        assert cut.partial and cut.node_count == markings - 1
+
+    @given(net=small_nets(), limit=st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_witnesses_are_least_shortest_paths(self, net, limit):
+        # Exact and partial spaces alike: every numbered marking is
+        # reached, by the least of its shortest paths, and one the space
+        # lacks is not.
+        space = explore(net, limit=limit)
+        least = least_shortest_paths(space)
+        assert set(least) == set(space.nodes)
+        absent = make_marking({("nowhere", "x"): 1})
+        for target in space.nodes + [absent]:
+            expected = (True, least[target]) if target in least else (False, [])
+            assert check_reachable(space, target) == expected
+            assert check_reachable_oracle(space, target) == expected
+
     def test_a_partial_space_may_have_expanded_every_marking(self, kiosk_net):
         # One marking, expanded, and a first successor past the limit.
         space = explore(kiosk_net, limit=1)
         assert space.partial
         assert (space.node_count, len(space.out), space.arc_count) == (1, 1, 0)
+
+
+def test_the_arc_index_is_built_once_per_space(kiosk_bundle, monkeypatch):
+    # However many checks and goals read it, a space walks its arcs once,
+    # and ``verify`` builds one index; another space builds its own.
+    built = []
+    build = petri.ArcIndex.__init__
+
+    def counted(index, space):
+        built.append(space)
+        build(index, space)
+
+    monkeypatch.setattr(petri.ArcIndex, "__init__", counted)
+    net = translate(load_bundle(kiosk_bundle).model)
+    space, other = explore(net), explore(net)
+    goal = goal_marking(net)
+    for target in (goal, net.initial_marking, goal):
+        check_bounded(space, k=1, net=net)
+        check_liveness(space, net)
+        check_home(space, target)
+        check_reachable(space, target)
+    assert len(built) == 1 and built[0] is space
+    assert check_reachable(other, goal) == check_reachable(space, goal)
+    assert len(built) == 2 and built[1] is other
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", str(kiosk_bundle)]) == 0
+    assert len(built) == 3
 
 
 # -- the packed encoding: wide counts, self-loops and keys off the arcs ------
